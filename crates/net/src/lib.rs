@@ -20,8 +20,8 @@
 //! * [`conn`] — the per-connection state machine: buffered
 //!   edge-triggered reads, a FIFO of response slots so pipelined
 //!   requests answer in arrival order, buffered writes;
-//! * [`server`] — the [`HttpServer`] event loop, generic over the
-//!   same [`fui_service::Backend`] as the line protocol.
+//! * [`server`] — the [`HttpServer`] event loop over the same
+//!   [`fui_service::ShardedService`] engine as the line protocol.
 //!
 //! Route handling reuses `fui_service::net::execute_control` and
 //! `render_reply`, so an HTTP body is byte-identical to the

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use fui_obs::{counter, gauge, Counter, Gauge};
 use fui_service::net::{execute_control, parse_node, parse_topic, render_reply};
-use fui_service::{Backend, Reply, Request};
+use fui_service::{Reply, Request, ShardedService};
 
 use crate::conn::{Conn, PendingRec, ReadOutcome, Slot};
 use crate::http::{self, HttpRequest, Method};
@@ -121,7 +121,7 @@ pub struct HttpServer {
 impl HttpServer {
     /// Binds `addr` (port 0 for ephemeral) and starts the loop and
     /// pump threads.
-    pub fn start<B: Backend>(
+    pub fn start<B: AsRef<ShardedService> + Send + Sync + 'static>(
         service: Arc<B>,
         addr: &str,
         cfg: HttpConfig,
@@ -136,13 +136,14 @@ impl HttpServer {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("fui-http-loop".into())
-                .spawn(move || run_loop(listener, &*service, cfg, &stop))?
+                .spawn(move || run_loop(listener, (*service).as_ref(), cfg, &stop))?
         };
         let pump = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("fui-http-pump".into())
                 .spawn(move || {
+                    let service = (*service).as_ref();
                     while !stop.load(Ordering::SeqCst) {
                         if service.pump() == 0 {
                             std::thread::park_timeout(cfg.window);
@@ -179,7 +180,7 @@ impl HttpServer {
     }
 }
 
-fn run_loop<B: Backend>(listener: TcpListener, service: &B, cfg: HttpConfig, stop: &AtomicBool) {
+fn run_loop(listener: TcpListener, service: &ShardedService, cfg: HttpConfig, stop: &AtomicBool) {
     let metrics = NetMetrics::new();
     let poller = match Poller::new() {
         Ok(p) => p,
@@ -302,9 +303,9 @@ fn accept_all(
 
 /// One full service pass over a connection: read, parse/route,
 /// resolve tickets, flush.
-fn service_conn<B: Backend>(
+fn service_conn(
     conn: &mut Conn,
-    service: &B,
+    service: &ShardedService,
     cfg: &HttpConfig,
     metrics: &NetMetrics,
     stall_stamp: &mut u64,
@@ -384,9 +385,9 @@ fn done(metrics: &NetMetrics, status: u16, body: String, keep_alive: bool) -> Sl
 /// Routes one parsed request. Control verbs run synchronously through
 /// `execute_control` (the line protocol's own dispatch);
 /// `GET /rec` submits into the batcher and returns a waiting slot.
-fn route<B: Backend>(
+fn route(
     req: &HttpRequest,
-    service: &B,
+    service: &ShardedService,
     cfg: &HttpConfig,
     metrics: &NetMetrics,
     stall_stamp: &mut u64,

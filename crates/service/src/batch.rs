@@ -1,7 +1,7 @@
 //! Micro-batching queue with admission control.
 //!
 //! Concurrent callers `submit` requests; a pump (either a test/bench
-//! loop calling [`crate::Service::pump`] directly, or the net
+//! loop calling [`crate::ShardedService::pump`] directly, or the net
 //! frontend's window thread) drains the queue in arrival order and
 //! answers one coalesced batch through
 //! `ApproxRecommender::recommend_batch` on the `fui-exec` pool.

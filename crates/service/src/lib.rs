@@ -15,14 +15,17 @@
 //! * [`batch`] — micro-batching submission queue with admission
 //!   control: a full queue sheds with an explicit
 //!   [`Reply::Overloaded`], never a stall;
-//! * [`service`] — the engine: deterministic [`Service::call`] /
-//!   [`Service::call_many`] plus the `submit`/`pump` pair, follow /
-//!   unfollow recording, [`Service::rotate`] and [`Service::refresh`];
-//! * [`shard`] / [`router`] — partitioned serving: N candidate-owning
-//!   shards (each its own snapshot store, result cache and admission
-//!   queue) behind a scatter/gather [`ShardedService`] that answers
-//!   bit-identically to the unsharded engine at any shard count, with
-//!   staggered per-shard rotation and per-shard WAL journaling;
+//! * [`shard`] / [`router`] — the one serving engine,
+//!   [`ShardedService`]: N candidate-owning shards (each its own
+//!   snapshot store, result cache and admission queue) behind a
+//!   scatter/gather router whose `answer_batch` runs probe → explore →
+//!   compose → merge and answers bit-identically at any shard count;
+//!   deterministic `call` / `call_many` plus the `submit`/`pump` pair,
+//!   follow / unfollow recording, staggered `rotate` and `refresh`,
+//!   WAL journaling and warm restart;
+//! * [`service`] — request/reply types, configuration, and
+//!   [`Service`]: that engine fixed at one shard (*unsharded* is
+//!   `shards = 1`), reaching every verb through `Deref`;
 //! * [`net`] — a thin `std::net` line-protocol frontend for manual
 //!   poking (including the `STATS` / `SLO` / `TRACE` / `SHARDS`
 //!   introspection verbs); tests and benches use the in-process API.
@@ -38,14 +41,14 @@
 //! Per-request attribution goes further: when tracing is active
 //! (`FUI_OBS=full` and `FUI_TRACE_SAMPLE` > 0) every request draws a
 //! [`fui_obs::TraceId`] at admission and carries a
-//! queue-wait/assembly/compute/cache latency decomposition plus an
-//! event timeline (enqueue, batch join, snapshot pin, cache probe,
-//! propagate start, finish/shed-with-cause) into `fui-obs`'s lock-free
-//! ring journal; [`Service::trace_slowest`] and the `TRACE <n>` verb
-//! read it back, and [`Service::slo`] / the `SLO` verb report rolling
-//! p99-target and shed-ceiling burn rates. Tracing is bit-invisible to
-//! results at any sample rate — the conformance suite and the CI bench
-//! gate both enforce it.
+//! queue-wait/assembly/compute/cache/scatter latency decomposition
+//! plus an event timeline (enqueue, batch join, snapshot pin, cache
+//! probe, propagate start, finish/shed-with-cause) into `fui-obs`'s
+//! lock-free ring journal; [`ShardedService::trace_slowest`] and the
+//! `TRACE <n>` verb read it back, and [`ShardedService::slo`] / the
+//! `SLO` verb report rolling p99-target and shed-ceiling burn rates.
+//! Tracing is bit-invisible to results at any sample rate — the
+//! conformance suite and the CI bench gate both enforce it.
 
 #![warn(missing_docs)]
 
@@ -62,7 +65,7 @@ pub use batch::Ticket;
 pub use cache::{CacheKey, CacheStamp, ResultCache};
 pub use durable::{JournalOp, JournalRecord, SnapshotState};
 pub use net::{execute_control, parse_node, parse_topic, parse_topics, render_reply};
-pub use net::{Backend, NetConfig, NetServer};
+pub use net::{NetConfig, NetServer};
 pub use router::{ShardSpec, ShardedService};
 pub use service::{Reply, Request, RestoreError, Served, Service, ServiceConfig};
 pub use shard::{FleetStatus, ShardStatus};

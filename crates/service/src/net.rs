@@ -46,7 +46,7 @@
 //!       queue_ns=<q> assembly_ns=<a> compute_ns=<c> cache_ns=<h>
 //!       scatter_ns=<x> events=<m>
 //!   followed by its m timeline lines:  EV <at_ns> <kind> <arg>
-//! OK SHARDS <n> strategy=<s> cut_edges=<c>   then n per-shard rows:
+//! OK SHARDS <n> strategy=<s> cut_edges=<c> crit_ns=<t>   then n rows:
 //!   S <id> epoch=<e> gen=<g> queue=<q> pending=<p> busy_ns=<b>
 //!     cache=<c> owned=<o> edge_mass=<m> requests=<r> shed=<s>
 //!     queue_full=<qf> deadline=<dl> latency_burn=<lb> shed_burn=<sb>
@@ -56,15 +56,14 @@
 //! (`FUI_OBS=full` with `FUI_TRACE_SAMPLE` > 0); the queue / assembly
 //! / compute / cache / scatter parts of each `REQ` line sum to its
 //! `total_ns` exactly (assembly is defined as the remainder; scatter
-//! is 0 on an unsharded backend).
+//! is planning plus cross-shard merge, small but live at one shard).
 //!
 //! Scores print with Rust's shortest-round-trip `f64` formatting, so a
 //! client parsing them back gets the exact served bits.
 //!
-//! The server is generic over [`Backend`]: the unsharded [`Service`]
-//! and the sharded [`crate::ShardedService`] fleet answer the same
-//! verb set (`SHARDS` on a plain service renders one `"unsharded"`
-//! row).
+//! The server fronts the one engine, [`ShardedService`], handed over as
+//! itself or as a one-shard [`crate::Service`] (whose `SHARDS` answer
+//! is the real single row: `strategy=hash`, live `busy_ns`/`crit_ns`).
 //!
 //! `REC` goes through the micro-batching queue: the handler submits
 //! and blocks on its ticket while a window thread pumps the service
@@ -83,114 +82,11 @@ use std::time::{Duration, Instant};
 
 use fui_graph::NodeId;
 use fui_landmarks::EdgeChange;
-use fui_obs::{RequestTrace, SloReport};
 use fui_taxonomy::{Topic, TopicSet};
 
-use crate::batch::Ticket;
 use crate::router::ShardedService;
-use crate::service::{Reply, Request, Service};
+use crate::service::{Reply, Request};
 use crate::shard::FleetStatus;
-
-/// The engine operations the line protocol needs — implemented by the
-/// unsharded [`Service`] and the sharded [`ShardedService`], so one
-/// [`NetServer`] fronts either.
-pub trait Backend: Send + Sync + 'static {
-    /// Enqueues a request for the pump thread.
-    fn submit(&self, req: Request, deadline: Option<Instant>) -> Result<Ticket, Reply>;
-    /// Drains and answers one batch; returns how many it answered.
-    fn pump(&self) -> usize;
-    /// Records one follow/unfollow.
-    fn record(&self, change: EdgeChange) -> Result<(), String>;
-    /// Applies pending changes; returns the new epoch.
-    fn rotate(&self) -> u64;
-    /// Recomputes stale landmarks; returns how many.
-    fn refresh(&self) -> usize;
-    /// Currently published epoch.
-    fn epoch(&self) -> u64;
-    /// Persists a durable snapshot now.
-    fn persist(&self) -> std::io::Result<(u64, usize)>;
-    /// Dry-run warm restart; `(epoch, graph_gen, applied_seq)`.
-    fn restore_probe(&self) -> Result<(u64, u64, u64), String>;
-    /// SLO checkpoint over the rolling window.
-    fn slo(&self) -> SloReport;
-    /// The `n` slowest recently traced requests.
-    fn trace_slowest(&self, n: usize) -> Vec<RequestTrace>;
-    /// Per-shard status rows (one `"unsharded"` row on a plain
-    /// service).
-    fn shards(&self) -> FleetStatus;
-}
-
-impl Backend for Service {
-    fn submit(&self, req: Request, deadline: Option<Instant>) -> Result<Ticket, Reply> {
-        Service::submit(self, req, deadline)
-    }
-    fn pump(&self) -> usize {
-        Service::pump(self)
-    }
-    fn record(&self, change: EdgeChange) -> Result<(), String> {
-        Service::record(self, change)
-    }
-    fn rotate(&self) -> u64 {
-        Service::rotate(self)
-    }
-    fn refresh(&self) -> usize {
-        Service::refresh(self)
-    }
-    fn epoch(&self) -> u64 {
-        self.snapshot().epoch
-    }
-    fn persist(&self) -> std::io::Result<(u64, usize)> {
-        Service::persist(self)
-    }
-    fn restore_probe(&self) -> Result<(u64, u64, u64), String> {
-        Service::restore_probe(self)
-    }
-    fn slo(&self) -> SloReport {
-        Service::slo(self)
-    }
-    fn trace_slowest(&self, n: usize) -> Vec<RequestTrace> {
-        Service::trace_slowest(self, n)
-    }
-    fn shards(&self) -> FleetStatus {
-        self.fleet_status()
-    }
-}
-
-impl Backend for ShardedService {
-    fn submit(&self, req: Request, deadline: Option<Instant>) -> Result<Ticket, Reply> {
-        ShardedService::submit(self, req, deadline)
-    }
-    fn pump(&self) -> usize {
-        ShardedService::pump(self)
-    }
-    fn record(&self, change: EdgeChange) -> Result<(), String> {
-        ShardedService::record(self, change)
-    }
-    fn rotate(&self) -> u64 {
-        ShardedService::rotate(self)
-    }
-    fn refresh(&self) -> usize {
-        ShardedService::refresh(self)
-    }
-    fn epoch(&self) -> u64 {
-        ShardedService::epoch(self)
-    }
-    fn persist(&self) -> std::io::Result<(u64, usize)> {
-        ShardedService::persist(self)
-    }
-    fn restore_probe(&self) -> Result<(u64, u64, u64), String> {
-        ShardedService::restore_probe(self)
-    }
-    fn slo(&self) -> SloReport {
-        ShardedService::slo(self)
-    }
-    fn trace_slowest(&self, n: usize) -> Vec<RequestTrace> {
-        ShardedService::trace_slowest(self, n)
-    }
-    fn shards(&self) -> FleetStatus {
-        self.status()
-    }
-}
 
 /// Frontend tuning.
 #[derive(Clone, Copy, Debug)]
@@ -223,7 +119,7 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// accept loop plus the batch-window pump thread.
-    pub fn start<B: Backend>(
+    pub fn start<B: AsRef<ShardedService> + Send + Sync + 'static>(
         service: Arc<B>,
         addr: &str,
         cfg: NetConfig,
@@ -242,13 +138,14 @@ impl NetServer {
                     }
                     let Ok(stream) = stream else { continue };
                     let service = Arc::clone(&service);
-                    std::thread::spawn(move || handle(stream, &*service, cfg));
+                    std::thread::spawn(move || handle(stream, (*service).as_ref(), cfg));
                 }
             })
         };
         let pump = {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
+                let service = (*service).as_ref();
                 while !stop.load(Ordering::SeqCst) {
                     if service.pump() == 0 {
                         std::thread::park_timeout(cfg.window);
@@ -285,7 +182,7 @@ impl NetServer {
     }
 }
 
-fn handle<B: Backend>(stream: TcpStream, service: &B, cfg: NetConfig) {
+fn handle(stream: TcpStream, service: &ShardedService, cfg: NetConfig) {
     let Ok(peer_read) = stream.try_clone() else {
         return;
     };
@@ -307,14 +204,14 @@ fn handle<B: Backend>(stream: TcpStream, service: &B, cfg: NetConfig) {
     }
 }
 
-fn dispatch<B: Backend>(line: &str, service: &B, cfg: NetConfig) -> String {
+fn dispatch(line: &str, service: &ShardedService, cfg: NetConfig) -> String {
     match run_command(line, service, cfg) {
         Ok(ok) => ok,
         Err(err) => format!("ERR {err}"),
     }
 }
 
-fn run_command<B: Backend>(line: &str, service: &B, cfg: NetConfig) -> Result<String, String> {
+fn run_command(line: &str, service: &ShardedService, cfg: NetConfig) -> Result<String, String> {
     let mut parts = line.split_ascii_whitespace();
     let verb = parts.next().unwrap_or("").to_ascii_uppercase();
     if verb == "REC" {
@@ -342,7 +239,7 @@ fn run_command<B: Backend>(line: &str, service: &B, cfg: NetConfig) -> Result<St
 /// protocol calls it from its per-connection handler and the `fui-net`
 /// HTTP frontend calls it from the event loop, so control answers are
 /// byte-identical over either transport by construction.
-pub fn execute_control<B: Backend>(line: &str, service: &B) -> Result<String, String> {
+pub fn execute_control(line: &str, service: &ShardedService) -> Result<String, String> {
     let mut parts = line.split_ascii_whitespace();
     let verb = parts.next().unwrap_or("").to_ascii_uppercase();
     match verb.as_str() {
@@ -403,7 +300,7 @@ pub fn execute_control<B: Backend>(line: &str, service: &B) -> Result<String, St
         }
         "SHARDS" => {
             expect_end(parts)?;
-            Ok(render_shards(service.shards()))
+            Ok(render_shards(service.status()))
         }
         other => Err(format!("unknown command {other:?}")),
     }

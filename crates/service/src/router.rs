@@ -1,5 +1,22 @@
-//! The sharded fleet: N candidate-partitioned serving lanes behind one
-//! scatter/gather router.
+//! The serving engine: N candidate-partitioned serving lanes behind
+//! one scatter/gather router. There is no second, "unsharded" engine —
+//! [`Service`](crate::Service) is this engine fixed at one shard.
+//!
+//! A [`ShardedService`] owns a *master* copy of the mutable state
+//! (graph, pending edge changes, [`DynamicLandmarks`] staleness
+//! accounting) behind one mutex that **no query ever takes**, and one
+//! `Shard` lane per shard (snapshot store, result cache, admission
+//! queue) that queries read.
+//!
+//! Determinism contract: [`ShardedService::call`],
+//! [`ShardedService::call_many`] and the `submit`/`pump` pair produce
+//! byte-identical recommendation lists — and identical `service.*`
+//! counter deltas — at any `FUI_THREADS` width and any shard count,
+//! because every parallel region reduces in index order. The
+//! conformance invariants `check_cached_matches_uncached` (engine vs a
+//! bare `ApproxRecommender` on the published snapshot) and
+//! `check_sharded_matches_unsharded` (1 vs 2 vs 4 shards), and the
+//! `serve_micro` / `shard_micro` CI gates, all lean on this.
 //!
 //! # Why candidate partitioning is bit-exact
 //!
@@ -9,7 +26,7 @@
 //! *candidate space* — every node is owned by exactly one shard (a
 //! deterministic [`Partition`] over the node-id space) — and each shard
 //! accumulates the full sum for exactly its owned candidates, in the
-//! exact unsharded order:
+//! exact one-shard order:
 //!
 //! * the shard's [`LandmarkIndex::filtered`] slice keeps the full
 //!   landmark mask and slot table (so exploration, pruning and the
@@ -20,11 +37,15 @@
 //!
 //! Per-shard top-k lists therefore rank *disjoint* candidate sets, and
 //! merging them through [`select_top_k`]'s total order (score
-//! descending, id ascending) reproduces the unsharded answer bit for
+//! descending, id ascending) reproduces the one-shard answer bit for
 //! bit — including at score ties. The graph, authority index and
 //! similarity rows are **shared** (`Arc`) across shards: what is
 //! partitioned is the per-candidate accumulation and index mass, not
 //! the read-only graph state.
+//!
+//! A fleet of one pays nothing for any of this: it holds no owner map,
+//! mask or cut table, its single slice *is* the full index `Arc`, and
+//! every scatter set is shard 0.
 //!
 //! # Scatter sets
 //!
@@ -51,16 +72,18 @@
 //!
 //! # Durability
 //!
-//! One fleet directory holds the snapshots (same codec as the
-//! unsharded [`Service`](crate::Service)) and a fleet journal carrying
-//! `Rotate`/`Refresh`; each shard gets `shard-NNNN/journal.fuiwal`
-//! carrying the `Change` records it owns. A change touching a cut edge
-//! is journaled to **both** endpoint owners' WALs; restore merges all
-//! journals by sequence number (duplicates collapse), so one torn
-//! shard WAL loses nothing the twin still holds. The partition and the
-//! slices are pure functions of the restored graph — they are
-//! re-derived, never persisted — and a directory written by any shard
-//! count restores under any other: sharding is answer-invisible.
+//! One on-disk layout at every shard count: the fleet directory holds
+//! the snapshots and a fleet journal carrying `Rotate`/`Refresh`; each
+//! shard gets `shard-NNNN/journal.fuiwal` carrying the `Change` records
+//! it owns. A change touching a cut edge is journaled to **both**
+//! endpoint owners' WALs; restore merges the fleet journal and every
+//! shard journal *present on disk* by sequence number (duplicates
+//! collapse), so one torn shard WAL loses nothing the twin still holds.
+//! The partition and the slices are pure functions of the restored
+//! graph — they are re-derived, never persisted — and a directory
+//! written by any shard count restores under any other: sharding is
+//! answer-invisible. (Directories written before the engines merged
+//! carry every record in the fleet journal and restore the same way.)
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -75,7 +98,8 @@ use fui_core::{AuthorityIndex, PropWorkspace, Propagator, ScoreParams, ScoreVari
 use fui_graph::{CutTable, NodeId, Partition, PartitionStrategy, SocialGraph};
 use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, Exploration, LandmarkIndex};
 use fui_obs::{
-    Counter, LatencyParts, RequestTrace, SloReport, TraceCapture, TraceEventKind, TraceOutcome,
+    Counter, Hist, LatencyParts, RequestTrace, SloConfig, SloReport, SloTracker, TraceCapture,
+    TraceEventKind, TraceOutcome,
 };
 use fui_taxonomy::{SimMatrix, Topic};
 
@@ -84,7 +108,6 @@ use crate::cache::CacheStamp;
 use crate::durable::{self, JournalOp, JournalRecord, SnapshotState};
 use crate::service::{
     key_of, prune_snapshots, validate, Reply, Request, RestoreError, Served, ServiceConfig,
-    ServiceMetrics,
 };
 use crate::shard::{FleetStatus, Shard};
 use crate::snapshot::{apply_changes, Snapshot};
@@ -119,14 +142,22 @@ impl ShardSpec {
 }
 
 /// Subdirectory of the fleet durability dir holding shard `s`'s WAL.
-fn shard_dir(dir: &Path, s: u32) -> PathBuf {
+fn shard_dir(dir: &Path, s: usize) -> PathBuf {
     dir.join(format!("shard-{s:04}"))
 }
 
-/// Fleet-wide `service.shard.*` handles (the per-shard `.N.` handles
-/// live on each [`Shard`]).
-struct FleetMetrics {
-    svc: ServiceMetrics,
+/// `service.*` and fleet-wide `service.shard.*` handles, resolved once
+/// at construction — the request hot path never takes the registry's
+/// name-lookup lock. (The per-shard `.N.` handles live on each
+/// [`Shard`].)
+pub(crate) struct FleetMetrics {
+    requests: Counter,
+    pub(crate) shed: Counter,
+    shed_deadline: Counter,
+    rotations: Counter,
+    batch_size: Hist,
+    pub(crate) request_latency: Hist,
+    slo: SloTracker,
     /// Total shards scattered to, over all requests.
     fanout: Counter,
     /// Per-shard query executions (one request on three shards = 3).
@@ -144,8 +175,17 @@ struct FleetMetrics {
 
 impl FleetMetrics {
     fn new() -> FleetMetrics {
+        let requests = fui_obs::counter("service.requests");
+        let shed = fui_obs::counter("service.shed");
+        let request_latency = fui_obs::hist("service.request_latency");
         FleetMetrics {
-            svc: ServiceMetrics::new(),
+            requests,
+            shed,
+            shed_deadline: fui_obs::counter("service.shed.deadline"),
+            rotations: fui_obs::counter("service.snapshot.rotations"),
+            batch_size: fui_obs::hist("service.batch.size"),
+            request_latency,
+            slo: SloTracker::new(SloConfig::from_env(), request_latency, requests, shed),
             fanout: fui_obs::counter("service.shard.fanout"),
             queries: fui_obs::counter("service.shard.queries"),
             explorations: fui_obs::counter("service.shard.explorations"),
@@ -158,12 +198,14 @@ impl FleetMetrics {
 /// The precomputed scatter decision state, rebuilt under the master
 /// lock on every rotate/refresh and epoch-stamped on every publish so
 /// the read path can tell whether it matches its pinned snapshots.
+#[derive(Clone)]
 struct ScatterPlan {
     /// Epoch this plan was built for — must equal the pinned epoch of
     /// *every* scattered-to snapshot for the narrow plan to be exact.
     epoch: u64,
-    /// Cut-edge replication table for the plan's graph generation.
-    cut: Arc<CutTable>,
+    /// Cut-edge replication table for the plan's graph generation;
+    /// `None` on a fleet of one, which has no edges to cut.
+    cut: Option<Arc<CutTable>>,
     /// Cut-edge count for the plan's graph generation.
     cut_edges: u64,
     /// Bitmask of all live shards.
@@ -180,7 +222,7 @@ struct ScatterPlan {
 impl ScatterPlan {
     fn build(
         epoch: u64,
-        cut: Arc<CutTable>,
+        cut: Option<Arc<CutTable>>,
         cut_edges: u64,
         slices: &[Arc<LandmarkIndex>],
         deep: bool,
@@ -217,18 +259,34 @@ impl ScatterPlan {
     /// The shards query `(u, t)` must reach. `lo`/`hi` are the min/max
     /// epochs of the pinned snapshots: any disagreement with the plan's
     /// epoch means a publish raced this batch, and the router scatters
-    /// everywhere (always exact, never narrow).
+    /// everywhere (always exact, never narrow). A fleet of one has no
+    /// cut table and one possible answer.
     fn scatter(&self, graph: &SocialGraph, u: NodeId, t: Topic, lo: u64, hi: u64) -> u64 {
-        if lo != hi || self.epoch != hi {
+        let (Some(cut), true) = (&self.cut, lo == hi && self.epoch == hi) else {
             return self.all;
-        }
+        };
         let vicinity = if self.deep {
             self.all
         } else {
-            self.cut.two_hop(graph, u)
+            cut.two_hop(graph, u)
         };
         (vicinity | self.topic[t.index()] | self.topo) & self.all
     }
+}
+
+/// Every `shard-NNNN/` id present under `dir`, ascending — what is on
+/// disk, whatever layout wrote it.
+fn shard_ids_on_disk(dir: &Path) -> std::io::Result<Vec<usize>> {
+    let mut found = Vec::new();
+    for entry in std::fs::read_dir(dir)? {
+        let name = entry?.file_name();
+        let digits = name.to_str().and_then(|n| n.strip_prefix("shard-"));
+        if let Some(id) = digits.filter(|d| d.len() == 4).and_then(|d| d.parse().ok()) {
+            found.push(id);
+        }
+    }
+    found.sort_unstable();
+    Ok(found)
 }
 
 /// The write side of fleet durability: fleet snapshots + fleet journal
@@ -239,6 +297,31 @@ struct FleetSink {
     shard_wals: Vec<std::fs::File>,
 }
 
+/// Opens the journal at `path` for appending after its first
+/// `valid_len` bytes — the decoded prefix; `torn` says a partial record
+/// follows it.
+fn open_journal(path: &Path, valid_len: usize, torn: bool) -> std::io::Result<std::fs::File> {
+    if let Some(parent) = path.parent() {
+        std::fs::create_dir_all(parent)?;
+    }
+    if valid_len < durable::WAL_MAGIC.len() {
+        // Missing, header-corrupt or discarded journal: start fresh.
+        let mut f = std::fs::File::create(path)?;
+        f.write_all(durable::WAL_MAGIC)?;
+        return Ok(f);
+    }
+    if torn {
+        // Drop the torn (never-acknowledged) tail so the next append
+        // starts at a record boundary.
+        let f = std::fs::OpenOptions::new().write(true).open(path)?;
+        f.set_len(valid_len as u64)?;
+    }
+    std::fs::OpenOptions::new().append(true).open(path)
+}
+
+/// Appends one framed record and flushes it to the OS. Called *before*
+/// the in-memory mutation it describes, so a crash at any later point
+/// replays the mutation from disk.
 fn append_frame(f: &mut std::fs::File, frame: &[u8]) -> std::io::Result<()> {
     f.write_all(frame)?;
     f.flush()?;
@@ -260,8 +343,7 @@ impl FleetSink {
         &mut self,
         seq: u64,
         change: EdgeChange,
-        a: usize,
-        b: usize,
+        (a, b): (usize, usize),
     ) -> std::io::Result<()> {
         let frame = durable::encode_record(seq, &JournalOp::Change(change));
         append_frame(&mut self.shard_wals[a], &frame)?;
@@ -272,10 +354,10 @@ impl FleetSink {
     }
 }
 
-/// Mutable fleet master state — one lock, never taken by queries.
-/// Mirrors the unsharded service's master exactly (same staleness
-/// accounting, same epoch discipline — answers must not depend on the
-/// shard count) plus the per-shard index slices derived from it.
+/// Mutable fleet master state — one lock, never taken by queries. One
+/// staleness account and one epoch discipline whatever the shard count
+/// (answers must not depend on it), plus the per-shard index slices
+/// derived from the master index.
 struct FleetMaster {
     graph: Arc<SocialGraph>,
     authority: Arc<AuthorityIndex>,
@@ -291,7 +373,11 @@ struct FleetMaster {
     slot_versions: Vec<u64>,
     params: ScoreParams,
     variant: ScoreVariant,
+    /// Journal position: every mutation with `seq <= applied_seq` is
+    /// reflected in this state. Advances on every mutation whether or
+    /// not the service is durable, so replay idempotence is uniform.
     applied_seq: u64,
+    /// Present iff the service persists to disk.
     durable: Option<FleetSink>,
 }
 
@@ -311,9 +397,8 @@ impl FleetMaster {
         }
     }
 
-    /// The full durable image — identical layout to the unsharded
-    /// service's (the codec does not know about shards; the partition
-    /// is re-derived at restore).
+    /// The full durable image (the codec does not know about shards;
+    /// the partition is re-derived at restore).
     fn snapshot_state(&self) -> SnapshotState {
         let (auth, followers_on, maxima) = self.authority.to_parts();
         SnapshotState {
@@ -337,23 +422,63 @@ impl FleetMaster {
     }
 }
 
-fn build_slices(index: &Arc<LandmarkIndex>, partition: &Partition) -> Vec<Arc<LandmarkIndex>> {
-    if partition.shards() == 1 {
+/// One ownership-filtered slice of `index` per shard; a fleet of one
+/// (no partition) serves the full index `Arc` itself.
+fn build_slices(
+    index: &Arc<LandmarkIndex>,
+    partition: Option<&Partition>,
+) -> Vec<Arc<LandmarkIndex>> {
+    let Some(partition) = partition else {
         return vec![Arc::clone(index)];
-    }
+    };
     (0..partition.shards() as u32)
         .map(|s| Arc::new(index.filtered(|v| partition.owner(v) == s)))
         .collect()
 }
 
-/// N partitioned serving lanes behind a scatter/gather router. The
-/// public surface mirrors [`Service`](crate::Service) verb for verb and
-/// answers bit-identically to it at every shard count — the
-/// `service-sharded` conformance invariant holds it to exactly that.
+/// The shards owning `c`'s endpoints — equal unless the edge is cut,
+/// both 0 on a fleet of one.
+fn owners(partition: Option<&Partition>, c: &EdgeChange) -> (usize, usize) {
+    partition.map_or((0, 0), |p| {
+        (p.owner(c.follower) as usize, p.owner(c.followee) as usize)
+    })
+}
+
+/// Bumps the staggered-rotation priority of a change's owner shards.
+fn charge_pending(shards: &[Shard], (a, b): (usize, usize)) {
+    shards[a].pending.fetch_add(1, Ordering::SeqCst);
+    if b != a {
+        shards[b].pending.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// The cut table and cut-edge count of `graph` under `partition`
+/// (charged to `service.shard.cut_edges`) — nothing to walk on a fleet
+/// of one.
+fn cut_of(
+    partition: Option<&Partition>,
+    graph: &SocialGraph,
+    metrics: &FleetMetrics,
+) -> (Option<Arc<CutTable>>, u64) {
+    let Some(p) = partition else {
+        return (None, 0);
+    };
+    let cut_edges = p.cut_edges_in(graph);
+    metrics.cut_edges.add(cut_edges);
+    (Some(Arc::new(p.cut_table(graph))), cut_edges)
+}
+
+/// The online serving engine: N partitioned serving lanes behind a
+/// scatter/gather router, answering bit-identically at every shard
+/// count — the `service-sharded` conformance invariant holds it to
+/// exactly that. See the module docs.
 pub struct ShardedService {
     master: Mutex<FleetMaster>,
-    shards: Vec<Shard>,
-    partition: Arc<Partition>,
+    pub(crate) shards: Vec<Shard>,
+    /// The owner map; `None` on a fleet of one, where shard 0 owns
+    /// every node.
+    partition: Option<Partition>,
+    spec: ShardSpec,
     plan: RwLock<Arc<ScatterPlan>>,
     /// Node-id bound for owner lookups (node count never changes).
     nodes: usize,
@@ -379,9 +504,10 @@ pub struct ShardedService {
 }
 
 impl ShardedService {
-    /// Builds a fleet over `graph`: one shared precompute (authority,
-    /// similarity rows, landmark index — identical to the unsharded
-    /// build), then `spec.shards` ownership slices of it.
+    /// Builds a fleet over `graph`: authority index, similarity rows
+    /// and the landmark index are precomputed once here (the landmark
+    /// build fans out over the `fui-exec` pool), sliced into
+    /// `spec.shards` ownership slices and published as epoch 0.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: SocialGraph,
@@ -432,12 +558,11 @@ impl ShardedService {
             "shard count {} out of range",
             spec.shards
         );
-        let partition = Arc::new(Partition::build(&master.graph, spec.shards, spec.strategy));
-        master.slices = build_slices(&master.index, &partition);
+        let partition =
+            (spec.shards > 1).then(|| Partition::build(&master.graph, spec.shards, spec.strategy));
+        master.slices = build_slices(&master.index, partition.as_ref());
         let metrics = FleetMetrics::new();
-        let cut = Arc::new(partition.cut_table(&master.graph));
-        let cut_edges = partition.cut_edges_in(&master.graph);
-        metrics.cut_edges.add(cut_edges);
+        let (cut, cut_edges) = cut_of(partition.as_ref(), &master.graph, &metrics);
         let plan = ScatterPlan::build(
             master.epoch,
             cut,
@@ -445,33 +570,39 @@ impl ShardedService {
             &master.slices,
             cfg.explore_depth > 2,
         );
+        let nodes = master.graph.num_nodes();
         let shards: Vec<Shard> = (0..spec.shards)
             .map(|s| {
+                // Edge mass charges every edge to both endpoint owners.
+                let (owned, owned_nodes, edge_mass) = match &partition {
+                    Some(p) => (
+                        Some(Arc::new(p.owned_mask(s as u32))),
+                        p.sizes()[s],
+                        p.edge_mass()[s],
+                    ),
+                    None => (None, nodes, 2 * master.graph.num_edges() as u64),
+                };
                 Shard::new(
                     s as u32,
                     master.shard_snapshot(s),
-                    Arc::new(partition.owned_mask(s as u32)),
-                    partition.edge_mass()[s],
+                    owned,
+                    owned_nodes,
+                    edge_mass,
                     &cfg,
-                    &metrics.svc,
+                    &metrics,
                 )
             })
             .collect();
         // A restored fleet re-derives each shard's staggered-rotation
         // priority from the still-pending changes it carries.
         for c in &master.pending {
-            let a = partition.owner(c.follower) as usize;
-            let b = partition.owner(c.followee) as usize;
-            shards[a].pending.fetch_add(1, Ordering::SeqCst);
-            if b != a {
-                shards[b].pending.fetch_add(1, Ordering::SeqCst);
-            }
+            charge_pending(&shards, owners(partition.as_ref(), c));
         }
-        let nodes = master.graph.num_nodes();
         ShardedService {
             master: Mutex::new(master),
             shards,
             partition,
+            spec,
             plan: RwLock::new(Arc::new(plan)),
             nodes,
             cfg,
@@ -481,9 +612,17 @@ impl ShardedService {
         }
     }
 
-    /// [`ShardedService::new`], then durability: the fleet snapshot
-    /// and journal plus one `shard-NNNN/` change journal per shard,
-    /// all under `dir`. See the module docs for the layout.
+    /// [`ShardedService::new`], then durability: writes the epoch-0
+    /// snapshot, an empty fleet journal and one empty `shard-NNNN/`
+    /// change journal per shard under `dir` (created if absent; any
+    /// previous journal there, stale shard directories included, is
+    /// discarded — use [`restore`](Self::restore) to *resume* a
+    /// directory). Every subsequent [`record`](Self::record),
+    /// [`rotate`](Self::rotate) and [`refresh`](Self::refresh)
+    /// write-ahead journals itself before mutating, and rotation also
+    /// persists a fresh snapshot, so a warm restart replays `newest
+    /// valid snapshot + journal tail`. See the module docs for the
+    /// layout.
     #[allow(clippy::too_many_arguments)]
     pub fn with_durability(
         graph: SocialGraph,
@@ -510,16 +649,13 @@ impl ShardedService {
         {
             let mut m = fleet.master.lock().expect("fleet master poisoned");
             durable::write_snapshot_atomic(dir, &m.snapshot_state())?;
-            let mut wal = std::fs::File::create(dir.join(durable::JOURNAL_FILE))?;
-            wal.write_all(durable::WAL_MAGIC)?;
-            let mut shard_wals = Vec::with_capacity(fleet.shards.len());
-            for s in 0..fleet.shards.len() {
-                let sd = shard_dir(dir, s as u32);
-                std::fs::create_dir_all(&sd)?;
-                let mut w = std::fs::File::create(sd.join(durable::JOURNAL_FILE))?;
-                w.write_all(durable::WAL_MAGIC)?;
-                shard_wals.push(w);
+            for stale in shard_ids_on_disk(dir)? {
+                std::fs::remove_dir_all(shard_dir(dir, stale))?;
             }
+            let wal = open_journal(&dir.join(durable::JOURNAL_FILE), 0, false)?;
+            let shard_wals = (0..fleet.shards.len())
+                .map(|s| open_journal(&shard_dir(dir, s).join(durable::JOURNAL_FILE), 0, false))
+                .collect::<std::io::Result<_>>()?;
             m.durable = Some(FleetSink {
                 dir: dir.to_path_buf(),
                 wal,
@@ -529,14 +665,26 @@ impl ShardedService {
         Ok(fleet)
     }
 
-    /// Warm-restarts a fleet from `dir`: newest valid fleet snapshot,
-    /// then the fleet journal and every shard journal merged by
-    /// sequence number (a change on a cut edge sits in both endpoint
-    /// owners' WALs; the duplicate collapses). The partition and the
-    /// slices are re-derived from the restored graph — `spec` may even
-    /// differ from the writing fleet's, since sharding never shows in
-    /// answers. Torn journal tails are dropped and truncated exactly
-    /// like the unsharded restore.
+    /// Warm restart: scans `dir` for the newest snapshot that decodes
+    /// cleanly *and* whose file name agrees with its header position
+    /// (each rejected candidate bumps `snapshot.persist.fallbacks`),
+    /// rebuilds the derived state the codec does not carry (similarity
+    /// rows, landmark topo lookups, the partition and its slices),
+    /// then replays the fleet journal and every shard journal *present
+    /// on disk*, merged by sequence number (a change on a cut edge sits
+    /// in both endpoint owners' WALs; the duplicate collapses). `spec`
+    /// may differ from the writing fleet's — sharding never shows in
+    /// answers — and when it leaves replayed records in journals the
+    /// new layout will never append to, a snapshot is checkpointed
+    /// before serving. Torn journal tails are dropped and truncated
+    /// away; a merged history that skips a sequence number, or carries
+    /// two different records under one, is a typed error — never a
+    /// silent skip.
+    ///
+    /// The restored service publishes the same epoch / generation /
+    /// versions the killed one had and answers bit-identically to a
+    /// twin that never died — the chaos conformance suite holds it to
+    /// exactly that.
     pub fn restore(
         dir: &Path,
         sim: SimMatrix,
@@ -565,6 +713,9 @@ impl ShardedService {
                 continue;
             };
             match durable::decode_snapshot(bytes::Bytes::from(raw)) {
+                // A checksum-valid file whose name disagrees with its
+                // header position is semantically older than it claims
+                // (a stale copy) — fall back past it.
                 Ok(state) if state.applied_seq == seq => {
                     chosen = Some(state);
                     break;
@@ -575,17 +726,27 @@ impl ShardedService {
         let Some(state) = chosen else {
             return Err(RestoreError::NoValidSnapshot);
         };
+        let base_seq = state.applied_seq;
 
-        // One journal prefix per WAL: the fleet's, then each shard's.
+        // One journal prefix per WAL: the fleet's, this layout's shard
+        // journals, then any surplus ones a wider fleet left behind —
+        // trusting `spec` here would drop every acknowledged change
+        // that lives only in a surplus journal.
         let torn_counter = fui_obs::counter("snapshot.persist.journal_torn");
+        let mut ids: Vec<usize> = (0..spec.shards).collect();
+        let on_disk = shard_ids_on_disk(dir).map_err(io_err)?;
+        ids.extend(on_disk.into_iter().filter(|&s| s >= spec.shards));
         let mut wal_paths = vec![dir.join(durable::JOURNAL_FILE)];
-        for s in 0..spec.shards {
-            wal_paths.push(shard_dir(dir, s as u32).join(durable::JOURNAL_FILE));
-        }
+        wal_paths.extend(
+            ids.iter()
+                .map(|&s| shard_dir(dir, s).join(durable::JOURNAL_FILE)),
+        );
         let mut prefixes = Vec::with_capacity(wal_paths.len());
         let mut merged: std::collections::BTreeMap<u64, JournalRecord> =
             std::collections::BTreeMap::new();
-        for path in &wal_paths {
+        // Highest replayable sequence number held by a surplus journal.
+        let mut surplus_seq = 0;
+        for (k, path) in wal_paths.iter().enumerate() {
             let raw = std::fs::read(path).unwrap_or_default();
             let (records, valid_len, torn) = if raw.is_empty() {
                 (Vec::new(), 0, None)
@@ -596,11 +757,27 @@ impl ShardedService {
                 torn_counter.incr();
             }
             for r in records {
-                merged.insert(r.seq, r);
+                if k > spec.shards {
+                    surplus_seq = surplus_seq.max(r.seq);
+                }
+                if merged.insert(r.seq, r).is_some_and(|prev| prev != r) {
+                    return Err(RestoreError::JournalConflict(r.seq));
+                }
             }
             prefixes.push((valid_len, torn.is_some()));
         }
-        let records: Vec<JournalRecord> = merged.into_values().collect();
+        let records: Vec<JournalRecord> =
+            merged.into_values().filter(|r| r.seq > base_seq).collect();
+        if let Some((r, expected)) = records
+            .iter()
+            .zip(base_seq + 1..)
+            .find(|(r, seq)| r.seq != *seq)
+        {
+            return Err(RestoreError::JournalGap {
+                expected,
+                found: r.seq,
+            });
+        }
 
         let derive_sp = fui_obs::Span::enter("snapshot.restore.derive");
         let fleet = ShardedService::from_state(state, sim, cfg, spec);
@@ -610,35 +787,25 @@ impl ShardedService {
         fui_obs::counter("snapshot.persist.restores").incr();
 
         if attach {
-            let reattach = |path: &Path, valid_len: usize, torn: bool| -> std::io::Result<_> {
-                if let Some(parent) = path.parent() {
-                    std::fs::create_dir_all(parent)?;
-                }
-                if valid_len < durable::WAL_MAGIC.len() {
-                    // Missing or header-corrupt journal: start fresh.
-                    let mut f = std::fs::File::create(path)?;
-                    f.write_all(durable::WAL_MAGIC)?;
-                    Ok(f)
-                } else {
-                    if torn {
-                        // Drop the torn (never-acknowledged) tail so
-                        // the next append starts at a record boundary.
-                        let f = std::fs::OpenOptions::new().write(true).open(path)?;
-                        f.set_len(valid_len as u64)?;
-                    }
-                    std::fs::OpenOptions::new().append(true).open(path)
-                }
-            };
-            let mut files = Vec::with_capacity(wal_paths.len());
-            for (path, &(valid_len, torn)) in wal_paths.iter().zip(&prefixes) {
-                files.push(reattach(path, valid_len, torn).map_err(io_err)?);
+            // Surplus journals are read, never re-attached.
+            let mut files = Vec::with_capacity(1 + spec.shards);
+            for (path, &(valid_len, torn)) in wal_paths.iter().zip(&prefixes).take(1 + spec.shards)
+            {
+                files.push(open_journal(path, valid_len, torn).map_err(io_err)?);
             }
             let wal = files.remove(0);
-            fleet.master.lock().expect("fleet master poisoned").durable = Some(FleetSink {
+            let mut m = fleet.master.lock().expect("fleet master poisoned");
+            m.durable = Some(FleetSink {
                 dir: dir.to_path_buf(),
                 wal,
                 shard_wals: files,
             });
+            if surplus_seq > base_seq {
+                // Replayed records live only in journals this layout
+                // never appends to: checkpoint, so the newest snapshot
+                // no longer depends on them.
+                fleet.persist_locked(&mut m).map_err(io_err)?;
+            }
         }
         Ok(fleet)
     }
@@ -695,10 +862,7 @@ impl ShardedService {
 
     /// The spec the fleet was assembled under.
     pub fn spec(&self) -> ShardSpec {
-        ShardSpec {
-            shards: self.shards.len(),
-            strategy: self.partition.strategy(),
-        }
+        self.spec
     }
 
     /// Max epoch over the shards' published snapshots (all equal
@@ -733,10 +897,9 @@ impl ShardedService {
     /// The shard owning `u` (out-of-range users route to shard 0 and
     /// are rejected at validation).
     fn owner_shard(&self, u: NodeId) -> usize {
-        if u.index() < self.nodes {
-            self.partition.owner(u) as usize
-        } else {
-            0
+        match &self.partition {
+            Some(p) if u.index() < self.nodes => p.owner(u) as usize,
+            _ => 0,
         }
     }
 
@@ -762,7 +925,10 @@ impl ShardedService {
 
     /// Enqueues a request on its owner shard's queue for the next
     /// [`pump`](Self::pump), shedding immediately if that queue is at
-    /// capacity (the shed is charged to the owner shard).
+    /// capacity (the shed is charged to the owner shard). `deadline`
+    /// (if any) is checked when the pump drains the request. When
+    /// tracing is active the request draws a [`fui_obs::TraceId`] here,
+    /// at admission, so queue wait is attributed from submission.
     pub fn submit(&self, req: Request, deadline: Option<Instant>) -> Result<Ticket, Reply> {
         let s = self.owner_shard(req.user);
         let r = self.shards[s]
@@ -778,15 +944,17 @@ impl ShardedService {
     /// Drains up to `max_batch` requests from every shard's queue
     /// (shard id ascending), sheds the expired ones against their
     /// owner shard, and answers the rest as one scattered batch.
-    /// Returns how many requests it answered.
+    /// Returns how many requests it answered. Callers drive this:
+    /// tests and benches call it synchronously for determinism, the
+    /// net frontends call it on a window timer.
     pub fn pump(&self) -> usize {
         let now = Instant::now();
         let mut live: Vec<Pending> = Vec::new();
         for shard in &self.shards {
             for p in shard.batcher.drain(self.cfg.max_batch) {
                 if p.deadline.is_some_and(|d| now > d) {
-                    self.metrics.svc.shed.incr();
-                    self.metrics.svc.shed_deadline.incr();
+                    self.metrics.shed.incr();
+                    self.metrics.shed_deadline.incr();
                     shard.shed.incr();
                     shard.shed_deadline.incr();
                     if let Some(cap) = p.trace {
@@ -823,15 +991,20 @@ impl ShardedService {
     }
 
     /// Answers one batch: plan scatter sets against the pinned
-    /// snapshots, probe each scattered shard's cache, run the misses as
-    /// one `fui-exec` fan-out *over shards* (queries are serial within
-    /// a shard task — shards, not queries, are the unit of
-    /// parallelism, so the reduction order is width-invariant), then
+    /// snapshots, then probe → explore → compose → merge: probe each
+    /// scattered shard's cache, explore every missed query once, run
+    /// composition as one `fui-exec` fan-out *over shards* (queries are
+    /// serial within a shard task — shards, not queries, are the unit
+    /// of parallelism, so the reduction order is width-invariant), and
     /// merge per-shard partials through [`select_top_k`].
     ///
-    /// A traced request's decomposition gains a `scatter` segment
-    /// (scatter planning + cross-shard merge); the parts still sum to
-    /// the recorded total exactly (assembly is the remainder).
+    /// `traces` runs parallel to `reqs`. A traced request's latency
+    /// decomposition is queue wait (submission → batch entry, exact per
+    /// request) plus the batch's shared cache / compute / scatter
+    /// (planning + cross-shard merge) / assembly segments — the batch
+    /// answers as a unit, so every member's end-to-end latency covers
+    /// the whole batch, and the five parts sum to the recorded total
+    /// *exactly* (assembly is defined as the remainder).
     fn answer_batch(&self, reqs: &[Request], traces: Vec<Option<TraceCapture>>) -> Vec<Reply> {
         let started = Instant::now();
         let _span = fui_obs::span!("service.request");
@@ -839,8 +1012,8 @@ impl ShardedService {
         let plan = Arc::clone(&self.plan.read().expect("scatter plan poisoned"));
         let lo = snaps.iter().map(|s| s.epoch).min().unwrap_or(0);
         let hi = snaps.iter().map(|s| s.epoch).max().unwrap_or(0);
-        self.metrics.svc.requests.add(reqs.len() as u64);
-        self.metrics.svc.batch_size.record(reqs.len() as u64);
+        self.metrics.requests.add(reqs.len() as u64);
+        self.metrics.batch_size.record(reqs.len() as u64);
 
         let mut traces = traces;
         let tracing = traces.iter().any(Option::is_some);
@@ -1038,7 +1211,7 @@ impl ShardedService {
                 let propagator = snap.propagator();
                 let mut rec = ApproxRecommender::new(&propagator, &snap.index);
                 rec.explore_depth = self.cfg.explore_depth;
-                rec.candidate_mask = Some(self.shards[*s].owned.as_slice());
+                rec.candidate_mask = self.shards[*s].owned.as_ref().map(|o| o.as_slice());
                 let results: Vec<RankedList> = idxs
                     .iter()
                     .map(|&i| {
@@ -1093,7 +1266,7 @@ impl ShardedService {
 
         // Phase 5: cross-shard merge. Per-shard partials rank disjoint
         // owned candidates, so `select_top_k`'s total order reassembles
-        // the unsharded answer exactly.
+        // the one-shard answer exactly.
         let t0 = clock(tracing);
         for (i, req) in reqs.iter().enumerate() {
             if replies[i].is_some() {
@@ -1127,7 +1300,7 @@ impl ShardedService {
             Ordering::Relaxed,
         );
         for _ in reqs {
-            self.metrics.svc.request_latency.record(elapsed);
+            self.metrics.request_latency.record(elapsed);
         }
         if tracing {
             let assembly_ns = elapsed
@@ -1168,12 +1341,16 @@ impl ShardedService {
 
     // ---- write path ----------------------------------------------
 
-    /// Records one follow/unfollow. Identical semantics to the
-    /// unsharded [`record`](crate::Service::record) — one fleet-wide
-    /// staleness account, so answers stay shard-count-invariant — plus
-    /// shard routing: the change journals to its owner shard's WAL (to
-    /// both owners when the edge is cut) and bumps the owners'
-    /// staggered-rotation priority.
+    /// Records one follow/unfollow. The change is write-ahead
+    /// journaled to its owner shard's WAL (to both owners' when the
+    /// edge is cut) *before* memory moves, then buffered until the next
+    /// [`rotate`](Self::rotate); staleness is charged to the landmarks
+    /// immediately — one fleet-wide account, so answers stay
+    /// shard-count-invariant — and any landmark the charge pushes past
+    /// its threshold gets its cache version bumped right away (a new
+    /// epoch is published so probes see it), conservatively retiring
+    /// cached results that composed through the now-suspect entry. The
+    /// owners' staggered-rotation priority is bumped too.
     pub fn record(&self, change: EdgeChange) -> Result<(), String> {
         let mut m = self.master.lock().expect("fleet master poisoned");
         let n = m.graph.num_nodes() as u32;
@@ -1184,10 +1361,8 @@ impl ShardedService {
             return Err("self-follows are not representable".to_owned());
         }
         let seq = m.applied_seq + 1;
-        let a = self.partition.owner(change.follower) as usize;
-        let b = self.partition.owner(change.followee) as usize;
         if let Some(sink) = m.durable.as_mut() {
-            sink.append_change(seq, change, a, b)
+            sink.append_change(seq, change, owners(self.partition.as_ref(), &change))
                 .map_err(|e| format!("journal append failed: {e}"))?;
         }
         m.applied_seq = seq;
@@ -1195,13 +1370,10 @@ impl ShardedService {
         Ok(())
     }
 
+    /// The in-memory effect of one (already journaled, already
+    /// validated) change — shared by the live path and journal replay.
     fn apply_change_inner(&self, m: &mut FleetMaster, change: EdgeChange) {
-        let a = self.partition.owner(change.follower) as usize;
-        let b = self.partition.owner(change.followee) as usize;
-        self.shards[a].pending.fetch_add(1, Ordering::SeqCst);
-        if b != a {
-            self.shards[b].pending.fetch_add(1, Ordering::SeqCst);
-        }
+        charge_pending(&self.shards, owners(self.partition.as_ref(), &change));
         let slots = m.dynamic.index().len();
         let was: Vec<bool> = (0..slots).map(|s| m.dynamic.is_stale(s)).collect();
         m.dynamic.record(&change);
@@ -1230,10 +1402,17 @@ impl ShardedService {
             .len()
     }
 
-    /// Applies all pending edge changes and republishes every shard —
-    /// staggered, busiest first. Same semantics as the unsharded
-    /// [`rotate`](crate::Service::rotate); the cut table is rebuilt for
-    /// the new edge set. Returns the new epoch.
+    /// Applies all pending edge changes: rebuilds graph, authority
+    /// index, similarity rows and the cut table, bumps `graph_gen`
+    /// (retiring every cached result) and republishes every shard —
+    /// staggered, busiest first. Landmark entries are *not* recomputed
+    /// — the lazy policy keeps serving slightly stale lists until
+    /// [`refresh`](Self::refresh), exactly the trade-off the paper
+    /// anticipates for churning follow graphs. Never blocks in-flight
+    /// queries; they finish on their old snapshot. A durable fleet
+    /// checkpoints a snapshot here (rotation rebuilt the expensive
+    /// indices, so a warm restart replays from this point, not from
+    /// scratch). Returns the new epoch.
     pub fn rotate(&self) -> u64 {
         let _span = fui_obs::span!("service.rotate");
         let mut m = self.master.lock().expect("fleet master poisoned");
@@ -1251,7 +1430,7 @@ impl ShardedService {
     }
 
     fn rotate_inner(&self, m: &mut FleetMaster) -> u64 {
-        self.metrics.svc.rotations.incr();
+        self.metrics.rotations.incr();
         if !m.pending.is_empty() {
             let next = apply_changes(&m.graph, &m.pending);
             m.pending.clear();
@@ -1266,9 +1445,12 @@ impl ShardedService {
         m.epoch
     }
 
-    /// Recomputes every stale landmark, re-slices the refreshed index
-    /// per shard and republishes — staggered, no fleet-wide pause.
-    /// Returns how many entries were refreshed.
+    /// Recomputes every stale landmark against the current graph,
+    /// re-slices the refreshed index per shard and republishes under a
+    /// new epoch — staggered, no fleet-wide pause — bumping the
+    /// refreshed slots' cache versions (results that never met those
+    /// landmarks keep their cache entries). Returns how many entries
+    /// were refreshed.
     pub fn refresh(&self) -> usize {
         let _span = fui_obs::span!("service.refresh");
         let mut m = self.master.lock().expect("fleet master poisoned");
@@ -1298,7 +1480,7 @@ impl ShardedService {
             m.slot_versions[s] += 1;
         }
         m.index = Arc::new(m.dynamic.index().clone());
-        m.slices = build_slices(&m.index, &self.partition);
+        m.slices = build_slices(&m.index, self.partition.as_ref());
         m.epoch += 1;
         self.rebuild_plan(m, false);
         self.publish_all(m, false);
@@ -1310,13 +1492,10 @@ impl ShardedService {
     /// — rotations), otherwise the existing table is reused.
     fn rebuild_plan(&self, m: &FleetMaster, rebuild_cut: bool) {
         let (cut, cut_edges) = if rebuild_cut {
-            let cut = Arc::new(self.partition.cut_table(&m.graph));
-            let cut_edges = self.partition.cut_edges_in(&m.graph);
-            self.metrics.cut_edges.add(cut_edges);
-            (cut, cut_edges)
+            cut_of(self.partition.as_ref(), &m.graph, &self.metrics)
         } else {
             let old = self.plan.read().expect("scatter plan poisoned");
-            (Arc::clone(&old.cut), old.cut_edges)
+            (old.cut.clone(), old.cut_edges)
         };
         let plan = ScatterPlan::build(
             m.epoch,
@@ -1332,12 +1511,7 @@ impl ShardedService {
         let mut w = self.plan.write().expect("scatter plan poisoned");
         *w = Arc::new(ScatterPlan {
             epoch,
-            cut: Arc::clone(&w.cut),
-            cut_edges: w.cut_edges,
-            all: w.all,
-            topic: w.topic.clone(),
-            topo: w.topo,
-            deep: w.deep,
+            ..ScatterPlan::clone(&w)
         });
     }
 
@@ -1360,10 +1534,13 @@ impl ShardedService {
 
     // ---- durability ----------------------------------------------
 
-    /// Replays merged journal records into the fleet master. Identical
-    /// semantics to the unsharded replay (skip at-or-below
-    /// `applied_seq`, reject changes that no longer validate, never
-    /// re-journal); returns how many records were applied.
+    /// Replays merged journal records into the fleet master. Records
+    /// at or below the current `applied_seq` are skipped — replaying a
+    /// tail twice is bit-identical to replaying it once — and records
+    /// whose change no longer validates against the graph are counted
+    /// on `snapshot.persist.replay_rejected` rather than applied.
+    /// Returns how many records were applied. Replay never journals
+    /// (the records are already on disk).
     pub fn apply_journal(&self, records: &[JournalRecord]) -> usize {
         let mut m = self.master.lock().expect("fleet master poisoned");
         let mut applied = 0;
@@ -1396,8 +1573,11 @@ impl ShardedService {
         applied
     }
 
-    /// Writes a fleet snapshot (atomic temp-file + rename) and prunes
-    /// old ones. Errors with `Unsupported` on a non-durable fleet.
+    /// Writes a full snapshot of the current master state to the
+    /// durability directory (atomic temp-file + rename), pruning all
+    /// but the newest `KEEP_SNAPSHOTS` files. Returns the journal
+    /// position the snapshot captures and its encoded size. Errors
+    /// with `Unsupported` on a non-durable fleet.
     pub fn persist(&self) -> std::io::Result<(u64, usize)> {
         let mut m = self.master.lock().expect("fleet master poisoned");
         self.persist_locked(&mut m)
@@ -1417,8 +1597,10 @@ impl ShardedService {
     }
 
     /// Dry-run warm restart against this fleet's own durability
-    /// directory (nothing on disk is touched); reports the `(epoch,
-    /// graph_gen, applied_seq)` a restored twin would reach.
+    /// directory: decodes the newest valid snapshot, replays the
+    /// journal tail into a throwaway twin (nothing on disk is touched)
+    /// and reports `(epoch, graph_gen, applied_seq)` the twin reached.
+    /// A healthy directory reports exactly this fleet's live values.
     pub fn restore_probe(&self) -> Result<(u64, u64, u64), String> {
         let (dir, sim) = {
             let m = self.master.lock().expect("fleet master poisoned");
@@ -1452,13 +1634,16 @@ impl ShardedService {
 
     // ---- introspection -------------------------------------------
 
-    /// Fleet-wide SLO checkpoint (the latency and shed arms run on the
-    /// same `service.*` series the unsharded service uses).
+    /// Takes an SLO checkpoint and reports current burn rates over the
+    /// rolling window (latency arm: `service.request_latency` against
+    /// the p99 target; shed arm: `service.shed` against the ceiling —
+    /// see [`fui_obs::slo`]).
     pub fn slo(&self) -> SloReport {
-        self.metrics.svc.slo.observe()
+        self.metrics.slo.observe()
     }
 
-    /// The `n` slowest recently traced requests, slowest first.
+    /// The `n` slowest recently traced requests, slowest first (empty
+    /// unless tracing is active — see [`fui_obs::trace`]).
     pub fn trace_slowest(&self, n: usize) -> Vec<RequestTrace> {
         fui_obs::trace::slowest(n)
     }
@@ -1467,7 +1652,7 @@ impl ShardedService {
     /// size, one row per shard.
     pub fn status(&self) -> FleetStatus {
         FleetStatus {
-            strategy: self.partition.strategy().as_str(),
+            strategy: self.spec.strategy.as_str(),
             cut_edges: self.plan.read().expect("scatter plan poisoned").cut_edges,
             crit_ns: self.crit_ns.load(Ordering::Relaxed),
             shards: self.shards.iter().map(|s| s.status()).collect(),

@@ -1,41 +1,24 @@
-//! The transport-agnostic online query engine.
+//! Request/reply types, configuration, and [`Service`] — the serving
+//! engine fixed at one shard.
 //!
-//! A [`Service`] owns three cooperating pieces:
-//!
-//! * a *master* copy of the mutable state (graph, pending edge
-//!   changes, [`DynamicLandmarks`] staleness accounting) behind one
-//!   mutex that **no query ever takes** — queries only read published
-//!   [`Snapshot`]s;
-//! * the [`SnapshotStore`] publishing the current immutable snapshot;
-//! * the [`ResultCache`] and the micro-batching queue.
-//!
-//! Determinism contract: [`Service::call`], [`Service::call_many`] and
-//! the `submit`/`pump` pair produce byte-identical recommendation
-//! lists — and identical `service.*` counter deltas — at any
-//! `FUI_THREADS` width, because the only parallel step
-//! (`recommend_batch`) reduces in index order. The conformance
-//! invariant `check_cached_matches_uncached` and the `serve_micro` CI
-//! gate both lean on this.
+//! There is one engine, [`ShardedService`] (see [`crate::router`]);
+//! *unsharded* means `shards = 1`. [`Service`] only constructs that
+//! engine under [`ShardSpec::default`] and dereferences to it, so every
+//! verb (`call`, `submit`/`pump`, `record`, `rotate`, `refresh`,
+//! `persist`, …) is the router's own.
 
-use std::collections::BTreeMap;
-use std::io::Write;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::ops::Deref;
+use std::path::Path;
+use std::sync::Arc;
 
-use fui_core::{AuthorityIndex, Propagator, ScoreParams, ScoreVariant, SimRowCache};
+use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::{NodeId, SocialGraph};
-use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, LandmarkIndex};
-use fui_obs::{
-    Counter, Hist, LatencyParts, RequestTrace, SloConfig, SloReport, SloTracker, TraceCapture,
-    TraceEventKind, TraceOutcome,
-};
 use fui_taxonomy::{SimMatrix, Topic};
 
-use crate::batch::{trace_meta, Batcher, Pending, Ticket};
-use crate::cache::{CacheKey, CacheStamp, ResultCache};
-use crate::durable::{self, JournalOp, JournalRecord, SnapshotState};
-use crate::snapshot::{apply_changes, Snapshot, SnapshotStore};
+use crate::cache::CacheKey;
+use crate::durable;
+use crate::router::{ShardSpec, ShardedService};
+use crate::snapshot::Snapshot;
 
 /// One "who should I follow" query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -81,9 +64,9 @@ pub struct ServiceConfig {
     pub cache_capacity: usize,
     /// Result-cache shard count.
     pub cache_shards: usize,
-    /// Landmark staleness threshold (see [`DynamicLandmarks`]).
+    /// Landmark staleness threshold (see [`fui_landmarks::DynamicLandmarks`]).
     pub refresh_threshold: f64,
-    /// Background impact per change (see [`DynamicLandmarks`]).
+    /// Background impact per change (see [`fui_landmarks::DynamicLandmarks`]).
     pub background_impact: f64,
     /// Exploration depth of the approximate recommender.
     pub explore_depth: u32,
@@ -115,6 +98,17 @@ pub enum RestoreError {
     Io(String),
     /// No snapshot file in the directory decoded cleanly.
     NoValidSnapshot,
+    /// The merged journals skip a sequence number: a record between
+    /// the snapshot and `found` is on no journal in the directory, and
+    /// replaying across the hole would silently lose it.
+    JournalGap {
+        /// The sequence number replay needed next.
+        expected: u64,
+        /// The next one the journals actually hold.
+        found: u64,
+    },
+    /// Two journals hold different records under this sequence number.
+    JournalConflict(u64),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -122,140 +116,24 @@ impl std::fmt::Display for RestoreError {
         match self {
             RestoreError::Io(e) => write!(f, "durability directory unusable: {e}"),
             RestoreError::NoValidSnapshot => write!(f, "no valid snapshot on disk"),
+            RestoreError::JournalGap { expected, found } => {
+                write!(f, "journal gap: record {expected} missing before {found}")
+            }
+            RestoreError::JournalConflict(seq) => {
+                write!(f, "journals disagree on record {seq}")
+            }
         }
     }
 }
 
 impl std::error::Error for RestoreError {}
 
-/// The write side of durability: the directory and the open journal.
-struct DurableSink {
-    dir: PathBuf,
-    wal: std::fs::File,
-}
-
-impl DurableSink {
-    /// Appends one framed record and flushes it to the OS. Called
-    /// *before* the in-memory mutation it describes, so a crash at any
-    /// later point replays the mutation from disk.
-    fn append(&mut self, seq: u64, op: &JournalOp) -> std::io::Result<()> {
-        let frame = durable::encode_record(seq, op);
-        self.wal.write_all(&frame)?;
-        self.wal.flush()?;
-        fui_obs::counter("snapshot.persist.journal_appends").incr();
-        fui_obs::counter("snapshot.persist.journal_bytes").add(frame.len() as u64);
-        Ok(())
-    }
-}
-
-/// Mutable master state — mutations lock this, queries never do.
-struct Master {
-    graph: Arc<SocialGraph>,
-    authority: Arc<AuthorityIndex>,
-    sim_rows: Arc<SimRowCache>,
-    index: Arc<LandmarkIndex>,
-    sim: SimMatrix,
-    dynamic: DynamicLandmarks,
-    pending: Vec<EdgeChange>,
-    epoch: u64,
-    graph_gen: u64,
-    slot_versions: Vec<u64>,
-    params: ScoreParams,
-    variant: ScoreVariant,
-    /// Journal position: every mutation with `seq <= applied_seq` is
-    /// reflected in this state. Advances on every mutation whether or
-    /// not the service is durable, so replay idempotence is uniform.
-    applied_seq: u64,
-    /// Present iff the service persists to disk.
-    durable: Option<DurableSink>,
-}
-
-impl Master {
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            shard: 0,
-            epoch: self.epoch,
-            graph_gen: self.graph_gen,
-            slot_versions: self.slot_versions.clone(),
-            graph: Arc::clone(&self.graph),
-            authority: Arc::clone(&self.authority),
-            sim_rows: Arc::clone(&self.sim_rows),
-            index: Arc::clone(&self.index),
-            params: self.params,
-            variant: self.variant,
-        }
-    }
-
-    /// The full durable image of this state.
-    fn snapshot_state(&self) -> SnapshotState {
-        let (auth, followers_on, maxima) = self.authority.to_parts();
-        SnapshotState {
-            applied_seq: self.applied_seq,
-            epoch: self.epoch,
-            graph_gen: self.graph_gen,
-            changes_seen: self.dynamic.changes_seen(),
-            params: self.params,
-            variant: self.variant,
-            slot_versions: self.slot_versions.clone(),
-            staleness: (0..self.slot_versions.len())
-                .map(|s| self.dynamic.staleness_at(s))
-                .collect(),
-            pending: self.pending.clone(),
-            graph: (*self.graph).clone(),
-            auth: auth.to_vec(),
-            followers_on: followers_on.to_vec(),
-            max_followers_on: *maxima,
-            index: self.dynamic.index().clone(),
-        }
-    }
-}
-
-/// `service.*` handles resolved once at construction — the request
-/// hot path never takes the registry's name-lookup lock. Shared with
-/// the sharded router (same metric names, so dashboards and the bench
-/// gate see one serving surface either way).
-pub(crate) struct ServiceMetrics {
-    pub(crate) requests: Counter,
-    pub(crate) shed: Counter,
-    pub(crate) shed_deadline: Counter,
-    pub(crate) rotations: Counter,
-    pub(crate) batch_size: Hist,
-    pub(crate) request_latency: Hist,
-    pub(crate) slo: SloTracker,
-}
-
-impl ServiceMetrics {
-    pub(crate) fn new() -> ServiceMetrics {
-        let requests = fui_obs::counter("service.requests");
-        let shed = fui_obs::counter("service.shed");
-        let request_latency = fui_obs::hist("service.request_latency");
-        ServiceMetrics {
-            requests,
-            shed,
-            shed_deadline: fui_obs::counter("service.shed.deadline"),
-            rotations: fui_obs::counter("service.snapshot.rotations"),
-            batch_size: fui_obs::hist("service.batch.size"),
-            request_latency,
-            slo: SloTracker::new(SloConfig::from_env(), request_latency, requests, shed),
-        }
-    }
-}
-
-/// The online serving engine. See the module docs.
-pub struct Service {
-    master: Mutex<Master>,
-    store: SnapshotStore,
-    cache: ResultCache,
-    batcher: Batcher,
-    cfg: ServiceConfig,
-    metrics: ServiceMetrics,
-}
+/// The serving engine at one shard: a constructor-only façade over
+/// [`ShardedService`] (every verb is reached through `Deref`).
+pub struct Service(ShardedService);
 
 impl Service {
-    /// Builds a service over `graph`: authority index, similarity
-    /// rows and the landmark index are precomputed here (the landmark
-    /// build fans out over the `fui-exec` pool), then published as
-    /// epoch-0 snapshot.
+    /// [`ShardedService::new`] under [`ShardSpec::default`].
     pub fn new(
         graph: SocialGraph,
         sim: SimMatrix,
@@ -265,66 +143,19 @@ impl Service {
         stored_top_n: usize,
         cfg: ServiceConfig,
     ) -> Service {
-        let graph = Arc::new(graph);
-        let authority = Arc::new(AuthorityIndex::build(&graph));
-        let sim_rows = Arc::new(SimRowCache::build(&graph, &sim));
-        let propagator =
-            Propagator::with_sim_cache(&graph, &authority, Arc::clone(&sim_rows), params, variant);
-        let index = LandmarkIndex::build_auto(&propagator, landmarks, stored_top_n);
-        let dynamic = DynamicLandmarks::with_policy(
-            index.clone(),
-            cfg.refresh_threshold,
-            cfg.background_impact,
-        );
-        let index = Arc::new(index);
-        let slots = index.len();
-        let master = Master {
+        Service(ShardedService::new(
             graph,
-            authority,
-            sim_rows,
-            index,
             sim,
-            dynamic,
-            pending: Vec::new(),
-            epoch: 0,
-            graph_gen: 0,
-            slot_versions: vec![0; slots],
             params,
             variant,
-            applied_seq: 0,
-            durable: None,
-        };
-        Service::assemble(master, cfg)
-    }
-
-    fn assemble(master: Master, cfg: ServiceConfig) -> Service {
-        let store = SnapshotStore::new(master.snapshot());
-        let metrics = ServiceMetrics::new();
-        let batcher = Batcher::new(
-            cfg.queue_capacity,
-            metrics.shed,
-            fui_obs::counter("service.shed.queue_full"),
-            fui_obs::counter("service.shed.disconnect"),
-        );
-        Service {
-            master: Mutex::new(master),
-            store,
-            cache: ResultCache::new(cfg.cache_capacity, cfg.cache_shards),
-            batcher,
+            landmarks,
+            stored_top_n,
             cfg,
-            metrics,
-        }
+            ShardSpec::default(),
+        ))
     }
 
-    /// [`Service::new`], then durability: writes the epoch-0 snapshot
-    /// and an empty journal under `dir` (created if absent; any
-    /// previous journal there is truncated — use
-    /// [`restore`](Self::restore) to *resume* a directory). Every
-    /// subsequent [`record`](Self::record), [`rotate`](Self::rotate)
-    /// and [`refresh`](Self::refresh) write-ahead journals itself
-    /// before mutating, and rotation also persists a fresh snapshot,
-    /// so a warm restart replays `newest valid snapshot + journal
-    /// tail`.
+    /// [`ShardedService::with_durability`] under [`ShardSpec::default`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_durability(
         graph: SocialGraph,
@@ -336,678 +167,55 @@ impl Service {
         cfg: ServiceConfig,
         dir: &Path,
     ) -> std::io::Result<Service> {
-        let service = Service::new(graph, sim, params, variant, landmarks, stored_top_n, cfg);
-        std::fs::create_dir_all(dir)?;
-        {
-            let mut m = service.master.lock().expect("master poisoned");
-            durable::write_snapshot_atomic(dir, &m.snapshot_state())?;
-            let mut wal = std::fs::File::create(dir.join(durable::JOURNAL_FILE))?;
-            wal.write_all(durable::WAL_MAGIC)?;
-            m.durable = Some(DurableSink {
-                dir: dir.to_path_buf(),
-                wal,
-            });
-        }
-        Ok(service)
+        ShardedService::with_durability(
+            graph,
+            sim,
+            params,
+            variant,
+            landmarks,
+            stored_top_n,
+            cfg,
+            ShardSpec::default(),
+            dir,
+        )
+        .map(Service)
     }
 
-    /// Warm restart: scans `dir` for the newest snapshot that decodes
-    /// cleanly *and* whose file name agrees with its header position
-    /// (each rejected candidate bumps `snapshot.persist.fallbacks`),
-    /// rebuilds the derived state the codec does not carry (similarity
-    /// rows, landmark topo lookups), replays the journal tail past the
-    /// snapshot's `applied_seq` (a torn final record is dropped and
-    /// truncated away), and re-attaches the journal for appending.
-    ///
-    /// The restored service publishes the same epoch / generation /
-    /// versions the killed one had and answers bit-identically to a
-    /// twin that never died — the chaos conformance suite holds it to
-    /// exactly that.
+    /// [`ShardedService::restore`] under [`ShardSpec::default`] — of a
+    /// directory written by any shard count.
     pub fn restore(
         dir: &Path,
         sim: SimMatrix,
         cfg: ServiceConfig,
     ) -> Result<Service, RestoreError> {
-        Service::restore_inner(dir, sim, cfg, true)
+        ShardedService::restore(dir, sim, cfg, ShardSpec::default()).map(Service)
     }
 
-    fn restore_inner(
-        dir: &Path,
-        sim: SimMatrix,
-        cfg: ServiceConfig,
-        attach: bool,
-    ) -> Result<Service, RestoreError> {
-        let io_err = |e: std::io::Error| RestoreError::Io(e.to_string());
-        let fallbacks = fui_obs::counter("snapshot.persist.fallbacks");
-        let mut chosen = None;
-        for (seq, path) in durable::list_snapshots(dir).map_err(io_err)? {
-            let read_sp = fui_obs::Span::enter("snapshot.restore.read");
-            let raw = std::fs::read(&path);
-            read_sp.finish();
-            let Ok(raw) = raw else {
-                fallbacks.incr();
-                continue;
-            };
-            match durable::decode_snapshot(bytes::Bytes::from(raw)) {
-                // A checksum-valid file whose name disagrees with its
-                // header position is semantically older than it claims
-                // (a stale copy) — fall back past it.
-                Ok(state) if state.applied_seq == seq => {
-                    chosen = Some(state);
-                    break;
-                }
-                Ok(_) | Err(_) => fallbacks.incr(),
-            }
-        }
-        let Some(state) = chosen else {
-            return Err(RestoreError::NoValidSnapshot);
-        };
-
-        let wal_path = dir.join(durable::JOURNAL_FILE);
-        let wal_raw = std::fs::read(&wal_path).unwrap_or_default();
-        let (records, valid_len, torn) = if wal_raw.is_empty() {
-            (Vec::new(), 0, None)
-        } else {
-            durable::decode_journal_prefix(&wal_raw)
-        };
-        if torn.is_some() {
-            fui_obs::counter("snapshot.persist.journal_torn").incr();
-        }
-
-        let derive_sp = fui_obs::Span::enter("snapshot.restore.derive");
-        let service = Service::from_state(state, sim, cfg);
-        derive_sp.finish();
-        let replayed = service.apply_journal(&records);
-        fui_obs::counter("snapshot.persist.replayed").add(replayed as u64);
-        fui_obs::counter("snapshot.persist.restores").incr();
-
-        if attach {
-            let wal = if valid_len < durable::WAL_MAGIC.len() {
-                // Missing or header-corrupt journal: start fresh.
-                let mut f = std::fs::File::create(&wal_path).map_err(io_err)?;
-                f.write_all(durable::WAL_MAGIC).map_err(io_err)?;
-                f
-            } else {
-                if torn.is_some() {
-                    // Drop the torn (never-acknowledged) tail so the
-                    // next append starts at a record boundary.
-                    let f = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&wal_path)
-                        .map_err(io_err)?;
-                    f.set_len(valid_len as u64).map_err(io_err)?;
-                }
-                std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&wal_path)
-                    .map_err(io_err)?
-            };
-            service.master.lock().expect("master poisoned").durable = Some(DurableSink {
-                dir: dir.to_path_buf(),
-                wal,
-            });
-        }
-        Ok(service)
-    }
-
-    /// Rebuilds a service around a decoded snapshot state. Similarity
-    /// rows and landmark topo lookups are recomputed (both are pure,
-    /// deterministic functions of the persisted state).
-    fn from_state(state: SnapshotState, sim: SimMatrix, cfg: ServiceConfig) -> Service {
-        let graph = Arc::new(state.graph);
-        let authority = Arc::new(AuthorityIndex::from_parts(
-            state.auth,
-            state.followers_on,
-            state.max_followers_on,
-        ));
-        let sim_rows = Arc::new(SimRowCache::build(&graph, &sim));
-        let dynamic = DynamicLandmarks::restore(
-            state.index.clone(),
-            cfg.refresh_threshold,
-            cfg.background_impact,
-            state.staleness,
-            state.changes_seen,
-        );
-        let master = Master {
-            graph,
-            authority,
-            sim_rows,
-            index: Arc::new(state.index),
-            sim,
-            dynamic,
-            pending: state.pending,
-            epoch: state.epoch,
-            graph_gen: state.graph_gen,
-            slot_versions: state.slot_versions,
-            params: state.params,
-            variant: state.variant,
-            applied_seq: state.applied_seq,
-            durable: None,
-        };
-        Service::assemble(master, cfg)
-    }
-
-    /// The configuration the service was built with.
-    pub fn config(&self) -> &ServiceConfig {
-        &self.cfg
-    }
-
-    /// The currently published snapshot.
+    /// The currently published snapshot: shard 0's, which at one shard
+    /// carries the full landmark index.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.store.load()
+        self.0.shards[0].store.load()
     }
+}
 
-    /// Live result-cache entry count.
-    pub fn cache_len(&self) -> usize {
-        self.cache.len()
+impl Deref for Service {
+    type Target = ShardedService;
+    fn deref(&self) -> &ShardedService {
+        &self.0
     }
+}
 
-    /// Current submission-queue depth.
-    pub fn queue_depth(&self) -> usize {
-        self.batcher.depth()
+// `AsRef<ShardedService>` is the bound both network servers take, so
+// an `Arc` of either name starts one.
+impl AsRef<ShardedService> for Service {
+    fn as_ref(&self) -> &ShardedService {
+        &self.0
     }
+}
 
-    // ---- read path -----------------------------------------------
-
-    /// Answers one request synchronously (cache → batch of one).
-    pub fn call(&self, req: Request) -> Reply {
-        self.call_many(std::slice::from_ref(&req))
-            .pop()
-            .expect("one reply per request")
-    }
-
-    /// Answers a slice of requests synchronously, coalescing them into
-    /// `max_batch`-sized batches. Replies come back in request order.
-    pub fn call_many(&self, reqs: &[Request]) -> Vec<Reply> {
-        let mut replies = Vec::with_capacity(reqs.len());
-        for chunk in reqs.chunks(self.cfg.max_batch.max(1)) {
-            let traces = chunk.iter().map(|_| TraceCapture::begin()).collect();
-            replies.extend(self.answer_batch(chunk, traces));
-        }
-        replies
-    }
-
-    /// Enqueues a request for the next [`pump`](Self::pump), shedding
-    /// immediately if the queue is at capacity. `deadline` (if any) is
-    /// checked when the pump drains the request. When tracing is
-    /// active the request draws a [`fui_obs::TraceId`] here, at
-    /// admission, so queue wait is attributed from the moment of
-    /// submission.
-    pub fn submit(&self, req: Request, deadline: Option<Instant>) -> Result<Ticket, Reply> {
-        self.batcher.submit(req, deadline, TraceCapture::begin())
-    }
-
-    /// Drains and answers one batch from the submission queue;
-    /// returns how many requests it resolved (answered or shed).
-    /// Callers drive this: tests and benches call it synchronously
-    /// for determinism, the net frontend calls it on a window timer.
-    pub fn pump(&self) -> usize {
-        let drained = self.batcher.drain(self.cfg.max_batch);
-        if drained.is_empty() {
-            return 0;
-        }
-        let now = Instant::now();
-        let mut live: Vec<Pending> = Vec::with_capacity(drained.len());
-        for p in drained {
-            if p.deadline.is_some_and(|d| now > d) {
-                self.metrics.shed.incr();
-                self.metrics.shed_deadline.incr();
-                if let Some(cap) = p.trace {
-                    let queue_ns =
-                        u64::try_from(now.saturating_duration_since(cap.started_at()).as_nanos())
-                            .unwrap_or(u64::MAX);
-                    cap.finish(
-                        trace_meta(&p.req),
-                        TraceOutcome::ShedDeadline,
-                        LatencyParts {
-                            queue_ns,
-                            ..LatencyParts::default()
-                        },
-                    );
-                }
-                let _ = p.tx.send(Reply::Overloaded);
-            } else {
-                live.push(p);
-            }
-        }
-        let total = live.len();
-        if total == 0 {
-            return total;
-        }
-        let reqs: Vec<Request> = live.iter().map(|p| p.req).collect();
-        let traces = live.iter_mut().map(|p| p.trace.take()).collect();
-        let replies = self.answer_batch(&reqs, traces);
-        for (p, reply) in live.into_iter().zip(replies) {
-            let _ = p.tx.send(reply);
-        }
-        total
-    }
-
-    /// Answers one batch against the currently published snapshot:
-    /// probe the cache, group the misses by `top_n`, fan each group
-    /// out through `recommend_batch`, stamp and cache the results.
-    ///
-    /// `traces` runs parallel to `reqs`. A traced request's latency
-    /// decomposition is queue wait (submission → batch entry, exact
-    /// per request) plus the batch's shared cache / compute / assembly
-    /// segments — the batch answers as a unit, so every member's
-    /// end-to-end latency covers the whole batch, and the four parts
-    /// sum to the recorded total *exactly* (assembly is defined as the
-    /// remainder).
-    fn answer_batch(&self, reqs: &[Request], traces: Vec<Option<TraceCapture>>) -> Vec<Reply> {
-        let started = Instant::now();
-        let _span = fui_obs::span!("service.request");
-        let snap = self.store.load();
-        self.metrics.requests.add(reqs.len() as u64);
-        self.metrics.batch_size.record(reqs.len() as u64);
-
-        let mut traces = traces;
-        let tracing = traces.iter().any(Option::is_some);
-        if tracing {
-            for cap in traces.iter_mut().flatten() {
-                cap.event(TraceEventKind::BatchJoin, reqs.len() as u64);
-                cap.event(TraceEventKind::SnapshotPin, snap.epoch);
-            }
-        }
-        // Timed sub-segments, accumulated only when tracing (the
-        // untraced path takes no extra clock reads).
-        let mut cache_ns = 0u64;
-        let mut compute_ns = 0u64;
-        let clock = |on: bool| if on { Some(Instant::now()) } else { None };
-        let lap = |t0: Option<Instant>, acc: &mut u64| {
-            if let Some(t0) = t0 {
-                *acc += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            }
-        };
-
-        let mut replies: Vec<Option<Reply>> = (0..reqs.len()).map(|_| None).collect();
-        // Miss indices per top_n — BTreeMap so group order (and hence
-        // batch composition and counters) is deterministic.
-        let mut misses: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, req) in reqs.iter().enumerate() {
-            if let Err(why) = validate(req, &snap) {
-                replies[i] = Some(Reply::Rejected(why));
-                continue;
-            }
-            let key = key_of(req);
-            let t0 = clock(tracing);
-            let probed = self.cache.get(key, &snap);
-            lap(t0, &mut cache_ns);
-            if let Some(cap) = traces[i].as_mut() {
-                cap.event(TraceEventKind::CacheProbe, u64::from(probed.is_some()));
-            }
-            if let Some(value) = probed {
-                replies[i] = Some(Reply::Result(Served {
-                    recommendations: value,
-                    epoch: snap.epoch,
-                    cached: true,
-                }));
-            } else {
-                misses.entry(req.top_n).or_default().push(i);
-            }
-        }
-
-        if misses.values().any(|v| !v.is_empty()) {
-            let propagator = snap.propagator();
-            let mut rec = ApproxRecommender::new(&propagator, &snap.index);
-            rec.explore_depth = self.cfg.explore_depth;
-            for (top_n, idxs) in &misses {
-                let queries: Vec<(NodeId, Topic)> = idxs
-                    .iter()
-                    .map(|&i| (reqs[i].user, reqs[i].topic))
-                    .collect();
-                if tracing {
-                    for &i in idxs {
-                        if let Some(cap) = traces[i].as_mut() {
-                            cap.event(TraceEventKind::PropagateStart, idxs.len() as u64);
-                        }
-                    }
-                }
-                let t0 = clock(tracing);
-                let results = rec.recommend_batch(&queries, *top_n);
-                lap(t0, &mut compute_ns);
-                let t0 = clock(tracing);
-                for (&i, result) in idxs.iter().zip(results) {
-                    let met: Vec<(u32, u64)> = result
-                        .met_landmarks
-                        .iter()
-                        .map(|&l| {
-                            let slot = snap.index.slot_of(l).expect("met node is a landmark");
-                            (slot, snap.slot_versions[slot as usize])
-                        })
-                        .collect();
-                    let value = Arc::new(result.recommendations);
-                    self.cache.insert(
-                        key_of(&reqs[i]),
-                        Arc::clone(&value),
-                        CacheStamp {
-                            shard: snap.shard,
-                            graph_gen: snap.graph_gen,
-                            met,
-                        },
-                    );
-                    replies[i] = Some(Reply::Result(Served {
-                        recommendations: value,
-                        epoch: snap.epoch,
-                        cached: false,
-                    }));
-                }
-                lap(t0, &mut cache_ns);
-            }
-        }
-
-        let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        for _ in reqs {
-            self.metrics.request_latency.record(elapsed);
-        }
-        if tracing {
-            let assembly_ns = elapsed.saturating_sub(cache_ns).saturating_sub(compute_ns);
-            for (i, cap) in traces.into_iter().enumerate() {
-                let Some(cap) = cap else { continue };
-                let outcome = match replies[i].as_ref() {
-                    Some(Reply::Result(s)) if s.cached => TraceOutcome::OkCached,
-                    Some(Reply::Result(_)) => TraceOutcome::Ok,
-                    _ => TraceOutcome::Rejected,
-                };
-                let queue_ns = u64::try_from(
-                    started
-                        .saturating_duration_since(cap.started_at())
-                        .as_nanos(),
-                )
-                .unwrap_or(u64::MAX);
-                cap.finish(
-                    trace_meta(&reqs[i]),
-                    outcome,
-                    LatencyParts {
-                        queue_ns,
-                        assembly_ns,
-                        compute_ns,
-                        cache_ns,
-                        scatter_ns: 0,
-                    },
-                );
-            }
-        }
-        replies
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
-    }
-
-    // ---- write path ----------------------------------------------
-
-    /// Records one follow/unfollow. The change is buffered until the
-    /// next [`rotate`](Self::rotate); staleness is charged to the
-    /// landmarks immediately, and any landmark the charge pushes past
-    /// its threshold gets its cache version bumped right away (a new
-    /// epoch is published so probes see it), conservatively retiring
-    /// cached results that composed through the now-suspect entry.
-    pub fn record(&self, change: EdgeChange) -> Result<(), String> {
-        let mut m = self.master.lock().expect("master poisoned");
-        let n = m.graph.num_nodes() as u32;
-        if change.follower.0 >= n || change.followee.0 >= n {
-            return Err(format!("edge endpoints out of range (graph has {n} nodes)"));
-        }
-        if change.follower == change.followee {
-            return Err("self-follows are not representable".to_owned());
-        }
-        let seq = m.applied_seq + 1;
-        if let Some(sink) = m.durable.as_mut() {
-            sink.append(seq, &JournalOp::Change(change))
-                .map_err(|e| format!("journal append failed: {e}"))?;
-        }
-        m.applied_seq = seq;
-        self.apply_change_inner(&mut m, change);
-        Ok(())
-    }
-
-    /// The in-memory effect of one (already journaled, already
-    /// validated) change — shared by the live path and journal replay.
-    fn apply_change_inner(&self, m: &mut Master, change: EdgeChange) {
-        let slots = m.dynamic.index().len();
-        let was: Vec<bool> = (0..slots).map(|s| m.dynamic.is_stale(s)).collect();
-        m.dynamic.record(&change);
-        m.pending.push(change);
-        let newly: Vec<usize> = (0..slots)
-            .filter(|&s| !was[s] && m.dynamic.is_stale(s))
-            .collect();
-        if !newly.is_empty() {
-            for s in newly {
-                m.slot_versions[s] += 1;
-            }
-            m.epoch += 1;
-            self.store.publish(m.snapshot());
-        }
-    }
-
-    /// Number of changes recorded but not yet rotated in.
-    pub fn pending_changes(&self) -> usize {
-        self.master.lock().expect("master poisoned").pending.len()
-    }
-
-    /// Applies all pending edge changes: rebuilds graph, authority
-    /// index and similarity rows, bumps `graph_gen` (retiring every
-    /// cached result) and publishes. Landmark entries are *not*
-    /// recomputed — the lazy policy keeps serving slightly stale lists
-    /// until [`refresh`](Self::refresh), exactly the trade-off the
-    /// paper anticipates for churning follow graphs. Never blocks
-    /// in-flight queries; they finish on their old snapshot. Returns
-    /// the new epoch.
-    pub fn rotate(&self) -> u64 {
-        let _span = fui_obs::span!("service.rotate");
-        let mut m = self.master.lock().expect("master poisoned");
-        let seq = m.applied_seq + 1;
-        if let Some(sink) = m.durable.as_mut() {
-            sink.append(seq, &JournalOp::Rotate)
-                .expect("journal append failed");
-        }
-        m.applied_seq = seq;
-        let epoch = self.rotate_inner(&mut m);
-        if m.durable.is_some() {
-            // A rotation rebuilt the expensive indices — checkpoint so
-            // a warm restart replays from here, not from scratch.
-            self.persist_locked(&mut m).expect("snapshot write failed");
-        }
-        epoch
-    }
-
-    fn rotate_inner(&self, m: &mut Master) -> u64 {
-        self.metrics.rotations.incr();
-        if !m.pending.is_empty() {
-            let next = apply_changes(&m.graph, &m.pending);
-            m.pending.clear();
-            m.graph = Arc::new(next);
-            m.authority = Arc::new(AuthorityIndex::build(&m.graph));
-            m.sim_rows = Arc::new(SimRowCache::build(&m.graph, &m.sim));
-        }
-        m.graph_gen += 1;
-        m.epoch += 1;
-        self.store.publish(m.snapshot());
-        m.epoch
-    }
-
-    /// Recomputes every stale landmark against the current graph and
-    /// publishes the refreshed index under a new epoch, bumping the
-    /// refreshed slots' cache versions (results that never met those
-    /// landmarks keep their cache entries). Returns how many entries
-    /// were refreshed.
-    pub fn refresh(&self) -> usize {
-        let _span = fui_obs::span!("service.refresh");
-        let mut m = self.master.lock().expect("master poisoned");
-        let seq = m.applied_seq + 1;
-        if let Some(sink) = m.durable.as_mut() {
-            sink.append(seq, &JournalOp::Refresh)
-                .expect("journal append failed");
-        }
-        m.applied_seq = seq;
-        self.refresh_inner(&mut m)
-    }
-
-    fn refresh_inner(&self, m: &mut Master) -> usize {
-        let stale = m.dynamic.stale_slots();
-        if stale.is_empty() {
-            return 0;
-        }
-        let propagator = Propagator::with_sim_cache(
-            &m.graph,
-            &m.authority,
-            Arc::clone(&m.sim_rows),
-            m.params,
-            m.variant,
-        );
-        let refreshed = m.dynamic.refresh_stale(&propagator);
-        for &s in &stale {
-            m.slot_versions[s] += 1;
-        }
-        m.index = Arc::new(m.dynamic.index().clone());
-        m.epoch += 1;
-        self.store.publish(m.snapshot());
-        refreshed
-    }
-
-    // ---- durability ----------------------------------------------
-
-    /// Replays journal records into the master state. Records at or
-    /// below the current `applied_seq` are skipped — replaying a tail
-    /// twice is bit-identical to replaying it once — and records whose
-    /// change no longer validates against the graph are counted on
-    /// `snapshot.persist.replay_rejected` rather than applied. Returns
-    /// how many records were applied. Replay never journals (the
-    /// records are already on disk).
-    pub fn apply_journal(&self, records: &[JournalRecord]) -> usize {
-        let mut m = self.master.lock().expect("master poisoned");
-        let mut applied = 0;
-        for r in records {
-            if r.seq <= m.applied_seq {
-                continue;
-            }
-            m.applied_seq = r.seq;
-            match r.op {
-                JournalOp::Change(change) => {
-                    let n = m.graph.num_nodes() as u32;
-                    if change.follower.0 >= n
-                        || change.followee.0 >= n
-                        || change.follower == change.followee
-                    {
-                        fui_obs::counter("snapshot.persist.replay_rejected").incr();
-                        continue;
-                    }
-                    self.apply_change_inner(&mut m, change);
-                }
-                JournalOp::Rotate => {
-                    self.rotate_inner(&mut m);
-                }
-                JournalOp::Refresh => {
-                    self.refresh_inner(&mut m);
-                }
-            }
-            applied += 1;
-        }
-        applied
-    }
-
-    /// Writes a full snapshot of the current master state to the
-    /// durability directory (atomic temp-file + rename), pruning all
-    /// but the newest `KEEP_SNAPSHOTS` files. Returns the journal
-    /// position the snapshot captures and its encoded size. Errors
-    /// with `Unsupported` on a non-durable service.
-    pub fn persist(&self) -> std::io::Result<(u64, usize)> {
-        let mut m = self.master.lock().expect("master poisoned");
-        self.persist_locked(&mut m)
-    }
-
-    fn persist_locked(&self, m: &mut Master) -> std::io::Result<(u64, usize)> {
-        let Some(dir) = m.durable.as_ref().map(|s| s.dir.clone()) else {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "service is not durable",
-            ));
-        };
-        let state = m.snapshot_state();
-        let (_, bytes) = durable::write_snapshot_atomic(&dir, &state)?;
-        prune_snapshots(&dir);
-        Ok((state.applied_seq, bytes))
-    }
-
-    /// Dry-run warm restart against this service's own durability
-    /// directory: decodes the newest valid snapshot, replays the
-    /// journal tail into a throwaway twin (nothing on disk is touched)
-    /// and reports `(epoch, graph_gen, applied_seq)` the twin reached.
-    /// A healthy directory reports exactly this service's live values.
-    pub fn restore_probe(&self) -> Result<(u64, u64, u64), String> {
-        let (dir, sim) = {
-            let m = self.master.lock().expect("master poisoned");
-            let Some(sink) = m.durable.as_ref() else {
-                return Err("service is not durable".to_owned());
-            };
-            (sink.dir.clone(), m.sim.clone())
-        };
-        let probe =
-            Service::restore_inner(&dir, sim, self.cfg, false).map_err(|e| e.to_string())?;
-        let snap = probe.snapshot();
-        let applied = probe.applied_seq();
-        Ok((snap.epoch, snap.graph_gen, applied))
-    }
-
-    /// Journal position of the last applied mutation.
-    pub fn applied_seq(&self) -> u64 {
-        self.master.lock().expect("master poisoned").applied_seq
-    }
-
-    /// Whether this service journals and snapshots to disk.
-    pub fn is_durable(&self) -> bool {
-        self.master
-            .lock()
-            .expect("master poisoned")
-            .durable
-            .is_some()
-    }
-
-    // ---- introspection -------------------------------------------
-
-    /// Takes an SLO checkpoint and reports current burn rates over the
-    /// rolling window (latency arm: `service.request_latency` against
-    /// the p99 target; shed arm: `service.shed` against the ceiling —
-    /// see [`fui_obs::slo`]).
-    pub fn slo(&self) -> SloReport {
-        self.metrics.slo.observe()
-    }
-
-    /// The `n` slowest recently traced requests, slowest first (empty
-    /// unless tracing is active — see [`fui_obs::trace`]).
-    pub fn trace_slowest(&self, n: usize) -> Vec<RequestTrace> {
-        fui_obs::trace::slowest(n)
-    }
-
-    /// The unsharded engine viewed as a one-shard fleet — what the
-    /// line-protocol `SHARDS` verb renders when the backend is a plain
-    /// service. Edge mass follows the partitioner's convention (every
-    /// edge charged to both endpoint owners — here the same shard).
-    pub fn fleet_status(&self) -> crate::shard::FleetStatus {
-        let snap = self.store.load();
-        let slo = self.metrics.slo.observe();
-        crate::shard::FleetStatus {
-            strategy: "unsharded",
-            cut_edges: 0,
-            crit_ns: 0,
-            shards: vec![crate::shard::ShardStatus {
-                id: 0,
-                epoch: snap.epoch,
-                graph_gen: snap.graph_gen,
-                queue_depth: self.batcher.depth(),
-                pending_changes: self.pending_changes() as u64,
-                busy_ns: 0,
-                cache_entries: self.cache.len(),
-                owned_nodes: snap.graph.num_nodes(),
-                edge_mass: 2 * snap.graph.num_edges() as u64,
-                requests: self.metrics.requests.get(),
-                shed: self.metrics.shed.get(),
-                shed_queue_full: fui_obs::counter("service.shed.queue_full").get(),
-                shed_deadline: self.metrics.shed_deadline.get(),
-                latency_burn: slo.latency_burn,
-                shed_burn: slo.shed_burn,
-            }],
-        }
+impl AsRef<ShardedService> for ShardedService {
+    fn as_ref(&self) -> &ShardedService {
+        self
     }
 }
 

@@ -1,6 +1,7 @@
 //! Per-shard serving state for the partitioned fleet.
 //!
-//! A [`crate::router::ShardedService`] owns N of these. Each shard is
+//! A [`crate::router::ShardedService`] owns N of these (a
+//! [`crate::Service`] exactly one). Each shard is
 //! one full serving lane over the candidates it owns: its own
 //! [`SnapshotStore`] (publishing the shard's filtered landmark slice),
 //! its own generation-stamped [`ResultCache`], and its own bounded
@@ -34,8 +35,9 @@ pub(crate) struct Shard {
     pub(crate) cache: ResultCache,
     pub(crate) batcher: Batcher,
     /// Fixed ownership mask: `owned[v]` iff this shard composes
-    /// candidate `v`. Shared with every snapshot generation.
-    pub(crate) owned: Arc<Vec<bool>>,
+    /// candidate `v`. Shared with every snapshot generation. `None` on
+    /// a fleet of one, whose only shard composes every candidate.
+    pub(crate) owned: Option<Arc<Vec<bool>>>,
     pub(crate) owned_nodes: usize,
     pub(crate) edge_mass: u64,
     /// Changes recorded since this shard's last rotation publish —
@@ -66,12 +68,12 @@ impl Shard {
     pub(crate) fn new(
         id: u32,
         initial: Snapshot,
-        owned: Arc<Vec<bool>>,
+        owned: Option<Arc<Vec<bool>>>,
+        owned_nodes: usize,
         edge_mass: u64,
         cfg: &ServiceConfig,
-        metrics: &crate::service::ServiceMetrics,
+        metrics: &crate::router::FleetMetrics,
     ) -> Shard {
-        let owned_nodes = owned.iter().filter(|&&o| o).count();
         let requests = fui_obs::counter(&format!("service.shard.{id}.requests"));
         let shed = fui_obs::counter(&format!("service.shard.{id}.shed"));
         let epoch_gauge = fui_obs::gauge(&format!("service.shard.{id}.epoch"));
@@ -129,9 +131,8 @@ impl Shard {
     }
 }
 
-/// Introspection row for one shard (or for the whole service when the
-/// backend is unsharded) — what the line-protocol `SHARDS` verb
-/// renders.
+/// Introspection row for one shard — what the line-protocol `SHARDS`
+/// verb renders.
 #[derive(Clone, Debug)]
 pub struct ShardStatus {
     /// Shard id (0-based).
@@ -148,8 +149,7 @@ pub struct ShardStatus {
     /// Total nanoseconds spent inside this shard's parallel lanes
     /// (cache probes plus candidate composition; the shared
     /// exploration stage is fleet work and is not attributed to a
-    /// shard). Always `0` on the unsharded engine, which does not
-    /// attribute compute.
+    /// shard).
     pub busy_ns: u64,
     /// Live entries in the shard's result cache.
     pub cache_entries: usize,
@@ -177,8 +177,8 @@ pub struct ShardStatus {
 /// [`ShardStatus`] row per shard.
 #[derive(Clone, Debug)]
 pub struct FleetStatus {
-    /// Partition strategy wire name (`"hash"` / `"degree-aware"`,
-    /// `"unsharded"` on a plain [`crate::Service`]).
+    /// Partition strategy wire name (`"hash"` / `"degree-aware"`; a
+    /// plain [`crate::Service`] reports its default, `"hash"`).
     pub strategy: &'static str,
     /// Edges whose endpoints live on different shards, for the
     /// current graph generation.
@@ -187,8 +187,8 @@ pub struct FleetStatus {
     /// per batch, wall time minus total parallel-lane busy time plus
     /// each region's slowest lane — the serving cost on a host with
     /// at least as many cores as shards, exact when the lanes ran
-    /// serially (`FUI_THREADS=1`). Always `0` on the unsharded
-    /// engine, which has no router.
+    /// serially (`FUI_THREADS=1`). On a fleet of one every region has
+    /// one lane, so this equals served wall time.
     pub crit_ns: u64,
     /// Per-shard rows, shard id ascending.
     pub shards: Vec<ShardStatus>,

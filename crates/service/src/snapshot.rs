@@ -29,7 +29,7 @@ use fui_taxonomy::TopicSet;
 
 /// One immutable, queryable publication of the serving state.
 pub struct Snapshot {
-    /// Which shard published this snapshot (0 on an unsharded
+    /// Which shard published this snapshot (always 0 on a one-shard
     /// [`crate::Service`]). Cache stamps carry the same id, so an
     /// entry computed on one shard can never validate against another
     /// shard's slot-version vector — slot indices are only unique
@@ -37,8 +37,8 @@ pub struct Snapshot {
     pub shard: u32,
     /// Monotone publication counter (every publish bumps it).
     pub epoch: u64,
-    /// Graph generation: bumped by [`crate::Service::rotate`] only.
-    /// Cache entries stamped with an older generation are dead.
+    /// Graph generation: bumped by [`crate::ShardedService::rotate`]
+    /// only. Cache entries stamped with an older generation are dead.
     pub graph_gen: u64,
     /// Per-landmark-slot entry versions. Bumped when a slot's stored
     /// lists are refreshed, or when the staleness policy flags the

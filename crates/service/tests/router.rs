@@ -5,14 +5,16 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
+use fui_service::durable;
 use fui_service::{
-    NetConfig, NetServer, Reply, Request, Served, Service, ServiceConfig, ShardSpec, ShardedService,
+    NetConfig, NetServer, Reply, Request, RestoreError, Served, Service, ServiceConfig, ShardSpec,
+    ShardedService,
 };
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
@@ -395,5 +397,135 @@ fn restore_with_a_different_shard_count_is_answer_invisible() {
     for (req, want) in all_queries().into_iter().zip(&baseline) {
         assert_same_bits(&served(wider.call(req)), want, "respec restore");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable engine over [`graph`] under `shards` hash shards — through
+/// the `Service` façade at one shard, so the matrix below covers both
+/// names.
+fn durable_engine(shards: usize, dir: &Path) -> Box<dyn AsRef<ShardedService>> {
+    let (sim, params, lm) = (
+        SimMatrix::opencalais(),
+        ScoreParams::default(),
+        vec![NodeId(2), NodeId(6)],
+    );
+    let (variant, cfg) = (ScoreVariant::Full, ServiceConfig::default());
+    if shards == 1 {
+        Box::new(Service::with_durability(graph(), sim, params, variant, lm, 50, cfg, dir).unwrap())
+    } else {
+        let spec = ShardSpec::new(shards, PartitionStrategy::Hash);
+        Box::new(
+            ShardedService::with_durability(graph(), sim, params, variant, lm, 50, cfg, spec, dir)
+                .unwrap(),
+        )
+    }
+}
+
+fn restore_engine(shards: usize, dir: &Path) -> Box<dyn AsRef<ShardedService>> {
+    let (sim, cfg) = (SimMatrix::opencalais(), ServiceConfig::default());
+    let restored: Result<Box<dyn AsRef<ShardedService>>, RestoreError> = if shards == 1 {
+        Service::restore(dir, sim, cfg).map(|s| Box::new(s) as _)
+    } else {
+        let spec = ShardSpec::new(shards, PartitionStrategy::Hash);
+        ShardedService::restore(dir, sim, cfg, spec).map(|s| Box::new(s) as _)
+    };
+    restored.unwrap_or_else(|e| panic!("restore under {shards} shards: {e}"))
+}
+
+/// The `i`-th follow of the un-rotated tail: every node follows its
+/// next five neighbours, so the owners spread over every shard.
+fn tail_change(i: u32) -> EdgeChange {
+    let u = i % 10;
+    let tech = TopicSet::single(Topic::Technology);
+    EdgeChange::insert(NodeId(u), NodeId((u + 1 + i / 10) % 10), tech)
+}
+
+fn assert_matches_twin(got: &ShardedService, twin: &ShardedService, ctx: &str) {
+    assert_eq!(got.applied_seq(), twin.applied_seq(), "{ctx}: applied_seq");
+    assert_eq!(
+        got.pending_changes(),
+        twin.pending_changes(),
+        "{ctx}: pending_changes"
+    );
+    assert_eq!(got.epoch(), twin.epoch(), "{ctx}: epoch");
+    assert_eq!(got.graph_gen(), twin.graph_gen(), "{ctx}: graph_gen");
+    for req in all_queries() {
+        assert_same_bits(&served(got.call(req)), &served(twin.call(req)), ctx);
+    }
+}
+
+/// Every acknowledged write survives a restore under any layout: a
+/// directory written by 1, 2 or 4 shards with an un-rotated journal
+/// tail restores under 1, 2 or 4 shards equal to a twin that never
+/// died — then takes more writes, dies again and restores back under
+/// the writer's layout (the re-widen), still equal.
+#[test]
+fn restore_matrix_over_writer_and_reader_shard_counts() {
+    for writer in [1usize, 2, 4] {
+        for reader in [1usize, 2, 4] {
+            let ctx = format!("written by {writer}, restored under {reader}");
+            let dir = scratch(&format!("matrix-{writer}-{reader}"));
+            let twin = fleet(
+                ServiceConfig::default(),
+                ShardSpec::new(writer, PartitionStrategy::Hash),
+            );
+            let victim = durable_engine(writer, &dir);
+            for engine in [(*victim).as_ref(), &twin] {
+                engine.record(tail_change(45)).unwrap();
+                engine.rotate();
+                for i in 0..45 {
+                    engine.record(tail_change(i)).unwrap();
+                }
+            }
+            drop(victim);
+
+            let restored = restore_engine(reader, &dir);
+            let restored_ref = (*restored).as_ref();
+            assert_matches_twin(restored_ref, &twin, &ctx);
+            if reader < writer {
+                // The tail lived partly in journals the narrower
+                // layout never appends to: it must be checkpointed.
+                let newest = durable::list_snapshots(&dir).unwrap()[0].0;
+                assert_eq!(newest, restored_ref.applied_seq(), "{ctx}: checkpoint");
+            }
+
+            for engine in [restored_ref, &twin] {
+                for i in 46..50 {
+                    engine.record(tail_change(i)).unwrap();
+                }
+            }
+            drop(restored);
+            let rewidened = restore_engine(writer, &dir);
+            assert_matches_twin((*rewidened).as_ref(), &twin, &format!("{ctx}, and back"));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+}
+
+/// A journal that lost a record in the middle is a typed error — replay
+/// must not carry `applied_seq` across the hole.
+#[test]
+fn restore_stops_at_a_journal_gap() {
+    let dir = scratch("gap");
+    let victim = durable_engine(1, &dir);
+    for i in 0..5 {
+        (*victim).as_ref().record(tail_change(i)).unwrap();
+    }
+    drop(victim);
+    let wal = dir.join("shard-0000").join(durable::JOURNAL_FILE);
+    let mut records = durable::decode_journal(&std::fs::read(&wal).unwrap()).unwrap();
+    assert_eq!(records.len(), 5);
+    records.remove(2);
+    std::fs::write(&wal, durable::encode_journal(&records)).unwrap();
+    let err = Service::restore(&dir, SimMatrix::opencalais(), ServiceConfig::default())
+        .err()
+        .expect("a journal gap must not restore");
+    assert_eq!(
+        err,
+        RestoreError::JournalGap {
+            expected: 3,
+            found: 4
+        }
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,9 +7,11 @@ use std::net::TcpStream;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use fui_core::{ScoreParams, ScoreVariant};
-use fui_graph::{GraphBuilder, NodeId, SocialGraph};
+use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
-use fui_service::{NetConfig, NetServer, Reply, Request, Service, ServiceConfig};
+use fui_service::{
+    NetConfig, NetServer, Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService,
+};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
 /// A two-community graph: 0..5 a dense tech cluster, 6..9 a chain.
@@ -299,8 +301,22 @@ impl Drop for TraceSession {
 #[test]
 fn trace_slowest_decomposition_sums_exactly() {
     let _g = obs_guard();
+    // Both names of the one engine: the one-shard façade and a fleet.
+    decomposition_sums_exactly(&service(ServiceConfig::default()));
+    decomposition_sums_exactly(&ShardedService::new(
+        graph(),
+        SimMatrix::opencalais(),
+        ScoreParams::default(),
+        ScoreVariant::Full,
+        vec![NodeId(2), NodeId(6)],
+        50,
+        ServiceConfig::default(),
+        ShardSpec::new(2, PartitionStrategy::Hash),
+    ));
+}
+
+fn decomposition_sums_exactly(svc: &ShardedService) {
     let _session = TraceSession::start(1.0);
-    let svc = service(ServiceConfig::default());
     // Mixed workload through the queue so queue wait is real: two
     // rounds over 8 users (second round hits the cache). top_n 6 is
     // this test's fingerprint — while the obs level is Full, requests
@@ -333,7 +349,11 @@ fn trace_slowest_decomposition_sums_exactly() {
         assert!(pair[0].total_ns >= pair[1].total_ns, "sorted slowest-first");
     }
     for t in &slowest {
-        let sum = t.parts.queue_ns + t.parts.assembly_ns + t.parts.compute_ns + t.parts.cache_ns;
+        let sum = t.parts.queue_ns
+            + t.parts.assembly_ns
+            + t.parts.compute_ns
+            + t.parts.cache_ns
+            + t.parts.scatter_ns;
         // The acceptance bound is 1 %; the construction makes it exact.
         assert_eq!(sum, t.total_ns, "decomposition must sum to the total");
         assert!(
@@ -528,8 +548,11 @@ fn introspection_verbs_round_trip() {
                 .expect("numeric field")
         };
         let total = field("total_ns");
-        let sum =
-            field("queue_ns") + field("assembly_ns") + field("compute_ns") + field("cache_ns");
+        let sum = field("queue_ns")
+            + field("assembly_ns")
+            + field("compute_ns")
+            + field("cache_ns")
+            + field("scatter_ns");
         let tolerance = (total / 100).max(1);
         assert!(
             sum.abs_diff(total) <= tolerance,
@@ -539,6 +562,20 @@ fn introspection_verbs_round_trip() {
             assert!(read_line(&mut reader).starts_with("EV "));
         }
     }
+
+    // SHARDS on a plain service: the real one-shard row, with the
+    // lane and critical-path clocks live.
+    writeln!(writer, "SHARDS").expect("write");
+    let header = read_line(&mut reader);
+    assert!(
+        header.starts_with("OK SHARDS 1 strategy=hash cut_edges=0 crit_ns="),
+        "got {header:?}"
+    );
+    assert!(!header.ends_with("crit_ns=0"), "got {header:?}");
+    let row = read_line(&mut reader);
+    assert!(row.starts_with("S 0 epoch=0 gen=0 "), "got {row:?}");
+    assert!(row.contains(" owned=10 "), "got {row:?}");
+    assert!(!row.contains(" busy_ns=0 "), "lane time is live: {row:?}");
 
     writeln!(writer, "QUIT").expect("write");
     server.shutdown();

@@ -2,32 +2,37 @@
 //!
 //! Durability is only real when a seeded kill/restart provably returns
 //! bit-identical answers. [`check_crash_recovery_matches_twin`] drives
-//! two durable [`Service`]s through the same seeded op script — an
-//! interleaving of queries, follow/unfollow records, snapshot rotations
-//! and landmark refreshes:
+//! two durable [`ShardedService`]s, built under the same write spec
+//! (one shard is the plain [`fui_service::Service`] layout), through
+//! the same seeded op script — an interleaving of queries,
+//! follow/unfollow records, snapshot rotations and landmark refreshes:
 //!
 //! * the **twin** runs the whole script uninterrupted;
 //! * the **victim** is killed (dropped) at a seeded op index, its
 //!   on-disk state optionally mangled the way a crash would mangle it
 //!   (the newest snapshot torn mid-write, or a partial record appended
-//!   to the journal tail), warm-restarted via [`Service::restore`],
-//!   and then driven through the remainder of the script.
+//!   to the fleet journal or to one shard's WAL — the cut-edge
+//!   dual-write side), warm-restarted via [`ShardedService::restore`]
+//!   — half the time under a *different* shard spec (1–4 shards, the
+//!   other strategy), which must be answer-invisible — and then driven
+//!   through the remainder of the script.
 //!
 //! Every post-recovery reply must be **bit-identical** to the twin's
 //! (scores compared by `f64::to_bits`; the `cached` flag is excluded —
 //! a restarted process legitimately starts cold), and the two must
-//! agree exactly on the final epoch, graph generation and journal
-//! position. The module also exports corrupt-snapshot fixture builders
-//! for the warm-start fallback corpus (stale generation, slot-count
-//! mismatch) — each splices a field and re-fixes the file checksum, so
-//! decoding exercises the *semantic* rejection, not the checksum.
+//! agree exactly on the final epoch, graph generation, journal position
+//! and pending-change count. The module also exports corrupt-snapshot
+//! fixture builders for the warm-start fallback corpus (stale
+//! generation, slot-count mismatch) — each splices a field and re-fixes
+//! the file checksum, so decoding exercises the *semantic* rejection,
+//! not the checksum.
 
 use std::path::{Path, PathBuf};
 
 use fui_graph::{NodeId, PartitionStrategy};
 use fui_landmarks::EdgeChange;
 use fui_service::durable;
-use fui_service::{Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService};
+use fui_service::{Reply, Request, ServiceConfig, ShardSpec, ShardedService};
 use fui_taxonomy::{SimMatrix, Topic};
 
 use crate::gen::{gen_topicset, GraphCase};
@@ -106,7 +111,7 @@ fn fingerprint(reply: &Reply) -> Vec<u64> {
 }
 
 /// Applies one op; returns the reply fingerprint for queries.
-fn apply_op(svc: &Service, op: &Op) -> Option<Vec<u64>> {
+fn apply_op(svc: &ShardedService, op: &Op) -> Option<Vec<u64>> {
     match op {
         Op::Query(req) => Some(fingerprint(&svc.call(*req))),
         Op::Change(c) => {
@@ -124,14 +129,14 @@ fn apply_op(svc: &Service, op: &Op) -> Option<Vec<u64>> {
     }
 }
 
-/// A fresh durable service over `case` rooted at `dir`, under
-/// [`chaos_cfg`] — every third node a landmark, exhaustive-friendly
-/// fixed-depth score parameters.
-pub fn durable_service(case: &GraphCase, dir: &Path) -> Service {
+/// A fresh durable engine over `case` rooted at `dir`, under `spec`
+/// and [`chaos_cfg`] — every third node a landmark,
+/// exhaustive-friendly fixed-depth score parameters.
+pub fn durable_fleet(case: &GraphCase, dir: &Path, spec: ShardSpec) -> ShardedService {
     let graph = case.graph();
     let n = graph.num_nodes();
     let landmarks: Vec<NodeId> = graph.nodes().step_by(3).collect();
-    Service::with_durability(
+    ShardedService::with_durability(
         graph,
         SimMatrix::opencalais(),
         fui_core::ScoreParams {
@@ -144,9 +149,21 @@ pub fn durable_service(case: &GraphCase, dir: &Path) -> Service {
         landmarks,
         n,
         chaos_cfg(),
+        spec,
         dir,
     )
-    .expect("durable service build")
+    .expect("durable fleet build")
+}
+
+/// A seeded write spec for `case`: 1–4 shards, partition strategy
+/// alternating by seed parity.
+pub fn write_spec(case: &GraphCase) -> ShardSpec {
+    let strategy = if case.seed % 2 == 0 {
+        PartitionStrategy::Hash
+    } else {
+        PartitionStrategy::DegreeAware
+    };
+    ShardSpec::new(1 + (case.seed >> 1) as usize % 4, strategy)
 }
 
 /// A unique scratch directory for one chaos role.
@@ -168,13 +185,17 @@ enum Mangle {
     /// simulating a crash mid-snapshot-write; warm start must fall
     /// back to the next-newest valid snapshot and replay further.
     TornSnapshot,
-    /// A partial record is appended to the journal, simulating a crash
-    /// mid-append; warm start must drop the (never-acknowledged) tail.
+    /// A partial record is appended to the fleet journal, simulating a
+    /// crash mid-append; warm start must drop the (never-acknowledged)
+    /// tail.
     TornJournal,
+    /// The same, on a seeded shard's change journal.
+    TornShardJournal,
 }
 
-/// The chaos invariant. See the module docs.
-pub fn check_crash_recovery_matches_twin(case: &GraphCase) -> Result<(), String> {
+/// The chaos invariant, for a victim and twin written under `write`.
+/// See the module docs.
+pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> Result<(), String> {
     if case.num_nodes < 2 {
         // The op script needs a non-self edge to record; the corpus
         // never draws 1-node cases but the minimizer can reach them.
@@ -183,12 +204,22 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase) -> Result<(), String>
     let mut rng = SeededRng::new(case.seed.rotate_left(37));
     let ops = gen_ops(case, &mut rng);
     let kill_op = 1 + rng.below((ops.len() - 2) as u64) as usize;
-    let mangle = match rng.below(3) {
+    let mangle = match rng.below(4) {
         0 => Mangle::None,
         1 => Mangle::TornSnapshot,
-        _ => Mangle::TornJournal,
+        2 => Mangle::TornJournal,
+        _ => Mangle::TornShardJournal,
     };
     let mangle_roll = rng.u64();
+    let restore_spec = if rng.below(2) == 0 {
+        write
+    } else {
+        let other = match write.strategy {
+            PartitionStrategy::Hash => PartitionStrategy::DegreeAware,
+            PartitionStrategy::DegreeAware => PartitionStrategy::Hash,
+        };
+        ShardSpec::new(1 + rng.below(4) as usize, other)
+    };
 
     let twin_dir = scratch_dir(case, "twin");
     let victim_dir = scratch_dir(case, "victim");
@@ -200,6 +231,8 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase) -> Result<(), String>
         kill_op,
         mangle,
         mangle_roll,
+        write,
+        restore_spec,
         &twin_dir,
         &victim_dir,
     );
@@ -215,18 +248,24 @@ fn run_case(
     kill_op: usize,
     mangle: Mangle,
     mangle_roll: u64,
+    write: ShardSpec,
+    restore_spec: ShardSpec,
     twin_dir: &Path,
     victim_dir: &Path,
 ) -> Result<(), String> {
     let ctx = |what: &str| {
         format!(
-            "{what} (kill_op={kill_op}, mangle={mangle:?}, {})",
+            "{what} (kill_op={kill_op}, mangle={mangle:?}, written {}x{}, restored {}x{}, {})",
+            write.shards,
+            write.strategy.as_str(),
+            restore_spec.shards,
+            restore_spec.strategy.as_str(),
             case.repro()
         )
     };
 
     // The uninterrupted twin: run everything, keep post-kill replies.
-    let twin = durable_service(case, twin_dir);
+    let twin = durable_fleet(case, twin_dir, write);
     let mut twin_tail = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let fp = apply_op(&twin, op);
@@ -238,7 +277,7 @@ fn run_case(
     }
 
     // The victim: run to the kill point, die, mangle, warm-restart.
-    let victim = durable_service(case, victim_dir);
+    let victim = durable_fleet(case, victim_dir, write);
     for op in &ops[..kill_op] {
         apply_op(&victim, op);
     }
@@ -270,13 +309,21 @@ fn run_case(
                 expect_fallback = true;
             }
         }
-        Mangle::TornJournal => {
+        Mangle::TornJournal | Mangle::TornShardJournal => {
             let partial = durable::encode_record(u64::MAX, &durable::JournalOp::Rotate);
             let cut = 1 + (mangle_roll as usize) % (partial.len() - 1);
+            let path = if mangle == Mangle::TornShardJournal {
+                let s = mangle_roll % write.shards as u64;
+                victim_dir
+                    .join(format!("shard-{s:04}"))
+                    .join(durable::JOURNAL_FILE)
+            } else {
+                victim_dir.join(durable::JOURNAL_FILE)
+            };
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
-                .open(victim_dir.join(durable::JOURNAL_FILE))
-                .map_err(|e| ctx(&format!("open journal: {e}")))?;
+                .open(&path)
+                .map_err(|e| ctx(&format!("open {}: {e}", path.display())))?;
             use std::io::Write;
             f.write_all(&partial[..cut])
                 .map_err(|e| ctx(&format!("tear journal: {e}")))?;
@@ -284,8 +331,13 @@ fn run_case(
         }
     }
 
-    let restored = Service::restore(victim_dir, SimMatrix::opencalais(), chaos_cfg())
-        .map_err(|e| ctx(&format!("restore failed: {e}")))?;
+    let restored = ShardedService::restore(
+        victim_dir,
+        SimMatrix::opencalais(),
+        chaos_cfg(),
+        restore_spec,
+    )
+    .map_err(|e| ctx(&format!("restore failed: {e}")))?;
     // Counter increments are no-ops unless FUI_OBS enables them.
     if fui_obs::counters_enabled() {
         if expect_fallback && fallbacks.get() == fallbacks0 {
@@ -313,11 +365,13 @@ fn run_case(
     }
 
     // And the two must agree on where the history ended.
-    let (ts, vs) = (twin.snapshot(), restored.snapshot());
-    if ts.epoch != vs.epoch || ts.graph_gen != vs.graph_gen {
+    if twin.epoch() != restored.epoch() || twin.graph_gen() != restored.graph_gen() {
         return Err(ctx(&format!(
             "final publication diverged: twin epoch={} gen={}, victim epoch={} gen={}",
-            ts.epoch, ts.graph_gen, vs.epoch, vs.graph_gen
+            twin.epoch(),
+            twin.graph_gen(),
+            restored.epoch(),
+            restored.graph_gen()
         )));
     }
     if twin.applied_seq() != restored.applied_seq() {
@@ -327,202 +381,14 @@ fn run_case(
             restored.applied_seq()
         )));
     }
+    if twin.pending_changes() != restored.pending_changes() {
+        return Err(ctx(&format!(
+            "pending queue diverged: twin {}, victim {}",
+            twin.pending_changes(),
+            restored.pending_changes()
+        )));
+    }
     Ok(())
-}
-
-// ---- sharded fleet crash recovery ------------------------------------
-
-/// A fresh durable 2-shard fleet over `case` rooted at `dir` — same
-/// landmarks, score parameters and [`chaos_cfg`] as
-/// [`durable_service`], partition strategy alternating by seed parity.
-pub fn durable_fleet(case: &GraphCase, dir: &Path) -> ShardedService {
-    let graph = case.graph();
-    let n = graph.num_nodes();
-    let landmarks: Vec<NodeId> = graph.nodes().step_by(3).collect();
-    ShardedService::with_durability(
-        graph,
-        SimMatrix::opencalais(),
-        fui_core::ScoreParams {
-            alpha: 0.8,
-            beta: 0.25,
-            tolerance: 1e-300,
-            max_depth: 64,
-        },
-        fui_core::ScoreVariant::Full,
-        landmarks,
-        n,
-        chaos_cfg(),
-        write_spec(case),
-        dir,
-    )
-    .expect("durable fleet build")
-}
-
-/// The spec the dying fleet writes under.
-fn write_spec(case: &GraphCase) -> ShardSpec {
-    let strategy = if case.seed % 2 == 0 {
-        PartitionStrategy::Hash
-    } else {
-        PartitionStrategy::DegreeAware
-    };
-    ShardSpec::new(2, strategy)
-}
-
-/// Applies one op to a fleet; returns the reply fingerprint for
-/// queries.
-fn apply_fleet_op(flt: &ShardedService, op: &Op) -> Option<Vec<u64>> {
-    match op {
-        Op::Query(req) => Some(fingerprint(&flt.call(*req))),
-        Op::Change(c) => {
-            flt.record(*c).expect("script changes are valid");
-            None
-        }
-        Op::Rotate => {
-            flt.rotate();
-            None
-        }
-        Op::Refresh => {
-            flt.refresh();
-            None
-        }
-    }
-}
-
-/// The sharded chaos invariant: a durable 2-shard fleet is killed at a
-/// seeded op index — sometimes with a partial record stuck on the
-/// fleet journal or on one *shard's* WAL tail (the cut-edge dual-write
-/// side) — warm-restarted, and every post-recovery reply must be
-/// bit-identical to an uninterrupted 2-shard twin. Half the cases
-/// restore under a *different* shard spec (1–4 shards, the other
-/// strategy): the partition is re-derived from the restored graph, so
-/// the re-spec must be answer-invisible too.
-pub fn check_fleet_crash_recovery_matches_twin(case: &GraphCase) -> Result<(), String> {
-    if case.num_nodes < 2 {
-        return Ok(());
-    }
-    let mut rng = SeededRng::new(case.seed.rotate_left(41));
-    let ops = gen_ops(case, &mut rng);
-    let kill_op = 1 + rng.below((ops.len() - 2) as u64) as usize;
-    let mangle = rng.below(3); // 0 clean, 1 torn shard WAL, 2 torn fleet WAL
-    let mangle_roll = rng.u64();
-    let write = write_spec(case);
-    let restore_spec = if rng.below(2) == 0 {
-        write
-    } else {
-        let other = match write.strategy {
-            PartitionStrategy::Hash => PartitionStrategy::DegreeAware,
-            PartitionStrategy::DegreeAware => PartitionStrategy::Hash,
-        };
-        ShardSpec::new(1 + rng.below(4) as usize, other)
-    };
-
-    let twin_dir = scratch_dir(case, "fleet-twin");
-    let victim_dir = scratch_dir(case, "fleet-victim");
-    let _ = std::fs::remove_dir_all(&twin_dir);
-    let _ = std::fs::remove_dir_all(&victim_dir);
-    let result = (|| -> Result<(), String> {
-        let ctx = |what: &str| {
-            format!(
-                "{what} (kill_op={kill_op}, mangle={mangle}, restore \
-                 {}x{}, {})",
-                restore_spec.shards,
-                restore_spec.strategy.as_str(),
-                case.repro()
-            )
-        };
-
-        let twin = durable_fleet(case, &twin_dir);
-        let mut twin_tail = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            let fp = apply_fleet_op(&twin, op);
-            if i >= kill_op {
-                if let Some(fp) = fp {
-                    twin_tail.push(fp);
-                }
-            }
-        }
-
-        let victim = durable_fleet(case, &victim_dir);
-        for op in &ops[..kill_op] {
-            apply_fleet_op(&victim, op);
-        }
-        drop(victim);
-
-        match mangle {
-            0 => {}
-            torn => {
-                // A partial record on a journal tail — either a seeded
-                // shard's WAL (1) or the fleet journal (2); warm start
-                // must drop the never-acknowledged bytes.
-                let partial = durable::encode_record(u64::MAX, &durable::JournalOp::Rotate);
-                let cut = 1 + (mangle_roll as usize) % (partial.len() - 1);
-                let path = if torn == 1 {
-                    let s = mangle_roll % u64::from(write.shards as u32);
-                    victim_dir
-                        .join(format!("shard-{s:04}"))
-                        .join(durable::JOURNAL_FILE)
-                } else {
-                    victim_dir.join(durable::JOURNAL_FILE)
-                };
-                use std::io::Write;
-                let mut f = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(&path)
-                    .map_err(|e| ctx(&format!("open {}: {e}", path.display())))?;
-                f.write_all(&partial[..cut])
-                    .map_err(|e| ctx(&format!("tear journal: {e}")))?;
-            }
-        }
-
-        let restored = ShardedService::restore(
-            &victim_dir,
-            SimMatrix::opencalais(),
-            chaos_cfg(),
-            restore_spec,
-        )
-        .map_err(|e| ctx(&format!("restore failed: {e}")))?;
-
-        let mut victim_tail = Vec::new();
-        for op in &ops[kill_op..] {
-            if let Some(fp) = apply_fleet_op(&restored, op) {
-                victim_tail.push(fp);
-            }
-        }
-        if victim_tail != twin_tail {
-            return Err(ctx(&format!(
-                "post-recovery fleet replies diverged from the twin: \
-                 {victim_tail:?} vs {twin_tail:?}"
-            )));
-        }
-        if twin.epoch() != restored.epoch() || twin.graph_gen() != restored.graph_gen() {
-            return Err(ctx(&format!(
-                "final publication diverged: twin epoch={} gen={}, victim \
-                 epoch={} gen={}",
-                twin.epoch(),
-                twin.graph_gen(),
-                restored.epoch(),
-                restored.graph_gen()
-            )));
-        }
-        if twin.applied_seq() != restored.applied_seq() {
-            return Err(ctx(&format!(
-                "journal position diverged: twin {}, victim {}",
-                twin.applied_seq(),
-                restored.applied_seq()
-            )));
-        }
-        if twin.pending_changes() != restored.pending_changes() {
-            return Err(ctx(&format!(
-                "pending queue diverged: twin {}, victim {}",
-                twin.pending_changes(),
-                restored.pending_changes()
-            )));
-        }
-        Ok(())
-    })();
-    let _ = std::fs::remove_dir_all(&twin_dir);
-    let _ = std::fs::remove_dir_all(&victim_dir);
-    result
 }
 
 // ---- corrupt snapshot fixture builders -------------------------------

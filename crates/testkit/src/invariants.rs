@@ -567,7 +567,7 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
 /// Sharding is *invisible*: the same seeded serving interleaving
 /// (queries with replay bait, follow/unfollow, rotations, refreshes —
 /// fired staggered per shard — and submit/pump bursts) driven through
-/// the unsharded [`fui_service::Service`] and through
+/// the one-shard [`fui_service::Service`] and through
 /// [`fui_service::ShardedService`] fleets at 2 and 4 shards must
 /// produce **bit-identical** reply fingerprints: epochs, node
 /// orderings, score bits, rotation epochs and refresh counts. The
@@ -585,49 +585,6 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
     use fui_landmarks::EdgeChange;
     use fui_service::{Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService};
     use fui_taxonomy::TopicSet;
-
-    enum Engine {
-        Flat(Service),
-        Fleet(ShardedService),
-    }
-    impl Engine {
-        fn call(&self, r: Request) -> Reply {
-            match self {
-                Engine::Flat(s) => s.call(r),
-                Engine::Fleet(f) => f.call(r),
-            }
-        }
-        fn record(&self, c: EdgeChange) -> Result<(), String> {
-            match self {
-                Engine::Flat(s) => s.record(c),
-                Engine::Fleet(f) => f.record(c),
-            }
-        }
-        fn rotate(&self) -> u64 {
-            match self {
-                Engine::Flat(s) => s.rotate(),
-                Engine::Fleet(f) => f.rotate(),
-            }
-        }
-        fn refresh(&self) -> usize {
-            match self {
-                Engine::Flat(s) => s.refresh(),
-                Engine::Fleet(f) => f.refresh(),
-            }
-        }
-        fn submit(&self, r: Request) -> Result<fui_service::Ticket, Reply> {
-            match self {
-                Engine::Flat(s) => s.submit(r, None),
-                Engine::Fleet(f) => f.submit(r, None),
-            }
-        }
-        fn pump(&self) -> usize {
-            match self {
-                Engine::Flat(s) => s.pump(),
-                Engine::Fleet(f) => f.pump(),
-            }
-        }
-    }
 
     let cfg = ServiceConfig {
         max_batch: 4,
@@ -651,7 +608,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
     // Submit bursts stay at the queue capacity so admission never
     // sheds: per-shard queues each carry the full configured capacity,
     // so shed patterns are one place a fleet legitimately differs.
-    let fingerprint = |engine: &Engine| -> Result<Vec<u64>, String> {
+    let fingerprint = |engine: &ShardedService| -> Result<Vec<u64>, String> {
         let mut rng = SeededRng::new(case.seed.rotate_left(27));
         let gen_req = |rng: &mut SeededRng| Request {
             user: NodeId(rng.below(n as u64) as u32),
@@ -712,7 +669,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
                     let reqs: Vec<Request> = (0..8).map(|_| gen_req(&mut rng)).collect();
                     let mut tickets = Vec::new();
                     for &req in &reqs {
-                        match engine.submit(req) {
+                        match engine.submit(req, None) {
                             Ok(t) => tickets.push(t),
                             Err(_) => bits.push(u64::MAX),
                         }
@@ -731,7 +688,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
     let flat = {
         let g = build_graph();
         let lm = landmarks(&g);
-        Engine::Flat(Service::new(
+        Service::new(
             g,
             SimMatrix::opencalais(),
             params,
@@ -739,13 +696,13 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
             lm,
             n,
             cfg,
-        ))
+        )
     };
     let baseline = fingerprint(&flat)?;
     for shards in [2usize, 4] {
         let g = build_graph();
         let lm = landmarks(&g);
-        let fleet = Engine::Fleet(ShardedService::new(
+        let fleet = ShardedService::new(
             g,
             SimMatrix::opencalais(),
             params,
@@ -754,7 +711,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
             n,
             cfg,
             ShardSpec::new(shards, strategy),
-        ));
+        );
         let bits = fingerprint(&fleet)?;
         if bits != baseline {
             let at = bits
@@ -791,28 +748,17 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
     };
     let star_n = leaves + 1;
     let star_landmarks: Vec<NodeId> = (0..star_n as u32).step_by(2).map(NodeId).collect();
-    let make = |shards: Option<usize>| -> Engine {
-        match shards {
-            None => Engine::Flat(Service::new(
-                star_graph(),
-                SimMatrix::opencalais(),
-                params,
-                ScoreVariant::Full,
-                star_landmarks.clone(),
-                star_n,
-                cfg,
-            )),
-            Some(k) => Engine::Fleet(ShardedService::new(
-                star_graph(),
-                SimMatrix::opencalais(),
-                params,
-                ScoreVariant::Full,
-                star_landmarks.clone(),
-                star_n,
-                cfg,
-                ShardSpec::new(k, strategy),
-            )),
-        }
+    let make = |shards: usize| -> ShardedService {
+        ShardedService::new(
+            star_graph(),
+            SimMatrix::opencalais(),
+            params,
+            ScoreVariant::Full,
+            star_landmarks.clone(),
+            star_n,
+            cfg,
+            ShardSpec::new(shards, strategy),
+        )
     };
     let star_queries: Vec<Request> = (0..=leaves as u32)
         .map(|u| Request {
@@ -821,7 +767,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
             top_n: leaves - 2,
         })
         .collect();
-    let star_bits = |e: &Engine| -> Result<Vec<u64>, String> {
+    let star_bits = |e: &ShardedService| -> Result<Vec<u64>, String> {
         let mut bits = Vec::new();
         for &req in &star_queries {
             match e.call(req) {
@@ -836,9 +782,9 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
         }
         Ok(bits)
     };
-    let star_base = star_bits(&make(None))?;
+    let star_base = star_bits(&make(1))?;
     for shards in [2usize, 4] {
-        if star_bits(&make(Some(shards)))? != star_base {
+        if star_bits(&make(shards))? != star_base {
             return Err(format!(
                 "tie-heavy star coda: {shards}-shard {} merge broke the \
                  id-ascending tie cut ({})",

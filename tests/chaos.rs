@@ -1,11 +1,11 @@
 //! Crash/chaos conformance suite for the durable serving layer.
 //!
 //! The tentpole drives `fui-testkit`'s chaos invariant over every
-//! corpus preset: a durable service is killed at a seeded op index —
-//! sometimes with its newest snapshot torn mid-write or a partial
-//! record stuck on the journal tail — warm-restarted from disk, and
-//! every post-recovery answer is bit-compared against an uninterrupted
-//! twin. The satellites pin the warm-start fallback corpus (corrupt
+//! corpus preset: a durable service (one shard, then fleets of 1–4) is
+//! killed at a seeded op index — sometimes with its newest snapshot
+//! torn mid-write or a partial record stuck on a journal tail —
+//! warm-restarted from disk, and every post-recovery answer is
+//! bit-compared against an uninterrupted twin. The satellites pin the warm-start fallback corpus (corrupt
 //! but checksum-valid snapshots), journal-replay idempotence across
 //! the append/publish crash window, and the restart shed accounting.
 //!
@@ -23,7 +23,7 @@ use bytes::Bytes;
 use fui_graph::NodeId;
 use fui_landmarks::EdgeChange;
 use fui_service::durable::{self, JournalOp, SnapshotError};
-use fui_service::{Reply, Request, Service};
+use fui_service::{Reply, Request, Service, ShardSpec, ShardedService};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 use fui_testkit::chaos;
 use fui_testkit::corpus::{self, Preset};
@@ -41,30 +41,24 @@ fn manifest_dir() -> PathBuf {
     PathBuf::from("target").join("conformance")
 }
 
-/// The tentpole: 120 seeded kill/restart interleavings, every
-/// post-recovery reply bit-identical to the uninterrupted twin.
-#[test]
-fn crash_recovery_matches_twin_120_interleavings() {
-    let run_seed = fui_testkit::seedlog::run_seed_from_env(DEFAULT_RUN_SEED);
-    let mut log = SeedLog::new("chaos", run_seed);
-    for (stream, &preset) in Preset::ALL.iter().enumerate() {
-        for i in 0..CASES_PER_PRESET {
-            let seed = derive_seed(run_seed, stream as u64, i);
-            let case = corpus::generate(preset, seed);
-            let mut result = chaos::check_crash_recovery_matches_twin(&case);
-            if let Err(full) = &result {
-                let (small, small_err) =
-                    gen::minimize(&case, chaos::check_crash_recovery_matches_twin);
-                result = Err(format!(
-                    "{full}\nminimized to {} nodes / {} edges ({}): {small_err}",
-                    small.num_nodes,
-                    small.edges.len(),
-                    small.repro(),
-                ));
-            }
-            log.record(&case, &result);
-        }
+/// Runs one seeded case written under `write`, minimizing a failure,
+/// and logs the outcome.
+fn run_chaos_case(log: &mut SeedLog, case: &gen::GraphCase, write: ShardSpec) {
+    let check = |c: &gen::GraphCase| chaos::check_crash_recovery_matches_twin(c, write);
+    let mut result = check(case);
+    if let Err(full) = &result {
+        let (small, small_err) = gen::minimize(case, check);
+        result = Err(format!(
+            "{full}\nminimized to {} nodes / {} edges ({}): {small_err}",
+            small.num_nodes,
+            small.edges.len(),
+            small.repro(),
+        ));
     }
+    log.record(case, &result);
+}
+
+fn assert_no_failures(log: &SeedLog, run_seed: u64) {
     let path = log
         .write_manifest(&manifest_dir())
         .expect("write chaos manifest");
@@ -79,52 +73,48 @@ fn crash_recovery_matches_twin_120_interleavings() {
         path.display(),
         failures[0].error.as_deref().unwrap_or(""),
     );
+}
+
+/// The tentpole: 120 seeded kill/restart interleavings of a one-shard
+/// service, every post-recovery reply bit-identical to the
+/// uninterrupted twin.
+#[test]
+fn crash_recovery_matches_twin_120_interleavings() {
+    let run_seed = fui_testkit::seedlog::run_seed_from_env(DEFAULT_RUN_SEED);
+    let mut log = SeedLog::new("chaos", run_seed);
+    for (stream, &preset) in Preset::ALL.iter().enumerate() {
+        for i in 0..CASES_PER_PRESET {
+            let seed = derive_seed(run_seed, stream as u64, i);
+            let case = corpus::generate(preset, seed);
+            run_chaos_case(&mut log, &case, ShardSpec::default());
+        }
+    }
+    assert_no_failures(&log, run_seed);
     assert!(log.len() >= 100, "suite shrank below 100 interleavings");
 }
 
-/// The sharded tentpole rerun: a durable 2-shard fleet killed at a
-/// seeded op index — sometimes with a partial record on the fleet
-/// journal or on one shard's WAL (the cut-edge dual-write side) —
-/// warm-restarted (half the time under a *different* shard spec) and
-/// bit-compared against an uninterrupted 2-shard twin. 8 cases per
-/// preset keeps the suite fast; the per-seed logic matches the
-/// unsharded tentpole.
+/// The sharded rerun of the same harness: the dying fleet writes under
+/// a seeded spec of 1–4 shards. Each preset draws cases until 8 of
+/// them were written by two or more shards, which keeps the suite
+/// fast; the one-shard draws that come along are run too.
 #[test]
 fn fleet_crash_recovery_matches_twin() {
     let run_seed = fui_testkit::seedlog::run_seed_from_env(DEFAULT_RUN_SEED);
     let mut log = SeedLog::new("chaos_fleet", run_seed);
     for (stream, &preset) in Preset::ALL.iter().enumerate() {
-        for i in 0..8 {
-            let seed = derive_seed(run_seed, stream as u64, i);
+        let (mut multi_shard, mut i) = (0, 0);
+        while multi_shard < 8 {
+            // Streams past the one-shard test's: distinct seeds, so
+            // distinct scripts and scratch directories.
+            let seed = derive_seed(run_seed, (Preset::ALL.len() + stream) as u64, i);
             let case = corpus::generate(preset, seed);
-            let mut result = chaos::check_fleet_crash_recovery_matches_twin(&case);
-            if let Err(full) = &result {
-                let (small, small_err) =
-                    gen::minimize(&case, chaos::check_fleet_crash_recovery_matches_twin);
-                result = Err(format!(
-                    "{full}\nminimized to {} nodes / {} edges ({}): {small_err}",
-                    small.num_nodes,
-                    small.edges.len(),
-                    small.repro(),
-                ));
-            }
-            log.record(&case, &result);
+            let write = chaos::write_spec(&case);
+            multi_shard += u64::from(write.shards > 1);
+            run_chaos_case(&mut log, &case, write);
+            i += 1;
         }
     }
-    let path = log
-        .write_manifest(&manifest_dir())
-        .expect("write fleet chaos manifest");
-    let failures = log.failures();
-    assert!(
-        failures.is_empty(),
-        "chaos_fleet: {}/{} interleavings diverged (run_seed={run_seed:#018x}, \
-         replay keys: {}; manifest: {}):\n{}",
-        failures.len(),
-        log.len(),
-        log.failing_keys(),
-        path.display(),
-        failures[0].error.as_deref().unwrap_or(""),
-    );
+    assert_no_failures(&log, run_seed);
 }
 
 // ---- warm-start fallback corpus (corrupt snapshot fixtures) --------
@@ -147,7 +137,7 @@ fn topics(t: Topic) -> TopicSet {
 /// `(epoch, graph_gen, applied_seq, one reply's bits)`.
 fn seeded_history(dir: &std::path::Path) -> (u64, u64, u64, Vec<u64>) {
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
-    let svc = chaos::durable_service(&case, dir);
+    let svc = chaos::durable_fleet(&case, dir, ShardSpec::default());
     svc.record(EdgeChange::insert(
         NodeId(0),
         NodeId(1),
@@ -169,12 +159,11 @@ fn seeded_history(dir: &std::path::Path) -> (u64, u64, u64, Vec<u64>) {
     ))
     .unwrap(); // journal tail past the newest snapshot
     let reply = probe(&svc);
-    let snap = svc.snapshot();
-    (snap.epoch, snap.graph_gen, svc.applied_seq(), reply)
+    (svc.epoch(), svc.graph_gen(), svc.applied_seq(), reply)
 }
 
 /// One deterministic query, fingerprinted (`cached` flag excluded).
-fn probe(svc: &Service) -> Vec<u64> {
+fn probe(svc: &ShardedService) -> Vec<u64> {
     let reply = svc.call(Request {
         user: NodeId(0),
         topic: Topic::ALL[2],
@@ -341,7 +330,7 @@ fn journal_replay_is_idempotent_across_crash_window() {
 fn restart_sheds_queued_requests_as_disconnect() {
     let dir = scratch("restart-shed");
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
-    let svc = chaos::durable_service(&case, &dir);
+    let svc = chaos::durable_fleet(&case, &dir, ShardSpec::default());
     let req = Request {
         user: NodeId(0),
         topic: Topic::ALL[2],

@@ -92,19 +92,6 @@ fn bench_indexes(c: &mut Criterion) {
     });
     group.finish();
 
-    // Partitioning: connectivity-aware growth vs random assignment.
-    let mut group = c.benchmark_group("partitioning");
-    group.sample_size(10);
-    group.bench_function("random_8way", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| fui_landmarks::Partitioning::random(&d.graph, 8, &mut rng))
-    });
-    group.bench_function("connectivity_8way", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        b.iter(|| fui_landmarks::Partitioning::connectivity_aware(&d.graph, 8, &mut rng))
-    });
-    group.finish();
-
     // Dynamic maintenance: charging one churn event to 10 landmarks.
     let mut dynamic = fui_landmarks::DynamicLandmarks::new(index.clone());
     c.bench_function("dynamic_record_one_change", |b| {

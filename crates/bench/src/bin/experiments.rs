@@ -36,7 +36,6 @@ fn run_one(id: &str, scale: &ExperimentScale) -> Vec<(String, String)> {
         }
         "sweep" => vec![("sweep".into(), exp::sweep::run(scale))],
         "dynamic" => vec![("dynamic".into(), exp::dynamic::run(scale))],
-        "distrib" => vec![("distrib".into(), exp::distrib::run(scale))],
         "trank_dt" => vec![("trank_dt".into(), exp::trank_dt::run(scale))],
         "sig" => vec![("sig".into(), exp::sig::run(scale))],
         "popularity" => vec![("popularity".into(), exp::popularity::run(scale))],
@@ -69,7 +68,6 @@ fn run_one(id: &str, scale: &ExperimentScale) -> Vec<(String, String)> {
                 "table5_6",
                 "sweep",
                 "dynamic",
-                "distrib",
                 "trank_dt",
                 "sig",
                 "popularity",

@@ -23,7 +23,6 @@ pub const KNOWN_IDS: &[&str] = &[
     "table5_6",
     "sweep",
     "dynamic",
-    "distrib",
     "trank_dt",
     "sig",
     "popularity",
@@ -41,7 +40,7 @@ pub const USAGE: &str = "\
 usage: experiments [<id>...] [flags]
 
 ids:    table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
-        table3 table5 table6 sweep dynamic distrib trank_dt sig
+        table3 table5 table6 sweep dynamic trank_dt sig
         popularity propagate_micro serve_micro all   (default: all)
         table5_large   paper-scale 1M+-node streamed-CSR cell
                        (explicit only — never part of `all`)

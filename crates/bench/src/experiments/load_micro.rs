@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::{GraphBuilder, NodeId};
-use fui_load::{build_schedule, drive, ClientConfig, LoadReport, Phase, Protocol, WorkloadSpec};
+use fui_load::{build_schedule, drive, ClientConfig, LoadReport, Phase, WorkloadSpec};
 use fui_net::{HttpConfig, HttpServer};
 use fui_service::{Service, ServiceConfig};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
@@ -148,7 +148,6 @@ pub fn measure_spec(spec: &WorkloadSpec) -> LoadReport {
         server.local_addr(),
         &ClientConfig {
             connections: CONNECTIONS,
-            protocol: Protocol::Http,
             drain_timeout: std::time::Duration::from_secs(15),
         },
         &schedule,

@@ -13,7 +13,6 @@
 //! | [`landmark_tables::run`] | Tables 5 & 6 — landmark selection cost and approximate-query quality |
 //! | [`sweep::run`] | extra ablation — β against the Prop. 3 convergence bound |
 //! | [`dynamic::run`] | extra — landmark staleness + refresh policy under follow churn (the paper's future work) |
-//! | [`distrib::run`] | extra — partitioning × landmark placement and network-transfer costs (the paper's future work) |
 //! | [`trank_dt::run`] | extra — TwitterRank DT-source ablation (classifier vs LDA vs ground truth) |
 //! | [`sig::run`] | extra — paired-bootstrap significance of the Figure-4 orderings |
 //! | [`popularity::run`] | extra — PageRank vs TwitterRank vs Tr popularity decomposition |
@@ -24,7 +23,6 @@
 //! | [`shard_micro::run`] | extra — sharded scatter/gather serving speedup cell on the table5 graph gated by CI (`bench_gate.py shard`); not part of `all` |
 //! | [`load_micro::run`] | extra — open-loop HTTP serving cell (fui-load against the fui-net event loop) gated by CI (`bench_gate.py load`); not part of `all` |
 
-pub mod distrib;
 pub mod dynamic;
 pub mod fig10;
 pub mod fig3;

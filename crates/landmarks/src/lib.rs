@@ -24,25 +24,17 @@
 //! * [`index`] — per-landmark inverted lists + (parallel) preprocessing;
 //! * [`query`] — the approximate recommender with landmark pruning;
 //! * [`persist`] — binary snapshot of an index (the paper stores 1.4 MB
-//!   per landmark at top-1000 over all topics);
-//! * [`partition`] — distribution simulation: connectivity-aware graph
-//!   partitioning, per-partition landmark placement and
-//!   network-transfer accounting (the paper's second future-work
-//!   item).
+//!   per landmark at top-1000 over all topics).
 
 #![warn(missing_docs)]
 
 pub mod dynamic;
 pub mod index;
-pub mod partition;
 pub mod persist;
 pub mod query;
 pub mod strategy;
 
 pub use dynamic::{ChangeKind, DynamicLandmarks, EdgeChange};
 pub use index::{LandmarkEntry, LandmarkIndex, ScoredNode};
-pub use partition::{
-    place_landmarks_per_partition, simulate_query, Partitioning, QueryTransferStats,
-};
 pub use query::{ApproxRecommender, ApproxResult, Exploration};
 pub use strategy::Strategy;

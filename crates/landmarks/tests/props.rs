@@ -186,38 +186,3 @@ proptest! {
         let _ = persist::decode(encoded.slice(0..cut));
     }
 }
-
-mod partition_props {
-    use super::*;
-    use fui_landmarks::Partitioning;
-    use rand::SeedableRng;
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
-
-        #[test]
-        fn partitions_cover_and_bound(
-            g in arb_graph(),
-            parts in 1usize..6,
-            seed in any::<u64>(),
-        ) {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            for p in [
-                Partitioning::random(&g, parts, &mut rng),
-                Partitioning::connectivity_aware(&g, parts, &mut rng),
-            ] {
-                prop_assert_eq!(p.parts(), parts);
-                let sizes = p.sizes();
-                prop_assert_eq!(sizes.iter().sum::<usize>(), g.num_nodes());
-                for v in g.nodes() {
-                    prop_assert!((p.of(v) as usize) < parts);
-                }
-                let cut = p.edge_cut_fraction(&g);
-                prop_assert!((0.0..=1.0).contains(&cut));
-                if parts == 1 {
-                    prop_assert_eq!(cut, 0.0);
-                }
-            }
-        }
-    }
-}

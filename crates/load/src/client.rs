@@ -20,22 +20,11 @@ use crate::report::{Class, LoadReport, Sample};
 use crate::schedule::{Arrival, Op, Schedule};
 use fui_net::{parse_response, HttpResponse};
 
-/// Which frontend the driver speaks to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Protocol {
-    /// The `fui-net` event-loop HTTP/1.1 frontend.
-    Http,
-    /// The `fui-service` line protocol.
-    Line,
-}
-
 /// Driver knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
     /// Concurrent keep-alive connections.
     pub connections: usize,
-    /// Wire protocol.
-    pub protocol: Protocol,
     /// Reader patience after the last send; a response slower than
     /// this counts as **lost** (and fails the zero-lost gate).
     pub drain_timeout: Duration,
@@ -45,7 +34,6 @@ impl Default for ClientConfig {
     fn default() -> ClientConfig {
         ClientConfig {
             connections: 8,
-            protocol: Protocol::Http,
             drain_timeout: Duration::from_secs(10),
         }
     }
@@ -77,25 +65,6 @@ fn render_http(op: &Op, out: &mut Vec<u8>) {
     }
 }
 
-/// Renders one operation as a line-protocol command.
-fn render_line(op: &Op, out: &mut Vec<u8>) {
-    match op {
-        Op::Rec { user, topic, top_n } => {
-            out.extend_from_slice(format!("REC {user} {topic} {top_n}\n").as_bytes())
-        }
-        Op::Follow {
-            follower,
-            followee,
-            topics,
-        } => out.extend_from_slice(format!("FOLLOW {follower} {followee} {topics}\n").as_bytes()),
-        Op::Unfollow { follower, followee } => {
-            out.extend_from_slice(format!("UNFOLLOW {follower} {followee}\n").as_bytes())
-        }
-        Op::Rotate => out.extend_from_slice(b"ROTATE\n"),
-        Op::Refresh => out.extend_from_slice(b"REFRESH\n"),
-    }
-}
-
 /// Classifies an HTTP response.
 fn classify_http(resp: &HttpResponse) -> Class {
     match resp.status {
@@ -103,17 +72,6 @@ fn classify_http(resp: &HttpResponse) -> Class {
         429 => Class::Shed,
         503 => Class::ShedStall,
         _ => Class::Rejected,
-    }
-}
-
-/// Classifies a line-protocol reply line.
-fn classify_line(line: &str) -> Class {
-    if line.starts_with("OVERLOADED") {
-        Class::Shed
-    } else if line.starts_with("ERR") {
-        Class::Rejected
-    } else {
-        Class::Ok
     }
 }
 
@@ -127,7 +85,6 @@ struct ConnOutcome {
 /// metadata channel, or patience runs out.
 fn read_responses(
     mut stream: TcpStream,
-    protocol: Protocol,
     expected: usize,
     meta_rx: mpsc::Receiver<(Instant, usize)>,
     drain_timeout: Duration,
@@ -142,24 +99,13 @@ fn read_responses(
     'outer: while samples.len() < expected {
         // Drain every complete response already buffered.
         loop {
-            let class = match protocol {
-                Protocol::Http => match parse_response(&buf[consumed..]) {
-                    Ok(Some((resp, used))) => {
-                        consumed += used;
-                        classify_http(&resp)
-                    }
-                    Ok(None) => break,
-                    Err(e) => panic!("malformed http response from server: {e}"),
-                },
-                Protocol::Line => match buf[consumed..].iter().position(|&b| b == b'\n') {
-                    Some(nl) => {
-                        let line =
-                            String::from_utf8_lossy(&buf[consumed..consumed + nl]).into_owned();
-                        consumed += nl + 1;
-                        classify_line(&line)
-                    }
-                    None => break,
-                },
+            let class = match parse_response(&buf[consumed..]) {
+                Ok(Some((resp, used))) => {
+                    consumed += used;
+                    classify_http(&resp)
+                }
+                Ok(None) => break,
+                Err(e) => panic!("malformed http response from server: {e}"),
             };
             let (sent_at, phase) = meta_rx.recv().expect("writer sends metadata before bytes");
             samples.push(Sample {
@@ -193,7 +139,6 @@ fn read_responses(
 /// per-send lag (actual − scheduled), nanoseconds.
 fn write_requests(
     mut stream: TcpStream,
-    protocol: Protocol,
     arrivals: Vec<Arrival>,
     start: Instant,
     meta_tx: mpsc::Sender<(Instant, usize)>,
@@ -207,10 +152,7 @@ fn write_requests(
             thread::sleep(target - now);
         }
         bytes.clear();
-        match protocol {
-            Protocol::Http => render_http(&a.op, &mut bytes),
-            Protocol::Line => render_line(&a.op, &mut bytes),
-        }
+        render_http(&a.op, &mut bytes);
         let sent_at = Instant::now();
         lags.push(sent_at.saturating_duration_since(target).as_nanos() as u64);
         // Metadata first, bytes second: the response (and thus the
@@ -247,18 +189,17 @@ pub fn drive(addr: SocketAddr, cfg: &ClientConfig, schedule: &Schedule) -> LoadR
         let reader_stream = stream.try_clone().expect("clone stream");
         let (meta_tx, meta_rx) = mpsc::channel();
         let expected = assigned.len();
-        let protocol = cfg.protocol;
         let drain = cfg.drain_timeout;
         reader_handles.push(
             thread::Builder::new()
                 .name("fui-load-read".into())
-                .spawn(move || read_responses(reader_stream, protocol, expected, meta_rx, drain))
+                .spawn(move || read_responses(reader_stream, expected, meta_rx, drain))
                 .expect("spawn reader"),
         );
         writer_handles.push(
             thread::Builder::new()
                 .name("fui-load-write".into())
-                .spawn(move || write_requests(stream, protocol, assigned, start, meta_tx))
+                .spawn(move || write_requests(stream, assigned, start, meta_tx))
                 .expect("spawn writer"),
         );
     }

@@ -19,8 +19,9 @@
 //!   rotate/refresh control operations embedded on fixed cadences;
 //! * [`client`] — the driver: keep-alive connections with pipelined
 //!   writes (arrivals are *not* gated on responses), one writer and
-//!   one reader thread per connection, speaking either the `fui-net`
-//!   HTTP frontend or the `fui-service` line protocol;
+//!   one reader thread per connection, speaking HTTP to `fui-net`
+//!   (a line connection runs one command at a time, so it cannot
+//!   carry an open loop);
 //! * [`report`] — exact percentiles (p50/p99/p999 from the full
 //!   sorted sample set, not histogram buckets), shed-rate and
 //!   per-phase goodput, including goodput-under-overload for the
@@ -32,6 +33,6 @@ pub mod client;
 pub mod report;
 pub mod schedule;
 
-pub use client::{drive, ClientConfig, Protocol};
+pub use client::{drive, ClientConfig};
 pub use report::{percentile_ns, Class, LoadReport, PhaseReport};
 pub use schedule::{build_schedule, Arrival, Op, Phase, Schedule, WorkloadSpec};

@@ -11,14 +11,13 @@ use std::time::Duration;
 /// How a request resolved, as observed by the client.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Class {
-    /// `200` / `OK ...` — answered with a result.
+    /// `200` — answered with a result.
     Ok,
-    /// `429` / `OVERLOADED` — shed by admission control.
+    /// `429` — shed by admission control.
     Shed,
-    /// `503` — shed across a rotation/refresh stall (HTTP only; the
-    /// line protocol folds these into [`Class::Shed`]).
+    /// `503` — shed across a rotation/refresh stall.
     ShedStall,
-    /// `4xx` / `ERR ...` — rejected as invalid.
+    /// `4xx` — rejected as invalid.
     Rejected,
 }
 
@@ -73,7 +72,7 @@ pub struct LoadReport {
     pub submitted: u64,
     /// Answered with a result.
     pub answered: u64,
-    /// Shed total (429 + 503 + line-protocol `OVERLOADED`).
+    /// Shed total (429 + 503).
     pub shed: u64,
     /// Sheds attributed to admission control (`429`).
     pub shed_429: u64,

@@ -1,26 +1,32 @@
 //! Per-connection state machine.
 //!
-//! Each accepted socket owns a `Conn`: an edge-triggered read
-//! buffer, a FIFO of response `Slot`s, and an edge-triggered write
-//! buffer. The FIFO is what makes HTTP/1.1 pipelining correct —
-//! responses leave in request-arrival order, so a control request
-//! parked behind an in-flight `GET /rec` waits for that ticket to
-//! resolve before its (already rendered) bytes ship.
+//! Each accepted socket owns a `Conn`: its listener's `Codec`, an
+//! edge-triggered read buffer, a FIFO of response `Slot`s, and an
+//! edge-triggered write buffer. The FIFO is what makes HTTP/1.1
+//! pipelining correct — responses leave in request-arrival order, so
+//! a control request parked behind an in-flight `GET /rec` waits for
+//! that ticket to resolve before its (already rendered) bytes ship.
 //!
-//! Backpressure: a connection with more than
-//! [`crate::HttpConfig::max_pipeline`] unanswered requests stops
-//! reading (edge-triggered epoll loses nothing — the event loop
-//! retries paused connections on every tick), and a read buffer is
-//! never allowed to grow past the parser's own hard limits plus one
+//! A line connection promises more than reply order: commands take
+//! effect one at a time, in the order sent, so a `REC` written ahead
+//! of a `ROTATE` in the same segment is answered at the pre-rotate
+//! epoch. It therefore decodes nothing while its newest reply still
+//! waits on a ticket. (HTTP pipelining executes a control request as
+//! soon as it is parsed, whatever is in flight ahead of it.)
+//!
+//! Backpressure: a connection with `MAX_PIPELINE` unanswered
+//! requests stops reading (edge-triggered epoll loses nothing — the
+//! event loop retries paused connections on every tick), and a read
+//! buffer never grows past the HTTP parser's own hard limits plus one
 //! maximal request body.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
 
-use fui_service::Ticket;
+use fui_service::{wire, Ticket};
 
+use crate::codec::{Action, Class, Codec, Decoded};
 use crate::http;
 use crate::server::NetMetrics;
 
@@ -32,11 +38,16 @@ const MAX_READ_BUF: usize = http::MAX_REQUEST_LINE + http::MAX_HEADER_BYTES + ht
 /// Read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
+/// Unanswered requests per connection before reads pause. A constant:
+/// it only has to be large enough that a pipelining client never
+/// notices it and small enough to bound the slots one peer can pin.
+const MAX_PIPELINE: usize = 1024;
+
 /// One response owed to the peer, in request-arrival order.
 pub(crate) enum Slot {
     /// Rendered and ready to ship.
     Done(Vec<u8>),
-    /// A submitted `GET /rec` whose ticket the event loop polls.
+    /// A submitted `REC` whose ticket the event loop polls.
     Waiting(PendingRec),
 }
 
@@ -49,47 +60,35 @@ pub(crate) struct PendingRec {
     pub(crate) keep_alive: bool,
     /// The server's stall stamp at submission; a different stamp at
     /// shed-resolution time means a rotation/refresh overlapped the
-    /// request, which answers `503` instead of `429`.
+    /// request, which HTTP answers `503` instead of `429`.
     pub(crate) stall_stamp: u64,
-    /// Submission instant (diagnostic only).
-    #[allow(dead_code)]
-    pub(crate) submitted_at: Instant,
-}
-
-/// What a read pass learned.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ReadOutcome {
-    /// Drained to `WouldBlock` (or paused); connection healthy.
-    Open,
-    /// Peer closed its write half (EOF).
-    Eof,
-    /// Hard I/O error; drop the connection.
-    Err,
 }
 
 /// One accepted connection.
 pub(crate) struct Conn {
     pub(crate) stream: TcpStream,
+    pub(crate) codec: Codec,
     read_buf: Vec<u8>,
     write_buf: Vec<u8>,
     written: usize,
     /// Responses owed, FIFO.
     pub(crate) slots: VecDeque<Slot>,
     /// Stop reading/parsing; close once every owed byte is flushed.
-    pub(crate) closing: bool,
+    closing: bool,
     /// Drop now (I/O error, hangup, or graceful close completed).
     pub(crate) dead: bool,
     /// Requests parsed on this connection (keep-alive reuse = all but
     /// the first).
-    pub(crate) requests: u64,
+    requests: u64,
     /// Peer EOF seen; no more requests will arrive.
     eof: bool,
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream) -> Conn {
+    pub(crate) fn new(stream: TcpStream, codec: Codec) -> Conn {
         Conn {
             stream,
+            codec,
             read_buf: Vec::new(),
             write_buf: Vec::new(),
             written: 0,
@@ -107,94 +106,92 @@ impl Conn {
     }
 
     /// Whether the pipeline is full enough to pause reads.
-    pub(crate) fn paused(&self, max_pipeline: usize) -> bool {
-        self.slots.len() >= max_pipeline || self.read_buf.len() >= MAX_READ_BUF
-    }
-
-    /// Unparsed buffered bytes (nonzero at EOF means a truncated
-    /// request).
-    pub(crate) fn unparsed(&self) -> usize {
-        self.read_buf.len()
-    }
-
-    /// Whether EOF has been observed.
-    pub(crate) fn saw_eof(&self) -> bool {
-        self.eof
+    fn paused(&self) -> bool {
+        self.slots.len() >= MAX_PIPELINE || self.read_buf.len() >= MAX_READ_BUF
     }
 
     /// Edge-triggered read pass: drain the socket to `WouldBlock`,
-    /// EOF, or the backpressure ceiling.
-    pub(crate) fn fill(&mut self, metrics: &NetMetrics, max_pipeline: usize) -> ReadOutcome {
-        if self.closing || self.eof {
-            return if self.eof {
-                ReadOutcome::Eof
-            } else {
-                ReadOutcome::Open
-            };
-        }
+    /// EOF, or the backpressure ceiling. Returns `false` on a hard
+    /// I/O error: drop the connection.
+    pub(crate) fn fill(&mut self, metrics: &NetMetrics) -> bool {
         let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            if self.paused(max_pipeline) {
-                // Deliberately leave the socket undrained; the event
-                // loop retries once the pipeline shrinks.
-                return ReadOutcome::Open;
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.eof = true;
-                    return ReadOutcome::Eof;
-                }
+        // A paused connection deliberately leaves the socket undrained;
+        // the event loop retries once the pipeline shrinks.
+        while !(self.closing || self.eof || self.paused()) {
+            let room = READ_CHUNK.min(MAX_READ_BUF - self.read_buf.len());
+            match self.stream.read(&mut chunk[..room]) {
+                Ok(0) => self.eof = true,
                 Ok(n) => {
                     metrics.read_bytes.add(n as u64);
                     self.read_buf.extend_from_slice(&chunk[..n]);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return ReadOutcome::Open,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return ReadOutcome::Err,
+                Err(_) => return false,
             }
         }
+        true
     }
 
-    /// Parses as many complete pipelined requests as the buffer
-    /// holds, handing each to `route`. `route` returns the slot owed
-    /// for that request plus whether the connection must close after
-    /// it (parse errors close via [`Conn::fail_request`] instead).
-    pub(crate) fn parse_requests<F>(&mut self, metrics: &NetMetrics, mut route: F)
+    /// Decodes as many complete requests as the buffer holds and the
+    /// codec's ordering allows, handing each to `run`, which returns
+    /// the slot owed for it.
+    pub(crate) fn decode_requests<F>(&mut self, metrics: &NetMetrics, mut run: F)
     where
-        F: FnMut(&http::HttpRequest) -> Slot,
+        F: FnMut(Action, bool) -> Slot,
     {
         while !self.closing {
-            match http::parse_request(&self.read_buf) {
-                Ok(None) => break,
-                Ok(Some((req, consumed))) => {
-                    self.read_buf.drain(..consumed);
-                    self.requests += 1;
-                    metrics.requests.incr();
-                    if self.requests > 1 {
-                        metrics.keepalive_reuse.incr();
+            if self.codec == Codec::Line && matches!(self.slots.back(), Some(Slot::Waiting(_))) {
+                break;
+            }
+            match self.codec.decode(&self.read_buf) {
+                Ok(None) => {
+                    if self.eof && !self.read_buf.is_empty() {
+                        // The peer quit mid-request: still answer a
+                        // typed error before closing, so truncation is
+                        // observable, never silent.
+                        self.fail(metrics, &http::HttpError::TruncatedRequest.to_string());
                     }
-                    let close_after = !req.keep_alive;
-                    self.slots.push_back(route(&req));
-                    if close_after {
+                    break;
+                }
+                Err(reason) => {
+                    self.fail(metrics, &reason);
+                    break;
+                }
+                Ok(Some(Decoded {
+                    used,
+                    keep_alive,
+                    action,
+                })) => {
+                    self.read_buf.drain(..used);
+                    if let Some(action) = action {
+                        self.requests += 1;
+                        if self.codec == Codec::Http {
+                            metrics.requests.incr();
+                        }
+                        if self.requests > 1 {
+                            metrics.keepalive_reuse.incr();
+                        }
+                        self.slots.push_back(run(action, keep_alive));
+                    }
+                    if !keep_alive {
                         self.closing = true;
                         self.read_buf.clear();
                     }
                 }
-                Err(e) => {
-                    self.fail_request(metrics, &e);
-                    break;
-                }
             }
         }
     }
 
-    /// Answers `400` for a malformed request and begins a graceful
-    /// close (the owed responses ahead of it still ship first).
-    pub(crate) fn fail_request(&mut self, metrics: &NetMetrics, err: &http::HttpError) {
+    /// Answers `ERR <reason>` for input the codec cannot frame and
+    /// begins a graceful close (the owed responses ahead of it still
+    /// ship first).
+    fn fail(&mut self, metrics: &NetMetrics, reason: &str) {
         metrics.parse_errors.incr();
-        metrics.status_bad_request.incr();
-        let mut bytes = Vec::new();
-        http::write_response(&mut bytes, 400, &format!("ERR {err}\n"), false);
+        let (class, text) = wire::refusal(reason);
+        let bytes = self
+            .codec
+            .encode(metrics, Class::Reply(class), false, text, false);
         self.slots.push_back(Slot::Done(bytes));
         self.closing = true;
         self.read_buf.clear();

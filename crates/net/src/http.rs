@@ -378,7 +378,7 @@ pub fn parse_response(buf: &[u8]) -> Result<Option<(HttpResponse, usize)>, HttpE
 /// `Some("")` for a bare `key` with no `=`. No percent-decoding: the
 /// wire tokens are plain ASCII and a request target can never contain
 /// whitespace (the request line would not have parsed), so values
-/// splice safely into line-protocol commands.
+/// are protocol tokens as they stand.
 pub fn query_param<'a>(query: &'a str, key: &str) -> Option<&'a str> {
     query.split('&').find_map(|pair| {
         let (k, v) = match pair.split_once('=') {
@@ -403,8 +403,8 @@ pub fn status_reason(code: u16) -> &'static str {
 }
 
 /// Serialises one response onto `out`. The body is carried verbatim
-/// (the server passes the line-protocol reply plus `\n`, keeping the
-/// payload bit-identical across frontends).
+/// (the server passes the protocol reply plus `\n`, keeping the payload
+/// bit-identical across codecs).
 pub fn write_response(out: &mut Vec<u8>, status: u16, body: &str, keep_alive: bool) {
     use std::io::Write;
     let _ = write!(

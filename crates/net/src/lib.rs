@@ -1,47 +1,52 @@
-//! **fui-net** — the nonblocking event-loop HTTP/1.1 ingress for the
-//! serving layer.
+//! **fui-net** — the serving layer's front door: the one nonblocking
+//! event loop, speaking both spellings of the wire protocol.
 //!
-//! The line protocol in `fui-service::net` is thread-per-connection:
-//! fine for `nc`, hopeless for the ROADMAP's "heavy traffic from
-//! millions of users" regime where tens of thousands of keep-alive
-//! connections each carry a trickle of requests. This crate is the
-//! real ingress path: one event-loop thread multiplexes every
-//! connection over `epoll` readiness notifications (declared directly
-//! against the libc that `std` already links — the container is
-//! offline, so no `mio`/`libc` crates), with per-connection state
-//! machines, edge-triggered read/write buffers, HTTP/1.1 keep-alive
-//! and pipelining.
+//! This is the only crate in the workspace that opens a listening
+//! socket. One event-loop thread multiplexes every connection over
+//! `epoll` readiness notifications (declared directly against the libc
+//! that `std` already links — the container is offline, so no
+//! `mio`/`libc` crates), with per-connection state machines,
+//! edge-triggered read/write buffers, keep-alive and pipelining; one
+//! pump thread drives the engine's micro-batch window. A listener
+//! speaks HTTP/1.1 ([`HttpServer::start`]) or the `nc`-friendly line
+//! protocol ([`HttpServer::start_line`]); the difference is a codec,
+//! not a server.
 //!
 //! * [`sys`] — the readiness poller: `epoll` on Linux, a degenerate
 //!   always-ready fallback elsewhere;
 //! * [`http`] — incremental, allocation-bounded request/response
 //!   parsing with typed [`HttpError`]s (every malformed input answers
 //!   `400`, never a panic or an unbounded allocation);
+//! * [`codec`] — the two codecs and the verb table: bytes in, one
+//!   `fui_service::wire::Command` out; a reply in, framed bytes out
+//!   (for HTTP, the status line chosen from the reply's class);
 //! * [`conn`] — the per-connection state machine: buffered
 //!   edge-triggered reads, a FIFO of response slots so pipelined
 //!   requests answer in arrival order, buffered writes;
-//! * [`server`] — the [`HttpServer`] event loop over the same
-//!   [`fui_service::ShardedService`] engine as the line protocol.
+//! * [`server`] — the event loop and pump over the
+//!   [`fui_service::ShardedService`] engine.
 //!
-//! Route handling reuses `fui_service::net::execute_control` and
-//! `render_reply`, so an HTTP body is byte-identical to the
-//! line-protocol reply for the same operation — the testkit invariant
+//! Both codecs parse into and execute through `fui_service::wire`, so
+//! an HTTP body is byte-identical to the line reply for the same
+//! operation — the testkit invariant
 //! `check_http_matches_line_protocol` holds by construction, not by
-//! parallel maintenance. `GET /rec` goes through the same
-//! micro-batching submission queue; the event loop redeems tickets
-//! nonblockingly ([`fui_service::Ticket::poll`]) so one slow query
-//! never parks the thread that every other connection shares.
+//! parallel maintenance. `REC` goes through the micro-batching
+//! submission queue; the loop redeems tickets nonblockingly
+//! ([`fui_service::Ticket::poll`]) so one slow query never parks the
+//! thread that every other connection shares.
 //!
-//! Shed attribution reaches the status line: a queue-full or
-//! missed-deadline shed answers `429 Too Many Requests`, a shed whose
-//! in-flight window overlapped a snapshot rotation or landmark
-//! refresh (the loop-stalling control operations) answers
-//! `503 Service Unavailable`. Bodies stay `OVERLOADED` in both cases
-//! — the transport carries the cause, the payload stays protocol-
-//! identical.
+//! Frontend tuning is one value, [`HttpConfig::deadline`] (interactive
+//! serving sheds after 2 s; the 1M-node benchmark fixture waits out
+//! multi-second rotations). The batch window, accept ceiling and
+//! pipeline bound are constants, documented where they are defined.
+//!
+//! Shed attribution reaches the HTTP status line (`429` for load,
+//! `503` for a rotation/refresh stall — see [`codec`]); bodies stay
+//! `OVERLOADED` in both cases, so the payload is protocol-identical.
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod conn;
 pub mod http;
 pub mod server;

@@ -1,33 +1,17 @@
-//! The event-loop HTTP server.
+//! The event loop: the one listener, connection table and pump.
 //!
 //! One loop thread multiplexes the listener plus every connection
 //! over [`crate::sys::Poller`] readiness; a companion pump thread
-//! drives the backend's micro-batch window exactly like the line
-//! protocol's. `GET /rec` submits into the batcher and parks a
-//! `Slot::Waiting` in the connection's FIFO; every loop tick polls
-//! the head tickets nonblockingly and ships resolved responses, so
-//! pipelining holds and the loop never blocks on a single query.
+//! drives the engine's micro-batch window. A `REC` submits into the
+//! batcher and parks a `Slot::Waiting` in the connection's FIFO;
+//! every loop tick polls the head tickets nonblockingly and ships
+//! resolved replies, so pipelining holds and the loop never blocks on
+//! a single query. Control verbs run synchronously on the loop.
 //!
-//! # Endpoints
-//!
-//! | endpoint | verb | body (identical to the line protocol) |
-//! |---|---|---|
-//! | `/rec?user=&topic=&top_n=` | GET | `OK REC <epoch> <cached> <node>:<score>...` |
-//! | `/follow?follower=&followee=&topics=` | POST | `OK FOLLOW` |
-//! | `/unfollow?follower=&followee=` | POST | `OK UNFOLLOW` |
-//! | `/rotate` | POST | `OK ROTATE <epoch>` |
-//! | `/refresh` | POST | `OK REFRESH <n>` |
-//! | `/epoch` | GET | `OK EPOCH <e>` |
-//! | `/stats` \| `/slo` \| `/trace?n=` \| `/shards` | GET | as the line verbs |
-//! | `/health` | GET | `OK HEALTH <epoch>` (HTTP-only liveness) |
-//!
-//! Status mapping: `OK` bodies answer `200`, `ERR` bodies `400`
-//! (unknown paths `404`, wrong methods `405`), sheds answer `429`
-//! (admission control: queue full or deadline missed) or `503` (the
-//! shed's in-flight window overlapped a rotation/refresh stall).
-//! Bodies are byte-identical to the line protocol in every case the
-//! line protocol can express — both frontends render through
-//! `fui_service::net::{execute_control, render_reply}`.
+//! A listener speaks one `Codec` — [`HttpServer::start`] HTTP,
+//! [`HttpServer::start_line`] the line protocol — and nothing in this
+//! file depends on which: see [`crate::codec`] for the verb table and
+//! the status mapping.
 
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -38,36 +22,40 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use fui_obs::{counter, gauge, Counter, Gauge};
-use fui_service::net::{execute_control, parse_node, parse_topic, render_reply};
-use fui_service::{Reply, Request, ShardedService};
+use fui_service::wire::{self, Executed, ReplyClass};
+use fui_service::ShardedService;
 
-use crate::conn::{Conn, PendingRec, ReadOutcome, Slot};
-use crate::http::{self, HttpRequest, Method};
+use crate::codec::{Action, Class, Codec};
+use crate::conn::{Conn, PendingRec, Slot};
 use crate::sys::{Event, Poller};
 
 /// Token reserved for the listener.
 const LISTENER_TOKEN: u64 = 0;
 
-/// Event-loop tuning.
+/// Micro-batch coalescing window: the pump's cadence when idle and
+/// the loop's poll timeout while any ticket is in flight. A constant
+/// because it is the latency floor of every queued request; moving it
+/// is a performance change to be measured, not a deployment setting.
+const WINDOW: Duration = Duration::from_millis(1);
+
+/// Accept ceiling; connections beyond it are closed immediately. Sized
+/// to stay well inside a default 1024–65536 descriptor limit together
+/// with the engine's own files.
+const MAX_CONNS: usize = 4096;
+
+/// Front-door tuning. One field: the benchmark's 1M-node fixture needs
+/// a longer deadline than the interactive default, and nothing else
+/// about the loop has two callers wanting different values.
 #[derive(Clone, Copy, Debug)]
 pub struct HttpConfig {
-    /// Micro-batch coalescing window (pump cadence when idle).
-    pub window: Duration,
     /// Per-request deadline, measured from submission.
     pub deadline: Duration,
-    /// Accept ceiling; connections beyond it are closed immediately.
-    pub max_conns: usize,
-    /// Unanswered requests per connection before reads pause.
-    pub max_pipeline: usize,
 }
 
 impl Default for HttpConfig {
     fn default() -> HttpConfig {
         HttpConfig {
-            window: Duration::from_millis(1),
             deadline: Duration::from_secs(2),
-            max_conns: 4096,
-            max_pipeline: 1024,
         }
     }
 }
@@ -110,7 +98,9 @@ impl NetMetrics {
     }
 }
 
-/// A running event loop + pump pair; shut down explicitly in tests.
+/// A running front door: one listener, its event loop and the pump.
+/// Named for its first codec; [`HttpServer::start_line`] serves the
+/// line protocol from the same type. Shut down explicitly in tests.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
@@ -119,11 +109,30 @@ pub struct HttpServer {
 }
 
 impl HttpServer {
-    /// Binds `addr` (port 0 for ephemeral) and starts the loop and
-    /// pump threads.
+    /// Binds `addr` (port 0 for ephemeral) and serves HTTP/1.1 on it.
     pub fn start<B: AsRef<ShardedService> + Send + Sync + 'static>(
         service: Arc<B>,
         addr: &str,
+        cfg: HttpConfig,
+    ) -> std::io::Result<HttpServer> {
+        HttpServer::start_codec(service, addr, Codec::Http, cfg)
+    }
+
+    /// Binds `addr` and serves the line protocol on it: the same loop,
+    /// pump, limits and verbs as [`HttpServer::start`], framed as
+    /// `\n`-terminated lines.
+    pub fn start_line<B: AsRef<ShardedService> + Send + Sync + 'static>(
+        service: Arc<B>,
+        addr: &str,
+        cfg: HttpConfig,
+    ) -> std::io::Result<HttpServer> {
+        HttpServer::start_codec(service, addr, Codec::Line, cfg)
+    }
+
+    fn start_codec<B: AsRef<ShardedService> + Send + Sync + 'static>(
+        service: Arc<B>,
+        addr: &str,
+        codec: Codec,
         cfg: HttpConfig,
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
@@ -135,18 +144,18 @@ impl HttpServer {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name("fui-http-loop".into())
-                .spawn(move || run_loop(listener, (*service).as_ref(), cfg, &stop))?
+                .name("fui-net-loop".into())
+                .spawn(move || run_loop(listener, codec, (*service).as_ref(), cfg, &stop))?
         };
         let pump = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name("fui-http-pump".into())
+                .name("fui-net-pump".into())
                 .spawn(move || {
                     let service = (*service).as_ref();
                     while !stop.load(Ordering::SeqCst) {
                         if service.pump() == 0 {
-                            std::thread::park_timeout(cfg.window);
+                            std::thread::park_timeout(WINDOW);
                         }
                     }
                     // Resolve anything still queued so no ticket hangs.
@@ -180,7 +189,13 @@ impl HttpServer {
     }
 }
 
-fn run_loop(listener: TcpListener, service: &ShardedService, cfg: HttpConfig, stop: &AtomicBool) {
+fn run_loop(
+    listener: TcpListener,
+    codec: Codec,
+    service: &ShardedService,
+    cfg: HttpConfig,
+    stop: &AtomicBool,
+) {
     let metrics = NetMetrics::new();
     let poller = match Poller::new() {
         Ok(p) => p,
@@ -196,14 +211,14 @@ fn run_loop(listener: TcpListener, service: &ShardedService, cfg: HttpConfig, st
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token: u64 = 1;
     let mut events: Vec<Event> = Vec::with_capacity(256);
-    // Bumped by every rotate/refresh; sheds that straddle a bump
-    // answer 503 (rotation stall), others 429.
+    // Bumped by every rotate/refresh; a shed that straddles a bump
+    // was caused by the stall rather than by load.
     let mut stall_stamp: u64 = 0;
 
     while !stop.load(Ordering::SeqCst) {
         let any_waiting = conns.values().any(Conn::has_waiting);
         let timeout = if any_waiting {
-            cfg.window
+            WINDOW
         } else {
             Duration::from_millis(20)
         };
@@ -228,10 +243,10 @@ fn run_loop(listener: TcpListener, service: &ShardedService, cfg: HttpConfig, st
         if accept_ready {
             accept_all(
                 &listener,
+                codec,
                 &poller,
                 &mut conns,
                 &mut next_token,
-                &cfg,
                 &metrics,
             );
         }
@@ -267,16 +282,16 @@ fn run_loop(listener: TcpListener, service: &ShardedService, cfg: HttpConfig, st
 
 fn accept_all(
     listener: &TcpListener,
+    codec: Codec,
     poller: &Poller,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
-    cfg: &HttpConfig,
     metrics: &NetMetrics,
 ) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if conns.len() >= cfg.max_conns {
+                if conns.len() >= MAX_CONNS {
                     metrics.accept_overflow.incr();
                     drop(stream);
                     continue;
@@ -291,7 +306,7 @@ fn accept_all(
                     continue;
                 }
                 metrics.accepts.incr();
-                conns.insert(token, Conn::new(stream));
+                conns.insert(token, Conn::new(stream, codec));
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
@@ -301,8 +316,8 @@ fn accept_all(
     metrics.conns.set(conns.len() as f64);
 }
 
-/// One full service pass over a connection: read, parse/route,
-/// resolve tickets, flush.
+/// One full service pass over a connection: read, redeem, decode and
+/// run, redeem, flush.
 fn service_conn(
     conn: &mut Conn,
     service: &ShardedService,
@@ -310,335 +325,68 @@ fn service_conn(
     metrics: &NetMetrics,
     stall_stamp: &mut u64,
 ) {
-    let outcome = conn.fill(metrics, cfg.max_pipeline);
-    if outcome == ReadOutcome::Err {
+    if !conn.fill(metrics) {
         conn.dead = true;
         return;
     }
-    conn.parse_requests(metrics, |req| {
-        route(req, service, cfg, metrics, stall_stamp)
+    // Redeemed before decoding as well as after: a line connection
+    // runs its next command only once the reply ahead of it is out of
+    // the batcher, and should do so in this pass, not the next.
+    resolve_tickets(conn, metrics, *stall_stamp);
+    let codec = conn.codec;
+    conn.decode_requests(metrics, |action, keep_alive| {
+        let (class, text) = match action {
+            Action::Run(command) => {
+                if command.stalls() {
+                    *stall_stamp += 1;
+                }
+                match wire::execute(service, command, Instant::now() + cfg.deadline) {
+                    Executed::Pending(ticket) => {
+                        return Slot::Waiting(PendingRec {
+                            ticket: Some(ticket),
+                            keep_alive,
+                            stall_stamp: *stall_stamp,
+                        })
+                    }
+                    Executed::Done(class, text) => (Class::Reply(class), text),
+                }
+            }
+            Action::Health => (
+                Class::Reply(ReplyClass::Ok),
+                format!("OK HEALTH {}", service.epoch()),
+            ),
+            Action::Refuse(class, text) => (class, text),
+        };
+        Slot::Done(codec.encode(metrics, class, false, text, keep_alive))
     });
-    if conn.saw_eof() && !conn.closing && conn.unparsed() > 0 {
-        // The peer quit mid-request: still answer a typed 400 before
-        // closing, so truncation is observable, never silent.
-        conn.fail_request(metrics, &http::HttpError::TruncatedRequest);
-    }
     resolve_tickets(conn, metrics, *stall_stamp);
     conn.flush(metrics);
 }
 
 /// Polls the FIFO head while tickets resolve, rendering each reply
-/// with the shared line-protocol renderer.
+/// with the verb layer's renderer.
 fn resolve_tickets(conn: &mut Conn, metrics: &NetMetrics, stall_stamp: u64) {
     while let Some(Slot::Waiting(pending)) = conn.slots.front_mut() {
         let ticket = pending
             .ticket
             .take()
             .expect("ticket present until resolved");
-        let (reply, keep_alive, stamp) = match ticket.poll() {
+        let reply = match ticket.poll() {
             Err(ticket) => {
                 pending.ticket = Some(ticket);
                 break;
             }
-            Ok(reply) => (reply, pending.keep_alive, pending.stall_stamp),
+            Ok(reply) => reply,
         };
-        let status = match &reply {
-            Reply::Result(_) => {
-                metrics.status_ok.incr();
-                200
-            }
-            Reply::Rejected(_) => {
-                metrics.status_bad_request.incr();
-                400
-            }
-            Reply::Overloaded => {
-                if stamp != stall_stamp {
-                    metrics.shed_rotation.incr();
-                    503
-                } else {
-                    metrics.shed_overload.incr();
-                    429
-                }
-            }
-        };
-        let body = format!("{}\n", render_reply(&reply));
-        let mut bytes = Vec::new();
-        http::write_response(&mut bytes, status, &body, keep_alive);
+        let (class, text) = wire::render(&reply);
+        let stalled = pending.stall_stamp != stall_stamp;
+        let bytes = conn.codec.encode(
+            metrics,
+            Class::Reply(class),
+            stalled,
+            text,
+            pending.keep_alive,
+        );
         *conn.slots.front_mut().expect("front still present") = Slot::Done(bytes);
-    }
-}
-
-/// Renders a finished control response as a slot.
-fn done(metrics: &NetMetrics, status: u16, body: String, keep_alive: bool) -> Slot {
-    match status {
-        200 => metrics.status_ok.incr(),
-        400 => metrics.status_bad_request.incr(),
-        404 | 405 => metrics.status_not_found.incr(),
-        429 => metrics.shed_overload.incr(),
-        _ => {}
-    }
-    let mut bytes = Vec::new();
-    http::write_response(&mut bytes, status, &body, keep_alive);
-    Slot::Done(bytes)
-}
-
-/// Routes one parsed request. Control verbs run synchronously through
-/// `execute_control` (the line protocol's own dispatch);
-/// `GET /rec` submits into the batcher and returns a waiting slot.
-fn route(
-    req: &HttpRequest,
-    service: &ShardedService,
-    cfg: &HttpConfig,
-    metrics: &NetMetrics,
-    stall_stamp: &mut u64,
-) -> Slot {
-    let keep = req.keep_alive;
-    let q = req.query.as_str();
-    // A control verb built from query tokens: the request line cannot
-    // contain whitespace (it would not have parsed), so raw values
-    // splice into the line protocol without any escaping ambiguity.
-    let control = |line: String| -> (u16, String) {
-        match execute_control(&line, service) {
-            Ok(body) => (200, format!("{body}\n")),
-            Err(e) => (400, format!("ERR {e}\n")),
-        }
-    };
-
-    let (status, body) = match (req.method, req.path.as_str()) {
-        (Method::Get, "/rec") => {
-            let user = match parse_node(http::query_param(q, "user")) {
-                Ok(u) => u,
-                Err(e) => return done(metrics, 400, format!("ERR {e}\n"), keep),
-            };
-            let topic = match parse_topic(http::query_param(q, "topic")) {
-                Ok(t) => t,
-                Err(e) => return done(metrics, 400, format!("ERR {e}\n"), keep),
-            };
-            let top_n = match http::query_param(q, "top_n") {
-                Some(s) => match s.parse::<usize>() {
-                    Ok(n) => n,
-                    Err(_) => return done(metrics, 400, format!("ERR bad top_n {s:?}\n"), keep),
-                },
-                None => 10,
-            };
-            let request = Request { user, topic, top_n };
-            let deadline = Instant::now() + cfg.deadline;
-            return match service.submit(request, Some(deadline)) {
-                Ok(ticket) => Slot::Waiting(PendingRec {
-                    ticket: Some(ticket),
-                    keep_alive: keep,
-                    stall_stamp: *stall_stamp,
-                    submitted_at: Instant::now(),
-                }),
-                // Admission control refused at submit: queue full.
-                Err(_) => done(metrics, 429, "OVERLOADED\n".to_owned(), keep),
-            };
-        }
-        (Method::Post, "/follow") => {
-            let (f, g, t) = (
-                http::query_param(q, "follower"),
-                http::query_param(q, "followee"),
-                http::query_param(q, "topics"),
-            );
-            match (f, g, t) {
-                (Some(f), Some(g), Some(t)) => control(format!("FOLLOW {f} {g} {t}")),
-                _ => control("FOLLOW".to_owned()),
-            }
-        }
-        (Method::Post, "/unfollow") => {
-            match (
-                http::query_param(q, "follower"),
-                http::query_param(q, "followee"),
-            ) {
-                (Some(f), Some(g)) => control(format!("UNFOLLOW {f} {g}")),
-                _ => control("UNFOLLOW".to_owned()),
-            }
-        }
-        (Method::Post, "/rotate") => {
-            *stall_stamp += 1;
-            control("ROTATE".to_owned())
-        }
-        (Method::Post, "/refresh") => {
-            *stall_stamp += 1;
-            control("REFRESH".to_owned())
-        }
-        (Method::Get, "/epoch") => control("EPOCH".to_owned()),
-        (Method::Get, "/stats") => control("STATS".to_owned()),
-        (Method::Get, "/slo") => control("SLO".to_owned()),
-        (Method::Get, "/shards") => control("SHARDS".to_owned()),
-        (Method::Get, "/trace") => match http::query_param(q, "n") {
-            Some(n) => control(format!("TRACE {n}")),
-            None => control("TRACE".to_owned()),
-        },
-        (Method::Get, "/health") => (200, format!("OK HEALTH {}\n", service.epoch())),
-        (
-            _,
-            "/rec" | "/follow" | "/unfollow" | "/rotate" | "/refresh" | "/epoch" | "/stats"
-            | "/slo" | "/shards" | "/trace" | "/health",
-        ) => (
-            405,
-            format!(
-                "ERR method {} not allowed for {}\n",
-                req.method.as_str(),
-                req.path
-            ),
-        ),
-        (_, path) => (404, format!("ERR unknown path {path:?}\n")),
-    };
-    done(metrics, status, body, keep)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use fui_core::{ScoreParams, ScoreVariant};
-    use fui_graph::{GraphBuilder, NodeId};
-    use fui_service::{Service, ServiceConfig};
-    use fui_taxonomy::{SimMatrix, Topic, TopicSet};
-    use std::io::{Read, Write};
-
-    fn tiny_service(queue_capacity: usize) -> Arc<Service> {
-        let n = 40u32;
-        let mut b = GraphBuilder::with_capacity(n as usize, n as usize * 3);
-        for u in 0..n {
-            let mut labels = TopicSet::empty();
-            labels.insert(Topic::ALL[u as usize % Topic::ALL.len()]);
-            b.add_node(labels);
-        }
-        for u in 0..n {
-            for k in [1u32, 7, 13] {
-                let mut labels = TopicSet::empty();
-                labels.insert(Topic::ALL[(u + k) as usize % Topic::ALL.len()]);
-                b.add_edge(NodeId(u), NodeId((u + k) % n), labels);
-            }
-        }
-        let graph = b.build();
-        let landmarks: Vec<NodeId> = graph.nodes().filter(|u| u.0 % 5 == 0).collect();
-        Arc::new(Service::new(
-            graph,
-            SimMatrix::opencalais(),
-            ScoreParams::default(),
-            ScoreVariant::Full,
-            landmarks,
-            50,
-            ServiceConfig {
-                queue_capacity,
-                ..ServiceConfig::default()
-            },
-        ))
-    }
-
-    fn send_and_read(stream: &mut TcpStream, req: &str) -> (u16, String) {
-        stream.write_all(req.as_bytes()).expect("write");
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        loop {
-            match http::parse_response(&buf) {
-                Ok(Some((resp, used))) => {
-                    buf.drain(..used);
-                    return (
-                        resp.status,
-                        String::from_utf8(resp.body).expect("utf8 body"),
-                    );
-                }
-                Ok(None) => {}
-                Err(e) => panic!("bad response: {e}"),
-            }
-            let n = stream.read(&mut chunk).expect("read");
-            assert!(n > 0, "server closed early; buffered {buf:?}");
-            buf.extend_from_slice(&chunk[..n]);
-        }
-    }
-
-    #[test]
-    fn serves_rec_and_control_over_keepalive() {
-        let svc = tiny_service(256);
-        let server = HttpServer::start(svc, "127.0.0.1:0", HttpConfig::default()).expect("start");
-        let mut c = TcpStream::connect(server.local_addr()).expect("connect");
-
-        let (code, body) = send_and_read(&mut c, "GET /health HTTP/1.1\r\nHost: f\r\n\r\n");
-        assert_eq!(code, 200);
-        assert!(body.starts_with("OK HEALTH "), "{body}");
-
-        let (code, body) = send_and_read(
-            &mut c,
-            "GET /rec?user=3&topic=sports HTTP/1.1\r\nHost: f\r\n\r\n",
-        );
-        assert_eq!(code, 200);
-        assert!(body.starts_with("OK REC "), "{body}");
-
-        let (code, body) = send_and_read(
-            &mut c,
-            "POST /follow?follower=1&followee=2&topics=sports HTTP/1.1\r\nHost: f\r\n\r\n",
-        );
-        assert_eq!(code, 200);
-        assert_eq!(body, "OK FOLLOW\n");
-
-        let (code, body) = send_and_read(&mut c, "POST /rotate HTTP/1.1\r\nHost: f\r\n\r\n");
-        assert_eq!(code, 200);
-        assert!(body.starts_with("OK ROTATE "), "{body}");
-
-        let (code, body) = send_and_read(
-            &mut c,
-            "GET /rec?user=9999&topic=sports HTTP/1.1\r\nHost: f\r\n\r\n",
-        );
-        assert_eq!(code, 400);
-        assert!(body.starts_with("ERR unknown user"), "{body}");
-
-        let (code, body) = send_and_read(&mut c, "GET /nope HTTP/1.1\r\nHost: f\r\n\r\n");
-        assert_eq!(code, 404);
-        assert!(body.starts_with("ERR unknown path"), "{body}");
-
-        server.shutdown();
-    }
-
-    #[test]
-    fn pipelined_requests_answer_in_order() {
-        let svc = tiny_service(256);
-        let server = HttpServer::start(svc, "127.0.0.1:0", HttpConfig::default()).expect("start");
-        let mut c = TcpStream::connect(server.local_addr()).expect("connect");
-
-        // Two recs and an epoch, written back-to-back before any read.
-        let wire = "GET /rec?user=1&topic=sports HTTP/1.1\r\nHost: f\r\n\r\n\
-                    GET /rec?user=2&topic=technology HTTP/1.1\r\nHost: f\r\n\r\n\
-                    GET /epoch HTTP/1.1\r\nHost: f\r\n\r\n";
-        c.write_all(wire.as_bytes()).expect("write");
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
-        let mut bodies = Vec::new();
-        while bodies.len() < 3 {
-            match http::parse_response(&buf) {
-                Ok(Some((resp, used))) => {
-                    buf.drain(..used);
-                    assert_eq!(resp.status, 200);
-                    bodies.push(String::from_utf8(resp.body).expect("utf8"));
-                }
-                Ok(None) => {
-                    let n = c.read(&mut chunk).expect("read");
-                    assert!(n > 0, "server closed early");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                Err(e) => panic!("bad response: {e}"),
-            }
-        }
-        assert!(bodies[0].starts_with("OK REC "), "{}", bodies[0]);
-        assert!(bodies[1].starts_with("OK REC "), "{}", bodies[1]);
-        assert!(bodies[2].starts_with("OK EPOCH "), "{}", bodies[2]);
-
-        server.shutdown();
-    }
-
-    #[test]
-    fn malformed_request_answers_400_and_closes() {
-        let svc = tiny_service(64);
-        let server = HttpServer::start(svc, "127.0.0.1:0", HttpConfig::default()).expect("start");
-        let mut c = TcpStream::connect(server.local_addr()).expect("connect");
-        c.write_all(b"NOT A REQUEST\r\n\r\n").expect("write");
-        let mut buf = Vec::new();
-        c.read_to_end(&mut buf).expect("read to close");
-        let text = String::from_utf8_lossy(&buf);
-        assert!(text.starts_with("HTTP/1.1 400 "), "{text}");
-        assert!(text.contains("ERR "), "{text}");
-        server.shutdown();
     }
 }

@@ -1,12 +1,24 @@
 //! Property and concurrency tests of the observability substrate.
 
+use std::sync::{Mutex, MutexGuard};
+
 use fui_obs as obs;
 use proptest::prelude::*;
+
+/// Sets the process-global level and holds the other level-setting
+/// tests off until the guard drops: run in parallel, a `Counters` test
+/// makes a `Full` one lose histogram records.
+fn level_guard(level: obs::Level) -> MutexGuard<'static, ()> {
+    static M: Mutex<()> = Mutex::new(());
+    let guard = M.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_level(level);
+    guard
+}
 
 /// Concurrent increments from spawned threads must merge exactly.
 #[test]
 fn counter_merges_concurrent_increments() {
-    obs::set_level(obs::Level::Counters);
+    let _level = level_guard(obs::Level::Counters);
     let threads = 8;
     let per_thread = 10_000u64;
     let handles: Vec<_> = (0..threads)
@@ -31,7 +43,7 @@ fn counter_merges_concurrent_increments() {
 /// Histogram recording from many threads must not lose values.
 #[test]
 fn histogram_is_lock_free_under_contention() {
-    obs::set_level(obs::Level::Full);
+    let _level = level_guard(obs::Level::Full);
     let threads = 6;
     let per_thread = 5_000u64;
     let handles: Vec<_> = (0..threads)
@@ -55,7 +67,7 @@ fn histogram_is_lock_free_under_contention() {
 /// Spans nest to arbitrary depth and unwind completely.
 #[test]
 fn span_nesting_depth_unwinds() {
-    obs::set_level(obs::Level::Full);
+    let _level = level_guard(obs::Level::Full);
     const NAMES: [&str; 5] = ["it.s0", "it.s1", "it.s2", "it.s3", "it.s4"];
     fn recurse(d: usize) {
         if d >= NAMES.len() {

@@ -1,8 +1,8 @@
 //! Micro-batching queue with admission control.
 //!
-//! Concurrent callers `submit` requests; a pump (either a test/bench
-//! loop calling [`crate::ShardedService::pump`] directly, or the net
-//! frontend's window thread) drains the queue in arrival order and
+//! Concurrent callers `submit` requests; a pump (a test/bench loop or
+//! `fui-net`'s window thread calling [`crate::ShardedService::pump`])
+//! drains the queue in arrival order and
 //! answers one coalesced batch through
 //! `ApproxRecommender::recommend_batch` on the `fui-exec` pool.
 //!

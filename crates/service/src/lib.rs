@@ -26,9 +26,12 @@
 //! * [`service`] — request/reply types, configuration, and
 //!   [`Service`]: that engine fixed at one shard (*unsharded* is
 //!   `shards = 1`), reaching every verb through `Deref`;
-//! * [`net`] — a thin `std::net` line-protocol frontend for manual
-//!   poking (including the `STATS` / `SLO` / `TRACE` / `SHARDS`
-//!   introspection verbs); tests and benches use the in-process API.
+//! * [`wire`] — the wire protocol's verb layer: one typed
+//!   [`wire::Command`], the parser that owns every wire error string,
+//!   `execute`, and the reply renderers (including the `STATS` / `SLO`
+//!   / `TRACE` / `SHARDS` introspection verbs). This crate opens no
+//!   socket and starts no thread: `fui-net` frames these verbs as
+//!   lines or as HTTP and drives [`ShardedService::pump`].
 //!
 //! The whole path reports through `fui-obs`: `service.requests`,
 //! `service.shed` (with its `service.shed.{queue_full,deadline,
@@ -55,18 +58,17 @@
 pub mod batch;
 pub mod cache;
 pub mod durable;
-pub mod net;
 pub mod router;
 pub mod service;
 pub mod shard;
 pub mod snapshot;
+pub mod wire;
 
 pub use batch::Ticket;
 pub use cache::{CacheKey, CacheStamp, ResultCache};
 pub use durable::{JournalOp, JournalRecord, SnapshotState};
-pub use net::{execute_control, parse_node, parse_topic, parse_topics, render_reply};
-pub use net::{NetConfig, NetServer};
 pub use router::{ShardSpec, ShardedService};
 pub use service::{Reply, Request, RestoreError, Served, Service, ServiceConfig};
 pub use shard::{FleetStatus, ShardStatus};
 pub use snapshot::{apply_changes, Snapshot, SnapshotStore};
+pub use wire::render_reply;

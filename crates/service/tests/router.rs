@@ -3,18 +3,16 @@
 //! and durable fleet restore (including shard-count changes and the
 //! dual-WAL cut-edge journal).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::time::Instant;
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
 use fui_service::durable;
+use fui_service::wire::{self, Command, Executed};
 use fui_service::{
-    NetConfig, NetServer, Reply, Request, RestoreError, Served, Service, ServiceConfig, ShardSpec,
-    ShardedService,
+    Reply, Request, RestoreError, Served, Service, ServiceConfig, ShardSpec, ShardedService,
 };
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
@@ -208,32 +206,25 @@ fn fleet_status_reports_per_shard_rows() {
 }
 
 #[test]
-fn net_frontend_serves_a_fleet_and_renders_shards() {
-    let flt = Arc::new(fleet(
+fn verb_layer_serves_a_fleet_and_renders_shards() {
+    let flt = fleet(
         ServiceConfig::default(),
         ShardSpec::new(2, PartitionStrategy::Hash),
-    ));
+    );
     let svc = service(ServiceConfig::default());
-    let server = NetServer::start(Arc::clone(&flt), "127.0.0.1:0", NetConfig::default())
-        .expect("bind loopback");
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut ask = |cmd: &str, line: &mut String| {
-        writeln!(writer, "{cmd}").expect("write");
-        line.clear();
-        reader.read_line(line).expect("read");
-        line.trim_end().to_owned()
+    let run = |command: Command| match wire::execute(&flt, command, Instant::now()) {
+        Executed::Done(_, text) => text,
+        Executed::Pending(_) => panic!("only REC goes through the queue"),
     };
 
-    // REC through the fleet serves the unsharded bits over the wire.
-    let rec = ask("REC 0 technology 3", &mut line);
-    let direct = served(svc.call(Request {
+    // REC through the fleet renders the unsharded bits.
+    let request = Request {
         user: NodeId(0),
         topic: Topic::Technology,
         top_n: 3,
-    }));
+    };
+    let rec = wire::render_reply(&flt.call(request));
+    let direct = served(svc.call(request));
     let parts: Vec<&str> = rec.split_whitespace().collect();
     assert!(rec.starts_with("OK REC "), "got {rec:?}");
     assert_eq!(parts.len(), 4 + direct.recommendations.len());
@@ -243,20 +234,22 @@ fn net_frontend_serves_a_fleet_and_renders_shards() {
         assert_eq!(score.parse::<f64>().unwrap().to_bits(), s.to_bits());
     }
 
-    assert_eq!(ask("FOLLOW 5 7 technology", &mut line), "OK FOLLOW");
-    assert!(ask("ROTATE", &mut line).starts_with("OK ROTATE "));
-    assert!(ask("EPOCH", &mut line).starts_with("OK EPOCH "));
+    let follow = Command::parse("FOLLOW", ["5", "7", "technology"].into_iter());
+    assert_eq!(run(follow.expect("well-formed")), "OK FOLLOW");
+    assert!(run(Command::Rotate).starts_with("OK ROTATE "));
+    assert!(run(Command::Epoch).starts_with("OK EPOCH "));
 
     // SHARDS answers a header plus one S row per shard.
-    let header = ask("SHARDS", &mut line);
+    let shards = run(Command::Shards);
+    let mut lines = shards.lines();
+    let header = lines.next().expect("header");
     assert!(
         header.starts_with("OK SHARDS 2 strategy=hash cut_edges="),
         "got {header:?}"
     );
-    for _ in 0..2 {
-        line.clear();
-        reader.read_line(&mut line).expect("read shard row");
-        let row = line.trim_end();
+    let rows: Vec<&str> = lines.collect();
+    assert_eq!(rows.len(), 2);
+    for row in rows {
         assert!(row.starts_with("S "), "got {row:?}");
         for field in [
             "epoch=",
@@ -276,9 +269,6 @@ fn net_frontend_serves_a_fleet_and_renders_shards() {
             assert!(row.contains(field), "{field} missing from {row:?}");
         }
     }
-
-    writeln!(writer, "QUIT").expect("write");
-    server.shutdown();
 }
 
 fn scratch(tag: &str) -> PathBuf {

@@ -1,17 +1,15 @@
 //! End-to-end tests of the serving layer: cache correctness across
 //! rotation/refresh, admission control, the submit/pump path, the
-//! line-protocol frontend, and request tracing / SLO introspection.
+//! wire verb layer, and request tracing / SLO introspection.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
-use fui_service::{
-    NetConfig, NetServer, Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService,
-};
+use fui_service::wire::{self, Command, Executed};
+use fui_service::{Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
 /// A two-community graph: 0..5 a dense tech cluster, 6..9 a chain.
@@ -225,24 +223,30 @@ fn refresh_preserves_entries_that_avoided_the_landmark() {
     assert!(after.cached, "entry that met no landmark must survive");
 }
 
-#[test]
-fn line_protocol_round_trips() {
-    let svc = Arc::new(service(ServiceConfig::default()));
-    let server = NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetConfig::default())
-        .expect("bind loopback");
-    let addr = server.local_addr();
-    let stream = TcpStream::connect(addr).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut ask = |cmd: &str, line: &mut String| {
-        writeln!(writer, "{cmd}").expect("write");
-        line.clear();
-        reader.read_line(line).expect("read");
-        line.trim_end().to_owned()
+/// Runs one protocol line through the verb layer the way a frontend
+/// does (tokenise, parse, execute, pump and redeem a `REC`) and returns
+/// the rendered reply.
+fn ask(svc: &ShardedService, line: &str) -> String {
+    let mut tokens = line.split_ascii_whitespace();
+    let verb = tokens.next().expect("a verb");
+    let command = match Command::parse(verb, tokens) {
+        Ok(command) => command,
+        Err(reason) => return wire::refusal(reason).1,
     };
+    match wire::execute(svc, command, Instant::now() + Duration::from_secs(2)) {
+        Executed::Done(_, text) => text,
+        Executed::Pending(ticket) => {
+            svc.pump();
+            wire::render_reply(&ticket.wait())
+        }
+    }
+}
 
-    let rec = ask("REC 0 technology 3", &mut line);
+#[test]
+fn verbs_parse_execute_and_render() {
+    let svc = service(ServiceConfig::default());
+
+    let rec = ask(&svc, "REC 0 technology 3");
     assert!(rec.starts_with("OK REC "), "got {rec:?}");
     let parts: Vec<&str> = rec.split_whitespace().collect();
     assert!(parts.len() > 3, "expected recommendations in {rec:?}");
@@ -259,16 +263,22 @@ fn line_protocol_round_trips() {
         assert_eq!(score.parse::<f64>().unwrap().to_bits(), s.to_bits());
     }
 
-    assert_eq!(ask("FOLLOW 5 7 technology", &mut line), "OK FOLLOW");
-    assert_eq!(ask("UNFOLLOW 5 7", &mut line), "OK UNFOLLOW");
-    assert!(ask("ROTATE", &mut line).starts_with("OK ROTATE "));
-    assert!(ask("REFRESH", &mut line).starts_with("OK REFRESH "));
-    assert!(ask("EPOCH", &mut line).starts_with("OK EPOCH "));
-    assert!(ask("REC 0 nonsense", &mut line).starts_with("ERR "));
-    assert!(ask("BOGUS", &mut line).starts_with("ERR "));
-
-    writeln!(writer, "QUIT").expect("write");
-    server.shutdown();
+    assert_eq!(ask(&svc, "FOLLOW 5 7 technology"), "OK FOLLOW");
+    assert_eq!(ask(&svc, "unfollow 5 7"), "OK UNFOLLOW");
+    assert!(ask(&svc, "ROTATE").starts_with("OK ROTATE "));
+    assert!(ask(&svc, "REFRESH").starts_with("OK REFRESH "));
+    assert!(ask(&svc, "EPOCH").starts_with("OK EPOCH "));
+    assert!(ask(&svc, "REC 0 nonsense").starts_with("ERR "));
+    assert_eq!(ask(&svc, "BOGUS"), "ERR unknown command \"BOGUS\"");
+    assert_eq!(ask(&svc, "REC"), "ERR missing node id");
+    assert_eq!(ask(&svc, "REC 0 technology x"), "ERR bad top_n \"x\"");
+    assert_eq!(
+        ask(&svc, "EPOCH now"),
+        "ERR unexpected trailing argument \"now\""
+    );
+    // Not durable: both persistence verbs refuse rather than panic.
+    assert!(ask(&svc, "SNAPSHOT").starts_with("ERR "));
+    assert!(ask(&svc, "RESTORE").starts_with("ERR "));
 }
 
 /// Serialises the tests below that flip the global obs level / trace
@@ -480,37 +490,28 @@ fn slo_report_is_consistent_with_the_latency_histogram() {
 }
 
 #[test]
-fn introspection_verbs_round_trip() {
+fn introspection_verbs_render() {
     let _g = obs_guard();
     let _session = TraceSession::start(1.0);
-    let svc = Arc::new(service(ServiceConfig::default()));
-    let server = NetServer::start(Arc::clone(&svc), "127.0.0.1:0", NetConfig::default())
-        .expect("bind loopback");
-    let stream = TcpStream::connect(server.local_addr()).expect("connect");
-    let mut writer = stream.try_clone().expect("clone stream");
-    let mut reader = BufReader::new(stream);
-    let read_line = |reader: &mut BufReader<TcpStream>| {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read");
-        line.trim_end().to_owned()
-    };
+    let svc = service(ServiceConfig::default());
 
     for u in 0..6 {
-        writeln!(writer, "REC {u} technology 4").expect("write");
-        assert!(read_line(&mut reader).starts_with("OK REC "));
+        assert!(ask(&svc, &format!("REC {u} technology 4")).starts_with("OK REC "));
     }
 
     // STATS: header advertises the line count; counters include the
     // service family.
-    writeln!(writer, "STATS").expect("write");
-    let header = read_line(&mut reader);
-    let n: usize = header
-        .strip_prefix("OK STATS ")
+    let stats = ask(&svc, "STATS");
+    let mut lines = stats.lines();
+    let n: usize = lines
+        .next()
+        .and_then(|header| header.strip_prefix("OK STATS "))
         .expect("stats header")
         .parse()
         .expect("line count");
     assert!(n > 0);
-    let lines: Vec<String> = (0..n).map(|_| read_line(&mut reader)).collect();
+    let lines: Vec<&str> = lines.collect();
+    assert_eq!(lines.len(), n);
     assert!(lines
         .iter()
         .all(|l| { l.starts_with("C ") || l.starts_with("G ") || l.starts_with("H ") }));
@@ -520,24 +521,26 @@ fn introspection_verbs_round_trip() {
         .any(|l| l.starts_with("H service.request_latency ")));
 
     // SLO: one line, key=value.
-    writeln!(writer, "SLO").expect("write");
-    let slo = read_line(&mut reader);
+    let slo = ask(&svc, "SLO");
     assert!(slo.starts_with("OK SLO window_secs="), "got {slo:?}");
+    assert_eq!(slo.lines().count(), 1);
     assert!(slo.contains(" latency_burn="));
     assert!(slo.contains(" shed_budget_remaining="));
 
-    // TRACE 5: the acceptance criterion over the wire — five slowest
-    // requests, each decomposition summing to within 1 % of its total.
-    writeln!(writer, "TRACE 5").expect("write");
-    let header = read_line(&mut reader);
-    let k: usize = header
-        .strip_prefix("OK TRACE ")
+    // TRACE 5: the acceptance criterion over the wire format — five
+    // slowest requests, each decomposition summing to within 1 % of
+    // its total.
+    let trace = ask(&svc, "TRACE 5");
+    let mut lines = trace.lines();
+    let k: usize = lines
+        .next()
+        .and_then(|header| header.strip_prefix("OK TRACE "))
         .expect("trace header")
         .parse()
         .expect("trace count");
     assert_eq!(k, 5, "six traced requests on record, asked for five");
     for _ in 0..k {
-        let req_line = read_line(&mut reader);
+        let req_line = lines.next().expect("a REQ line per request");
         assert!(req_line.starts_with("REQ id="), "got {req_line:?}");
         let field = |name: &str| -> u64 {
             req_line
@@ -559,24 +562,25 @@ fn introspection_verbs_round_trip() {
             "parts {sum} vs total {total} beyond 1 %"
         );
         for _ in 0..field("events") {
-            assert!(read_line(&mut reader).starts_with("EV "));
+            assert!(lines
+                .next()
+                .expect("an EV line per event")
+                .starts_with("EV "));
         }
     }
+    assert_eq!(lines.next(), None, "nothing after the advertised blocks");
 
     // SHARDS on a plain service: the real one-shard row, with the
     // lane and critical-path clocks live.
-    writeln!(writer, "SHARDS").expect("write");
-    let header = read_line(&mut reader);
+    let shards = ask(&svc, "SHARDS");
+    let (header, row) = shards.split_once('\n').expect("header and one row");
     assert!(
         header.starts_with("OK SHARDS 1 strategy=hash cut_edges=0 crit_ns="),
         "got {header:?}"
     );
     assert!(!header.ends_with("crit_ns=0"), "got {header:?}");
-    let row = read_line(&mut reader);
     assert!(row.starts_with("S 0 epoch=0 gen=0 "), "got {row:?}");
+    assert!(!row.contains('\n'), "exactly one row: {row:?}");
     assert!(row.contains(" owned=10 "), "got {row:?}");
     assert!(!row.contains(" busy_ns=0 "), "lane time is live: {row:?}");
-
-    writeln!(writer, "QUIT").expect("write");
-    server.shutdown();
 }

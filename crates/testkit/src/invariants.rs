@@ -929,22 +929,22 @@ pub fn check_tracing_is_invisible(case: &GraphCase) -> Result<(), String> {
     result
 }
 
-/// The HTTP frontend is a *transport*, not a second implementation:
+/// HTTP and the line protocol are two *spellings* of one protocol:
 /// the same seeded sequence of recommendations, follow/unfollow
-/// churn, rotations, refreshes, epoch reads and deliberately invalid
-/// requests driven through the [`fui_service::NetServer`] line
-/// protocol and through the [`fui_net::HttpServer`] event loop (each
-/// fronting an identically built [`fui_service::Service`]) must
-/// produce **byte-identical** reply lines — epochs, node orderings,
-/// shortest-round-trip `f64` score text, cached flags and error
-/// strings — and every HTTP status must agree with the line reply's
-/// class (`OK` ↔ 200, `ERR` ↔ 400). Ops run sequentially, so both
-/// backends see the same state at every step and the comparison is
-/// exact, not statistical. (The CI conformance matrix runs this at
-/// `FUI_THREADS=1` and `FUI_THREADS=4`.)
+/// churn, rotations, refreshes, epoch reads, snapshot/restore requests
+/// (refused: the fixture is not durable) and deliberately invalid
+/// requests driven over live sockets to a line listener and an HTTP
+/// listener (two [`fui_net::HttpServer`] loops over identically built
+/// [`fui_service::Service`]s) must produce **byte-identical** reply
+/// lines — epochs, node orderings, shortest-round-trip `f64` score
+/// text, cached flags and error strings — and every HTTP status must
+/// agree with the line reply's class (`OK` ↔ 200, `ERR` ↔ 400). Ops
+/// run sequentially, so both backends see the same state at every
+/// step and the comparison is exact, not statistical. (The CI
+/// conformance matrix runs this at `FUI_THREADS=1` and `4`.)
 pub fn check_http_matches_line_protocol(case: &GraphCase) -> Result<(), String> {
     use fui_net::{parse_response, HttpConfig, HttpServer};
-    use fui_service::{NetConfig, NetServer, Service, ServiceConfig};
+    use fui_service::{Service, ServiceConfig};
     use std::io::{BufRead, BufReader, Read, Write};
     use std::net::TcpStream;
     use std::sync::Arc;
@@ -973,19 +973,22 @@ pub fn check_http_matches_line_protocol(case: &GraphCase) -> Result<(), String> 
         ))
     };
 
-    let line_server = NetServer::start(make(), "127.0.0.1:0", NetConfig::default())
+    let line_server = HttpServer::start_line(make(), "127.0.0.1:0", HttpConfig::default())
         .map_err(|e| format!("line server: {e}"))?;
     let http_server = HttpServer::start(make(), "127.0.0.1:0", HttpConfig::default())
         .map_err(|e| format!("http server: {e}"))?;
-    let line_stream =
-        TcpStream::connect(line_server.local_addr()).map_err(|e| format!("line connect: {e}"))?;
-    let mut line_writer = line_stream.try_clone().map_err(|e| format!("clone: {e}"))?;
-    let mut line_reader = BufReader::new(line_stream);
+    let mut line_reader = BufReader::new(
+        TcpStream::connect(line_server.local_addr()).map_err(|e| format!("line connect: {e}"))?,
+    );
     let mut http_stream =
         TcpStream::connect(http_server.local_addr()).map_err(|e| format!("http connect: {e}"))?;
 
     let mut ask_line = |cmd: &str| -> Result<String, String> {
-        writeln!(line_writer, "{cmd}").map_err(|e| format!("line write: {e}"))?;
+        // One segment per command, so no reply waits on a delayed ACK.
+        line_reader
+            .get_mut()
+            .write_all(format!("{cmd}\n").as_bytes())
+            .map_err(|e| format!("line write: {e}"))?;
         let mut reply = String::new();
         line_reader
             .read_line(&mut reply)
@@ -1026,7 +1029,7 @@ pub fn check_http_matches_line_protocol(case: &GraphCase) -> Result<(), String> 
         // Build one op as (line command, HTTP target, is-POST). Every
         // value splices into both wire forms verbatim, including the
         // invalid ones — error strings must match byte for byte too.
-        let (cmd, target, post) = match rng.below(12) {
+        let (cmd, target, post) = match rng.below(14) {
             0..=4 => {
                 let u = rng.below(n as u64);
                 let t = rng.pick(topics).name();
@@ -1087,6 +1090,8 @@ pub fn check_http_matches_line_protocol(case: &GraphCase) -> Result<(), String> 
             }
             9 => ("ROTATE".to_owned(), "/rotate".to_owned(), true),
             10 => ("REFRESH".to_owned(), "/refresh".to_owned(), true),
+            11 => ("SNAPSHOT".to_owned(), "/snapshot".to_owned(), true),
+            12 => ("RESTORE".to_owned(), "/restore".to_owned(), false),
             _ => ("EPOCH".to_owned(), "/epoch".to_owned(), false),
         };
         let line_reply = ask_line(&cmd)?;

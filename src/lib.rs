@@ -79,8 +79,7 @@ pub mod prelude {
     pub use fui_eval::userstudy::TopRecommender;
     pub use fui_graph::{GraphBuilder, GraphStats, NodeId, SocialGraph};
     pub use fui_landmarks::{
-        ApproxRecommender, ChangeKind, DynamicLandmarks, EdgeChange, LandmarkIndex, Partitioning,
-        Strategy,
+        ApproxRecommender, ChangeKind, DynamicLandmarks, EdgeChange, LandmarkIndex, Strategy,
     };
     pub use fui_service::{Reply, Request, Served, Service, ServiceConfig};
     pub use fui_taxonomy::{SimMatrix, Taxonomy, Topic, TopicSet, TopicWeights};

@@ -171,13 +171,14 @@ fn tracing_is_invisible() {
 }
 
 /// Transport conformance: the same seeded sequence of queries,
-/// follow/unfollow churn, rotations, refreshes and deliberately
-/// invalid requests driven through the line-protocol `NetServer` and
-/// the `fui-net` event-loop `HttpServer` (identically built services
-/// behind each) must produce byte-identical reply lines — including
-/// exact `f64` score text and error strings — with HTTP statuses
-/// agreeing with the reply class. The CI conformance matrix runs this
-/// binary at `FUI_THREADS=1` and `FUI_THREADS=4`.
+/// follow/unfollow churn, rotations, refreshes, snapshot/restore
+/// requests and deliberately invalid requests driven over live
+/// sockets to a line listener and an HTTP listener of the `fui-net`
+/// event loop (identically built services behind each) must produce
+/// byte-identical reply lines — including exact `f64` score text and
+/// error strings — with HTTP statuses agreeing with the reply class.
+/// The CI conformance matrix runs this binary at `FUI_THREADS=1` and
+/// `FUI_THREADS=4`.
 #[test]
 fn http_frontend_matches_line_protocol() {
     run_suite("conformance_http", 12, |case| {

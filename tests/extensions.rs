@@ -1,12 +1,11 @@
 //! Integration coverage of the beyond-the-paper extensions through the
-//! public facade: graph I/O, dynamic updates, distribution simulation,
+//! public facade: graph I/O, dynamic updates over a partitioned index,
 //! significance testing, and the profile/vector query APIs.
 
 use fui::eval::linkpred::{draw_candidates, evaluate_detailed, select_test_edges, LinkPredConfig};
 use fui::eval::significance::bootstrap_compare;
-use fui::graph::io;
+use fui::graph::{io, Partition, PartitionStrategy};
 use fui::landmarks::dynamic::{ChangeKind, DynamicLandmarks, EdgeChange};
-use fui::landmarks::partition::{place_landmarks_per_partition, simulate_query, Partitioning};
 use fui::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -49,26 +48,32 @@ fn dynamic_and_partition_apis_compose() {
     );
     let mut rng = StdRng::seed_from_u64(5);
 
-    // Partition-aware landmark placement feeds the index...
-    let parts = Partitioning::connectivity_aware(&d.graph, 4, &mut rng);
-    assert!(parts.edge_cut_fraction(&d.graph) < 1.0);
-    let landmarks = place_landmarks_per_partition(&d.graph, &parts, &Strategy::InDeg, 3, &mut rng);
-    assert_eq!(landmarks.len(), 12);
+    // The serving partitioner splits the candidate space...
+    let parts = Partition::build(&d.graph, 4, PartitionStrategy::DegreeAware);
+    assert_eq!(parts.sizes().iter().sum::<usize>(), d.graph.num_nodes());
+    assert_eq!(parts.cut_edges(), parts.cut_edges_in(&d.graph));
+    let landmarks = Strategy::InDeg.select(&d.graph, 12, &mut rng);
     let index = LandmarkIndex::build(&propagator, landmarks, 50);
 
-    // ...the transfer simulation runs on it...
+    // ...each shard's slice of the index keeps only what it owns, and
+    // the slices together keep everything...
     let u = d
         .graph
         .nodes()
         .find(|&u| d.graph.out_degree(u) >= 3)
         .unwrap();
-    let stats = simulate_query(&d.graph, &index, &parts, u, 2);
-    assert_eq!(
-        stats.total_transfers(),
-        stats.bfs_transfers + stats.remote_landmarks
-    );
+    let stored = |index: &LandmarkIndex| -> usize {
+        (0..index.len())
+            .map(|slot| index.entry_at(slot).topo.len())
+            .sum()
+    };
+    let slices: Vec<LandmarkIndex> = (0..4)
+        .map(|s| index.filtered(|v| parts.owner(v) == s))
+        .collect();
+    assert_eq!(slices.iter().map(stored).sum::<usize>(), stored(&index));
+    let index = slices.into_iter().next().expect("shard 0's slice");
 
-    // ...and the dynamic wrapper keeps it maintainable.
+    // ...and the dynamic wrapper keeps a slice maintainable.
     let mut live = DynamicLandmarks::new(index);
     live.record(&EdgeChange {
         follower: u,

@@ -32,27 +32,36 @@
 //!
 //! # The zero-allocation path
 //!
-//! A propagation touches six O(n) level/accumulator buffers plus an
-//! O(n·|topics|) sigma buffer. Allocating and zeroing them per call
-//! dominates query latency at scale, so the hot entry point is
-//! [`Propagator::propagate_into`], which runs inside a caller-owned
-//! [`PropWorkspace`]:
+//! A propagation reaches a vanishing fraction of a large graph (a
+//! depth-2 query ~1–3k nodes, a landmark preprocessing run tens), so
+//! its scratch is **reach-sparse**: the only per-node arena is one
+//! epoch-stamped `node → slot` word (8 B/node, allocated zeroed, so a
+//! cold workspace costs a `calloc`, not a memset), and every
+//! accumulator, level buffer and σ row lives in compact arrays indexed
+//! by slot = first-reached order, grown as nodes are discovered. The
+//! hot entry point is [`Propagator::propagate_into`], which runs inside
+//! a caller-owned [`PropWorkspace`]:
 //!
-//! * `seen` / `in_next` membership is **epoch-stamped** — a `u32`
-//!   generation per slot compared against the workspace's current
-//!   epoch — so starting a run is O(1) instead of an O(n) `memset`;
-//! * float buffers are **sparsely cleared**: only the slots the
-//!   *previous* run actually touched (its reached set) are zeroed at
-//!   the start of the next run;
+//! * membership is **epoch-stamped** — `stamp[v] = run_epoch << 32 |
+//!   slot` compared against the workspace's current epoch — so starting
+//!   a run is O(1) instead of an O(n) `memset`;
+//! * the compact arrays are `clear()`ed between runs and keep their
+//!   capacity, so a workspace costs O(nodes) + O(largest reached set),
+//!   never O(nodes × topics);
 //! * frontier vectors, the reached list and the per-run topic tables
 //!   are reused in place.
 //!
-//! A workspace-reused run is bit-identical to a fresh-buffer run (the
-//! conformance suite pins this across the corpus presets); the classic
-//! [`Propagator::propagate`] signature survives as a thin wrapper that
-//! spins up a one-shot workspace. Batched callers hold one workspace
-//! per [`fui_exec`] worker (`fui_exec::WorkerLocal`), collapsing
-//! `propagate.workspace.allocs` to the worker count.
+//! Slots are handed out in the order nodes are first queued, which is
+//! the order a node-dense sweep would first fold them — every
+//! floating-point operation happens in the same order, and the
+//! conformance suite pins the kernel bit for bit against a dense
+//! re-derivation (`fui-testkit::reference`). A workspace-reused run is
+//! bit-identical to a fresh one; the classic [`Propagator::propagate`]
+//! signature survives as a thin wrapper that spins up a one-shot
+//! workspace and moves its buffers into the returned [`Propagation`].
+//! Batched callers hold one workspace per [`fui_exec`] worker
+//! (`fui_exec::WorkerLocal`), collapsing `propagate.workspace.allocs`
+//! (stamp-array allocations) to the worker count.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -143,197 +152,115 @@ fn build_topic_cols(topics: &[Topic]) -> [u32; NUM_TOPICS] {
     cols
 }
 
-/// Shared top-n readout over a reached set (score desc, ties by id,
-/// source excluded, zero scores dropped) — partial heap selection, not
-/// a full sort.
-fn top_n_over(
-    reached: &[NodeId],
-    source: NodeId,
-    n: usize,
-    score: impl Fn(NodeId) -> f64,
-) -> Vec<(NodeId, f64)> {
-    topk::select_top_k(
-        n,
-        reached
-            .iter()
-            .copied()
-            .filter(|&v| v != source)
-            .map(|v| (v, score(v)))
-            .filter(|&(_, s)| s > 0.0),
-    )
+/// Per-reached-node record of a run, indexed by slot. `tb` / `tab` are
+/// the two level buffers of the topological masses; the level being
+/// folded is `levels & 1`, the one being built the other.
+#[derive(Clone, Copy, Debug, Default)]
+struct SlotState {
+    acc_tb: f64,
+    acc_tab: f64,
+    tb: [f64; 2],
+    tab: [f64; 2],
+    /// `== levels + 1` ⇔ already queued for the next frontier (slots
+    /// are fresh every run, so the stamp restarts at 0).
+    in_next: u32,
+}
+
+/// Rows of `tc` sigma columns a slot owns in the sigma arena: the
+/// accumulator, then the two level buffers.
+const SIGMA_ROWS: usize = 3;
+const SIGMA_ACC: usize = 0;
+
+/// Offset of `slot`'s sigma row `row` (`SIGMA_ACC`, or `1 + parity` for
+/// a level buffer) in an arena of `tc` columns.
+#[inline]
+fn sigma_row(tc: usize, slot: usize, row: usize) -> usize {
+    (slot * SIGMA_ROWS + row) * tc
 }
 
 /// Reusable scratch arena for propagation runs.
 ///
-/// Holds every buffer a run needs — level buffers, accumulators,
-/// frontier vectors, the reached list and the per-run topic tables —
-/// sized lazily to the graphs it serves and reused across runs.
-/// Membership sets are epoch-stamped (`u32` generation per slot) and
-/// float buffers are sparsely cleared, so starting a run costs
-/// O(previous reached set), not O(n).
+/// Holds the compact state of the run in flight (what [`PropRun`]
+/// reads), the two frontier vectors and the per-run topic table. The
+/// one per-node arena is the epoch-stamped `node → slot` word; all
+/// float state is indexed by slot and `clear()`ed between runs, so a
+/// workspace costs 8 B/node plus O(largest reached set) and starting a
+/// run is O(1).
 ///
 /// A workspace is cheap to create empty and grows to its largest run;
 /// batched callers keep one per [`fui_exec`] worker. Reusing one
 /// workspace across runs of *different* graphs or topic sets is
-/// supported and bit-exact (buffers are cleared and re-laid-out as
-/// needed).
+/// supported and bit-exact.
 #[derive(Clone, Debug, Default)]
 pub struct PropWorkspace {
-    /// Epoch of the current run; `seen[v] == run_epoch` ⇔ reached.
-    run_epoch: u32,
-    /// Epoch of the current level; `in_next[v] == level_epoch` ⇔
-    /// already queued for the next frontier.
-    level_epoch: u32,
-    seen: Vec<u32>,
-    in_next: Vec<u32>,
-    // Accumulators over all levels.
-    acc_sigma: Vec<f64>,
-    acc_tb: Vec<f64>,
-    acc_tab: Vec<f64>,
-    // Level buffers (current / next), sparse via frontier lists.
-    cur_sig: Vec<f64>,
-    next_sig: Vec<f64>,
-    cur_tb: Vec<f64>,
-    next_tb: Vec<f64>,
-    cur_tab: Vec<f64>,
-    next_tab: Vec<f64>,
+    run: Propagation,
+    /// Current and next frontier, as slots in first-queued order.
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
-    reached: Vec<NodeId>,
-    // Per-run topic tables.
-    topics: Vec<Topic>,
+    /// `Topic::index()` per sigma column.
     topic_idx: Vec<usize>,
-    topic_cols: [u32; NUM_TOPICS],
-    // Layout of the last run (for sparse clearing and readouts).
-    n: usize,
-    tc: usize,
-    /// Whether the buffers hold a finished run's results.
-    dirty: bool,
-    source: NodeId,
-    levels: u32,
-    converged: bool,
 }
 
 impl PropWorkspace {
     /// An empty workspace; buffers are sized on first use.
     pub fn new() -> PropWorkspace {
-        PropWorkspace {
-            topic_cols: [COL_UNQUERIED; NUM_TOPICS],
-            ..Default::default()
-        }
+        PropWorkspace::default()
     }
 
     /// Prepares the workspace for a run over `n` nodes and `tc` sigma
-    /// columns: sparsely clears the previous run's slots, grows buffers
-    /// if needed, advances the run epoch and installs the topic tables.
+    /// columns: empties the compact arrays, (re)allocates the stamp
+    /// array if the graph outgrew it, advances the run epoch and
+    /// installs the topic tables.
     fn begin_run(&mut self, n: usize, tc: usize, topics: &[Topic], metrics: &PropMetrics) {
-        // Sparse clear: only slots the previous run dirtied. The level
-        // `next_*` buffers are all-zero at the end of every run (each
-        // level's writes are either consumed by the swap or never made),
-        // and `cur_*` is dirty only at the final frontier, a subset of
-        // the reached set.
-        if self.dirty {
-            let prev_tc = self.tc;
-            for &v in &self.reached {
-                let vi = v.index();
-                self.acc_tb[vi] = 0.0;
-                self.acc_tab[vi] = 0.0;
-                self.cur_tb[vi] = 0.0;
-                self.cur_tab[vi] = 0.0;
-                if prev_tc > 0 {
-                    let base = vi * prev_tc;
-                    for s in &mut self.acc_sigma[base..base + prev_tc] {
-                        *s = 0.0;
-                    }
-                    for s in &mut self.cur_sig[base..base + prev_tc] {
-                        *s = 0.0;
-                    }
-                }
-            }
-            metrics.sparse_cleared.add(self.reached.len() as u64);
-            self.reached.clear();
-        }
+        let run = &mut self.run;
+        // The previous run's reached count: what a node-dense layout
+        // would have had to zero here.
+        metrics.sparse_cleared.add(run.reached.len() as u64);
+        run.reached.clear();
+        run.slots.clear();
+        run.sigma.clear();
         self.frontier.clear();
         self.next_frontier.clear();
 
-        let grew = self.seen.len() < n || self.acc_sigma.len() < n * tc;
-        if grew {
+        if run.stamp.len() < n {
             metrics.workspace_allocs.incr();
+            // Fresh zeroed pages rather than a copying `resize`: epoch 0
+            // is never current, so nothing needs carrying over.
+            run.stamp = vec![0; n];
         } else {
             metrics.workspace_reuses.incr();
         }
-        if self.seen.len() < n {
-            self.seen.resize(n, 0);
-            self.in_next.resize(n, 0);
-            self.acc_tb.resize(n, 0.0);
-            self.acc_tab.resize(n, 0.0);
-            self.cur_tb.resize(n, 0.0);
-            self.next_tb.resize(n, 0.0);
-            self.cur_tab.resize(n, 0.0);
-            self.next_tab.resize(n, 0.0);
-        }
-        if self.acc_sigma.len() < n * tc {
-            self.acc_sigma.resize(n * tc, 0.0);
-            self.cur_sig.resize(n * tc, 0.0);
-            self.next_sig.resize(n * tc, 0.0);
-        }
-        if grew {
-            // High-water mark of this workspace's arenas, recorded only
-            // when they actually grow so steady-state reuse stays free.
-            metrics
-                .workspace_peak_bytes
-                .record_max(self.size_bytes() as f64);
-        }
 
         // O(1) membership reset: bump the generation. On the (rare)
-        // wrap back to 0 the stamps are rewound so no stale slot can
+        // wrap back to 0 the stamps are rewound so no stale word can
         // collide with the fresh epoch.
-        self.run_epoch = self.run_epoch.wrapping_add(1);
-        if self.run_epoch == 0 {
-            self.seen.iter_mut().for_each(|s| *s = 0);
-            self.run_epoch = 1;
+        run.run_epoch = run.run_epoch.wrapping_add(1);
+        if run.run_epoch == 0 {
+            run.stamp.fill(0);
+            run.run_epoch = 1;
         }
 
-        self.topics.clear();
-        self.topics.extend_from_slice(topics);
-        self.topic_cols = build_topic_cols(topics);
+        run.topics.clear();
+        run.topics.extend_from_slice(topics);
+        run.topic_cols = build_topic_cols(topics);
         self.topic_idx.clear();
         self.topic_idx.extend(topics.iter().map(|t| t.index()));
-        self.n = n;
-        self.tc = tc;
-        self.dirty = true;
+        run.tc = tc;
     }
 
-    /// Advances the per-level membership epoch (wrap-safe).
-    fn next_level_epoch(&mut self) -> u32 {
-        self.level_epoch = self.level_epoch.wrapping_add(1);
-        if self.level_epoch == 0 {
-            self.in_next.iter_mut().for_each(|s| *s = 0);
-            self.level_epoch = 1;
-        }
-        self.level_epoch
-    }
-
-    /// Bytes currently held by the workspace arenas (membership stamps,
-    /// accumulators, level buffers, frontier and topic tables). The
-    /// per-run high-water mark is mirrored into the
+    /// Bytes currently held by the workspace arenas (the stamp array,
+    /// slot records, sigma arena, frontier and topic tables). The
+    /// high-water mark over all runs is mirrored into the
     /// `propagate.workspace.peak_bytes` gauge.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
-        (self.seen.capacity() + self.in_next.capacity()) * size_of::<u32>()
-            + (self.acc_sigma.capacity()
-                + self.acc_tb.capacity()
-                + self.acc_tab.capacity()
-                + self.cur_sig.capacity()
-                + self.next_sig.capacity()
-                + self.cur_tb.capacity()
-                + self.next_tb.capacity()
-                + self.cur_tab.capacity()
-                + self.next_tab.capacity())
-                * size_of::<f64>()
+        let run = &self.run;
+        run.stamp.capacity() * size_of::<u64>()
+            + run.slots.capacity() * size_of::<SlotState>()
+            + run.sigma.capacity() * size_of::<f64>()
+            + run.reached.capacity() * size_of::<NodeId>()
+            + run.topics.capacity() * size_of::<Topic>()
             + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<u32>()
-            + self.reached.capacity() * size_of::<NodeId>()
-            + self.topics.capacity() * size_of::<Topic>()
             + self.topic_idx.capacity() * size_of::<usize>()
     }
 
@@ -341,140 +268,76 @@ impl PropWorkspace {
     /// the workspace (buffers are moved out, not copied). Intended for
     /// one-shot workspaces; reuse paths read through [`PropRun`]
     /// instead.
-    pub fn into_propagation(mut self) -> Propagation {
-        let (n, tc) = (self.n, self.tc);
-        let sigma = if tc > 0 {
-            let mut s = std::mem::take(&mut self.acc_sigma);
-            s.truncate(n * tc);
-            s
-        } else {
-            // Uniform result shape even under TopoOnly: zeros for
-            // every requested topic.
-            vec![0.0; n * self.topics.len()]
-        };
-        let mut topo_beta = std::mem::take(&mut self.acc_tb);
-        topo_beta.truncate(n);
-        let mut topo_alphabeta = std::mem::take(&mut self.acc_tab);
-        topo_alphabeta.truncate(n);
-        Propagation {
-            topics: std::mem::take(&mut self.topics),
-            topic_cols: self.topic_cols,
-            sigma,
-            topo_beta,
-            topo_alphabeta,
-            reached: std::mem::take(&mut self.reached),
-            source: self.source,
-            levels: self.levels,
-            converged: self.converged,
-        }
+    pub fn into_propagation(self) -> Propagation {
+        self.run
     }
 }
 
 /// Read-only view of the run a [`PropWorkspace`] holds — the
-/// zero-allocation counterpart of [`Propagation`], borrowing the
-/// workspace buffers instead of owning copies.
+/// zero-allocation counterpart of an owned [`Propagation`], to whose
+/// readouts (`sigma_at`, `topo_beta`, `top_n_sigma`, …) it derefs.
 pub struct PropRun<'a> {
-    ws: &'a PropWorkspace,
+    run: &'a Propagation,
+}
+
+impl std::ops::Deref for PropRun<'_> {
+    type Target = Propagation;
+
+    fn deref(&self) -> &Propagation {
+        self.run
+    }
 }
 
 impl PropRun<'_> {
     /// The query topics, in sigma column order.
     pub fn topics(&self) -> &[Topic] {
-        &self.ws.topics
+        &self.run.topics
     }
 
     /// Nodes with any accumulated mass, source first, in first-reached
     /// order.
     pub fn reached(&self) -> &[NodeId] {
-        &self.ws.reached
+        &self.run.reached
     }
 
     /// Source node of the run.
     pub fn source(&self) -> NodeId {
-        self.ws.source
+        self.run.source
     }
 
     /// Number of levels propagated.
     pub fn levels(&self) -> u32 {
-        self.ws.levels
+        self.run.levels
     }
 
     /// Whether the tolerance criterion was met.
     pub fn converged(&self) -> bool {
-        self.ws.converged
-    }
-
-    /// `σ(source, v, topics[ti])`.
-    #[inline]
-    pub fn sigma_at(&self, v: NodeId, ti: usize) -> f64 {
-        debug_assert!(ti < self.ws.topics.len(), "topic column out of range");
-        if self.ws.tc == 0 {
-            return 0.0;
-        }
-        self.ws.acc_sigma[v.index() * self.ws.tc + ti]
-    }
-
-    /// `σ(source, v, t)`; 0 for a topic that was not queried.
-    #[inline]
-    pub fn sigma(&self, v: NodeId, t: Topic) -> f64 {
-        match self.ws.topic_cols[t.index()] {
-            COL_UNQUERIED => 0.0,
-            ti => self.sigma_at(v, ti as usize),
-        }
-    }
-
-    /// `topo_β(source, v)` (the source's own entry includes the empty
-    /// walk's 1).
-    #[inline]
-    pub fn topo_beta(&self, v: NodeId) -> f64 {
-        self.ws.acc_tb[v.index()]
-    }
-
-    /// `topo_αβ(source, v)`.
-    #[inline]
-    pub fn topo_alphabeta(&self, v: NodeId) -> f64 {
-        self.ws.acc_tab[v.index()]
-    }
-
-    /// The recommendation vector `R_{u,v}` of Table 1 (unqueried
-    /// topics read 0).
-    pub fn recommendation_vector(&self, v: NodeId) -> fui_taxonomy::TopicWeights {
-        let mut w = fui_taxonomy::TopicWeights::zero();
-        for (ti, &t) in self.ws.topics.iter().enumerate() {
-            w.set(t, self.sigma_at(v, ti));
-        }
-        w
-    }
-
-    /// Top-`n` nodes by `σ(·, topics[ti])`, excluding the source,
-    /// highest first (ties by node id).
-    pub fn top_n_sigma(&self, ti: usize, n: usize) -> Vec<(NodeId, f64)> {
-        top_n_over(&self.ws.reached, self.ws.source, n, |v| {
-            self.sigma_at(v, ti)
-        })
-    }
-
-    /// Top-`n` nodes by `topo_β`, excluding the source.
-    pub fn top_n_topo(&self, n: usize) -> Vec<(NodeId, f64)> {
-        top_n_over(&self.ws.reached, self.ws.source, n, |v| self.topo_beta(v))
+        self.run.converged
     }
 }
 
-/// Result of a propagation: accumulated scores over every reached node.
-#[derive(Clone, Debug)]
+/// Result of a propagation: accumulated scores over every reached
+/// node, held in the compact layout the run produced them in. A node
+/// the run did not reach reads `0.0` from every score readout.
+#[derive(Clone, Debug, Default)]
 pub struct Propagation {
-    /// The query topics, in the order `sigma` is laid out.
+    /// The query topics, in sigma column order.
     pub topics: Vec<Topic>,
     /// Topic→sigma-column lookup (first occurrence wins), so per-node
     /// readouts by [`Topic`] cost O(1) instead of a linear scan.
     topic_cols: [u32; NUM_TOPICS],
-    /// `σ(source, v, t)` — flat `[v * topics.len() + ti]`.
+    /// `run_epoch << 32 | slot` per graph node; `v` was reached by this
+    /// run iff the high half equals `run_epoch`.
+    stamp: Vec<u64>,
+    run_epoch: u32,
+    /// One record per reached node, parallel to `reached`.
+    slots: Vec<SlotState>,
+    /// Per slot `[acc | level 0 | level 1] × tc`; `acc` is
+    /// `σ(source, v, topics[..])`.
     sigma: Vec<f64>,
-    /// `topo_β(source, v)` (Katz mass, empty walk included at the
-    /// source).
-    topo_beta: Vec<f64>,
-    /// `topo_αβ(source, v)`.
-    topo_alphabeta: Vec<f64>,
+    /// Sigma columns of the run (0 under `TopoOnly`, whatever `topics`
+    /// holds).
+    tc: usize,
     /// Nodes with any accumulated mass, source first, in first-reached
     /// order.
     pub reached: Vec<NodeId>,
@@ -488,10 +351,45 @@ pub struct Propagation {
 }
 
 impl Propagation {
+    /// Slot of `v`, if the run reached it.
+    #[inline]
+    fn slot(&self, v: NodeId) -> Option<usize> {
+        let w = self.stamp[v.index()];
+        ((w >> 32) as u32 == self.run_epoch).then_some(w as u32 as usize)
+    }
+
+    /// Slot of `v`, handing out the next one (all-zero state) the first
+    /// time the run meets it.
+    #[inline]
+    fn slot_or_insert(&mut self, v: NodeId) -> usize {
+        if let Some(slot) = self.slot(v) {
+            return slot;
+        }
+        let slot = self.slots.len();
+        self.stamp[v.index()] = u64::from(self.run_epoch) << 32 | slot as u64;
+        self.reached.push(v);
+        self.slots.push(SlotState::default());
+        // Zeroed rows up to where the next slot's will start.
+        let end = sigma_row(self.tc, self.slots.len(), SIGMA_ACC);
+        self.sigma.resize(end, 0.0);
+        slot
+    }
+
+    #[inline]
+    fn sigma_of(&self, slot: usize, ti: usize) -> f64 {
+        debug_assert!(ti < self.topics.len(), "topic column out of range");
+        match self.tc {
+            // Uniform result shape under `TopoOnly`: zeros for every
+            // requested topic.
+            0 => 0.0,
+            tc => self.sigma[sigma_row(tc, slot, SIGMA_ACC) + ti],
+        }
+    }
+
     /// `σ(source, v, topics[ti])`.
     #[inline]
     pub fn sigma_at(&self, v: NodeId, ti: usize) -> f64 {
-        self.sigma[v.index() * self.topics.len() + ti]
+        self.slot(v).map_or(0.0, |s| self.sigma_of(s, ti))
     }
 
     /// `σ(source, v, t)`; 0 for a topic that was not queried.
@@ -507,13 +405,13 @@ impl Propagation {
     /// includes the empty walk's 1).
     #[inline]
     pub fn topo_beta(&self, v: NodeId) -> f64 {
-        self.topo_beta[v.index()]
+        self.slot(v).map_or(0.0, |s| self.slots[s].acc_tb)
     }
 
     /// `topo_αβ(source, v)`.
     #[inline]
     pub fn topo_alphabeta(&self, v: NodeId) -> f64 {
-        self.topo_alphabeta[v.index()]
+        self.slot(v).map_or(0.0, |s| self.slots[s].acc_tab)
     }
 
     /// The recommendation vector `R_{u,v}` of Table 1: the score of
@@ -527,15 +425,30 @@ impl Propagation {
         w
     }
 
+    /// Shared top-n readout over the reached set by a per-slot score
+    /// (score desc, ties by id, source excluded, zero scores dropped) —
+    /// partial heap selection, not a full sort.
+    fn top_n_by(&self, n: usize, score: impl Fn(usize) -> f64) -> Vec<(NodeId, f64)> {
+        topk::select_top_k(
+            n,
+            self.reached
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != self.source)
+                .map(|(slot, &v)| (v, score(slot)))
+                .filter(|&(_, s)| s > 0.0),
+        )
+    }
+
     /// Top-`n` nodes by `σ(·, topics[ti])`, excluding the source,
     /// highest first (ties by node id).
     pub fn top_n_sigma(&self, ti: usize, n: usize) -> Vec<(NodeId, f64)> {
-        top_n_over(&self.reached, self.source, n, |v| self.sigma_at(v, ti))
+        self.top_n_by(n, |slot| self.sigma_of(slot, ti))
     }
 
     /// Top-`n` nodes by `topo_β`, excluding the source.
     pub fn top_n_topo(&self, n: usize) -> Vec<(NodeId, f64)> {
-        top_n_over(&self.reached, self.source, n, |v| self.topo_beta(v))
+        self.top_n_by(n, |slot| self.slots[slot].acc_tb)
     }
 }
 
@@ -724,9 +637,18 @@ impl<'g> Propagator<'g> {
 
         let metrics = prop_metrics();
         ws.begin_run(n, tc, topics, metrics);
-        ws.frontier.push(source.0);
-        ws.cur_tb[source.index()] = 1.0;
-        ws.cur_tab[source.index()] = 1.0;
+        let PropWorkspace {
+            run,
+            frontier,
+            next_frontier,
+            topic_idx,
+        } = &mut *ws;
+
+        // The source is slot 0, carrying the empty walk's unit mass.
+        let s0 = run.slot_or_insert(source);
+        run.slots[s0].tb[0] = 1.0;
+        run.slots[s0].tab[0] = 1.0;
+        frontier.push(s0 as u32);
 
         let mut acc_tb_total = 0.0f64;
         let mut levels = 0u32;
@@ -740,25 +662,25 @@ impl<'g> Propagator<'g> {
         let stop_reason;
 
         loop {
-            frontier_peak = frontier_peak.max(ws.frontier.len() as u64);
-            metrics.frontier_size.record(ws.frontier.len() as u64);
+            frontier_peak = frontier_peak.max(frontier.len() as u64);
+            metrics.frontier_size.record(frontier.len() as u64);
+            // Level parity picks the buffer being folded and the one
+            // being built; nothing is swapped but the frontier lists.
+            let cur = (levels & 1) as usize;
+            let next = cur ^ 1;
 
             // Fold the current level into the accumulators.
             let mut level_tb = 0.0f64;
-            for &u in &ws.frontier {
-                let ui = u as usize;
-                if ws.seen[ui] != ws.run_epoch {
-                    ws.seen[ui] = ws.run_epoch;
-                    ws.reached.push(NodeId(u));
-                }
-                ws.acc_tb[ui] += ws.cur_tb[ui];
-                ws.acc_tab[ui] += ws.cur_tab[ui];
-                level_tb += ws.cur_tb[ui];
-                if tc > 0 {
-                    let base = ui * tc;
-                    for ti in 0..tc {
-                        ws.acc_sigma[base + ti] += ws.cur_sig[base + ti];
-                    }
+            for &us in frontier.iter() {
+                let us = us as usize;
+                let s = &mut run.slots[us];
+                s.acc_tb += s.tb[cur];
+                s.acc_tab += s.tab[cur];
+                level_tb += s.tb[cur];
+                let acc = sigma_row(tc, us, SIGMA_ACC);
+                let lvl = sigma_row(tc, us, 1 + cur);
+                for ti in 0..tc {
+                    run.sigma[acc + ti] += run.sigma[lvl + ti];
                 }
             }
             acc_tb_total += level_tb;
@@ -779,32 +701,35 @@ impl<'g> Propagator<'g> {
                 break;
             }
 
-            // Expand the frontier.
-            let level_epoch = ws.next_level_epoch();
-            ws.next_frontier.clear();
-            for fi in 0..ws.frontier.len() {
-                let u = ws.frontier[fi];
-                let ui = u as usize;
-                if u != source.0 {
+            // Expand the frontier. A node met for the first time gets
+            // the next slot; it is queued in the same step, so slot
+            // order is first-folded order.
+            let level_stamp = levels + 1;
+            next_frontier.clear();
+            for &us in frontier.iter() {
+                let us = us as usize;
+                let u = run.reached[us];
+                if u != source {
                     if let Some(mask) = opts.prune {
-                        if mask[ui] {
+                        if mask[u.index()] {
                             pruned_at += 1;
                             continue;
                         }
                     }
                 }
-                let tb_u = ws.cur_tb[ui];
-                let tab_u = ws.cur_tab[ui];
-                let sig_base = ui * tc;
-                for (pos, e) in self.graph.out_edges_indexed(NodeId(u)) {
+                let tb_u = run.slots[us].tb[cur];
+                let tab_u = run.slots[us].tab[cur];
+                let u_lvl = sigma_row(tc, us, 1 + cur);
+                for (pos, e) in self.graph.out_edges_indexed(u) {
                     edges_relaxed += 1;
-                    let vi = e.node.index();
-                    if ws.in_next[vi] != level_epoch {
-                        ws.in_next[vi] = level_epoch;
-                        ws.next_frontier.push(e.node.0);
+                    let vs = run.slot_or_insert(e.node);
+                    let s = &mut run.slots[vs];
+                    if s.in_next != level_stamp {
+                        s.in_next = level_stamp;
+                        next_frontier.push(vs as u32);
                     }
-                    ws.next_tb[vi] += beta * tb_u;
-                    ws.next_tab[vi] += ab * tab_u;
+                    s.tb[next] += beta * tb_u;
+                    s.tab[next] += ab * tab_u;
                     if tc > 0 {
                         let (sim_row, auth_row): (&[f64], &[f64]) = match self.variant {
                             ScoreVariant::Full => (
@@ -820,36 +745,29 @@ impl<'g> Propagator<'g> {
                             }
                             ScoreVariant::TopoOnly => unreachable!("tc == 0"),
                         };
-                        let vbase = vi * tc;
-                        for ti in 0..tc {
-                            let t_idx = ws.topic_idx[ti];
+                        let v_lvl = sigma_row(tc, vs, 1 + next);
+                        for (ti, &t_idx) in topic_idx.iter().enumerate() {
                             let w = ab * sim_row[t_idx] * auth_row[t_idx];
-                            ws.next_sig[vbase + ti] += beta * ws.cur_sig[sig_base + ti] + tab_u * w;
+                            run.sigma[v_lvl + ti] += beta * run.sigma[u_lvl + ti] + tab_u * w;
                         }
                     }
                 }
             }
 
-            // Clear the current level's slots and swap buffers (the
-            // epoch stamp already retired `in_next` membership).
-            for &u in &ws.frontier {
-                let ui = u as usize;
-                ws.cur_tb[ui] = 0.0;
-                ws.cur_tab[ui] = 0.0;
-                if tc > 0 {
-                    let base = ui * tc;
-                    for ti in 0..tc {
-                        ws.cur_sig[base + ti] = 0.0;
-                    }
-                }
+            // Clear the folded level's buffers (they become the next
+            // level's write target) and advance.
+            for &us in frontier.iter() {
+                let us = us as usize;
+                let s = &mut run.slots[us];
+                s.tb[cur] = 0.0;
+                s.tab[cur] = 0.0;
+                let lvl = sigma_row(tc, us, 1 + cur);
+                run.sigma[lvl..lvl + tc].fill(0.0);
             }
-            std::mem::swap(&mut ws.cur_sig, &mut ws.next_sig);
-            std::mem::swap(&mut ws.cur_tb, &mut ws.next_tb);
-            std::mem::swap(&mut ws.cur_tab, &mut ws.next_tab);
-            std::mem::swap(&mut ws.frontier, &mut ws.next_frontier);
+            std::mem::swap(frontier, next_frontier);
 
             levels += 1;
-            if ws.frontier.is_empty() {
+            if frontier.is_empty() {
                 converged = true;
                 stop_reason = StopReason::FrontierEmpty;
                 break;
@@ -869,10 +787,13 @@ impl<'g> Propagator<'g> {
             StopReason::FrontierEmpty => metrics.stop_frontier_empty.incr(),
         }
 
-        ws.source = source;
-        ws.levels = levels;
-        ws.converged = converged;
-        PropRun { ws }
+        run.source = source;
+        run.levels = levels;
+        run.converged = converged;
+        metrics
+            .workspace_peak_bytes
+            .record_max(ws.size_bytes() as f64);
+        PropRun { run: &ws.run }
     }
 }
 
@@ -1116,6 +1037,24 @@ mod tests {
         assert_eq!(r.topo_beta(NodeId(2)), 0.0);
     }
 
+    /// Asserts two runs over `g` agree in shape and in every score bit.
+    fn assert_same_bits(g: &SocialGraph, a: &Propagation, b: &Propagation) {
+        assert_eq!(a.reached, b.reached);
+        assert_eq!((a.levels, a.converged), (b.levels, b.converged));
+        for v in g.nodes() {
+            assert_eq!(a.topo_beta(v).to_bits(), b.topo_beta(v).to_bits(), "{v}");
+            assert_eq!(
+                a.topo_alphabeta(v).to_bits(),
+                b.topo_alphabeta(v).to_bits(),
+                "{v}"
+            );
+            for ti in 0..a.topics.len() {
+                let (x, y) = (a.sigma_at(v, ti), b.sigma_at(v, ti));
+                assert_eq!(x.to_bits(), y.to_bits(), "{v} col {ti}");
+            }
+        }
+    }
+
     #[test]
     fn workspace_reuse_is_bit_identical_to_fresh_runs() {
         // One workspace across runs that change source, topic count
@@ -1127,6 +1066,14 @@ mod tests {
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
         let mut mask = vec![false; 4];
         mask[2] = true;
+        let depth = |d| PropagateOpts {
+            max_depth: Some(d),
+            ..Default::default()
+        };
+        let pruned = PropagateOpts {
+            prune: Some(&mask),
+            ..Default::default()
+        };
         let specs: Vec<(NodeId, Vec<Topic>, PropagateOpts<'_>)> = vec![
             (NodeId(0), vec![Topic::Technology], PropagateOpts::default()),
             (
@@ -1134,57 +1081,77 @@ mod tests {
                 vec![Topic::Technology, Topic::Business, Topic::War],
                 PropagateOpts::default(),
             ),
-            (
-                NodeId(0),
-                vec![],
-                PropagateOpts {
-                    max_depth: Some(2),
-                    ..Default::default()
-                },
-            ),
-            (
-                NodeId(0),
-                vec![Topic::Social],
-                PropagateOpts {
-                    prune: Some(&mask),
-                    ..Default::default()
-                },
-            ),
-            (
-                NodeId(3),
-                vec![Topic::Technology],
-                PropagateOpts {
-                    max_depth: Some(0),
-                    ..Default::default()
-                },
-            ),
+            (NodeId(0), vec![], depth(2)),
+            (NodeId(0), vec![Topic::Social], pruned),
+            (NodeId(3), vec![Topic::Technology], depth(0)),
         ];
         let mut ws = PropWorkspace::new();
-        for (source, topics, opts) in &specs {
+        for (i, (source, topics, opts)) in specs.iter().enumerate() {
+            if i == 1 {
+                // Force the epoch wrap right after a run stamped at
+                // epoch 1: the next run lands on 1 again and would alias
+                // those stale words were the stamps not rewound.
+                ws.run.run_epoch = u32::MAX;
+            }
             let fresh = p.propagate(*source, topics, *opts);
             let reused = p.propagate_into(&mut ws, *source, topics, *opts);
-            assert_eq!(reused.reached(), &fresh.reached[..]);
-            assert_eq!(reused.levels(), fresh.levels);
-            assert_eq!(reused.converged(), fresh.converged);
-            for v in g.nodes() {
-                assert_eq!(
-                    reused.topo_beta(v).to_bits(),
-                    fresh.topo_beta(v).to_bits(),
-                    "topo_beta bits at {v}"
-                );
-                assert_eq!(
-                    reused.topo_alphabeta(v).to_bits(),
-                    fresh.topo_alphabeta(v).to_bits(),
-                    "topo_alphabeta bits at {v}"
-                );
-                for ti in 0..topics.len() {
-                    assert_eq!(
-                        reused.sigma_at(v, ti).to_bits(),
-                        fresh.sigma_at(v, ti).to_bits(),
-                        "sigma bits at {v} col {ti}"
-                    );
-                }
-            }
+            assert_same_bits(&g, &reused, &fresh);
+        }
+        assert_eq!(ws.run.run_epoch, 4, "wrapped through 0 to 1 and on");
+    }
+
+    /// `n`-node ring with chords: everything reaches everything.
+    fn ring(n: usize) -> SocialGraph {
+        let mut b = GraphBuilder::new();
+        let v: Vec<NodeId> = (0..n).map(|_| b.add_node(TopicSet::empty())).collect();
+        for i in 0..n {
+            let l = TopicSet::single(Topic::ALL[i % NUM_TOPICS]);
+            b.add_edge(v[i], v[(i + 1) % n], l);
+            b.add_edge(v[i], v[(i * 7 + 3) % n], l);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn one_workspace_across_graph_sizes_and_sigma_layouts() {
+        // 50 ↔ 5 000 nodes and tc 18 → 1 → 0: the stamp array is sized
+        // for the larger graph and carries stale words of the other
+        // one, the sigma stride changes under the slots.
+        let sim = SimMatrix::opencalais();
+        let graphs = [ring(50), ring(5_000)];
+        let auths = graphs.each_ref().map(AuthorityIndex::build);
+        let mut ws = PropWorkspace::new();
+        for round in 0..6 {
+            let (g, idx) = (&graphs[(round + 1) % 2], &auths[(round + 1) % 2]);
+            let p = Propagator::new(g, idx, &sim, params(), ScoreVariant::Full);
+            let topics: &[Topic] = [&Topic::ALL[..], &[Topic::Social], &[]][round % 3];
+            let source = NodeId(round as u32 * 7);
+            let fresh = p.propagate(source, topics, PropagateOpts::default());
+            let reused = p.propagate_into(&mut ws, source, topics, PropagateOpts::default());
+            assert_same_bits(g, &reused, &fresh);
+        }
+    }
+
+    #[test]
+    fn node_reached_only_by_the_previous_run_reads_zero() {
+        // Run A reaches 1, 2, 3 and leaves their stamp words and slot
+        // numbers behind; run B from the sink reaches only itself and
+        // must not alias them (slot 0 is B's source, mass 1).
+        let g = diamond();
+        let idx = AuthorityIndex::build(&g);
+        let sim = SimMatrix::opencalais();
+        let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
+        let a = p.propagate_into(&mut ws, NodeId(0), &Topic::ALL, PropagateOpts::default());
+        assert!(a.topo_beta(NodeId(1)) > 0.0 && a.sigma(NodeId(3), Topic::Technology) > 0.0);
+        let b = p.propagate_into(&mut ws, NodeId(3), &Topic::ALL, PropagateOpts::default());
+        assert_eq!(b.reached(), &[NodeId(3)]);
+        assert_eq!(b.topo_beta(NodeId(3)), 1.0);
+        for v in [NodeId(0), NodeId(1), NodeId(2)] {
+            assert_eq!(b.topo_beta(v), 0.0);
+            assert_eq!(b.topo_alphabeta(v), 0.0);
+            assert_eq!(b.sigma(v, Topic::Technology), 0.0);
+            assert_eq!(b.recommendation_vector(v).get(Topic::Technology), 0.0);
         }
     }
 

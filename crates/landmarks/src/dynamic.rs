@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use fui_core::Propagator;
+use fui_core::{PropWorkspace, Propagator};
 use fui_graph::NodeId;
 use fui_taxonomy::TopicSet;
 
@@ -227,8 +227,9 @@ impl DynamicLandmarks {
     pub fn refresh_stale(&mut self, propagator: &Propagator<'_>) -> usize {
         let stale = self.stale_slots();
         fui_obs::counter("landmarks.dynamic.refreshes").add(stale.len() as u64);
+        let mut ws = PropWorkspace::new();
         for &slot in &stale {
-            self.index.refresh(propagator, slot);
+            self.index.refresh_with(propagator, &mut ws, slot);
             let entry = self.index.entry_at(slot);
             let mut map: HashMap<u32, f64> =
                 entry.topo.iter().map(|s| (s.node.0, s.topo)).collect();

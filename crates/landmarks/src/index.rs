@@ -14,6 +14,8 @@
 //! pool's index-ordered reduction makes the index bit-identical to
 //! [`LandmarkIndex::build`] at every thread count.
 
+use std::sync::Arc;
+
 use fui_core::{PropWorkspace, PropagateOpts, Propagator};
 use fui_graph::NodeId;
 use fui_taxonomy::{Topic, NUM_TOPICS};
@@ -50,14 +52,18 @@ impl LandmarkEntry {
 
 /// The landmark index: selected landmarks, their inverted lists and a
 /// dense membership mask for O(1) landmark tests during BFS.
+///
+/// The two per-node arenas depend only on the landmark set, so clones
+/// and the [`truncated`](Self::truncated) / [`filtered`](Self::filtered)
+/// derivatives share them instead of copying 5 B/node each.
 #[derive(Clone, Debug)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
     entries: Vec<LandmarkEntry>,
     /// Dense mask over graph nodes.
-    mask: Vec<bool>,
+    mask: Arc<[bool]>,
     /// Landmark slot per node (`u32::MAX` = not a landmark).
-    slot: Vec<u32>,
+    slot: Arc<[u32]>,
     /// Stored list length n (the paper evaluates 10 / 100 / 1000).
     top_n: usize,
 }
@@ -123,8 +129,8 @@ impl LandmarkIndex {
         LandmarkIndex {
             landmarks,
             entries,
-            mask,
-            slot,
+            mask: mask.into(),
+            slot: slot.into(),
             top_n,
         }
     }
@@ -239,8 +245,8 @@ impl LandmarkIndex {
         LandmarkIndex {
             landmarks: self.landmarks.clone(),
             entries,
-            mask: self.mask.clone(),
-            slot: self.slot.clone(),
+            mask: Arc::clone(&self.mask),
+            slot: Arc::clone(&self.slot),
             top_n: top_n.min(self.top_n),
         }
     }
@@ -269,8 +275,8 @@ impl LandmarkIndex {
         LandmarkIndex {
             landmarks: self.landmarks.clone(),
             entries,
-            mask: self.mask.clone(),
-            slot: self.slot.clone(),
+            mask: Arc::clone(&self.mask),
+            slot: Arc::clone(&self.slot),
             top_n: self.top_n,
         }
     }
@@ -316,7 +322,7 @@ fn compute_entry(
 mod tests {
     use super::*;
     use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant};
-    use fui_datagen::{label_direct, twitter, TwitterConfig};
+    use fui_datagen::{generate_streaming, label_direct, twitter, StreamConfig, TwitterConfig};
     use fui_taxonomy::SimMatrix;
 
     fn fixture() -> (fui_datagen::LabeledDataset, AuthorityIndex) {
@@ -427,5 +433,54 @@ mod tests {
             index.size_bytes() + index.len() * 4 + index.mask().len() * 5
         );
         assert_eq!(index.top_n(), 50);
+    }
+
+    #[test]
+    fn propagation_scratch_is_sized_by_reach_not_by_graph() {
+        // The memory contract of the reach-sparse workspace, on a
+        // 100k-node streamed graph: one 8-byte stamp word per node plus
+        // under 1 KiB per *reached* node for an 18-topic run (488 B of
+        // slot + sigma state, doubled by `Vec` growth, plus lists) —
+        // and a whole parallel landmark build never takes a worker's
+        // workspace past 16 B/node. The node-dense layout it replaced
+        // cost 488 B/node.
+        let graph = generate_streaming(&StreamConfig {
+            avg_out_degree: 8.0,
+            ..StreamConfig::scaled(100_000)
+        })
+        .graph;
+        let n = graph.num_nodes();
+        let idx = AuthorityIndex::build(&graph);
+        let sim = SimMatrix::opencalais();
+        let p = Propagator::new(
+            &graph,
+            &idx,
+            &sim,
+            ScoreParams::default(),
+            ScoreVariant::Full,
+        );
+        let mut hubs: Vec<NodeId> = graph.nodes().collect();
+        hubs.sort_unstable_by_key(|&u| (std::cmp::Reverse(graph.in_degree(u)), u.0));
+        hubs.truncate(16);
+
+        let mut ws = PropWorkspace::new();
+        let reached = p
+            .propagate_into(&mut ws, hubs[0], &Topic::ALL, PropagateOpts::default())
+            .reached()
+            .len();
+        assert!(
+            ws.size_bytes() <= 8 * n + 1024 * reached,
+            "{} B for {n} nodes, {reached} reached",
+            ws.size_bytes()
+        );
+
+        LandmarkIndex::build_parallel(&p, hubs, 32, 4);
+        if fui_obs::counters_enabled() {
+            let peak = fui_obs::gauge("propagate.workspace.peak_bytes").get();
+            assert!(
+                (8 * n) as f64 <= peak && peak <= (16 * n) as f64,
+                "{peak} B"
+            );
+        }
     }
 }

@@ -485,12 +485,11 @@ pub struct ShardedService {
     cfg: ServiceConfig,
     metrics: FleetMetrics,
     /// One propagation workspace per pool worker, persistent across
-    /// batches. At paper scale a workspace is a multi-hundred-MB
-    /// allocation; paying it per scattered compute task turns the
-    /// parallel path into an mmap/page-fault storm that runs *slower*
-    /// than one thread. Reuse is answer-invisible (the workspace
-    /// sparse-resets between queries — the `service-workspace`
-    /// conformance invariant pins that).
+    /// batches: 8 B/node of stamp array (8 MB at 1M nodes) plus the
+    /// largest reached set, faulted in once per worker instead of once
+    /// per scattered compute task. Reuse is answer-invisible (a run
+    /// starts by bumping the epoch and clearing the compact arrays —
+    /// the `workspace_reuse_bit_equality` conformance test pins that).
     workspaces: fui_exec::WorkerLocal<PropWorkspace>,
     /// Cumulative scatter/gather critical path: per batch, the wall
     /// time minus all parallel-lane busy time plus, per parallel

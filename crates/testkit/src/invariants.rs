@@ -405,6 +405,88 @@ pub fn check_workspace_reuse_matches_fresh(case: &GraphCase) -> Result<(), Strin
     Ok(())
 }
 
+/// The production kernel equals the node-dense re-derivation
+/// ([`crate::reference::dense_propagate`]) **bit for bit** — reached
+/// order, levels, stop flag and every σ / topo_β / topo_αβ, unreached
+/// nodes reading `0.0` — from every source, over `tc ∈ {0, 1, 3, 18}` ×
+/// pruned/unpruned × depth {0, 2, cap, converge}, all through one
+/// reused workspace. This is what lets the kernel's scratch layout
+/// change without being checked only against itself.
+pub fn check_kernel_matches_dense_reference(case: &GraphCase) -> Result<(), String> {
+    let graph = case.graph();
+    let n = graph.num_nodes();
+    let auth = AuthorityIndex::build(&graph);
+    let sim = SimMatrix::opencalais();
+    let mut rng = SeededRng::new(case.seed.rotate_left(29));
+    let mask: Vec<bool> = (0..n).map(|_| rng.below(3) == 0).collect();
+    let to_convergence = ScoreParams {
+        alpha: 0.75,
+        beta: 0.3,
+        tolerance: 1e-9,
+        max_depth: 200,
+    };
+    // (params, per-run depth): 0, 2, the params' own cap, convergence.
+    let depths = [
+        (to_convergence, Some(0)),
+        (to_convergence, Some(2)),
+        (fixed_depth_params(0.75, 0.3), None),
+        (to_convergence, None),
+    ];
+    let topic_pool: [&[Topic]; 4] = [
+        &[],
+        &[Topic::Technology],
+        &[Topic::Technology, Topic::Social, Topic::Business],
+        &Topic::ALL,
+    ];
+    let mut ws = PropWorkspace::new();
+    for (params, max_depth) in depths {
+        let p = Propagator::new(&graph, &auth, &sim, params, ScoreVariant::Full);
+        for topics in topic_pool {
+            for prune in [None, Some(mask.as_slice())] {
+                for source in graph.nodes() {
+                    let opts = PropagateOpts { max_depth, prune };
+                    let dense = crate::reference::dense_propagate(
+                        &graph, &auth, &sim, &params, source, topics, opts,
+                    );
+                    let run = p.propagate_into(&mut ws, source, topics, opts);
+                    let at = || {
+                        format!(
+                            "source {source}, {} topics, depth {max_depth:?}/{}, pruned {} ({})",
+                            topics.len(),
+                            params.max_depth,
+                            prune.is_some(),
+                            case.repro()
+                        )
+                    };
+                    if run.reached() != &dense.reached[..]
+                        || run.levels() != dense.levels
+                        || run.converged() != dense.converged
+                    {
+                        return Err(format!("kernel run shape diverged from dense: {}", at()));
+                    }
+                    for v in graph.nodes() {
+                        let vi = v.index();
+                        let topo_eq = run.topo_beta(v).to_bits() == dense.topo_beta[vi].to_bits()
+                            && run.topo_alphabeta(v).to_bits()
+                                == dense.topo_alphabeta[vi].to_bits();
+                        let sigma_eq = (0..topics.len()).all(|ti| {
+                            run.sigma_at(v, ti).to_bits()
+                                == dense.sigma[vi * topics.len() + ti].to_bits()
+                        });
+                        if !topo_eq || !sigma_eq {
+                            return Err(format!(
+                                "kernel bits diverged from dense at node {v}: {}",
+                                at()
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The serving layer's result cache is *invisible*: under a seeded
 /// interleaving of queries, follow/unfollow updates, snapshot
 /// rotations, landmark refreshes and submit/pump bursts, every reply —

@@ -15,10 +15,16 @@
 //! every mutation is caught on every instance that has any authority
 //! mass at all — a mutation surviving would mean the oracle is blind
 //! to exactly the class of bug it exists to catch.
+//!
+//! It also keeps [`dense_propagate`], the level sweep of Proposition 1
+//! written the obvious way over node-dense buffers. The production
+//! kernel stores its scratch by reached order instead; the conformance
+//! suite holds it to this copy **bit for bit**, so a layout change can
+//! never be checked only against itself.
 
-use fui_core::AuthorityIndex;
-use fui_graph::SocialGraph;
-use fui_taxonomy::{Topic, NUM_TOPICS};
+use fui_core::{AuthorityIndex, PropagateOpts, ScoreParams};
+use fui_graph::{NodeId, SocialGraph};
+use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
 
 /// A deliberate bug injected into the reference normalizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,11 +163,113 @@ fn mutation_is_observable(graph: &SocialGraph, bug: Mutation) -> bool {
         .any(|(a, b)| (a - b).abs() > 1e-12)
 }
 
+/// What [`dense_propagate`] computed: the run shape plus node-dense
+/// score tables (`sigma[v * topics.len() + ti]`).
+pub struct DenseRun {
+    /// Nodes in first-folded order, source first.
+    pub reached: Vec<NodeId>,
+    /// Levels propagated.
+    pub levels: u32,
+    /// Stopped on the tolerance or an empty frontier (not the depth cap).
+    pub converged: bool,
+    /// `σ(source, v, topics[ti])`.
+    pub sigma: Vec<f64>,
+    /// `topo_β(source, v)`.
+    pub topo_beta: Vec<f64>,
+    /// `topo_αβ(source, v)`.
+    pub topo_alphabeta: Vec<f64>,
+}
+
+/// The full-variant level sweep over plain `vec![0.0; n * tc]` buffers:
+/// same recurrences, same edge order and same stop rules as
+/// `fui_core::Propagator::propagate_into`, none of its data layout.
+pub fn dense_propagate(
+    graph: &SocialGraph,
+    auth: &AuthorityIndex,
+    sim: &SimMatrix,
+    params: &ScoreParams,
+    source: NodeId,
+    topics: &[Topic],
+    opts: PropagateOpts<'_>,
+) -> DenseRun {
+    let (n, tc) = (graph.num_nodes(), topics.len());
+    let (beta, ab) = (params.beta, params.alpha * params.beta);
+    let depth_cap = params.max_depth.min(opts.max_depth.unwrap_or(u32::MAX));
+    let (mut acc_sig, mut cur_sig) = (vec![0.0f64; n * tc], vec![0.0f64; n * tc]);
+    let (mut acc_tb, mut cur_tb) = (vec![0.0f64; n], vec![0.0f64; n]);
+    let (mut acc_tab, mut cur_tab) = (vec![0.0f64; n], vec![0.0f64; n]);
+    let mut seen = vec![false; n];
+    let mut reached = Vec::new();
+    let mut frontier = vec![source];
+    cur_tb[source.index()] = 1.0;
+    cur_tab[source.index()] = 1.0;
+    let (mut total, mut levels) = (0.0f64, 0u32);
+    let converged = loop {
+        let mut level_tb = 0.0f64;
+        for &u in &frontier {
+            let ui = u.index();
+            if !seen[ui] {
+                seen[ui] = true;
+                reached.push(u);
+            }
+            acc_tb[ui] += cur_tb[ui];
+            acc_tab[ui] += cur_tab[ui];
+            level_tb += cur_tb[ui];
+            for ti in 0..tc {
+                acc_sig[ui * tc + ti] += cur_sig[ui * tc + ti];
+            }
+        }
+        total += level_tb;
+        if levels > 0 && level_tb < params.tolerance * total {
+            break true;
+        }
+        if levels >= depth_cap {
+            break false;
+        }
+        let (mut next_sig, mut next_tb, mut next_tab) =
+            (vec![0.0f64; n * tc], vec![0.0f64; n], vec![0.0f64; n]);
+        let mut queued = vec![false; n];
+        let mut next_frontier = Vec::new();
+        for &u in &frontier {
+            let ui = u.index();
+            if u != source && opts.prune.is_some_and(|mask| mask[ui]) {
+                continue;
+            }
+            for e in graph.out_edges(u) {
+                let vi = e.node.index();
+                if !queued[vi] {
+                    queued[vi] = true;
+                    next_frontier.push(e.node);
+                }
+                next_tb[vi] += beta * cur_tb[ui];
+                next_tab[vi] += ab * cur_tab[ui];
+                for (ti, &t) in topics.iter().enumerate() {
+                    let w = ab * sim.max_sim(e.labels, t) * auth.auth(e.node, t);
+                    next_sig[vi * tc + ti] += beta * cur_sig[ui * tc + ti] + cur_tab[ui] * w;
+                }
+            }
+        }
+        (cur_sig, cur_tb, cur_tab, frontier) = (next_sig, next_tb, next_tab, next_frontier);
+        levels += 1;
+        if frontier.is_empty() {
+            break true;
+        }
+    };
+    DenseRun {
+        reached,
+        levels,
+        converged,
+        sigma: acc_sig,
+        topo_beta: acc_tb,
+        topo_alphabeta: acc_tab,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::corpus::{self, Preset};
-    use fui_graph::{GraphBuilder, NodeId};
+    use fui_graph::GraphBuilder;
     use fui_taxonomy::TopicSet;
 
     #[test]

@@ -49,7 +49,8 @@ writes with `--manifest`:
            and the bit-exact score checksum) must equal the committed
            baseline exactly, the graph must reach --min-nodes, the
            memory-footprint gauges must be present with
-           graph.bytes_per_node / graph.bytes_per_edge under their
+           graph.bytes_per_node / graph.bytes_per_edge and
+           propagate.workspace.peak_bytes per node under their
            ceilings, and the datagen/preprocess/query spans must stay
            within --time-tolerance percent of the baseline. Appends a
            one-line footprint summary to $GITHUB_STEP_SUMMARY when
@@ -282,6 +283,9 @@ LOAD_LATENCY_GAUGES = [
     ("load_micro.latency.p999_ns", "max_p999_ms"),
 ]
 
+# Ceiling on a propagation workspace's high-water mark, per graph node.
+MAX_WORKSPACE_BYTES_PER_NODE = 16.0
+
 # Memory-story gauges the large gate requires in the fresh manifest.
 LARGE_REQUIRED_GAUGES = [
     "graph.bytes_per_node",
@@ -511,15 +515,25 @@ def large_failures(
     for name in LARGE_REQUIRED_GAUGES:
         if gauge(fresh, name) is None:
             failures.append(f"gauge {name}: missing from fresh manifest")
-    for name, ceiling in (
-        ("graph.bytes_per_node", max_bytes_per_node),
-        ("graph.bytes_per_edge", max_bytes_per_edge),
+    per_node = gauge(fresh, "graph.bytes_per_node")
+    per_edge = gauge(fresh, "graph.bytes_per_edge")
+    peak = gauge(fresh, "propagate.workspace.peak_bytes")
+    for name, value, ceiling, what in (
+        ("graph.bytes_per_node", per_node, max_bytes_per_node, "compact-CSR"),
+        ("graph.bytes_per_edge", per_edge, max_bytes_per_edge, "compact-CSR"),
+        # One 8-byte stamp word per node plus the reached set's compact
+        # state; the node-dense layout this guards against was 488.
+        (
+            "propagate.workspace.peak_bytes per node",
+            float(peak) / nodes if peak is not None and nodes else None,
+            MAX_WORKSPACE_BYTES_PER_NODE,
+            "reach-sparse workspace",
+        ),
     ):
-        value = gauge(fresh, name)
         if value is not None and float(value) > ceiling:
             failures.append(
                 f"gauge {name} = {float(value):.3f} B exceeds the "
-                f"compact-CSR ceiling of {ceiling:.1f} B"
+                f"{what} ceiling of {ceiling:.1f} B"
             )
     return failures
 
@@ -855,7 +869,7 @@ def _selftest_manifest(**overrides):
             "graph.bytes_per_node": 12.0,
             "graph.bytes_per_edge": 12.0,
             "datagen.stream.scratch_bytes": 8_000_000.0,
-            "propagate.workspace.peak_bytes": 488_000_000.0,
+            "propagate.workspace.peak_bytes": 8_200_000.0,
         },
         "spans": [
             {"path": "table5_large.datagen", "count": 1, "total_ms": 1000.0},
@@ -1072,6 +1086,11 @@ def cmd_selftest(_args):
     expect(
         any("ceiling" in f for f in large_failures(fat, base)),
         "bytes/edge over ceiling must fail",
+    )
+    dense = _selftest_manifest(**{"gauges/propagate.workspace.peak_bytes": 488_000_000.0})
+    expect(
+        any("workspace" in f and "ceiling" in f for f in large_failures(dense, base)),
+        "a node-dense workspace (488 B/node) over the 16 B/node ceiling must fail",
     )
 
     # The paper-scale floor: a shrunken graph cannot pass.

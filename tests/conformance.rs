@@ -127,6 +127,19 @@ fn workspace_reuse_bit_equality() {
     });
 }
 
+/// The propagation kernel against the *old* kernel, not against
+/// itself: production runs must equal `reference::dense_propagate` —
+/// the level sweep over plain node-dense buffers — bit for bit over
+/// every preset × `tc ∈ {0, 1, 3, 18}` × pruned/unpruned × depth
+/// {0, 2, cap, converge}. The CI conformance matrix runs this binary
+/// at `FUI_THREADS=1` and `FUI_THREADS=4`.
+#[test]
+fn kernel_matches_dense_reference() {
+    run_suite("conformance_dense", 12, |case| {
+        invariants::check_kernel_matches_dense_reference(case)
+    });
+}
+
 /// Serving-layer conformance: under seeded interleavings of queries,
 /// edge updates, snapshot rotations, landmark refreshes and
 /// submit/pump bursts, every reply must be bit-identical to a fresh

@@ -46,9 +46,9 @@ ids:    table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
                        (explicit only — never part of `all`)
         warmstart      durable cold-build vs warm-restart cell on the
                        table5 graph (explicit only — never part of `all`)
-        shard_micro    sharded scatter/gather serving speedup cell on
-                       the table5 graph (explicit only — never part of
-                       `all`)
+        shard_micro    sharded scatter/gather serving cell on the table5
+                       graph: one shard vs a 4-shard fleet, bit for bit
+                       (explicit only — never part of `all`)
         load_micro     open-loop HTTP serving cell: fui-load drives
                        100k+ scheduled requests through the fui-net
                        event loop (explicit only — never part of
@@ -56,7 +56,6 @@ ids:    table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
 
 flags:  --full            paper-shaped densities (slow)
         --smoke           tiny smoke-test scale
-        --serve           shorthand for the serve_micro serving cell
         --trials K        average the link-prediction figures over K trials
         --nodes N         Twitter-like node count
         --tests T         link-prediction test-set size
@@ -128,7 +127,6 @@ pub fn parse(args: impl IntoIterator<Item = String>) -> Result<CliOutcome, CliEr
             "--help" | "-h" => return Ok(CliOutcome::Help),
             "--full" => scale = ExperimentScale::full(),
             "--smoke" => scale = ExperimentScale::smoke(),
-            "--serve" => ids.push("serve_micro".to_owned()),
             "--nodes" => scale.twitter_nodes = usize_of(&mut args, "--nodes")?,
             "--tests" => scale.test_size = usize_of(&mut args, "--tests")?,
             "--landmarks" => scale.landmarks = usize_of(&mut args, "--landmarks")?,
@@ -186,19 +184,6 @@ mod tests {
         assert_eq!(o.ids, vec!["table5", "dynamic"]);
         assert_eq!(o.scale.seed, 7);
         assert_eq!(o.manifest.as_deref(), Some("results/"));
-    }
-
-    #[test]
-    fn serve_flag_selects_the_serving_cell() {
-        let CliOutcome::Run(o) = parse(argv("--serve --smoke")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.ids, vec!["serve_micro"]);
-        // And the long form stays a plain id.
-        let CliOutcome::Run(o) = parse(argv("serve_micro")).unwrap() else {
-            panic!("expected run");
-        };
-        assert_eq!(o.ids, vec!["serve_micro"]);
     }
 
     #[test]

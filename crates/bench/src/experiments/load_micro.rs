@@ -1,5 +1,5 @@
 //! Extra — `load_micro`: the open-loop HTTP serving cell the CI bench
-//! gate pins (`scripts/bench_gate.py load`).
+//! gate pins (`scripts/bench_gate.py gate`).
 //!
 //! Where `serve_micro` is a **closed** loop (the generator waits for
 //! every burst to drain, so offered load can never exceed completion
@@ -19,8 +19,9 @@
 //! schedule** and requires *zero lost*: every request is answered,
 //! shed, or the run fails. Counts derived from the schedule
 //! (`submitted` and the query/change/rotate/refresh split) are exact
-//! across runs, platforms and `FUI_THREADS` widths; latency,
-//! shed-rate and goodput readings are toleranced by the gate.
+//! across runs, platforms and `FUI_THREADS` widths. Latency and
+//! goodput are reported, not gated (the gate reads no clock); the shed
+//! rate is gated as a counter ratio, `shed / submitted <= 0.60`.
 
 use std::sync::Arc;
 
@@ -179,7 +180,7 @@ pub fn measure_spec(spec: &WorkloadSpec) -> LoadReport {
     fui_obs::counter("load_micro.rejected").add(report.rejected);
     fui_obs::counter("load_micro.lost").add(report.lost);
     // Exact client-side percentiles (the obs histograms are
-    // log-bucketed and stop at p99; the gate reads these gauges).
+    // log-bucketed and stop at p99).
     fui_obs::gauge("load_micro.latency.p50_ns").set(report.p50_ns as f64);
     fui_obs::gauge("load_micro.latency.p99_ns").set(report.p99_ns as f64);
     fui_obs::gauge("load_micro.latency.p999_ns").set(report.p999_ns as f64);

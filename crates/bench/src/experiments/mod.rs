@@ -16,12 +16,12 @@
 //! | [`trank_dt::run`] | extra — TwitterRank DT-source ablation (classifier vs LDA vs ground truth) |
 //! | [`sig::run`] | extra — paired-bootstrap significance of the Figure-4 orderings |
 //! | [`popularity::run`] | extra — PageRank vs TwitterRank vs Tr popularity decomposition |
-//! | [`propagate_micro::run`] | extra — zero-allocation propagation micro-cell gated by CI (`bench_gate.py micro`) |
-//! | [`serve_micro::run`] | extra — online serving closed loop (queries × updates × rotations) gated by CI (`bench_gate.py serve`) |
-//! | [`table5_large::run`] | extra — paper-scale (1M+ node) streamed-CSR preprocess/query cell gated by CI (`bench_gate.py large`); not part of `all` |
-//! | [`warmstart::run`] | extra — durable cold-build vs warm-restart cell on the table5 graph gated by CI (`bench_gate.py warmstart`); not part of `all` |
-//! | [`shard_micro::run`] | extra — sharded scatter/gather serving speedup cell on the table5 graph gated by CI (`bench_gate.py shard`); not part of `all` |
-//! | [`load_micro::run`] | extra — open-loop HTTP serving cell (fui-load against the fui-net event loop) gated by CI (`bench_gate.py load`); not part of `all` |
+//! | [`propagate_micro::run`] | extra — zero-allocation propagation micro-cell gated by CI (`bench_gate.py gate`) |
+//! | [`serve_micro::run`] | extra — online serving closed loop (queries × updates × rotations) gated by CI (`bench_gate.py gate`) |
+//! | [`table5_large::run`] | extra — paper-scale (1M+ node) streamed-CSR preprocess/query cell gated by CI (`bench_gate.py gate`); not part of `all` |
+//! | [`warmstart::run`] | extra — durable cold-build vs warm-restart cell on the table5 graph gated by CI (`bench_gate.py gate`); not part of `all` |
+//! | [`shard_micro::run`] | extra — sharded scatter/gather serving cell (one shard vs a 4-shard fleet, bit for bit) on the table5 graph gated by CI (`bench_gate.py gate`); not part of `all` |
+//! | [`load_micro::run`] | extra — open-loop HTTP serving cell (fui-load against the fui-net event loop) gated by CI (`bench_gate.py gate`); not part of `all` |
 
 pub mod dynamic;
 pub mod fig10;
@@ -42,3 +42,4 @@ pub mod table3;
 pub mod table5_large;
 pub mod trank_dt;
 pub mod warmstart;
+mod workload;

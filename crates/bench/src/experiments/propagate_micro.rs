@@ -1,5 +1,5 @@
 //! Extra — `propagate_micro`: the zero-allocation propagation
-//! micro-cell the CI bench gate pins (`scripts/bench_gate.py micro`).
+//! micro-cell the CI bench gate pins (`scripts/bench_gate.py gate`).
 //!
 //! Two phases over the deterministic dense-community corpus preset:
 //!
@@ -20,6 +20,7 @@ use fui_landmarks::{ApproxRecommender, LandmarkIndex};
 use fui_taxonomy::Topic;
 use fui_testkit::corpus::{self, Preset};
 
+use super::workload::dominant_topic;
 use crate::context::Context;
 use crate::datasets::ExperimentScale;
 use crate::table::{f3, TextTable};
@@ -30,19 +31,18 @@ const SEED_SALT: u64 = 0x00DC_2016;
 
 /// Single-source propagations per trial unit; the instance is a
 /// dozen nodes, so the cell measures per-call constant factors (the
-/// count is high enough that the span is milliseconds, not the
-/// sub-millisecond noise floor the 25% gate cannot tolerate).
+/// count is high enough that the span is milliseconds, not
+/// sub-millisecond noise).
 const CALLS_PER_TRIAL: u64 = 20_000;
 
 /// Landmarks stored per entry in the batch phase.
 const STORED_TOP_N: usize = 100;
 
 /// Rounds of the batch phase per trial unit: one round is only a
-/// dozen queries, far too short to wall-time within the gate's
-/// tolerance, so the span accumulates many identical rounds. The
-/// allocation invariant is measured around the first round alone —
-/// each round pools its own workspaces, so a multi-round delta would
-/// scale with rounds, not workers.
+/// dozen queries, far too short to wall-time, so the span accumulates
+/// many identical rounds. The allocation invariant is measured around
+/// the first round alone — each round pools its own workspaces, so a
+/// multi-round delta would scale with rounds, not workers.
 const BATCH_ROUNDS_PER_TRIAL: usize = 50;
 
 /// Measurements for the micro-cell.
@@ -70,12 +70,6 @@ pub struct MicroReport {
     pub checksum: f64,
 }
 
-/// The dominant label of `u`, falling back to Technology on
-/// unlabeled nodes (mirrors the Tables 5/6 query workload).
-fn dominant_topic(graph: &fui_graph::SocialGraph, u: NodeId) -> Topic {
-    graph.node_labels(u).first().unwrap_or(Topic::Technology)
-}
-
 /// Runs both phases and returns the measurements.
 pub fn measure(scale: &ExperimentScale) -> MicroReport {
     let case = corpus::generate(Preset::DenseCommunity, scale.seed ^ SEED_SALT);
@@ -84,7 +78,7 @@ pub fn measure(scale: &ExperimentScale) -> MicroReport {
     let nodes: Vec<NodeId> = ctx.graph.nodes().collect();
 
     // Phase 1: single-source propagations through one reused
-    // workspace — the per-call cost the 25% wall-time gate watches.
+    // workspace — the per-call constant factor.
     let calls = CALLS_PER_TRIAL * scale.trials.max(1) as u64;
     let relaxed_before = fui_obs::snapshot().counter("propagate.edges_relaxed");
     let mut ws = PropWorkspace::new();
@@ -181,7 +175,7 @@ mod tests {
         assert!(r.edges_relaxed > 0, "dense preset must relax edges");
         assert_eq!(r.batch_queries, r.nodes);
         // The strict `allocs <= FUI_THREADS` bound is enforced on the
-        // isolated driver run by `bench_gate.py micro`; under the
+        // isolated driver run by `bench_gate.py gate`; under the
         // parallel unit-test harness other tests share the global
         // counter, so only sanity-bound it here.
         assert!(

@@ -1,5 +1,5 @@
 //! Extra — `serve_micro`: the closed-loop serving cell the CI bench
-//! gate pins (`scripts/bench_gate.py serve`).
+//! gate pins (`scripts/bench_gate.py gate`).
 //!
 //! A seeded load generator drives one [`fui_service::Service`] over
 //! the deterministic dense-community corpus preset with the mixed
@@ -18,8 +18,8 @@
 //! `service.snapshot.rotations` and the `landmarks.dynamic.*` family
 //! are exact counter equalities across runs *and* across
 //! `FUI_THREADS` widths (the only parallel stage reduces in index
-//! order); wall time and the `service.request_latency` p99 are the
-//! only toleranced readings.
+//! order); wall time and the `service.request_latency` histogram are
+//! reported, not gated.
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_graph::NodeId;

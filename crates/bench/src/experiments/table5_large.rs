@@ -1,11 +1,11 @@
 //! Extra — `table5_large`: the paper-scale cell the CI bench gate
-//! pins (`scripts/bench_gate.py large`).
+//! pins (`scripts/bench_gate.py gate`).
 //!
 //! Every other cell runs on laptop-scale graphs; this one replays the
 //! Tables 5/6 protocol at the paper's operating point — a **1M+-node**
 //! follow graph streamed straight into the compact CSR arenas by
 //! [`fui_datagen::stream`], never materialising an edge list. Three
-//! gated spans:
+//! spans, reported and not gated (the gate reads no clock):
 //!
 //! 1. `table5_large.datagen` — the streaming generator (bounded
 //!    scratch, reported as `datagen.stream.scratch_bytes`);
@@ -24,10 +24,9 @@
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_datagen::{generate_streaming, StreamConfig};
-use fui_graph::{NodeId, SocialGraph};
 use fui_landmarks::{ApproxRecommender, LandmarkIndex};
-use fui_taxonomy::Topic;
 
+use super::workload::{hub_landmarks, strided_queries};
 use crate::context::Context;
 use crate::datasets::ExperimentScale;
 use crate::table::{f3, TextTable};
@@ -73,23 +72,8 @@ pub struct LargeReport {
     /// Queries answered in the batch.
     pub batch_queries: usize,
     /// Fold of every returned score — the determinism witness gated
-    /// bit-for-bit by `bench_gate.py large`.
+    /// bit-for-bit by `bench_gate.py gate`.
     pub checksum: f64,
-}
-
-/// The `LANDMARKS` highest in-degree accounts (the hubs preferential
-/// attachment concentrates followers on), ties broken by id.
-fn hub_landmarks(graph: &SocialGraph, count: usize) -> Vec<NodeId> {
-    let mut by_degree: Vec<NodeId> = graph.nodes().collect();
-    by_degree.sort_unstable_by_key(|&u| (std::cmp::Reverse(graph.in_degree(u)), u.0));
-    by_degree.truncate(count);
-    by_degree
-}
-
-/// The dominant label of `u`, falling back to Technology on unlabeled
-/// nodes (mirrors the Tables 5/6 query workload).
-fn dominant_topic(graph: &SocialGraph, u: NodeId) -> Topic {
-    graph.node_labels(u).first().unwrap_or(Topic::Technology)
 }
 
 /// Runs the three phases on an explicit generator configuration (unit
@@ -114,16 +98,7 @@ pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> Lar
     let authority_bytes = ctx.authority.size_bytes();
     fui_obs::gauge("authority.index.bytes").set(authority_bytes as f64);
 
-    // Deterministic query workload: nodes evenly strided across the id
-    // space (hubs and tail both represented), dominant-label topics.
-    let n = ctx.graph.num_nodes();
-    let stride = (n / queries.max(1)).max(1);
-    let workload: Vec<(NodeId, Topic)> = (0..queries.min(n))
-        .map(|i| {
-            let u = NodeId(((i * stride) % n) as u32);
-            (u, dominant_topic(&ctx.graph, u))
-        })
-        .collect();
+    let workload = strided_queries(&ctx.graph, queries);
     let approx = ApproxRecommender::new(&propagator, &index);
     let sp = fui_obs::Span::enter("table5_large.query");
     let results = approx.recommend_batch(&workload, REC_TOP_N);
@@ -228,15 +203,5 @@ mod tests {
         );
         assert!(a.bytes_per_node < 16.0, "{}", a.bytes_per_node);
         assert_eq!(a.checksum.to_bits(), b.checksum.to_bits());
-    }
-
-    #[test]
-    fn hubs_are_top_in_degree() {
-        let g = generate_streaming(&tiny()).graph;
-        let hubs = hub_landmarks(&g, 5);
-        assert_eq!(hubs.len(), 5);
-        let floor = g.in_degree(hubs[4]);
-        let better = g.nodes().filter(|&u| g.in_degree(u) > floor).count();
-        assert!(better < 5);
     }
 }

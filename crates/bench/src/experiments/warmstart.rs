@@ -1,5 +1,5 @@
 //! Extra — `warmstart`: the durable warm-restart cell the CI bench
-//! gate pins (`scripts/bench_gate.py warmstart`).
+//! gate pins (`scripts/bench_gate.py gate`).
 //!
 //! Builds a durable [`fui_service::Service`] over the `table5_large`
 //! streamed graph (cold path: authority index, similarity rows and the
@@ -12,21 +12,20 @@
 //! codec does not carry, replay the journal tail.
 //!
 //! The gate holds the cell to the durability contract: the
-//! `warmstart.cold_build` span must be at least 5× the
-//! `warmstart.warm_restore` span (a warm start that rebuilds from
-//! scratch is not a warm start), and the `warmstart.cold_*` /
-//! `warmstart.warm_*` counter pairs — answered queries, the bit-exact
-//! score checksum, published epoch, graph generation and journal
-//! position — must agree exactly: the restarted service is the same
-//! service, bit for bit.
+//! `warmstart.cold_*` / `warmstart.warm_*` counter pairs — answered
+//! queries, the bit-exact score checksum, published epoch, graph
+//! generation and journal position — must agree exactly: the restarted
+//! service is the same service, bit for bit. The
+//! `warmstart.cold_build` / `warmstart.warm_restore` spans are reported,
+//! not gated; what a restore costs is the benchmark's `restore_s`
+//! beside `setup_s`.
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_datagen::{generate_streaming, StreamConfig};
-use fui_graph::{NodeId, SocialGraph};
-use fui_landmarks::EdgeChange;
 use fui_service::{Reply, Request, Service, ServiceConfig};
-use fui_taxonomy::{SimMatrix, Topic, TopicSet};
+use fui_taxonomy::SimMatrix;
 
+use super::workload::{churn_change, hub_landmarks, strided_queries};
 use crate::datasets::ExperimentScale;
 use crate::table::{f3, TextTable};
 
@@ -77,20 +76,6 @@ pub struct WarmstartReport {
     pub applied_seq: u64,
 }
 
-/// The `count` highest in-degree accounts, ties broken by id.
-fn hub_landmarks(graph: &SocialGraph, count: usize) -> Vec<NodeId> {
-    let mut by_degree: Vec<NodeId> = graph.nodes().collect();
-    by_degree.sort_unstable_by_key(|&u| (std::cmp::Reverse(graph.in_degree(u)), u.0));
-    by_degree.truncate(count);
-    by_degree
-}
-
-/// The dominant label of `u`, falling back to Technology on unlabeled
-/// nodes (mirrors the Tables 5/6 query workload).
-fn dominant_topic(graph: &SocialGraph, u: NodeId) -> Topic {
-    graph.node_labels(u).first().unwrap_or(Topic::Technology)
-}
-
 /// Answers the strided query workload and folds every score into one
 /// checksum; returns `(answered, checksum)`.
 fn drive_queries(svc: &Service, workload: &[Request]) -> (u64, f64) {
@@ -109,16 +94,6 @@ fn drive_queries(svc: &Service, workload: &[Request]) -> (u64, f64) {
     }
     assert!(checksum.is_finite());
     (answered, checksum)
-}
-
-/// Deterministic churn: strided follow inserts, single-topic labels,
-/// never a self-follow.
-fn churn_change(i: usize, n: usize) -> EdgeChange {
-    let u = ((i * 7919) % n) as u32;
-    let v = (u + 1 + ((i * 104_729) % (n - 1)) as u32) % n as u32;
-    let mut labels = TopicSet::empty();
-    labels.insert(Topic::ALL[i % Topic::ALL.len()]);
-    EdgeChange::insert(NodeId(u), NodeId(v), labels)
 }
 
 /// Runs the cell on an explicit generator configuration (unit tests
@@ -170,21 +145,14 @@ pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> War
             .expect("valid churn change");
     }
 
-    // Deterministic strided workload, hubs and tail both represented.
-    let stride = (n / queries.max(1)).max(1);
-    let workload: Vec<Request> = {
-        let snap = svc.snapshot();
-        (0..queries.min(n))
-            .map(|i| {
-                let u = NodeId(((i * stride) % n) as u32);
-                Request {
-                    user: u,
-                    topic: dominant_topic(&snap.graph, u),
-                    top_n: 10,
-                }
-            })
-            .collect()
-    };
+    let workload: Vec<Request> = strided_queries(&svc.snapshot().graph, queries)
+        .into_iter()
+        .map(|(user, topic)| Request {
+            user,
+            topic,
+            top_n: 10,
+        })
+        .collect();
     let (cold_answered, cold_checksum) = drive_queries(&svc, &workload);
     let epoch = svc.snapshot().epoch;
     let graph_gen = svc.snapshot().graph_gen;
@@ -326,20 +294,5 @@ mod tests {
             "churn + rotation must all be journaled"
         );
         assert!(r.snapshot_bytes > 0);
-        // No speedup floor here: wall-clock ratios are only meaningful
-        // at the paper-scale tier the gate runs (every scale tier
-        // keeps `large_nodes` at 1M+, so `run` itself is CI-only).
-        assert!(r.cold_build_s >= 0.0 && r.warm_restore_s >= 0.0);
-    }
-
-    #[test]
-    fn churn_changes_are_always_valid() {
-        for n in [2usize, 3, 5, 2_000] {
-            for i in 0..128 {
-                let c = churn_change(i, n);
-                assert!(c.follower.0 < n as u32 && c.followee.0 < n as u32);
-                assert_ne!(c.follower, c.followee);
-            }
-        }
     }
 }

@@ -150,7 +150,7 @@ fn table5_smoke_manifest_is_valid_and_populated() {
 fn serve_smoke_manifest_is_valid_and_populated() {
     let dir = scratch_dir("serve");
     let out = Command::new(BIN)
-        .args(["--serve", "--smoke", "--manifest"])
+        .args(["serve_micro", "--smoke", "--manifest"])
         .arg(&dir)
         .output()
         .expect("spawn experiments binary");
@@ -181,7 +181,7 @@ fn serve_smoke_manifest_is_valid_and_populated() {
     assert!(counter_value(&json, "service.cache.hits") > 0);
     assert!(counter_value(&json, "service.cache.misses") > 0);
     assert!(counter_value(&json, "landmarks.dynamic.records") >= 1_000);
-    // Latency histogram + spans the gate's p99 bound reads.
+    // Latency histogram + the drive spans.
     assert!(json.contains("\"service.request_latency\""));
     for span in [
         "serve_micro.drive",

@@ -11,9 +11,7 @@
 use fui_core::{PropagateOpts, ScoreParams, ScoreVariant};
 use fui_eval::kendall_tau_distance;
 use fui_graph::{NodeId, TopicSet};
-use fui_landmarks::{
-    ApproxRecommender, ChangeKind, DynamicLandmarks, EdgeChange, LandmarkIndex, Strategy,
-};
+use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, LandmarkIndex, Strategy};
 use fui_taxonomy::Topic;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -42,45 +40,29 @@ pub fn run(scale: &ExperimentScale) -> String {
     let churn = (d.graph.num_edges() / 400).max(10);
     let mut all_edges: Vec<(NodeId, NodeId, TopicSet)> = d.graph.edges().collect();
     all_edges.shuffle(&mut rng);
-    let removals: Vec<(NodeId, NodeId)> =
-        all_edges[..churn].iter().map(|&(u, v, _)| (u, v)).collect();
-    let removal_changes: Vec<EdgeChange> = all_edges[..churn]
+    // One change list, unfollows then follows: the order the landmark
+    // policy is charged in and the order the graph edit folds them in.
+    let mut changes: Vec<EdgeChange> = all_edges[..churn]
         .iter()
-        .map(|&(u, v, labels)| EdgeChange {
-            follower: u,
-            followee: v,
-            labels,
-            kind: ChangeKind::Remove,
-        })
+        .map(|&(u, v, labels)| EdgeChange::remove(u, v, labels))
         .collect();
     let n = d.graph.num_nodes() as u32;
-    let additions: Vec<(NodeId, NodeId, TopicSet)> = (0..churn)
-        .map(|i| {
-            // A tenth of the new follows attach directly to a
-            // landmark, the rest are organic.
-            let dst = if i % 10 == 0 {
-                landmarks[rng.gen_range(0..landmarks.len())]
-            } else {
-                NodeId(rng.gen_range(0..n))
-            };
-            let mut src = NodeId(rng.gen_range(0..n));
-            while src == dst {
-                src = NodeId(rng.gen_range(0..n));
-            }
-            (src, dst, TopicSet::single(Topic::Technology))
-        })
-        .collect();
-    let addition_changes: Vec<EdgeChange> = additions
-        .iter()
-        .map(|&(u, v, labels)| EdgeChange {
-            follower: u,
-            followee: v,
-            labels,
-            kind: ChangeKind::Insert,
-        })
-        .collect();
+    changes.extend((0..churn).map(|i| {
+        // A tenth of the new follows attach directly to a landmark,
+        // the rest are organic.
+        let dst = if i % 10 == 0 {
+            landmarks[rng.gen_range(0..landmarks.len())]
+        } else {
+            NodeId(rng.gen_range(0..n))
+        };
+        let mut src = NodeId(rng.gen_range(0..n));
+        while src == dst {
+            src = NodeId(rng.gen_range(0..n));
+        }
+        EdgeChange::insert(src, dst, TopicSet::single(Topic::Technology))
+    }));
 
-    let new_graph = d.graph.without_edges(&removals).with_edges(&additions);
+    let new_graph = fui_service::apply_changes(&d.graph, &changes);
     let new_ctx = Context::new(new_graph, ScoreParams::default());
     let new_prop = new_ctx.propagator(ScoreVariant::Full);
 
@@ -137,7 +119,7 @@ pub fn run(scale: &ExperimentScale) -> String {
     let mut last_len = index.len();
     for threshold in [0.5, 0.1, 0.02] {
         let mut dynamic = DynamicLandmarks::with_policy(index.clone(), threshold, 1e-9);
-        for c in removal_changes.iter().chain(&addition_changes) {
+        for c in &changes {
             dynamic.record(c);
         }
         let sp_refresh = fui_obs::Span::enter("dynamic.refresh");

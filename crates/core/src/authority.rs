@@ -42,6 +42,14 @@ pub struct AuthorityIndex {
 /// at any thread count.
 const BUILD_CHUNK: usize = 2048;
 
+/// `auth(u, t)` from `|Γu(t)|` (non-zero), `|Γu|` and `max_v |Γv(t)|`:
+/// the module-level formula, written once.
+fn auth_score(on_t: u32, total: usize, max_on_t: u32) -> f64 {
+    let local = f64::from(on_t) / total as f64;
+    let global = f64::from(1 + on_t).ln() / f64::from(1 + max_on_t).ln();
+    local * global
+}
+
 impl AuthorityIndex {
     /// Builds the index — `O(N·T + E·|labels|)` total, with the
     /// per-node passes (follower counting, the per-topic
@@ -92,12 +100,9 @@ impl AuthorityIndex {
                 let base = (v - r.start) * NUM_TOPICS;
                 for t in 0..NUM_TOPICS {
                     let on_t = followers_ref[v * NUM_TOPICS + t];
-                    if on_t == 0 {
-                        continue;
+                    if on_t > 0 {
+                        auth[base + t] = auth_score(on_t, total, max_followers_on[t]);
                     }
-                    let local = f64::from(on_t) / total as f64;
-                    let global = f64::from(1 + on_t).ln() / f64::from(1 + max_followers_on[t]).ln();
-                    auth[base + t] = local * global;
                 }
             }
             auth
@@ -178,91 +183,6 @@ impl AuthorityIndex {
             auth: NodeColumns::from_vec(auth, NUM_TOPICS),
             followers_on: NodeColumns::from_vec(followers_on, NUM_TOPICS),
             max_followers_on,
-        }
-    }
-
-    /// Applies one follow/unfollow incrementally — the paper's point
-    /// that "`|Γu|` and `|Γu(t)|` can be computed on local information
-    /// of each user, without graph exploration": only the followee's
-    /// row is touched. The per-topic global maxima are *not* lowered
-    /// on unfollows (that would need a scan); like the paper, treat
-    /// them as a periodically refreshed denominator —
-    /// [`refresh_maxima`](Self::refresh_maxima) is the periodic pass.
-    ///
-    /// `total_followers_after` is the followee's in-degree after the
-    /// change (the graph owns that count; passing it keeps this index
-    /// graph-free).
-    pub fn apply_edge_change(
-        &mut self,
-        followee: NodeId,
-        labels: fui_taxonomy::TopicSet,
-        added: bool,
-        total_followers_after: usize,
-    ) {
-        let frow = self.followers_on.row_mut(followee);
-        for t in labels.iter() {
-            let slot = &mut frow[t.index()];
-            if added {
-                *slot += 1;
-                self.max_followers_on[t.index()] = self.max_followers_on[t.index()].max(*slot);
-            } else {
-                *slot = slot.saturating_sub(1);
-            }
-        }
-        // Recompute the followee's authority row from the counts.
-        for t in 0..NUM_TOPICS {
-            let on_t = self.followers_on.at(followee, t);
-            self.auth.row_mut(followee)[t] = if on_t == 0 || total_followers_after == 0 {
-                0.0
-            } else {
-                let local = f64::from(on_t) / total_followers_after as f64;
-                let global =
-                    f64::from(1 + on_t).ln() / f64::from(1 + self.max_followers_on[t]).ln();
-                local * global
-            };
-        }
-        // An unfollow also changes every *other* topic's local factor
-        // of this followee (the |Γu| denominator moved) — the loop
-        // above already re-derived all 18 entries, so nothing else to
-        // do.
-    }
-
-    /// Recomputes the per-topic maxima from the stored counts (the
-    /// paper's "stored and re-computed periodically" denominator) and
-    /// re-derives every authority row against them. `in_degrees[v]`
-    /// must hold each node's current follower count.
-    pub fn refresh_maxima(&mut self, in_degrees: &[usize]) {
-        assert_eq!(in_degrees.len(), self.num_nodes(), "one in-degree per node");
-        let n = self.num_nodes();
-        let followers = self.followers_on.as_slice();
-        let chunk_maxima: Vec<[u32; NUM_TOPICS]> = fui_exec::par_ranges(n, BUILD_CHUNK, |r| {
-            let mut m = [0u32; NUM_TOPICS];
-            for v in r {
-                for t in 0..NUM_TOPICS {
-                    m[t] = m[t].max(followers[v * NUM_TOPICS + t]);
-                }
-            }
-            m
-        });
-        self.max_followers_on = [0; NUM_TOPICS];
-        for m in chunk_maxima {
-            for (t, &chunk_max) in m.iter().enumerate() {
-                self.max_followers_on[t] = self.max_followers_on[t].max(chunk_max);
-            }
-        }
-        for (v, &in_deg) in in_degrees.iter().enumerate() {
-            let v_id = NodeId(v as u32);
-            for t in 0..NUM_TOPICS {
-                let on_t = self.followers_on.at(v_id, t);
-                self.auth.row_mut(v_id)[t] = if on_t == 0 || in_deg == 0 {
-                    0.0
-                } else {
-                    let local = f64::from(on_t) / in_deg as f64;
-                    let global =
-                        f64::from(1 + on_t).ln() / f64::from(1 + self.max_followers_on[t]).ln();
-                    local * global
-                };
-            }
         }
     }
 
@@ -383,64 +303,6 @@ mod tests {
         assert_eq!(idx.followers_on(v, Topic::Business), 1);
         // local = 1/1 for both topics, global = 1 (it is the max).
         assert!((idx.auth(v, Topic::Technology) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn incremental_follow_matches_rebuild() {
-        let (g, b, _) = example1();
-        let mut idx = AuthorityIndex::build(&g);
-        // A new account follows B on sports.
-        let g2 = {
-            let mut builder = GraphBuilder::with_capacity(g.num_nodes() + 1, g.num_edges() + 1);
-            for u in g.nodes() {
-                builder.add_node(g.node_labels(u));
-            }
-            let newbie = builder.add_node(TopicSet::empty());
-            for (u, v, l) in g.edges() {
-                builder.add_edge(u, v, l);
-            }
-            builder.add_edge(newbie, b, TopicSet::single(Topic::Sports));
-            builder.build()
-        };
-        idx.apply_edge_change(b, TopicSet::single(Topic::Sports), true, g2.in_degree(b));
-        let fresh = AuthorityIndex::build(&g2);
-        for t in Topic::ALL {
-            assert!(
-                (idx.auth(b, t) - fresh.auth(b, t)).abs() < 1e-12,
-                "topic {t}: incremental {} vs rebuild {}",
-                idx.auth(b, t),
-                fresh.auth(b, t)
-            );
-        }
-    }
-
-    #[test]
-    fn incremental_unfollow_then_refresh_matches_rebuild() {
-        let (g, b, c) = example1();
-        let mut idx = AuthorityIndex::build(&g);
-        // B loses his business follower (node 4 in construction order).
-        let follower = g
-            .in_edges(b)
-            .find(|e| e.labels.contains(Topic::Business))
-            .map(|e| e.node)
-            .unwrap();
-        let g2 = g.without_edges(&[(follower, b)]);
-        idx.apply_edge_change(b, TopicSet::single(Topic::Business), false, g2.in_degree(b));
-        // The stale max may overstate the denominator; the periodic
-        // refresh fixes it exactly.
-        let in_degrees: Vec<usize> = g2.nodes().map(|v| g2.in_degree(v)).collect();
-        idx.refresh_maxima(&in_degrees);
-        let fresh = AuthorityIndex::build(&g2);
-        for v in g2.nodes() {
-            for t in Topic::ALL {
-                assert!(
-                    (idx.auth(v, t) - fresh.auth(v, t)).abs() < 1e-12,
-                    "node {v} topic {t}"
-                );
-            }
-        }
-        // c untouched by the whole affair.
-        assert_eq!(idx.followers_on(c, Topic::Business), 4);
     }
 
     #[test]

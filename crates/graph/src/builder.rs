@@ -1,5 +1,9 @@
-//! Construction of a [`SocialGraph`]: batch edge-list building and
-//! per-node streaming straight into the CSR arenas.
+//! Construction of a [`SocialGraph`]. One packer: how out-edges become
+//! offsets, targets and interned label ids, and how the in-CSR is
+//! derived from them, is decided by [`StreamingBuilder::push_node`],
+//! [`StreamingBuilder::finish`] and `transpose_out_csr` and nowhere
+//! else. [`GraphBuilder`] is a global sort in front of that packer and
+//! [`SocialGraph::edited`] a sorted merge in front of it.
 
 use fui_taxonomy::TopicSet;
 
@@ -8,7 +12,7 @@ use crate::csr::{LabelInterner, NodeId, SocialGraph};
 /// Builds the in-CSR (sources + label ids) as the counting-sort
 /// transpose of finished out arenas. Scratch is one `u32` cursor per
 /// node; everything else lands directly in the returned arrays.
-fn transpose_out_csr(
+pub(crate) fn transpose_out_csr(
     n: usize,
     out_offsets: &[u32],
     out_targets: &[NodeId],
@@ -114,12 +118,10 @@ impl GraphBuilder {
         self.edges.push((follower, followee, labels));
     }
 
-    /// Packs everything into the immutable dual-CSR graph.
-    ///
-    /// Runs two counting-sort passes (one per direction), `O(N + E)`.
+    /// Packs everything into the immutable dual-CSR graph: one global
+    /// sort groups the edge list by follower, then each node's run is
+    /// handed to the [`StreamingBuilder`], which owns the arena layout.
     pub fn build(mut self) -> SocialGraph {
-        let n = self.node_labels.len();
-
         // Merge duplicate (follower, followee) pairs by unioning labels.
         self.edges.sort_unstable_by_key(|&(u, v, _)| (u.0, v.0));
         self.edges.dedup_by(|next, prev| {
@@ -130,40 +132,17 @@ impl GraphBuilder {
                 false
             }
         });
-        let m = self.edges.len();
-        u32::try_from(m).expect("edge count fits in u32");
-
-        // Out direction: edges are already sorted by follower. Labels
-        // are interned in this canonical scan order, so the table is
-        // identical to the streaming builder's for the same graph.
-        let mut out_offsets = vec![0u32; n + 1];
-        for &(u, _, _) in &self.edges {
-            out_offsets[u.index() + 1] += 1;
+        let mut packer = StreamingBuilder::with_capacity(self.node_labels.len(), self.edges.len());
+        let mut rest = self.edges.as_slice();
+        let mut row = Vec::new();
+        for (u, labels) in self.node_labels.into_iter().enumerate() {
+            let run = rest.iter().take_while(|e| e.0.index() == u).count();
+            row.clear();
+            row.extend(rest[..run].iter().map(|&(_, v, l)| (v, l)));
+            rest = &rest[run..];
+            packer.push_node(labels, &mut row);
         }
-        for i in 0..n {
-            out_offsets[i + 1] += out_offsets[i];
-        }
-        let mut interner = LabelInterner::new();
-        let mut out_targets = Vec::with_capacity(m);
-        let mut out_labels = Vec::with_capacity(m);
-        for &(_, v, l) in &self.edges {
-            out_targets.push(v);
-            out_labels.push(interner.intern(l));
-        }
-
-        let (in_offsets, in_sources, in_labels) =
-            transpose_out_csr(n, &out_offsets, &out_targets, &out_labels);
-
-        SocialGraph {
-            node_labels: self.node_labels,
-            label_table: interner.into_table(),
-            out_offsets,
-            out_targets,
-            out_labels,
-            in_offsets,
-            in_sources,
-            in_labels,
-        }
+        packer.finish()
     }
 }
 
@@ -174,9 +153,10 @@ impl GraphBuilder {
 ///
 /// This is the ingestion path for paper-scale synthetic graphs
 /// (`fui_datagen`'s streaming generator) and any edge source that can
-/// deliver edges grouped by follower. For the same logical graph the
-/// result is **byte-identical** to [`GraphBuilder`] (`PartialEq` on the
-/// graphs holds), which the testkit differential suite pins.
+/// deliver edges grouped by follower. [`GraphBuilder`] and
+/// [`SocialGraph::edited`] feed it too, so the same logical graph is
+/// **byte-identical** (`PartialEq` on the graphs holds) however it was
+/// made, which the testkit differential suite pins.
 ///
 /// ```
 /// use fui_graph::{StreamingBuilder, Topic, TopicSet, NodeId};

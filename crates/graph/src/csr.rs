@@ -31,9 +31,11 @@
 //! reports exactly.
 
 use fui_taxonomy::{Topic, TopicSet};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
+
+use crate::builder::{transpose_out_csr, StreamingBuilder};
 
 /// Identifier of a user account: a dense index in `0..graph.num_nodes()`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -64,7 +66,7 @@ pub struct EdgeRef {
 }
 
 /// Interns distinct edge label sets into a shared table of first-seen
-/// order; both builders and [`SocialGraph::relabel`] go through this so
+/// order; the packer and [`SocialGraph::relabel`] go through this so
 /// logically-equal graphs get byte-identical label arenas.
 #[derive(Default)]
 pub(crate) struct LabelInterner {
@@ -148,9 +150,10 @@ impl MemoryFootprint {
 /// Immutable directed labeled graph in dual-CSR form.
 ///
 /// Construct it through [`crate::GraphBuilder`] (edge-list batch) or
-/// [`crate::StreamingBuilder`] (per-node streaming, bounded scratch).
-/// Both produce byte-identical arenas for the same logical graph, which
-/// `PartialEq` compares directly.
+/// [`crate::StreamingBuilder`] (per-node streaming, bounded scratch),
+/// and derive one from another with [`SocialGraph::edited`]. All three
+/// end in the same packer, so the same logical graph always has
+/// byte-identical arenas, which `PartialEq` compares directly.
 #[derive(Clone, PartialEq)]
 pub struct SocialGraph {
     pub(crate) node_labels: Vec<TopicSet>,
@@ -302,10 +305,14 @@ impl SocialGraph {
         self.in_edges(u).filter(|e| e.labels.contains(t)).count()
     }
 
-    /// The label of edge `u → v`, or `None` if `u` does not follow `v`.
+    /// The label of edge `u → v`, or `None` if `u` does not follow `v`
+    /// (an id outside the graph follows nobody).
     ///
     /// Linear in `out_degree(u)`; use the CSR iterators in hot loops.
     pub fn edge_label(&self, u: NodeId, v: NodeId) -> Option<TopicSet> {
+        if u.index() >= self.num_nodes() {
+            return None;
+        }
         self.out_edges(u).find(|e| e.node == v).map(|e| e.labels)
     }
 
@@ -331,8 +338,9 @@ impl SocialGraph {
         mut f: impl FnMut(NodeId, NodeId, TopicSet) -> TopicSet,
         mut g: impl FnMut(NodeId, TopicSet) -> TopicSet,
     ) {
-        // Re-intern out labels in scan order (the canonical order both
-        // builders use), reading old labels through the old table.
+        // Re-intern out labels in scan order (the packer's canonical
+        // order), reading old labels through the old table; the in side
+        // is then re-derived, not mirrored by hand.
         let old_table = std::mem::take(&mut self.label_table);
         let mut interner = LabelInterner::new();
         for u in 0..self.num_nodes() {
@@ -343,23 +351,55 @@ impl SocialGraph {
             }
         }
         self.label_table = interner.into_table();
-        // Mirror into the in-CSR; edge identity is (source, target), so
-        // each in slot copies the id of its matching out position.
-        for v in 0..self.num_nodes() {
-            let v_id = NodeId(v as u32);
-            for i in self.in_range(v_id) {
-                let src = self.in_sources[i];
-                let j = self
-                    .out_range(src)
-                    .find(|&j| self.out_targets[j] == v_id)
-                    .expect("in-edge has a matching out-edge");
-                self.in_labels[i] = self.out_labels[j];
-            }
-        }
+        (self.in_offsets, self.in_sources, self.in_labels) = transpose_out_csr(
+            self.num_nodes(),
+            &self.out_offsets,
+            &self.out_targets,
+            &self.out_labels,
+        );
         for u in 0..self.num_nodes() {
             let u_id = NodeId(u as u32);
             self.node_labels[u] = g(u_id, self.node_labels[u]);
         }
+    }
+
+    /// The one way to derive a graph from a graph. `delta` names, per
+    /// touched `(follower, followee)` pair, what the edge ends as:
+    /// `Some(labels)` — it exists with exactly `labels` (created if
+    /// absent); `None` — it does not (a no-op if already absent). Every
+    /// untouched edge and all node labels carry over.
+    ///
+    /// One pass: each old out-row is merged with its sorted slice of
+    /// the delta and streamed through the [`StreamingBuilder`], so the
+    /// result is byte-identical to building the resulting edge set from
+    /// scratch, in `O(E + Δ)` time and no memory beyond the new graph.
+    ///
+    /// # Panics
+    /// Panics if a `Some` pair is a self-loop or has an endpoint outside
+    /// `0..num_nodes()`.
+    pub fn edited(&self, delta: &BTreeMap<(NodeId, NodeId), Option<TopicSet>>) -> SocialGraph {
+        let mut packer =
+            StreamingBuilder::with_capacity(self.num_nodes(), self.num_edges() + delta.len());
+        let mut delta = delta.iter().map(|(&(u, v), &l)| (u, v, l)).peekable();
+        let mut row = Vec::new();
+        for u in self.nodes() {
+            row.clear();
+            let mut old = self.out_edges(u).map(|e| (e.node, e.labels)).peekable();
+            while let Some((_, v, labels)) = delta.next_if(|d| d.0 == u) {
+                while let Some(kept) = old.next_if(|e| e.0 < v) {
+                    row.push(kept);
+                }
+                old.next_if(|e| e.0 == v);
+                row.extend(labels.map(|l| (v, l)));
+            }
+            row.extend(old);
+            packer.push_node(self.node_labels(u), &mut row);
+        }
+        assert!(
+            delta.all(|(_, _, labels)| labels.is_none()),
+            "edge endpoints must be below num_nodes"
+        );
+        packer.finish()
     }
 
     /// A copy of the graph with the given edges removed (the
@@ -367,39 +407,18 @@ impl SocialGraph {
     /// from the graph before scoring). Edges absent from the graph are
     /// ignored.
     pub fn without_edges(&self, removed: &[(NodeId, NodeId)]) -> SocialGraph {
-        use std::collections::HashSet;
-        let removed: HashSet<(NodeId, NodeId)> = removed.iter().copied().collect();
-        let mut builder = crate::GraphBuilder::with_capacity(self.num_nodes(), self.num_edges());
-        for u in self.nodes() {
-            builder.add_node(self.node_labels(u));
-        }
-        for (u, v, labels) in self.edges() {
-            if !removed.contains(&(u, v)) {
-                builder.add_edge(u, v, labels);
-            }
-        }
-        builder.build()
+        self.edited(&removed.iter().map(|&pair| (pair, None)).collect())
     }
 
     /// A copy of the graph with the given labeled edges added (edges
-    /// already present have their labels unioned). Together with
-    /// [`without_edges`](Self::without_edges) this supports the
-    /// dynamic-update workloads of `fui-landmarks::dynamic` — the
-    /// paper's future-work scenario where "many following links have a
-    /// short lifespan".
+    /// already present, or named twice, have their labels unioned).
     pub fn with_edges(&self, added: &[(NodeId, NodeId, TopicSet)]) -> SocialGraph {
-        let mut builder =
-            crate::GraphBuilder::with_capacity(self.num_nodes(), self.num_edges() + added.len());
-        for u in self.nodes() {
-            builder.add_node(self.node_labels(u));
-        }
-        for (u, v, labels) in self.edges() {
-            builder.add_edge(u, v, labels);
-        }
+        let mut delta = BTreeMap::new();
         for &(u, v, labels) in added {
-            builder.add_edge(u, v, labels);
+            let slot = delta.entry((u, v)).or_insert_with(|| self.edge_label(u, v));
+            *slot = Some(slot.unwrap_or_default().union(labels));
         }
-        builder.build()
+        self.edited(&delta)
     }
 
     /// Exact memory accounting of the CSR arenas, split node- vs
@@ -608,6 +627,45 @@ mod tests {
         let label = g2.edge_label(a, b).unwrap();
         assert!(label.contains(Topic::War) && label.contains(Topic::Technology));
         g2.check_consistency().unwrap();
+    }
+
+    #[test]
+    fn edited_sets_creates_and_deletes() {
+        let g = toy();
+        let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let war = TopicSet::single(Topic::War);
+        let delta = BTreeMap::from([
+            ((a, b), Some(war)),    // present: label replaced, not unioned
+            ((a, d), Some(war)),    // absent, past the row's last target
+            ((c, d), None),         // present: deleted
+            ((b, a), None),         // absent: no-op
+            ((NodeId(9), a), None), // outside the graph: no-op
+        ]);
+        let g2 = g.edited(&delta);
+        assert_eq!(g2.edge_label(a, b), Some(war));
+        assert_eq!(g2.followees(a), &[b, c, d]);
+        assert!(!g2.has_edge(c, d) && !g2.has_edge(b, a));
+        assert_eq!(g2.num_edges(), g.num_edges());
+        g2.check_consistency().unwrap();
+        assert_eq!(g.edited(&BTreeMap::new()), g);
+    }
+
+    #[test]
+    #[should_panic(expected = "below num_nodes")]
+    fn edited_rejects_a_follower_outside_the_graph() {
+        toy().edited(&BTreeMap::from([(
+            (NodeId(9), NodeId(0)),
+            Some(TopicSet::empty()),
+        )]));
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot follow itself")]
+    fn edited_rejects_a_self_loop() {
+        toy().edited(&BTreeMap::from([(
+            (NodeId(1), NodeId(1)),
+            Some(TopicSet::empty()),
+        )]));
     }
 
     #[test]

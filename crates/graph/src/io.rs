@@ -19,6 +19,7 @@ use std::str::FromStr;
 
 use fui_taxonomy::{Topic, TopicSet};
 
+use crate::arena::MAX_NODES;
 use crate::builder::GraphBuilder;
 use crate::csr::{NodeId, SocialGraph};
 
@@ -33,6 +34,14 @@ pub enum ParseError {
     NodeOutOfRange(usize, u32),
     /// An unknown topic name.
     UnknownTopic(usize, String),
+    /// An `edge k k` line — an account cannot follow itself; payload is
+    /// (line number, id).
+    SelfLoop(usize, u32),
+    /// The header declares more nodes than [`MAX_NODES`]; payload is
+    /// (line number, declared count).
+    TooManyNodes(usize, u64),
+    /// A second `nodes <N>` header, at this line number.
+    DuplicateHeader(usize),
 }
 
 impl std::fmt::Display for ParseError {
@@ -42,6 +51,14 @@ impl std::fmt::Display for ParseError {
             ParseError::BadLine(n, l) => write!(f, "line {n}: cannot parse {l:?}"),
             ParseError::NodeOutOfRange(n, id) => write!(f, "line {n}: node {id} out of range"),
             ParseError::UnknownTopic(n, t) => write!(f, "line {n}: unknown topic {t:?}"),
+            ParseError::SelfLoop(n, id) => write!(f, "line {n}: node {id} follows itself"),
+            ParseError::TooManyNodes(n, count) => {
+                write!(
+                    f,
+                    "line {n}: {count} nodes exceeds the limit of {MAX_NODES}"
+                )
+            }
+            ParseError::DuplicateHeader(n) => write!(f, "line {n}: second `nodes <N>` header"),
         }
     }
 }
@@ -99,13 +116,21 @@ pub fn from_text(text: &str) -> Result<SocialGraph, ParseError> {
         let mut parts = line.split_ascii_whitespace();
         match parts.next() {
             Some("nodes") => {
-                let n: usize = parts
+                if builder.is_some() {
+                    return Err(ParseError::DuplicateHeader(line_no));
+                }
+                let n: u64 = parts
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| ParseError::BadLine(line_no, raw.to_owned()))?;
-                let mut b = GraphBuilder::with_capacity(n, n * 16);
-                b.add_nodes(n);
-                num_nodes = n;
+                if n > MAX_NODES as u64 {
+                    return Err(ParseError::TooManyNodes(line_no, n));
+                }
+                // Edge capacity grows with the edges actually read; the
+                // header is outside input and promises nothing.
+                let mut b = GraphBuilder::new();
+                b.add_nodes(n as usize);
+                num_nodes = n as usize;
                 builder = Some(b);
             }
             Some("node") => {
@@ -134,6 +159,9 @@ pub fn from_text(text: &str) -> Result<SocialGraph, ParseError> {
                 }
                 if v as usize >= num_nodes {
                     return Err(ParseError::NodeOutOfRange(line_no, v));
+                }
+                if u == v {
+                    return Err(ParseError::SelfLoop(line_no, u));
                 }
                 let topics = parse_topics(line_no, parts.next().unwrap_or("-"))?;
                 b.add_edge(NodeId(u), NodeId(v), topics);
@@ -207,6 +235,24 @@ mod tests {
     fn out_of_range_rejected() {
         let err = from_text("nodes 2\nedge 0 7 -\n").unwrap_err();
         assert_eq!(err, ParseError::NodeOutOfRange(2, 7));
+    }
+
+    #[test]
+    fn self_loop_rejected() {
+        let err = from_text("nodes 2\nedge 1 1 -\n").unwrap_err();
+        assert_eq!(err, ParseError::SelfLoop(2, 1));
+    }
+
+    #[test]
+    fn oversized_header_rejected_before_allocating() {
+        let err = from_text("nodes 99999999999999999\n").unwrap_err();
+        assert_eq!(err, ParseError::TooManyNodes(1, 99_999_999_999_999_999));
+    }
+
+    #[test]
+    fn repeated_header_rejected() {
+        let err = from_text("nodes 2\nedge 0 1 -\nnodes 2\n").unwrap_err();
+        assert_eq!(err, ParseError::DuplicateHeader(3));
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //!   and per edge; [`SocialGraph::memory_footprint`] accounts for every
 //!   arena). All score propagation, follower counting (`Γu(t)`) and BFS
 //!   run directly on these flat arrays.
-//! * [`GraphBuilder`] — incremental edge-list construction, used by the
-//!   dataset generators.
-//! * [`StreamingBuilder`] — per-node streaming straight into the CSR
-//!   arenas with bounded scratch, byte-identical output to the batch
-//!   builder; the ingestion path for paper-scale graphs.
+//! * [`StreamingBuilder`] — the one packer: per-node streaming straight
+//!   into the CSR arenas with bounded scratch; the ingestion path for
+//!   paper-scale graphs.
+//! * [`GraphBuilder`] — incremental edge-list construction (a global
+//!   sort in front of the packer), used by the dataset generators.
+//! * [`SocialGraph::edited`] — the one edit: a sorted per-pair delta
+//!   merged into the old rows, in front of the same packer.
 //! * [`NodeColumns`] — flat structure-of-arrays score columns (one
 //!   value per node × column), shared by the authority index and score
 //!   readouts.

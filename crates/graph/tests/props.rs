@@ -1,10 +1,28 @@
 //! Property tests on the CSR substrate: transpose consistency, degree
-//! accounting, BFS monotonicity and edge-removal behaviour
-//! (DESIGN.md §7).
+//! accounting, BFS monotonicity and the one graph edit against a
+//! from-scratch rebuild (DESIGN.md §7).
+
+use std::collections::BTreeMap;
 
 use fui_graph::bfs::k_vicinity;
 use fui_graph::{GraphBuilder, NodeId, SocialGraph, TopicSet};
 use proptest::prelude::*;
+
+/// `nodes` carried over from `like`, `edges` packed by the batch
+/// builder: what an edit's result is defined to equal.
+fn rebuilt(
+    like: &SocialGraph,
+    edges: impl IntoIterator<Item = (NodeId, NodeId, TopicSet)>,
+) -> SocialGraph {
+    let mut b = GraphBuilder::new();
+    for u in like.nodes() {
+        b.add_node(like.node_labels(u));
+    }
+    for (u, v, labels) in edges {
+        b.add_edge(u, v, labels);
+    }
+    b.build()
+}
 
 /// A random small labeled digraph (no self-loops; duplicate edges are
 /// allowed in the input and must be merged by the builder).
@@ -106,12 +124,101 @@ proptest! {
     }
 }
 
+/// Raw edit operations against a graph of `n` nodes and `m` edges,
+/// decoded by [`fold_delta`]: a mix of arbitrary pairs (mostly absent)
+/// and pairs drawn from the existing edges, each set or deleted.
+fn arb_ops() -> impl Strategy<Value = Vec<(u32, u32, u32, u8)>> {
+    proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>(), 0u8..4), 0..40)
+}
+
+/// Folds raw operations into the per-pair delta `edited` takes — later
+/// entries on a pair overwrite earlier ones, so duplicate and
+/// contradictory operations are the caller's to resolve.
+fn fold_delta(
+    g: &SocialGraph,
+    ops: &[(u32, u32, u32, u8)],
+) -> BTreeMap<(NodeId, NodeId), Option<TopicSet>> {
+    let n = g.num_nodes() as u32;
+    let present: Vec<(NodeId, NodeId)> = g.edges().map(|(u, v, _)| (u, v)).collect();
+    let mut delta = BTreeMap::new();
+    for &(a, b, mask, kind) in ops {
+        let pair = if kind < 2 || present.is_empty() {
+            (NodeId(a % n), NodeId(b % n))
+        } else {
+            present[a as usize % present.len()]
+        };
+        if pair.0 != pair.1 {
+            let labels = (kind % 2 == 1).then(|| TopicSet::from_mask(mask));
+            delta.insert(pair, labels);
+        }
+    }
+    delta
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The edit is the edge-set definition: whatever the delta — new
+    /// pairs, label changes, deletions of present and absent pairs —
+    /// the result equals the batch builder fed the resulting edge set,
+    /// arena for arena.
+    #[test]
+    fn edited_equals_rebuild_of_the_resulting_edge_set(g in arb_graph(), ops in arb_ops()) {
+        let delta = fold_delta(&g, &ops);
+        let mut edges: BTreeMap<(NodeId, NodeId), TopicSet> =
+            g.edges().map(|(u, v, labels)| ((u, v), labels)).collect();
+        for (&pair, &labels) in &delta {
+            match labels {
+                Some(l) => edges.insert(pair, l),
+                None => edges.remove(&pair),
+            };
+        }
+        let got = g.edited(&delta);
+        prop_assert!(got.check_consistency().is_ok());
+        prop_assert_eq!(got, rebuilt(&g, edges.into_iter().map(|((u, v), l)| (u, v, l))));
+    }
+
+    /// `with_edges` unions into present edges and across duplicates,
+    /// exactly as the batch builder merges parallel edges.
+    #[test]
+    fn with_edges_equals_rebuild_with_the_extra_edges(g in arb_graph(), ops in arb_ops()) {
+        let added: Vec<(NodeId, NodeId, TopicSet)> = fold_delta(&g, &ops)
+            .into_iter()
+            .flat_map(|((u, v), labels)| {
+                let l = labels.unwrap_or_default();
+                // Named twice with different labels: must union.
+                [(u, v, l), (u, v, TopicSet::from_mask(l.mask() << 1))]
+            })
+            .collect();
+        let got = g.with_edges(&added);
+        prop_assert!(got.check_consistency().is_ok());
+        prop_assert_eq!(got, rebuilt(&g, g.edges().chain(added.iter().copied())));
+    }
+}
+
+/// Lines the text parser must answer with a typed error, never a panic
+/// or an abort: self-loops, headers beyond any real graph, repeats.
+fn arb_hostile_text() -> impl Strategy<Value = String> {
+    let line = (0u8..6, 0u64..6, 0u64..6, any::<u64>()).prop_map(|(kind, a, b, big)| match kind {
+        0 => format!("nodes {a}"),
+        1 => format!("nodes {}", big | 1 << 40),
+        2 => format!("edge {a} {a} -"),
+        3 => format!("edge {a} {b} technology"),
+        4 => format!("node {a} sports"),
+        _ => format!("edge {a} {big} -"),
+    });
+    proptest::collection::vec(line, 0..8).prop_map(|lines| lines.join("\n"))
+}
+
 proptest! {
     /// Robustness: the text parser must reject garbage gracefully,
     /// never panic.
     #[test]
-    fn io_parser_never_panics(text in "\\PC*") {
+    fn io_parser_never_panics(text in "\\PC*", hostile in arb_hostile_text()) {
         let _ = fui_graph::io::from_text(&text);
+        if let Ok(g) = fui_graph::io::from_text(&hostile) {
+            prop_assert!(g.check_consistency().is_ok());
+        }
     }
 
     /// Round-trip through the text format preserves the graph.

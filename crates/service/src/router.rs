@@ -436,6 +436,20 @@ fn build_slices(
         .collect()
 }
 
+/// Whether `c` can be applied to `graph`: both endpoints exist and it is
+/// not a self-follow. The live write path and journal replay both ask
+/// here, so what `record` refuses a replay rejects.
+fn validate_change(graph: &SocialGraph, c: &EdgeChange) -> Result<(), String> {
+    let n = graph.num_nodes() as u32;
+    if c.follower.0 >= n || c.followee.0 >= n {
+        return Err(format!("edge endpoints out of range (graph has {n} nodes)"));
+    }
+    if c.follower == c.followee {
+        return Err("self-follows are not representable".to_owned());
+    }
+    Ok(())
+}
+
 /// The shards owning `c`'s endpoints — equal unless the edge is cut,
 /// both 0 on a fleet of one.
 fn owners(partition: Option<&Partition>, c: &EdgeChange) -> (usize, usize) {
@@ -1352,13 +1366,7 @@ impl ShardedService {
     /// owners' staggered-rotation priority is bumped too.
     pub fn record(&self, change: EdgeChange) -> Result<(), String> {
         let mut m = self.master.lock().expect("fleet master poisoned");
-        let n = m.graph.num_nodes() as u32;
-        if change.follower.0 >= n || change.followee.0 >= n {
-            return Err(format!("edge endpoints out of range (graph has {n} nodes)"));
-        }
-        if change.follower == change.followee {
-            return Err("self-follows are not representable".to_owned());
-        }
+        validate_change(&m.graph, &change)?;
         let seq = m.applied_seq + 1;
         if let Some(sink) = m.durable.as_mut() {
             sink.append_change(seq, change, owners(self.partition.as_ref(), &change))
@@ -1550,11 +1558,7 @@ impl ShardedService {
             m.applied_seq = r.seq;
             match r.op {
                 JournalOp::Change(change) => {
-                    let n = m.graph.num_nodes() as u32;
-                    if change.follower.0 >= n
-                        || change.followee.0 >= n
-                        || change.follower == change.followee
-                    {
+                    if validate_change(&m.graph, &change).is_err() {
                         fui_obs::counter("snapshot.persist.replay_rejected").incr();
                         continue;
                     }

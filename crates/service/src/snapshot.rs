@@ -19,13 +19,12 @@
 //!   a cached result only depends on the entries of the landmarks its
 //!   exploration actually met, so results that avoided `slot` survive.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock};
 
 use fui_core::{AuthorityIndex, Propagator, ScoreParams, ScoreVariant, SimRowCache};
-use fui_graph::{GraphBuilder, SocialGraph};
+use fui_graph::SocialGraph;
 use fui_landmarks::{ChangeKind, EdgeChange, LandmarkIndex};
-use fui_taxonomy::TopicSet;
 
 /// One immutable, queryable publication of the serving state.
 pub struct Snapshot {
@@ -122,48 +121,36 @@ impl SnapshotStore {
 }
 
 /// Applies a batch of follow/unfollow mutations to a graph, producing
-/// the rebuilt post-update graph.
+/// the post-update graph.
 ///
 /// * [`ChangeKind::Insert`] unions the change's labels into the edge
-///   (creating it if absent);
+///   (creating it if absent, even with an empty label set);
 /// * [`ChangeKind::Remove`] deletes the edge entirely.
 ///
-/// Later changes win over earlier ones on the same edge. The rebuild
-/// goes through [`GraphBuilder`], which sorts edges by endpoint pair,
-/// so the resulting CSR layout is deterministic regardless of change
-/// order or map iteration order.
+/// Later changes win over earlier ones on the same edge. The changes
+/// are folded, in order, into the label each touched pair ends with —
+/// one `edge_label` lookup per pair — and [`SocialGraph::edited`]
+/// merges that sorted delta into the old rows, so the result is
+/// byte-identical to building the resulting edge set from scratch.
 pub fn apply_changes(graph: &SocialGraph, changes: &[EdgeChange]) -> SocialGraph {
-    let mut edges: HashMap<(u32, u32), TopicSet> = graph
-        .edges()
-        .map(|(u, v, labels)| ((u.0, v.0), labels))
-        .collect();
+    let mut delta = BTreeMap::new();
     for c in changes {
-        let key = (c.follower.0, c.followee.0);
-        match c.kind {
-            ChangeKind::Insert => {
-                let slot = edges.entry(key).or_insert_with(TopicSet::empty);
-                *slot = slot.union(c.labels);
-            }
-            ChangeKind::Remove => {
-                edges.remove(&key);
-            }
-        }
+        let slot = delta
+            .entry((c.follower, c.followee))
+            .or_insert_with(|| graph.edge_label(c.follower, c.followee));
+        *slot = match c.kind {
+            ChangeKind::Insert => Some(slot.unwrap_or_default().union(c.labels)),
+            ChangeKind::Remove => None,
+        };
     }
-    let mut builder = GraphBuilder::with_capacity(graph.num_nodes(), edges.len());
-    for u in graph.nodes() {
-        builder.add_node(graph.node_labels(u));
-    }
-    for (&(u, v), &labels) in &edges {
-        builder.add_edge(fui_graph::NodeId(u), fui_graph::NodeId(v), labels);
-    }
-    builder.build()
+    graph.edited(&delta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fui_graph::NodeId;
-    use fui_taxonomy::Topic;
+    use fui_graph::{GraphBuilder, NodeId};
+    use fui_taxonomy::{Topic, TopicSet};
 
     fn tiny() -> SocialGraph {
         let mut b = GraphBuilder::new();

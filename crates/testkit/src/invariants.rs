@@ -14,7 +14,9 @@
 //! * the Wu–Palmer similarity is a proper similarity: `sim(t,t) = 1`,
 //!   symmetric, and within `[0, 1]`;
 //! * the [`fui_exec`] pool is **width-invariant**: the same computation
-//!   at width 1 and width `N` produces bit-identical results.
+//!   at width 1 and width `N` produces bit-identical results;
+//! * a graph edit is **the edge set it leaves behind**: merging a batch
+//!   of changes into the old rows equals rebuilding from scratch.
 
 use fui_core::{
     AuthorityIndex, PropWorkspace, PropagateOpts, Propagator, ScoreParams, ScoreVariant,
@@ -218,6 +220,85 @@ pub fn check_permutation_invariance(case: &GraphCase) -> Result<(), String> {
                 case.repro()
             ));
         }
+    }
+    Ok(())
+}
+
+/// Seeded churn through the production edit equals the definition
+/// ([`crate::reference::rebuild_with_changes`]) arena for arena, round
+/// after round on the edited graph: inserts of new pairs (some with an
+/// empty label), unions into existing edges, removes of present and
+/// absent pairs, and contradictory runs on one pair where the later
+/// change must win. The link-prediction wrappers are held to the same
+/// definition.
+pub fn check_edit_matches_rebuild(case: &GraphCase) -> Result<(), String> {
+    use crate::reference::rebuild_with_changes;
+    use fui_landmarks::{ChangeKind, EdgeChange};
+    use fui_taxonomy::TopicSet;
+    let mut rng = SeededRng::new(case.seed.rotate_left(21));
+    let mut graph = case.graph();
+    let n = graph.num_nodes() as u64;
+    for round in 0..4 {
+        let present: Vec<(NodeId, NodeId, TopicSet)> = graph.edges().collect();
+        let mut changes = Vec::new();
+        for _ in 0..rng.range(1, 24) {
+            let (u, v) = if !present.is_empty() && rng.chance(0.5) {
+                let &(u, v, _) = rng.pick(&present);
+                (u, v)
+            } else {
+                (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32))
+            };
+            if u == v {
+                continue;
+            }
+            let labels = if rng.chance(0.2) {
+                TopicSet::empty()
+            } else {
+                crate::gen::gen_topicset(&mut rng)
+            };
+            // One to three changes on the pair, so insert-after-remove,
+            // remove-after-insert and insert-into-insert all occur.
+            for _ in 0..rng.range(1, 4) {
+                changes.push(if rng.chance(0.6) {
+                    EdgeChange::insert(u, v, labels)
+                } else {
+                    EdgeChange::remove(u, v, labels)
+                });
+            }
+        }
+        let expect = rebuild_with_changes(&graph, &changes);
+        let got = fui_service::apply_changes(&graph, &changes);
+        got.check_consistency()?;
+        if got != expect {
+            return Err(format!(
+                "round {round}: apply_changes over {} changes diverged from a rebuild \
+                 of the resulting edge set ({} vs {} edges) ({})",
+                changes.len(),
+                got.num_edges(),
+                expect.num_edges(),
+                case.repro()
+            ));
+        }
+        let (inserts, removes): (Vec<EdgeChange>, Vec<EdgeChange>) =
+            changes.iter().partition(|c| c.kind == ChangeKind::Insert);
+        let added: Vec<_> = inserts
+            .iter()
+            .map(|c| (c.follower, c.followee, c.labels))
+            .collect();
+        if graph.with_edges(&added) != rebuild_with_changes(&graph, &inserts) {
+            return Err(format!(
+                "round {round}: with_edges diverged ({})",
+                case.repro()
+            ));
+        }
+        let removed: Vec<_> = removes.iter().map(|c| (c.follower, c.followee)).collect();
+        if graph.without_edges(&removed) != rebuild_with_changes(&graph, &removes) {
+            return Err(format!(
+                "round {round}: without_edges diverged ({})",
+                case.repro()
+            ));
+        }
+        graph = got;
     }
     Ok(())
 }

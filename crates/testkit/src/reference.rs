@@ -21,10 +21,18 @@
 //! kernel stores its scratch by reached order instead; the conformance
 //! suite holds it to this copy **bit for bit**, so a layout change can
 //! never be checked only against itself.
+//!
+//! And [`rebuild_with_changes`], what a batch of follows and unfollows
+//! *means*: the edge set after the changes, packed from scratch. The
+//! production edit merges a sorted delta into the old rows instead and
+//! is held to this arena for arena.
+
+use std::collections::BTreeMap;
 
 use fui_core::{AuthorityIndex, PropagateOpts, ScoreParams};
-use fui_graph::{NodeId, SocialGraph};
-use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
+use fui_graph::{GraphBuilder, NodeId, SocialGraph};
+use fui_landmarks::{ChangeKind, EdgeChange};
+use fui_taxonomy::{SimMatrix, Topic, TopicSet, NUM_TOPICS};
 
 /// A deliberate bug injected into the reference normalizer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -263,6 +271,33 @@ pub fn dense_propagate(
         topo_beta: acc_tb,
         topo_alphabeta: acc_tab,
     }
+}
+
+/// The graph `changes` leave behind, by definition: start from the edge
+/// set, apply each change in order (an insert unions its labels into
+/// the edge, creating it if absent; a remove deletes it), and build the
+/// result from nothing.
+pub fn rebuild_with_changes(graph: &SocialGraph, changes: &[EdgeChange]) -> SocialGraph {
+    let mut edges: BTreeMap<(NodeId, NodeId), TopicSet> =
+        graph.edges().map(|(u, v, l)| ((u, v), l)).collect();
+    for c in changes {
+        let pair = (c.follower, c.followee);
+        match c.kind {
+            ChangeKind::Insert => {
+                let l = edges.entry(pair).or_default();
+                *l = l.union(c.labels);
+            }
+            ChangeKind::Remove => drop(edges.remove(&pair)),
+        }
+    }
+    let mut b = GraphBuilder::with_capacity(graph.num_nodes(), edges.len());
+    for u in graph.nodes() {
+        b.add_node(graph.node_labels(u));
+    }
+    for ((u, v), l) in edges {
+        b.add_edge(u, v, l);
+    }
+    b.build()
 }
 
 #[cfg(test)]

@@ -1,12 +1,15 @@
-//! Differential + bounded-memory pins on the streaming CSR ingestion
-//! path, in their own test binary because the counting allocator below
-//! is process-global: a single sequential test function keeps the
-//! measurements unpolluted by concurrent tests.
+//! Differential + bounded-memory pins on the streaming CSR packer —
+//! ingestion and graph edits — in their own test binary because the
+//! counting allocator below is process-global: the tests take
+//! [`SERIAL`] so no measurement is polluted by a concurrent one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use fui_datagen::{generate_batch, generate_streaming, StreamConfig};
+use fui_graph::{NodeId, Topic, TopicSet};
+use fui_landmarks::EdgeChange;
 
 /// System allocator wrapped with live-bytes, peak-bytes and
 /// allocation-count accounting.
@@ -67,16 +70,29 @@ fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, u64) {
     (out, peak, allocs)
 }
 
-#[test]
-fn streaming_path_is_byte_identical_and_memory_bounded() {
-    // Mid-size seeded instance: big enough that an O(E) intermediate
-    // edge list would dominate the footprint, small enough for CI.
-    let cfg = StreamConfig {
+/// One measurement at a time (the allocator's counters are global).
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// Mid-size seeded instance: big enough that an O(E) intermediate edge
+/// list would dominate the footprint, small enough for CI.
+fn instance() -> StreamConfig {
+    StreamConfig {
         nodes: 40_000,
         avg_out_degree: 16.0,
         seed: 0xD1FF_5EED,
         ..StreamConfig::default()
-    };
+    }
+}
+
+/// Scratch a packer pass may hold beside the finished graph.
+fn scratch_budget(cfg: &StreamConfig) -> usize {
+    cfg.nodes * 96 + (1 << 20)
+}
+
+#[test]
+fn streaming_path_is_byte_identical_and_memory_bounded() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = instance();
 
     // Differential pin: the streaming CSR path and the batch builder
     // path must produce byte-identical graphs — every offset, target,
@@ -98,9 +114,8 @@ fn streaming_path_is_byte_identical_and_memory_bounded() {
     // plus O(N) scratch — nowhere near an extra O(E) edge list. The
     // batch path, which does hold one, must peak strictly higher.
     let final_bytes = streamed.graph.size_bytes();
-    let scratch_budget = cfg.nodes * 96 + (1 << 20);
     assert!(
-        stream_peak < final_bytes + final_bytes / 2 + scratch_budget,
+        stream_peak < final_bytes + final_bytes / 2 + scratch_budget(&cfg),
         "streaming peak {stream_peak} B vs graph {final_bytes} B: \
          an O(E) intermediate is back"
     );
@@ -117,5 +132,46 @@ fn streaming_path_is_byte_identical_and_memory_bounded() {
         "streaming generator performed {stream_allocs} allocations \
          for {} edges — a per-edge/per-node allocation crept in",
         streamed.graph.num_edges()
+    );
+}
+
+#[test]
+fn a_batch_of_changes_costs_the_new_graph_and_nothing_per_edge() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = instance();
+    let graph = generate_streaming(&cfg).graph;
+    // 64 changes, the size of a benchmark rotation: follows of new
+    // pairs, unions into present edges, unfollows.
+    let n = cfg.nodes as u32;
+    let changes: Vec<EdgeChange> = (0..64u32)
+        .map(|i| {
+            let u = NodeId((i * 7919 + 5) % n);
+            match (i % 3, graph.followees(u).first()) {
+                (1, Some(&v)) => EdgeChange::insert(u, v, TopicSet::single(Topic::Health)),
+                (2, Some(&v)) => EdgeChange::remove(u, v, TopicSet::empty()),
+                _ => EdgeChange::insert(
+                    u,
+                    NodeId((u.0 + 1 + i) % n),
+                    TopicSet::single(Topic::Technology),
+                ),
+            }
+        })
+        .collect();
+
+    let (next, peak, _) = measured(|| fui_service::apply_changes(&graph, &changes));
+    assert_eq!(
+        next,
+        fui_testkit::reference::rebuild_with_changes(&graph, &changes)
+    );
+
+    // The edit streams the old rows through the packer: its peak is the
+    // new graph plus O(N) scratch, the budget the streaming generator
+    // is held to. Copying every edge into a map or an edge list first
+    // (~3.5x the graph) is what this refuses.
+    let final_bytes = next.size_bytes();
+    assert!(
+        peak < final_bytes + final_bytes / 2 + scratch_budget(&cfg),
+        "apply_changes peaked at {peak} B for a {final_bytes} B graph: \
+         an all-edges intermediate is back"
     );
 }

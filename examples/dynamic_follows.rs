@@ -5,7 +5,6 @@
 //! cargo run --release --example dynamic_follows [nodes]
 //! ```
 
-use fui::landmarks::dynamic::{ChangeKind, DynamicLandmarks, EdgeChange};
 use fui::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -52,29 +51,23 @@ fn main() {
         unfollows.len(),
         unfollows.len()
     );
-    let mut removals = Vec::new();
-    let mut additions = Vec::new();
+    // One change list: each unfollow, then the replacement follow that
+    // appears somewhere else. The policy and the graph edit both read it.
+    let mut changes = Vec::new();
     for &(u, v, labels) in unfollows {
-        live.record(&EdgeChange {
-            follower: u,
-            followee: v,
-            labels,
-            kind: ChangeKind::Remove,
-        });
-        removals.push((u, v));
-        // A replacement follow appears somewhere else.
+        changes.push(EdgeChange::remove(u, v, labels));
         let a = NodeId(rng.gen_range(0..graph.num_nodes() as u32));
         let b = NodeId(rng.gen_range(0..graph.num_nodes() as u32));
         if a != b {
-            let l = TopicSet::single(Topic::Technology);
-            live.record(&EdgeChange {
-                follower: a,
-                followee: b,
-                labels: l,
-                kind: ChangeKind::Insert,
-            });
-            additions.push((a, b, l));
+            changes.push(EdgeChange::insert(
+                a,
+                b,
+                TopicSet::single(Topic::Technology),
+            ));
         }
+    }
+    for c in &changes {
+        live.record(c);
     }
     println!("recorded {} changes", live.changes_seen());
 
@@ -87,7 +80,7 @@ fn main() {
 
     // Apply the churn to the graph and refresh only the flagged
     // landmarks against it.
-    let new_graph = graph.without_edges(&removals).with_edges(&additions);
+    let new_graph = fui::service::apply_changes(&graph, &changes);
     let new_authority = AuthorityIndex::build(&new_graph);
     let new_propagator = Propagator::new(
         &new_graph,

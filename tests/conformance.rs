@@ -140,6 +140,22 @@ fn kernel_matches_dense_reference() {
     });
 }
 
+/// The one graph edit against its definition: seeded churn (in-order
+/// `apply_changes` with later-wins runs, insert-after-remove, unions
+/// into existing edges, empty-label inserts) through the sorted merge
+/// must equal `reference::rebuild_with_changes` — the resulting edge
+/// set packed from scratch — arena for arena, four chained rounds per
+/// case. 16 cases per preset × 5 presets = 80 seeded cases; the CI
+/// conformance matrix runs this binary at `FUI_THREADS=1` and
+/// `FUI_THREADS=4`.
+#[test]
+fn edit_matches_rebuild() {
+    let cases = run_suite("conformance_edit", 16, |case| {
+        invariants::check_edit_matches_rebuild(case)
+    });
+    assert!(cases >= 64, "edit suite shrank below the 64-case floor");
+}
+
 /// Serving-layer conformance: under seeded interleavings of queries,
 /// edge updates, snapshot rotations, landmark refreshes and
 /// submit/pump bursts, every reply must be bit-identical to a fresh

@@ -4,9 +4,7 @@
 //! Both reuse the `fui-core` engine with the matching
 //! [`ScoreVariant`], so the comparison isolates scoring semantics.
 
-use std::sync::Arc;
-
-use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant, SimRowCache, TrRecommender};
+use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant, TrRecommender};
 use fui_graph::SocialGraph;
 use fui_taxonomy::SimMatrix;
 
@@ -28,28 +26,6 @@ pub fn tr_no_similarity<'g>(
     params: ScoreParams,
 ) -> TrRecommender<'g> {
     TrRecommender::new(graph, authority, sim, params, ScoreVariant::NoSimilarity)
-}
-
-/// [`tr_no_authority`] over a shared [`SimRowCache`] — Figure-4 sweeps
-/// build every variant of one graph from the same cache, scanning the
-/// edge labels once instead of once per variant.
-pub fn tr_no_authority_cached<'g>(
-    graph: &'g SocialGraph,
-    authority: &'g AuthorityIndex,
-    rows: Arc<SimRowCache>,
-    params: ScoreParams,
-) -> TrRecommender<'g> {
-    TrRecommender::with_sim_cache(graph, authority, rows, params, ScoreVariant::NoAuthority)
-}
-
-/// [`tr_no_similarity`] over a shared [`SimRowCache`].
-pub fn tr_no_similarity_cached<'g>(
-    graph: &'g SocialGraph,
-    authority: &'g AuthorityIndex,
-    rows: Arc<SimRowCache>,
-    params: ScoreParams,
-) -> TrRecommender<'g> {
-    TrRecommender::with_sim_cache(graph, authority, rows, params, ScoreVariant::NoSimilarity)
 }
 
 #[cfg(test)]
@@ -118,40 +94,6 @@ mod tests {
         assert!(score(&na, a) > score(&na, bb), "{na:?}");
         // Without similarity, the high-authority target wins: b > a.
         assert!(score(&ns, bb) > score(&ns, a), "{ns:?}");
-    }
-
-    #[test]
-    fn cached_constructors_match_their_uncached_twins() {
-        let g = graph();
-        let idx = AuthorityIndex::build(&g);
-        let sim = SimMatrix::opencalais();
-        let params = ScoreParams::default();
-        let opts = RecommendOpts {
-            exclude_followed: false,
-            max_depth: None,
-        };
-        // One edge-label scan serves both ablations.
-        let rows = Arc::new(SimRowCache::build(&g, &sim));
-        let pairs: [(TrRecommender<'_>, TrRecommender<'_>); 2] = [
-            (
-                tr_no_authority(&g, &idx, &sim, params),
-                tr_no_authority_cached(&g, &idx, Arc::clone(&rows), params),
-            ),
-            (
-                tr_no_similarity(&g, &idx, &sim, params),
-                tr_no_similarity_cached(&g, &idx, Arc::clone(&rows), params),
-            ),
-        ];
-        for (fresh, cached) in &pairs {
-            assert_eq!(fresh.propagator().variant(), cached.propagator().variant());
-            let a = fresh.recommend(NodeId(0), Topic::Technology, 10, opts);
-            let b = cached.recommend(NodeId(0), Topic::Technology, 10, opts);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.node, y.node);
-                assert_eq!(x.score.to_bits(), y.score.to_bits());
-            }
-        }
     }
 
     #[test]

@@ -18,16 +18,14 @@ pub struct Context {
     pub sim: SimMatrix,
     /// Score parameters (paper defaults unless overridden).
     pub params: ScoreParams,
-    /// Per-edge similarity rows, scanned once and shared by every
-    /// scorer this context hands out (all variants of one graph use
-    /// the same rows — the Figure-4 sweeps build four recommenders
-    /// without re-scanning the edge labels).
+    /// The graph's similarity rows, borrowed by every scorer this
+    /// context hands out.
     sim_rows: Arc<SimRowCache>,
 }
 
 impl Context {
-    /// Builds the context (authority index and similarity-row cache
-    /// construction included).
+    /// Builds the context (authority index and similarity rows
+    /// included).
     pub fn new(graph: SocialGraph, params: ScoreParams) -> Context {
         let authority = AuthorityIndex::build(&graph);
         let sim = SimMatrix::opencalais();
@@ -41,7 +39,7 @@ impl Context {
         }
     }
 
-    /// The shared similarity-row cache.
+    /// The similarity rows every scorer of this context shares.
     pub fn sim_rows(&self) -> &Arc<SimRowCache> {
         &self.sim_rows
     }
@@ -51,8 +49,7 @@ impl Context {
         self.recommender(ScoreVariant::Full)
     }
 
-    /// A recommender for any score variant (shares the context's
-    /// similarity-row cache).
+    /// A recommender for any score variant.
     pub fn recommender(&self, variant: ScoreVariant) -> TrRecommender<'_> {
         TrRecommender::with_sim_cache(
             &self.graph,
@@ -63,8 +60,7 @@ impl Context {
         )
     }
 
-    /// A bare propagator (for landmark preprocessing and queries);
-    /// shares the context's similarity-row cache.
+    /// A bare propagator (for landmark preprocessing and queries).
     pub fn propagator(&self, variant: ScoreVariant) -> Propagator<'_> {
         Propagator::with_sim_cache(
             &self.graph,

@@ -15,8 +15,9 @@
 //! `warmstart.cold_*` / `warmstart.warm_*` counter pairs — answered
 //! queries, the bit-exact score checksum, published epoch, graph
 //! generation and journal position — must agree exactly: the restarted
-//! service is the same service, bit for bit. The
-//! `warmstart.cold_build` / `warmstart.warm_restore` spans are reported,
+//! service is the same service, bit for bit — and bounds
+//! `warmstart.snapshot_bytes` per edge, so nothing derivable creeps
+//! into the file. The `warmstart.cold_build` / `warmstart.warm_restore` spans are reported,
 //! not gated; what a restore costs is the benchmark's `restore_s`
 //! beside `setup_s`.
 
@@ -62,7 +63,7 @@ pub struct WarmstartReport {
     pub warm_restore_s: f64,
     /// `cold_build_s / warm_restore_s`.
     pub speedup: f64,
-    /// Snapshot bytes on disk after the checkpoint.
+    /// Size of the newest snapshot file (the post-rotation checkpoint).
     pub snapshot_bytes: u64,
     /// Queries answered on each side of the restart.
     pub answered: u64,
@@ -164,15 +165,13 @@ pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> War
     fui_obs::counter("warmstart.cold_seq").add(applied_seq);
     drop(svc); // the kill
 
-    let snapshot_bytes = std::fs::read_dir(&dir)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter_map(|e| e.metadata().ok())
-                .map(|m| m.len())
-                .sum()
-        })
-        .unwrap_or(0);
+    // The newest snapshot file — the one the restart decodes. The gate
+    // bounds it per edge: nothing derivable is in the file.
+    let newest = fui_service::durable::list_snapshots(&dir).expect("list the checkpoints");
+    let snapshot_bytes = std::fs::metadata(&newest.first().expect("a checkpoint on disk").1)
+        .expect("stat the checkpoint")
+        .len();
+    fui_obs::counter("warmstart.snapshot_bytes").add(snapshot_bytes);
 
     // Warm path: decode + rebuild derived state + replay the tail.
     let sp = fui_obs::Span::enter("warmstart.warm_restore");
@@ -244,10 +243,7 @@ pub fn run(scale: &ExperimentScale) -> String {
     t.row(vec!["cold build (s)".into(), f3(r.cold_build_s)]);
     t.row(vec!["warm restore (s)".into(), f3(r.warm_restore_s)]);
     t.row(vec!["speedup".into(), format!("{:.1}x", r.speedup)]);
-    t.row(vec![
-        "durable dir bytes".into(),
-        r.snapshot_bytes.to_string(),
-    ]);
+    t.row(vec!["snapshot bytes".into(), r.snapshot_bytes.to_string()]);
     t.row(vec![
         "queries answered (each side)".into(),
         r.answered.to_string(),

@@ -20,17 +20,19 @@
 //! refreshed periodically. [`AuthorityIndex`] materialises all of it in
 //! one pass over the in-CSR.
 
-use fui_graph::{NodeColumns, NodeId, SocialGraph};
+use fui_graph::{NodeId, SocialGraph};
 use fui_taxonomy::{Topic, NUM_TOPICS};
 
-/// Dense authority index: one score per (node, topic), stored as
-/// [`NodeColumns`] structure-of-arrays arenas (stride [`NUM_TOPICS`]).
+/// Dense authority index: one score per (node, topic), stored as two
+/// flat arenas, row-major by node with stride [`NUM_TOPICS`]. A pure
+/// function of the graph — never persisted, rebuilt wherever a graph is
+/// made or restored.
 #[derive(Clone, Debug)]
 pub struct AuthorityIndex {
-    /// `auth(v, t)` columns.
-    auth: NodeColumns<f64>,
-    /// `|Γv(t)|` columns, same layout.
-    followers_on: NodeColumns<u32>,
+    /// `auth(v, t)` at `[v * NUM_TOPICS + t]`.
+    auth: Vec<f64>,
+    /// `|Γv(t)|`, same layout.
+    followers_on: Vec<u32>,
     /// `max_v |Γv(t)|` per topic.
     max_followers_on: [u32; NUM_TOPICS],
 }
@@ -112,8 +114,8 @@ impl AuthorityIndex {
             auth.extend_from_slice(&chunk);
         }
         AuthorityIndex {
-            auth: NodeColumns::from_vec(auth, NUM_TOPICS),
-            followers_on: NodeColumns::from_vec(followers_on, NUM_TOPICS),
+            auth,
+            followers_on,
             max_followers_on,
         }
     }
@@ -121,19 +123,19 @@ impl AuthorityIndex {
     /// `auth(v, t)`.
     #[inline]
     pub fn auth(&self, v: NodeId, t: Topic) -> f64 {
-        self.auth.at(v, t.index())
+        self.auth[v.index() * NUM_TOPICS + t.index()]
     }
 
     /// The full per-topic authority row of `v` (indexed by topic).
     #[inline]
     pub fn auth_row(&self, v: NodeId) -> &[f64] {
-        self.auth.row(v)
+        &self.auth[v.index() * NUM_TOPICS..][..NUM_TOPICS]
     }
 
     /// `|Γv(t)|` — followers of `v` interested in `t`.
     #[inline]
     pub fn followers_on(&self, v: NodeId, t: Topic) -> u32 {
-        self.followers_on.at(v, t.index())
+        self.followers_on[v.index() * NUM_TOPICS + t.index()]
     }
 
     /// `max_v |Γv(t)|` — the per-topic global maximum.
@@ -144,46 +146,19 @@ impl AuthorityIndex {
 
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.auth.num_nodes()
+        self.auth.len() / NUM_TOPICS
     }
 
     /// Bytes held by the score and count arenas.
     pub fn size_bytes(&self) -> usize {
-        self.auth.size_bytes() + self.followers_on.size_bytes()
+        std::mem::size_of_val(&*self.auth) + std::mem::size_of_val(&*self.followers_on)
     }
 
-    /// Borrows the raw arenas for serialisation: the `auth` column
-    /// slice, the `followers_on` column slice and the per-topic maxima.
+    /// Borrows the raw arenas — the `auth` arena, the `followers_on`
+    /// arena and the per-topic maxima — for bitwise comparison of two
+    /// indices.
     pub fn to_parts(&self) -> (&[f64], &[u32], &[u32; NUM_TOPICS]) {
-        (
-            self.auth.as_slice(),
-            self.followers_on.as_slice(),
-            &self.max_followers_on,
-        )
-    }
-
-    /// Reassembles an index from raw arenas (the inverse of
-    /// [`Self::to_parts`], used by the durable snapshot codec).
-    ///
-    /// # Panics
-    /// Panics if either slice length is not a multiple of
-    /// [`NUM_TOPICS`] or the two arenas disagree on the node count —
-    /// callers are expected to have length-validated their input.
-    pub fn from_parts(
-        auth: Vec<f64>,
-        followers_on: Vec<u32>,
-        max_followers_on: [u32; NUM_TOPICS],
-    ) -> AuthorityIndex {
-        assert_eq!(
-            auth.len(),
-            followers_on.len(),
-            "authority arenas disagree on node count"
-        );
-        AuthorityIndex {
-            auth: NodeColumns::from_vec(auth, NUM_TOPICS),
-            followers_on: NodeColumns::from_vec(followers_on, NUM_TOPICS),
-            max_followers_on,
-        }
+        (&self.auth, &self.followers_on, &self.max_followers_on)
     }
 
     /// The `k` highest-authority nodes on `t`, best first.
@@ -191,7 +166,7 @@ impl AuthorityIndex {
         let mut v: Vec<(NodeId, f64)> = (0..self.num_nodes())
             .map(|i| {
                 let id = NodeId(i as u32);
-                (id, self.auth.at(id, t.index()))
+                (id, self.auth(id, t))
             })
             .filter(|&(_, a)| a > 0.0)
             .collect();

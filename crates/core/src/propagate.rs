@@ -63,10 +63,9 @@
 //! (`fui_exec::WorkerLocal`), collapsing `propagate.workspace.allocs`
 //! (stamp-array allocations) to the worker count.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
-use fui_graph::{NodeId, SocialGraph};
+use fui_graph::{NodeId, SocialGraph, TopicSet};
 use fui_obs as obs;
 use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
 
@@ -452,75 +451,59 @@ impl Propagation {
     }
 }
 
-/// Per-graph cache of `maxsim` similarity rows: one row per distinct
-/// edge label set, resolved to a row index per global out-edge CSR
-/// position. The rows depend only on the graph's edge labels and the
-/// similarity matrix — not on score parameters or variant — so one
-/// cache serves the full scorer *and* every ablation variant built
-/// over the same graph (`Tr−auth`, `Tr−sim`, Katz), sparing Figure-4
-/// sweeps the identical recomputation per variant.
+/// The `maxsim` similarity rows of a graph: one row per entry of its
+/// interned label table ([`SocialGraph::label_sets`]), read in the
+/// kernel with the `u16` label id every out-edge already carries. The
+/// rows are a function of that table and the similarity matrix alone —
+/// not of score parameters or variant — so the full scorer and every
+/// ablation variant over the same graph (`Tr−auth`, `Tr−sim`, Katz)
+/// read the same values. Building costs `O(label sets × topics)`,
+/// independent of the edge count.
 pub struct SimRowCache {
-    /// `maxsim` rows, one per distinct edge label mask.
+    /// The label table the rows were derived from.
+    label_sets: Vec<TopicSet>,
+    /// `maxsim(label_sets[id], ·)` per label id.
     sim_rows: Vec<[f64; NUM_TOPICS]>,
-    /// Row index per global out-edge CSR position.
-    edge_row: Vec<u32>,
 }
 
 impl SimRowCache {
-    /// Scans the graph once and caches per-label-set similarity rows.
+    /// Derives the row of each of `graph`'s distinct edge label sets.
     pub fn build(graph: &SocialGraph, sim: &SimMatrix) -> SimRowCache {
         prop_metrics().simrows_built.incr();
-        let mut mask_to_row: HashMap<u32, u32> = HashMap::new();
-        let mut sim_rows: Vec<[f64; NUM_TOPICS]> = Vec::new();
-        let mut edge_row = vec![0u32; graph.num_edges()];
-        for u in graph.nodes() {
-            for (pos, e) in graph.out_edges_indexed(u) {
-                let idx = *mask_to_row.entry(e.labels.mask()).or_insert_with(|| {
-                    let mut row = [0.0f64; NUM_TOPICS];
-                    for (t_idx, slot) in row.iter_mut().enumerate() {
-                        *slot = sim.max_sim(e.labels, Topic::from_index(t_idx));
-                    }
-                    sim_rows.push(row);
-                    (sim_rows.len() - 1) as u32
-                });
-                edge_row[pos] = idx;
-            }
+        let label_sets = graph.label_sets().to_vec();
+        let sim_rows = label_sets
+            .iter()
+            .map(|&labels| std::array::from_fn(|t| sim.max_sim(labels, Topic::from_index(t))))
+            .collect();
+        SimRowCache {
+            label_sets,
+            sim_rows,
         }
-        if sim_rows.is_empty() {
-            sim_rows.push([0.0; NUM_TOPICS]);
-        }
-        SimRowCache { sim_rows, edge_row }
     }
 
-    /// Number of distinct label-set rows cached.
+    /// Number of rows — the label-table length of the graph they were
+    /// built for.
     pub fn num_rows(&self) -> usize {
         self.sim_rows.len()
     }
-
-    /// Number of edge positions covered (must equal the graph's edge
-    /// count to be usable with it).
-    pub fn num_edges(&self) -> usize {
-        self.edge_row.len()
-    }
 }
 
-/// Shared per-graph scoring state: the similarity-row cache (one row of
-/// `maxsim(labels, ·)` per distinct edge label set, resolved per edge
-/// position once) and the authority index.
+/// Shared per-graph scoring state: the similarity rows (one
+/// `maxsim(labels, ·)` row per distinct edge label set) and the
+/// authority index.
 pub struct Propagator<'g> {
     graph: &'g SocialGraph,
     authority: &'g AuthorityIndex,
     params: ScoreParams,
     variant: ScoreVariant,
-    /// Shared similarity-row cache (see [`SimRowCache`]).
+    /// Similarity rows by label id (see [`SimRowCache`]).
     rows: Arc<SimRowCache>,
     /// All-ones row used to neutralise a factor under ablations.
     ones: [f64; NUM_TOPICS],
 }
 
 impl<'g> Propagator<'g> {
-    /// Builds a propagator; scans the graph once to cache per-label-set
-    /// similarity rows.
+    /// Builds a propagator, deriving the graph's similarity rows.
     pub fn new(
         graph: &'g SocialGraph,
         authority: &'g AuthorityIndex,
@@ -537,14 +520,14 @@ impl<'g> Propagator<'g> {
         )
     }
 
-    /// Builds a propagator over a pre-built [`SimRowCache`] — the way
-    /// ablation variants and bench contexts share one row scan across
-    /// many propagators of the same graph.
+    /// Builds a propagator over rows already derived for `graph` — a
+    /// serving snapshot holds one [`SimRowCache`] beside its graph and
+    /// every propagator over that snapshot borrows it.
     ///
     /// # Panics
     ///
-    /// Panics if the cache was built for a graph with a different edge
-    /// count, or the parameters are out of range.
+    /// Panics if the rows were built for a graph with a different
+    /// label table, or the parameters are out of range.
     pub fn with_sim_cache(
         graph: &'g SocialGraph,
         authority: &'g AuthorityIndex,
@@ -553,10 +536,9 @@ impl<'g> Propagator<'g> {
         variant: ScoreVariant,
     ) -> Propagator<'g> {
         params.check_ranges().expect("invalid score parameters");
-        assert_eq!(
-            rows.num_edges(),
-            graph.num_edges(),
-            "sim-row cache does not match this graph's edge positions"
+        assert!(
+            rows.label_sets == graph.label_sets(),
+            "sim rows do not match this graph's label table"
         );
         Propagator {
             graph,
@@ -583,8 +565,8 @@ impl<'g> Propagator<'g> {
         self.variant
     }
 
-    /// The shared similarity-row cache (clone the `Arc` to build
-    /// sibling variants without rescanning the graph).
+    /// The similarity rows this propagator reads (clone the `Arc` to
+    /// build sibling variants over the same graph).
     pub fn sim_cache(&self) -> &Arc<SimRowCache> {
         &self.rows
     }
@@ -720,9 +702,9 @@ impl<'g> Propagator<'g> {
                 let tb_u = run.slots[us].tb[cur];
                 let tab_u = run.slots[us].tab[cur];
                 let u_lvl = sigma_row(tc, us, 1 + cur);
-                for (pos, e) in self.graph.out_edges_indexed(u) {
+                for (label, v) in self.graph.out_edges_by_label_id(u) {
                     edges_relaxed += 1;
-                    let vs = run.slot_or_insert(e.node);
+                    let vs = run.slot_or_insert(v);
                     let s = &mut run.slots[vs];
                     if s.in_next != level_stamp {
                         s.in_next = level_stamp;
@@ -733,16 +715,13 @@ impl<'g> Propagator<'g> {
                     if tc > 0 {
                         let (sim_row, auth_row): (&[f64], &[f64]) = match self.variant {
                             ScoreVariant::Full => (
-                                &self.rows.sim_rows[self.rows.edge_row[pos] as usize],
-                                self.authority.auth_row(e.node),
+                                &self.rows.sim_rows[label as usize],
+                                self.authority.auth_row(v),
                             ),
-                            ScoreVariant::NoAuthority => (
-                                &self.rows.sim_rows[self.rows.edge_row[pos] as usize],
-                                &self.ones,
-                            ),
-                            ScoreVariant::NoSimilarity => {
-                                (&self.ones, self.authority.auth_row(e.node))
+                            ScoreVariant::NoAuthority => {
+                                (&self.rows.sim_rows[label as usize], &self.ones)
                             }
+                            ScoreVariant::NoSimilarity => (&self.ones, self.authority.auth_row(v)),
                             ScoreVariant::TopoOnly => unreachable!("tc == 0"),
                         };
                         let v_lvl = sigma_row(tc, vs, 1 + next);
@@ -800,7 +779,7 @@ impl<'g> Propagator<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fui_graph::{GraphBuilder, TopicSet};
+    use fui_graph::GraphBuilder;
 
     fn diamond() -> SocialGraph {
         // 0 -> {1, 2} -> 3, labels all technology.
@@ -1182,8 +1161,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let cache = Arc::new(SimRowCache::build(&g, &sim));
-        assert!(cache.num_rows() >= 1);
-        assert_eq!(cache.num_edges(), g.num_edges());
+        assert_eq!(cache.num_rows(), g.num_label_sets());
         let full =
             Propagator::with_sim_cache(&g, &idx, Arc::clone(&cache), params(), ScoreVariant::Full);
         let fresh = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
@@ -1208,14 +1186,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not match this graph")]
+    #[should_panic(expected = "do not match this graph")]
     fn mismatched_sim_cache_is_rejected() {
         let g = diamond();
         let mut b = GraphBuilder::new();
         let x = b.add_node(TopicSet::empty());
         let y = b.add_node(TopicSet::empty());
         b.add_edge(x, y, TopicSet::single(Topic::War));
+        b.add_edge(y, x, TopicSet::single(Topic::Health));
         let other = b.build();
+        let idx = AuthorityIndex::build(&g);
+        let sim = SimMatrix::opencalais();
+        let cache = Arc::new(SimRowCache::build(&other, &sim));
+        let _ = Propagator::with_sim_cache(&g, &idx, cache, params(), ScoreVariant::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "do not match this graph")]
+    fn sim_cache_of_an_equally_long_label_table_is_rejected() {
+        let g = diamond();
+        let mut b = GraphBuilder::new();
+        let x = b.add_node(TopicSet::empty());
+        let y = b.add_node(TopicSet::empty());
+        b.add_edge(x, y, TopicSet::single(Topic::War));
+        let other = b.build();
+        assert_eq!(other.num_label_sets(), g.num_label_sets());
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let cache = Arc::new(SimRowCache::build(&other, &sim));

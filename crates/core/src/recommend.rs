@@ -65,9 +65,8 @@ impl<'g> TrRecommender<'g> {
         }
     }
 
-    /// Builds a recommender over a pre-built, shared
-    /// [`SimRowCache`](crate::SimRowCache) — how ablation variants of
-    /// the same graph avoid rescanning its edge labels per variant.
+    /// Builds a recommender over similarity rows already derived for
+    /// `graph` (see [`Propagator::with_sim_cache`]).
     pub fn with_sim_cache(
         graph: &'g SocialGraph,
         authority: &'g AuthorityIndex,

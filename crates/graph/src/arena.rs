@@ -4,36 +4,39 @@
 //! graph, so the arenas need the same hardened codec treatment as the
 //! landmark index (`fui-landmarks/persist.rs`): every declared count is
 //! bounded against the bytes actually present *before* anything is
-//! allocated, and the structural invariants of the dual-CSR layout
-//! (monotone offsets, in-range endpoints, interned label indices) are
-//! re-validated on decode so a corrupt file can never materialise as an
-//! inconsistent graph. Layout, little-endian throughout:
+//! allocated, and the structural invariants of the out-CSR (monotone
+//! offsets, in-range endpoints, strictly ascending loop-free rows,
+//! in-range label indices) are re-validated on decode. The label
+//! table's entries are taken as read, not checked for duplicates.
+//!
+//! The in-CSR is **not in the blob**: it is the transpose of the
+//! out-CSR, so [`decode`] derives it with the same `transpose_out_csr`
+//! every packer ends in, and a file whose two sides disagree cannot be
+//! written down. Layout, little-endian throughout:
 //!
 //! ```text
-//! magic "FUICSR1\n" | u64 num_nodes | u64 num_edges | u64 label_table_len
+//! magic "FUICSR2\n" | u64 num_nodes | u64 num_edges | u64 label_table_len
 //! node_labels:  num_nodes × u32 topic mask
 //! label_table:  label_table_len × u32 topic mask
 //! out_offsets:  (num_nodes + 1) × u32
 //! out_targets:  num_edges × u32
 //! out_labels:   num_edges × u16
-//! in_offsets:   (num_nodes + 1) × u32
-//! in_sources:   num_edges × u32
-//! in_labels:    num_edges × u16
 //! ```
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fui_taxonomy::TopicSet;
 
+use crate::builder::transpose_out_csr;
 use crate::csr::{NodeId, SocialGraph};
 
-const MAGIC: &[u8; 8] = b"FUICSR1\n";
+const MAGIC: &[u8; 8] = b"FUICSR2\n";
 
 /// Largest node count an arena snapshot may declare (2^27 ≈ 134M,
 /// comfortably above Twitter-scale). Mirrors the landmark codec bound.
 pub const MAX_NODES: usize = 1 << 27;
 
 /// Largest edge count an arena snapshot may declare (2^31). The decoder
-/// allocates ~12 bytes per edge, so this caps a corrupt header at the
+/// allocates 12 bytes per edge, so this caps a corrupt header at the
 /// same order as a legitimately huge graph rather than at terabytes.
 pub const MAX_EDGES: usize = 1 << 31;
 
@@ -55,9 +58,13 @@ pub enum DecodeError {
     NodeOutOfRange(u32),
     /// A stored label index exceeds the declared label-table length.
     LabelOutOfRange(u16),
-    /// A decoded offset array is not a monotone CSR prefix-sum ending
-    /// at the declared edge count (named array).
-    BrokenOffsets(&'static str),
+    /// The offset array is not a monotone CSR prefix-sum ending at the
+    /// declared edge count.
+    BrokenOffsets,
+    /// The out-row of this node is not strictly ascending or contains
+    /// the node itself — no packer emits a duplicate target, an
+    /// unsorted row or a self-loop.
+    MalformedRow(u32),
     /// Bytes remained after the declared structure was fully read.
     TrailingBytes(usize),
 }
@@ -72,8 +79,14 @@ impl std::fmt::Display for DecodeError {
             }
             DecodeError::NodeOutOfRange(v) => write!(f, "node id {v} out of range"),
             DecodeError::LabelOutOfRange(v) => write!(f, "label index {v} out of range"),
-            DecodeError::BrokenOffsets(which) => {
-                write!(f, "{which} offsets are not a valid CSR prefix sum")
+            DecodeError::BrokenOffsets => {
+                write!(f, "out offsets are not a valid CSR prefix sum")
+            }
+            DecodeError::MalformedRow(u) => {
+                write!(
+                    f,
+                    "out-row of node {u} is not strictly ascending and loop-free"
+                )
             }
             DecodeError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after the declared structure")
@@ -109,15 +122,6 @@ pub fn encode(g: &SocialGraph) -> Bytes {
     for &l in &g.out_labels {
         buf.put_u16_le(l);
     }
-    for &o in &g.in_offsets {
-        buf.put_u32_le(o);
-    }
-    for &v in &g.in_sources {
-        buf.put_u32_le(v.0);
-    }
-    for &l in &g.in_labels {
-        buf.put_u16_le(l);
-    }
     buf.freeze()
 }
 
@@ -128,41 +132,47 @@ fn body_bytes(n: usize, e: usize, t: usize) -> u64 {
     let n = n as u64;
     let e = e as u64;
     let t = t as u64;
-    n * 4 + t * 4 + 2 * (n + 1) * 4 + 2 * e * 4 + 2 * e * 2
+    n * 4 + t * 4 + (n + 1) * 4 + e * 4 + e * 2
 }
 
-fn get_offsets(
-    buf: &mut Bytes,
-    n: usize,
-    e: usize,
-    which: &'static str,
-) -> Result<Vec<u32>, DecodeError> {
+fn get_offsets(buf: &mut Bytes, n: usize, e: usize) -> Result<Vec<u32>, DecodeError> {
     let mut offsets = Vec::with_capacity(n + 1);
     let mut prev = 0u32;
     for i in 0..=n {
         let o = buf.get_u32_le();
         if o < prev || (i == 0 && o != 0) {
-            return Err(DecodeError::BrokenOffsets(which));
+            return Err(DecodeError::BrokenOffsets);
         }
         prev = o;
         offsets.push(o);
     }
     if prev as usize != e {
-        return Err(DecodeError::BrokenOffsets(which));
+        return Err(DecodeError::BrokenOffsets);
     }
     Ok(offsets)
 }
 
-fn get_endpoints(buf: &mut Bytes, e: usize, n: usize) -> Result<Vec<NodeId>, DecodeError> {
-    let mut ids = Vec::with_capacity(e);
-    for _ in 0..e {
-        let v = buf.get_u32_le();
-        if v as usize >= n {
-            return Err(DecodeError::NodeOutOfRange(v));
+/// Reads the out-rows `offsets` delimits. Every target must be in
+/// range, and every row strictly ascending (sorted, no duplicate) and
+/// free of its own node — what the packers emit and what
+/// [`SocialGraph::edited`]'s sorted merge takes for granted.
+fn get_rows(buf: &mut Bytes, offsets: &[u32], n: usize) -> Result<Vec<NodeId>, DecodeError> {
+    let mut targets = Vec::with_capacity(offsets[n] as usize);
+    for (u, row) in offsets.windows(2).enumerate() {
+        let mut prev = None;
+        for _ in row[0]..row[1] {
+            let v = buf.get_u32_le();
+            if v as usize >= n {
+                return Err(DecodeError::NodeOutOfRange(v));
+            }
+            if v as usize == u || prev.is_some_and(|p| p >= v) {
+                return Err(DecodeError::MalformedRow(u as u32));
+            }
+            prev = Some(v);
+            targets.push(NodeId(v));
         }
-        ids.push(NodeId(v));
     }
-    Ok(ids)
+    Ok(targets)
 }
 
 fn get_label_indices(buf: &mut Bytes, e: usize, t: usize) -> Result<Vec<u16>, DecodeError> {
@@ -180,10 +190,11 @@ fn get_label_indices(buf: &mut Bytes, e: usize, t: usize) -> Result<Vec<u16>, De
 /// Decodes an arena snapshot back into a [`SocialGraph`].
 ///
 /// The header counts are bounded and checked against the remaining
-/// buffer length before any array is allocated; both offset arrays
-/// must be valid CSR prefix sums and every endpoint / label index must
-/// be in range, so the returned graph satisfies the same structural
-/// invariants as a freshly built one.
+/// buffer length before any array is allocated; the offset array must
+/// be a valid CSR prefix sum, every endpoint / label index in range and
+/// every row strictly ascending and loop-free; the in-CSR is then built
+/// by the packers' own transpose, so the returned graph passes
+/// [`SocialGraph::check_consistency`].
 pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     if buf.remaining() < MAGIC.len() {
         return Err(DecodeError::Truncated);
@@ -229,13 +240,12 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     for _ in 0..t {
         label_table.push(TopicSet::from_mask(buf.get_u32_le()));
     }
-    let out_offsets = get_offsets(&mut buf, n, e, "out")?;
-    let out_targets = get_endpoints(&mut buf, e, n)?;
+    let out_offsets = get_offsets(&mut buf, n, e)?;
+    let out_targets = get_rows(&mut buf, &out_offsets, n)?;
     let out_labels = get_label_indices(&mut buf, e, t)?;
-    let in_offsets = get_offsets(&mut buf, n, e, "in")?;
-    let in_sources = get_endpoints(&mut buf, e, n)?;
-    let in_labels = get_label_indices(&mut buf, e, t)?;
     debug_assert_eq!(buf.remaining(), 0);
+    let (in_offsets, in_sources, in_labels) =
+        transpose_out_csr(n, &out_offsets, &out_targets, &out_labels);
     Ok(SocialGraph {
         node_labels,
         label_table,
@@ -262,6 +272,7 @@ mod tests {
             b.add_node(if i % 2 == 0 { tech } else { health });
         }
         b.add_edge(NodeId(0), NodeId(1), tech);
+        b.add_edge(NodeId(0), NodeId(3), health);
         b.add_edge(NodeId(1), NodeId(2), tech.union(health));
         b.add_edge(NodeId(2), NodeId(0), health);
         b.add_edge(NodeId(4), NodeId(5), tech);
@@ -299,7 +310,7 @@ mod tests {
             assert!(
                 matches!(
                     err,
-                    DecodeError::Truncated | DecodeError::BadMagic | DecodeError::BrokenOffsets(_)
+                    DecodeError::Truncated | DecodeError::BadMagic | DecodeError::BrokenOffsets
                 ),
                 "cut at {cut} gave {err:?}"
             );
@@ -338,6 +349,29 @@ mod tests {
     }
 
     #[test]
+    fn rows_no_packer_emits_are_rejected() {
+        // Node 0's row is [1, 3]; every splice below keeps each value
+        // in range, so only the row check can catch it.
+        let g = sample();
+        let raw = encode(&g).to_vec();
+        let at = 32 + g.num_nodes() * 4 + g.label_table.len() * 4 + (g.num_nodes() + 1) * 4;
+        for (row, why) in [
+            ([1u32, 1], "duplicate"),
+            ([3, 1], "unsorted"),
+            ([0, 3], "loop"),
+        ] {
+            let mut bad = raw.clone();
+            bad[at..at + 4].copy_from_slice(&row[0].to_le_bytes());
+            bad[at + 4..at + 8].copy_from_slice(&row[1].to_le_bytes());
+            assert_eq!(
+                decode(Bytes::from(bad)),
+                Err(DecodeError::MalformedRow(0)),
+                "{why}"
+            );
+        }
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
         let mut raw = encode(&sample()).to_vec();
         raw.extend_from_slice(&[0u8; 7]);
@@ -350,9 +384,6 @@ mod tests {
         let mut raw = encode(&g).to_vec();
         let at = 32 + g.num_nodes() * 4 + g.label_table.len() * 4 + 4;
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(
-            decode(Bytes::from(raw)),
-            Err(DecodeError::BrokenOffsets("out"))
-        ));
+        assert_eq!(decode(Bytes::from(raw)), Err(DecodeError::BrokenOffsets));
     }
 }

@@ -203,6 +203,12 @@ impl SocialGraph {
         self.label_table.len()
     }
 
+    /// The shared table of distinct edge label sets, indexed by the
+    /// label ids of [`out_edges_by_label_id`](Self::out_edges_by_label_id).
+    pub fn label_sets(&self) -> &[TopicSet] {
+        &self.label_table
+    }
+
     /// Iterator over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.num_nodes() as u32).map(NodeId)
@@ -247,43 +253,22 @@ impl SocialGraph {
     /// Labeled out-edges of `u`: `(followee, edge labels)` pairs.
     #[inline]
     pub fn out_edges(&self, u: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        let range = self.out_range(u);
-        self.out_targets[range.clone()]
-            .iter()
-            .zip(&self.out_labels[range])
-            .map(|(&node, &id)| EdgeRef {
-                node,
-                labels: self.label(id),
-            })
+        self.out_edges_by_label_id(u).map(|(id, node)| EdgeRef {
+            node,
+            labels: self.label(id),
+        })
     }
 
-    /// Labeled out-edges of `u` together with their global CSR edge
-    /// position (stable for the lifetime of the graph) — used by
-    /// scorers to attach per-edge caches without hashing.
+    /// Out-edges of `u` as `(label id, followee)` pairs, the id indexing
+    /// [`label_sets`](Self::label_sets) — a scorer keeps one derived
+    /// value per distinct label set and reads it by the stored id.
     #[inline]
-    pub fn out_edges_indexed(&self, u: NodeId) -> impl Iterator<Item = (usize, EdgeRef)> + '_ {
+    pub fn out_edges_by_label_id(&self, u: NodeId) -> impl Iterator<Item = (u16, NodeId)> + '_ {
         let range = self.out_range(u);
-        let start = range.start;
-        self.out_targets[range.clone()]
+        self.out_labels[range.clone()]
             .iter()
-            .zip(&self.out_labels[range])
-            .enumerate()
-            .map(move |(i, (&node, &id))| {
-                (
-                    start + i,
-                    EdgeRef {
-                        node,
-                        labels: self.label(id),
-                    },
-                )
-            })
-    }
-
-    /// The label of the out-edge at a global CSR position (as yielded
-    /// by [`out_edges_indexed`](Self::out_edges_indexed)).
-    #[inline]
-    pub fn out_edge_label_at(&self, pos: usize) -> TopicSet {
-        self.label(self.out_labels[pos])
+            .copied()
+            .zip(self.out_targets[range].iter().copied())
     }
 
     /// Labeled in-edges of `u`: `(follower, edge labels)` pairs.

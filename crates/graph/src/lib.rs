@@ -24,9 +24,6 @@
 //!   sort in front of the packer), used by the dataset generators.
 //! * [`SocialGraph::edited`] — the one edit: a sorted per-pair delta
 //!   merged into the old rows, in front of the same packer.
-//! * [`NodeColumns`] — flat structure-of-arrays score columns (one
-//!   value per node × column), shared by the authority index and score
-//!   readouts.
 //! * [`bfs`] — k-vicinity exploration `Υk(λ)` (Section 4).
 //! * [`stats`] — the topological properties of Table 2.
 //! * [`spectral`] — power-iteration estimate of `σ_max(A)` for the
@@ -44,7 +41,6 @@ pub mod arena;
 pub mod bfs;
 pub mod builder;
 pub mod centrality;
-pub mod columns;
 pub mod components;
 pub mod csr;
 pub mod io;
@@ -54,7 +50,6 @@ pub mod stats;
 
 pub use bfs::{k_vicinity, KVicinity};
 pub use builder::{GraphBuilder, StreamingBuilder};
-pub use columns::NodeColumns;
 pub use csr::{EdgeRef, MemoryFootprint, NodeId, SocialGraph};
 pub use partition::{CutTable, Partition, PartitionStrategy};
 pub use stats::GraphStats;

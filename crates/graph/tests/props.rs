@@ -1,11 +1,11 @@
 //! Property tests on the CSR substrate: transpose consistency, degree
-//! accounting, BFS monotonicity and the one graph edit against a
-//! from-scratch rebuild (DESIGN.md §7).
+//! accounting, the arena codec, BFS monotonicity and the one graph edit
+//! against a from-scratch rebuild (DESIGN.md §7).
 
 use std::collections::BTreeMap;
 
 use fui_graph::bfs::k_vicinity;
-use fui_graph::{GraphBuilder, NodeId, SocialGraph, TopicSet};
+use fui_graph::{arena, GraphBuilder, NodeId, SocialGraph, TopicSet};
 use proptest::prelude::*;
 
 /// `nodes` carried over from `like`, `edges` packed by the batch
@@ -48,6 +48,36 @@ proptest! {
     #[test]
     fn in_csr_is_the_labeled_transpose(g in arb_graph()) {
         prop_assert!(g.check_consistency().is_ok());
+    }
+
+    /// The arena blob holds the out side only; decode re-derives the in
+    /// side, so the round trip is equality arena for arena.
+    #[test]
+    fn arena_round_trip_is_identity(g in arb_graph()) {
+        let back = arena::decode(arena::encode(&g)).expect("own output decodes");
+        prop_assert!(back.check_consistency().is_ok());
+        prop_assert_eq!(back, g);
+    }
+
+    /// Whatever single word of the blob is overwritten, a graph that
+    /// still decodes is consistent, with rows strictly ascending and
+    /// loop-free.
+    #[test]
+    fn arena_decode_returns_only_consistent_graphs(
+        g in arb_graph(),
+        at in any::<usize>(),
+        word in 0u32..32,
+    ) {
+        let mut raw = arena::encode(&g).to_vec();
+        let at = at % (raw.len() - 3);
+        raw[at..at + 4].copy_from_slice(&word.to_le_bytes());
+        if let Ok(got) = arena::decode(bytes::Bytes::from(raw)) {
+            prop_assert!(got.check_consistency().is_ok());
+            for u in got.nodes() {
+                let row = got.followees(u);
+                prop_assert!(row.windows(2).all(|p| p[0] < p[1]) && !row.contains(&u));
+            }
+        }
     }
 
     #[test]

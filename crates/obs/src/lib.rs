@@ -73,7 +73,7 @@ pub use registry::{
     SpanStat,
 };
 pub use slo::{SloConfig, SloReport, SloTracker};
-pub use span::{record_span_ns, Span};
+pub use span::Span;
 pub use trace::{
     LatencyParts, RequestTrace, TraceCapture, TraceEvent, TraceEventKind, TraceId, TraceMeta,
     TraceOutcome,

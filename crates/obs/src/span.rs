@@ -78,18 +78,6 @@ impl Drop for Span {
     }
 }
 
-/// Records a span observation with an explicit duration instead of a
-/// wall clock — for *derived* timings (a modeled critical path, a
-/// replayed trace) that belong in the same span table as measured
-/// ones. The `path` is taken verbatim: no nesting under the calling
-/// thread's span stack, no histogram. Recorded only at
-/// [`Level::Full`](crate::Level::Full), like ordinary spans.
-pub fn record_span_ns(path: &str, ns: u64) {
-    if crate::full_enabled() {
-        crate::registry::record_span(path, ns);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,16 +1,15 @@
 //! Durable serving snapshots and the write-ahead mutation journal.
 //!
-//! The serving state is expensive to rebuild (authority index,
-//! similarity rows, the landmark index), so a durable service persists
-//! two artifacts under one directory:
+//! A durable service persists two artifacts under one directory:
 //!
 //! * **Snapshot files** `snapshot-<seq>.fuisnap` — a versioned binary
-//!   image of the *entire* master state: graph CSR arenas
-//!   ([`fui_graph::arena`]), the authority [`NodeColumns`] arenas, the
-//!   landmark index (the PR-4 `FUILMK1` codec, embedded verbatim),
-//!   per-slot cache versions, staleness accumulators, buffered pending
-//!   changes, and the epoch / generation / journal-position counters.
-//!   Written atomically: encode to `tmp-…`, then `rename`.
+//!   image of the master state *that cannot be recomputed*: the graph's
+//!   out-CSR ([`fui_graph::arena`]), the landmark index (the `FUILMK1`
+//!   codec, embedded verbatim — under lazy refresh its entries are not
+//!   a function of the current graph), per-slot cache versions,
+//!   staleness accumulators, buffered pending changes, and the epoch /
+//!   generation / journal-position counters. Written atomically:
+//!   encode to `tmp-…`, then `rename`.
 //! * **The journal** `journal.fuiwal` — an append-only log of every
 //!   acknowledged mutation ([`JournalOp::Change`], [`JournalOp::Rotate`],
 //!   [`JournalOp::Refresh`]), framed and checksummed per record. A
@@ -19,6 +18,26 @@
 //!   bit-identically on the pre-crash state. Replay is idempotent:
 //!   records at or below the snapshot's `applied_seq` are skipped.
 //!
+//! Snapshot layout, little-endian throughout:
+//!
+//! ```text
+//! magic "FUISNAP2" | u64 applied_seq | u64 epoch | u64 graph_gen | u64 changes_seen
+//! f64 alpha | f64 beta | f64 tolerance | u32 max_depth | u8 variant
+//! u32 slots   | slots × (u64 version, f64 staleness)
+//! u32 pending | pending × (u32 follower, u32 followee, u32 labels, u8 kind)
+//! u64 len | graph blob          (fui_graph::arena, "FUICSR2\n")
+//! u64 len | landmark index blob (fui_landmarks::persist)
+//! u64 FNV-1a checksum of everything above
+//! ```
+//!
+//! **Not in the file**, because each is a pure function of what is:
+//! the in-CSR (rebuilt by [`arena::decode`]'s transpose), and the
+//! authority index, similarity rows, landmark topo lookups, partition
+//! and per-shard slices (rebuilt by the router's `from_state`, with
+//! the same calls a fresh build and a rotation make). A file in any
+//! other format — the authority-carrying v1 included — is
+//! [`SnapshotError::BadMagic`]; restore falls back past it.
+//!
 //! Both codecs follow the hardened decode discipline of
 //! `fui-landmarks/persist.rs`: every declared count is bounded against
 //! the bytes actually present **before** anything is allocated, file
@@ -26,8 +45,6 @@
 //! structurally-impossible headers are rejected with typed
 //! [`SnapshotError`] / [`JournalError`] values — never a panic, never
 //! an unbounded allocation.
-//!
-//! [`NodeColumns`]: fui_graph::NodeColumns
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -39,7 +56,7 @@ use fui_landmarks::{persist, ChangeKind, EdgeChange, LandmarkIndex};
 use fui_taxonomy::{TopicSet, NUM_TOPICS};
 
 /// Magic header of a snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"FUISNAP1";
+pub const SNAP_MAGIC: &[u8; 8] = b"FUISNAP2";
 
 /// Magic header of the journal file.
 pub const WAL_MAGIC: &[u8; 8] = b"FUIWAL1\n";
@@ -166,11 +183,16 @@ pub struct SnapshotState {
     pub pending: Vec<EdgeChange>,
     /// The follow graph.
     pub graph: SocialGraph,
-    /// Authority score arena (`num_nodes * NUM_TOPICS` values).
+    /// Dead: the authority index is rebuilt from `graph`, never
+    /// stored. [`encode_snapshot`] ignores these three fields,
+    /// [`decode_snapshot`] returns them empty / zero and nothing in the
+    /// workspace reads them; they stay declared only because the frozen
+    /// harness spells this struct literally (`benchmark/src/layers.rs:552`)
+    /// and go with the next benchmark PR (ROADMAP item 5).
     pub auth: Vec<f64>,
-    /// Per-topic follower-count arena, same layout.
+    #[allow(missing_docs)]
     pub followers_on: Vec<u32>,
-    /// Per-topic global follower maxima.
+    #[allow(missing_docs)]
     pub max_followers_on: [u32; NUM_TOPICS],
     /// The landmark index.
     pub index: LandmarkIndex,
@@ -223,7 +245,6 @@ pub fn encode_snapshot(state: &SnapshotState) -> Bytes {
     let mut buf = BytesMut::with_capacity(
         256 + graph_blob.len()
             + index_blob.len()
-            + state.auth.len() * 12
             + state.slot_versions.len() * 16
             + state.pending.len() * 13,
     );
@@ -248,19 +269,9 @@ pub fn encode_snapshot(state: &SnapshotState) -> Bytes {
     }
     buf.put_u64_le(graph_blob.len() as u64);
     buf.put_slice(&graph_blob);
-    buf.put_u64_le(state.auth.len() as u64);
-    for &a in &state.auth {
-        buf.put_f64_le(a);
-    }
-    for &c in &state.followers_on {
-        buf.put_u32_le(c);
-    }
-    for &m in &state.max_followers_on {
-        buf.put_u32_le(m);
-    }
     buf.put_u64_le(index_blob.len() as u64);
     buf.put_slice(&index_blob);
-    let sum = checksum(&buf.clone().freeze());
+    let sum = checksum(&buf);
     buf.put_u64_le(sum);
     buf.freeze()
 }
@@ -269,7 +280,7 @@ pub fn encode_snapshot(state: &SnapshotState) -> Bytes {
 ///
 /// The trailing checksum is verified before any field is trusted, the
 /// header counts are bounded before any array is allocated, the
-/// embedded graph / authority / landmark blobs are length-prefixed and
+/// embedded graph / landmark blobs are length-prefixed and
 /// re-validated by their own codecs, and cross-blob invariants (node
 /// counts agree, slot counts agree, `graph_gen <= epoch`) are enforced
 /// so a corrupt file can never materialise as inconsistent state.
@@ -372,33 +383,6 @@ pub fn decode_snapshot(buf: Bytes) -> Result<SnapshotState, SnapshotError> {
         }
     }
 
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    let auth_len_raw = buf.get_u64_le();
-    if auth_len_raw != (n * NUM_TOPICS) as u64 {
-        // The arena must cover exactly the graph's nodes.
-        return Err(SnapshotError::ImplausibleHeader("auth_len", auth_len_raw));
-    }
-    let auth_len = auth_len_raw as usize;
-    if (buf.remaining() as u64) < auth_len as u64 * 12 + NUM_TOPICS as u64 * 4 {
-        return Err(SnapshotError::Truncated);
-    }
-    let auth_sp = fui_obs::Span::enter("snapshot.decode.authority");
-    let mut auth = Vec::with_capacity(auth_len);
-    for _ in 0..auth_len {
-        auth.push(buf.get_f64_le());
-    }
-    let mut followers_on = Vec::with_capacity(auth_len);
-    for _ in 0..auth_len {
-        followers_on.push(buf.get_u32_le());
-    }
-    let mut max_followers_on = [0u32; NUM_TOPICS];
-    for m in &mut max_followers_on {
-        *m = buf.get_u32_le();
-    }
-    auth_sp.finish();
-
     let index_blob = get_blob(&mut buf, "index_bytes")?;
     let (index, index_nodes) = persist::decode(index_blob).map_err(SnapshotError::Landmarks)?;
     if index_nodes != n {
@@ -427,9 +411,9 @@ pub fn decode_snapshot(buf: Bytes) -> Result<SnapshotState, SnapshotError> {
         staleness,
         pending,
         graph,
-        auth,
-        followers_on,
-        max_followers_on,
+        auth: Vec::new(),
+        followers_on: Vec::new(),
+        max_followers_on: [0; NUM_TOPICS],
         index,
     })
 }
@@ -714,17 +698,25 @@ mod tests {
     use fui_taxonomy::Topic;
 
     fn tiny_state() -> SnapshotState {
+        // A ring with chords: big enough that an in-CSR or an authority
+        // arena would not hide in the size pin's slack, and in-rows
+        // whose order only the transpose gets right.
         let tech = TopicSet::single(Topic::Technology);
         let mut b = GraphBuilder::new();
-        for _ in 0..4 {
+        for _ in 0..24 {
             b.add_node(tech);
         }
-        b.add_edge(NodeId(0), NodeId(1), tech);
-        b.add_edge(NodeId(1), NodeId(2), tech);
+        for i in 0..24u32 {
+            b.add_edge(NodeId(i), NodeId((i + 1) % 24), tech);
+            b.add_edge(
+                NodeId(i),
+                NodeId((i * 5 + 3) % 24),
+                tech.with(Topic::Health),
+            );
+        }
         let graph = b.build();
         let n = graph.num_nodes();
         let authority = fui_core::AuthorityIndex::build(&graph);
-        let (auth, followers, maxima) = authority.to_parts();
         let sim = fui_taxonomy::SimMatrix::opencalais();
         let params = ScoreParams::default();
         let propagator =
@@ -740,9 +732,9 @@ mod tests {
             slot_versions: vec![4],
             staleness: vec![0.25],
             pending: vec![EdgeChange::insert(NodeId(2), NodeId(3), tech)],
-            auth: auth.to_vec(),
-            followers_on: followers.to_vec(),
-            max_followers_on: *maxima,
+            auth: Vec::new(),
+            followers_on: Vec::new(),
+            max_followers_on: [0; NUM_TOPICS],
             graph,
             index,
         }
@@ -760,13 +752,27 @@ mod tests {
         assert_eq!(back.slot_versions, state.slot_versions);
         assert_eq!(back.staleness[0].to_bits(), state.staleness[0].to_bits());
         assert_eq!(back.pending, state.pending);
-        assert_eq!(
-            back.auth.iter().map(|a| a.to_bits()).collect::<Vec<_>>(),
-            state.auth.iter().map(|a| a.to_bits()).collect::<Vec<_>>()
-        );
-        assert_eq!(back.followers_on, state.followers_on);
-        assert_eq!(back.max_followers_on, state.max_followers_on);
         assert_eq!(back.index.len(), state.index.len());
+    }
+
+    #[test]
+    fn snapshot_holds_nothing_derivable() {
+        // Header, the two tables, the out-CSR (`4·(2n+1) + 6·e + 4·t`),
+        // the index blob and slack for magics and length prefixes: no
+        // room for an authority arena (12 B × nodes × topics) or an
+        // in-CSR (`4·(n+1) + 6·e`) to creep back.
+        let state = tiny_state();
+        let g = &state.graph;
+        let (n, e, t) = (g.num_nodes(), g.num_edges(), g.num_label_sets());
+        let header = 8 + 4 * 8 + 3 * 8 + 4 + 1;
+        let tables = 4 + state.slot_versions.len() * 16 + 4 + state.pending.len() * 13;
+        let out_csr = 4 * (2 * n + 1) + 6 * e + 4 * t;
+        let index = persist::encode(&state.index, n).len();
+        let len = encode_snapshot(&state).len();
+        assert!(
+            len <= header + tables + out_csr + index + 128,
+            "{len} bytes for {n} nodes / {e} edges"
+        );
     }
 
     #[test]

@@ -79,11 +79,10 @@
 //! endpoint owners' WALs; restore merges the fleet journal and every
 //! shard journal *present on disk* by sequence number (duplicates
 //! collapse), so one torn shard WAL loses nothing the twin still holds.
-//! The partition and the slices are pure functions of the restored
-//! graph — they are re-derived, never persisted — and a directory
+//! Nothing derivable is persisted (the [`crate::durable`] module docs
+//! list what restore rebuilds), the partition included, so a directory
 //! written by any shard count restores under any other: sharding is
-//! answer-invisible. (Directories written before the engines merged
-//! carry every record in the fleet journal and restore the same way.)
+//! answer-invisible.
 
 use std::cmp::Reverse;
 use std::collections::HashMap;
@@ -397,10 +396,8 @@ impl FleetMaster {
         }
     }
 
-    /// The full durable image (the codec does not know about shards;
-    /// the partition is re-derived at restore).
+    /// The durable image: what `from_state` cannot recompute.
     fn snapshot_state(&self) -> SnapshotState {
-        let (auth, followers_on, maxima) = self.authority.to_parts();
         SnapshotState {
             applied_seq: self.applied_seq,
             epoch: self.epoch,
@@ -414,9 +411,9 @@ impl FleetMaster {
                 .collect(),
             pending: self.pending.clone(),
             graph: (*self.graph).clone(),
-            auth: auth.to_vec(),
-            followers_on: followers_on.to_vec(),
-            max_followers_on: *maxima,
+            auth: Vec::new(),
+            followers_on: Vec::new(),
+            max_followers_on: [0; fui_taxonomy::NUM_TOPICS],
             index: self.dynamic.index().clone(),
         }
     }
@@ -681,8 +678,7 @@ impl ShardedService {
     /// Warm restart: scans `dir` for the newest snapshot that decodes
     /// cleanly *and* whose file name agrees with its header position
     /// (each rejected candidate bumps `snapshot.persist.fallbacks`),
-    /// rebuilds the derived state the codec does not carry (similarity
-    /// rows, landmark topo lookups, the partition and its slices),
+    /// rebuilds the derived state the codec does not carry,
     /// then replays the fleet journal and every shard journal *present
     /// on disk*, merged by sequence number (a change on a cut edge sits
     /// in both endpoint owners' WALs; the duplicate collapses). `spec`
@@ -823,6 +819,8 @@ impl ShardedService {
         Ok(fleet)
     }
 
+    /// Rebuilds a fleet around a decoded snapshot, deriving everything
+    /// the file does not hold (see the [`crate::durable`] module docs).
     fn from_state(
         state: SnapshotState,
         sim: SimMatrix,
@@ -830,11 +828,7 @@ impl ShardedService {
         spec: ShardSpec,
     ) -> ShardedService {
         let graph = Arc::new(state.graph);
-        let authority = Arc::new(AuthorityIndex::from_parts(
-            state.auth,
-            state.followers_on,
-            state.max_followers_on,
-        ));
+        let authority = Arc::new(AuthorityIndex::build(&graph));
         let sim_rows = Arc::new(SimRowCache::build(&graph, &sim));
         let dynamic = DynamicLandmarks::restore(
             state.index.clone(),
@@ -876,6 +870,13 @@ impl ShardedService {
     /// The spec the fleet was assembled under.
     pub fn spec(&self) -> ShardSpec {
         self.spec
+    }
+
+    /// Shard 0's currently published snapshot: the graph, authority
+    /// index and similarity rows every shard shares, with shard 0's
+    /// slice of the landmark index (at one shard, the full index).
+    pub fn snapshot(&self) -> Arc<Snapshot> {
+        self.shards[0].store.load()
     }
 
     /// Max epoch over the shards' published snapshots (all equal

@@ -190,12 +190,6 @@ impl Service {
     ) -> Result<Service, RestoreError> {
         ShardedService::restore(dir, sim, cfg, ShardSpec::default()).map(Service)
     }
-
-    /// The currently published snapshot: shard 0's, which at one shard
-    /// carries the full landmark index.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.0.shards[0].store.load()
-    }
 }
 
 impl Deref for Service {

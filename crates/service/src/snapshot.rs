@@ -2,7 +2,7 @@
 //!
 //! The serving layer never mutates state a query can see. All the
 //! pieces a query touches — the follow graph, the authority index, the
-//! per-edge similarity rows and the landmark index — are bundled into
+//! similarity rows and the landmark index — are bundled into
 //! an immutable [`Snapshot`] behind `Arc`s, and the only mutation the
 //! read path ever observes is the atomic swap of the *current* snapshot
 //! pointer inside [`SnapshotStore`]. In-flight queries keep the `Arc`
@@ -49,7 +49,7 @@ pub struct Snapshot {
     pub graph: Arc<SocialGraph>,
     /// Authority index built on [`Self::graph`].
     pub authority: Arc<AuthorityIndex>,
-    /// Per-edge similarity rows built on [`Self::graph`].
+    /// Similarity rows built on [`Self::graph`].
     pub sim_rows: Arc<SimRowCache>,
     /// Landmark index (possibly lazily stale — by design).
     pub index: Arc<LandmarkIndex>,

@@ -6,7 +6,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use fui_core::{ScoreParams, ScoreVariant};
+use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant};
 use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
 use fui_service::durable;
@@ -442,6 +442,16 @@ fn assert_matches_twin(got: &ShardedService, twin: &ShardedService, ctx: &str) {
     for req in all_queries() {
         assert_same_bits(&served(got.call(req)), &served(twin.call(req)), ctx);
     }
+    // The file holds no authority: what a restored fleet serves from
+    // is the build over its own graph, bit for bit.
+    let snap = got.snapshot();
+    let rebuilt = AuthorityIndex::build(&snap.graph);
+    let (auth, followers_on, maxima) = snap.authority.to_parts();
+    let (want_auth, want_followers_on, want_maxima) = rebuilt.to_parts();
+    let bits = |row: &[f64]| row.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(auth), bits(want_auth), "{ctx}: authority");
+    assert_eq!(followers_on, want_followers_on, "{ctx}: followers_on");
+    assert_eq!(maxima, want_maxima, "{ctx}: maxima");
 }
 
 /// Every acknowledged write survives a restore under any layout: a

@@ -1,7 +1,8 @@
 //! Differential + bounded-memory pins on the streaming CSR packer —
-//! ingestion and graph edits — in their own test binary because the
-//! counting allocator below is process-global: the tests take
-//! [`SERIAL`] so no measurement is polluted by a concurrent one.
+//! ingestion, graph edits and the similarity rows — in their own test
+//! binary because the counting allocator below is process-global: the
+//! tests take [`SERIAL`] so no measurement is polluted by a concurrent
+//! one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -173,5 +174,26 @@ fn a_batch_of_changes_costs_the_new_graph_and_nothing_per_edge() {
         peak < final_bytes + final_bytes / 2 + scratch_budget(&cfg),
         "apply_changes peaked at {peak} B for a {final_bytes} B graph: \
          an all-edges intermediate is back"
+    );
+}
+
+#[test]
+fn sim_rows_cost_the_label_table_and_nothing_per_edge() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let graph = generate_streaming(&instance()).graph;
+    let sim = fui_taxonomy::SimMatrix::opencalais();
+    // Touch the lazily interned metric handles before measuring.
+    drop(fui_core::SimRowCache::build(&graph, &sim));
+
+    // One 144 B row per distinct label set: a per-edge row index
+    // (4 B × ~640k edges ≈ 2.5 MB) is what this refuses.
+    let (rows, peak, _) = measured(|| fui_core::SimRowCache::build(&graph, &sim));
+    assert_eq!(rows.num_rows(), graph.num_label_sets());
+    assert!(
+        peak < 64 << 10,
+        "SimRowCache::build peaked at {peak} B for {} label sets over {} edges: \
+         a per-edge structure is back",
+        graph.num_label_sets(),
+        graph.num_edges()
     );
 }

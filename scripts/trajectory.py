@@ -18,7 +18,9 @@ OUT, ROWS = ROOT / "benchmark/out", ROOT / "results/trajectory"
 END_TO_END = ["setup_s", "query_p50_ms", "query_p99_ms", "slo_ok_frac", "rss_peak_mb"]
 PER_LAYER = ["rotate_s", "refresh_s", "stall_max_ms", "capacity_rps", "batch_qps",
              "service.snapshot.apply_changes_s", "core.authority.build_s",
-             "core.simrows.build_s", "net.rec_hit_rtt_us"]
+             "core.simrows.build_s", "net.rec_hit_rtt_us",
+             "durable_rotate_s", "restore_s", "service.durable.snapshot_mb",
+             "service.durable.encode_snapshot_s"]
 
 
 def git(*args):
@@ -50,7 +52,7 @@ def show():
     for path in sorted(ROWS.glob("*.jsonl")):
         print(f"### {path.stem}\n\n| " + " | ".join(columns) + " |\n|" + "---|" * len(columns))
         for r in [json.loads(line) for line in path.read_text().splitlines()][-5:]:
-            cells = [r[c] if c == "commit" else f"{r[c]:.4g}" for c in columns]
+            cells = [r[c] if c == "commit" else f"{r.get(c, 0):.4g}" for c in columns]
             print("| " + " | ".join(cells) + " |")
         print()
 

@@ -15,10 +15,17 @@
 //! soon as it is parsed, whatever is in flight ahead of it.)
 //!
 //! Backpressure: a connection with `MAX_PIPELINE` unanswered
-//! requests stops reading (edge-triggered epoll loses nothing — the
-//! event loop retries paused connections on every tick), and a read
-//! buffer never grows past the HTTP parser's own hard limits plus one
-//! maximal request body.
+//! requests stops reading, and a read buffer never grows past the HTTP
+//! parser's own hard limits plus one maximal request body. A paused
+//! connection leaves bytes in the socket that edge-triggered epoll
+//! will not announce again, and the event loop has no tick to retry
+//! on. The resume rule: `Conn::fill` remembers that it stopped at a
+//! ceiling rather than at `WouldBlock`, and the loop's service pass
+//! reads again — in the same pass — as soon as decoding or a flush
+//! has moved the connection back under both ceilings
+//! (`Conn::resumable`), until a round leaves it paused or drains the
+//! socket. What un-pauses a connection is always something the loop
+//! itself just did, so no other wakeup is needed.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -72,7 +79,13 @@ pub(crate) struct Conn {
     write_buf: Vec<u8>,
     written: usize,
     /// Responses owed, FIFO.
-    pub(crate) slots: VecDeque<Slot>,
+    slots: VecDeque<Slot>,
+    /// How many of `slots` are `Waiting`: bumped where one is pushed,
+    /// dropped where the head resolves.
+    waiting: usize,
+    /// The last `fill` stopped at a backpressure ceiling, not at
+    /// `WouldBlock`: the socket may hold bytes no edge will announce.
+    undrained: bool,
     /// Stop reading/parsing; close once every owed byte is flushed.
     closing: bool,
     /// Drop now (I/O error, hangup, or graceful close completed).
@@ -93,6 +106,8 @@ impl Conn {
             write_buf: Vec::new(),
             written: 0,
             slots: VecDeque::new(),
+            waiting: 0,
+            undrained: false,
             closing: false,
             dead: false,
             requests: 0,
@@ -102,7 +117,13 @@ impl Conn {
 
     /// Whether any owed response is still waiting on a ticket.
     pub(crate) fn has_waiting(&self) -> bool {
-        self.slots.iter().any(|s| matches!(s, Slot::Waiting(_)))
+        self.waiting > 0
+    }
+
+    /// Whether a `fill` now would read bytes the last one left behind
+    /// (the resume rule in the module docs).
+    pub(crate) fn resumable(&self) -> bool {
+        self.undrained && !self.paused()
     }
 
     /// Whether the pipeline is full enough to pause reads.
@@ -115,9 +136,13 @@ impl Conn {
     /// I/O error: drop the connection.
     pub(crate) fn fill(&mut self, metrics: &NetMetrics) -> bool {
         let mut chunk = [0u8; READ_CHUNK];
-        // A paused connection deliberately leaves the socket undrained;
-        // the event loop retries once the pipeline shrinks.
-        while !(self.closing || self.eof || self.paused()) {
+        self.undrained = false;
+        while !(self.closing || self.eof) {
+            if self.paused() {
+                // Deliberately left undrained; see `resumable`.
+                self.undrained = true;
+                break;
+            }
             let room = READ_CHUNK.min(MAX_READ_BUF - self.read_buf.len());
             match self.stream.read(&mut chunk[..room]) {
                 Ok(0) => self.eof = true,
@@ -172,7 +197,9 @@ impl Conn {
                         if self.requests > 1 {
                             metrics.keepalive_reuse.incr();
                         }
-                        self.slots.push_back(run(action, keep_alive));
+                        let slot = run(action, keep_alive);
+                        self.waiting += usize::from(matches!(slot, Slot::Waiting(_)));
+                        self.slots.push_back(slot);
                     }
                     if !keep_alive {
                         self.closing = true;
@@ -180,6 +207,40 @@ impl Conn {
                     }
                 }
             }
+        }
+    }
+
+    /// Redeems tickets in FIFO order up to the first one still queued,
+    /// rendering each reply with the verb layer's renderer.
+    /// `stall_stamp` is the server's current one (see
+    /// [`PendingRec::stall_stamp`]).
+    pub(crate) fn resolve_tickets(&mut self, metrics: &NetMetrics, stall_stamp: u64) {
+        for slot in &mut self.slots {
+            let Slot::Waiting(pending) = slot else {
+                continue;
+            };
+            let ticket = pending
+                .ticket
+                .take()
+                .expect("ticket present until resolved");
+            let reply = match ticket.poll() {
+                Err(ticket) => {
+                    pending.ticket = Some(ticket);
+                    break;
+                }
+                Ok(reply) => reply,
+            };
+            let (class, text) = wire::render(&reply);
+            let stalled = pending.stall_stamp != stall_stamp;
+            let bytes = self.codec.encode(
+                metrics,
+                Class::Reply(class),
+                stalled,
+                text,
+                pending.keep_alive,
+            );
+            *slot = Slot::Done(bytes);
+            self.waiting -= 1;
         }
     }
 

@@ -7,13 +7,17 @@
 //! that `std` already links — the container is offline, so no
 //! `mio`/`libc` crates), with per-connection state machines,
 //! edge-triggered read/write buffers, keep-alive and pipelining; one
-//! pump thread drives the engine's micro-batch window. A listener
+//! pump thread answers the engine's submission queue. Neither polls:
+//! the loop sleeps in the poller until a socket or the pump wakes it,
+//! the pump parks until the loop hands it a ticket (the protocol and
+//! why it loses no wakeup: [`server`]). A listener
 //! speaks HTTP/1.1 ([`HttpServer::start`]) or the `nc`-friendly line
 //! protocol ([`HttpServer::start_line`]); the difference is a codec,
 //! not a server.
 //!
-//! * [`sys`] — the readiness poller: `epoll` on Linux, a degenerate
-//!   always-ready fallback elsewhere;
+//! * [`sys`] — the readiness poller and its wake descriptor: `epoll`
+//!   plus an `eventfd` on Linux, a degenerate always-ready fallback
+//!   elsewhere;
 //! * [`http`] — incremental, allocation-bounded request/response
 //!   parsing with typed [`HttpError`]s (every malformed input answers
 //!   `400`, never a panic or an unbounded allocation);
@@ -22,7 +26,8 @@
 //!   (for HTTP, the status line chosen from the reply's class);
 //! * [`conn`] — the per-connection state machine: buffered
 //!   edge-triggered reads, a FIFO of response slots so pipelined
-//!   requests answer in arrival order, buffered writes;
+//!   requests answer in arrival order, buffered writes, and the rule
+//!   by which a connection paused by backpressure resumes;
 //! * [`server`] — the event loop and pump over the
 //!   [`fui_service::ShardedService`] engine.
 //!
@@ -37,8 +42,9 @@
 //!
 //! Frontend tuning is one value, [`HttpConfig::deadline`] (interactive
 //! serving sheds after 2 s; the 1M-node benchmark fixture waits out
-//! multi-second rotations). The batch window, accept ceiling and
-//! pipeline bound are constants, documented where they are defined.
+//! multi-second rotations). The accept ceiling and pipeline bound are
+//! constants, documented where they are defined; there is no batch
+//! window.
 //!
 //! Shed attribution reaches the HTTP status line (`429` for load,
 //! `503` for a rotation/refresh stall — see [`codec`]); bodies stay

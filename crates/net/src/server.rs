@@ -2,23 +2,55 @@
 //!
 //! One loop thread multiplexes the listener plus every connection
 //! over [`crate::sys::Poller`] readiness; a companion pump thread
-//! drives the engine's micro-batch window. A `REC` submits into the
-//! batcher and parks a `Slot::Waiting` in the connection's FIFO;
-//! every loop tick polls the head tickets nonblockingly and ships
-//! resolved replies, so pipelining holds and the loop never blocks on
-//! a single query. Control verbs run synchronously on the loop.
+//! answers the engine's submission queue. A `REC` submits into the
+//! batcher and leaves a `Slot::Waiting` in the connection's FIFO; the
+//! loop redeems tickets nonblockingly and ships resolved replies, so
+//! pipelining holds and the loop never blocks on a single query.
+//! Control verbs run synchronously on the loop.
+//!
+//! Neither thread polls. Each blocks until something happened and is
+//! woken by the thread that made it happen:
+//!
+//! * the **loop** sleeps in `Poller::wait` with no timeout. Sockets
+//!   wake it through epoll; the pump wakes it through the poller's
+//!   wake descriptor after a `pump()` that may have resolved tickets.
+//!   A pass visits the connections epoll reported and — only when the
+//!   wake token fired — the connections that own an unresolved ticket;
+//! * the **pump** sleeps in `thread::park`. The loop `unpark`s it
+//!   after any pass that left a `Slot::Waiting` behind.
+//!
+//! Coalescing is group commit: an idle pump dispatches at once, and
+//! whatever is submitted while a batch is being answered joins the
+//! next `pump()`, which drains up to `max_batch` per shard.
+//!
+//! Why no wakeup is lost. *Loop → pump:* a request is pushed onto the
+//! queue before the `unpark` that follows its pass, and the pump parks
+//! only after a `pump()` that found nothing; an `unpark` that lands
+//! between that `pump()` and the `park` leaves the park token set, so
+//! the `park` returns at once and the next `pump()` sees the request.
+//! *Pump → loop:* replies are sent on their tickets before the wake
+//! descriptor is written, and the loop polls tickets after `wait` has
+//! drained the descriptor; a write that lands after the drain makes
+//! the next `wait` return at once. One case needs care: `pump()`
+//! returns how many requests it *answered*, and a request that
+//! outlived its deadline in the queue is resolved (shed) without being
+//! counted. So the pump owes the loop one wake for every `unpark` it
+//! has taken, and pays it after the next `pump()` even when that
+//! returned 0. Once nothing times out, a lost wakeup is a hang that
+//! every network test catches; there is deliberately no timer behind
+//! this to turn one into a latency blip.
 //!
 //! A listener speaks one `Codec` — [`HttpServer::start`] HTTP,
 //! [`HttpServer::start_line`] the line protocol — and nothing in this
 //! file depends on which: see [`crate::codec`] for the verb table and
 //! the status mapping.
 
-use std::collections::HashMap;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::{HashMap, HashSet};
+use std::net::{SocketAddr, TcpListener};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use fui_obs::{counter, gauge, Counter, Gauge};
@@ -27,16 +59,10 @@ use fui_service::ShardedService;
 
 use crate::codec::{Action, Class, Codec};
 use crate::conn::{Conn, PendingRec, Slot};
-use crate::sys::{Event, Poller};
+use crate::sys::{Event, Poller, Waker, WAKE_TOKEN};
 
 /// Token reserved for the listener.
 const LISTENER_TOKEN: u64 = 0;
-
-/// Micro-batch coalescing window: the pump's cadence when idle and
-/// the loop's poll timeout while any ticket is in flight. A constant
-/// because it is the latency floor of every queued request; moving it
-/// is a performance change to be measured, not a deployment setting.
-const WINDOW: Duration = Duration::from_millis(1);
 
 /// Accept ceiling; connections beyond it are closed immediately. Sized
 /// to stay well inside a default 1024–65536 descriptor limit together
@@ -76,6 +102,12 @@ pub(crate) struct NetMetrics {
     pub(crate) status_not_found: Counter,
     pub(crate) shed_overload: Counter,
     pub(crate) shed_rotation: Counter,
+    /// Returns from `Poller::wait`.
+    loop_passes: Counter,
+    /// Passes on which the wake token fired.
+    loop_wakes: Counter,
+    /// `pump()` calls that answered at least one request.
+    pump_batches: Counter,
 }
 
 impl NetMetrics {
@@ -94,16 +126,21 @@ impl NetMetrics {
             status_not_found: counter("net.http.not_found"),
             shed_overload: counter("net.http.shed_overload"),
             shed_rotation: counter("net.http.shed_rotation"),
+            loop_passes: counter("net.loop.passes"),
+            loop_wakes: counter("net.loop.wakes"),
+            pump_batches: counter("net.pump.batches"),
         }
     }
 }
 
 /// A running front door: one listener, its event loop and the pump.
 /// Named for its first codec; [`HttpServer::start_line`] serves the
-/// line protocol from the same type. Shut down explicitly in tests.
+/// line protocol from the same type. Dropping it stops both threads,
+/// closes every connection and releases the port.
 pub struct HttpServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    waker: Waker,
     event_loop: Option<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
 }
@@ -137,37 +174,45 @@ impl HttpServer {
     ) -> std::io::Result<HttpServer> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let local = listener.local_addr()?;
+        let poller = Poller::new()?;
+        poller.register(listener.as_raw_fd(), LISTENER_TOKEN)?;
+        let metrics = NetMetrics::new();
         let stop = Arc::new(AtomicBool::new(false));
 
-        let event_loop = {
+        let pump = {
             let service = Arc::clone(&service);
             let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("fui-net-loop".into())
-                .spawn(move || run_loop(listener, codec, (*service).as_ref(), cfg, &stop))?
-        };
-        let pump = {
-            let stop = Arc::clone(&stop);
+            let waker = poller.waker();
+            let batches = metrics.pump_batches;
             std::thread::Builder::new()
                 .name("fui-net-pump".into())
-                .spawn(move || {
-                    let service = (*service).as_ref();
-                    while !stop.load(Ordering::SeqCst) {
-                        if service.pump() == 0 {
-                            std::thread::park_timeout(WINDOW);
-                        }
-                    }
-                    // Resolve anything still queued so no ticket hangs.
-                    while service.pump() > 0 {}
-                })?
+                .spawn(move || run_pump((*service).as_ref(), &waker, batches, &stop))?
         };
-        Ok(HttpServer {
-            addr: local,
-            stop,
-            event_loop: Some(event_loop),
+        let pump_thread = pump.thread().clone();
+        // From here on an early return drops `server`, which stops and
+        // joins whatever has been spawned.
+        let mut server = HttpServer {
+            addr: listener.local_addr()?,
+            stop: Arc::clone(&stop),
+            waker: poller.waker(),
+            event_loop: None,
             pump: Some(pump),
-        })
+        };
+        let event_loop = EventLoop {
+            listener,
+            poller,
+            codec,
+            cfg,
+            metrics,
+            pump: pump_thread,
+            stop,
+        };
+        server.event_loop = Some(
+            std::thread::Builder::new()
+                .name("fui-net-loop".into())
+                .spawn(move || event_loop.run((*service).as_ref()))?,
+        );
+        Ok(server)
     }
 
     /// The bound address (resolves port 0).
@@ -175,109 +220,153 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stops the loop, closes every connection and joins the threads.
-    pub fn shutdown(mut self) {
+    /// Stops the loop, closes every connection and joins the threads:
+    /// `drop`, spelled for call sites that want to say so.
+    pub fn shutdown(self) {
+        drop(self);
+    }
+}
+
+impl Drop for HttpServer {
+    fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
-        // Nudge the poller out of its wait.
-        let _ = TcpStream::connect(self.addr);
+        // Both threads re-check `stop` whenever they wake; a wake or an
+        // unpark that lands before the sleep it is meant to end is kept
+        // (eventfd counter, park token), so neither can sleep through.
+        self.waker.wake();
         if let Some(h) = self.event_loop.take() {
             let _ = h.join();
         }
+        // Unparked once the loop can submit no more, so a parked pump's
+        // final drain leaves the queue empty.
         if let Some(h) = self.pump.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
 }
 
-fn run_loop(
-    listener: TcpListener,
-    codec: Codec,
-    service: &ShardedService,
-    cfg: HttpConfig,
-    stop: &AtomicBool,
-) {
-    let metrics = NetMetrics::new();
-    let poller = match Poller::new() {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    if poller
-        .register(listener.as_raw_fd(), LISTENER_TOKEN)
-        .is_err()
-    {
-        return;
-    }
-
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
-    let mut next_token: u64 = 1;
-    let mut events: Vec<Event> = Vec::with_capacity(256);
-    // Bumped by every rotate/refresh; a shed that straddles a bump
-    // was caused by the stall rather than by load.
-    let mut stall_stamp: u64 = 0;
-
+/// The pump thread: answer what is queued, wake the loop, park when
+/// there is nothing to do. The module docs argue why no wakeup is lost.
+fn run_pump(service: &ShardedService, waker: &Waker, batches: Counter, stop: &AtomicBool) {
+    // Unparked since the last wake: the loop handed over tickets that
+    // the next `pump()` may resolve without counting them (deadline
+    // sheds), so that `pump()` is followed by a wake whatever it
+    // returns.
+    let mut owes_wake = false;
     while !stop.load(Ordering::SeqCst) {
-        let any_waiting = conns.values().any(Conn::has_waiting);
-        let timeout = if any_waiting {
-            WINDOW
+        let answered = service.pump();
+        if answered > 0 {
+            batches.incr();
+        }
+        if answered > 0 || owes_wake {
+            waker.wake();
+            owes_wake = false;
         } else {
-            Duration::from_millis(20)
-        };
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
+            std::thread::park();
+            owes_wake = true;
         }
-
-        let woken: Vec<u64> = events
-            .iter()
-            .filter(|e| e.token != LISTENER_TOKEN)
-            .map(|e| e.token)
-            .collect();
-        let accept_ready = events
-            .iter()
-            .any(|e| e.token == LISTENER_TOKEN && e.readable);
-        for e in events.iter().filter(|e| e.closed) {
-            if let Some(c) = conns.get_mut(&e.token) {
-                c.dead = true;
-            }
-        }
-
-        if accept_ready {
-            accept_all(
-                &listener,
-                codec,
-                &poller,
-                &mut conns,
-                &mut next_token,
-                &metrics,
-            );
-        }
-
-        // Explicitly woken connections first, then a tick pass over
-        // everything with in-flight tickets or paused reads. Visiting
-        // a connection twice is harmless (reads hit WouldBlock).
-        for token in woken {
-            if let Some(c) = conns.get_mut(&token) {
-                service_conn(c, service, &cfg, &metrics, &mut stall_stamp);
-            }
-        }
-        for c in conns.values_mut() {
-            if c.dead {
-                continue;
-            }
-            service_conn(c, service, &cfg, &metrics, &mut stall_stamp);
-        }
-
-        conns.retain(|_, c| {
-            if c.dead {
-                poller.deregister(c.stream.as_raw_fd());
-            }
-            !c.dead
-        });
-        metrics.conns.set(conns.len() as f64);
     }
-    for (_, c) in conns.drain() {
-        poller.deregister(c.stream.as_raw_fd());
+    // Resolve anything still queued so no ticket hangs.
+    while service.queue_depth() > 0 {
+        service.pump();
     }
-    metrics.conns.set(0.0);
+}
+
+/// What the loop thread owns.
+struct EventLoop {
+    listener: TcpListener,
+    poller: Poller,
+    codec: Codec,
+    cfg: HttpConfig,
+    metrics: NetMetrics,
+    pump: Thread,
+    stop: Arc<AtomicBool>,
+}
+
+impl EventLoop {
+    fn run(self, service: &ShardedService) {
+        let metrics = &self.metrics;
+        let mut conns: HashMap<u64, Conn> = HashMap::new();
+        let mut next_token: u64 = 1;
+        let mut events: Vec<Event> = Vec::with_capacity(256);
+        // Tokens of the connections that own an unresolved ticket:
+        // what a wake pass visits beside the connections epoll
+        // reported.
+        let mut waiting: HashSet<u64> = HashSet::new();
+        let mut visit: Vec<u64> = Vec::new();
+        // Bumped by every rotate/refresh; a shed that straddles a bump
+        // was caused by the stall rather than by load.
+        let mut stall_stamp: u64 = 0;
+
+        while !self.stop.load(Ordering::SeqCst) {
+            // No timeout: whatever the loop waits for announces itself.
+            if self.poller.wait(&mut events, Duration::MAX).is_err() {
+                break;
+            }
+            metrics.loop_passes.incr();
+
+            let mut accept_ready = false;
+            let mut woken = false;
+            visit.clear();
+            for e in &events {
+                match e.token {
+                    LISTENER_TOKEN => accept_ready |= e.readable,
+                    WAKE_TOKEN => woken = true,
+                    token => {
+                        visit.push(token);
+                        if e.closed {
+                            if let Some(c) = conns.get_mut(&token) {
+                                c.dead = true;
+                            }
+                        }
+                    }
+                }
+            }
+            if woken {
+                metrics.loop_wakes.incr();
+                // A connection both reported and waiting is visited once.
+                visit.extend(&waiting);
+                visit.sort_unstable();
+                visit.dedup();
+            }
+
+            if accept_ready {
+                accept_all(
+                    &self.listener,
+                    self.codec,
+                    &self.poller,
+                    &mut conns,
+                    &mut next_token,
+                    metrics,
+                );
+            }
+
+            for &token in &visit {
+                let Some(c) = conns.get_mut(&token) else {
+                    continue;
+                };
+                service_conn(c, service, &self.cfg, metrics, &mut stall_stamp);
+                if c.dead {
+                    self.poller.deregister(c.stream.as_raw_fd());
+                    conns.remove(&token);
+                    waiting.remove(&token);
+                } else if c.has_waiting() {
+                    waiting.insert(token);
+                } else {
+                    waiting.remove(&token);
+                }
+            }
+            metrics.conns.set(conns.len() as f64);
+            if !waiting.is_empty() {
+                self.pump.unpark();
+            }
+        }
+        for (_, c) in conns.drain() {
+            self.poller.deregister(c.stream.as_raw_fd());
+        }
+        metrics.conns.set(0.0);
+    }
 }
 
 fn accept_all(
@@ -317,7 +406,9 @@ fn accept_all(
 }
 
 /// One full service pass over a connection: read, redeem, decode and
-/// run, redeem, flush.
+/// run, redeem, flush — and again while that un-paused a connection
+/// whose socket still holds bytes (`Conn::resumable`: no readiness
+/// edge will announce them, and there is no tick to retry on).
 fn service_conn(
     conn: &mut Conn,
     service: &ShardedService,
@@ -325,68 +416,45 @@ fn service_conn(
     metrics: &NetMetrics,
     stall_stamp: &mut u64,
 ) {
-    if !conn.fill(metrics) {
-        conn.dead = true;
-        return;
-    }
-    // Redeemed before decoding as well as after: a line connection
-    // runs its next command only once the reply ahead of it is out of
-    // the batcher, and should do so in this pass, not the next.
-    resolve_tickets(conn, metrics, *stall_stamp);
-    let codec = conn.codec;
-    conn.decode_requests(metrics, |action, keep_alive| {
-        let (class, text) = match action {
-            Action::Run(command) => {
-                if command.stalls() {
-                    *stall_stamp += 1;
-                }
-                match wire::execute(service, command, Instant::now() + cfg.deadline) {
-                    Executed::Pending(ticket) => {
-                        return Slot::Waiting(PendingRec {
-                            ticket: Some(ticket),
-                            keep_alive,
-                            stall_stamp: *stall_stamp,
-                        })
+    loop {
+        if !conn.fill(metrics) {
+            conn.dead = true;
+            return;
+        }
+        // Redeemed before decoding as well as after: a line connection
+        // runs its next command only once the reply ahead of it is out
+        // of the batcher, and should do so in this pass, not the next.
+        conn.resolve_tickets(metrics, *stall_stamp);
+        let codec = conn.codec;
+        conn.decode_requests(metrics, |action, keep_alive| {
+            let (class, text) = match action {
+                Action::Run(command) => {
+                    if command.stalls() {
+                        *stall_stamp += 1;
                     }
-                    Executed::Done(class, text) => (Class::Reply(class), text),
+                    match wire::execute(service, command, Instant::now() + cfg.deadline) {
+                        Executed::Pending(ticket) => {
+                            return Slot::Waiting(PendingRec {
+                                ticket: Some(ticket),
+                                keep_alive,
+                                stall_stamp: *stall_stamp,
+                            })
+                        }
+                        Executed::Done(class, text) => (Class::Reply(class), text),
+                    }
                 }
-            }
-            Action::Health => (
-                Class::Reply(ReplyClass::Ok),
-                format!("OK HEALTH {}", service.epoch()),
-            ),
-            Action::Refuse(class, text) => (class, text),
-        };
-        Slot::Done(codec.encode(metrics, class, false, text, keep_alive))
-    });
-    resolve_tickets(conn, metrics, *stall_stamp);
-    conn.flush(metrics);
-}
-
-/// Polls the FIFO head while tickets resolve, rendering each reply
-/// with the verb layer's renderer.
-fn resolve_tickets(conn: &mut Conn, metrics: &NetMetrics, stall_stamp: u64) {
-    while let Some(Slot::Waiting(pending)) = conn.slots.front_mut() {
-        let ticket = pending
-            .ticket
-            .take()
-            .expect("ticket present until resolved");
-        let reply = match ticket.poll() {
-            Err(ticket) => {
-                pending.ticket = Some(ticket);
-                break;
-            }
-            Ok(reply) => reply,
-        };
-        let (class, text) = wire::render(&reply);
-        let stalled = pending.stall_stamp != stall_stamp;
-        let bytes = conn.codec.encode(
-            metrics,
-            Class::Reply(class),
-            stalled,
-            text,
-            pending.keep_alive,
-        );
-        *conn.slots.front_mut().expect("front still present") = Slot::Done(bytes);
+                Action::Health => (
+                    Class::Reply(ReplyClass::Ok),
+                    format!("OK HEALTH {}", service.epoch()),
+                ),
+                Action::Refuse(class, text) => (class, text),
+            };
+            Slot::Done(codec.encode(metrics, class, false, text, keep_alive))
+        });
+        conn.resolve_tickets(metrics, *stall_stamp);
+        conn.flush(metrics);
+        if conn.dead || !conn.resumable() {
+            return;
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Micro-batching queue with admission control.
 //!
 //! Concurrent callers `submit` requests; a pump (a test/bench loop or
-//! `fui-net`'s window thread calling [`crate::ShardedService::pump`])
+//! `fui-net`'s pump thread calling [`crate::ShardedService::pump`])
 //! drains the queue in arrival order and
 //! answers one coalesced batch through
 //! `ApproxRecommender::recommend_batch` on the `fui-exec` pool.
@@ -67,7 +67,7 @@ impl Ticket {
     /// Nonblocking redemption for event-loop frontends: `Ok` with the
     /// reply once the pump has answered, `Err(self)` while it is still
     /// queued (the ticket is handed back so the caller can poll again
-    /// after the next pump window). A dropped service resolves to
+    /// after the next pump). A dropped service resolves to
     /// [`Reply::Overloaded`] with the same `service.shed.disconnect`
     /// attribution as [`Ticket::wait`]; consuming `self` on resolution
     /// makes double-counting impossible.

@@ -960,7 +960,8 @@ impl ShardedService {
     /// owner shard, and answers the rest as one scattered batch.
     /// Returns how many requests it answered. Callers drive this:
     /// tests and benches call it synchronously for determinism, the
-    /// net frontends call it on a window timer.
+    /// net front door's pump thread calls it whenever the event loop
+    /// has handed it a ticket, and again until it returns 0.
     pub fn pump(&self) -> usize {
         let now = Instant::now();
         let mut live: Vec<Pending> = Vec::new();

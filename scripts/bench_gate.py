@@ -159,6 +159,8 @@ CELLS = {
             ("load_micro.answered", 1, None, "the cell answered something"),
             (("load_micro.shed", "load_micro.submitted"), None, 0.60,
              "admission control sheds under the flash crowd, it does not collapse"),
+            (("net.loop.passes", "net.http.requests"), None, 3.0,
+             "the loop runs when something happened: at most a read edge and a resolve wake per request"),
         ],
     ),
 }

@@ -18,7 +18,8 @@ OUT, ROWS = ROOT / "benchmark/out", ROOT / "results/trajectory"
 END_TO_END = ["setup_s", "query_p50_ms", "query_p99_ms", "slo_ok_frac", "rss_peak_mb"]
 PER_LAYER = ["rotate_s", "refresh_s", "stall_max_ms", "capacity_rps", "batch_qps",
              "service.snapshot.apply_changes_s", "core.authority.build_s",
-             "core.simrows.build_s", "net.rec_hit_rtt_us",
+             "core.simrows.build_s", "net.rec_hit_rtt_us", "net.health_rtt_us",
+             "net.wait_ms", "service.batch.size_p50", "proc.cpu_sys_s_per_kreq",
              "durable_rotate_s", "restore_s", "service.durable.snapshot_mb",
              "service.durable.encode_snapshot_s"]
 

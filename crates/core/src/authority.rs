@@ -18,24 +18,35 @@
 //! `|Γu|` and `|Γu(t)|` are local per-node counts; only the per-topic
 //! maximum needs a full pass, and the paper notes it can be stored and
 //! refreshed periodically. [`AuthorityIndex`] materialises all of it in
-//! one pass over the in-CSR.
+//! two passes over the in-CSR, keeping only the topics a node is
+//! actually followed on.
 
 use fui_graph::{NodeId, SocialGraph};
-use fui_taxonomy::{Topic, NUM_TOPICS};
+use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
 
-/// Dense authority index: one score per (node, topic), stored as two
-/// flat arenas, row-major by node with stride [`NUM_TOPICS`]. A pure
-/// function of the graph — never persisted, rebuilt wherever a graph is
-/// made or restored.
-#[derive(Clone, Debug)]
+/// Sparse authority index: per node, the set of topics it has at least
+/// one follower on and where its entries start; per non-zero
+/// `(node, topic)` pair, in node then topic order, `auth` and
+/// `|Γv(t)|`. A topic outside a node's set scores 0 without touching
+/// the entry arrays — the landmark index's mask + slot idiom, per
+/// topic. A pure function of the graph — never persisted, rebuilt
+/// wherever a graph is made or restored. `==` compares every array;
+/// no stored score is 0 or NaN, so it is a bitwise comparison.
+#[derive(Clone, Debug, PartialEq)]
 pub struct AuthorityIndex {
-    /// `auth(v, t)` at `[v * NUM_TOPICS + t]`.
-    auth: Vec<f64>,
-    /// `|Γv(t)|`, same layout.
-    followers_on: Vec<u32>,
+    rows: Vec<Row>,
+    /// `auth(v, t)` per entry. Derivable from `counts`, stored anyway:
+    /// computing it on read cost query latency (DESIGN §6g).
+    scores: Vec<f64>,
+    /// `|Γv(t)|` per entry.
+    counts: Vec<u32>,
     /// `max_v |Γv(t)|` per topic.
     max_followers_on: [u32; NUM_TOPICS],
 }
+
+/// A node's row word: the topics it is followed on, and the index of
+/// its first entry.
+type Row = (TopicSet, u32);
 
 /// Node-range granularity of the parallel build passes. Small graphs
 /// fit in one chunk and run inline on the caller's thread; large ones
@@ -53,89 +64,114 @@ fn auth_score(on_t: u32, total: usize, max_on_t: u32) -> f64 {
 }
 
 impl AuthorityIndex {
-    /// Builds the index — `O(N·T + E·|labels|)` total, with the
-    /// per-node passes (follower counting, the per-topic
-    /// max-normalization scan, authority derivation) chunked over the
-    /// [`fui_exec`] pool. Each chunk owns a disjoint node range and
-    /// chunk results are merged in range order, so the index matches
-    /// the serial build exactly whatever `FUI_THREADS` says.
+    /// Builds the index — `O(N + E·|labels|)` total, in two passes
+    /// chunked over the [`fui_exec`] pool. The first counts each node's
+    /// followers per topic, writing its row word and returning the
+    /// chunk's non-zero counts and maxima; the second scores every entry
+    /// against the global maxima, in place in a pre-sized array. Each
+    /// chunk owns a disjoint node range and chunk results are merged in
+    /// range order, so the index matches the serial build exactly
+    /// whatever `FUI_THREADS` says; nothing `n × NUM_TOPICS` is ever
+    /// allocated.
     pub fn build(graph: &SocialGraph) -> AuthorityIndex {
         let n = graph.num_nodes();
-        // Pass 1: per-node follower counts per topic, and each chunk's
-        // contribution to the per-topic maxima (max is order-free, but
-        // we still fold chunk maxima in range order).
-        let chunks: Vec<(Vec<u32>, [u32; NUM_TOPICS])> =
-            fui_exec::par_ranges(n, BUILD_CHUNK, |r| {
-                let mut followers = vec![0u32; r.len() * NUM_TOPICS];
-                let mut maxima = [0u32; NUM_TOPICS];
-                for v in r.clone() {
-                    let base = (v - r.start) * NUM_TOPICS;
-                    for e in graph.in_edges(NodeId(v as u32)) {
-                        for t in e.labels.iter() {
-                            followers[base + t.index()] += 1;
-                        }
-                    }
-                    for t in 0..NUM_TOPICS {
-                        maxima[t] = maxima[t].max(followers[base + t]);
+        let mut rows = vec![(TopicSet::empty(), 0u32); n];
+        // Pass 1: row words with chunk-relative starts, each chunk's
+        // non-zero counts in (node, topic) order, and its maxima.
+        let mut pieces: Vec<&mut [Row]> = rows.chunks_mut(BUILD_CHUNK).collect();
+        let counted = fui_exec::par_map_mut(&mut pieces, |c, rows| {
+            let mut counts = Vec::new();
+            let mut maxima = [0u32; NUM_TOPICS];
+            let mut on = [0u32; NUM_TOPICS];
+            for (i, row) in rows.iter_mut().enumerate() {
+                let v = NodeId((c * BUILD_CHUNK + i) as u32);
+                let mut set = TopicSet::empty();
+                for e in graph.in_edges(v) {
+                    set = set.union(e.labels);
+                    for t in e.labels.iter() {
+                        on[t.index()] += 1;
                     }
                 }
-                (followers, maxima)
-            });
-        let mut followers_on = Vec::with_capacity(n * NUM_TOPICS);
+                *row = (set, counts.len() as u32);
+                for t in set.iter() {
+                    let k = std::mem::take(&mut on[t.index()]);
+                    maxima[t.index()] = maxima[t.index()].max(k);
+                    counts.push(k);
+                }
+            }
+            (counts, maxima)
+        });
+        let entries: usize = counted.iter().map(|(counts, _)| counts.len()).sum();
+        assert!(
+            u32::try_from(entries).is_ok(),
+            "{entries} authority entries overflow a u32 row start"
+        );
+        let mut counts = Vec::with_capacity(entries);
+        let mut spans = Vec::with_capacity(counted.len());
         let mut max_followers_on = [0u32; NUM_TOPICS];
-        for (chunk, maxima) in chunks {
-            followers_on.extend_from_slice(&chunk);
+        for (chunk, maxima) in counted {
+            spans.push(counts.len()..counts.len() + chunk.len());
+            counts.extend_from_slice(&chunk);
             for t in 0..NUM_TOPICS {
                 max_followers_on[t] = max_followers_on[t].max(maxima[t]);
             }
         }
-        // Pass 2: authority rows against the global maxima; rows are
-        // independent, chunks concatenate in range order.
-        let followers_ref = &followers_on;
-        let auth_chunks: Vec<Vec<f64>> = fui_exec::par_ranges(n, BUILD_CHUNK, |r| {
-            let mut auth = vec![0.0f64; r.len() * NUM_TOPICS];
-            for v in r.clone() {
-                let total = graph.in_degree(NodeId(v as u32));
-                if total == 0 {
-                    continue;
+        // Pass 2: every chunk scores its own slice of the entry array
+        // against the global maxima and rebases its row starts.
+        let mut scores = vec![0.0f64; entries];
+        let mut rest = &mut scores[..];
+        let mut pieces: Vec<(&mut [Row], &mut [f64])> = rows
+            .chunks_mut(BUILD_CHUNK)
+            .zip(&spans)
+            .map(|(rows, span)| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(span.len());
+                rest = tail;
+                (rows, head)
+            })
+            .collect();
+        let counts_ref = &counts;
+        fui_exec::par_map_mut(&mut pieces, |c, (rows, scores)| {
+            let base = spans[c].start;
+            for (i, row) in rows.iter_mut().enumerate() {
+                let total = graph.in_degree(NodeId((c * BUILD_CHUNK + i) as u32));
+                let start = row.1 as usize;
+                for (k, t) in row.0.iter().enumerate() {
+                    let on_t = counts_ref[base + start + k];
+                    scores[start + k] = auth_score(on_t, total, max_followers_on[t.index()]);
                 }
-                let base = (v - r.start) * NUM_TOPICS;
-                for t in 0..NUM_TOPICS {
-                    let on_t = followers_ref[v * NUM_TOPICS + t];
-                    if on_t > 0 {
-                        auth[base + t] = auth_score(on_t, total, max_followers_on[t]);
-                    }
-                }
+                row.1 += base as u32;
             }
-            auth
         });
-        let mut auth = Vec::with_capacity(n * NUM_TOPICS);
-        for chunk in auth_chunks {
-            auth.extend_from_slice(&chunk);
-        }
         AuthorityIndex {
-            auth,
-            followers_on,
+            rows,
+            scores,
+            counts,
             max_followers_on,
         }
+    }
+
+    /// Where `(v, t)`'s entry lives, if `v` has a follower on `t`: its
+    /// row start plus the number of `v`'s topics below `t`.
+    #[inline]
+    fn entry(&self, v: NodeId, t: Topic) -> Option<usize> {
+        let (set, start) = self.rows[v.index()];
+        if !set.contains(t) {
+            return None;
+        }
+        let below = set.mask() & (t.bit() - 1);
+        Some(start as usize + below.count_ones() as usize)
     }
 
     /// `auth(v, t)`.
     #[inline]
     pub fn auth(&self, v: NodeId, t: Topic) -> f64 {
-        self.auth[v.index() * NUM_TOPICS + t.index()]
-    }
-
-    /// The full per-topic authority row of `v` (indexed by topic).
-    #[inline]
-    pub fn auth_row(&self, v: NodeId) -> &[f64] {
-        &self.auth[v.index() * NUM_TOPICS..][..NUM_TOPICS]
+        self.entry(v, t).map_or(0.0, |i| self.scores[i])
     }
 
     /// `|Γv(t)|` — followers of `v` interested in `t`.
     #[inline]
     pub fn followers_on(&self, v: NodeId, t: Topic) -> u32 {
-        self.followers_on[v.index() * NUM_TOPICS + t.index()]
+        self.entry(v, t).map_or(0, |i| self.counts[i])
     }
 
     /// `max_v |Γv(t)|` — the per-topic global maximum.
@@ -146,19 +182,23 @@ impl AuthorityIndex {
 
     /// Number of nodes covered.
     pub fn num_nodes(&self) -> usize {
-        self.auth.len() / NUM_TOPICS
+        self.rows.len()
     }
 
-    /// Bytes held by the score and count arenas.
+    /// Bytes held by the row words and the entry arrays:
+    /// `8·n + 12·entries`.
     pub fn size_bytes(&self) -> usize {
-        std::mem::size_of_val(&*self.auth) + std::mem::size_of_val(&*self.followers_on)
+        std::mem::size_of_val(&*self.rows)
+            + std::mem::size_of_val(&*self.scores)
+            + std::mem::size_of_val(&*self.counts)
     }
 
-    /// Borrows the raw arenas — the `auth` arena, the `followers_on`
-    /// arena and the per-topic maxima — for bitwise comparison of two
-    /// indices.
+    /// Borrows the entry arrays — scores, counts — and the per-topic
+    /// maxima. Kept, with this signature, for the benchmark harness
+    /// until its next revision (ROADMAP item 2); compare two indexes
+    /// with `==`.
     pub fn to_parts(&self) -> (&[f64], &[u32], &[u32; NUM_TOPICS]) {
-        (&self.auth, &self.followers_on, &self.max_followers_on)
+        (&self.scores, &self.counts, &self.max_followers_on)
     }
 
     /// The `k` highest-authority nodes on `t`, best first.
@@ -278,6 +318,34 @@ mod tests {
         assert_eq!(idx.followers_on(v, Topic::Business), 1);
         // local = 1/1 for both topics, global = 1 (it is the max).
         assert!((idx.auth(v, Topic::Technology) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn rows_hold_only_the_topics_a_node_is_followed_on() {
+        // `v` is followed once on every topic and once more on all 18 at
+        // once, so its row spans every rank up to the last bit; `lonely`
+        // and the followers have no followers at all.
+        let mut g = GraphBuilder::new();
+        let v = g.add_node(TopicSet::empty());
+        let lonely = g.add_node(TopicSet::empty());
+        for t in Topic::ALL {
+            let f = g.add_node(TopicSet::empty());
+            g.add_edge(f, v, TopicSet::single(t));
+        }
+        let f = g.add_node(TopicSet::empty());
+        g.add_edge(f, v, TopicSet::full());
+        let g = g.build();
+        let idx = AuthorityIndex::build(&g);
+        assert_eq!(idx.size_bytes(), 8 * g.num_nodes() + 12 * NUM_TOPICS);
+        let total = (NUM_TOPICS + 1) as f64;
+        for t in Topic::ALL {
+            assert_eq!(idx.followers_on(v, t), 2);
+            // local 2/19, global ln 3 / ln 3.
+            let want = (2.0 / total) * (3f64.ln() / 3f64.ln());
+            assert_eq!(idx.auth(v, t).to_bits(), want.to_bits(), "{t}");
+            assert_eq!(idx.auth(lonely, t), 0.0);
+            assert_eq!(idx.followers_on(f, t), 0);
+        }
     }
 
     #[test]

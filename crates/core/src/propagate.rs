@@ -196,8 +196,6 @@ pub struct PropWorkspace {
     /// Current and next frontier, as slots in first-queued order.
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
-    /// `Topic::index()` per sigma column.
-    topic_idx: Vec<usize>,
 }
 
 impl PropWorkspace {
@@ -242,8 +240,6 @@ impl PropWorkspace {
         run.topics.clear();
         run.topics.extend_from_slice(topics);
         run.topic_cols = build_topic_cols(topics);
-        self.topic_idx.clear();
-        self.topic_idx.extend(topics.iter().map(|t| t.index()));
         run.tc = tc;
     }
 
@@ -260,7 +256,6 @@ impl PropWorkspace {
             + run.reached.capacity() * size_of::<NodeId>()
             + run.topics.capacity() * size_of::<Topic>()
             + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<u32>()
-            + self.topic_idx.capacity() * size_of::<usize>()
     }
 
     /// Converts the last run into an owned [`Propagation`], consuming
@@ -623,7 +618,6 @@ impl<'g> Propagator<'g> {
             run,
             frontier,
             next_frontier,
-            topic_idx,
         } = &mut *ws;
 
         // The source is slot 0, carrying the empty walk's unit mass.
@@ -713,20 +707,23 @@ impl<'g> Propagator<'g> {
                     s.tb[next] += beta * tb_u;
                     s.tab[next] += ab * tab_u;
                     if tc > 0 {
-                        let (sim_row, auth_row): (&[f64], &[f64]) = match self.variant {
-                            ScoreVariant::Full => (
-                                &self.rows.sim_rows[label as usize],
-                                self.authority.auth_row(v),
-                            ),
+                        let (sim_row, with_auth): (&[f64], bool) = match self.variant {
+                            ScoreVariant::Full => (&self.rows.sim_rows[label as usize], true),
                             ScoreVariant::NoAuthority => {
-                                (&self.rows.sim_rows[label as usize], &self.ones)
+                                (&self.rows.sim_rows[label as usize], false)
                             }
-                            ScoreVariant::NoSimilarity => (&self.ones, self.authority.auth_row(v)),
+                            ScoreVariant::NoSimilarity => (&self.ones, true),
                             ScoreVariant::TopoOnly => unreachable!("tc == 0"),
                         };
                         let v_lvl = sigma_row(tc, vs, 1 + next);
-                        for (ti, &t_idx) in topic_idx.iter().enumerate() {
-                            let w = ab * sim_row[t_idx] * auth_row[t_idx];
+                        for (ti, &t) in topics.iter().enumerate() {
+                            let t_idx = t.index();
+                            let auth = if with_auth {
+                                self.authority.auth(v, t)
+                            } else {
+                                self.ones[t_idx]
+                            };
+                            let w = ab * sim_row[t_idx] * auth;
                             run.sigma[v_lvl + ti] += beta * run.sigma[u_lvl + ti] + tab_u * w;
                         }
                     }

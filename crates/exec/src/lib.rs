@@ -5,7 +5,8 @@
 //! per landmark, which is embarrassingly parallel. This crate is the
 //! one place that workload shape is implemented: a small scoped-thread
 //! work pool (built on the vendored `crossbeam`, no runtime deps)
-//! exposing [`par_map`], [`par_chunks`] and [`par_ranges`].
+//! exposing [`par_map`], [`par_map_mut`], [`par_chunks`] and
+//! [`par_ranges`].
 //!
 //! # Determinism guarantee
 //!
@@ -180,6 +181,25 @@ where
     run_tasks(width, items.len(), |i| f(&items[i]))
 }
 
+/// [`par_map`] over exclusive borrows: `out[i] == f(i, &mut items[i])`.
+/// Each item goes to exactly one task, so a caller that cuts one arena
+/// into disjoint `&mut` pieces (one per item) fills it in place, with no
+/// per-piece result vector to concatenate afterwards.
+pub fn par_map_mut<T, R, F>(items: &mut [T], f: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, &mut T) -> R + Sync,
+{
+    // One uncontended lock per item: the safe way to hand a `&mut` to
+    // whichever worker claims the index.
+    let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+    run_tasks(threads(), cells.len(), |i| {
+        let mut item = cells[i].lock().expect("each item is claimed once");
+        f(i, &mut item)
+    })
+}
+
 /// Splits `items` into contiguous chunks of `chunk_size` and maps `f`
 /// over them on the configured pool. `f` receives the chunk's offset
 /// into `items` and the chunk itself; results come back in chunk
@@ -332,6 +352,18 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map_with(8, &empty, |&x| x).is_empty());
         assert_eq!(par_map_with(8, &[41u32], |&x| x + 1), vec![42]);
+    }
+
+    #[test]
+    fn par_map_mut_fills_disjoint_pieces_in_place() {
+        let mut arena = vec![0usize; 100];
+        let mut pieces: Vec<&mut [usize]> = arena.chunks_mut(7).collect();
+        let lens = par_map_mut(&mut pieces, |i, piece| {
+            piece.iter_mut().for_each(|x| *x = i);
+            piece.len()
+        });
+        assert_eq!(lens.iter().sum::<usize>(), 100);
+        assert!(arena.iter().enumerate().all(|(j, &x)| x == j / 7));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use fui_core::ScoreParams;
 use fui_graph::{GraphBuilder, NodeId, SocialGraph};
-use fui_taxonomy::{Topic, TopicSet};
+use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
 
 use crate::rng::SeededRng;
 
@@ -75,6 +75,23 @@ impl GraphCase {
         c.node_labels.truncate(used);
         c
     }
+
+    /// The same follows with every edge relabelled by
+    /// [`gen_wide_topicset`] and every edge into one seeded node
+    /// dropped, so followees carry many topics, up to the last bit, and
+    /// at least one node has no follower at all.
+    pub fn widened(&self) -> GraphCase {
+        let mut rng = SeededRng::new(self.seed.rotate_left(33));
+        let silent = rng.below(self.num_nodes as u64) as u32;
+        let mut c = self.clone();
+        c.edges = self
+            .edges
+            .iter()
+            .filter(|&&(_, v, _)| v != silent)
+            .map(|&(u, v, _)| (u, v, gen_wide_topicset(&mut rng)))
+            .collect();
+        c
+    }
 }
 
 /// Greedily shrinks `case` while `check` keeps failing on it.
@@ -129,6 +146,12 @@ pub fn gen_topicset(rng: &mut SeededRng) -> TopicSet {
         s.insert(*rng.pick(&Topic::ALL));
     }
     s
+}
+
+/// A random topic set over the whole vocabulary, the empty set
+/// included: each topic independently with probability 1/2.
+pub fn gen_wide_topicset(rng: &mut SeededRng) -> TopicSet {
+    TopicSet::from_mask(rng.below(1 << NUM_TOPICS) as u32)
 }
 
 /// A random topic.

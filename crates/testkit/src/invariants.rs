@@ -303,6 +303,83 @@ pub fn check_edit_matches_rebuild(case: &GraphCase) -> Result<(), String> {
     Ok(())
 }
 
+/// Seeded churn recorded into a fleet and published by `rotate`, at 1,
+/// 2 and 4 shards: the authority index every published snapshot serves
+/// equals [`AuthorityIndex::build`] over that snapshot's graph (`==`
+/// spans every score bit, count and per-topic maximum). The churn
+/// labels edges over the whole vocabulary and unfollows the holder of
+/// some topic's maximum, the case an incremental maximum gets wrong.
+pub fn check_rotated_authority_matches_build(case: &GraphCase) -> Result<(), String> {
+    use fui_graph::PartitionStrategy;
+    use fui_landmarks::EdgeChange;
+    use fui_service::{ServiceConfig, ShardSpec, ShardedService};
+    use fui_taxonomy::TopicSet;
+    let n = case.num_nodes as u64;
+    for shards in [1usize, 2, 4] {
+        let graph = case.graph();
+        let landmarks = graph.nodes().step_by(3).collect();
+        let fleet = ShardedService::new(
+            graph,
+            SimMatrix::opencalais(),
+            fixed_depth_params(0.8, 0.25),
+            ScoreVariant::Full,
+            landmarks,
+            case.num_nodes,
+            ServiceConfig::default(),
+            ShardSpec::new(shards, PartitionStrategy::Hash),
+        );
+        let mut rng = SeededRng::new(case.seed.rotate_left(35));
+        for round in 0..3 {
+            let snap = fleet.snapshot();
+            let present: Vec<(NodeId, NodeId, TopicSet)> = snap.graph.edges().collect();
+            // One follower of some topic's maximum holder leaves it.
+            let t = crate::gen::gen_topic(&mut rng);
+            let holder = snap
+                .graph
+                .nodes()
+                .max_by_key(|&v| snap.authority.followers_on(v, t))
+                .expect("a case has nodes");
+            let mut changes: Vec<EdgeChange> = snap
+                .graph
+                .in_edges(holder)
+                .find(|e| e.labels.contains(t))
+                .map(|e| EdgeChange::remove(e.node, holder, TopicSet::empty()))
+                .into_iter()
+                .collect();
+            for _ in 0..rng.range(1, 12) {
+                let (u, v) = if !present.is_empty() && rng.chance(0.5) {
+                    let &(u, v, _) = rng.pick(&present);
+                    (u, v)
+                } else {
+                    (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32))
+                };
+                if u != v {
+                    changes.push(if rng.chance(0.6) {
+                        EdgeChange::insert(u, v, crate::gen::gen_wide_topicset(&mut rng))
+                    } else {
+                        EdgeChange::remove(u, v, TopicSet::empty())
+                    });
+                }
+            }
+            for change in changes {
+                fleet
+                    .record(change)
+                    .map_err(|e| format!("record failed: {e} ({})", case.repro()))?;
+            }
+            fleet.rotate();
+            let snap = fleet.snapshot();
+            if *snap.authority != AuthorityIndex::build(&snap.graph) {
+                return Err(format!(
+                    "round {round}: a {shards}-shard rotate published an authority index \
+                     that differs from a build over its own graph ({})",
+                    case.repro()
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 /// The Wu–Palmer similarity is a proper similarity measure:
 /// `sim(t,t) = 1`, symmetric, and within `[0, 1]` — both on the
 /// [`Taxonomy`] directly and through the precomputed [`SimMatrix`].

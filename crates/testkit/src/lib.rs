@@ -35,7 +35,8 @@
 //!   (`sim(t,t) = 1`, symmetry), and width-independent bit-equality
 //!   through the [`fui_exec`] pool;
 //! * [`mod@reference`] — an independent re-derivation of the authority
-//!   normalizer plus deliberate off-by-one [`reference::Mutation`]s,
+//!   normalizer, compared bit for bit, plus deliberate
+//!   [`reference::Mutation`]s (off-by-ones and a reassociation),
 //!   proving the oracle has teeth (the injected bug **must** be
 //!   caught);
 //! * [`fuzz`] — deterministic byte-corruption helpers (truncation,

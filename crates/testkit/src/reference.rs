@@ -8,9 +8,10 @@
 //! auth(u, t) = |Γu(t)| / |Γu| · log(1 + |Γu(t)|) / log(1 + max_v |Γv(t)|)
 //! ```
 //!
-//! straight from the in-edges, and can inject a classic off-by-one
-//! into that copy ([`Mutation`]). [`check_authority`] compares the
-//! copy against the production [`AuthorityIndex`]; the conformance
+//! straight from the in-edges, and can inject a classic off-by-one —
+//! or a reassociation that only moves the last bits — into that copy
+//! ([`Mutation`]). [`check_authority`] compares the copy against the
+//! production [`AuthorityIndex`] bit for bit; the conformance
 //! suite asserts the unmutated copy agrees everywhere **and** that
 //! every mutation is caught on every instance that has any authority
 //! mass at all — a mutation surviving would mean the oracle is blind
@@ -47,20 +48,49 @@ pub enum Mutation {
     /// Drops the per-topic maximum of the last node — wrong whenever
     /// the last node holds a topic's maximum.
     MaxScanSkipsLastNode,
+    /// `(|Γu(t)| · log(1 + |Γu(t)|)) / (|Γu| · log(1 + max))`: the same
+    /// real number, rounded differently. Only a bitwise comparison sees
+    /// it, and a reassociated production formula would move checksums.
+    Reassociated,
 }
 
 impl Mutation {
     /// The injectable bugs (everything but [`Mutation::None`]).
-    pub const BUGS: [Mutation; 3] = [
+    pub const BUGS: [Mutation; 4] = [
         Mutation::GlobalDenominatorOffByOne,
         Mutation::LocalNumeratorOffByOne,
         Mutation::MaxScanSkipsLastNode,
+        Mutation::Reassociated,
     ];
 }
 
-/// Re-derives the full authority table (`out[v * NUM_TOPICS + t]`),
-/// optionally with a [`Mutation`] applied.
-pub fn reference_authority(graph: &SocialGraph, mutation: Mutation) -> Vec<f64> {
+/// The authority tables re-derived the obvious way, node-dense.
+#[derive(Clone, Debug)]
+pub struct ReferenceAuthority {
+    /// `auth(v, t)` at `[v * NUM_TOPICS + t]`.
+    pub auth: Vec<f64>,
+    /// `|Γv(t)|`, same layout.
+    pub followers_on: Vec<u32>,
+    /// `max_v |Γv(t)|` per topic.
+    pub max_followers_on: [u32; NUM_TOPICS],
+}
+
+impl ReferenceAuthority {
+    /// Whether two tables agree bit for bit.
+    fn same_bits(&self, other: &ReferenceAuthority) -> bool {
+        self.followers_on == other.followers_on
+            && self.max_followers_on == other.max_followers_on
+            && self
+                .auth
+                .iter()
+                .zip(&other.auth)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+    }
+}
+
+/// Re-derives the full authority tables, optionally with a [`Mutation`]
+/// applied.
+pub fn reference_authority(graph: &SocialGraph, mutation: Mutation) -> ReferenceAuthority {
     let n = graph.num_nodes();
     let mut followers = vec![0u32; n * NUM_TOPICS];
     for v in graph.nodes() {
@@ -100,27 +130,57 @@ pub fn reference_authority(graph: &SocialGraph, mutation: Mutation) -> Vec<f64> 
                 Mutation::GlobalDenominatorOffByOne => 2 + maxima[t],
                 _ => 1 + maxima[t],
             };
-            let local = f64::from(local_numerator) / total as f64;
-            let global = f64::from(1 + on_t).ln() / f64::from(global_base).ln();
-            auth[v.index() * NUM_TOPICS + t] = local * global;
+            let numerator_log = f64::from(1 + on_t).ln();
+            let denominator_log = f64::from(global_base).ln();
+            auth[v.index() * NUM_TOPICS + t] = if mutation == Mutation::Reassociated {
+                (f64::from(on_t) * numerator_log) / (total as f64 * denominator_log)
+            } else {
+                let local = f64::from(local_numerator) / total as f64;
+                local * (numerator_log / denominator_log)
+            };
         }
     }
-    auth
+    ReferenceAuthority {
+        auth,
+        followers_on: followers,
+        max_followers_on: maxima,
+    }
 }
 
-/// Compares the (possibly mutated) reference table against the
-/// production [`AuthorityIndex`]; `Err` carries the first divergence.
+/// Compares the (possibly mutated) reference tables against the
+/// production [`AuthorityIndex`] bit for bit — every score, every
+/// follower count and every per-topic maximum; `Err` carries the first
+/// divergence.
 pub fn check_authority(graph: &SocialGraph, mutation: Mutation) -> Result<(), String> {
     let index = AuthorityIndex::build(graph);
     let reference = reference_authority(graph, mutation);
+    for t in Topic::ALL {
+        let (got, expect) = (
+            index.max_followers_on(t),
+            reference.max_followers_on[t.index()],
+        );
+        if got != expect {
+            return Err(format!(
+                "max_followers_on mismatch at topic {t}: index={got} \
+                 reference({mutation:?})={expect}"
+            ));
+        }
+    }
     for v in graph.nodes() {
         for t in Topic::ALL {
-            let got = index.auth(v, t);
-            let expect = reference[v.index() * NUM_TOPICS + t.index()];
-            if (got - expect).abs() > 1e-12 {
+            let at = v.index() * NUM_TOPICS + t.index();
+            let (got, expect) = (index.followers_on(v, t), reference.followers_on[at]);
+            if got != expect {
+                return Err(format!(
+                    "followers_on mismatch at node {v} topic {t}: index={got} \
+                     reference({mutation:?})={expect}"
+                ));
+            }
+            let (got, expect) = (index.auth(v, t), reference.auth[at]);
+            if got.to_bits() != expect.to_bits() {
                 return Err(format!(
                     "authority mismatch at node {v} topic {t}: \
-                     index={got} reference({mutation:?})={expect}"
+                     index={got:e} reference({mutation:?})={expect:e}"
                 ));
             }
         }
@@ -159,16 +219,13 @@ pub fn check_mutations_are_caught(graph: &SocialGraph) -> Result<(), String> {
     Ok(())
 }
 
-/// Whether `bug` actually changes the reference table on this graph
+/// Whether `bug` changes any bit of the reference tables on this graph
 /// (e.g. [`Mutation::MaxScanSkipsLastNode`] is a no-op when the last
-/// node holds no per-topic maximum).
+/// node holds no per-topic maximum, [`Mutation::Reassociated`] when
+/// every score happens to round the same way).
 fn mutation_is_observable(graph: &SocialGraph, bug: Mutation) -> bool {
     let clean = reference_authority(graph, Mutation::None);
-    let mutated = reference_authority(graph, bug);
-    clean
-        .iter()
-        .zip(&mutated)
-        .any(|(a, b)| (a - b).abs() > 1e-12)
+    !clean.same_bits(&reference_authority(graph, bug))
 }
 
 /// What [`dense_propagate`] computed: the run shape plus node-dense
@@ -311,11 +368,56 @@ mod tests {
     fn faithful_copy_matches_on_all_presets() {
         for preset in Preset::ALL {
             for seed in 0..16u64 {
-                let g = corpus::generate(preset, seed).graph();
-                check_authority(&g, Mutation::None)
-                    .unwrap_or_else(|e| panic!("{preset:?}/{seed}: {e}"));
+                let case = corpus::generate(preset, seed);
+                for g in [case.graph(), case.widened().graph()] {
+                    check_authority(&g, Mutation::None)
+                        .unwrap_or_else(|e| panic!("{preset:?}/{seed}: {e}"));
+                }
             }
         }
+    }
+
+    #[test]
+    fn widened_cases_reach_every_rank_and_a_silent_node() {
+        let (mut last_bit, mut silent) = (false, false);
+        for preset in Preset::ALL {
+            for seed in 0..16u64 {
+                let g = corpus::generate(preset, seed).widened().graph();
+                let index = AuthorityIndex::build(&g);
+                last_bit |= g.nodes().any(|v| index.followers_on(v, Topic::ALL[17]) > 0);
+                silent |= g.nodes().any(|v| g.in_degree(v) == 0);
+            }
+        }
+        assert!(
+            last_bit && silent,
+            "last bit {last_bit}, silent node {silent}"
+        );
+    }
+
+    #[test]
+    fn reassociation_is_seen_only_bitwise() {
+        // The reassociated formula is the same real number: it lands
+        // within the old 1e-12 tolerance everywhere, so only the
+        // bitwise comparison catches it — and it must, somewhere.
+        let mut caught = 0;
+        for preset in Preset::ALL {
+            for seed in 0..16u64 {
+                let g = corpus::generate(preset, seed).widened().graph();
+                let clean = reference_authority(&g, Mutation::None);
+                let moved = reference_authority(&g, Mutation::Reassociated);
+                for (a, b) in clean.auth.iter().zip(&moved.auth) {
+                    assert!((a - b).abs() <= 1e-12, "{preset:?}/{seed}: {a} vs {b}");
+                }
+                if mutation_is_observable(&g, Mutation::Reassociated) {
+                    assert!(check_authority(&g, Mutation::Reassociated).is_err());
+                    caught += 1;
+                }
+            }
+        }
+        assert!(
+            caught > 0,
+            "no case rounds the reassociated formula differently"
+        );
     }
 
     #[test]
@@ -340,8 +442,11 @@ mod tests {
     fn mutation_harness_has_teeth() {
         for preset in Preset::ALL {
             for seed in 0..8u64 {
-                let g = corpus::generate(preset, seed).graph();
-                check_mutations_are_caught(&g).unwrap_or_else(|e| panic!("{preset:?}/{seed}: {e}"));
+                let case = corpus::generate(preset, seed);
+                for g in [case.graph(), case.widened().graph()] {
+                    check_mutations_are_caught(&g)
+                        .unwrap_or_else(|e| panic!("{preset:?}/{seed}: {e}"));
+                }
             }
         }
     }

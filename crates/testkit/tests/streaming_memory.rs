@@ -178,6 +178,42 @@ fn a_batch_of_changes_costs_the_new_graph_and_nothing_per_edge() {
 }
 
 #[test]
+fn authority_costs_its_nonzero_entries() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let graph = generate_streaming(&instance()).graph;
+    // Non-zero (node, topic) pairs, counted from the graph: the topics
+    // each node has at least one follower on.
+    let entries: usize = graph
+        .nodes()
+        .map(|v| {
+            graph
+                .in_edges(v)
+                .fold(TopicSet::empty(), |set, e| set.union(e.labels))
+                .len()
+        })
+        .sum();
+
+    // One 8 B row word per node plus a 12 B (score, count) entry per
+    // pair.
+    let (index, peak, _) = measured(|| fui_core::AuthorityIndex::build(&graph));
+    let n = graph.num_nodes();
+    assert_eq!(index.size_bytes(), 8 * n + 12 * entries);
+
+    // The build fills pre-sized arrays in place: beyond the finished
+    // index it holds the per-chunk count vectors while they are copied
+    // into the one counts array — never more than the score array it
+    // has not allocated yet — and a few per-chunk words. Concatenating
+    // per-chunk copies of a full-size arena is what this refuses.
+    let budget = 64 << 10;
+    assert!(
+        peak <= index.size_bytes() + budget,
+        "AuthorityIndex::build peaked at {peak} B for a {} B index \
+         ({n} nodes, {entries} entries): a full-size intermediate is back",
+        index.size_bytes()
+    );
+}
+
+#[test]
 fn sim_rows_cost_the_label_table_and_nothing_per_edge() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let graph = generate_streaming(&instance()).graph;

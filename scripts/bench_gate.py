@@ -89,6 +89,8 @@ CELLS = {
             ("graph.bytes_per_edge", None, 12.5, "compact-CSR ceiling (12 B per edge)"),
             (("propagate.workspace.peak_bytes", "table5_large.nodes"), None, 16.0,
              "reach-sparse workspace: one stamp word per node; the node-dense layout was 488"),
+            (("authority.index.bytes", "table5_large.nodes"), None, 32.0,
+             "sparse authority rows: non-zero (node, topic) pairs only; the dense rows were 216"),
             ("datagen.stream.scratch_bytes", 0, None, "the streaming generator reports its scratch"),
         ],
     ),

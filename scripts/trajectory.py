@@ -21,7 +21,9 @@ PER_LAYER = ["rotate_s", "refresh_s", "stall_max_ms", "capacity_rps", "batch_qps
              "core.simrows.build_s", "net.rec_hit_rtt_us", "net.health_rtt_us",
              "net.wait_ms", "service.batch.size_p50", "proc.cpu_sys_s_per_kreq",
              "durable_rotate_s", "restore_s", "service.durable.snapshot_mb",
-             "service.durable.encode_snapshot_s"]
+             "service.durable.encode_snapshot_s", "core.authority.bytes_per_node",
+             "landmarks.explore_us", "core.workspace.warm_query_us",
+             "service.call_many32_miss_us_per_req"]
 
 
 def git(*args):

@@ -156,6 +156,17 @@ fn edit_matches_rebuild() {
     assert!(cases >= 64, "edit suite shrank below the 64-case floor");
 }
 
+/// The authority index a fleet publishes after seeded churn and a
+/// rotate — wide labels, an unfollow of a topic's maximum holder — is
+/// the index a build over the rotated graph makes, bitwise, at 1, 2 and
+/// 4 shards. The contract a per-delta patch of the counts must keep.
+#[test]
+fn rotated_authority_matches_build() {
+    run_suite("conformance_authority", 8, |case| {
+        invariants::check_rotated_authority_matches_build(case)
+    });
+}
+
 /// Serving-layer conformance: under seeded interleavings of queries,
 /// edge updates, snapshot rotations, landmark refreshes and
 /// submit/pump bursts, every reply must be bit-identical to a fresh
@@ -215,12 +226,16 @@ fn http_frontend_matches_line_protocol() {
     });
 }
 
-/// Mutation sanity: a deliberate off-by-one injected into a copy of
-/// the authority normalizer must be *caught* by the oracle on every
-/// instance where it is observable — proof the harness has teeth.
+/// Mutation sanity: a deliberate bug injected into a copy of the
+/// authority normalizer — an off-by-one, or the same formula
+/// reassociated — must be *caught* by the bitwise oracle on every
+/// instance where it is observable, on the corpus graph and on its
+/// widened twin (edges over the whole vocabulary, one node unfollowed)
+/// — proof the harness has teeth.
 #[test]
 fn mutation_check_has_teeth() {
     run_suite("conformance_mutation", 24, |case| {
-        reference::check_mutations_are_caught(&case.graph())
+        reference::check_mutations_are_caught(&case.graph())?;
+        reference::check_mutations_are_caught(&case.widened().graph())
     });
 }

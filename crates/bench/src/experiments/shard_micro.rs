@@ -2,28 +2,29 @@
 //! pins (`scripts/bench_gate.py gate`).
 //!
 //! Builds two [`fui_service::ShardedService`] fleets over the *same*
-//! `table5_large`-streamed graph — one with a single shard (the
-//! scatter/gather router degenerates to the unsharded pipeline) and
-//! one with `FLEET_SHARDS` hash-partitioned shards — then drives the
-//! identical workload through both: rounds of a 2048-query strided
-//! batch with deterministic follow churn and a staggered snapshot
-//! rotation or landmark refresh between rounds.
+//! `table5_large`-streamed graph — one with a single shard and one with
+//! `FLEET_SHARDS` hash-partitioned shards — then drives the identical
+//! workload through both: rounds of a 2048-query strided batch with
+//! deterministic follow churn and a staggered snapshot rotation or
+//! landmark refresh between rounds.
 //!
 //! The gate holds the cell to the sharding contract: the
 //! `shard_micro.single.*` / `shard_micro.fleet.*` counter pairs —
 //! answered queries, the bit-exact score checksum, the published
-//! epoch — must agree exactly (partitioning may never change an
-//! answer). The per-side scatter/gather counters (`...shard_queries` /
-//! `...fanout` / `...merges`, registry deltas of the fleet-wide
-//! `service.shard.*` handles) are pinned against the committed baseline
-//! so routing-plan drift fails loudly. All of them are the same at any
-//! `FUI_THREADS`.
+//! epoch — must agree exactly (the owner map may never change an
+//! answer). Every query is routed to its owner lane alone, so each
+//! side's `...fanout` equals its `...answered`. The per-side
+//! `...explorations` (one per cache miss) and `...fanout`, registry
+//! deltas of the fleet-wide `service.shard.*` handles, are pinned
+//! against the committed baseline so routing drift fails loudly. The
+//! fleet misses less than the single shard: a key is cached only in its
+//! owner's cache, so four lanes hold four caches' worth. All of them
+//! are the same at any `FUI_THREADS`.
 //!
 //! The `shard_micro.drive_single` / `shard_micro.drive_fleet` spans are
 //! the measured wall of the `call_many` batches (rotations and churn
-//! stay outside them), reported and not gated: on a box with fewer
-//! cores than shards the fleet is the slower side. Fleet throughput is
-//! the benchmark's `batch_restart` workload (`batch_qps`).
+//! stay outside them), reported and not gated. Fleet throughput is the
+//! benchmark's `batch_restart` workload (`batch_qps`).
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_datagen::{generate_streaming, StreamConfig};
@@ -38,17 +39,14 @@ use crate::table::{f3, TextTable};
 /// Salt separating the sharded-serving instance from the other cells.
 const SEED_SALT: u64 = 0x5AAD_CE11;
 
-/// Hub landmarks stored by both fleets. Deliberately dense (double the
-/// `table5_large` cell): per-candidate composition must dominate the
-/// per-shard exploration that every shard repeats, or partitioning the
-/// candidates buys nothing.
+/// Hub landmarks stored by both fleets — double the `table5_large`
+/// cell, so most queries meet a landmark and the checksum covers the
+/// composition through stored lists, not only the exploration.
 const LANDMARKS: usize = 48;
 
-/// Recommendations stored per landmark entry — deep for the same
-/// reason: stored entries are the composition workload that sharding
-/// actually divides, while the exploration every shard repeats is a
-/// fixed per-query cost. Deep lists are the paper-scale serving
-/// configuration this cell models.
+/// Recommendations stored per landmark entry: deep, the paper-scale
+/// serving configuration (Table 6 stores up to top-1000), so every
+/// landmark a query meets composes many candidates.
 const STORED_TOP_N: usize = 512;
 
 /// Queries per drive round.
@@ -160,28 +158,18 @@ fn drive(svc: &ShardedService, workload: &[Request], span_name: &'static str) ->
     }
 }
 
-/// Registry delta of the fleet-wide scatter/gather counters between
-/// two snapshots, reported per side so the manifest attributes the
-/// shared `service.shard.*` handles.
+/// Registry delta of the fleet-wide routing counters between two
+/// snapshots, reported per side so the manifest attributes the shared
+/// `service.shard.*` handles.
 fn emit_side_counters(side: &str, o: &DriveOutcome, before: &fui_obs::Snapshot) {
     let after = fui_obs::snapshot();
     fui_obs::counter(&format!("shard_micro.{side}.answered")).add(o.answered);
     fui_obs::counter(&format!("shard_micro.{side}.checksum_bits")).add(o.checksum.to_bits());
     fui_obs::counter(&format!("shard_micro.{side}.epoch")).add(o.epoch);
-    for name in [
-        "service.shard.queries",
-        "service.shard.explorations",
-        "service.shard.fanout",
-        "service.shard.merges",
-    ] {
-        let delta = after.counter(name) - before.counter(name);
-        let short = name.rsplit('.').next().unwrap();
-        let key = if short == "queries" {
-            "shard_queries"
-        } else {
-            short
-        };
-        fui_obs::counter(&format!("shard_micro.{side}.{key}")).add(delta);
+    for name in ["explorations", "fanout"] {
+        let full = format!("service.shard.{name}");
+        let delta = after.counter(&full) - before.counter(&full);
+        fui_obs::counter(&format!("shard_micro.{side}.{name}")).add(delta);
     }
 }
 
@@ -220,8 +208,8 @@ pub fn measure_with(
         ..ServiceConfig::default()
     };
 
-    // Side A: a single-shard fleet — the scatter/gather router running
-    // the unsharded pipeline. Same precompute, same code path.
+    // Side A: a single-shard fleet — the unsharded service. Same
+    // precompute, same code path.
     let sp = fui_obs::Span::enter("shard_micro.build_single");
     let single = ShardedService::new(
         graph.clone(),
@@ -328,7 +316,7 @@ pub fn run(scale: &ExperimentScale) -> String {
         (r.single_checksum.to_bits() == r.fleet_checksum.to_bits()).to_string(),
     ]);
     format!(
-        "## shard_micro — sharded scatter/gather serving cell ({} landmarks, stored top-{}, {} shards)\n\n{}",
+        "## shard_micro — sharded serving cell ({} landmarks, stored top-{}, {} shards)\n\n{}",
         LANDMARKS,
         STORED_TOP_N,
         FLEET_SHARDS,

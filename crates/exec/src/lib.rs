@@ -68,16 +68,20 @@ pub fn worker_index() -> usize {
 }
 
 /// Per-worker storage keyed by [`worker_index`]: one lazily initialised
-/// slot per possible pool slot (`0..=MAX_THREADS`), reused across items
-/// of a `par_map` and across successive pool calls.
+/// slot per pool worker (`MAX_THREADS` of them), reused across items of
+/// a `par_map` and across successive pool calls.
 ///
 /// This is how batched propagation holds one `PropWorkspace` per worker
 /// instead of allocating per item: the slot a worker claims with
 /// [`get_or`](WorkerLocal::get_or) is the same one it claimed for the
-/// previous item, so scratch buffers stay warm. Slots are mutex-backed —
-/// concurrent pools sharing one `WorkerLocal` stay safe (they serialise
-/// on the slot), while the common case (each slot touched by one worker
-/// at a time) is an uncontended lock.
+/// previous item, so scratch buffers stay warm. The caller's thread
+/// (index 0) shares worker 1's slot: a caller blocked in a pool call
+/// runs no item while its workers do, so a `WorkerLocal` used both
+/// inline and through a pool of width `w` holds at most `w` values,
+/// not `w + 1`. Slots are mutex-backed — concurrent pools sharing one
+/// `WorkerLocal` stay safe (they serialise on the slot), while the
+/// common case (each slot touched by one worker at a time) is an
+/// uncontended lock.
 pub struct WorkerLocal<T> {
     slots: Box<[Mutex<Option<T>>]>,
 }
@@ -86,16 +90,18 @@ impl<T> WorkerLocal<T> {
     /// Creates an empty pool of per-worker slots.
     pub fn new() -> WorkerLocal<T> {
         WorkerLocal {
-            slots: (0..=MAX_THREADS).map(|_| Mutex::new(None)).collect(),
+            slots: (0..MAX_THREADS).map(|_| Mutex::new(None)).collect(),
         }
     }
 
     /// Locks the calling worker's slot, initialising it with `make` on
     /// first use, and returns a guard dereferencing to the value. The
     /// guard holds the slot lock — drop it before handing control back
-    /// to the pool (i.e. scope it to one item).
+    /// to the pool (i.e. scope it to one item), and before the caller's
+    /// thread starts a pool call of its own, whose worker 1 would wait
+    /// on the same slot.
     pub fn get_or(&self, make: impl FnOnce() -> T) -> WorkerSlot<'_, T> {
-        let mut guard = self.slots[worker_index()]
+        let mut guard = self.slots[worker_index().max(1) - 1]
             .lock()
             .expect("WorkerLocal slot poisoned");
         if guard.is_none() {
@@ -478,8 +484,27 @@ mod tests {
         let _ = par_map_with(1, &[(); 5], |_| {
             *pool.get_or(|| 0) += 1;
         });
-        *pool.get_or(|| 0) += 1; // caller thread shares slot 0
+        *pool.get_or(|| 0) += 1; // caller thread shares the inline slot
         let values: Vec<u32> = pool.drain().collect();
         assert_eq!(values, vec![6]);
+    }
+
+    #[test]
+    fn worker_local_holds_at_most_width_values() {
+        let mut pool: WorkerLocal<u32> = WorkerLocal::new();
+        *pool.get_or(|| 0) += 1;
+        // Each item waits for the other, so both workers run one item.
+        let both = std::sync::Barrier::new(2);
+        let _ = par_map_with(2, &[(); 2], |_| {
+            *pool.get_or(|| 0) += 1;
+            both.wait();
+        });
+        let values: Vec<u32> = pool.drain().collect();
+        assert!(
+            values.len() <= 2,
+            "{} values for a width-2 pool",
+            values.len()
+        );
+        assert_eq!(values.iter().sum::<u32>(), 3, "every touch hit one slot");
     }
 }

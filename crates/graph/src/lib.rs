@@ -51,7 +51,7 @@ pub mod stats;
 pub use bfs::{k_vicinity, KVicinity};
 pub use builder::{GraphBuilder, StreamingBuilder};
 pub use csr::{EdgeRef, MemoryFootprint, NodeId, SocialGraph};
-pub use partition::{CutTable, Partition, PartitionStrategy};
+pub use partition::{Partition, PartitionStrategy};
 pub use stats::GraphStats;
 
 // Re-export the label types so downstream crates can use a single

@@ -1,9 +1,10 @@
 //! Deterministic node partitioning for sharded serving.
 //!
-//! The serving layer splits the candidate space across N shards: each
-//! node is *owned* by exactly one shard, and a shard composes
-//! recommendation scores only for the candidates it owns. This module
-//! provides the two deterministic owner maps the router builds on:
+//! The serving layer splits the users across N shards: each node is
+//! *owned* by exactly one shard, which queues, answers and caches that
+//! user's queries and journals the follow changes it touches. This
+//! module provides the two deterministic owner maps the router builds
+//! on:
 //!
 //! * [`Partition::hash`] — SplitMix64 of the node id modulo the shard
 //!   count. Stateless, independent of the edge set, and therefore
@@ -13,24 +14,17 @@
 //!   the least accumulated degree mass (ties break toward the lowest
 //!   shard id, and the descending order breaks degree ties toward the
 //!   lowest node id), using the CSR degree arrays directly. This evens
-//!   out the per-shard landmark-list and cache load when the degree
-//!   distribution is heavy-tailed.
+//!   out the per-shard journal load when the degree distribution is
+//!   heavy-tailed.
 //!
 //! Both maps are pure functions of `(graph, shards)` — two processes
 //! that build the same graph derive the same ownership, which is what
 //! lets a restored fleet re-derive its shards from a fleet-level
 //! snapshot instead of persisting N copies.
-//!
-//! [`CutTable`] is the cut-edge replication table built at partition
-//! time: for every node, a bitmask of the shards reachable by one
-//! out-edge (the node's own shard included). A depth-2 scatter set is
-//! then `table[u] ∪ ⋃_{v ∈ followees(u)} table[v]` — every shard that
-//! can own a node of the query's 2-hop out-vicinity, computed without
-//! touching the second-hop adjacency at query time.
 
 use crate::csr::{NodeId, SocialGraph};
 
-/// Most shards a partition may carry — scatter masks are `u64` bitsets.
+/// Most shards a partition may carry.
 pub const MAX_SHARDS: usize = 64;
 
 /// How a [`Partition`] assigns owners.
@@ -188,12 +182,6 @@ impl Partition {
         self.cut_edges
     }
 
-    /// An ownership mask for shard `s`: `mask[v]` is true iff `s` owns
-    /// `v`. This is the candidate filter a shard's recommender applies.
-    pub fn owned_mask(&self, s: u32) -> Vec<bool> {
-        self.owner.iter().map(|&o| u32::from(o) == s).collect()
-    }
-
     /// Counts the edges of `graph` whose endpoints live on different
     /// shards under this (fixed) owner map. [`Partition::cut_edges`]
     /// reports the count for the graph the map was built on; this
@@ -209,49 +197,6 @@ impl Partition {
             }
         }
         cut
-    }
-
-    /// Builds the cut-edge replication table for the current edge set.
-    /// Rebuilt on every rotation (the owner map itself never moves, but
-    /// which shards a node's out-edges *reach* does).
-    pub fn cut_table(&self, graph: &SocialGraph) -> CutTable {
-        let mask = graph
-            .nodes()
-            .map(|u| {
-                let mut m = 1u64 << self.owner(u);
-                for &v in graph.followees(u) {
-                    m |= 1u64 << self.owner(v);
-                }
-                m
-            })
-            .collect();
-        CutTable { mask }
-    }
-}
-
-/// Per-node bitmask of the shards reachable by at most one out-edge
-/// (the node's own shard included) — the scatter table the router
-/// consults at query time.
-#[derive(Clone, Debug)]
-pub struct CutTable {
-    mask: Vec<u64>,
-}
-
-impl CutTable {
-    /// Shards owning `u` or any of its followees, as a bitmask.
-    #[inline]
-    pub fn one_hop(&self, u: NodeId) -> u64 {
-        self.mask[u.index()]
-    }
-
-    /// Shards owning any node within `u`'s 2-hop out-vicinity:
-    /// `one_hop(u) ∪ ⋃_{v ∈ followees(u)} one_hop(v)`.
-    pub fn two_hop(&self, graph: &SocialGraph, u: NodeId) -> u64 {
-        let mut m = self.mask[u.index()];
-        for &v in graph.followees(u) {
-            m |= self.mask[v.index()];
-        }
-        m
     }
 }
 
@@ -360,23 +305,6 @@ mod tests {
         let (gs, gd) = (sparse.build(), dense.build());
         let (ps, pd) = (Partition::hash(&gs, 4), Partition::hash(&gd, 4));
         assert!(gs.nodes().all(|v| ps.owner(v) == pd.owner(v)));
-    }
-
-    #[test]
-    fn cut_table_covers_the_two_hop_vicinity() {
-        let g = chain_and_hub(60);
-        let p = Partition::hash(&g, 4);
-        let table = p.cut_table(&g);
-        for u in g.nodes() {
-            let m = table.two_hop(&g, u);
-            assert!(m & (1 << p.owner(u)) != 0, "own shard missing");
-            for &v in g.followees(u) {
-                assert!(m & (1 << p.owner(v)) != 0, "1-hop owner missing");
-                for &w in g.followees(v) {
-                    assert!(m & (1 << p.owner(w)) != 0, "2-hop owner missing");
-                }
-            }
-        }
     }
 
     #[test]

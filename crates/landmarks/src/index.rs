@@ -54,8 +54,8 @@ impl LandmarkEntry {
 /// dense membership mask for O(1) landmark tests during BFS.
 ///
 /// The two per-node arenas depend only on the landmark set, so clones
-/// and the [`truncated`](Self::truncated) / [`filtered`](Self::filtered)
-/// derivatives share them instead of copying 5 B/node each.
+/// and [`truncated`](Self::truncated) copies share them instead of
+/// copying 5 B/node each.
 #[derive(Clone, Debug)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
@@ -248,36 +248,6 @@ impl LandmarkIndex {
             mask: Arc::clone(&self.mask),
             slot: Arc::clone(&self.slot),
             top_n: top_n.min(self.top_n),
-        }
-    }
-
-    /// A shard slice: the same landmarks, mask and slots (so BFS
-    /// pruning, `is_landmark` and `slot_of` behave identically on
-    /// every shard), but every stored list filtered to the nodes
-    /// `keep` accepts, preserving list order. Sharded serving gives
-    /// each shard the slice of the candidates it owns; because the
-    /// per-topic and topological lists are filtered by the same
-    /// predicate, the query-time `in_topical` bookkeeping stays
-    /// consistent with the unsharded index.
-    pub fn filtered(&self, keep: impl Fn(NodeId) -> bool) -> LandmarkIndex {
-        let entries = self
-            .entries
-            .iter()
-            .map(|e| LandmarkEntry {
-                recs: e
-                    .recs
-                    .iter()
-                    .map(|l| l.iter().copied().filter(|s| keep(s.node)).collect())
-                    .collect(),
-                topo: e.topo.iter().copied().filter(|s| keep(s.node)).collect(),
-            })
-            .collect();
-        LandmarkIndex {
-            landmarks: self.landmarks.clone(),
-            entries,
-            mask: Arc::clone(&self.mask),
-            slot: Arc::clone(&self.slot),
-            top_n: self.top_n,
         }
     }
 }

@@ -44,18 +44,11 @@ pub struct ApproxResult {
     pub explored: usize,
 }
 
-/// The shard-independent half of one approximate query: everything
-/// the pruned vicinity propagation produced, captured so that
-/// candidate-masked composition can replay it any number of times.
-/// Exploration depends only on the graph, the landmark membership
-/// mask, the scoring parameters and the depth — never on the
-/// candidate mask or the stored lists — so recommenders over
-/// different [`LandmarkIndex::filtered`] slices of one index explore
-/// bit-identically. A scatter/gather router exploits that: it runs
-/// [`ApproxRecommender::explore_with`] once per query and hands the
-/// `Exploration` to every shard's
-/// [`ApproxRecommender::compose_from`], instead of paying the full
-/// exploration once per shard.
+/// The first half of one approximate query: everything the pruned
+/// vicinity propagation produced, captured so that composition can
+/// replay it, and each half can be timed on its own. Exploration
+/// depends only on the graph, the landmark membership mask, the
+/// scoring parameters and the depth — never on the stored lists.
 #[derive(Clone, Debug)]
 pub struct Exploration {
     /// The querying user (composition must skip it as a candidate).
@@ -81,27 +74,17 @@ pub struct ApproxRecommender<'a, 'g> {
     /// Whether to prune the exploration at landmarks (the paper does;
     /// disabling it is the ablation measured in the benches).
     pub prune_at_landmarks: bool,
-    /// Candidate ownership filter for sharded serving: when set, only
-    /// nodes the mask accepts receive *direct* contributions (the
-    /// exploration itself is unchanged, so landmark pruning and the
-    /// met-landmark set stay identical on every shard). Composition
-    /// contributions are filtered by pairing this with a
-    /// [`LandmarkIndex::filtered`] slice over the same predicate;
-    /// per-candidate accumulation then happens entirely within the
-    /// owning shard, in the exact unsharded order.
-    pub candidate_mask: Option<&'a [bool]>,
 }
 
 impl<'a, 'g> ApproxRecommender<'a, 'g> {
     /// Creates a recommender with the paper's defaults (depth 2,
-    /// pruning on, no candidate filter).
+    /// pruning on).
     pub fn new(propagator: &'a Propagator<'g>, index: &'a LandmarkIndex) -> Self {
         ApproxRecommender {
             propagator,
             index,
             explore_depth: 2,
             prune_at_landmarks: true,
-            candidate_mask: None,
         }
     }
 
@@ -182,9 +165,7 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
 
     /// The exploration half of [`recommend_with`](Self::recommend_with):
     /// one pruned propagation from `u` on `t`, captured as an
-    /// [`Exploration`]. Never reads `candidate_mask` or the stored
-    /// lists, so the result is bit-identical across ownership slices
-    /// of the same index at the same graph.
+    /// [`Exploration`]. Never reads the stored lists.
     pub fn explore_with(&self, ws: &mut PropWorkspace, u: NodeId, t: Topic) -> Exploration {
         let prune_mask = self.prune_at_landmarks.then(|| self.index.mask());
         let r = self.propagator.propagate_into(
@@ -219,23 +200,15 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
     }
 
     /// The composition half of [`recommend_with`](Self::recommend_with):
-    /// candidate-masked direct contributions plus stored-list
-    /// composition, replayed from a captured [`Exploration`] in the
-    /// exact accumulation order of the fused path —
-    /// `compose_from(&explore_with(..), ..)` is bit-identical to one
-    /// `recommend_with` call. Sharded serving calls this once per
-    /// shard against the shard's filtered slice, sharing a single
-    /// exploration; only the mask, the stored lists and the counters
-    /// differ per shard.
+    /// direct contributions plus stored-list composition, replayed from
+    /// a captured [`Exploration`] in the exact accumulation order of the
+    /// fused path — `compose_from(&explore_with(..), ..)` is
+    /// bit-identical to one `recommend_with` call.
     pub fn compose_from(&self, ex: &Exploration, t: Topic, top_n: usize) -> ApproxResult {
         let u = ex.user;
         let mut scores: HashMap<u32, f64> = HashMap::with_capacity(ex.explored * 2);
-        // Direct contributions of the explored vicinity (restricted to
-        // owned candidates when a shard mask is set).
+        // Direct contributions of the explored vicinity.
         for &(v, s) in &ex.vicinity {
-            if self.candidate_mask.is_some_and(|m| !m[v.index()]) {
-                continue;
-            }
             scores.insert(v.0, s);
         }
         // Landmark compositions.
@@ -469,61 +442,6 @@ mod tests {
         // Depth-2 exploration reaches nodes 1 and 2 but not 3.
         assert!(result.recommendations.iter().any(|&(v, _)| v == NodeId(2)));
         assert!(!result.recommendations.iter().any(|&(v, _)| v == NodeId(3)));
-    }
-
-    #[test]
-    fn sharded_slices_reassemble_the_unsharded_answer() {
-        // Partition the candidate space by `node % shards`; each shard
-        // pairs a filtered index slice with the matching ownership
-        // mask. Per-candidate accumulation then happens entirely
-        // within one shard in the unsharded order, so concatenating
-        // the shard answers and re-ranking with the same total order
-        // must be bit-identical to the unsharded recommender.
-        let d = fui_datagen::label_direct(fui_datagen::twitter::generate(
-            &fui_datagen::TwitterConfig::tiny(),
-        ));
-        let auth = AuthorityIndex::build(&d.graph);
-        let sim = SimMatrix::opencalais();
-        let p = Propagator::new(
-            &d.graph,
-            &auth,
-            &sim,
-            ScoreParams::default(),
-            ScoreVariant::Full,
-        );
-        let landmarks: Vec<NodeId> = (0..15).map(|i| NodeId(i * 23 % 400)).collect();
-        let index = LandmarkIndex::build(&p, landmarks, 60);
-        let full = ApproxRecommender::new(&p, &index);
-        for shards in [2u32, 3] {
-            for (u, t) in [
-                (NodeId(42), Topic::Technology),
-                (NodeId(7), Topic::Health),
-                (NodeId(230), Topic::ALL[5]),
-            ] {
-                let want = full.recommend(u, t, 50);
-                let mut partials: Vec<(NodeId, f64)> = Vec::new();
-                for s in 0..shards {
-                    let slice = index.filtered(|v| v.0 % shards == s);
-                    let mask: Vec<bool> = (0..d.graph.num_nodes() as u32)
-                        .map(|v| v % shards == s)
-                        .collect();
-                    let mut shard = ApproxRecommender::new(&p, &slice);
-                    shard.candidate_mask = Some(&mask);
-                    let got = shard.recommend(u, t, 50);
-                    assert_eq!(
-                        got.met_landmarks, want.met_landmarks,
-                        "shard exploration diverged"
-                    );
-                    partials.extend(got.recommendations);
-                }
-                let merged = fui_core::topk::select_top_k(50, partials);
-                assert_eq!(merged.len(), want.recommendations.len());
-                for (a, b) in merged.iter().zip(&want.recommendations) {
-                    assert_eq!(a.0, b.0, "merge order diverged at {u} {t}");
-                    assert_eq!(a.1.to_bits(), b.1.to_bits(), "score bits diverged");
-                }
-            }
-        }
     }
 
     #[test]

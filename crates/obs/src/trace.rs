@@ -216,8 +216,8 @@ pub struct LatencyParts {
     pub compute_ns: u64,
     /// Result-cache probes, stamping and inserts.
     pub cache_ns: u64,
-    /// Sharded serving only: scatter-set planning plus the cross-shard
-    /// top-k merge. Unsharded paths record 0.
+    /// Validation and routing of each request to its owner lane.
+    /// Paths that do not route record 0.
     pub scatter_ns: u64,
 }
 

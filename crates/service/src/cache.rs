@@ -19,9 +19,15 @@
 //! across runs and thread counts. Shard selection uses a fixed
 //! SplitMix-style hash (never `RandomState`, which is seeded per
 //! process), and LRU eviction uses a per-shard monotone tick, so the
-//! victim is always unique.
+//! victim is always unique. Each shard keeps its entries ordered by
+//! last use beside the map, so eviction pops the least recently used
+//! entry in `O(log n)` instead of scanning the shard.
+//!
+//! A sharded fleet gives each serving lane its own cache and caches a
+//! key only in its owner lane's, so a fleet of N lanes holds up to
+//! `N × cache_capacity` entries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
 use fui_graph::NodeId;
@@ -42,10 +48,10 @@ pub struct CacheKey {
 /// Validity stamp recorded with a cached value.
 #[derive(Clone, Debug)]
 pub struct CacheStamp {
-    /// Shard the value was computed on. Slot indices are only unique
-    /// within one shard once the store is partitioned, so the stamp is
-    /// effectively a set of `(shard, slot, version)` triples: an entry
-    /// can only validate against its own shard's published snapshot.
+    /// Shard the value was computed on: an entry validates only
+    /// against its own lane's published snapshot, so a lane that has
+    /// not yet taken a staggered publish never serves an entry stamped
+    /// under another lane's newer versions.
     pub shard: u32,
     /// Graph generation the value was computed under.
     pub graph_gen: u64,
@@ -73,6 +79,9 @@ struct Entry {
 #[derive(Default)]
 struct Shard {
     map: HashMap<CacheKey, Entry>,
+    /// `last_used` tick → key, one row per entry of `map`. Ticks are
+    /// unique within a shard, so the first row is the LRU victim.
+    lru: BTreeMap<u64, CacheKey>,
     tick: u64,
 }
 
@@ -124,15 +133,19 @@ impl ResultCache {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         match shard.map.get(&key) {
             Some(e) if e.stamp.valid_for(snap) => {
+                let old = e.last_used;
+                shard.lru.remove(&old);
                 shard.tick += 1;
                 let tick = shard.tick;
+                shard.lru.insert(tick, key);
                 let e = shard.map.get_mut(&key).expect("entry just seen");
                 e.last_used = tick;
                 self.hits.incr();
                 Some(Arc::clone(&e.value))
             }
             Some(_) => {
-                shard.map.remove(&key);
+                let stale = shard.map.remove(&key).expect("entry just seen");
+                shard.lru.remove(&stale.last_used);
                 self.evictions.incr();
                 self.misses.incr();
                 None
@@ -148,19 +161,16 @@ impl ResultCache {
     /// used entry of the shard if it is full.
     pub fn insert(&self, key: CacheKey, value: Arc<Vec<(NodeId, f64)>>, stamp: CacheStamp) {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if !shard.map.contains_key(&key) && shard.map.len() >= self.per_shard {
-            // Ticks are unique within a shard, so the victim is too.
-            let victim = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k)
-                .expect("full shard has entries");
+        if let Some(old) = shard.map.get(&key).map(|e| e.last_used) {
+            shard.lru.remove(&old);
+        } else if shard.map.len() >= self.per_shard {
+            let (_, victim) = shard.lru.pop_first().expect("full shard has entries");
             shard.map.remove(&victim);
             self.evictions.incr();
         }
         shard.tick += 1;
         let tick = shard.tick;
+        shard.lru.insert(tick, key);
         shard.map.insert(
             key,
             Entry {
@@ -344,5 +354,88 @@ mod tests {
         assert!(cache.get(key(1), &s).is_some());
         assert!(cache.get(key(2), &s).is_none());
         assert!(cache.get(key(3), &s).is_some());
+    }
+
+    /// The keys of every shard, for diffing across one operation.
+    fn keys(cache: &ResultCache) -> std::collections::HashSet<CacheKey> {
+        cache
+            .shards
+            .iter()
+            .flat_map(|s| s.lock().unwrap().map.keys().copied().collect::<Vec<_>>())
+            .collect()
+    }
+
+    #[test]
+    fn ordered_eviction_matches_the_min_scan() {
+        // Reference model: one (tick, graph_gen) per key per shard, the
+        // victim found by scanning for the least recent tick.
+        let cache = ResultCache::new(64, 2);
+        let mut model: Vec<HashMap<CacheKey, (u64, u64)>> = vec![HashMap::new(); 2];
+        let mut ticks = [0u64; 2];
+        let shard_of = |k: CacheKey| {
+            cache
+                .shards
+                .iter()
+                .position(|s| std::ptr::eq(s, cache.shard(k)))
+                .unwrap()
+        };
+        let snaps = [snap(0, vec![]), snap(1, vec![])];
+        let mut state = 7u64;
+        let (mut hits, mut evicted) = (0, 0);
+        for op in 0..10_000u64 {
+            state = mix(state ^ op);
+            let k = key((state % 160) as u32);
+            let gen = (state >> 32) % 2;
+            let m = &mut model[shard_of(k)];
+            let tick = &mut ticks[shard_of(k)];
+            if state % 3 == 0 {
+                // Insert (possibly replacing), evicting the min tick.
+                let victim = (!m.contains_key(&k) && m.len() >= 32)
+                    .then(|| *m.iter().min_by_key(|(_, v)| v.0).unwrap().0);
+                if let Some(v) = victim {
+                    m.remove(&v);
+                }
+                *tick += 1;
+                m.insert(k, (*tick, gen));
+                let before = keys(&cache);
+                let stamp = CacheStamp {
+                    shard: 0,
+                    graph_gen: gen,
+                    met: vec![],
+                };
+                cache.insert(k, val(), stamp);
+                let gone: Vec<CacheKey> = before.difference(&keys(&cache)).copied().collect();
+                assert_eq!(gone, victim.into_iter().collect::<Vec<_>>(), "op {op}");
+                evicted += gone.len();
+            } else {
+                // Probe under either generation: a hit, a stale drop or
+                // a plain miss.
+                let want = match m.get(&k).copied() {
+                    Some((_, g)) if g == gen => {
+                        *tick += 1;
+                        m.insert(k, (*tick, g));
+                        true
+                    }
+                    Some(_) => {
+                        m.remove(&k);
+                        false
+                    }
+                    None => false,
+                };
+                assert_eq!(
+                    cache.get(k, &snaps[gen as usize]).is_some(),
+                    want,
+                    "op {op}"
+                );
+                hits += usize::from(want);
+            }
+            let live: std::collections::HashSet<CacheKey> =
+                model.iter().flat_map(|m| m.keys().copied()).collect();
+            assert_eq!(keys(&cache), live, "op {op}");
+        }
+        assert!(
+            hits > 1000 && evicted > 100,
+            "{hits} hits, {evicted} evictions"
+        );
     }
 }

@@ -16,10 +16,10 @@
 //!   control: a full queue sheds with an explicit
 //!   [`Reply::Overloaded`], never a stall;
 //! * [`shard`] / [`router`] — the one serving engine,
-//!   [`ShardedService`]: N candidate-owning shards (each its own
-//!   snapshot store, result cache and admission queue) behind a
-//!   scatter/gather router whose `answer_batch` runs probe → explore →
-//!   compose → merge and answers bit-identically at any shard count;
+//!   [`ShardedService`]: N user-owning shards (each its own snapshot
+//!   store, result cache and admission queue); `answer_batch` routes
+//!   each query to its owner lane, probes that lane's cache and
+//!   computes each miss once, bit-identically at any shard count;
 //!   deterministic `call` / `call_many` plus the `submit`/`pump` pair,
 //!   follow / unfollow recording, staggered `rotate` and `refresh`,
 //!   WAL journaling and warm restart;

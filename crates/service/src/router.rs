@@ -1,5 +1,5 @@
-//! The serving engine: N candidate-partitioned serving lanes behind
-//! one scatter/gather router. There is no second, "unsharded" engine —
+//! The serving engine: N serving lanes, each answering the queries of
+//! the users it owns. There is no second, "unsharded" engine —
 //! [`Service`](crate::Service) is this engine fixed at one shard.
 //!
 //! A [`ShardedService`] owns a *master* copy of the mutable state
@@ -10,56 +10,33 @@
 //!
 //! Determinism contract: [`ShardedService::call`],
 //! [`ShardedService::call_many`] and the `submit`/`pump` pair produce
-//! byte-identical recommendation lists — and identical `service.*`
-//! counter deltas — at any `FUI_THREADS` width and any shard count,
-//! because every parallel region reduces in index order. The
+//! byte-identical recommendation lists at any `FUI_THREADS` width and
+//! any shard count, and identical `service.*` counter deltas at any
+//! width, because every parallel region reduces in index order and
+//! every cache operation runs serially in request order. The
 //! conformance invariants `check_cached_matches_uncached` (engine vs a
 //! bare `ApproxRecommender` on the published snapshot) and
 //! `check_sharded_matches_unsharded` (1 vs 2 vs 4 shards), and the
 //! `serve_micro` / `shard_micro` CI gates, all lean on this.
 //!
-//! # Why candidate partitioning is bit-exact
+//! # Owner lanes
 //!
-//! A recommendation score is a per-candidate `f64` accumulation: direct
-//! contributions from the bounded exploration plus composition terms
-//! through landmark entries. [`ShardedService`] partitions the
-//! *candidate space* — every node is owned by exactly one shard (a
-//! deterministic [`Partition`] over the node-id space) — and each shard
-//! accumulates the full sum for exactly its owned candidates, in the
-//! exact one-shard order:
+//! An answer is a function of the graph, the landmark index and
+//! `(u, t)` only (the paper's Algorithm 2), so a query is answered
+//! once, by the lane that owns its user. A deterministic [`Partition`]
+//! over the node-id space names each user's owner: `submit` queues the
+//! request there, and `answer_batch` probes that lane's cache and, on
+//! a miss, runs one fused [`ApproxRecommender::recommend_with`] on that
+//! lane's pinned snapshot. Every lane's snapshot holds the same full
+//! [`LandmarkIndex`], graph, authority index and similarity rows
+//! (shared `Arc`s), so the reply is the one-shard computation bit for
+//! bit, with no merge. The misses of a batch are computed in one
+//! `fui-exec` fan-out over query chunks sized by the pool width, not
+//! by the shard count.
 //!
-//! * the shard's [`LandmarkIndex::filtered`] slice keeps the full
-//!   landmark mask and slot table (so exploration, pruning and the
-//!   met-landmark set are identical on every shard) but filters the
-//!   inverted lists to owned candidates;
-//! * the recommender's `candidate_mask` filters direct contributions
-//!   the same way.
-//!
-//! Per-shard top-k lists therefore rank *disjoint* candidate sets, and
-//! merging them through [`select_top_k`]'s total order (score
-//! descending, id ascending) reproduces the one-shard answer bit for
-//! bit — including at score ties. The graph, authority index and
-//! similarity rows are **shared** (`Arc`) across shards: what is
-//! partitioned is the per-candidate accumulation and index mass, not
-//! the read-only graph state.
-//!
-//! A fleet of one pays nothing for any of this: it holds no owner map,
-//! mask or cut table, its single slice *is* the full index `Arc`, and
-//! every scatter set is shard 0.
-//!
-//! # Scatter sets
-//!
-//! A query `(u, t)` only needs the shards that can contribute a
-//! candidate: shards owning a node of `u`'s `explore_depth`-hop
-//! out-vicinity (direct contributions — answered by the [`CutTable`]
-//! without touching second-hop adjacency), shards whose slice has any
-//! stored list for topic `t`, and shards with any topological list.
-//! Composition-heavy configurations thus scatter wide (often all N) —
-//! `service.shard.fanout` records the truth — while vicinity-dominated
-//! queries stay narrow. When the plan has raced a publish (pinned
-//! epochs disagree with the plan's), the router falls back to
-//! all-shard scatter, which is always exact: extra shards only ever
-//! contribute candidates they own.
+//! A key is cached once, in its owner's cache, so a fleet's effective
+//! result-cache capacity is `shards × cache_capacity`. A fleet of one
+//! holds no partition: shard 0 owns every user.
 //!
 //! # Staggered rotation
 //!
@@ -85,22 +62,20 @@
 //! answer-invisible.
 
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use fui_core::topk::select_top_k;
 use fui_core::{AuthorityIndex, PropWorkspace, Propagator, ScoreParams, ScoreVariant, SimRowCache};
-use fui_graph::{CutTable, NodeId, Partition, PartitionStrategy, SocialGraph};
-use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, Exploration, LandmarkIndex};
+use fui_graph::{NodeId, Partition, PartitionStrategy, SocialGraph};
+use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, LandmarkIndex};
 use fui_obs::{
     Counter, Hist, LatencyParts, RequestTrace, SloConfig, SloReport, SloTracker, TraceCapture,
     TraceEventKind, TraceOutcome,
 };
-use fui_taxonomy::{SimMatrix, Topic};
+use fui_taxonomy::SimMatrix;
 
 use crate::batch::{trace_meta, Pending, Ticket};
 use crate::cache::CacheStamp;
@@ -112,10 +87,17 @@ use crate::shard::{FleetStatus, Shard};
 use crate::snapshot::{apply_changes, Snapshot};
 
 /// A shared, immutable ranked recommendation list — the unit the
-/// cache stores and the scatter/gather lanes pass around.
+/// cache stores and a reply carries.
 type RankedList = Arc<Vec<(NodeId, f64)>>;
 
-/// How a [`ShardedService`] splits the candidate space.
+/// Fewest cache misses one compute chunk carries. A pool call costs a
+/// thread spawn per lane (`exec.par_map_floor_us`, ~50–64 µs) against
+/// ~12 µs per cold query (`core.workspace.warm_query_us`); at 32 misses
+/// a chunk does about six spawns' worth of work. A batch with fewer
+/// than twice this many misses runs inline on the caller's thread.
+const MIN_CHUNK: usize = 32;
+
+/// How a [`ShardedService`] assigns users to lanes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Number of shards (1 ..= [`fui_graph::partition::MAX_SHARDS`]).
@@ -157,18 +139,12 @@ pub(crate) struct FleetMetrics {
     batch_size: Hist,
     pub(crate) request_latency: Hist,
     slo: SloTracker,
-    /// Total shards scattered to, over all requests.
+    /// Lanes routed to, over all valid requests (one each).
     fanout: Counter,
-    /// Per-shard query executions (one request on three shards = 3).
-    queries: Counter,
-    /// Shared explorations run (one per missed query per pinned
-    /// generation — `queries / explorations` is the exploration
-    /// dedup factor the scatter/gather router buys).
+    /// Explorations run: one per cache miss, on its owner lane.
     explorations: Counter,
-    /// Cross-shard top-k merges performed.
-    merges: Counter,
-    /// Cut edges counted at each scatter-plan build (cumulative over
-    /// rebuilds — the bench gate asserts exact equality of the sum).
+    /// Cut edges counted at each rotation (cumulative — the bench gate
+    /// asserts exact equality of the sum).
     cut_edges: Counter,
 }
 
@@ -186,90 +162,9 @@ impl FleetMetrics {
             request_latency,
             slo: SloTracker::new(SloConfig::from_env(), request_latency, requests, shed),
             fanout: fui_obs::counter("service.shard.fanout"),
-            queries: fui_obs::counter("service.shard.queries"),
             explorations: fui_obs::counter("service.shard.explorations"),
-            merges: fui_obs::counter("service.shard.merges"),
             cut_edges: fui_obs::counter("service.shard.cut_edges"),
         }
-    }
-}
-
-/// The precomputed scatter decision state, rebuilt under the master
-/// lock on every rotate/refresh and epoch-stamped on every publish so
-/// the read path can tell whether it matches its pinned snapshots.
-#[derive(Clone)]
-struct ScatterPlan {
-    /// Epoch this plan was built for — must equal the pinned epoch of
-    /// *every* scattered-to snapshot for the narrow plan to be exact.
-    epoch: u64,
-    /// Cut-edge replication table for the plan's graph generation;
-    /// `None` on a fleet of one, which has no edges to cut.
-    cut: Option<Arc<CutTable>>,
-    /// Cut-edge count for the plan's graph generation.
-    cut_edges: u64,
-    /// Bitmask of all live shards.
-    all: u64,
-    /// Per topic: shards whose slice stores any list for it.
-    topic: Vec<u64>,
-    /// Shards whose slice stores any topological list.
-    topo: u64,
-    /// Exploration deeper than the cut table covers (depth > 2): the
-    /// vicinity term degenerates to all-shard.
-    deep: bool,
-}
-
-impl ScatterPlan {
-    fn build(
-        epoch: u64,
-        cut: Option<Arc<CutTable>>,
-        cut_edges: u64,
-        slices: &[Arc<LandmarkIndex>],
-        deep: bool,
-    ) -> ScatterPlan {
-        let n = slices.len();
-        let all = if n >= 64 { u64::MAX } else { (1u64 << n) - 1 };
-        let mut topic = vec![0u64; Topic::ALL.len()];
-        let mut topo = 0u64;
-        for (s, slice) in slices.iter().enumerate() {
-            let bit = 1u64 << s;
-            for slot in 0..slice.len() {
-                let e = slice.entry_at(slot);
-                for (t, recs) in e.recs.iter().enumerate() {
-                    if !recs.is_empty() {
-                        topic[t] |= bit;
-                    }
-                }
-                if !e.topo.is_empty() {
-                    topo |= bit;
-                }
-            }
-        }
-        ScatterPlan {
-            epoch,
-            cut,
-            cut_edges,
-            all,
-            topic,
-            topo,
-            deep,
-        }
-    }
-
-    /// The shards query `(u, t)` must reach. `lo`/`hi` are the min/max
-    /// epochs of the pinned snapshots: any disagreement with the plan's
-    /// epoch means a publish raced this batch, and the router scatters
-    /// everywhere (always exact, never narrow). A fleet of one has no
-    /// cut table and one possible answer.
-    fn scatter(&self, graph: &SocialGraph, u: NodeId, t: Topic, lo: u64, hi: u64) -> u64 {
-        let (Some(cut), true) = (&self.cut, lo == hi && self.epoch == hi) else {
-            return self.all;
-        };
-        let vicinity = if self.deep {
-            self.all
-        } else {
-            cut.two_hop(graph, u)
-        };
-        (vicinity | self.topic[t.index()] | self.topo) & self.all
     }
 }
 
@@ -355,15 +250,12 @@ impl FleetSink {
 
 /// Mutable fleet master state — one lock, never taken by queries. One
 /// staleness account and one epoch discipline whatever the shard count
-/// (answers must not depend on it), plus the per-shard index slices
-/// derived from the master index.
+/// (answers must not depend on it).
 struct FleetMaster {
     graph: Arc<SocialGraph>,
     authority: Arc<AuthorityIndex>,
     sim_rows: Arc<SimRowCache>,
     index: Arc<LandmarkIndex>,
-    /// Ownership-filtered projections of `index`, one per shard.
-    slices: Vec<Arc<LandmarkIndex>>,
     sim: SimMatrix,
     dynamic: DynamicLandmarks,
     pending: Vec<EdgeChange>,
@@ -390,7 +282,7 @@ impl FleetMaster {
             graph: Arc::clone(&self.graph),
             authority: Arc::clone(&self.authority),
             sim_rows: Arc::clone(&self.sim_rows),
-            index: Arc::clone(&self.slices[s]),
+            index: Arc::clone(&self.index),
             params: self.params,
             variant: self.variant,
         }
@@ -417,20 +309,6 @@ impl FleetMaster {
             index: self.dynamic.index().clone(),
         }
     }
-}
-
-/// One ownership-filtered slice of `index` per shard; a fleet of one
-/// (no partition) serves the full index `Arc` itself.
-fn build_slices(
-    index: &Arc<LandmarkIndex>,
-    partition: Option<&Partition>,
-) -> Vec<Arc<LandmarkIndex>> {
-    let Some(partition) = partition else {
-        return vec![Arc::clone(index)];
-    };
-    (0..partition.shards() as u32)
-        .map(|s| Arc::new(index.filtered(|v| partition.owner(v) == s)))
-        .collect()
 }
 
 /// Whether `c` can be applied to `graph`: both endpoints exist and it is
@@ -463,26 +341,22 @@ fn charge_pending(shards: &[Shard], (a, b): (usize, usize)) {
     }
 }
 
-/// The cut table and cut-edge count of `graph` under `partition`
-/// (charged to `service.shard.cut_edges`) — nothing to walk on a fleet
-/// of one.
-fn cut_of(
-    partition: Option<&Partition>,
-    graph: &SocialGraph,
-    metrics: &FleetMetrics,
-) -> (Option<Arc<CutTable>>, u64) {
+/// The cut-edge count of `graph` under `partition` — the changes the
+/// per-shard journals hold twice — charged to `service.shard.cut_edges`.
+/// Nothing to walk on a fleet of one.
+fn cut_of(partition: Option<&Partition>, graph: &SocialGraph, metrics: &FleetMetrics) -> u64 {
     let Some(p) = partition else {
-        return (None, 0);
+        return 0;
     };
     let cut_edges = p.cut_edges_in(graph);
     metrics.cut_edges.add(cut_edges);
-    (Some(Arc::new(p.cut_table(graph))), cut_edges)
+    cut_edges
 }
 
-/// The online serving engine: N partitioned serving lanes behind a
-/// scatter/gather router, answering bit-identically at every shard
-/// count — the `service-sharded` conformance invariant holds it to
-/// exactly that. See the module docs.
+/// The online serving engine: N serving lanes, each answering its own
+/// users' queries, bit-identically at every shard count — the
+/// `service-sharded` conformance invariant holds it to exactly that.
+/// See the module docs.
 pub struct ShardedService {
     master: Mutex<FleetMaster>,
     pub(crate) shards: Vec<Shard>,
@@ -490,7 +364,8 @@ pub struct ShardedService {
     /// every node.
     partition: Option<Partition>,
     spec: ShardSpec,
-    plan: RwLock<Arc<ScatterPlan>>,
+    /// Cut edges of the current graph generation under `partition`.
+    cut_edges: AtomicU64,
     /// Node-id bound for owner lookups (node count never changes).
     nodes: usize,
     cfg: ServiceConfig,
@@ -498,26 +373,24 @@ pub struct ShardedService {
     /// One propagation workspace per pool worker, persistent across
     /// batches: 8 B/node of stamp array (8 MB at 1M nodes) plus the
     /// largest reached set, faulted in once per worker instead of once
-    /// per scattered compute task. Reuse is answer-invisible (a run
-    /// starts by bumping the epoch and clearing the compact arrays —
-    /// the `workspace_reuse_bit_equality` conformance test pins that).
+    /// per compute chunk. Reuse is answer-invisible (a run starts by
+    /// bumping the epoch and clearing the compact arrays — the
+    /// `workspace_reuse_bit_equality` conformance test pins that).
     workspaces: fui_exec::WorkerLocal<PropWorkspace>,
-    /// Cumulative scatter/gather critical path: per batch, the wall
-    /// time minus all parallel-lane busy time plus, per parallel
-    /// region (probe, explore, compose), the slowest lane's — the
-    /// batch latency on a host with at least as many cores as shards.
-    /// Exact when the lanes actually ran serially (`FUI_THREADS=1`);
-    /// with real parallelism it is clamped below wall. On a one-shard
-    /// fleet every region has one lane, so this equals served wall
-    /// time. [`FleetStatus::crit_ns`] surfaces it.
+    /// Cumulative critical path: per batch, the wall time minus the
+    /// compute chunks' summed busy time plus the slowest chunk's — the
+    /// batch latency on a host with a core per chunk. Exact when the
+    /// chunks actually ran serially (`FUI_THREADS=1`). A batch computed
+    /// in one chunk adds its wall time. [`FleetStatus::crit_ns`]
+    /// surfaces it.
     crit_ns: AtomicU64,
 }
 
 impl ShardedService {
     /// Builds a fleet over `graph`: authority index, similarity rows
     /// and the landmark index are precomputed once here (the landmark
-    /// build fans out over the `fui-exec` pool), sliced into
-    /// `spec.shards` ownership slices and published as epoch 0.
+    /// build fans out over the `fui-exec` pool) and published to all
+    /// `spec.shards` lanes as epoch 0.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: SocialGraph,
@@ -547,7 +420,6 @@ impl ShardedService {
             authority,
             sim_rows,
             index,
-            slices: Vec::new(),
             sim,
             dynamic,
             pending: Vec::new(),
@@ -562,7 +434,7 @@ impl ShardedService {
         ShardedService::assemble(master, cfg, spec)
     }
 
-    fn assemble(mut master: FleetMaster, cfg: ServiceConfig, spec: ShardSpec) -> ShardedService {
+    fn assemble(master: FleetMaster, cfg: ServiceConfig, spec: ShardSpec) -> ShardedService {
         assert!(
             (1..=fui_graph::partition::MAX_SHARDS).contains(&spec.shards),
             "shard count {} out of range",
@@ -570,32 +442,19 @@ impl ShardedService {
         );
         let partition =
             (spec.shards > 1).then(|| Partition::build(&master.graph, spec.shards, spec.strategy));
-        master.slices = build_slices(&master.index, partition.as_ref());
         let metrics = FleetMetrics::new();
-        let (cut, cut_edges) = cut_of(partition.as_ref(), &master.graph, &metrics);
-        let plan = ScatterPlan::build(
-            master.epoch,
-            cut,
-            cut_edges,
-            &master.slices,
-            cfg.explore_depth > 2,
-        );
+        let cut_edges = cut_of(partition.as_ref(), &master.graph, &metrics);
         let nodes = master.graph.num_nodes();
         let shards: Vec<Shard> = (0..spec.shards)
             .map(|s| {
                 // Edge mass charges every edge to both endpoint owners.
-                let (owned, owned_nodes, edge_mass) = match &partition {
-                    Some(p) => (
-                        Some(Arc::new(p.owned_mask(s as u32))),
-                        p.sizes()[s],
-                        p.edge_mass()[s],
-                    ),
-                    None => (None, nodes, 2 * master.graph.num_edges() as u64),
+                let (owned_nodes, edge_mass) = match &partition {
+                    Some(p) => (p.sizes()[s], p.edge_mass()[s]),
+                    None => (nodes, 2 * master.graph.num_edges() as u64),
                 };
                 Shard::new(
                     s as u32,
                     master.shard_snapshot(s),
-                    owned,
                     owned_nodes,
                     edge_mass,
                     &cfg,
@@ -613,7 +472,7 @@ impl ShardedService {
             shards,
             partition,
             spec,
-            plan: RwLock::new(Arc::new(plan)),
+            cut_edges: AtomicU64::new(cut_edges),
             nodes,
             cfg,
             metrics,
@@ -842,7 +701,6 @@ impl ShardedService {
             authority,
             sim_rows,
             index: Arc::new(state.index),
-            slices: Vec::new(),
             sim,
             dynamic,
             pending: state.pending,
@@ -873,8 +731,7 @@ impl ShardedService {
     }
 
     /// Shard 0's currently published snapshot: the graph, authority
-    /// index and similarity rows every shard shares, with shard 0's
-    /// slice of the landmark index (at one shard, the full index).
+    /// index, similarity rows and landmark index every shard shares.
     pub fn snapshot(&self) -> Arc<Snapshot> {
         self.shards[0].store.load()
     }
@@ -957,7 +814,7 @@ impl ShardedService {
 
     /// Drains up to `max_batch` requests from every shard's queue
     /// (shard id ascending), sheds the expired ones against their
-    /// owner shard, and answers the rest as one scattered batch.
+    /// owner shard, and answers the rest as one batch.
     /// Returns how many requests it answered. Callers drive this:
     /// tests and benches call it synchronously for determinism, the
     /// net front door's pump thread calls it whenever the event loop
@@ -1005,34 +862,32 @@ impl ShardedService {
         total
     }
 
-    /// Answers one batch: plan scatter sets against the pinned
-    /// snapshots, then probe → explore → compose → merge: probe each
-    /// scattered shard's cache, explore every missed query once, run
-    /// composition as one `fui-exec` fan-out *over shards* (queries are
-    /// serial within a shard task — shards, not queries, are the unit
-    /// of parallelism, so the reduction order is width-invariant), and
-    /// merge per-shard partials through [`select_top_k`].
+    /// Answers one batch on its users' owner lanes: validate and route,
+    /// probe each request's owner cache, compute every miss once — one
+    /// fused [`ApproxRecommender::recommend_with`] on the owner's pinned
+    /// snapshot, in one `fui-exec` fan-out over query chunks — and
+    /// insert the fresh lists into their owners' caches. Probes and
+    /// inserts run serially in request order, so each cache sees the
+    /// same operation sequence at any pool width.
     ///
     /// `traces` runs parallel to `reqs`. A traced request's latency
     /// decomposition is queue wait (submission → batch entry, exact per
     /// request) plus the batch's shared cache / compute / scatter
-    /// (planning + cross-shard merge) / assembly segments — the batch
-    /// answers as a unit, so every member's end-to-end latency covers
-    /// the whole batch, and the five parts sum to the recorded total
-    /// *exactly* (assembly is defined as the remainder).
+    /// (validation and routing) / assembly segments — the batch answers
+    /// as a unit, so every member's end-to-end latency covers the whole
+    /// batch, and the five parts sum to the recorded total *exactly*
+    /// (assembly is defined as the remainder).
     fn answer_batch(&self, reqs: &[Request], traces: Vec<Option<TraceCapture>>) -> Vec<Reply> {
         let started = Instant::now();
         let _span = fui_obs::span!("service.request");
         let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(|s| s.store.load()).collect();
-        let plan = Arc::clone(&self.plan.read().expect("scatter plan poisoned"));
-        let lo = snaps.iter().map(|s| s.epoch).min().unwrap_or(0);
-        let hi = snaps.iter().map(|s| s.epoch).max().unwrap_or(0);
         self.metrics.requests.add(reqs.len() as u64);
         self.metrics.batch_size.record(reqs.len() as u64);
 
         let mut traces = traces;
         let tracing = traces.iter().any(Option::is_some);
         if tracing {
+            let hi = snaps.iter().map(|s| s.epoch).max().unwrap_or(0);
             for cap in traces.iter_mut().flatten() {
                 cap.event(TraceEventKind::BatchJoin, reqs.len() as u64);
                 cap.event(TraceEventKind::SnapshotPin, hi);
@@ -1048,266 +903,142 @@ impl ShardedService {
             }
         };
 
-        // Per-region lane accounting for the critical path: each
-        // parallel region (probe, explore, compose) contributes its
-        // lanes' total busy time and its slowest lane's. The batch's
-        // critical path is `elapsed − Σ busy + Σ per-region max` —
-        // what the batch costs on a host with `cores ≥ shards`, exact
-        // when the lanes ran serially (`FUI_THREADS=1`).
-        let mut lane_sum = 0u64;
-        let mut lane_max = 0u64;
-
-        // Phase 1: validate + scatter planning.
-        let mut replies: Vec<Option<Reply>> = (0..reqs.len()).map(|_| None).collect();
-        let mut scattered: Vec<Vec<usize>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
+        // Validate and route: each valid request goes to its owner lane.
         let t0 = clock(tracing);
-        for (i, req) in reqs.iter().enumerate() {
-            if let Err(why) = validate(req, &snaps[0]) {
-                replies[i] = Some(Reply::Rejected(why));
-                continue;
-            }
-            let mask = plan.scatter(&snaps[0].graph, req.user, req.topic, lo, hi);
-            self.metrics.fanout.add(u64::from(mask.count_ones()));
-            for (s, shard) in self.shards.iter().enumerate() {
-                if mask & (1 << s) != 0 {
-                    shard.requests.incr();
-                    scattered[s].push(i);
-                }
-            }
-        }
+        let owner: Vec<Result<usize, String>> = reqs
+            .iter()
+            .map(|req| {
+                let s = self.owner_shard(req.user);
+                validate(req, &snaps[s])?;
+                self.shards[s].requests.incr();
+                Ok(s)
+            })
+            .collect();
+        self.metrics
+            .fanout
+            .add(owner.iter().filter(|o| o.is_ok()).count() as u64);
         lap(t0, &mut scatter_ns);
 
-        // Phase 2: per-shard cache probes — one parallel lane per
-        // scattered shard. Probing is lane work (stamp validation
-        // walks the met-landmark list), so the router never
-        // serializes it across shards.
-        let probe_shards: Vec<usize> = scattered
+        // Probe each request's owner cache.
+        let t0 = clock(tracing);
+        let mut lists: Vec<Option<RankedList>> = reqs
+            .iter()
+            .zip(&owner)
+            .map(|(req, o)| {
+                let &s = o.as_ref().ok()?;
+                self.shards[s].cache.get(key_of(req), &snaps[s])
+            })
+            .collect();
+        let cached: Vec<bool> = lists.iter().map(Option::is_some).collect();
+        // (request, owner lane) of every valid request the probe missed.
+        let misses: Vec<(usize, usize)> = owner
             .iter()
             .enumerate()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(s, _)| s)
+            .filter_map(|(i, o)| o.as_ref().ok().filter(|_| !cached[i]).map(|&s| (i, s)))
             .collect();
-        let t0 = clock(tracing);
-        let probed: Vec<(Vec<Option<RankedList>>, u64)> = fui_exec::par_map(&probe_shards, |&s| {
-            let lane = Instant::now();
-            let shard = &self.shards[s];
-            let out: Vec<Option<RankedList>> = scattered[s]
-                .iter()
-                .map(|&i| shard.cache.get(key_of(&reqs[i]), &snaps[s]))
-                .collect();
-            let busy = u64::try_from(lane.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            shard.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            (out, busy)
-        });
-        lane_sum += probed.iter().map(|p| p.1).sum::<u64>();
-        lane_max += probed.iter().map(|p| p.1).max().unwrap_or(0);
-
-        // One slot per (request, scattered shard), shard id ascending.
-        struct Slot {
-            shard: usize,
-            hit: bool,
-            value: Option<RankedList>,
-        }
-        let mut slots: Vec<Vec<Slot>> = (0..reqs.len()).map(|_| Vec::new()).collect();
-        let mut tasks: Vec<(usize, Vec<usize>)> =
-            (0..self.shards.len()).map(|s| (s, Vec::new())).collect();
-        for (&s, (values, _)) in probe_shards.iter().zip(&probed) {
-            for (&i, value) in scattered[s].iter().zip(values) {
-                if value.is_none() {
-                    tasks[s].1.push(i);
-                }
-                slots[i].push(Slot {
-                    shard: s,
-                    hit: value.is_some(),
-                    value: value.clone(),
-                });
-            }
-        }
         if tracing {
-            for i in 0..reqs.len() {
-                if replies[i].is_some() {
-                    continue;
-                }
-                let all_hit = slots[i].iter().all(|p| p.hit);
-                if let Some(cap) = traces[i].as_mut() {
-                    cap.event(TraceEventKind::CacheProbe, u64::from(all_hit));
+            for (i, cap) in traces.iter_mut().enumerate() {
+                if let (Some(cap), true) = (cap.as_mut(), owner[i].is_ok()) {
+                    cap.event(TraceEventKind::CacheProbe, u64::from(cached[i]));
                 }
             }
         }
         lap(t0, &mut cache_ns);
 
-        // Phase 3: compute misses. Exploration never reads the
-        // candidate mask or the stored lists, and all slices of one
-        // index share the landmark mask and the graph `Arc` at a given
-        // generation (`build_slices`), so the router explores each
-        // missed query *once* per pinned generation (a staggered
-        // publish can pin shards at two generations mid-rotation) and
-        // every shard composes from the shared exploration — the
-        // redundancy that made a serial fleet cost `shards ×`
-        // exploration is gone. Exploration fans out over `shards`
-        // chunk lanes (a fleet's parallelism budget is its shard
-        // count); composition, stamping and cache inserts stay in the
-        // owning shard's lane.
-        let tasks: Vec<(usize, Vec<usize>)> =
-            tasks.into_iter().filter(|(_, v)| !v.is_empty()).collect();
-        if !tasks.is_empty() {
-            self.metrics
-                .queries
-                .add(tasks.iter().map(|(_, v)| v.len() as u64).sum());
+        // Compute every miss once, on its owner's snapshot, in chunks of
+        // at least `MIN_CHUNK` misses, at most one per pool worker. Busy
+        // time is charged per query to the owner lane.
+        let mut lane_sum = 0u64;
+        let mut lane_max = 0u64;
+        if !misses.is_empty() {
+            self.metrics.explorations.add(misses.len() as u64);
             if tracing {
-                for (_, idxs) in &tasks {
-                    for &i in idxs {
-                        if let Some(cap) = traces[i].as_mut() {
-                            cap.event(TraceEventKind::PropagateStart, idxs.len() as u64);
-                        }
+                for &(i, _) in &misses {
+                    if let Some(cap) = traces[i].as_mut() {
+                        cap.event(TraceEventKind::PropagateStart, misses.len() as u64);
                     }
                 }
             }
             let t0 = clock(tracing);
-            // (generation, representative shard, missed queries).
-            let mut groups: Vec<(u64, usize, Vec<usize>)> = Vec::new();
-            for (s, idxs) in &tasks {
-                let gen = snaps[*s].graph_gen;
-                let g = match groups.iter().position(|(og, _, _)| *og == gen) {
-                    Some(g) => g,
-                    None => {
-                        groups.push((gen, *s, Vec::new()));
-                        groups.len() - 1
-                    }
-                };
-                groups[g].2.extend(idxs.iter().copied());
-            }
-            for (_, _, qs) in &mut groups {
-                qs.sort_unstable();
-                qs.dedup();
-            }
-            self.metrics
-                .explorations
-                .add(groups.iter().map(|(_, _, qs)| qs.len() as u64).sum());
-            let width = self.shards.len().max(1);
-            let chunks: Vec<(usize, &[usize])> = groups
+            let propagators: Vec<Propagator<'_>> = snaps.iter().map(|s| s.propagator()).collect();
+            let recommenders: Vec<ApproxRecommender<'_, '_>> = propagators
                 .iter()
-                .enumerate()
-                .flat_map(|(g, (_, _, qs))| {
-                    let per = qs.len().div_ceil(width).max(1);
-                    qs.chunks(per).map(move |c| (g, c))
+                .zip(&snaps)
+                .map(|(p, snap)| {
+                    let mut rec = ApproxRecommender::new(p, &snap.index);
+                    rec.explore_depth = self.cfg.explore_depth;
+                    rec
                 })
                 .collect();
-            let explorations: Vec<(Vec<Exploration>, u64)> =
-                fui_exec::par_map(&chunks, |(g, qs)| {
+            let lanes = (misses.len() / MIN_CHUNK).clamp(1, fui_exec::threads());
+            let chunks: Vec<&[(usize, usize)]> =
+                misses.chunks(misses.len().div_ceil(lanes)).collect();
+            let computed: Vec<(Vec<(RankedList, CacheStamp)>, u64)> =
+                fui_exec::par_map(&chunks, |chunk| {
                     let lane = Instant::now();
-                    let snap = &snaps[groups[*g].1];
-                    let propagator = snap.propagator();
-                    let mut rec = ApproxRecommender::new(&propagator, &snap.index);
-                    rec.explore_depth = self.cfg.explore_depth;
+                    let mut mark = lane;
                     let mut ws = self.workspaces.get_or(PropWorkspace::new);
-                    let out: Vec<Exploration> = qs
+                    let out = chunk
                         .iter()
-                        .map(|&i| rec.explore_with(&mut ws, reqs[i].user, reqs[i].topic))
-                        .collect();
-                    drop(ws);
-                    let busy = u64::try_from(lane.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    (out, busy)
-                });
-            lane_sum += explorations.iter().map(|e| e.1).sum::<u64>();
-            lane_max += explorations.iter().map(|e| e.1).max().unwrap_or(0);
-            let mut ex_of: HashMap<(usize, u64), Exploration> =
-                HashMap::with_capacity(explorations.iter().map(|(v, _)| v.len()).sum());
-            for ((g, qs), (out, _)) in chunks.iter().zip(explorations) {
-                let gen = groups[*g].0;
-                for (&i, ex) in qs.iter().zip(out) {
-                    ex_of.insert((i, gen), ex);
-                }
-            }
-
-            let computed: Vec<(Vec<RankedList>, u64)> = fui_exec::par_map(&tasks, |(s, idxs)| {
-                let lane = Instant::now();
-                let snap = &snaps[*s];
-                let propagator = snap.propagator();
-                let mut rec = ApproxRecommender::new(&propagator, &snap.index);
-                rec.explore_depth = self.cfg.explore_depth;
-                rec.candidate_mask = self.shards[*s].owned.as_ref().map(|o| o.as_slice());
-                let results: Vec<RankedList> = idxs
-                    .iter()
-                    .map(|&i| {
-                        let ex = &ex_of[&(i, snap.graph_gen)];
-                        let result = rec.compose_from(ex, reqs[i].topic, reqs[i].top_n);
-                        // Stamping and caching are shard-local
-                        // serving duties, so they run inside the
-                        // shard's lane: the router's serial section
-                        // stays planning and merges only.
-                        let met: Vec<(u32, u64)> = result
-                            .met_landmarks
-                            .iter()
-                            .map(|&l| {
-                                let slot = snap.index.slot_of(l).expect("met node is a landmark");
-                                (slot, snap.slot_versions[slot as usize])
-                            })
-                            .collect();
-                        let value = Arc::new(result.recommendations);
-                        self.shards[*s].cache.insert(
-                            key_of(&reqs[i]),
-                            Arc::clone(&value),
-                            CacheStamp {
-                                shard: *s as u32,
+                        .map(|&(i, s)| {
+                            let snap = &snaps[s];
+                            let req = &reqs[i];
+                            let result = recommenders[s]
+                                .recommend_with(&mut ws, req.user, req.topic, req.top_n);
+                            let met = result
+                                .met_landmarks
+                                .iter()
+                                .map(|&l| {
+                                    let slot =
+                                        snap.index.slot_of(l).expect("met node is a landmark");
+                                    (slot, snap.slot_versions[slot as usize])
+                                })
+                                .collect();
+                            let stamp = CacheStamp {
+                                shard: s as u32,
                                 graph_gen: snap.graph_gen,
                                 met,
-                            },
-                        );
-                        value
-                    })
-                    .collect();
-                let busy = u64::try_from(lane.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                self.shards[*s].busy_ns.fetch_add(busy, Ordering::Relaxed);
-                (results, busy)
-            });
-            lane_sum += computed.iter().map(|c| c.1).sum::<u64>();
-            lane_max += computed.iter().map(|c| c.1).max().unwrap_or(0);
+                            };
+                            let now = Instant::now();
+                            let busy = u64::try_from((now - mark).as_nanos()).unwrap_or(u64::MAX);
+                            self.shards[s].busy_ns.fetch_add(busy, Ordering::Relaxed);
+                            mark = now;
+                            (Arc::new(result.recommendations), stamp)
+                        })
+                        .collect();
+                    (
+                        out,
+                        u64::try_from((mark - lane).as_nanos()).unwrap_or(u64::MAX),
+                    )
+                });
             lap(t0, &mut compute_ns);
+            lane_sum = computed.iter().map(|c| c.1).sum();
+            lane_max = computed.iter().map(|c| c.1).max().unwrap_or(0);
 
-            // Phase 4: hand each fresh partial to its reply slot.
             let t0 = clock(tracing);
-            for ((s, idxs), (results, _)) in tasks.iter().zip(computed) {
-                for (&i, value) in idxs.iter().zip(results) {
-                    let slot = slots[i]
-                        .iter_mut()
-                        .find(|slot| slot.shard == *s)
-                        .expect("scattered slot exists");
-                    slot.value = Some(value);
-                }
+            let fresh = computed.into_iter().flat_map(|c| c.0);
+            for (&(i, s), (value, stamp)) in misses.iter().zip(fresh) {
+                self.shards[s]
+                    .cache
+                    .insert(key_of(&reqs[i]), Arc::clone(&value), stamp);
+                lists[i] = Some(value);
             }
             lap(t0, &mut cache_ns);
         }
 
-        // Phase 5: cross-shard merge. Per-shard partials rank disjoint
-        // owned candidates, so `select_top_k`'s total order reassembles
-        // the one-shard answer exactly.
-        let t0 = clock(tracing);
-        for (i, req) in reqs.iter().enumerate() {
-            if replies[i].is_some() {
-                continue;
-            }
-            let parts = &slots[i];
-            let cached = parts.iter().all(|p| p.hit);
-            let filled = |p: &Slot| Arc::clone(p.value.as_ref().expect("slot filled"));
-            let recommendations = if parts.len() == 1 {
-                filled(&parts[0])
-            } else {
-                self.metrics.merges.incr();
-                Arc::new(select_top_k(
-                    req.top_n,
-                    parts
-                        .iter()
-                        .flat_map(|p| p.value.as_ref().expect("slot filled").iter().copied()),
-                ))
-            };
-            replies[i] = Some(Reply::Result(Served {
-                recommendations,
-                epoch: hi,
-                cached,
-            }));
-        }
-        lap(t0, &mut scatter_ns);
+        let replies: Vec<Reply> = owner
+            .into_iter()
+            .zip(lists)
+            .zip(cached)
+            .map(|((o, list), cached)| match o {
+                Err(why) => Reply::Rejected(why),
+                Ok(s) => Reply::Result(Served {
+                    recommendations: list.expect("every valid request answered"),
+                    epoch: snaps[s].epoch,
+                    cached,
+                }),
+            })
+            .collect();
 
         let elapsed = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.crit_ns.fetch_add(
@@ -1324,9 +1055,9 @@ impl ShardedService {
                 .saturating_sub(scatter_ns);
             for (i, cap) in traces.into_iter().enumerate() {
                 let Some(cap) = cap else { continue };
-                let outcome = match replies[i].as_ref() {
-                    Some(Reply::Result(s)) if s.cached => TraceOutcome::OkCached,
-                    Some(Reply::Result(_)) => TraceOutcome::Ok,
+                let outcome = match &replies[i] {
+                    Reply::Result(s) if s.cached => TraceOutcome::OkCached,
+                    Reply::Result(_) => TraceOutcome::Ok,
                     _ => TraceOutcome::Rejected,
                 };
                 let queue_ns = u64::try_from(
@@ -1349,9 +1080,6 @@ impl ShardedService {
             }
         }
         replies
-            .into_iter()
-            .map(|r| r.expect("every request answered"))
-            .collect()
     }
 
     // ---- write path ----------------------------------------------
@@ -1395,9 +1123,6 @@ impl ShardedService {
                 m.slot_versions[s] += 1;
             }
             m.epoch += 1;
-            // The slices and the cut table are unchanged — only the
-            // plan's epoch stamp moves with this publish.
-            self.bump_plan_epoch(m.epoch);
             self.publish_all(m, false);
         }
     }
@@ -1412,7 +1137,7 @@ impl ShardedService {
     }
 
     /// Applies all pending edge changes: rebuilds graph, authority
-    /// index, similarity rows and the cut table, bumps `graph_gen`
+    /// index, similarity rows and the cut-edge count, bumps `graph_gen`
     /// (retiring every cached result) and republishes every shard —
     /// staggered, busiest first. Landmark entries are *not* recomputed
     /// — the lazy policy keeps serving slightly stale lists until
@@ -1449,14 +1174,15 @@ impl ShardedService {
         }
         m.graph_gen += 1;
         m.epoch += 1;
-        self.rebuild_plan(m, true);
+        let cut_edges = cut_of(self.partition.as_ref(), &m.graph, &self.metrics);
+        self.cut_edges.store(cut_edges, Ordering::Relaxed);
         self.publish_all(m, true);
         m.epoch
     }
 
-    /// Recomputes every stale landmark against the current graph,
-    /// re-slices the refreshed index per shard and republishes under a
-    /// new epoch — staggered, no fleet-wide pause — bumping the
+    /// Recomputes every stale landmark against the current graph and
+    /// republishes the refreshed index to every shard under a new
+    /// epoch — staggered, no fleet-wide pause — bumping the
     /// refreshed slots' cache versions (results that never met those
     /// landmarks keep their cache entries). Returns how many entries
     /// were refreshed.
@@ -1489,39 +1215,9 @@ impl ShardedService {
             m.slot_versions[s] += 1;
         }
         m.index = Arc::new(m.dynamic.index().clone());
-        m.slices = build_slices(&m.index, self.partition.as_ref());
         m.epoch += 1;
-        self.rebuild_plan(m, false);
         self.publish_all(m, false);
         refreshed
-    }
-
-    /// Swaps in a plan rebuilt from the master's current slices; the
-    /// cut table is recomputed only when the graph moved (`rebuild_cut`
-    /// — rotations), otherwise the existing table is reused.
-    fn rebuild_plan(&self, m: &FleetMaster, rebuild_cut: bool) {
-        let (cut, cut_edges) = if rebuild_cut {
-            cut_of(self.partition.as_ref(), &m.graph, &self.metrics)
-        } else {
-            let old = self.plan.read().expect("scatter plan poisoned");
-            (old.cut.clone(), old.cut_edges)
-        };
-        let plan = ScatterPlan::build(
-            m.epoch,
-            cut,
-            cut_edges,
-            &m.slices,
-            self.cfg.explore_depth > 2,
-        );
-        *self.plan.write().expect("scatter plan poisoned") = Arc::new(plan);
-    }
-
-    fn bump_plan_epoch(&self, epoch: u64) {
-        let mut w = self.plan.write().expect("scatter plan poisoned");
-        *w = Arc::new(ScatterPlan {
-            epoch,
-            ..ScatterPlan::clone(&w)
-        });
     }
 
     /// Publishes every shard's snapshot for the master's current state,
@@ -1658,7 +1354,7 @@ impl ShardedService {
     pub fn status(&self) -> FleetStatus {
         FleetStatus {
             strategy: self.spec.strategy.as_str(),
-            cut_edges: self.plan.read().expect("scatter plan poisoned").cut_edges,
+            cut_edges: self.cut_edges.load(Ordering::Relaxed),
             crit_ns: self.crit_ns.load(Ordering::Relaxed),
             shards: self.shards.iter().map(|s| s.status()).collect(),
         }

@@ -1,13 +1,13 @@
 //! Per-shard serving state for the partitioned fleet.
 //!
 //! A [`crate::router::ShardedService`] owns N of these (a
-//! [`crate::Service`] exactly one). Each shard is
-//! one full serving lane over the candidates it owns: its own
-//! [`SnapshotStore`] (publishing the shard's filtered landmark slice),
-//! its own generation-stamped [`ResultCache`], and its own bounded
+//! [`crate::Service`] exactly one). Each shard is one full serving
+//! lane for the users it owns: its own [`SnapshotStore`] (publishing
+//! the full landmark index every lane shares), its own
+//! generation-stamped [`ResultCache`], and its own bounded
 //! micro-batching queue — so one shard rotating, shedding or churning
 //! its cache never touches another shard's read path. The partition
-//! itself (which shard owns which node) is fixed for the fleet's
+//! itself (which shard owns which user) is fixed for the fleet's
 //! lifetime; only the *contents* behind each store move.
 //!
 //! Every shard reports through `service.shard.<id>.*` handles resolved
@@ -15,11 +15,9 @@
 //! `shed.deadline` counters, an `epoch` gauge updated at each staggered
 //! publish, and a per-shard [`SloTracker`] whose shed arm runs on the
 //! shard's own counters (the latency arm shares the fleet histogram —
-//! a scattered batch answers as a unit, so per-shard wall time is the
-//! batch's).
+//! a batch answers as a unit, so per-shard wall time is the batch's).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use fui_obs::{Counter, Gauge, SloConfig, SloTracker};
 
@@ -34,20 +32,14 @@ pub(crate) struct Shard {
     pub(crate) store: SnapshotStore,
     pub(crate) cache: ResultCache,
     pub(crate) batcher: Batcher,
-    /// Fixed ownership mask: `owned[v]` iff this shard composes
-    /// candidate `v`. Shared with every snapshot generation. `None` on
-    /// a fleet of one, whose only shard composes every candidate.
-    pub(crate) owned: Option<Arc<Vec<bool>>>,
     pub(crate) owned_nodes: usize,
     pub(crate) edge_mass: u64,
     /// Changes recorded since this shard's last rotation publish —
     /// the staggered-rotation schedule publishes the busiest shard
     /// first.
     pub(crate) pending: AtomicU64,
-    /// Nanoseconds this shard's compute tasks have run for, summed
-    /// over the fleet's lifetime. The scatter/gather critical path is
-    /// `max` over shards of the per-batch delta — the quantity the
-    /// `shard_micro` bench gates its speedup model on.
+    /// Nanoseconds spent computing this shard's cache misses, summed
+    /// over the fleet's lifetime.
     pub(crate) busy_ns: AtomicU64,
     pub(crate) requests: Counter,
     pub(crate) shed: Counter,
@@ -59,16 +51,13 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Builds the lane around an initial snapshot. The result cache
-    /// and the queue both get the full configured capacity: cached
-    /// partials are per-(query, shard) — a fleet holds `shards`× the
-    /// entries of an unsharded service for the same hot query set, so
-    /// splitting the budget across shards would silently shrink the
-    /// cacheable working set as the fleet grows. Each shard is an
-    /// independent admission domain.
+    /// and the queue both get the full configured capacity: a key is
+    /// cached only in its owner's cache, so a fleet of N holds up to N×
+    /// the entries of one shard. Each shard is an independent
+    /// admission domain.
     pub(crate) fn new(
         id: u32,
         initial: Snapshot,
-        owned: Option<Arc<Vec<bool>>>,
         owned_nodes: usize,
         edge_mass: u64,
         cfg: &ServiceConfig,
@@ -88,7 +77,6 @@ impl Shard {
                 fui_obs::counter("service.shed.queue_full"),
                 fui_obs::counter("service.shed.disconnect"),
             ),
-            owned,
             owned_nodes,
             edge_mass,
             pending: AtomicU64::new(0),
@@ -146,19 +134,16 @@ pub struct ShardStatus {
     /// Edge changes recorded against this shard since its last
     /// rotation publish (the staggered-rotation priority).
     pub pending_changes: u64,
-    /// Total nanoseconds spent inside this shard's parallel lanes
-    /// (cache probes plus candidate composition; the shared
-    /// exploration stage is fleet work and is not attributed to a
-    /// shard).
+    /// Total nanoseconds spent computing this shard's cache misses.
     pub busy_ns: u64,
     /// Live entries in the shard's result cache.
     pub cache_entries: usize,
-    /// Nodes this shard owns (candidate-space size).
+    /// Users this shard owns.
     pub owned_nodes: usize,
     /// Edge mass charged to this shard at partition time (each edge
     /// counts on both endpoint owners).
     pub edge_mass: u64,
-    /// Requests whose scatter set included this shard.
+    /// Valid requests routed to this shard.
     pub requests: u64,
     /// Requests shed at this shard (all causes).
     pub shed: u64,
@@ -167,7 +152,7 @@ pub struct ShardStatus {
     /// Sheds caused by a missed deadline at drain.
     pub shed_deadline: u64,
     /// This shard's latency-arm burn rate (shares the fleet latency
-    /// histogram — a scattered batch answers as a unit).
+    /// histogram — a batch answers as a unit).
     pub latency_burn: f64,
     /// This shard's shed-arm burn rate over its own counters.
     pub shed_burn: f64,
@@ -181,14 +166,14 @@ pub struct FleetStatus {
     /// plain [`crate::Service`] reports its default, `"hash"`).
     pub strategy: &'static str,
     /// Edges whose endpoints live on different shards, for the
-    /// current graph generation.
+    /// current graph generation: the changes the per-shard journals
+    /// hold twice.
     pub cut_edges: u64,
-    /// Cumulative scatter/gather critical path over all batches:
-    /// per batch, wall time minus total parallel-lane busy time plus
-    /// each region's slowest lane — the serving cost on a host with
-    /// at least as many cores as shards, exact when the lanes ran
-    /// serially (`FUI_THREADS=1`). On a fleet of one every region has
-    /// one lane, so this equals served wall time.
+    /// Cumulative critical path over all batches: per batch, wall time
+    /// minus the compute chunks' summed busy time plus the slowest
+    /// chunk's — the serving cost on a host with a core per chunk,
+    /// exact when the chunks ran serially (`FUI_THREADS=1`). A batch
+    /// computed in one chunk adds its wall time.
     pub crit_ns: u64,
     /// Per-shard rows, shard id ascending.
     pub shards: Vec<ShardStatus>,

@@ -31,8 +31,8 @@ pub struct Snapshot {
     /// Which shard published this snapshot (always 0 on a one-shard
     /// [`crate::Service`]). Cache stamps carry the same id, so an
     /// entry computed on one shard can never validate against another
-    /// shard's slot-version vector — slot indices are only unique
-    /// within one shard once the store is partitioned.
+    /// shard's slot-version vector, which a staggered publish may not
+    /// have moved yet.
     pub shard: u32,
     /// Monotone publication counter (every publish bumps it).
     pub epoch: u64,

@@ -57,7 +57,8 @@
 //! (`FUI_OBS=full` with `FUI_TRACE_SAMPLE` > 0); the queue / assembly
 //! / compute / cache / scatter parts of each `REQ` line sum to its
 //! `total_ns` exactly (assembly is defined as the remainder; scatter
-//! is planning plus cross-shard merge, small but live at one shard).
+//! is validation plus routing to the owner lane, small but live at one
+//! shard).
 //!
 //! Scores print with Rust's shortest-round-trip `f64` formatting, so a
 //! client parsing them back gets the exact served bits.

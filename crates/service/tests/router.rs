@@ -1,9 +1,10 @@
 //! Sharded-fleet tests: bit-exact equivalence with the unsharded
-//! engine, owner-shard admission, staggered publication bookkeeping,
-//! and durable fleet restore (including shard-count changes and the
-//! dual-WAL cut-edge journal).
+//! engine, owner-lane routing and admission, staggered publication
+//! bookkeeping, and durable fleet restore (including shard-count
+//! changes and the dual-WAL cut-edge journal).
 
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant};
@@ -62,6 +63,13 @@ fn fleet(cfg: ServiceConfig, spec: ShardSpec) -> ShardedService {
     )
 }
 
+/// Every test here drives the process-wide `service.*` counters, and
+/// one reads exact deltas of them: the tests take turns.
+fn serial() -> MutexGuard<'static, ()> {
+    static TURN: Mutex<()> = Mutex::new(());
+    TURN.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 fn served(reply: Reply) -> Served {
     match reply {
         Reply::Result(s) => s,
@@ -96,6 +104,7 @@ fn all_queries() -> Vec<Request> {
 
 #[test]
 fn fleet_matches_the_unsharded_service_through_mutations() {
+    let _turn = serial();
     for strategy in [PartitionStrategy::Hash, PartitionStrategy::DegreeAware] {
         for shards in [1usize, 2, 4] {
             let cfg = ServiceConfig::default();
@@ -139,6 +148,7 @@ fn fleet_matches_the_unsharded_service_through_mutations() {
 
 #[test]
 fn submit_routes_to_the_owner_shard_and_pump_answers() {
+    let _turn = serial();
     let cfg = ServiceConfig {
         max_batch: 4,
         queue_capacity: 8,
@@ -167,7 +177,47 @@ fn submit_routes_to_the_owner_shard_and_pump_answers() {
 }
 
 #[test]
+fn each_query_is_answered_once_by_its_owner_lane() {
+    let _turn = serial();
+    // One batch of 80 cold queries: enough misses for two compute
+    // chunks whenever the pool has two workers.
+    let cfg = ServiceConfig {
+        max_batch: 128,
+        ..ServiceConfig::default()
+    };
+    let flt = fleet(cfg, ShardSpec::new(4, PartitionStrategy::Hash));
+    let svc = service(cfg);
+    let reqs: Vec<Request> = (3..7)
+        .flat_map(|top_n| {
+            all_queries()
+                .into_iter()
+                .map(move |r| Request { top_n, ..r })
+        })
+        .collect();
+    let n = reqs.len() as u64;
+    let count = |name: &str| fui_obs::counter(name).get();
+    let names = [
+        "service.shard.fanout",
+        "service.shard.explorations",
+        "service.cache.misses",
+    ];
+    let before = names.map(count);
+    let replies = flt.call_many(&reqs);
+    let after = names.map(count);
+    for (req, reply) in reqs.iter().zip(replies) {
+        let got = served(reply);
+        assert!(!got.cached, "every query is cold");
+        assert_same_bits(&got, &served(svc.call(*req)), "batch vs one call");
+    }
+    for ((name, b), a) in names.iter().zip(before).zip(after) {
+        assert_eq!(a - b, n, "{name}: one per query");
+    }
+    assert_eq!(flt.cache_len() as u64, n, "one cache entry per query");
+}
+
+#[test]
 fn fleet_status_reports_per_shard_rows() {
+    let _turn = serial();
     let flt = fleet(
         ServiceConfig::default(),
         ShardSpec::new(4, PartitionStrategy::DegreeAware),
@@ -185,7 +235,7 @@ fn fleet_status_reports_per_shard_rows() {
     assert_eq!(owned, 10, "shards partition the node space");
     assert!(
         status.shards.iter().any(|s| s.requests > 0),
-        "queries scattered somewhere"
+        "queries routed somewhere"
     );
     let pending: u64 = status.shards.iter().map(|s| s.pending_changes).sum();
     assert!(
@@ -207,6 +257,7 @@ fn fleet_status_reports_per_shard_rows() {
 
 #[test]
 fn verb_layer_serves_a_fleet_and_renders_shards() {
+    let _turn = serial();
     let flt = fleet(
         ServiceConfig::default(),
         ShardSpec::new(2, PartitionStrategy::Hash),
@@ -279,6 +330,7 @@ fn scratch(tag: &str) -> PathBuf {
 
 #[test]
 fn durable_fleet_restores_warm_and_matches_a_twin() {
+    let _turn = serial();
     let cfg = ServiceConfig::default();
     let spec = ShardSpec::new(2, PartitionStrategy::Hash);
     let dir = scratch("warm");
@@ -346,6 +398,7 @@ fn durable_fleet_restores_warm_and_matches_a_twin() {
 
 #[test]
 fn restore_with_a_different_shard_count_is_answer_invisible() {
+    let _turn = serial();
     let cfg = ServiceConfig::default();
     let dir = scratch("respec");
     let tech = TopicSet::single(Topic::Technology);
@@ -459,6 +512,7 @@ fn assert_matches_twin(got: &ShardedService, twin: &ShardedService, ctx: &str) {
 /// the writer's layout (the re-widen), still equal.
 #[test]
 fn restore_matrix_over_writer_and_reader_shard_counts() {
+    let _turn = serial();
     for writer in [1usize, 2, 4] {
         for reader in [1usize, 2, 4] {
             let ctx = format!("written by {writer}, restored under {reader}");
@@ -504,6 +558,7 @@ fn restore_matrix_over_writer_and_reader_shard_counts() {
 /// must not carry `applied_seq` across the hole.
 #[test]
 fn restore_stops_at_a_journal_gap() {
+    let _turn = serial();
     let dir = scratch("gap");
     let victim = durable_engine(1, &dir);
     for i in 0..5 {

@@ -814,8 +814,9 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
 /// partition strategy alternates by seed parity so both `hash` and
 /// `degree-aware` placements are swept. A tie-heavy star-graph coda
 /// (identical leaves, `top_n` below the leaf count) additionally pins
-/// the id-ascending tie-break at the merge cut, the spot where a
-/// sloppy scatter/gather would first drift. (The CI conformance matrix
+/// the id-ascending tie-break at the top-k cut, the spot where a
+/// router that split and merged candidate lists would first drift.
+/// (The CI conformance matrix
 /// runs this at `FUI_THREADS=1` and `FUI_THREADS=4`; the cached flag
 /// is deliberately *not* fingerprinted — per-shard caches partition
 /// capacity differently, and cache residency is allowed to differ as

@@ -23,7 +23,8 @@ PER_LAYER = ["rotate_s", "refresh_s", "stall_max_ms", "capacity_rps", "batch_qps
              "durable_rotate_s", "restore_s", "service.durable.snapshot_mb",
              "service.durable.encode_snapshot_s", "core.authority.bytes_per_node",
              "landmarks.explore_us", "core.workspace.warm_query_us",
-             "service.call_many32_miss_us_per_req"]
+             "service.call_many32_miss_us_per_req", "service.router.fanout_per_query",
+             "service.cache.insert_evict_us", "exec.par_map_floor_us"]
 
 
 def git(*args):

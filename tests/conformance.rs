@@ -182,11 +182,11 @@ fn serving_cache_is_invisible() {
 }
 
 /// Sharding invisibility: the same seeded serving interleavings driven
-/// through the unsharded engine and through 2- and 4-shard
-/// scatter/gather fleets (partition strategy alternating by seed
-/// parity) must produce bit-identical reply fingerprints — epochs,
-/// node orderings, score bits, rotation epochs, refresh counts — plus
-/// a tie-heavy star coda pinning the id-ascending merge cut. 24 cases
+/// through the unsharded engine and through 2- and 4-shard fleets
+/// (partition strategy alternating by seed parity) must produce
+/// bit-identical reply fingerprints — epochs, node orderings, score
+/// bits, rotation epochs, refresh counts — plus a tie-heavy star coda
+/// pinning the id-ascending top-k cut. 24 cases
 /// per preset × 5 presets = 120 seeded interleavings, and the CI
 /// conformance matrix runs this binary at `FUI_THREADS=1` and
 /// `FUI_THREADS=4`.

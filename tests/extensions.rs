@@ -1,5 +1,5 @@
 //! Integration coverage of the beyond-the-paper extensions through the
-//! public facade: graph I/O, dynamic updates over a partitioned index,
+//! public facade: graph I/O, the partitioner beside dynamic updates,
 //! significance testing, and the profile/vector query APIs.
 
 use fui::eval::linkpred::{draw_candidates, evaluate_detailed, select_test_edges, LinkPredConfig};
@@ -48,32 +48,19 @@ fn dynamic_and_partition_apis_compose() {
     );
     let mut rng = StdRng::seed_from_u64(5);
 
-    // The serving partitioner splits the candidate space...
+    // The serving partitioner splits the users...
     let parts = Partition::build(&d.graph, 4, PartitionStrategy::DegreeAware);
     assert_eq!(parts.sizes().iter().sum::<usize>(), d.graph.num_nodes());
     assert_eq!(parts.cut_edges(), parts.cut_edges_in(&d.graph));
     let landmarks = Strategy::InDeg.select(&d.graph, 12, &mut rng);
     let index = LandmarkIndex::build(&propagator, landmarks, 50);
-
-    // ...each shard's slice of the index keeps only what it owns, and
-    // the slices together keep everything...
     let u = d
         .graph
         .nodes()
         .find(|&u| d.graph.out_degree(u) >= 3)
         .unwrap();
-    let stored = |index: &LandmarkIndex| -> usize {
-        (0..index.len())
-            .map(|slot| index.entry_at(slot).topo.len())
-            .sum()
-    };
-    let slices: Vec<LandmarkIndex> = (0..4)
-        .map(|s| index.filtered(|v| parts.owner(v) == s))
-        .collect();
-    assert_eq!(slices.iter().map(stored).sum::<usize>(), stored(&index));
-    let index = slices.into_iter().next().expect("shard 0's slice");
 
-    // ...and the dynamic wrapper keeps a slice maintainable.
+    // ...and the dynamic wrapper keeps the index maintainable.
     let mut live = DynamicLandmarks::new(index);
     live.record(&EdgeChange {
         follower: u,

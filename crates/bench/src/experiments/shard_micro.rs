@@ -5,8 +5,10 @@
 //! `table5_large`-streamed graph — one with a single shard and one with
 //! `FLEET_SHARDS` hash-partitioned shards — then drives the identical
 //! workload through both: rounds of a 2048-query strided batch with
-//! deterministic follow churn and a staggered snapshot rotation or
-//! landmark refresh between rounds.
+//! deterministic follow churn and a snapshot rotation or landmark
+//! refresh between rounds. Both fleets publish one snapshot and keep
+//! one journal; they differ only in how many lanes (caches and queues)
+//! the users are hashed over.
 //!
 //! The gate holds the cell to the sharding contract: the
 //! `shard_micro.single.*` / `shard_micro.fleet.*` counter pairs —
@@ -74,8 +76,6 @@ pub struct ShardReport {
     pub edges: usize,
     /// Shards in the partitioned fleet.
     pub shards: usize,
-    /// Edges crossing shard boundaries in the partitioned fleet.
-    pub cut_edges: u64,
     /// Queries answered on each side (must match).
     pub answered: u64,
     /// Fold of the single-shard side's scores (bit-gated against the
@@ -110,12 +110,7 @@ struct DriveOutcome {
 /// churn, rotations and refreshes happen between batches, outside the
 /// clock.
 fn drive(svc: &ShardedService, workload: &[Request], span_name: &'static str) -> DriveOutcome {
-    let n = svc
-        .status()
-        .shards
-        .iter()
-        .map(|s| s.owned_nodes)
-        .sum::<usize>();
+    let n = svc.snapshot().graph.num_nodes();
     let mut answered = 0u64;
     let mut checksum = 0.0f64;
     let mut rotations = 0u64;
@@ -240,11 +235,9 @@ pub fn measure_with(
         ShardSpec::new(fleet_shards, PartitionStrategy::Hash),
     );
     sp.finish();
-    let cut_edges = fleet.status().cut_edges;
     let before = fui_obs::snapshot();
     let fleet_out = drive(&fleet, &workload, "shard_micro.drive_fleet");
     emit_side_counters("fleet", &fleet_out, &before);
-    fui_obs::counter("shard_micro.cut_edges").add(cut_edges);
     fui_obs::counter("shard_micro.rounds").add(ROUNDS as u64);
     fui_obs::counter("shard_micro.rotations").add(single_out.rotations + fleet_out.rotations);
 
@@ -266,7 +259,6 @@ pub fn measure_with(
         nodes: n,
         edges,
         shards: fleet_shards,
-        cut_edges,
         answered: single_out.answered,
         single_checksum: single_out.checksum,
         fleet_checksum: fleet_out.checksum,
@@ -297,10 +289,7 @@ pub fn run(scale: &ExperimentScale) -> String {
         "nodes / edges".into(),
         format!("{} / {}", r.nodes, r.edges),
     ]);
-    t.row(vec![
-        "fleet shards / cut edges".into(),
-        format!("{} / {}", r.shards, r.cut_edges),
-    ]);
+    t.row(vec!["fleet shards".into(), r.shards.to_string()]);
     t.row(vec![
         "queries answered (each side)".into(),
         r.answered.to_string(),

@@ -31,8 +31,8 @@
 //! * [`centrality`] — closeness/betweenness (exact and pivot-sampled),
 //!   used by the centrality-flavoured landmark selection strategies.
 //! * [`components`] — weak connectivity via union-find,
-//! * [`partition`] — deterministic node → shard owner maps with
-//!   cut-edge accounting, the substrate of sharded serving,
+//! * [`partition`] — the stateless node → shard owner hash that
+//!   sharded serving routes by,
 //! * [`io`] — TSV edge-list interchange for plugging in real datasets.
 
 #![warn(missing_docs)]

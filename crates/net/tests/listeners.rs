@@ -217,7 +217,7 @@ fn line_listener_round_trips_over_a_fleet() {
     // A multi-line reply is followed directly by the next reply.
     let header = c.ask("SHARDS");
     assert!(
-        header.starts_with("OK SHARDS 2 strategy=hash cut_edges="),
+        header.starts_with("OK SHARDS 2 strategy=hash epoch="),
         "got {header:?}"
     );
     for id in 0..2 {

@@ -25,7 +25,8 @@
 //!
 //! A sharded fleet gives each serving lane its own cache and caches a
 //! key only in its owner lane's, so a fleet of N lanes holds up to
-//! `N × cache_capacity` entries.
+//! `N × cache_capacity` entries. Every lane validates against the one
+//! snapshot the fleet publishes.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -48,10 +49,9 @@ pub struct CacheKey {
 /// Validity stamp recorded with a cached value.
 #[derive(Clone, Debug)]
 pub struct CacheStamp {
-    /// Shard the value was computed on: an entry validates only
-    /// against its own lane's published snapshot, so a lane that has
-    /// not yet taken a staggered publish never serves an entry stamped
-    /// under another lane's newer versions.
+    /// Always 0 and never compared: every lane validates against the
+    /// one fleet snapshot. Kept because the benchmark harness spells
+    /// this struct literally (see ROADMAP item 2).
     pub shard: u32,
     /// Graph generation the value was computed under.
     pub graph_gen: u64,
@@ -61,8 +61,7 @@ pub struct CacheStamp {
 
 impl CacheStamp {
     fn valid_for(&self, snap: &Snapshot) -> bool {
-        self.shard == snap.shard
-            && self.graph_gen == snap.graph_gen
+        self.graph_gen == snap.graph_gen
             && self
                 .met
                 .iter()
@@ -204,10 +203,6 @@ mod tests {
     use fui_taxonomy::{SimMatrix, TopicSet};
 
     fn snap(graph_gen: u64, slot_versions: Vec<u64>) -> Snapshot {
-        shard_snap(0, graph_gen, slot_versions)
-    }
-
-    fn shard_snap(shard: u32, graph_gen: u64, slot_versions: Vec<u64>) -> Snapshot {
         let mut b = GraphBuilder::new();
         b.add_node(TopicSet::empty());
         let graph = std::sync::Arc::new(b.build());
@@ -225,7 +220,7 @@ mod tests {
         );
         let index = std::sync::Arc::new(LandmarkIndex::build(&p, vec![], 10));
         Snapshot {
-            shard,
+            shard: 0,
             epoch: 0,
             graph_gen,
             slot_versions,
@@ -293,49 +288,6 @@ mod tests {
         let s = snap(0, vec![7, 0]); // slot 0 refreshed
         assert!(cache.get(key(1), &s).is_none(), "met slot 0: dead");
         assert!(cache.get(key(2), &s).is_some(), "met slot 1 only: alive");
-    }
-
-    #[test]
-    fn refresh_on_one_shard_leaves_other_shards_entries_alive() {
-        // Sharded serving: each shard stamps entries with its own id,
-        // and staggered publication means shard B may still serve the
-        // pre-refresh slot versions after shard A already published
-        // bumped ones. A refresh that invalidates shard A's entries
-        // must leave shard B's untouched — and an entry can never
-        // validate against another shard's snapshot at all, even when
-        // the slot/version numbers happen to agree.
-        let cache_a = ResultCache::new(8, 2);
-        let cache_b = ResultCache::new(8, 2);
-        let stamp = |shard| CacheStamp {
-            shard,
-            graph_gen: 0,
-            met: vec![(0, 0)],
-        };
-        cache_a.insert(key(1), val(), stamp(0));
-        cache_b.insert(key(1), val(), stamp(1));
-
-        // Refresh bumps slot 0 fleet-wide; shard A has published the
-        // new versions, shard B's publish has not landed yet.
-        let snap_a = shard_snap(0, 0, vec![1]);
-        let snap_b = shard_snap(1, 0, vec![0]);
-        assert!(
-            cache_a.get(key(1), &snap_a).is_none(),
-            "shard A met the refreshed slot: dead"
-        );
-        assert!(
-            cache_b.get(key(1), &snap_b).is_some(),
-            "shard B still serves its pre-refresh snapshot: alive"
-        );
-
-        // Cross-shard validation is impossible by construction: shard
-        // B's entry against shard A's snapshot misses even where the
-        // version vector would match.
-        let alien = shard_snap(0, 0, vec![0]);
-        cache_b.insert(key(2), val(), stamp(1));
-        assert!(
-            cache_b.get(key(2), &alien).is_none(),
-            "stamp from shard 1 validated against shard 0"
-        );
     }
 
     #[test]

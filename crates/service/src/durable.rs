@@ -1,6 +1,7 @@
 //! Durable serving snapshots and the write-ahead mutation journal.
 //!
-//! A durable service persists two artifacts under one directory:
+//! A durable service — at any shard count — persists two artifacts
+//! under one directory:
 //!
 //! * **Snapshot files** `snapshot-<seq>.fuisnap` — a versioned binary
 //!   image of the master state *that cannot be recomputed*: the graph's
@@ -17,6 +18,10 @@
 //!   restart replays `newest valid snapshot + journal tail` and lands
 //!   bit-identically on the pre-crash state. Replay is idempotent:
 //!   records at or below the snapshot's `applied_seq` are skipped.
+//!   Every op is journaled once, in sequence order, whatever the
+//!   shard count. A directory holding a `shard-NNNN/` entry was
+//!   written by the retired per-shard layout and does not restore
+//!   (`RestoreError::LegacyLayout`).
 //!
 //! Snapshot layout, little-endian throughout:
 //!
@@ -32,9 +37,10 @@
 //!
 //! **Not in the file**, because each is a pure function of what is:
 //! the in-CSR (rebuilt by [`arena::decode`]'s transpose), and the
-//! authority index, similarity rows, landmark topo lookups, partition
-//! and per-shard slices (rebuilt by the router's `from_state`, with
-//! the same calls a fresh build and a rotation make). A file in any
+//! authority index, similarity rows and landmark topo lookups (rebuilt
+//! by the router's `from_state`, with the same calls a fresh build and
+//! a rotation make). The owner map is a hash of the user id and reads
+//! nothing from disk. A file in any
 //! other format — the authority-carrying v1 included — is
 //! [`SnapshotError::BadMagic`]; restore falls back past it.
 //!
@@ -668,6 +674,36 @@ pub fn list_snapshots(dir: &Path) -> std::io::Result<Vec<(u64, PathBuf)>> {
     }
     found.sort_by_key(|e| std::cmp::Reverse(e.0));
     Ok(found)
+}
+
+/// Whether `name` is a `shard-NNNN` entry: the per-shard journal
+/// directory of the retired multi-journal layout.
+pub(crate) fn is_legacy_shard_entry(name: &str) -> bool {
+    name.strip_prefix("shard-")
+        .is_some_and(|d| d.len() == 4 && d.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// Removes what an earlier durable service left under `dir` — snapshot
+/// files, their temp files, the journal and any `shard-NNNN` entry — so
+/// a fresh service neither restores into nor prunes against an older
+/// run's history. Other files are left alone.
+pub(crate) fn clear_dir(dir: &Path) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let legacy = is_legacy_shard_entry(name);
+        if legacy && entry.file_type()?.is_dir() {
+            std::fs::remove_dir_all(entry.path())?;
+        } else if legacy
+            || name == JOURNAL_FILE
+            || name.starts_with("tmp-snapshot-")
+            || parse_snapshot_filename(name).is_some()
+        {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
 }
 
 /// Atomically writes `state` as `snapshot-<applied_seq>.fuisnap` under

@@ -16,13 +16,13 @@
 //!   control: a full queue sheds with an explicit
 //!   [`Reply::Overloaded`], never a stall;
 //! * [`shard`] / [`router`] — the one serving engine,
-//!   [`ShardedService`]: N user-owning shards (each its own snapshot
-//!   store, result cache and admission queue); `answer_batch` routes
-//!   each query to its owner lane, probes that lane's cache and
+//!   [`ShardedService`]: N user-owning lanes (each its own result cache
+//!   and admission queue) over one published snapshot; `answer_batch`
+//!   routes each query to its owner lane, probes that lane's cache and
 //!   computes each miss once, bit-identically at any shard count;
 //!   deterministic `call` / `call_many` plus the `submit`/`pump` pair,
-//!   follow / unfollow recording, staggered `rotate` and `refresh`,
-//!   WAL journaling and warm restart;
+//!   follow / unfollow recording, `rotate` and `refresh`, one WAL
+//!   journal and warm restart;
 //! * [`service`] — request/reply types, configuration, and
 //!   [`Service`]: that engine fixed at one shard (*unsharded* is
 //!   `shards = 1`), reaching every verb through `Deref`;

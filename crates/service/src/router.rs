@@ -4,9 +4,9 @@
 //!
 //! A [`ShardedService`] owns a *master* copy of the mutable state
 //! (graph, pending edge changes, [`DynamicLandmarks`] staleness
-//! accounting) behind one mutex that **no query ever takes**, and one
-//! `Shard` lane per shard (snapshot store, result cache, admission
-//! queue) that queries read.
+//! accounting) behind one mutex that **no query ever takes**, one
+//! [`SnapshotStore`] that queries read, and one `Shard` lane per shard
+//! (result cache, admission queue).
 //!
 //! Determinism contract: [`ShardedService::call`],
 //! [`ShardedService::call_many`] and the `submit`/`pump` pair produce
@@ -23,45 +23,30 @@
 //!
 //! An answer is a function of the graph, the landmark index and
 //! `(u, t)` only (the paper's Algorithm 2), so a query is answered
-//! once, by the lane that owns its user. A deterministic [`Partition`]
-//! over the node-id space names each user's owner: `submit` queues the
-//! request there, and `answer_batch` probes that lane's cache and, on
-//! a miss, runs one fused [`ApproxRecommender::recommend_with`] on that
-//! lane's pinned snapshot. Every lane's snapshot holds the same full
-//! [`LandmarkIndex`], graph, authority index and similarity rows
-//! (shared `Arc`s), so the reply is the one-shard computation bit for
-//! bit, with no merge. The misses of a batch are computed in one
+//! once, by the lane that owns its user. The owner is a stateless hash
+//! of the user id ([`Partition::owner`]): `submit` queues the request
+//! there, and `answer_batch` probes that lane's cache and, on a miss,
+//! runs one fused [`ApproxRecommender::recommend_with`] on the batch's
+//! pinned snapshot. The misses of a batch are computed in one
 //! `fui-exec` fan-out over query chunks sized by the pool width, not
 //! by the shard count.
 //!
 //! A key is cached once, in its owner's cache, so a fleet's effective
-//! result-cache capacity is `shards × cache_capacity`. A fleet of one
-//! holds no partition: shard 0 owns every user.
+//! result-cache capacity is `shards × cache_capacity`.
 //!
-//! # Staggered rotation
+//! # One snapshot, one journal
 //!
-//! Mutations journal and apply once at the fleet master (staleness
-//! accounting must be shard-count-invariant for answers to be), but
-//! every publish walks the shards in *staggered* order — most pending
-//! recorded changes first, shard id breaking ties — swapping one
-//! shard's snapshot pointer at a time with no fleet-wide pause.
-//! In-flight queries keep whatever mix of pinned snapshots they hold.
-//!
-//! # Durability
-//!
-//! One on-disk layout at every shard count: the fleet directory holds
-//! the snapshots and a fleet journal carrying `Rotate`/`Refresh`; each
-//! shard gets `shard-NNNN/journal.fuiwal` carrying the `Change` records
-//! it owns. A change touching a cut edge is journaled to **both**
-//! endpoint owners' WALs; restore merges the fleet journal and every
-//! shard journal *present on disk* by sequence number (duplicates
-//! collapse), so one torn shard WAL loses nothing the twin still holds.
-//! Nothing derivable is persisted (the [`crate::durable`] module docs
-//! list what restore rebuilds), the partition included, so a directory
+//! Everything except the caches and queues is fleet-wide. Mutations
+//! journal and apply once at the fleet master, and every rotate,
+//! refresh or staleness flag publishes once, to the one store: a batch
+//! pins one snapshot and every lane answers on it. A durable fleet
+//! writes one directory at every shard count — snapshot files plus
+//! one `journal.fuiwal` holding every op once, in sequence (the
+//! [`crate::durable`] module docs give the formats and list what
+//! restore rebuilds). Nothing on disk names a shard, so a directory
 //! written by any shard count restores under any other: sharding is
 //! answer-invisible.
 
-use std::cmp::Reverse;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +69,7 @@ use crate::service::{
     key_of, prune_snapshots, validate, Reply, Request, RestoreError, Served, ServiceConfig,
 };
 use crate::shard::{FleetStatus, Shard};
-use crate::snapshot::{apply_changes, Snapshot};
+use crate::snapshot::{apply_changes, Snapshot, SnapshotStore};
 
 /// A shared, immutable ranked recommendation list — the unit the
 /// cache stores and a reply carries.
@@ -122,14 +107,9 @@ impl ShardSpec {
     }
 }
 
-/// Subdirectory of the fleet durability dir holding shard `s`'s WAL.
-fn shard_dir(dir: &Path, s: usize) -> PathBuf {
-    dir.join(format!("shard-{s:04}"))
-}
-
 /// `service.*` and fleet-wide `service.shard.*` handles, resolved once
 /// at construction — the request hot path never takes the registry's
-/// name-lookup lock. (The per-shard `.N.` handles live on each
+/// name-lookup lock. (The per-lane `.N.` handles live on each
 /// [`Shard`].)
 pub(crate) struct FleetMetrics {
     requests: Counter,
@@ -143,9 +123,6 @@ pub(crate) struct FleetMetrics {
     fanout: Counter,
     /// Explorations run: one per cache miss, on its owner lane.
     explorations: Counter,
-    /// Cut edges counted at each rotation (cumulative — the bench gate
-    /// asserts exact equality of the sum).
-    cut_edges: Counter,
 }
 
 impl FleetMetrics {
@@ -163,41 +140,21 @@ impl FleetMetrics {
             slo: SloTracker::new(SloConfig::from_env(), request_latency, requests, shed),
             fanout: fui_obs::counter("service.shard.fanout"),
             explorations: fui_obs::counter("service.shard.explorations"),
-            cut_edges: fui_obs::counter("service.shard.cut_edges"),
         }
     }
 }
 
-/// Every `shard-NNNN/` id present under `dir`, ascending — what is on
-/// disk, whatever layout wrote it.
-fn shard_ids_on_disk(dir: &Path) -> std::io::Result<Vec<usize>> {
-    let mut found = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let name = entry?.file_name();
-        let digits = name.to_str().and_then(|n| n.strip_prefix("shard-"));
-        if let Some(id) = digits.filter(|d| d.len() == 4).and_then(|d| d.parse().ok()) {
-            found.push(id);
-        }
-    }
-    found.sort_unstable();
-    Ok(found)
-}
-
-/// The write side of fleet durability: fleet snapshots + fleet journal
-/// (`Rotate`/`Refresh`), one change journal per shard.
+/// The write side of fleet durability: the directory the snapshots go
+/// to and its one journal.
 struct FleetSink {
     dir: PathBuf,
     wal: std::fs::File,
-    shard_wals: Vec<std::fs::File>,
 }
 
 /// Opens the journal at `path` for appending after its first
 /// `valid_len` bytes — the decoded prefix; `torn` says a partial record
 /// follows it.
 fn open_journal(path: &Path, valid_len: usize, torn: bool) -> std::io::Result<std::fs::File> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
     if valid_len < durable::WAL_MAGIC.len() {
         // Missing, header-corrupt or discarded journal: start fresh.
         let mut f = std::fs::File::create(path)?;
@@ -213,37 +170,16 @@ fn open_journal(path: &Path, valid_len: usize, torn: bool) -> std::io::Result<st
     std::fs::OpenOptions::new().append(true).open(path)
 }
 
-/// Appends one framed record and flushes it to the OS. Called *before*
-/// the in-memory mutation it describes, so a crash at any later point
-/// replays the mutation from disk.
-fn append_frame(f: &mut std::fs::File, frame: &[u8]) -> std::io::Result<()> {
-    f.write_all(frame)?;
-    f.flush()?;
-    fui_obs::counter("snapshot.persist.journal_appends").incr();
-    fui_obs::counter("snapshot.persist.journal_bytes").add(frame.len() as u64);
-    Ok(())
-}
-
 impl FleetSink {
-    /// Journals a fleet-wide op (rotate/refresh) to the fleet WAL.
-    fn append_fleet(&mut self, seq: u64, op: &JournalOp) -> std::io::Result<()> {
-        append_frame(&mut self.wal, &durable::encode_record(seq, op))
-    }
-
-    /// Journals a change to its owning shard's WAL — and to the other
-    /// endpoint's owner too when the edge is cut, so either WAL alone
-    /// can torn-tail without losing the record.
-    fn append_change(
-        &mut self,
-        seq: u64,
-        change: EdgeChange,
-        (a, b): (usize, usize),
-    ) -> std::io::Result<()> {
-        let frame = durable::encode_record(seq, &JournalOp::Change(change));
-        append_frame(&mut self.shard_wals[a], &frame)?;
-        if b != a {
-            append_frame(&mut self.shard_wals[b], &frame)?;
-        }
+    /// Appends one framed record and flushes it to the OS. Called
+    /// *before* the in-memory mutation it describes, so a crash at any
+    /// later point replays the mutation from disk.
+    fn append(&mut self, seq: u64, op: &JournalOp) -> std::io::Result<()> {
+        let frame = durable::encode_record(seq, op);
+        self.wal.write_all(&frame)?;
+        self.wal.flush()?;
+        fui_obs::counter("snapshot.persist.journal_appends").incr();
+        fui_obs::counter("snapshot.persist.journal_bytes").add(frame.len() as u64);
         Ok(())
     }
 }
@@ -273,9 +209,10 @@ struct FleetMaster {
 }
 
 impl FleetMaster {
-    fn shard_snapshot(&self, s: usize) -> Snapshot {
+    /// The publication of the current state.
+    fn snapshot(&self) -> Snapshot {
         Snapshot {
-            shard: s as u32,
+            shard: 0,
             epoch: self.epoch,
             graph_gen: self.graph_gen,
             slot_versions: self.slot_versions.clone(),
@@ -325,49 +262,18 @@ fn validate_change(graph: &SocialGraph, c: &EdgeChange) -> Result<(), String> {
     Ok(())
 }
 
-/// The shards owning `c`'s endpoints — equal unless the edge is cut,
-/// both 0 on a fleet of one.
-fn owners(partition: Option<&Partition>, c: &EdgeChange) -> (usize, usize) {
-    partition.map_or((0, 0), |p| {
-        (p.owner(c.follower) as usize, p.owner(c.followee) as usize)
-    })
-}
-
-/// Bumps the staggered-rotation priority of a change's owner shards.
-fn charge_pending(shards: &[Shard], (a, b): (usize, usize)) {
-    shards[a].pending.fetch_add(1, Ordering::SeqCst);
-    if b != a {
-        shards[b].pending.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// The cut-edge count of `graph` under `partition` — the changes the
-/// per-shard journals hold twice — charged to `service.shard.cut_edges`.
-/// Nothing to walk on a fleet of one.
-fn cut_of(partition: Option<&Partition>, graph: &SocialGraph, metrics: &FleetMetrics) -> u64 {
-    let Some(p) = partition else {
-        return 0;
-    };
-    let cut_edges = p.cut_edges_in(graph);
-    metrics.cut_edges.add(cut_edges);
-    cut_edges
-}
-
 /// The online serving engine: N serving lanes, each answering its own
 /// users' queries, bit-identically at every shard count — the
 /// `service-sharded` conformance invariant holds it to exactly that.
 /// See the module docs.
 pub struct ShardedService {
     master: Mutex<FleetMaster>,
+    /// The one published snapshot every lane answers on.
+    store: SnapshotStore,
     pub(crate) shards: Vec<Shard>,
-    /// The owner map; `None` on a fleet of one, where shard 0 owns
-    /// every node.
-    partition: Option<Partition>,
+    /// The owner map: which lane queues, answers and caches a user.
+    partition: Partition,
     spec: ShardSpec,
-    /// Cut edges of the current graph generation under `partition`.
-    cut_edges: AtomicU64,
-    /// Node-id bound for owner lookups (node count never changes).
-    nodes: usize,
     cfg: ServiceConfig,
     metrics: FleetMetrics,
     /// One propagation workspace per pool worker, persistent across
@@ -389,8 +295,8 @@ pub struct ShardedService {
 impl ShardedService {
     /// Builds a fleet over `graph`: authority index, similarity rows
     /// and the landmark index are precomputed once here (the landmark
-    /// build fans out over the `fui-exec` pool) and published to all
-    /// `spec.shards` lanes as epoch 0.
+    /// build fans out over the `fui-exec` pool) and published as epoch
+    /// 0 to the store all `spec.shards` lanes read.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         graph: SocialGraph,
@@ -435,45 +341,17 @@ impl ShardedService {
     }
 
     fn assemble(master: FleetMaster, cfg: ServiceConfig, spec: ShardSpec) -> ShardedService {
-        assert!(
-            (1..=fui_graph::partition::MAX_SHARDS).contains(&spec.shards),
-            "shard count {} out of range",
-            spec.shards
-        );
-        let partition =
-            (spec.shards > 1).then(|| Partition::build(&master.graph, spec.shards, spec.strategy));
+        let partition = Partition::build(&master.graph, spec.shards, spec.strategy);
         let metrics = FleetMetrics::new();
-        let cut_edges = cut_of(partition.as_ref(), &master.graph, &metrics);
-        let nodes = master.graph.num_nodes();
-        let shards: Vec<Shard> = (0..spec.shards)
-            .map(|s| {
-                // Edge mass charges every edge to both endpoint owners.
-                let (owned_nodes, edge_mass) = match &partition {
-                    Some(p) => (p.sizes()[s], p.edge_mass()[s]),
-                    None => (nodes, 2 * master.graph.num_edges() as u64),
-                };
-                Shard::new(
-                    s as u32,
-                    master.shard_snapshot(s),
-                    owned_nodes,
-                    edge_mass,
-                    &cfg,
-                    &metrics,
-                )
-            })
+        let shards = (0..spec.shards)
+            .map(|s| Shard::new(s as u32, &cfg, &metrics))
             .collect();
-        // A restored fleet re-derives each shard's staggered-rotation
-        // priority from the still-pending changes it carries.
-        for c in &master.pending {
-            charge_pending(&shards, owners(partition.as_ref(), c));
-        }
         ShardedService {
+            store: SnapshotStore::new(master.snapshot()),
             master: Mutex::new(master),
             shards,
             partition,
             spec,
-            cut_edges: AtomicU64::new(cut_edges),
-            nodes,
             cfg,
             metrics,
             workspaces: fui_exec::WorkerLocal::new(),
@@ -481,12 +359,12 @@ impl ShardedService {
         }
     }
 
-    /// [`ShardedService::new`], then durability: writes the epoch-0
-    /// snapshot, an empty fleet journal and one empty `shard-NNNN/`
-    /// change journal per shard under `dir` (created if absent; any
-    /// previous journal there, stale shard directories included, is
-    /// discarded — use [`restore`](Self::restore) to *resume* a
-    /// directory). Every subsequent [`record`](Self::record),
+    /// [`ShardedService::new`], then durability: `dir` is created if
+    /// absent and emptied of any earlier durable service's files (its
+    /// snapshots, their temp files, its journal and any legacy
+    /// `shard-NNNN/` directory — use [`restore`](Self::restore) to
+    /// *resume* a directory), then the epoch-0 snapshot and an empty
+    /// journal are written. Every subsequent [`record`](Self::record),
     /// [`rotate`](Self::rotate) and [`refresh`](Self::refresh)
     /// write-ahead journals itself before mutating, and rotation also
     /// persists a fresh snapshot, so a warm restart replays `newest
@@ -515,20 +393,14 @@ impl ShardedService {
             spec,
         );
         std::fs::create_dir_all(dir)?;
+        durable::clear_dir(dir)?;
         {
             let mut m = fleet.master.lock().expect("fleet master poisoned");
             durable::write_snapshot_atomic(dir, &m.snapshot_state())?;
-            for stale in shard_ids_on_disk(dir)? {
-                std::fs::remove_dir_all(shard_dir(dir, stale))?;
-            }
             let wal = open_journal(&dir.join(durable::JOURNAL_FILE), 0, false)?;
-            let shard_wals = (0..fleet.shards.len())
-                .map(|s| open_journal(&shard_dir(dir, s).join(durable::JOURNAL_FILE), 0, false))
-                .collect::<std::io::Result<_>>()?;
             m.durable = Some(FleetSink {
                 dir: dir.to_path_buf(),
                 wal,
-                shard_wals,
             });
         }
         Ok(fleet)
@@ -537,17 +409,14 @@ impl ShardedService {
     /// Warm restart: scans `dir` for the newest snapshot that decodes
     /// cleanly *and* whose file name agrees with its header position
     /// (each rejected candidate bumps `snapshot.persist.fallbacks`),
-    /// rebuilds the derived state the codec does not carry,
-    /// then replays the fleet journal and every shard journal *present
-    /// on disk*, merged by sequence number (a change on a cut edge sits
-    /// in both endpoint owners' WALs; the duplicate collapses). `spec`
-    /// may differ from the writing fleet's — sharding never shows in
-    /// answers — and when it leaves replayed records in journals the
-    /// new layout will never append to, a snapshot is checkpointed
-    /// before serving. Torn journal tails are dropped and truncated
-    /// away; a merged history that skips a sequence number, or carries
-    /// two different records under one, is a typed error — never a
-    /// silent skip.
+    /// rebuilds the derived state the codec does not carry, then
+    /// replays the journal tail in file order. `spec` may differ from
+    /// the writing fleet's — sharding never shows in answers or on
+    /// disk. A torn journal tail is dropped and truncated away; a tail
+    /// that skips a sequence number is a typed error, never a silent
+    /// skip, and so is a directory holding a `shard-NNNN` entry of the
+    /// retired per-shard journal layout
+    /// ([`RestoreError::LegacyLayout`]).
     ///
     /// The restored service publishes the same epoch / generation /
     /// versions the killed one had and answers bit-identically to a
@@ -570,6 +439,12 @@ impl ShardedService {
         attach: bool,
     ) -> Result<ShardedService, RestoreError> {
         let io_err = |e: std::io::Error| RestoreError::Io(e.to_string());
+        for entry in std::fs::read_dir(dir).map_err(io_err)? {
+            let name = entry.map_err(io_err)?.file_name();
+            if name.to_str().is_some_and(durable::is_legacy_shard_entry) {
+                return Err(RestoreError::LegacyLayout);
+            }
+        }
         let fallbacks = fui_obs::counter("snapshot.persist.fallbacks");
         let mut chosen = None;
         for (seq, path) in durable::list_snapshots(dir).map_err(io_err)? {
@@ -596,46 +471,18 @@ impl ShardedService {
         };
         let base_seq = state.applied_seq;
 
-        // One journal prefix per WAL: the fleet's, this layout's shard
-        // journals, then any surplus ones a wider fleet left behind —
-        // trusting `spec` here would drop every acknowledged change
-        // that lives only in a surplus journal.
-        let torn_counter = fui_obs::counter("snapshot.persist.journal_torn");
-        let mut ids: Vec<usize> = (0..spec.shards).collect();
-        let on_disk = shard_ids_on_disk(dir).map_err(io_err)?;
-        ids.extend(on_disk.into_iter().filter(|&s| s >= spec.shards));
-        let mut wal_paths = vec![dir.join(durable::JOURNAL_FILE)];
-        wal_paths.extend(
-            ids.iter()
-                .map(|&s| shard_dir(dir, s).join(durable::JOURNAL_FILE)),
-        );
-        let mut prefixes = Vec::with_capacity(wal_paths.len());
-        let mut merged: std::collections::BTreeMap<u64, JournalRecord> =
-            std::collections::BTreeMap::new();
-        // Highest replayable sequence number held by a surplus journal.
-        let mut surplus_seq = 0;
-        for (k, path) in wal_paths.iter().enumerate() {
-            let raw = std::fs::read(path).unwrap_or_default();
-            let (records, valid_len, torn) = if raw.is_empty() {
-                (Vec::new(), 0, None)
-            } else {
-                durable::decode_journal_prefix(&raw)
-            };
-            if torn.is_some() {
-                torn_counter.incr();
-            }
-            for r in records {
-                if k > spec.shards {
-                    surplus_seq = surplus_seq.max(r.seq);
-                }
-                if merged.insert(r.seq, r).is_some_and(|prev| prev != r) {
-                    return Err(RestoreError::JournalConflict(r.seq));
-                }
-            }
-            prefixes.push((valid_len, torn.is_some()));
+        let wal_path = dir.join(durable::JOURNAL_FILE);
+        let raw = std::fs::read(&wal_path).unwrap_or_default();
+        let (records, valid_len, torn) = if raw.is_empty() {
+            (Vec::new(), 0, None)
+        } else {
+            durable::decode_journal_prefix(&raw)
+        };
+        if torn.is_some() {
+            fui_obs::counter("snapshot.persist.journal_torn").incr();
         }
         let records: Vec<JournalRecord> =
-            merged.into_values().filter(|r| r.seq > base_seq).collect();
+            records.into_iter().filter(|r| r.seq > base_seq).collect();
         if let Some((r, expected)) = records
             .iter()
             .zip(base_seq + 1..)
@@ -655,25 +502,11 @@ impl ShardedService {
         fui_obs::counter("snapshot.persist.restores").incr();
 
         if attach {
-            // Surplus journals are read, never re-attached.
-            let mut files = Vec::with_capacity(1 + spec.shards);
-            for (path, &(valid_len, torn)) in wal_paths.iter().zip(&prefixes).take(1 + spec.shards)
-            {
-                files.push(open_journal(path, valid_len, torn).map_err(io_err)?);
-            }
-            let wal = files.remove(0);
-            let mut m = fleet.master.lock().expect("fleet master poisoned");
-            m.durable = Some(FleetSink {
+            let wal = open_journal(&wal_path, valid_len, torn.is_some()).map_err(io_err)?;
+            fleet.master.lock().expect("fleet master poisoned").durable = Some(FleetSink {
                 dir: dir.to_path_buf(),
                 wal,
-                shard_wals: files,
             });
-            if surplus_seq > base_seq {
-                // Replayed records live only in journals this layout
-                // never appends to: checkpoint, so the newest snapshot
-                // no longer depends on them.
-                fleet.persist_locked(&mut m).map_err(io_err)?;
-            }
         }
         Ok(fleet)
     }
@@ -730,29 +563,20 @@ impl ShardedService {
         self.spec
     }
 
-    /// Shard 0's currently published snapshot: the graph, authority
-    /// index, similarity rows and landmark index every shard shares.
+    /// The currently published snapshot: the graph, authority index,
+    /// similarity rows and landmark index every lane answers on.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.shards[0].store.load()
+        self.store.load()
     }
 
-    /// Max epoch over the shards' published snapshots (all equal
-    /// outside a publish window).
+    /// Epoch of the published snapshot.
     pub fn epoch(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.store.load().epoch)
-            .max()
-            .unwrap_or(0)
+        self.store.load().epoch
     }
 
-    /// Graph generation of the published snapshots.
+    /// Graph generation of the published snapshot.
     pub fn graph_gen(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.store.load().graph_gen)
-            .max()
-            .unwrap_or(0)
+        self.store.load().graph_gen
     }
 
     /// Live result-cache entries, summed over shards.
@@ -765,13 +589,10 @@ impl ShardedService {
         self.shards.iter().map(|s| s.batcher.depth()).sum()
     }
 
-    /// The shard owning `u` (out-of-range users route to shard 0 and
-    /// are rejected at validation).
+    /// The lane owning `u` (an out-of-range user routes like any other
+    /// and is rejected at validation).
     fn owner_shard(&self, u: NodeId) -> usize {
-        match &self.partition {
-            Some(p) if u.index() < self.nodes => p.owner(u) as usize,
-            _ => 0,
-        }
+        self.partition.owner(u) as usize
     }
 
     // ---- read path -----------------------------------------------
@@ -862,13 +683,14 @@ impl ShardedService {
         total
     }
 
-    /// Answers one batch on its users' owner lanes: validate and route,
-    /// probe each request's owner cache, compute every miss once — one
-    /// fused [`ApproxRecommender::recommend_with`] on the owner's pinned
-    /// snapshot, in one `fui-exec` fan-out over query chunks — and
-    /// insert the fresh lists into their owners' caches. Probes and
-    /// inserts run serially in request order, so each cache sees the
-    /// same operation sequence at any pool width.
+    /// Answers one batch on its users' owner lanes: pin the one
+    /// published snapshot, validate and route, probe each request's
+    /// owner cache, compute every miss once — one fused
+    /// [`ApproxRecommender::recommend_with`] on the pinned snapshot, in
+    /// one `fui-exec` fan-out over query chunks — and insert the fresh
+    /// lists into their owners' caches. Probes and inserts run serially
+    /// in request order, so each cache sees the same operation sequence
+    /// at any pool width.
     ///
     /// `traces` runs parallel to `reqs`. A traced request's latency
     /// decomposition is queue wait (submission → batch entry, exact per
@@ -880,17 +702,16 @@ impl ShardedService {
     fn answer_batch(&self, reqs: &[Request], traces: Vec<Option<TraceCapture>>) -> Vec<Reply> {
         let started = Instant::now();
         let _span = fui_obs::span!("service.request");
-        let snaps: Vec<Arc<Snapshot>> = self.shards.iter().map(|s| s.store.load()).collect();
+        let snap = self.store.load();
         self.metrics.requests.add(reqs.len() as u64);
         self.metrics.batch_size.record(reqs.len() as u64);
 
         let mut traces = traces;
         let tracing = traces.iter().any(Option::is_some);
         if tracing {
-            let hi = snaps.iter().map(|s| s.epoch).max().unwrap_or(0);
             for cap in traces.iter_mut().flatten() {
                 cap.event(TraceEventKind::BatchJoin, reqs.len() as u64);
-                cap.event(TraceEventKind::SnapshotPin, hi);
+                cap.event(TraceEventKind::SnapshotPin, snap.epoch);
             }
         }
         let mut cache_ns = 0u64;
@@ -908,8 +729,8 @@ impl ShardedService {
         let owner: Vec<Result<usize, String>> = reqs
             .iter()
             .map(|req| {
+                validate(req, &snap)?;
                 let s = self.owner_shard(req.user);
-                validate(req, &snaps[s])?;
                 self.shards[s].requests.incr();
                 Ok(s)
             })
@@ -926,7 +747,7 @@ impl ShardedService {
             .zip(&owner)
             .map(|(req, o)| {
                 let &s = o.as_ref().ok()?;
-                self.shards[s].cache.get(key_of(req), &snaps[s])
+                self.shards[s].cache.get(key_of(req), &snap)
             })
             .collect();
         let cached: Vec<bool> = lists.iter().map(Option::is_some).collect();
@@ -945,7 +766,7 @@ impl ShardedService {
         }
         lap(t0, &mut cache_ns);
 
-        // Compute every miss once, on its owner's snapshot, in chunks of
+        // Compute every miss once, on the pinned snapshot, in chunks of
         // at least `MIN_CHUNK` misses, at most one per pool worker. Busy
         // time is charged per query to the owner lane.
         let mut lane_sum = 0u64;
@@ -960,16 +781,9 @@ impl ShardedService {
                 }
             }
             let t0 = clock(tracing);
-            let propagators: Vec<Propagator<'_>> = snaps.iter().map(|s| s.propagator()).collect();
-            let recommenders: Vec<ApproxRecommender<'_, '_>> = propagators
-                .iter()
-                .zip(&snaps)
-                .map(|(p, snap)| {
-                    let mut rec = ApproxRecommender::new(p, &snap.index);
-                    rec.explore_depth = self.cfg.explore_depth;
-                    rec
-                })
-                .collect();
+            let propagator = snap.propagator();
+            let mut recommender = ApproxRecommender::new(&propagator, &snap.index);
+            recommender.explore_depth = self.cfg.explore_depth;
             let lanes = (misses.len() / MIN_CHUNK).clamp(1, fui_exec::threads());
             let chunks: Vec<&[(usize, usize)]> =
                 misses.chunks(misses.len().div_ceil(lanes)).collect();
@@ -981,10 +795,9 @@ impl ShardedService {
                     let out = chunk
                         .iter()
                         .map(|&(i, s)| {
-                            let snap = &snaps[s];
                             let req = &reqs[i];
-                            let result = recommenders[s]
-                                .recommend_with(&mut ws, req.user, req.topic, req.top_n);
+                            let result =
+                                recommender.recommend_with(&mut ws, req.user, req.topic, req.top_n);
                             let met = result
                                 .met_landmarks
                                 .iter()
@@ -995,7 +808,7 @@ impl ShardedService {
                                 })
                                 .collect();
                             let stamp = CacheStamp {
-                                shard: s as u32,
+                                shard: 0,
                                 graph_gen: snap.graph_gen,
                                 met,
                             };
@@ -1032,9 +845,9 @@ impl ShardedService {
             .zip(cached)
             .map(|((o, list), cached)| match o {
                 Err(why) => Reply::Rejected(why),
-                Ok(s) => Reply::Result(Served {
+                Ok(_) => Reply::Result(Served {
                     recommendations: list.expect("every valid request answered"),
-                    epoch: snaps[s].epoch,
+                    epoch: snap.epoch,
                     cached,
                 }),
             })
@@ -1085,21 +898,19 @@ impl ShardedService {
     // ---- write path ----------------------------------------------
 
     /// Records one follow/unfollow. The change is write-ahead
-    /// journaled to its owner shard's WAL (to both owners' when the
-    /// edge is cut) *before* memory moves, then buffered until the next
+    /// journaled *before* memory moves, then buffered until the next
     /// [`rotate`](Self::rotate); staleness is charged to the landmarks
     /// immediately — one fleet-wide account, so answers stay
     /// shard-count-invariant — and any landmark the charge pushes past
     /// its threshold gets its cache version bumped right away (a new
     /// epoch is published so probes see it), conservatively retiring
-    /// cached results that composed through the now-suspect entry. The
-    /// owners' staggered-rotation priority is bumped too.
+    /// cached results that composed through the now-suspect entry.
     pub fn record(&self, change: EdgeChange) -> Result<(), String> {
         let mut m = self.master.lock().expect("fleet master poisoned");
         validate_change(&m.graph, &change)?;
         let seq = m.applied_seq + 1;
         if let Some(sink) = m.durable.as_mut() {
-            sink.append_change(seq, change, owners(self.partition.as_ref(), &change))
+            sink.append(seq, &JournalOp::Change(change))
                 .map_err(|e| format!("journal append failed: {e}"))?;
         }
         m.applied_seq = seq;
@@ -1110,7 +921,6 @@ impl ShardedService {
     /// The in-memory effect of one (already journaled, already
     /// validated) change — shared by the live path and journal replay.
     fn apply_change_inner(&self, m: &mut FleetMaster, change: EdgeChange) {
-        charge_pending(&self.shards, owners(self.partition.as_ref(), &change));
         let slots = m.dynamic.index().len();
         let was: Vec<bool> = (0..slots).map(|s| m.dynamic.is_stale(s)).collect();
         m.dynamic.record(&change);
@@ -1123,7 +933,7 @@ impl ShardedService {
                 m.slot_versions[s] += 1;
             }
             m.epoch += 1;
-            self.publish_all(m, false);
+            self.store.publish(m.snapshot());
         }
     }
 
@@ -1137,22 +947,21 @@ impl ShardedService {
     }
 
     /// Applies all pending edge changes: rebuilds graph, authority
-    /// index, similarity rows and the cut-edge count, bumps `graph_gen`
-    /// (retiring every cached result) and republishes every shard —
-    /// staggered, busiest first. Landmark entries are *not* recomputed
-    /// — the lazy policy keeps serving slightly stale lists until
-    /// [`refresh`](Self::refresh), exactly the trade-off the paper
-    /// anticipates for churning follow graphs. Never blocks in-flight
-    /// queries; they finish on their old snapshot. A durable fleet
-    /// checkpoints a snapshot here (rotation rebuilt the expensive
-    /// indices, so a warm restart replays from this point, not from
-    /// scratch). Returns the new epoch.
+    /// index and similarity rows, bumps `graph_gen` (retiring every
+    /// cached result) and publishes once. Landmark entries are *not*
+    /// recomputed — the lazy policy keeps serving slightly stale lists
+    /// until [`refresh`](Self::refresh), exactly the trade-off the
+    /// paper anticipates for churning follow graphs. Never blocks
+    /// in-flight queries; they finish on their old snapshot. A durable
+    /// fleet checkpoints a snapshot here (rotation rebuilt the
+    /// expensive indices, so a warm restart replays from this point,
+    /// not from scratch). Returns the new epoch.
     pub fn rotate(&self) -> u64 {
         let _span = fui_obs::span!("service.rotate");
         let mut m = self.master.lock().expect("fleet master poisoned");
         let seq = m.applied_seq + 1;
         if let Some(sink) = m.durable.as_mut() {
-            sink.append_fleet(seq, &JournalOp::Rotate)
+            sink.append(seq, &JournalOp::Rotate)
                 .expect("journal append failed");
         }
         m.applied_seq = seq;
@@ -1174,15 +983,12 @@ impl ShardedService {
         }
         m.graph_gen += 1;
         m.epoch += 1;
-        let cut_edges = cut_of(self.partition.as_ref(), &m.graph, &self.metrics);
-        self.cut_edges.store(cut_edges, Ordering::Relaxed);
-        self.publish_all(m, true);
+        self.store.publish(m.snapshot());
         m.epoch
     }
 
     /// Recomputes every stale landmark against the current graph and
-    /// republishes the refreshed index to every shard under a new
-    /// epoch — staggered, no fleet-wide pause — bumping the
+    /// publishes the refreshed index under a new epoch, bumping the
     /// refreshed slots' cache versions (results that never met those
     /// landmarks keep their cache entries). Returns how many entries
     /// were refreshed.
@@ -1191,7 +997,7 @@ impl ShardedService {
         let mut m = self.master.lock().expect("fleet master poisoned");
         let seq = m.applied_seq + 1;
         if let Some(sink) = m.durable.as_mut() {
-            sink.append_fleet(seq, &JournalOp::Refresh)
+            sink.append(seq, &JournalOp::Refresh)
                 .expect("journal append failed");
         }
         m.applied_seq = seq;
@@ -1216,36 +1022,19 @@ impl ShardedService {
         }
         m.index = Arc::new(m.dynamic.index().clone());
         m.epoch += 1;
-        self.publish_all(m, false);
+        self.store.publish(m.snapshot());
         refreshed
-    }
-
-    /// Publishes every shard's snapshot for the master's current state,
-    /// staggered: shards with the most recorded-but-unrotated changes
-    /// publish first (ties toward the lowest id), one atomic pointer
-    /// swap each, never a fleet-wide pause. `reset_pending` (rotations)
-    /// clears each shard's counter as its publish lands.
-    fn publish_all(&self, m: &FleetMaster, reset_pending: bool) {
-        let mut order: Vec<usize> = (0..self.shards.len()).collect();
-        order.sort_by_key(|&s| (Reverse(self.shards[s].pending.load(Ordering::SeqCst)), s));
-        for s in order {
-            self.shards[s].store.publish(m.shard_snapshot(s));
-            self.shards[s].epoch_gauge.set(m.epoch as f64);
-            if reset_pending {
-                self.shards[s].pending.store(0, Ordering::SeqCst);
-            }
-        }
     }
 
     // ---- durability ----------------------------------------------
 
-    /// Replays merged journal records into the fleet master. Records
-    /// at or below the current `applied_seq` are skipped — replaying a
-    /// tail twice is bit-identical to replaying it once — and records
-    /// whose change no longer validates against the graph are counted
-    /// on `snapshot.persist.replay_rejected` rather than applied.
-    /// Returns how many records were applied. Replay never journals
-    /// (the records are already on disk).
+    /// Replays journal records into the fleet master. Records at or
+    /// below the current `applied_seq` are skipped — replaying a tail
+    /// twice is bit-identical to replaying it once — and records whose
+    /// change no longer validates against the graph are counted on
+    /// `snapshot.persist.replay_rejected` rather than applied. Returns
+    /// how many records were applied. Replay never journals (the
+    /// records are already on disk).
     pub fn apply_journal(&self, records: &[JournalRecord]) -> usize {
         let mut m = self.master.lock().expect("fleet master poisoned");
         let mut applied = 0;
@@ -1349,12 +1138,14 @@ impl ShardedService {
         fui_obs::trace::slowest(n)
     }
 
-    /// Point-in-time fleet status: partitioner identity, current cut
-    /// size, one row per shard.
+    /// Point-in-time fleet status: owner-map identity, the published
+    /// snapshot's position, one row per lane.
     pub fn status(&self) -> FleetStatus {
+        let snap = self.store.load();
         FleetStatus {
             strategy: self.spec.strategy.as_str(),
-            cut_edges: self.cut_edges.load(Ordering::Relaxed),
+            epoch: snap.epoch,
+            graph_gen: snap.graph_gen,
             crit_ns: self.crit_ns.load(Ordering::Relaxed),
             shards: self.shards.iter().map(|s| s.status()).collect(),
         }

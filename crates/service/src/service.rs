@@ -98,17 +98,19 @@ pub enum RestoreError {
     Io(String),
     /// No snapshot file in the directory decoded cleanly.
     NoValidSnapshot,
-    /// The merged journals skip a sequence number: a record between
-    /// the snapshot and `found` is on no journal in the directory, and
-    /// replaying across the hole would silently lose it.
+    /// The journal skips a sequence number: a record between the
+    /// snapshot and `found` is missing, and replaying across the hole
+    /// would silently lose it.
     JournalGap {
         /// The sequence number replay needed next.
         expected: u64,
-        /// The next one the journals actually hold.
+        /// The next one the journal actually holds.
         found: u64,
     },
-    /// Two journals hold different records under this sequence number.
-    JournalConflict(u64),
+    /// The directory holds a `shard-NNNN` entry: it was written by the
+    /// retired layout that kept one change journal per shard, and
+    /// restoring without those records would lose acknowledged writes.
+    LegacyLayout,
 }
 
 impl std::fmt::Display for RestoreError {
@@ -119,8 +121,8 @@ impl std::fmt::Display for RestoreError {
             RestoreError::JournalGap { expected, found } => {
                 write!(f, "journal gap: record {expected} missing before {found}")
             }
-            RestoreError::JournalConflict(seq) => {
-                write!(f, "journals disagree on record {seq}")
+            RestoreError::LegacyLayout => {
+                write!(f, "directory has per-shard journals (shard-NNNN/)")
             }
         }
     }

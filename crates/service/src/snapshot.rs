@@ -5,7 +5,8 @@
 //! similarity rows and the landmark index — are bundled into
 //! an immutable [`Snapshot`] behind `Arc`s, and the only mutation the
 //! read path ever observes is the atomic swap of the *current* snapshot
-//! pointer inside [`SnapshotStore`]. In-flight queries keep the `Arc`
+//! pointer inside the fleet's one [`SnapshotStore`], which every lane
+//! reads. In-flight queries keep the `Arc`
 //! they loaded, so rotation and landmark refresh never block a reader
 //! and a reader never sees a half-applied update.
 //!
@@ -28,11 +29,9 @@ use fui_landmarks::{ChangeKind, EdgeChange, LandmarkIndex};
 
 /// One immutable, queryable publication of the serving state.
 pub struct Snapshot {
-    /// Which shard published this snapshot (always 0 on a one-shard
-    /// [`crate::Service`]). Cache stamps carry the same id, so an
-    /// entry computed on one shard can never validate against another
-    /// shard's slot-version vector, which a staggered publish may not
-    /// have moved yet.
+    /// Always 0: a fleet publishes one snapshot that every lane
+    /// answers on. Kept because the benchmark harness reads it (see
+    /// ROADMAP item 2).
     pub shard: u32,
     /// Monotone publication counter (every publish bumps it).
     pub epoch: u64,

@@ -47,9 +47,8 @@
 //!       queue_ns=<q> assembly_ns=<a> compute_ns=<c> cache_ns=<h>
 //!       scatter_ns=<x> events=<m>
 //!   followed by its m timeline lines:  EV <at_ns> <kind> <arg>
-//! OK SHARDS <n> strategy=<s> cut_edges=<c> crit_ns=<t>   then n rows:
-//!   S <id> epoch=<e> gen=<g> queue=<q> pending=<p> busy_ns=<b>
-//!     cache=<c> owned=<o> edge_mass=<m> requests=<r> shed=<s>
+//! OK SHARDS <n> strategy=hash epoch=<e> gen=<g> crit_ns=<t>   then n rows:
+//!   S <id> queue=<q> busy_ns=<b> cache=<c> requests=<r> shed=<s>
 //!     queue_full=<qf> deadline=<dl> latency_burn=<lb> shed_burn=<sb>
 //! ```
 //!
@@ -304,26 +303,21 @@ fn render_traces(traces: Vec<fui_obs::RequestTrace>) -> String {
 
 fn render_shards(status: FleetStatus) -> String {
     let mut out = format!(
-        "OK SHARDS {} strategy={} cut_edges={} crit_ns={}",
+        "OK SHARDS {} strategy={} epoch={} gen={} crit_ns={}",
         status.shards.len(),
         status.strategy,
-        status.cut_edges,
+        status.epoch,
+        status.graph_gen,
         status.crit_ns,
     );
     for s in &status.shards {
         out.push_str(&format!(
-            "\nS {} epoch={} gen={} queue={} pending={} busy_ns={} cache={} \
-             owned={} edge_mass={} requests={} shed={} queue_full={} deadline={} \
-             latency_burn={:.6} shed_burn={:.6}",
+            "\nS {} queue={} busy_ns={} cache={} requests={} shed={} queue_full={} \
+             deadline={} latency_burn={:.6} shed_burn={:.6}",
             s.id,
-            s.epoch,
-            s.graph_gen,
             s.queue_depth,
-            s.pending_changes,
             s.busy_ns,
             s.cache_entries,
-            s.owned_nodes,
-            s.edge_mass,
             s.requests,
             s.shed,
             s.shed_queue_full,

@@ -1,16 +1,15 @@
 //! Sharded-fleet tests: bit-exact equivalence with the unsharded
-//! engine, owner-lane routing and admission, staggered publication
-//! bookkeeping, and durable fleet restore (including shard-count
-//! changes and the dual-WAL cut-edge journal).
+//! engine, owner-lane routing and admission, fleet status, and durable
+//! fleet restore (including shard-count changes and the one journal).
 
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use fui_core::{AuthorityIndex, ScoreParams, ScoreVariant};
-use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
+use fui_graph::{GraphBuilder, NodeId, Partition, PartitionStrategy, SocialGraph};
 use fui_landmarks::EdgeChange;
-use fui_service::durable;
+use fui_service::durable::{self, JournalOp};
 use fui_service::wire::{self, Command, Executed};
 use fui_service::{
     Reply, Request, RestoreError, Served, Service, ServiceConfig, ShardSpec, ShardedService,
@@ -105,44 +104,42 @@ fn all_queries() -> Vec<Request> {
 #[test]
 fn fleet_matches_the_unsharded_service_through_mutations() {
     let _turn = serial();
-    for strategy in [PartitionStrategy::Hash, PartitionStrategy::DegreeAware] {
-        for shards in [1usize, 2, 4] {
-            let cfg = ServiceConfig::default();
-            let svc = service(cfg);
-            let flt = fleet(cfg, ShardSpec::new(shards, strategy));
-            let ctx = format!("{shards} shards / {}", strategy.as_str());
-            let tech = TopicSet::single(Topic::Technology);
+    for shards in [1usize, 2, 4] {
+        let cfg = ServiceConfig::default();
+        let svc = service(cfg);
+        let flt = fleet(cfg, ShardSpec::new(shards, PartitionStrategy::Hash));
+        let ctx = format!("{shards} shards");
+        let tech = TopicSet::single(Topic::Technology);
 
-            let step = |svc: &Service, flt: &ShardedService, stage: &str| {
-                for req in all_queries() {
-                    let (a, b) = (served(svc.call(req)), served(flt.call(req)));
-                    assert_same_bits(&a, &b, &format!("{ctx} [{stage}]"));
-                }
-            };
-
-            step(&svc, &flt, "cold");
-            step(&svc, &flt, "warm"); // replays: value bits must match either way
-
-            for (u, v) in [(5u32, 7u32), (8, 0), (1, 9)] {
-                let c = EdgeChange::insert(NodeId(u), NodeId(v), tech);
-                svc.record(c).unwrap();
-                flt.record(c).unwrap();
+        let step = |svc: &Service, flt: &ShardedService, stage: &str| {
+            for req in all_queries() {
+                let (a, b) = (served(svc.call(req)), served(flt.call(req)));
+                assert_same_bits(&a, &b, &format!("{ctx} [{stage}]"));
             }
-            assert_eq!(svc.pending_changes(), flt.pending_changes());
-            step(&svc, &flt, "post-record");
+        };
 
-            assert_eq!(svc.rotate(), flt.rotate(), "{ctx}: rotate epoch");
-            step(&svc, &flt, "post-rotate");
+        step(&svc, &flt, "cold");
+        step(&svc, &flt, "warm"); // replays: value bits must match either way
 
-            let c = EdgeChange::remove(NodeId(0), NodeId(1), tech);
+        for (u, v) in [(5u32, 7u32), (8, 0), (1, 9)] {
+            let c = EdgeChange::insert(NodeId(u), NodeId(v), tech);
             svc.record(c).unwrap();
             flt.record(c).unwrap();
-            assert_eq!(svc.refresh(), flt.refresh(), "{ctx}: refresh count");
-            step(&svc, &flt, "post-refresh");
-
-            assert_eq!(svc.snapshot().epoch, flt.epoch(), "{ctx}: final epoch");
-            assert_eq!(svc.snapshot().graph_gen, flt.graph_gen());
         }
+        assert_eq!(svc.pending_changes(), flt.pending_changes());
+        step(&svc, &flt, "post-record");
+
+        assert_eq!(svc.rotate(), flt.rotate(), "{ctx}: rotate epoch");
+        step(&svc, &flt, "post-rotate");
+
+        let c = EdgeChange::remove(NodeId(0), NodeId(1), tech);
+        svc.record(c).unwrap();
+        flt.record(c).unwrap();
+        assert_eq!(svc.refresh(), flt.refresh(), "{ctx}: refresh count");
+        step(&svc, &flt, "post-refresh");
+
+        assert_eq!(svc.snapshot().epoch, flt.epoch(), "{ctx}: final epoch");
+        assert_eq!(svc.snapshot().graph_gen, flt.graph_gen());
     }
 }
 
@@ -220,39 +217,32 @@ fn fleet_status_reports_per_shard_rows() {
     let _turn = serial();
     let flt = fleet(
         ServiceConfig::default(),
-        ShardSpec::new(4, PartitionStrategy::DegreeAware),
+        ShardSpec::new(4, PartitionStrategy::Hash),
     );
     for req in all_queries() {
         assert!(matches!(flt.call(req), Reply::Result(_)));
     }
-    let tech = TopicSet::single(Topic::Technology);
-    flt.record(EdgeChange::insert(NodeId(5), NodeId(7), tech))
-        .unwrap();
     let status = flt.status();
-    assert_eq!(status.strategy, "degree-aware");
+    assert_eq!(status.strategy, "hash");
     assert_eq!(status.shards.len(), 4);
-    let owned: usize = status.shards.iter().map(|s| s.owned_nodes).sum();
-    assert_eq!(owned, 10, "shards partition the node space");
     assert!(
         status.shards.iter().any(|s| s.requests > 0),
         "queries routed somewhere"
     );
-    let pending: u64 = status.shards.iter().map(|s| s.pending_changes).sum();
+    let cached: usize = status.shards.iter().map(|s| s.cache_entries).sum();
+    assert_eq!(cached, flt.cache_len());
     assert!(
-        (1..=2).contains(&pending),
-        "one change charges one or both endpoint owners, got {pending}"
+        status.shards.iter().any(|s| s.busy_ns > 0),
+        "lane time is live"
     );
+    let tech = TopicSet::single(Topic::Technology);
+    flt.record(EdgeChange::insert(NodeId(5), NodeId(7), tech))
+        .unwrap();
     let rotated = flt.rotate();
-    assert!(rotated > 0);
     let status = flt.status();
-    assert!(
-        status.shards.iter().all(|s| s.pending_changes == 0),
-        "rotation publish resets the staggered priorities"
-    );
-    assert!(
-        status.shards.iter().all(|s| s.epoch == rotated),
-        "every shard published the rotation epoch"
-    );
+    assert_eq!(status.epoch, rotated, "the fleet published the rotation");
+    assert_eq!(status.graph_gen, flt.graph_gen());
+    assert_eq!(flt.pending_changes(), 0);
 }
 
 #[test]
@@ -295,7 +285,11 @@ fn verb_layer_serves_a_fleet_and_renders_shards() {
     let mut lines = shards.lines();
     let header = lines.next().expect("header");
     assert!(
-        header.starts_with("OK SHARDS 2 strategy=hash cut_edges="),
+        header.starts_with(&format!(
+            "OK SHARDS 2 strategy=hash epoch={} gen={} crit_ns=",
+            flt.epoch(),
+            flt.graph_gen()
+        )),
         "got {header:?}"
     );
     let rows: Vec<&str> = lines.collect();
@@ -303,13 +297,9 @@ fn verb_layer_serves_a_fleet_and_renders_shards() {
     for row in rows {
         assert!(row.starts_with("S "), "got {row:?}");
         for field in [
-            "epoch=",
-            "gen=",
             "queue=",
-            "pending=",
+            "busy_ns=",
             "cache=",
-            "owned=",
-            "edge_mass=",
             "requests=",
             "shed=",
             "queue_full=",
@@ -364,12 +354,6 @@ fn durable_fleet_restores_warm_and_matches_a_twin() {
     twin.rotate();
     victim.record(script[2]).unwrap();
     twin.record(script[2]).unwrap();
-
-    // Both shard WALs exist; the fleet journal holds the rotate.
-    for s in 0..2 {
-        let wal = dir.join(format!("shard-{s:04}")).join("journal.fuiwal");
-        assert!(wal.is_file(), "missing {}", wal.display());
-    }
     drop(victim);
 
     let restored = ShardedService::restore(&dir, sim(), cfg, spec).expect("warm restart");
@@ -426,16 +410,11 @@ fn restore_with_a_different_shard_count_is_answer_invisible() {
         .collect();
     drop(original);
 
-    // The partition is re-derived from the restored graph, never read
-    // from disk — a 3-shard fleet resumes a 2-shard directory and
-    // answers identically.
-    let wider = ShardedService::restore(
-        &dir,
-        sim(),
-        cfg,
-        ShardSpec::new(3, PartitionStrategy::DegreeAware),
-    )
-    .expect("restore under a different spec");
+    // Nothing on disk names a shard — a 3-shard fleet resumes a
+    // 2-shard directory and answers identically.
+    let wider =
+        ShardedService::restore(&dir, sim(), cfg, ShardSpec::new(3, PartitionStrategy::Hash))
+            .expect("restore under a different spec");
     assert_eq!(wider.shard_count(), 3);
     for (req, want) in all_queries().into_iter().zip(&baseline) {
         assert_same_bits(&served(wider.call(req)), want, "respec restore");
@@ -534,12 +513,6 @@ fn restore_matrix_over_writer_and_reader_shard_counts() {
             let restored = restore_engine(reader, &dir);
             let restored_ref = (*restored).as_ref();
             assert_matches_twin(restored_ref, &twin, &ctx);
-            if reader < writer {
-                // The tail lived partly in journals the narrower
-                // layout never appends to: it must be checkpointed.
-                let newest = durable::list_snapshots(&dir).unwrap()[0].0;
-                assert_eq!(newest, restored_ref.applied_seq(), "{ctx}: checkpoint");
-            }
 
             for engine in [restored_ref, &twin] {
                 for i in 46..50 {
@@ -565,7 +538,7 @@ fn restore_stops_at_a_journal_gap() {
         (*victim).as_ref().record(tail_change(i)).unwrap();
     }
     drop(victim);
-    let wal = dir.join("shard-0000").join(durable::JOURNAL_FILE);
+    let wal = dir.join(durable::JOURNAL_FILE);
     let mut records = durable::decode_journal(&std::fs::read(&wal).unwrap()).unwrap();
     assert_eq!(records.len(), 5);
     records.remove(2);
@@ -581,4 +554,74 @@ fn restore_stops_at_a_journal_gap() {
         }
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A durable 4-shard fleet journals every op once, in sequence, to the
+/// one root journal — changes whose endpoints have different owners
+/// included — and writes no per-shard entry. A copy of its directory
+/// with a per-shard journal added restores to a typed error, never to
+/// a state without that journal's records.
+#[test]
+fn one_journal_holds_each_op_once() {
+    let _turn = serial();
+    let dir = scratch("one-journal");
+    let owners = Partition::build(&graph(), 4, PartitionStrategy::Hash);
+    let tech = TopicSet::single(Topic::Technology);
+    let cut: Vec<EdgeChange> = (0..10u32)
+        .flat_map(|u| (0..10u32).map(move |v| (NodeId(u), NodeId(v))))
+        .filter(|&(u, v)| owners.owner(u) != owners.owner(v))
+        .take(6)
+        .map(|(u, v)| EdgeChange::insert(u, v, tech))
+        .collect();
+    assert_eq!(cut.len(), 6, "the graph has six pairs across lanes");
+    let victim = durable_engine(4, &dir);
+    for &c in &cut {
+        (*victim).as_ref().record(c).unwrap();
+    }
+    (*victim).as_ref().rotate();
+    drop(victim);
+
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    assert!(
+        names
+            .iter()
+            .all(|n| n == durable::JOURNAL_FILE || durable::parse_snapshot_filename(n).is_some()),
+        "only snapshots and the journal: {names:?}"
+    );
+    let records =
+        durable::decode_journal(&std::fs::read(dir.join(durable::JOURNAL_FILE)).unwrap()).unwrap();
+    let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+    assert_eq!(seqs, (1..=cut.len() as u64 + 1).collect::<Vec<_>>());
+    let ops: Vec<JournalOp> = records.iter().map(|r| r.op).collect();
+    let want: Vec<JournalOp> = cut
+        .iter()
+        .map(|&c| JournalOp::Change(c))
+        .chain([JournalOp::Rotate])
+        .collect();
+    assert_eq!(ops, want, "each op once, in order");
+
+    let legacy = scratch("one-journal-legacy");
+    std::fs::create_dir_all(legacy.join("shard-0000")).unwrap();
+    for name in &names {
+        std::fs::copy(dir.join(name), legacy.join(name)).unwrap();
+    }
+    std::fs::write(
+        legacy.join("shard-0000").join(durable::JOURNAL_FILE),
+        durable::encode_journal(&[]),
+    )
+    .unwrap();
+    let err = ShardedService::restore(
+        &legacy,
+        SimMatrix::opencalais(),
+        ServiceConfig::default(),
+        ShardSpec::new(4, PartitionStrategy::Hash),
+    )
+    .err()
+    .expect("a per-shard journal must not restore silently");
+    assert_eq!(err, RestoreError::LegacyLayout);
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&legacy);
 }

@@ -575,12 +575,71 @@ fn introspection_verbs_render() {
     let shards = ask(&svc, "SHARDS");
     let (header, row) = shards.split_once('\n').expect("header and one row");
     assert!(
-        header.starts_with("OK SHARDS 1 strategy=hash cut_edges=0 crit_ns="),
+        header.starts_with("OK SHARDS 1 strategy=hash epoch=0 gen=0 crit_ns="),
         "got {header:?}"
     );
     assert!(!header.ends_with("crit_ns=0"), "got {header:?}");
-    assert!(row.starts_with("S 0 epoch=0 gen=0 "), "got {row:?}");
+    assert!(row.starts_with("S 0 queue=0 "), "got {row:?}");
     assert!(!row.contains('\n'), "exactly one row: {row:?}");
-    assert!(row.contains(" owned=10 "), "got {row:?}");
     assert!(!row.contains(" busy_ns=0 "), "lane time is live: {row:?}");
+}
+
+/// A durable service built into a directory an earlier run used starts
+/// fresh: the earlier run's snapshots and journal are discarded, so
+/// retention keeps the new run's snapshots and a restore lands on the
+/// new run's acknowledged state, not the old one's.
+#[test]
+fn with_durability_over_a_used_directory_starts_fresh() {
+    let dir = std::env::temp_dir().join(format!("fui-service-{}-reused", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable_service = || {
+        Service::with_durability(
+            graph(),
+            SimMatrix::opencalais(),
+            ScoreParams::default(),
+            ScoreVariant::Full,
+            vec![NodeId(2), NodeId(6)],
+            50,
+            ServiceConfig::default(),
+            &dir,
+        )
+        .expect("durable build")
+    };
+    let tech = TopicSet::single(Topic::Technology);
+
+    let first = durable_service();
+    for i in 0..6u32 {
+        first
+            .record(EdgeChange::insert(NodeId(i), NodeId((i + 5) % 10), tech))
+            .unwrap();
+        first.rotate();
+    }
+    drop(first);
+
+    let second = durable_service();
+    second
+        .record(EdgeChange::insert(NodeId(5), NodeId(7), tech))
+        .unwrap();
+    second.rotate();
+    let live = (second.epoch(), second.graph_gen(), second.applied_seq());
+    drop(second);
+
+    let seqs: Vec<u64> = fui_service::durable::list_snapshots(&dir)
+        .unwrap()
+        .into_iter()
+        .map(|(seq, _)| seq)
+        .collect();
+    assert_eq!(seqs, [2, 0], "the second run's snapshots, and only those");
+    let restored = Service::restore(&dir, SimMatrix::opencalais(), ServiceConfig::default())
+        .expect("warm restart");
+    assert_eq!(
+        (
+            restored.epoch(),
+            restored.graph_gen(),
+            restored.applied_seq()
+        ),
+        live,
+        "restored the second run's state"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -11,11 +11,10 @@
 //! * the **victim** is killed (dropped) at a seeded op index, its
 //!   on-disk state optionally mangled the way a crash would mangle it
 //!   (the newest snapshot torn mid-write, or a partial record appended
-//!   to the fleet journal or to one shard's WAL — the cut-edge
-//!   dual-write side), warm-restarted via [`ShardedService::restore`]
-//!   — half the time under a *different* shard spec (1–4 shards, the
-//!   other strategy), which must be answer-invisible — and then driven
-//!   through the remainder of the script.
+//!   to the journal), warm-restarted via [`ShardedService::restore`]
+//!   — half the time under a *different* shard count (1–4 shards),
+//!   which must be answer-invisible — and then driven through the
+//!   remainder of the script.
 //!
 //! Every post-recovery reply must be **bit-identical** to the twin's
 //! (scores compared by `f64::to_bits`; the `cached` flag is excluded —
@@ -155,15 +154,9 @@ pub fn durable_fleet(case: &GraphCase, dir: &Path, spec: ShardSpec) -> ShardedSe
     .expect("durable fleet build")
 }
 
-/// A seeded write spec for `case`: 1–4 shards, partition strategy
-/// alternating by seed parity.
+/// A seeded write spec for `case`: 1–4 hash shards.
 pub fn write_spec(case: &GraphCase) -> ShardSpec {
-    let strategy = if case.seed % 2 == 0 {
-        PartitionStrategy::Hash
-    } else {
-        PartitionStrategy::DegreeAware
-    };
-    ShardSpec::new(1 + (case.seed >> 1) as usize % 4, strategy)
+    ShardSpec::new(1 + (case.seed >> 1) as usize % 4, PartitionStrategy::Hash)
 }
 
 /// A unique scratch directory for one chaos role.
@@ -177,7 +170,7 @@ fn scratch_dir(case: &GraphCase, role: &str) -> PathBuf {
 }
 
 /// How the victim's on-disk state is mangled after the kill.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 enum Mangle {
     /// Clean kill between ops — disk exactly as the service left it.
     None,
@@ -185,12 +178,9 @@ enum Mangle {
     /// simulating a crash mid-snapshot-write; warm start must fall
     /// back to the next-newest valid snapshot and replay further.
     TornSnapshot,
-    /// A partial record is appended to the fleet journal, simulating a
-    /// crash mid-append; warm start must drop the (never-acknowledged)
-    /// tail.
+    /// A partial record is appended to the journal, simulating a crash
+    /// mid-append; warm start must drop the (never-acknowledged) tail.
     TornJournal,
-    /// The same, on a seeded shard's change journal.
-    TornShardJournal,
 }
 
 /// The chaos invariant, for a victim and twin written under `write`.
@@ -204,21 +194,16 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> 
     let mut rng = SeededRng::new(case.seed.rotate_left(37));
     let ops = gen_ops(case, &mut rng);
     let kill_op = 1 + rng.below((ops.len() - 2) as u64) as usize;
-    let mangle = match rng.below(4) {
+    let mangle = match rng.below(3) {
         0 => Mangle::None,
         1 => Mangle::TornSnapshot,
-        2 => Mangle::TornJournal,
-        _ => Mangle::TornShardJournal,
+        _ => Mangle::TornJournal,
     };
     let mangle_roll = rng.u64();
     let restore_spec = if rng.below(2) == 0 {
         write
     } else {
-        let other = match write.strategy {
-            PartitionStrategy::Hash => PartitionStrategy::DegreeAware,
-            PartitionStrategy::DegreeAware => PartitionStrategy::Hash,
-        };
-        ShardSpec::new(1 + rng.below(4) as usize, other)
+        ShardSpec::new(1 + rng.below(4) as usize, PartitionStrategy::Hash)
     };
 
     let twin_dir = scratch_dir(case, "twin");
@@ -255,11 +240,10 @@ fn run_case(
 ) -> Result<(), String> {
     let ctx = |what: &str| {
         format!(
-            "{what} (kill_op={kill_op}, mangle={mangle:?}, written {}x{}, restored {}x{}, {})",
+            "{what} (kill_op={kill_op}, mangle={mangle:?}, written by {}, restored under {} \
+             shards, {})",
             write.shards,
-            write.strategy.as_str(),
             restore_spec.shards,
-            restore_spec.strategy.as_str(),
             case.repro()
         )
     };
@@ -309,17 +293,10 @@ fn run_case(
                 expect_fallback = true;
             }
         }
-        Mangle::TornJournal | Mangle::TornShardJournal => {
+        Mangle::TornJournal => {
             let partial = durable::encode_record(u64::MAX, &durable::JournalOp::Rotate);
             let cut = 1 + (mangle_roll as usize) % (partial.len() - 1);
-            let path = if mangle == Mangle::TornShardJournal {
-                let s = mangle_roll % write.shards as u64;
-                victim_dir
-                    .join(format!("shard-{s:04}"))
-                    .join(durable::JOURNAL_FILE)
-            } else {
-                victim_dir.join(durable::JOURNAL_FILE)
-            };
+            let path = victim_dir.join(durable::JOURNAL_FILE);
             let mut f = std::fs::OpenOptions::new()
                 .append(true)
                 .open(&path)

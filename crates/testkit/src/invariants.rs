@@ -805,18 +805,15 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
 }
 
 /// Sharding is *invisible*: the same seeded serving interleaving
-/// (queries with replay bait, follow/unfollow, rotations, refreshes —
-/// fired staggered per shard — and submit/pump bursts) driven through
-/// the one-shard [`fui_service::Service`] and through
-/// [`fui_service::ShardedService`] fleets at 2 and 4 shards must
-/// produce **bit-identical** reply fingerprints: epochs, node
-/// orderings, score bits, rotation epochs and refresh counts. The
-/// partition strategy alternates by seed parity so both `hash` and
-/// `degree-aware` placements are swept. A tie-heavy star-graph coda
-/// (identical leaves, `top_n` below the leaf count) additionally pins
-/// the id-ascending tie-break at the top-k cut, the spot where a
-/// router that split and merged candidate lists would first drift.
-/// (The CI conformance matrix
+/// (queries with replay bait, follow/unfollow, rotations, refreshes
+/// and submit/pump bursts) driven through the one-shard
+/// [`fui_service::Service`] and through [`fui_service::ShardedService`]
+/// fleets at 2 and 4 shards must produce **bit-identical** reply
+/// fingerprints: epochs, node orderings, score bits, rotation epochs
+/// and refresh counts. A tie-heavy star-graph coda (identical leaves,
+/// `top_n` below the leaf count) additionally pins the id-ascending
+/// tie-break at the top-k cut, the spot where a router that split and
+/// merged candidate lists would first drift. (The CI conformance matrix
 /// runs this at `FUI_THREADS=1` and `FUI_THREADS=4`; the cached flag
 /// is deliberately *not* fingerprinted — per-shard caches partition
 /// capacity differently, and cache residency is allowed to differ as
@@ -835,11 +832,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
         refresh_threshold: 0.02,
         ..ServiceConfig::default()
     };
-    let strategy = if case.seed % 2 == 0 {
-        PartitionStrategy::Hash
-    } else {
-        PartitionStrategy::DegreeAware
-    };
+    let spec = |shards| ShardSpec::new(shards, PartitionStrategy::Hash);
     let n = case.num_nodes;
     let landmarks = |g: &SocialGraph| -> Vec<NodeId> { g.nodes().step_by(3).collect() };
     let params = fixed_depth_params(0.8, 0.25);
@@ -951,7 +944,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
             lm,
             n,
             cfg,
-            ShardSpec::new(shards, strategy),
+            spec(shards),
         );
         let bits = fingerprint(&fleet)?;
         if bits != baseline {
@@ -961,9 +954,8 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
                 .position(|(a, b)| a != b)
                 .unwrap_or_else(|| bits.len().min(baseline.len()));
             return Err(format!(
-                "{shards}-shard {} fleet diverged from the unsharded engine \
+                "{shards}-shard fleet diverged from the unsharded engine \
                  at fingerprint word {at} ({} vs {} words, {})",
-                strategy.as_str(),
                 bits.len(),
                 baseline.len(),
                 case.repro()
@@ -998,7 +990,7 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
             star_landmarks.clone(),
             star_n,
             cfg,
-            ShardSpec::new(shards, strategy),
+            spec(shards),
         )
     };
     let star_queries: Vec<Request> = (0..=leaves as u32)
@@ -1027,9 +1019,8 @@ pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
     for shards in [2usize, 4] {
         if star_bits(&make(shards))? != star_base {
             return Err(format!(
-                "tie-heavy star coda: {shards}-shard {} merge broke the \
+                "tie-heavy star coda: {shards}-shard fleet broke the \
                  id-ascending tie cut ({})",
-                strategy.as_str(),
                 case.repro()
             ));
         }

@@ -49,9 +49,8 @@ fn dynamic_and_partition_apis_compose() {
     let mut rng = StdRng::seed_from_u64(5);
 
     // The serving partitioner splits the users...
-    let parts = Partition::build(&d.graph, 4, PartitionStrategy::DegreeAware);
-    assert_eq!(parts.sizes().iter().sum::<usize>(), d.graph.num_nodes());
-    assert_eq!(parts.cut_edges(), parts.cut_edges_in(&d.graph));
+    let parts = Partition::build(&d.graph, 4, PartitionStrategy::Hash);
+    assert!(d.graph.nodes().all(|v| parts.owner(v) < 4));
     let landmarks = Strategy::InDeg.select(&d.graph, 12, &mut rng);
     let index = LandmarkIndex::build(&propagator, landmarks, 50);
     let u = d

@@ -16,11 +16,12 @@
 //!
 //! The manifest carries the memory story the gate enforces:
 //! `graph.bytes_per_node` / `graph.bytes_per_edge` (the compact-CSR
-//! ceiling, ~12 B each), the generator scratch gauge, and
-//! `propagate.workspace.peak_bytes` recorded by the propagation layer
-//! itself. Node/edge/query counts and a bit-exact score checksum
-//! (`table5_large.checksum_bits`) are gated to exact equality — the
-//! cell doubles as a determinism witness at paper scale.
+//! ceilings, ~12 B per node and 6 B per edge), the generator scratch
+//! gauge, and `propagate.workspace.peak_bytes` recorded by the
+//! propagation layer itself. Node/edge/query counts and a bit-exact
+//! score checksum (`table5_large.checksum_bits`) are gated to exact
+//! equality — the cell doubles as a determinism witness at paper
+//! scale.
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_datagen::{generate_streaming, StreamConfig};
@@ -57,7 +58,7 @@ pub struct LargeReport {
     pub edges: usize,
     /// Graph bytes per node (compact-CSR node arenas).
     pub bytes_per_node: f64,
-    /// Graph bytes per edge (both CSR directions + interned labels).
+    /// Graph bytes per edge (out targets + interned label ids).
     pub bytes_per_edge: f64,
     /// Generator scratch beyond the finished graph, bytes.
     pub scratch_bytes: usize,
@@ -194,10 +195,10 @@ mod tests {
         assert_eq!(a.nodes, 2_000);
         assert!(a.edges > 0);
         assert_eq!(a.batch_queries, 64);
-        // Compact CSR: 12 B per edge exactly, ~12 B per node plus the
+        // Compact CSR: 6 B per edge exactly, ~12 B per node plus the
         // amortised interned label table.
         assert!(
-            (a.bytes_per_edge - 12.0).abs() < 1e-9,
+            (a.bytes_per_edge - 6.0).abs() < 1e-9,
             "{}",
             a.bytes_per_edge
         );

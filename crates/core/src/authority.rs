@@ -15,11 +15,13 @@
 //! and very popular but generalist accounts" score similarly). Both
 //! factors are 0 when nobody follows `u` on `t`.
 //!
-//! `|Γu|` and `|Γu(t)|` are local per-node counts; only the per-topic
-//! maximum needs a full pass, and the paper notes it can be stored and
-//! refreshed periodically. [`AuthorityIndex`] materialises all of it in
-//! two passes over the in-CSR, keeping only the topics a node is
-//! actually followed on.
+//! `|Γu|` and `|Γu(t)|` are per-node counts, and only counts:
+//! `|Γu|` is the graph's in-degree, and [`AuthorityIndex`] scatters
+//! `|Γu(t)|` from the out-CSR — each edge `w → u` adds one to each of
+//! its topics at `u` — so no follower list is ever read. Only the
+//! per-topic maximum needs a full pass, and the paper notes it can be
+//! stored and refreshed periodically. The index keeps only the topics a
+//! node is actually followed on.
 
 use fui_graph::{NodeId, SocialGraph};
 use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
@@ -48,12 +50,19 @@ pub struct AuthorityIndex {
 /// its first entry.
 type Row = (TopicSet, u32);
 
-/// Node-range granularity of the parallel build passes. Small graphs
+/// Node-range granularity of the parallel scoring pass. Small graphs
 /// fit in one chunk and run inline on the caller's thread; large ones
-/// fan out over the `fui_exec` pool. Either way every row is computed
-/// from its node's local counts alone, so the result is bit-identical
-/// at any thread count.
+/// fan out over the `fui_exec` pool. Either way every score is computed
+/// from its node's counts and the global maxima alone, so the result
+/// is bit-identical at any thread count.
 const BUILD_CHUNK: usize = 2048;
+
+/// The number of `set`'s topics below `t`: the offset of `t`'s entry
+/// in a row whose topics are `set`.
+#[inline]
+fn rank(set: TopicSet, t: Topic) -> usize {
+    (set.mask() & (t.bit() - 1)).count_ones() as usize
+}
 
 /// `auth(u, t)` from `|Γu(t)|` (non-zero), `|Γu|` and `max_v |Γv(t)|`:
 /// the module-level formula, written once.
@@ -64,82 +73,69 @@ fn auth_score(on_t: u32, total: usize, max_on_t: u32) -> f64 {
 }
 
 impl AuthorityIndex {
-    /// Builds the index — `O(N + E·|labels|)` total, in two passes
-    /// chunked over the [`fui_exec`] pool. The first counts each node's
-    /// followers per topic, writing its row word and returning the
-    /// chunk's non-zero counts and maxima; the second scores every entry
-    /// against the global maxima, in place in a pre-sized array. Each
-    /// chunk owns a disjoint node range and chunk results are merged in
-    /// range order, so the index matches the serial build exactly
-    /// whatever `FUI_THREADS` says; nothing `n × NUM_TOPICS` is ever
-    /// allocated.
+    /// Builds the index — `O(N + E·|labels|)` total, from the out-CSR
+    /// and the in-degrees alone, into arrays sized once: nothing `O(E)`
+    /// or `n × NUM_TOPICS` beyond the index itself is ever allocated.
+    ///
+    /// 1. Each out-edge ORs its label set into its followee's row.
+    /// 2. A prefix sum of the rows' popcounts gives the row starts.
+    /// 3. Each out-edge adds one to its followee's count on each of its
+    ///    topics, at `start + rank`.
+    /// 4. Chunked over the [`fui_exec`] pool, each node range scores its
+    ///    own slice of entries against the global per-topic maxima.
+    ///
+    /// Counts are integers and every score a function of one node's
+    /// counts and the maxima, so the index is the same whatever order
+    /// the edges arrive in and whatever `FUI_THREADS` says.
     pub fn build(graph: &SocialGraph) -> AuthorityIndex {
-        let n = graph.num_nodes();
-        let mut rows = vec![(TopicSet::empty(), 0u32); n];
-        // Pass 1: row words with chunk-relative starts, each chunk's
-        // non-zero counts in (node, topic) order, and its maxima.
-        let mut pieces: Vec<&mut [Row]> = rows.chunks_mut(BUILD_CHUNK).collect();
-        let counted = fui_exec::par_map_mut(&mut pieces, |c, rows| {
-            let mut counts = Vec::new();
-            let mut maxima = [0u32; NUM_TOPICS];
-            let mut on = [0u32; NUM_TOPICS];
-            for (i, row) in rows.iter_mut().enumerate() {
-                let v = NodeId((c * BUILD_CHUNK + i) as u32);
-                let mut set = TopicSet::empty();
-                for e in graph.in_edges(v) {
-                    set = set.union(e.labels);
-                    for t in e.labels.iter() {
-                        on[t.index()] += 1;
-                    }
-                }
-                *row = (set, counts.len() as u32);
-                for t in set.iter() {
-                    let k = std::mem::take(&mut on[t.index()]);
-                    maxima[t.index()] = maxima[t.index()].max(k);
-                    counts.push(k);
-                }
-            }
-            (counts, maxima)
-        });
-        let entries: usize = counted.iter().map(|(counts, _)| counts.len()).sum();
-        assert!(
-            u32::try_from(entries).is_ok(),
-            "{entries} authority entries overflow a u32 row start"
-        );
-        let mut counts = Vec::with_capacity(entries);
-        let mut spans = Vec::with_capacity(counted.len());
-        let mut max_followers_on = [0u32; NUM_TOPICS];
-        for (chunk, maxima) in counted {
-            spans.push(counts.len()..counts.len() + chunk.len());
-            counts.extend_from_slice(&chunk);
-            for t in 0..NUM_TOPICS {
-                max_followers_on[t] = max_followers_on[t].max(maxima[t]);
+        let labels = graph.label_sets();
+        let mut rows = vec![(TopicSet::empty(), 0u32); graph.num_nodes()];
+        for (id, v) in graph.all_out_edges_by_label_id() {
+            let set = &mut rows[v.index()].0;
+            *set = set.union(labels[id as usize]);
+        }
+        let mut entries = 0usize;
+        for row in &mut rows {
+            row.1 = u32::try_from(entries)
+                .unwrap_or_else(|_| panic!("{entries} authority entries overflow a u32 row start"));
+            entries += row.0.len();
+        }
+        let mut counts = vec![0u32; entries];
+        for (id, v) in graph.all_out_edges_by_label_id() {
+            let (set, start) = rows[v.index()];
+            for t in labels[id as usize].iter() {
+                counts[start as usize + rank(set, t)] += 1;
             }
         }
-        // Pass 2: every chunk scores its own slice of the entry array
-        // against the global maxima and rebases its row starts.
+        let mut max_followers_on = [0u32; NUM_TOPICS];
+        for &(set, start) in &rows {
+            for (k, t) in set.iter().enumerate() {
+                let max = &mut max_followers_on[t.index()];
+                *max = (*max).max(counts[start as usize + k]);
+            }
+        }
+        // Every chunk scores its own slice of the entry array.
         let mut scores = vec![0.0f64; entries];
         let mut rest = &mut scores[..];
-        let mut pieces: Vec<(&mut [Row], &mut [f64])> = rows
-            .chunks_mut(BUILD_CHUNK)
-            .zip(&spans)
-            .map(|(rows, span)| {
-                let (head, tail) = std::mem::take(&mut rest).split_at_mut(span.len());
+        let mut pieces: Vec<(&[Row], &mut [f64])> = rows
+            .chunks(BUILD_CHUNK)
+            .map(|chunk| {
+                let len: usize = chunk.iter().map(|row| row.0.len()).sum();
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(len);
                 rest = tail;
-                (rows, head)
+                (chunk, head)
             })
             .collect();
         let counts_ref = &counts;
         fui_exec::par_map_mut(&mut pieces, |c, (rows, scores)| {
-            let base = spans[c].start;
-            for (i, row) in rows.iter_mut().enumerate() {
+            let base = rows.first().map_or(0, |row| row.1 as usize);
+            for (i, &(set, start)) in rows.iter().enumerate() {
                 let total = graph.in_degree(NodeId((c * BUILD_CHUNK + i) as u32));
-                let start = row.1 as usize;
-                for (k, t) in row.0.iter().enumerate() {
-                    let on_t = counts_ref[base + start + k];
-                    scores[start + k] = auth_score(on_t, total, max_followers_on[t.index()]);
+                let at = start as usize;
+                for (k, t) in set.iter().enumerate() {
+                    let on_t = counts_ref[at + k];
+                    scores[at - base + k] = auth_score(on_t, total, max_followers_on[t.index()]);
                 }
-                row.1 += base as u32;
             }
         });
         AuthorityIndex {
@@ -155,11 +151,7 @@ impl AuthorityIndex {
     #[inline]
     fn entry(&self, v: NodeId, t: Topic) -> Option<usize> {
         let (set, start) = self.rows[v.index()];
-        if !set.contains(t) {
-            return None;
-        }
-        let below = set.mask() & (t.bit() - 1);
-        Some(start as usize + below.count_ones() as usize)
+        set.contains(t).then(|| start as usize + rank(set, t))
     }
 
     /// `auth(v, t)`.

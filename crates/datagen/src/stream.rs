@@ -20,8 +20,8 @@
 //!    power-law in-degree tail.
 //!
 //! Peak memory is the finished graph plus `O(N)` scratch (degree
-//! sequence, profiles, the transpose cursor and one reused per-node
-//! edge buffer) — the testkit pins this with an allocation counter.
+//! sequence, profiles and one reused per-node edge buffer) — the
+//! testkit pins this with an allocation counter.
 //! The stream is a pure function of the seed, and the result is
 //! **byte-identical** to replaying the same edges through the batch
 //! [`GraphBuilder`] ([`generate_batch`] does exactly that, for the

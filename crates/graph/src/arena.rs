@@ -9,10 +9,11 @@
 //! in-range label indices) are re-validated on decode. The label
 //! table's entries are taken as read, not checked for duplicates.
 //!
-//! The in-CSR is **not in the blob**: it is the transpose of the
-//! out-CSR, so [`decode`] derives it with the same `transpose_out_csr`
-//! every packer ends in, and a file whose two sides disagree cannot be
-//! written down. Layout, little-endian throughout:
+//! Nothing of the in direction is **in the blob**: it is the transpose
+//! of the out-CSR, so [`decode`] counts the in-offsets as every packer
+//! does and leaves the in-edge arenas to be derived on first use, and a
+//! file whose two sides disagree cannot be written down. Layout,
+//! little-endian throughout:
 //!
 //! ```text
 //! magic "FUICSR2\n" | u64 num_nodes | u64 num_edges | u64 label_table_len
@@ -26,7 +27,6 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fui_taxonomy::TopicSet;
 
-use crate::builder::transpose_out_csr;
 use crate::csr::{NodeId, SocialGraph};
 
 const MAGIC: &[u8; 8] = b"FUICSR2\n";
@@ -36,7 +36,7 @@ const MAGIC: &[u8; 8] = b"FUICSR2\n";
 pub const MAX_NODES: usize = 1 << 27;
 
 /// Largest edge count an arena snapshot may declare (2^31). The decoder
-/// allocates 12 bytes per edge, so this caps a corrupt header at the
+/// allocates 6 bytes per edge, so this caps a corrupt header at the
 /// same order as a legitimately huge graph rather than at terabytes.
 pub const MAX_EDGES: usize = 1 << 31;
 
@@ -192,9 +192,9 @@ fn get_label_indices(buf: &mut Bytes, e: usize, t: usize) -> Result<Vec<u16>, De
 /// The header counts are bounded and checked against the remaining
 /// buffer length before any array is allocated; the offset array must
 /// be a valid CSR prefix sum, every endpoint / label index in range and
-/// every row strictly ascending and loop-free; the in-CSR is then built
-/// by the packers' own transpose, so the returned graph passes
-/// [`SocialGraph::check_consistency`].
+/// every row strictly ascending and loop-free; the in-offsets are then
+/// counted as the packers count them, so the returned graph equals the
+/// encoded one and passes [`SocialGraph::check_consistency`].
 pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     if buf.remaining() < MAGIC.len() {
         return Err(DecodeError::Truncated);
@@ -244,18 +244,13 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     let out_targets = get_rows(&mut buf, &out_offsets, n)?;
     let out_labels = get_label_indices(&mut buf, e, t)?;
     debug_assert_eq!(buf.remaining(), 0);
-    let (in_offsets, in_sources, in_labels) =
-        transpose_out_csr(n, &out_offsets, &out_targets, &out_labels);
-    Ok(SocialGraph {
+    Ok(SocialGraph::from_out_csr(
         node_labels,
         label_table,
         out_offsets,
         out_targets,
         out_labels,
-        in_offsets,
-        in_sources,
-        in_labels,
-    })
+    ))
 }
 
 #[cfg(test)]

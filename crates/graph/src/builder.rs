@@ -1,24 +1,19 @@
 //! Construction of a [`SocialGraph`]. One packer: how out-edges become
-//! offsets, targets and interned label ids, and how the in-CSR is
-//! derived from them, is decided by [`StreamingBuilder::push_node`],
-//! [`StreamingBuilder::finish`] and `transpose_out_csr` and nowhere
-//! else. [`GraphBuilder`] is a global sort in front of that packer and
-//! [`SocialGraph::edited`] a sorted merge in front of it.
+//! offsets, targets and interned label ids is decided by
+//! [`StreamingBuilder::push_node`] and [`StreamingBuilder::finish`],
+//! and how the in-edge arenas are derived from them by
+//! `transpose_out_csr`, and nowhere else. [`GraphBuilder`] is a global
+//! sort in front of that packer and [`SocialGraph::edited`] a sorted
+//! merge in front of it.
 
 use fui_taxonomy::TopicSet;
 
 use crate::csr::{LabelInterner, NodeId, SocialGraph};
 
-/// Builds the in-CSR (sources + label ids) as the counting-sort
-/// transpose of finished out arenas. Scratch is one `u32` cursor per
-/// node; everything else lands directly in the returned arrays.
-pub(crate) fn transpose_out_csr(
-    n: usize,
-    out_offsets: &[u32],
-    out_targets: &[NodeId],
-    out_labels: &[u16],
-) -> (Vec<u32>, Vec<NodeId>, Vec<u16>) {
-    let m = out_targets.len();
+/// The in-degree prefix sums of finished out arenas: `in_offsets[v]..
+/// in_offsets[v + 1]` is where `v`'s followers sit once the in-edge
+/// arenas are derived, and its length is `|Γv|`. One counting pass.
+pub(crate) fn count_in_offsets(n: usize, out_targets: &[NodeId]) -> Vec<u32> {
     let mut in_offsets = vec![0u32; n + 1];
     for &v in out_targets {
         in_offsets[v.index() + 1] += 1;
@@ -26,13 +21,27 @@ pub(crate) fn transpose_out_csr(
     for i in 0..n {
         in_offsets[i + 1] += in_offsets[i];
     }
-    let mut cursor = in_offsets.clone();
+    in_offsets
+}
+
+/// Builds the in-edge arenas (sources + label ids) as the counting-sort
+/// transpose of finished out arenas, laid out by `in_offsets`. Scratch
+/// is one `u32` cursor per node; everything else lands directly in the
+/// returned arrays.
+pub(crate) fn transpose_out_csr(
+    in_offsets: &[u32],
+    out_offsets: &[u32],
+    out_targets: &[NodeId],
+    out_labels: &[u16],
+) -> (Vec<NodeId>, Vec<u16>) {
+    let m = out_targets.len();
+    let mut cursor = in_offsets.to_vec();
     let mut in_sources = vec![NodeId(0); m];
     let mut in_labels = vec![0u16; m];
     // Scanning followers in ascending id order keeps each node's
     // follower list sorted — the order every consumer relies on.
-    for u in 0..n {
-        for pos in out_offsets[u] as usize..out_offsets[u + 1] as usize {
+    for (u, row) in out_offsets.windows(2).enumerate() {
+        for pos in row[0] as usize..row[1] as usize {
             let v = out_targets[pos].index();
             let slot = cursor[v] as usize;
             in_sources[slot] = NodeId(u as u32);
@@ -40,11 +49,11 @@ pub(crate) fn transpose_out_csr(
             cursor[v] += 1;
         }
     }
-    (in_offsets, in_sources, in_labels)
+    (in_sources, in_labels)
 }
 
 /// Builder accumulating nodes and labeled edges, then packing them into
-/// the dual-CSR [`SocialGraph`].
+/// the CSR [`SocialGraph`].
 ///
 /// ```
 /// use fui_graph::{GraphBuilder, Topic, TopicSet};
@@ -118,7 +127,7 @@ impl GraphBuilder {
         self.edges.push((follower, followee, labels));
     }
 
-    /// Packs everything into the immutable dual-CSR graph: one global
+    /// Packs everything into the immutable CSR graph: one global
     /// sort groups the edge list by follower, then each node's run is
     /// handed to the [`StreamingBuilder`], which owns the arena layout.
     pub fn build(mut self) -> SocialGraph {
@@ -262,8 +271,10 @@ impl StreamingBuilder {
         id
     }
 
-    /// Validates targets and builds the in-CSR transpose (one counting
-    /// sort; `O(nodes)` scratch), yielding the finished graph.
+    /// Validates targets and counts in-degrees into the in-offsets (one
+    /// pass; no per-edge scratch), yielding the finished graph. The
+    /// in-edge arenas are not built here: the graph derives them on
+    /// first use.
     ///
     /// # Panics
     /// Panics if any edge targets a node that was never pushed.
@@ -274,18 +285,13 @@ impl StreamingBuilder {
             "edge targets node u{} but only {n} nodes were pushed",
             self.max_target
         );
-        let (in_offsets, in_sources, in_labels) =
-            transpose_out_csr(n, &self.out_offsets, &self.out_targets, &self.out_labels);
-        SocialGraph {
-            node_labels: self.node_labels,
-            label_table: self.interner.into_table(),
-            out_offsets: self.out_offsets,
-            out_targets: self.out_targets,
-            out_labels: self.out_labels,
-            in_offsets,
-            in_sources,
-            in_labels,
-        }
+        SocialGraph::from_out_csr(
+            self.node_labels,
+            self.interner.into_table(),
+            self.out_offsets,
+            self.out_targets,
+            self.out_labels,
+        )
     }
 }
 

@@ -1,14 +1,15 @@
-//! Immutable dual-CSR storage for the labeled follow graph.
+//! Immutable CSR storage for the labeled follow graph.
 //!
-//! The graph is stored twice, both directions in compressed sparse row
-//! form:
-//!
-//! * the **out** CSR lists, for each user `u`, the accounts `u` follows
-//!   (the *publishers* of `u`) — this is the direction score propagation
-//!   and the k-vicinity BFS traverse;
-//! * the **in** CSR lists, for each user `u`, the accounts following `u`
-//!   (the *followers* `Γu`) — this is what the authority scores
-//!   `|Γu|, |Γu(t)|` are counted from.
+//! The graph stores its edges once, in the **out** direction: for each
+//! user `u`, in compressed sparse row form, the accounts `u` follows
+//! (the *publishers* of `u`) — the direction score propagation and the
+//! k-vicinity BFS traverse. Of the **in** direction it stores only the
+//! offsets, so `|Γu|` ([`SocialGraph::in_degree`]) is one subtraction.
+//! The follower lists themselves (sources + label ids) are the
+//! transpose of the out-CSR: [`SocialGraph::followers`],
+//! [`SocialGraph::in_edges`] and [`SocialGraph::followers_on`] derive
+//! them on their first call, once, and nothing on the serving path
+//! makes that call — authority counts scatter from the out-CSR.
 //!
 //! # Compact layout
 //!
@@ -20,22 +21,22 @@
 //!   `u32` (the paper's 125M-edge Twitter graph does, with headroom);
 //! * edge labels are **interned**: each distinct [`TopicSet`] is stored
 //!   once in a shared label table and every edge carries a `u16` id
-//!   into it, in both copies. Real follow graphs have a tiny number of
-//!   distinct label sets relative to edges, so this turns 4 bytes per
-//!   edge per direction into 2 while keeping label reads one indexed
-//!   load away.
+//!   into it. Real follow graphs have a tiny number of distinct label
+//!   sets relative to edges, so this turns 4 bytes per edge into 2
+//!   while keeping label reads one indexed load away.
 //!
 //! The steady-state cost is therefore ~12 bytes per node
-//! (`node_labels` + two offset arrays) and ~12 bytes per edge (target
-//! id + label id, twice), which [`SocialGraph::memory_footprint`]
-//! reports exactly.
+//! (`node_labels` + two offset arrays) and 6 bytes per edge (a target
+//! id and a label id), 12 once the in-edge arenas have been derived,
+//! which [`SocialGraph::memory_footprint`] reports exactly.
 
 use fui_taxonomy::{Topic, TopicSet};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::ops::Range;
+use std::sync::OnceLock;
 
-use crate::builder::{transpose_out_csr, StreamingBuilder};
+use crate::builder::{count_in_offsets, transpose_out_csr, StreamingBuilder};
 
 /// Identifier of a user account: a dense index in `0..graph.num_nodes()`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -114,8 +115,9 @@ pub struct MemoryFootprint {
     /// Node-proportional bytes: per-node labels plus both offset
     /// arrays.
     pub node_bytes: usize,
-    /// Edge-proportional bytes: adjacency targets/sources plus the
-    /// interned label-id runs, both directions.
+    /// Edge-proportional bytes: out targets plus their interned label
+    /// ids, and the in-edge arenas' sources and label ids once they
+    /// have been derived.
     pub edge_bytes: usize,
     /// The shared interned label table (one [`TopicSet`] per distinct
     /// edge label set; amortised over the whole graph).
@@ -147,14 +149,16 @@ impl MemoryFootprint {
     }
 }
 
-/// Immutable directed labeled graph in dual-CSR form.
+/// Immutable directed labeled graph: the out-CSR plus in-offsets.
 ///
 /// Construct it through [`crate::GraphBuilder`] (edge-list batch) or
 /// [`crate::StreamingBuilder`] (per-node streaming, bounded scratch),
 /// and derive one from another with [`SocialGraph::edited`]. All three
 /// end in the same packer, so the same logical graph always has
-/// byte-identical arenas, which `PartialEq` compares directly.
-#[derive(Clone, PartialEq)]
+/// byte-identical arenas, which `PartialEq` compares directly. The
+/// in-edge arenas are derived state and take no part in `==`: a graph
+/// whose followers were read equals an untouched copy.
+#[derive(Clone)]
 pub struct SocialGraph {
     pub(crate) node_labels: Vec<TopicSet>,
     /// Shared table of distinct edge label sets, first-seen order over
@@ -164,13 +168,68 @@ pub struct SocialGraph {
     pub(crate) out_offsets: Vec<u32>,
     pub(crate) out_targets: Vec<NodeId>,
     pub(crate) out_labels: Vec<u16>,
-    // In direction: who follows each node.
+    /// In-degree prefix sums: `|Γu|` without the follower lists.
     pub(crate) in_offsets: Vec<u32>,
-    pub(crate) in_sources: Vec<NodeId>,
-    pub(crate) in_labels: Vec<u16>,
+    /// Who follows each node, laid out by `in_offsets`: the transpose
+    /// of the out arenas, derived on first use.
+    in_edges: OnceLock<InEdges>,
+}
+
+/// The in-edge arenas: each follower id and its edge's interned label
+/// id, grouped by followee.
+#[derive(Clone)]
+struct InEdges {
+    sources: Vec<NodeId>,
+    labels: Vec<u16>,
+}
+
+impl PartialEq for SocialGraph {
+    fn eq(&self, other: &SocialGraph) -> bool {
+        self.node_labels == other.node_labels
+            && self.label_table == other.label_table
+            && self.out_offsets == other.out_offsets
+            && self.out_targets == other.out_targets
+            && self.out_labels == other.out_labels
+            && self.in_offsets == other.in_offsets
+    }
 }
 
 impl SocialGraph {
+    /// Wraps finished out arenas: counts the in-offsets and leaves the
+    /// in-edge arenas underived. Every packer and the arena decoder end
+    /// here.
+    pub(crate) fn from_out_csr(
+        node_labels: Vec<TopicSet>,
+        label_table: Vec<TopicSet>,
+        out_offsets: Vec<u32>,
+        out_targets: Vec<NodeId>,
+        out_labels: Vec<u16>,
+    ) -> SocialGraph {
+        SocialGraph {
+            in_offsets: count_in_offsets(node_labels.len(), &out_targets),
+            node_labels,
+            label_table,
+            out_offsets,
+            out_targets,
+            out_labels,
+            in_edges: OnceLock::new(),
+        }
+    }
+
+    /// The in-edge arenas, transposed from the out-CSR on the first
+    /// call.
+    fn in_arenas(&self) -> &InEdges {
+        self.in_edges.get_or_init(|| {
+            let (sources, labels) = transpose_out_csr(
+                &self.in_offsets,
+                &self.out_offsets,
+                &self.out_targets,
+                &self.out_labels,
+            );
+            InEdges { sources, labels }
+        })
+    }
+
     #[inline]
     fn out_range(&self, u: NodeId) -> Range<usize> {
         self.out_offsets[u.index()] as usize..self.out_offsets[u.index() + 1] as usize
@@ -244,10 +303,11 @@ impl SocialGraph {
         &self.out_targets[self.out_range(u)]
     }
 
-    /// The followers of `u` — the set `Γu` (sources of in-edges).
+    /// The followers of `u` — the set `Γu` (sources of in-edges). The
+    /// first call on a graph derives its in-edge arenas (6 B/edge).
     #[inline]
     pub fn followers(&self, u: NodeId) -> &[NodeId] {
-        &self.in_sources[self.in_range(u)]
+        &self.in_arenas().sources[self.in_range(u)]
     }
 
     /// Labeled out-edges of `u`: `(followee, edge labels)` pairs.
@@ -271,13 +331,25 @@ impl SocialGraph {
             .zip(self.out_targets[range].iter().copied())
     }
 
-    /// Labeled in-edges of `u`: `(follower, edge labels)` pairs.
+    /// Every out-edge as a `(label id, followee)` pair, follower by
+    /// follower: one sequential scan of the arenas, for a pass that
+    /// needs no follower id.
+    pub fn all_out_edges_by_label_id(&self) -> impl Iterator<Item = (u16, NodeId)> + '_ {
+        self.out_labels
+            .iter()
+            .copied()
+            .zip(self.out_targets.iter().copied())
+    }
+
+    /// Labeled in-edges of `u`: `(follower, edge labels)` pairs. Like
+    /// [`followers`](Self::followers), derives the in-edge arenas on
+    /// the graph's first call.
     #[inline]
     pub fn in_edges(&self, u: NodeId) -> impl Iterator<Item = EdgeRef> + '_ {
-        let range = self.in_range(u);
-        self.in_sources[range.clone()]
+        let (range, arenas) = (self.in_range(u), self.in_arenas());
+        arenas.sources[range.clone()]
             .iter()
-            .zip(&self.in_labels[range])
+            .zip(&arenas.labels[range])
             .map(|(&node, &id)| EdgeRef {
                 node,
                 labels: self.label(id),
@@ -285,7 +357,8 @@ impl SocialGraph {
     }
 
     /// Number of followers of `u` on topic `t` — `|Γu(t)|`: in-edges
-    /// whose label set contains `t`.
+    /// whose label set contains `t`. An offline read; the serving path
+    /// reads `fui_core::AuthorityIndex::followers_on` instead.
     pub fn followers_on(&self, u: NodeId, t: Topic) -> usize {
         self.in_edges(u).filter(|e| e.labels.contains(t)).count()
     }
@@ -314,18 +387,19 @@ impl SocialGraph {
     }
 
     /// Rewrites every edge label with `f(follower, followee, old)` and
-    /// every node label with `g(node, old)`, keeping both CSR copies
-    /// consistent and re-interning the shared label table from scratch.
-    /// Used by the topic-extraction pipeline to replace generator
-    /// ground truth with classifier-predicted labels.
+    /// every node label with `g(node, old)`, re-interning the shared
+    /// label table from scratch. Used by the topic-extraction pipeline
+    /// to replace generator ground truth with classifier-predicted
+    /// labels.
     pub fn relabel(
         &mut self,
         mut f: impl FnMut(NodeId, NodeId, TopicSet) -> TopicSet,
         mut g: impl FnMut(NodeId, TopicSet) -> TopicSet,
     ) {
         // Re-intern out labels in scan order (the packer's canonical
-        // order), reading old labels through the old table; the in side
-        // is then re-derived, not mirrored by hand.
+        // order), reading old labels through the old table. The edges
+        // do not move, so the in-offsets stand; in-edge arenas derived
+        // from the old labels are dropped, to be re-derived on demand.
         let old_table = std::mem::take(&mut self.label_table);
         let mut interner = LabelInterner::new();
         for u in 0..self.num_nodes() {
@@ -336,12 +410,7 @@ impl SocialGraph {
             }
         }
         self.label_table = interner.into_table();
-        (self.in_offsets, self.in_sources, self.in_labels) = transpose_out_csr(
-            self.num_nodes(),
-            &self.out_offsets,
-            &self.out_targets,
-            &self.out_labels,
-        );
+        self.in_edges = OnceLock::new();
         for u in 0..self.num_nodes() {
             let u_id = NodeId(u as u32);
             self.node_labels[u] = g(u_id, self.node_labels[u]);
@@ -408,17 +477,23 @@ impl SocialGraph {
 
     /// Exact memory accounting of the CSR arenas, split node- vs
     /// edge-proportional — the source of the `graph.bytes_per_node` /
-    /// `graph.bytes_per_edge` bench gauges.
+    /// `graph.bytes_per_edge` bench gauges. The in-edge arenas count
+    /// only once something has derived them.
     pub fn memory_footprint(&self) -> MemoryFootprint {
-        use std::mem::size_of;
+        use std::mem::size_of_val;
+        let in_edge_bytes = self.in_edges.get().map_or(0, |arenas| {
+            size_of_val(&*arenas.sources) + size_of_val(&*arenas.labels)
+        });
         MemoryFootprint {
             nodes: self.num_nodes(),
             edges: self.num_edges(),
-            node_bytes: self.node_labels.len() * size_of::<TopicSet>()
-                + (self.out_offsets.len() + self.in_offsets.len()) * size_of::<u32>(),
-            edge_bytes: (self.out_targets.len() + self.in_sources.len()) * size_of::<NodeId>()
-                + (self.out_labels.len() + self.in_labels.len()) * size_of::<u16>(),
-            label_table_bytes: self.label_table.len() * size_of::<TopicSet>(),
+            node_bytes: size_of_val(&*self.node_labels)
+                + size_of_val(&*self.out_offsets)
+                + size_of_val(&*self.in_offsets),
+            edge_bytes: size_of_val(&*self.out_targets)
+                + size_of_val(&*self.out_labels)
+                + in_edge_bytes,
+            label_table_bytes: size_of_val(&*self.label_table),
         }
     }
 
@@ -427,25 +502,17 @@ impl SocialGraph {
         self.memory_footprint().total_bytes()
     }
 
-    /// Internal consistency check: the in-CSR must be the exact
-    /// transpose of the out-CSR, labels included, and every interned
+    /// Internal consistency check: the in-offsets must be the out-CSR's
+    /// in-degree prefix sums, the in-edge arenas (derived here if not
+    /// yet) its exact transpose, labels included, and every interned
     /// label id must resolve. `O(E log E)`; meant for tests and debug
     /// assertions.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.out_targets.len() != self.in_sources.len() {
-            return Err(format!(
-                "edge count mismatch: {} out vs {} in",
-                self.out_targets.len(),
-                self.in_sources.len()
-            ));
+        if self.in_offsets != count_in_offsets(self.num_nodes(), &self.out_targets) {
+            return Err("in-offsets are not the out-CSR's in-degree prefix sums".to_owned());
         }
         let table_len = self.label_table.len();
-        if let Some(&id) = self
-            .out_labels
-            .iter()
-            .chain(&self.in_labels)
-            .find(|&&id| id as usize >= table_len)
-        {
+        if let Some(&id) = self.out_labels.iter().find(|&&id| id as usize >= table_len) {
             return Err(format!(
                 "label id {id} out of range for table of {table_len}"
             ));
@@ -463,7 +530,7 @@ impl SocialGraph {
         out_edges.sort_unstable();
         in_edges.sort_unstable();
         if out_edges != in_edges {
-            return Err("in-CSR is not the labeled transpose of out-CSR".to_owned());
+            return Err("in-edge arenas are not the labeled transpose of the out-CSR".to_owned());
         }
         Ok(())
     }
@@ -528,13 +595,26 @@ mod tests {
         assert_eq!(fp.edges, 5);
         // 4 node labels * 4B + 2 offset arrays of 5 u32s.
         assert_eq!(fp.node_bytes, 4 * 4 + 2 * 5 * 4);
-        // 2 * (5 targets * 4B + 5 label ids * 2B).
-        assert_eq!(fp.edge_bytes, 2 * (5 * 4 + 5 * 2));
+        // 5 targets * 4B + 5 label ids * 2B: the out-CSR only.
+        assert_eq!(fp.edge_bytes, 5 * 4 + 5 * 2);
         assert_eq!(fp.label_table_bytes, 4 * 4);
         assert_eq!(fp.total_bytes(), g.size_bytes());
-        // Steady-state densities: 12B + O(1)/node, 12B/edge exactly.
+        // Steady-state densities: 12B + O(1)/node, 6B/edge exactly.
         assert!(fp.bytes_per_node() < 15.0);
-        assert!((fp.bytes_per_edge() - 12.0).abs() < 1e-9);
+        assert!((fp.bytes_per_edge() - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn in_edge_arenas_are_derived_on_first_use_and_invisible_to_eq() {
+        let (g, untouched) = (toy(), toy());
+        let edges = g.num_edges();
+        assert_eq!(g.memory_footprint().edge_bytes, 6 * edges);
+        assert_eq!(g.in_degree(NodeId(3)), 2, "in-degree needs no arenas");
+        assert_eq!(g.memory_footprint().edge_bytes, 6 * edges);
+        assert_eq!(g.followers(NodeId(3)), &[NodeId(1), NodeId(2)]);
+        assert_eq!(g.memory_footprint().edge_bytes, 12 * edges);
+        assert_eq!(g, untouched);
+        assert_eq!(g.clone(), untouched);
     }
 
     #[test]
@@ -656,6 +736,9 @@ mod tests {
     #[test]
     fn relabel_updates_both_directions() {
         let mut g = toy();
+        // Derive the in-edge arenas under the old labels first: relabel
+        // must not leave them stale.
+        assert_eq!(g.in_edges(NodeId(0)).count(), 1);
         g.relabel(
             |_, _, _| TopicSet::single(Topic::War),
             |_, old| old.with(Topic::War),
@@ -679,7 +762,7 @@ mod tests {
     fn rebuilt_graph_compares_equal() {
         // Round-tripping through the edge iterator and the batch
         // builder reproduces the arenas byte for byte (PartialEq spans
-        // every internal array, label table included).
+        // every stored array, label table included).
         let g = toy();
         let mut b = GraphBuilder::with_capacity(g.num_nodes(), g.num_edges());
         for u in g.nodes() {

@@ -10,13 +10,15 @@
 //! This crate is the storage and traversal layer everything else builds
 //! on. It is written from scratch (no external graph library):
 //!
-//! * [`SocialGraph`] — immutable dual-CSR representation: one compressed
-//!   adjacency for out-edges (followees) and one for in-edges
-//!   (followers), `u32` offsets and targets with edge labels interned
-//!   as `u16` ids into a shared [`TopicSet`] table (~12 bytes per node
-//!   and per edge; [`SocialGraph::memory_footprint`] accounts for every
-//!   arena). All score propagation, follower counting (`Γu(t)`) and BFS
-//!   run directly on these flat arrays.
+//! * [`SocialGraph`] — immutable CSR representation: one compressed
+//!   adjacency for out-edges (followees) plus in-degree offsets, `u32`
+//!   offsets and targets with edge labels interned as `u16` ids into a
+//!   shared [`TopicSet`] table (~12 bytes per node, 6 per edge;
+//!   [`SocialGraph::memory_footprint`] accounts for every arena). The
+//!   follower lists are its transpose, derived on first use for the
+//!   offline readers that walk them. Score propagation, BFS and the
+//!   follower counts (`Γu(t)`) of the authority index run directly on
+//!   the out arrays.
 //! * [`StreamingBuilder`] — the one packer: per-node streaming straight
 //!   into the CSR arenas with bounded scratch; the ingestion path for
 //!   paper-scale graphs.

@@ -19,12 +19,31 @@
 //! order-of-magnitude latency win (Table 6).
 
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use fui_core::{topk, PropWorkspace, PropagateOpts, Propagator};
 use fui_graph::NodeId;
+use fui_obs::Counter;
 use fui_taxonomy::Topic;
 
 use crate::index::LandmarkIndex;
+
+/// The composition's counter handles, resolved once: a query never
+/// takes the registry's name-lookup lock.
+struct ComposeMetrics {
+    landmarks_met: Counter,
+    composed_pairs: Counter,
+    candidates: Counter,
+}
+
+fn compose_metrics() -> &'static ComposeMetrics {
+    static METRICS: OnceLock<ComposeMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| ComposeMetrics {
+        landmarks_met: fui_obs::counter("landmark.query.landmarks_met"),
+        composed_pairs: fui_obs::counter("landmark.composed_pairs"),
+        candidates: fui_obs::counter("query.candidates"),
+    })
+}
 
 /// Result of an approximate recommendation query.
 #[derive(Clone, Debug)]
@@ -250,9 +269,10 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
             }
         }
 
-        fui_obs::counter("landmark.query.landmarks_met").add(landmarks_found as u64);
-        fui_obs::counter("landmark.composed_pairs").add(composed_pairs);
-        fui_obs::counter("query.candidates").add(scores.len() as u64);
+        let metrics = compose_metrics();
+        metrics.landmarks_met.add(landmarks_found as u64);
+        metrics.composed_pairs.add(composed_pairs);
+        metrics.candidates.add(scores.len() as u64);
 
         met_landmarks.sort();
         let recommendations =

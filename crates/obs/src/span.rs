@@ -55,14 +55,16 @@ impl Span {
         let elapsed = self.start.elapsed();
         if !self.finished {
             self.finished = true;
+            // The joined path is a heap string: build it only where it
+            // is recorded, so a span below `Full` allocates nothing.
             let path = STACK.with(|s| {
                 let mut stack = s.borrow_mut();
-                let path = stack.join("/");
+                let path = crate::full_enabled().then(|| stack.join("/"));
                 debug_assert_eq!(stack.last().copied(), Some(self.name), "span stack order");
                 stack.pop();
                 path
             });
-            if crate::full_enabled() {
+            if let Some(path) = path {
                 let ns = elapsed.as_nanos() as u64;
                 crate::registry::record_span(&path, ns);
                 crate::hist(self.name).record(ns);

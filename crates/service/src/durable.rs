@@ -36,7 +36,8 @@
 //! ```
 //!
 //! **Not in the file**, because each is a pure function of what is:
-//! the in-CSR (rebuilt by [`arena::decode`]'s transpose), and the
+//! the in-degree offsets (recounted by [`arena::decode`]; the in-edge
+//! arenas are derived only if something reads followers), and the
 //! authority index, similarity rows and landmark topo lookups (rebuilt
 //! by the router's `from_state`, with the same calls a fresh build and
 //! a rotation make). The owner map is a hash of the user id and reads

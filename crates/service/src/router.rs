@@ -50,7 +50,7 @@
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use fui_core::{AuthorityIndex, PropWorkspace, Propagator, ScoreParams, ScoreVariant, SimRowCache};
@@ -170,6 +170,21 @@ fn open_journal(path: &Path, valid_len: usize, torn: bool) -> std::io::Result<st
     std::fs::OpenOptions::new().append(true).open(path)
 }
 
+/// The journal's counter handles, resolved once: an append never takes
+/// the registry's name-lookup lock.
+struct JournalMetrics {
+    appends: Counter,
+    bytes: Counter,
+}
+
+fn journal_metrics() -> &'static JournalMetrics {
+    static METRICS: OnceLock<JournalMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| JournalMetrics {
+        appends: fui_obs::counter("snapshot.persist.journal_appends"),
+        bytes: fui_obs::counter("snapshot.persist.journal_bytes"),
+    })
+}
+
 impl FleetSink {
     /// Appends one framed record and flushes it to the OS. Called
     /// *before* the in-memory mutation it describes, so a crash at any
@@ -178,8 +193,9 @@ impl FleetSink {
         let frame = durable::encode_record(seq, op);
         self.wal.write_all(&frame)?;
         self.wal.flush()?;
-        fui_obs::counter("snapshot.persist.journal_appends").incr();
-        fui_obs::counter("snapshot.persist.journal_bytes").add(frame.len() as u64);
+        let metrics = journal_metrics();
+        metrics.appends.incr();
+        metrics.bytes.add(frame.len() as u64);
         Ok(())
     }
 }

@@ -527,6 +527,95 @@ fn restore_matrix_over_writer_and_reader_shard_counts() {
     }
 }
 
+/// Serving reads only the out-CSR: building a durable fleet, answering,
+/// recording, rotating, refreshing, persisting and restoring never
+/// derive the graph's in-edge arenas, so its edges cost 6 B each
+/// throughout.
+#[test]
+fn the_serving_path_never_derives_in_edge_arenas() {
+    let _turn = serial();
+    let dir = scratch("out-csr-only");
+    let graph = fui_datagen::generate_streaming(&fui_datagen::StreamConfig {
+        nodes: 3_000,
+        avg_out_degree: 8.0,
+        seed: 0x5EED_0030,
+        ..fui_datagen::StreamConfig::default()
+    })
+    .graph;
+    let mut hubs: Vec<NodeId> = graph.nodes().collect();
+    hubs.sort_unstable_by_key(|&u| (std::cmp::Reverse(graph.in_degree(u)), u.0));
+    hubs.truncate(8);
+    let requests: Vec<Request> = graph
+        .nodes()
+        .step_by(97)
+        .map(|user| Request {
+            user,
+            topic: Topic::Technology,
+            top_n: 10,
+        })
+        .collect();
+    let changes: Vec<EdgeChange> = (0..24u32)
+        .map(|i| {
+            let (u, v) = (NodeId(i * 101 % 3_000), NodeId((i * 37 + 1_500) % 3_000));
+            match graph.followees(u).first() {
+                Some(&w) if i % 3 == 0 => EdgeChange::remove(u, w, TopicSet::empty()),
+                _ => EdgeChange::insert(u, v, TopicSet::single(Topic::Health)),
+            }
+        })
+        .collect();
+    let spec = ShardSpec::new(4, PartitionStrategy::Hash);
+    let cfg = ServiceConfig::default();
+    let out_csr_only = |fleet: &ShardedService, step: &str| {
+        let snap = fleet.snapshot();
+        assert_eq!(
+            snap.graph.memory_footprint().edge_bytes,
+            6 * snap.graph.num_edges(),
+            "after {step}: the in-edge arenas were derived"
+        );
+    };
+
+    let fleet = ShardedService::with_durability(
+        graph,
+        SimMatrix::opencalais(),
+        ScoreParams::default(),
+        ScoreVariant::Full,
+        hubs,
+        50,
+        cfg,
+        spec,
+        &dir,
+    )
+    .expect("durable fleet build");
+    out_csr_only(&fleet, "build");
+    assert!(fleet
+        .call_many(&requests)
+        .into_iter()
+        .all(|r| matches!(r, Reply::Result(_))));
+    out_csr_only(&fleet, "a batch");
+    for &c in &changes {
+        fleet.record(c).unwrap();
+    }
+    out_csr_only(&fleet, "record");
+    fleet.rotate();
+    out_csr_only(&fleet, "rotate");
+    fleet.record(changes[1]).unwrap();
+    fleet.refresh();
+    out_csr_only(&fleet, "refresh");
+    fleet.persist().expect("persist");
+    out_csr_only(&fleet, "persist");
+    drop(fleet);
+
+    let restored =
+        ShardedService::restore(&dir, SimMatrix::opencalais(), cfg, spec).expect("warm restart");
+    out_csr_only(&restored, "restore");
+    assert!(restored
+        .call_many(&requests)
+        .into_iter()
+        .all(|r| matches!(r, Reply::Result(_))));
+    out_csr_only(&restored, "a batch after restore");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A journal that lost a record in the middle is a typed error — replay
 /// must not carry `applied_seq` across the hole.
 #[test]

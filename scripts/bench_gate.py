@@ -86,7 +86,7 @@ CELLS = {
         bounds=[
             ("table5_large.nodes", MILLION, None, "the cell tests paper scale"),
             ("graph.bytes_per_node", None, 16.0, "compact-CSR ceiling"),
-            ("graph.bytes_per_edge", None, 12.5, "compact-CSR ceiling (12 B per edge)"),
+            ("graph.bytes_per_edge", None, 6.5, "out-CSR only (6 B per edge)"),
             (("propagate.workspace.peak_bytes", "table5_large.nodes"), None, 16.0,
              "reach-sparse workspace: one stamp word per node; the node-dense layout was 488"),
             (("authority.index.bytes", "table5_large.nodes"), None, 32.0,
@@ -420,7 +420,7 @@ def cmd_selftest():
     # The step-summary row renders from counters and gauges and degrades
     # to placeholders instead of crashing on a sparse manifest.
     summary = large_summary(synthesize("table5_large"))
-    expect("| table5_large | 1000000 | 1000000 | 16 | 12.5 | 1000000 | 1 |" in summary, f"summary renders: {summary}")
+    expect("| table5_large | 1000000 | 1000000 | 16 | 6.5 | 1000000 | 1 |" in summary, f"summary renders: {summary}")
     expect(large_summary({}).count("?") == 6, "summary degrades on an empty manifest")
 
     # The committed baselines pass their own gate, and every cell that

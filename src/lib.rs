@@ -7,7 +7,7 @@
 //!
 //! * [`taxonomy`] — the 18-topic OpenCalais-style vocabulary,
 //!   `TopicSet` labels and Wu–Palmer similarity;
-//! * [`graph`] — the dual-CSR directed labeled follow graph;
+//! * [`graph`] — the out-CSR directed labeled follow graph;
 //! * [`textmine`] — the topic-extraction pipeline (synthetic tweets +
 //!   multi-label classifier) that labels graphs;
 //! * [`datagen`] — Twitter-like and DBLP-like dataset generators;

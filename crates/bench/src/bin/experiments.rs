@@ -49,9 +49,6 @@ fn run_one(id: &str, scale: &ExperimentScale) -> Vec<(String, String)> {
         // Durable warm-restart cell: rides the same streamed graph —
         // explicit opt-in only, for the same reason.
         "warmstart" => vec![("warmstart".into(), exp::warmstart::run(scale))],
-        // Sharded-serving speedup cell: also rides the streamed graph
-        // (twice, in fact) — explicit opt-in only.
-        "shard_micro" => vec![("shard_micro".into(), exp::shard_micro::run(scale))],
         // Open-loop HTTP serving cell: ~6 wall-seconds of scheduled
         // traffic plus drain — explicit opt-in only.
         "load_micro" => vec![("load_micro".into(), exp::load_micro::run(scale))],

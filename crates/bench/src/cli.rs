@@ -30,7 +30,6 @@ pub const KNOWN_IDS: &[&str] = &[
     "serve_micro",
     "table5_large",
     "warmstart",
-    "shard_micro",
     "load_micro",
     "all",
 ];
@@ -46,9 +45,6 @@ ids:    table2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10
                        (explicit only — never part of `all`)
         warmstart      durable cold-build vs warm-restart cell on the
                        table5 graph (explicit only — never part of `all`)
-        shard_micro    sharded serving cell on the table5
-                       graph: one shard vs a 4-shard fleet, bit for bit
-                       (explicit only — never part of `all`)
         load_micro     open-loop HTTP serving cell: fui-load drives
                        100k+ scheduled requests through the fui-net
                        event loop (explicit only — never part of

@@ -20,7 +20,6 @@
 //! | [`serve_micro::run`] | extra — online serving closed loop (queries × updates × rotations) gated by CI (`bench_gate.py gate`) |
 //! | [`table5_large::run`] | extra — paper-scale (1M+ node) streamed-CSR preprocess/query cell gated by CI (`bench_gate.py gate`); not part of `all` |
 //! | [`warmstart::run`] | extra — durable cold-build vs warm-restart cell on the table5 graph gated by CI (`bench_gate.py gate`); not part of `all` |
-//! | [`shard_micro::run`] | extra — sharded serving cell (one shard vs a 4-shard fleet, bit for bit) on the table5 graph gated by CI (`bench_gate.py gate`); not part of `all` |
 //! | [`load_micro::run`] | extra — open-loop HTTP serving cell (fui-load against the fui-net event loop) gated by CI (`bench_gate.py gate`); not part of `all` |
 
 pub mod dynamic;
@@ -34,7 +33,6 @@ pub mod load_micro;
 pub mod popularity;
 pub mod propagate_micro;
 pub mod serve_micro;
-pub mod shard_micro;
 pub mod sig;
 pub mod sweep;
 pub mod table2;

@@ -1,5 +1,5 @@
 //! Deterministic workload pieces shared by the gated cells
-//! (`table5_large`, `warmstart`, `shard_micro`, `propagate_micro`):
+//! (`table5_large`, `warmstart`, `propagate_micro`):
 //! which accounts become landmarks, which topic a query asks about and
 //! what follow churn looks like. Defined once because the committed
 //! baselines pin the counters they produce.

@@ -3,19 +3,21 @@
 //! Table 6 of the paper reports "the average Kendall Tau distance
 //! between the approximate computation and the exact computation" for
 //! landmarks storing top-10/100/1000 lists. Top-k lists are partial
-//! rankings, so we use the Fagin–Kumar–Sivakumar `K^(0)` distance
-//! (optimistic penalty): for a pair of items `{i, j}` appearing in the
+//! rankings, so we use the Fagin–Kumar–Sivakumar `K^(½)` distance
+//! (neutral penalty): for a pair of items `{i, j}` appearing in the
 //! union of the two lists,
 //!
-//! * both in both lists → discordant iff ordered differently;
-//! * `i` in both, `j` in only one → discordant iff the list containing
-//!   `j` ranks it above `i` (absence reads as "ranked below
-//!   everything");
-//! * `i` only in list A, `j` only in list B → no penalty (case 4 with
-//!   `p = 0`).
+//! * both in both lists → 1 iff ordered differently;
+//! * `i` in both, `j` in only one → 1 iff the list containing `j`
+//!   ranks it above `i` (absence reads as "ranked below everything");
+//! * `i` only in list A, `j` only in list B → 1 (each list ranks its
+//!   own item above the other's);
+//! * both only in list A → ½ (list B says nothing about their order).
 //!
 //! Normalised by the number of union pairs: 0 for identical lists, 1
-//! for a fully reversed permutation of the same items.
+//! for a fully reversed permutation of the same items, ½ for a list
+//! against an empty one, and `(3k−1)/(4k−2)` for two disjoint top-k
+//! lists. A truncated list is never at distance 0 from a longer one.
 
 use std::collections::HashMap;
 
@@ -46,7 +48,8 @@ pub fn kendall_tau_distance(a: &[NodeId], b: &[NodeId]) -> f64 {
     if m < 2 {
         return 0.0;
     }
-    let mut discordant = 0usize;
+    let one_if = |disagree: bool| if disagree { 1.0 } else { 0.0 };
+    let mut discordant = 0.0f64;
     let mut pairs = 0usize;
     for x in 0..m {
         for y in (x + 1)..m {
@@ -54,29 +57,26 @@ pub fn kendall_tau_distance(a: &[NodeId], b: &[NodeId]) -> f64 {
             let (ai, aj) = (rank_a.get(&i), rank_a.get(&j));
             let (bi, bj) = (rank_b.get(&i), rank_b.get(&j));
             pairs += 1;
-            let disagrees = match ((ai, aj), (bi, bj)) {
+            discordant += match ((ai, aj), (bi, bj)) {
                 // Both items in both lists.
-                ((Some(&x1), Some(&y1)), (Some(&x2), Some(&y2))) => (x1 < y1) != (x2 < y2),
+                ((Some(&x1), Some(&y1)), (Some(&x2), Some(&y2))) => one_if((x1 < y1) != (x2 < y2)),
                 // i in both, j only in a: b treats j as below i.
-                ((Some(&x1), Some(&y1)), (Some(_), None)) => y1 < x1,
-                ((Some(&x1), Some(&y1)), (None, Some(_))) => x1 < y1,
+                ((Some(&x1), Some(&y1)), (Some(_), None)) => one_if(y1 < x1),
+                ((Some(&x1), Some(&y1)), (None, Some(_))) => one_if(x1 < y1),
                 // j in both, i only in one.
-                ((Some(_), None), (Some(&x2), Some(&y2))) => y2 < x2,
-                ((None, Some(_)), (Some(&x2), Some(&y2))) => x2 < y2,
-                // i only in a, j only in b (or vice versa): case 4,
-                // optimistic penalty 0.
-                ((Some(_), None), (None, Some(_))) => false,
-                ((None, Some(_)), (Some(_), None)) => false,
-                // An item absent from both lists cannot be in the
-                // union; remaining patterns are unreachable.
-                _ => false,
+                ((Some(_), None), (Some(&x2), Some(&y2))) => one_if(y2 < x2),
+                ((None, Some(_)), (Some(&x2), Some(&y2))) => one_if(x2 < y2),
+                // i only in a, j only in b (or vice versa): the lists
+                // order the pair oppositely.
+                ((Some(_), None), (None, Some(_))) | ((None, Some(_)), (Some(_), None)) => 1.0,
+                // Both in one list, neither in the other: the neutral
+                // penalty. (An item absent from both lists cannot be
+                // in the union.)
+                _ => 0.5,
             };
-            if disagrees {
-                discordant += 1;
-            }
         }
     }
-    discordant as f64 / pairs as f64
+    discordant / pairs as f64
 }
 
 /// Reciprocal rank of `target` in a ranked list (1-based); 0 when
@@ -204,11 +204,11 @@ mod tests {
     }
 
     #[test]
-    fn disjoint_lists_have_zero_distance_under_p0() {
-        // Case 4 everywhere: optimistic penalty.
+    fn disjoint_2_lists_read_five_sixths() {
+        // Four cross pairs cost 1 each; {1,2} and {3,4} cost ½ each.
         let a = ids(&[1, 2]);
         let b = ids(&[3, 4]);
-        assert_eq!(kendall_tau_distance(&a, &b), 0.0);
+        assert!((kendall_tau_distance(&a, &b) - 5.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]

@@ -69,6 +69,31 @@ proptest! {
         rev.reverse();
         prop_assert_eq!(kendall_tau_distance(&a, &rev), 1.0);
     }
+
+    #[test]
+    fn disjoint_top_k_lists_read_the_k_half_bound(k in 1usize..30, offset in 0u32..1000) {
+        // k² cross pairs cost 1, the 2·C(k,2) same-side pairs ½.
+        let a: Vec<NodeId> = (offset..offset + k as u32).map(NodeId).collect();
+        let b: Vec<NodeId> = (offset + k as u32..offset + 2 * k as u32).map(NodeId).collect();
+        let want = (3 * k - 1) as f64 / (4 * k - 2) as f64;
+        let got = kendall_tau_distance(&a, &b);
+        prop_assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+    }
+
+    #[test]
+    fn a_list_against_an_empty_list_reads_one_half(a in arb_ranking(40)) {
+        if a.len() >= 2 {
+            prop_assert_eq!(kendall_tau_distance(&a, &[]), 0.5);
+            prop_assert_eq!(kendall_tau_distance(&[], &a), 0.5);
+        }
+    }
+}
+
+#[test]
+fn a_top_100_list_is_not_at_zero_from_its_top_10_prefix() {
+    let full: Vec<NodeId> = (0..100).map(NodeId).collect();
+    let d = kendall_tau_distance(&full, &full[..10]);
+    assert!(d > 0.0, "truncation read {d}");
 }
 
 /// A scorer ranking candidates by a fixed per-node key, used to check

@@ -1,7 +1,7 @@
 //! **fui-load** — the open-loop load harness.
 //!
-//! The closed-loop cells (`serve_micro`, `shard_micro`) submit, pump,
-//! redeem, repeat: the generator waits for the system, so queueing
+//! The closed-loop cell (`serve_micro`) submits, pumps, redeems,
+//! repeats: the generator waits for the system, so queueing
 //! collapse is invisible — offered load can never exceed completion
 //! rate. This crate generates **open-loop** traffic: every request
 //! has a scheduled arrival instant derived from the seed *before the

@@ -18,7 +18,7 @@
 //!   Poisson process, burstiness included.
 //!
 //! User skew is Zipf over a seeded permutation of the id space, so
-//! the hot keys are scattered across shards/cache lines rather than
+//! the hot keys are scattered across cache stripes and lines rather than
 //! clustered at id 0.
 
 use fui_taxonomy::Topic;

@@ -18,7 +18,7 @@
 //! | `FOLLOW <follower> <followee> <topics>` | `POST /follow?follower=&followee=&topics=` |
 //! | `UNFOLLOW <follower> <followee>` | `POST /unfollow?follower=&followee=` |
 //! | `ROTATE` \| `REFRESH` \| `SNAPSHOT` | `POST /rotate` \| `/refresh` \| `/snapshot` |
-//! | `EPOCH` \| `RESTORE` \| `STATS` \| `SLO` \| `SHARDS` | `GET /epoch` \| `/restore` \| `/stats` \| `/slo` \| `/shards` |
+//! | `EPOCH` \| `RESTORE` \| `STATS` \| `SLO` | `GET /epoch` \| `/restore` \| `/stats` \| `/slo` |
 //! | `TRACE [n]` | `GET /trace?n=` |
 //! | `QUIT` | `Connection: close` |
 //! | — | `GET /health` → `OK HEALTH <epoch>` (liveness, not a verb) |
@@ -84,7 +84,7 @@ type Route = (
 );
 
 #[rustfmt::skip] // a table: one endpoint per row
-const ROUTES: [Route; 13] = [
+const ROUTES: [Route; 12] = [
     (Method::Get,  "/rec",      Some("REC"),      &["user", "topic", "top_n"]),
     (Method::Post, "/follow",   Some("FOLLOW"),   &["follower", "followee", "topics"]),
     (Method::Post, "/unfollow", Some("UNFOLLOW"), &["follower", "followee"]),
@@ -96,7 +96,6 @@ const ROUTES: [Route; 13] = [
     (Method::Get,  "/stats",    Some("STATS"),    &[]),
     (Method::Get,  "/slo",      Some("SLO"),      &[]),
     (Method::Get,  "/trace",    Some("TRACE"),    &["n"]),
-    (Method::Get,  "/shards",   Some("SHARDS"),   &[]),
     (Method::Get,  "/health",   None,             &[]),
 ];
 

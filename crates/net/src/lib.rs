@@ -29,7 +29,7 @@
 //!   requests answer in arrival order, buffered writes, and the rule
 //!   by which a connection paused by backpressure resumes;
 //! * [`server`] — the event loop and pump over the
-//!   [`fui_service::ShardedService`] engine.
+//!   [`fui_service::Service`] engine.
 //!
 //! Both codecs parse into and execute through `fui_service::wire`, so
 //! an HTTP body is byte-identical to the line reply for the same

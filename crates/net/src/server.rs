@@ -21,7 +21,7 @@
 //!
 //! Coalescing is group commit: an idle pump dispatches at once, and
 //! whatever is submitted while a batch is being answered joins the
-//! next `pump()`, which drains up to `max_batch` per shard.
+//! next `pump()`, which drains up to `max_batch`.
 //!
 //! Why no wakeup is lost. *Loop → pump:* a request is pushed onto the
 //! queue before the `unpark` that follows its pass, and the pump parks
@@ -55,7 +55,7 @@ use std::time::{Duration, Instant};
 
 use fui_obs::{counter, gauge, Counter, Gauge};
 use fui_service::wire::{self, Executed, ReplyClass};
-use fui_service::ShardedService;
+use fui_service::Service;
 
 use crate::codec::{Action, Class, Codec};
 use crate::conn::{Conn, PendingRec, Slot};
@@ -147,8 +147,8 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds `addr` (port 0 for ephemeral) and serves HTTP/1.1 on it.
-    pub fn start<B: AsRef<ShardedService> + Send + Sync + 'static>(
-        service: Arc<B>,
+    pub fn start(
+        service: Arc<Service>,
         addr: &str,
         cfg: HttpConfig,
     ) -> std::io::Result<HttpServer> {
@@ -158,16 +158,16 @@ impl HttpServer {
     /// Binds `addr` and serves the line protocol on it: the same loop,
     /// pump, limits and verbs as [`HttpServer::start`], framed as
     /// `\n`-terminated lines.
-    pub fn start_line<B: AsRef<ShardedService> + Send + Sync + 'static>(
-        service: Arc<B>,
+    pub fn start_line(
+        service: Arc<Service>,
         addr: &str,
         cfg: HttpConfig,
     ) -> std::io::Result<HttpServer> {
         HttpServer::start_codec(service, addr, Codec::Line, cfg)
     }
 
-    fn start_codec<B: AsRef<ShardedService> + Send + Sync + 'static>(
-        service: Arc<B>,
+    fn start_codec(
+        service: Arc<Service>,
         addr: &str,
         codec: Codec,
         cfg: HttpConfig,
@@ -186,7 +186,7 @@ impl HttpServer {
             let batches = metrics.pump_batches;
             std::thread::Builder::new()
                 .name("fui-net-pump".into())
-                .spawn(move || run_pump((*service).as_ref(), &waker, batches, &stop))?
+                .spawn(move || run_pump(&service, &waker, batches, &stop))?
         };
         let pump_thread = pump.thread().clone();
         // From here on an early return drops `server`, which stops and
@@ -210,7 +210,7 @@ impl HttpServer {
         server.event_loop = Some(
             std::thread::Builder::new()
                 .name("fui-net-loop".into())
-                .spawn(move || event_loop.run((*service).as_ref()))?,
+                .spawn(move || event_loop.run(&service))?,
         );
         Ok(server)
     }
@@ -248,7 +248,7 @@ impl Drop for HttpServer {
 
 /// The pump thread: answer what is queued, wake the loop, park when
 /// there is nothing to do. The module docs argue why no wakeup is lost.
-fn run_pump(service: &ShardedService, waker: &Waker, batches: Counter, stop: &AtomicBool) {
+fn run_pump(service: &Service, waker: &Waker, batches: Counter, stop: &AtomicBool) {
     // Unparked since the last wake: the loop handed over tickets that
     // the next `pump()` may resolve without counting them (deadline
     // sheds), so that `pump()` is followed by a wake whatever it
@@ -285,7 +285,7 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn run(self, service: &ShardedService) {
+    fn run(self, service: &Service) {
         let metrics = &self.metrics;
         let mut conns: HashMap<u64, Conn> = HashMap::new();
         let mut next_token: u64 = 1;
@@ -411,7 +411,7 @@ fn accept_all(
 /// edge will announce them, and there is no tick to retry on).
 fn service_conn(
     conn: &mut Conn,
-    service: &ShardedService,
+    service: &Service,
     cfg: &HttpConfig,
     metrics: &NetMetrics,
     stall_stamp: &mut u64,

@@ -1,6 +1,6 @@
 //! Live-socket tests of both listeners (malformed input is
 //! `tests/http_fuzz.rs`'s): HTTP keep-alive, pipelining and statuses;
-//! line round trips over a fleet; the line protocol's order of effects;
+//! line round trips; the line protocol's order of effects;
 //! and the wake protocol — the server has no timer, so a lost wakeup or
 //! a paused connection nobody resumes shows here as a read that runs
 //! into [`READ_TIMEOUT`].
@@ -11,9 +11,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fui_core::{ScoreParams, ScoreVariant};
-use fui_graph::{GraphBuilder, NodeId, PartitionStrategy};
+use fui_graph::{GraphBuilder, NodeId};
 use fui_net::{parse_response, HttpConfig, HttpServer};
-use fui_service::{render_reply, Request, ServiceConfig, ShardSpec, ShardedService};
+use fui_service::{render_reply, Request, Service, ServiceConfig};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
 /// Every client read gives up after this long, so a hang fails the
@@ -30,11 +30,11 @@ fn connect(addr: SocketAddr) -> TcpStream {
 
 /// The engine over a two-community graph: 0..5 a dense tech cluster,
 /// 6..9 a chain.
-fn engine(shards: usize) -> Arc<ShardedService> {
-    engine_with(shards, ServiceConfig::default())
+fn engine() -> Arc<Service> {
+    engine_with(ServiceConfig::default())
 }
 
-fn engine_with(shards: usize, cfg: ServiceConfig) -> Arc<ShardedService> {
+fn engine_with(cfg: ServiceConfig) -> Arc<Service> {
     let mut b = GraphBuilder::new();
     let tech = TopicSet::single(Topic::Technology);
     for _ in 0..10 {
@@ -48,7 +48,7 @@ fn engine_with(shards: usize, cfg: ServiceConfig) -> Arc<ShardedService> {
     for u in 4..9u32 {
         b.add_edge(NodeId(u), NodeId(u + 1), tech);
     }
-    Arc::new(ShardedService::new(
+    Arc::new(Service::new(
         b.build(),
         SimMatrix::opencalais(),
         ScoreParams::default(),
@@ -56,13 +56,11 @@ fn engine_with(shards: usize, cfg: ServiceConfig) -> Arc<ShardedService> {
         vec![NodeId(2), NodeId(6)],
         50,
         cfg,
-        ShardSpec::new(shards, PartitionStrategy::Hash),
     ))
 }
 
-fn http(shards: usize) -> (HttpServer, TcpStream) {
-    let server =
-        HttpServer::start(engine(shards), "127.0.0.1:0", HttpConfig::default()).expect("start");
+fn http() -> (HttpServer, TcpStream) {
+    let server = HttpServer::start(engine(), "127.0.0.1:0", HttpConfig::default()).expect("start");
     let stream = connect(server.local_addr());
     (server, stream)
 }
@@ -105,7 +103,7 @@ fn ask_http(stream: &mut TcpStream, request_line: &str) -> (u16, String) {
 
 #[test]
 fn http_serves_every_reply_class_over_keepalive() {
-    let (server, mut c) = http(1);
+    let (server, mut c) = http();
     for (request, status, prefix) in [
         ("GET /health", 200, "OK HEALTH "),
         ("GET /rec?user=3&topic=technology", 200, "OK REC "),
@@ -124,6 +122,7 @@ fn http_serves_every_reply_class_over_keepalive() {
         ("POST /snapshot", 400, "ERR "),
         ("GET /restore", 400, "ERR "),
         ("GET /nope", 404, "ERR unknown path"),
+        ("GET /shards", 404, "ERR unknown path"),
         ("GET /rotate", 405, "ERR method GET not allowed for /rotate"),
         (
             "POST /health",
@@ -140,7 +139,7 @@ fn http_serves_every_reply_class_over_keepalive() {
 
 #[test]
 fn http_pipelined_requests_answer_in_order() {
-    let (server, mut c) = http(1);
+    let (server, mut c) = http();
     // Two recs and an epoch, written back-to-back before any read.
     let wire = "GET /rec?user=1&topic=technology HTTP/1.1\r\nHost: f\r\n\r\n\
                 GET /rec?user=2&topic=health HTTP/1.1\r\nHost: f\r\n\r\n\
@@ -152,6 +151,32 @@ fn http_pipelined_requests_answer_in_order() {
         assert_eq!(code, 200);
         assert!(body.starts_with(prefix), "{body}");
     }
+    server.shutdown();
+}
+
+/// The last three `STATS` lines after one cached `REC` and one rotate.
+const ENGINE_GAUGES: [&str; 3] = [
+    "G service.queue_depth 0",
+    "G service.cache.entries 1",
+    "G service.snapshot.graph_gen 1",
+];
+
+/// `STATS` over HTTP ends in the same engine gauges as over a line.
+#[test]
+fn http_stats_end_in_the_engine_gauges() {
+    let (server, mut c) = http();
+    assert_eq!(ask_http(&mut c, "GET /rec?user=0&topic=technology").0, 200);
+    assert_eq!(ask_http(&mut c, "POST /rotate").0, 200);
+    let (code, body) = ask_http(&mut c, "GET /stats");
+    assert_eq!(code, 200, "{body}");
+    let lines: Vec<&str> = body.lines().collect();
+    let n: usize = lines[0]
+        .strip_prefix("OK STATS ")
+        .expect("stats header")
+        .parse()
+        .expect("line count");
+    assert_eq!(lines.len(), n + 1, "{body}");
+    assert_eq!(lines[n - 2..], ENGINE_GAUGES);
     server.shutdown();
 }
 
@@ -186,19 +211,19 @@ impl LineClient {
     }
 }
 
-fn line(shards: usize) -> (HttpServer, LineClient) {
-    let server = HttpServer::start_line(engine(shards), "127.0.0.1:0", HttpConfig::default())
-        .expect("start");
+fn line() -> (HttpServer, LineClient) {
+    let server =
+        HttpServer::start_line(engine(), "127.0.0.1:0", HttpConfig::default()).expect("start");
     let client = LineClient::connect(server.local_addr());
     (server, client)
 }
 
 #[test]
-fn line_listener_round_trips_over_a_fleet() {
-    let (server, mut c) = line(2);
+fn line_listener_round_trips() {
+    let (server, mut c) = line();
 
-    // REC through the fleet serves the unsharded bits over the wire.
-    let direct = engine(1).call(Request {
+    // REC serves the engine's own bits over the wire.
+    let direct = engine().call(Request {
         user: NodeId(0),
         topic: Topic::Technology,
         top_n: 3,
@@ -214,16 +239,18 @@ fn line_listener_round_trips_over_a_fleet() {
     // Verbs in any case, CRLF and blank lines are tolerated.
     assert!(c.ask("\r\nepoch\r").starts_with("OK EPOCH "));
 
-    // A multi-line reply is followed directly by the next reply.
-    let header = c.ask("SHARDS");
-    assert!(
-        header.starts_with("OK SHARDS 2 strategy=hash epoch="),
-        "got {header:?}"
-    );
-    for id in 0..2 {
-        let row = c.read_line();
-        assert!(row.starts_with(&format!("S {id} ")), "got {row:?}");
-    }
+    // A multi-line reply is followed directly by the next reply. STATS
+    // closes with the engine's gauges: an empty queue, the one cached
+    // REC and the rotated graph generation.
+    let n: usize = c
+        .ask("STATS")
+        .strip_prefix("OK STATS ")
+        .expect("stats header")
+        .parse()
+        .expect("line count");
+    let lines: Vec<String> = (0..n).map(|_| c.read_line()).collect();
+    assert_eq!(lines[n - 3..], ENGINE_GAUGES);
+    assert_eq!(c.ask("SHARDS"), "ERR unknown command \"SHARDS\"");
     assert!(c.ask("SLO").starts_with("OK SLO window_secs="));
 
     c.send("QUIT\n");
@@ -236,9 +263,8 @@ fn line_listener_round_trips_over_a_fleet() {
 /// transcripts.
 fn stepwise_and_burst(commands: &[&str], cfg: ServiceConfig) -> (String, String) {
     let start = || {
-        let server =
-            HttpServer::start_line(engine_with(1, cfg), "127.0.0.1:0", HttpConfig::default())
-                .expect("start");
+        let server = HttpServer::start_line(engine_with(cfg), "127.0.0.1:0", HttpConfig::default())
+            .expect("start");
         let client = LineClient::connect(server.local_addr());
         (server, client)
     };
@@ -329,7 +355,7 @@ fn a_line_burst_past_the_read_ceiling_resumes_and_answers_in_order() {
 fn http_pipeline_past_the_pause_ceiling_resumes_and_answers_in_order() {
     const N: usize = 3000;
     let server = HttpServer::start(
-        engine_with(1, deep_queue()),
+        engine_with(deep_queue()),
         "127.0.0.1:0",
         HttpConfig::default(),
     )
@@ -364,7 +390,7 @@ fn http_pipeline_past_the_pause_ceiling_resumes_and_answers_in_order() {
 /// other way round.
 #[test]
 fn a_ticket_resolves_while_only_another_connection_has_traffic() {
-    let (server, mut a) = http(1);
+    let (server, mut a) = http();
     let mut b = connect(server.local_addr());
     let rec = "GET /rec?user=3&topic=technology HTTP/1.1\r\nHost: f\r\n\r\n";
     for round in 0..100 {
@@ -392,7 +418,7 @@ fn a_request_shed_at_its_deadline_is_still_answered() {
     let cfg = HttpConfig {
         deadline: Duration::ZERO,
     };
-    let server = HttpServer::start(engine(1), "127.0.0.1:0", cfg).expect("start");
+    let server = HttpServer::start(engine(), "127.0.0.1:0", cfg).expect("start");
     let mut c = connect(server.local_addr());
     for _ in 0..50 {
         let (code, body) = ask_http(&mut c, "GET /rec?user=3&topic=technology");
@@ -407,7 +433,7 @@ fn a_request_shed_at_its_deadline_is_still_answered() {
 /// is in flight cannot meet it by construction.)
 #[test]
 fn a_cached_rec_round_trip_is_under_a_millisecond() {
-    let (server, mut c) = http(1);
+    let (server, mut c) = http();
     let request = "GET /rec?user=3&topic=technology";
     ask_http(&mut c, request);
     let mut trips: Vec<Duration> = (0..300)
@@ -429,7 +455,7 @@ fn a_cached_rec_round_trip_is_under_a_millisecond() {
 /// connection that owned some of them is closed rather than left open.
 #[test]
 fn shutdown_with_tickets_in_flight_joins_and_resolves_them() {
-    let svc = engine(1);
+    let svc = engine();
     let server =
         HttpServer::start(Arc::clone(&svc), "127.0.0.1:0", HttpConfig::default()).expect("start");
     let mut c = connect(server.local_addr());
@@ -466,7 +492,7 @@ fn shutdown_with_tickets_in_flight_joins_and_resolves_them() {
 /// one, so the closed connection is observed from its client end.)
 #[test]
 fn dropping_the_server_stops_it_and_frees_the_port() {
-    let (server, mut c) = http(1);
+    let (server, mut c) = http();
     let addr = server.local_addr();
     assert_eq!(ask_http(&mut c, "GET /health").0, 200);
     drop(server);

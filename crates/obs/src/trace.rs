@@ -332,7 +332,7 @@ pub fn active() -> bool {
 
 static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// SplitMix64 finalizer (same mix the result cache's sharding uses).
+/// SplitMix64 finalizer (same mix the result cache's lock striping uses).
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

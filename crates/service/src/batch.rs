@@ -1,10 +1,9 @@
 //! Micro-batching queue with admission control.
 //!
 //! Concurrent callers `submit` requests; a pump (a test/bench loop or
-//! `fui-net`'s pump thread calling [`crate::ShardedService::pump`])
-//! drains the queue in arrival order and
-//! answers one coalesced batch through
-//! `ApproxRecommender::recommend_batch` on the `fui-exec` pool.
+//! `fui-net`'s pump thread calling [`crate::Service::pump`]) drains
+//! the queue in arrival order and answers one coalesced batch on the
+//! `fui-exec` pool.
 //!
 //! Overload policy: the queue has a hard capacity; a submit against a
 //! full queue is *shed* immediately with an explicit

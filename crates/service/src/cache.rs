@@ -1,4 +1,4 @@
-//! Sharded, generation-stamped LRU result cache.
+//! Lock-striped, generation-stamped LRU result cache.
 //!
 //! A cached recommendation list is a pure function of
 //! *(graph, entries of the landmarks the exploration met, request)* —
@@ -16,17 +16,12 @@
 //!
 //! Everything here is deterministic on purpose — the CI bench gate
 //! asserts exact equality of `service.cache.{hits,misses,evictions}`
-//! across runs and thread counts. Shard selection uses a fixed
+//! across runs and thread counts. Stripe selection uses a fixed
 //! SplitMix-style hash (never `RandomState`, which is seeded per
-//! process), and LRU eviction uses a per-shard monotone tick, so the
-//! victim is always unique. Each shard keeps its entries ordered by
+//! process), and LRU eviction uses a per-stripe monotone tick, so the
+//! victim is always unique. Each stripe keeps its entries ordered by
 //! last use beside the map, so eviction pops the least recently used
-//! entry in `O(log n)` instead of scanning the shard.
-//!
-//! A sharded fleet gives each serving lane its own cache and caches a
-//! key only in its owner lane's, so a fleet of N lanes holds up to
-//! `N × cache_capacity` entries. Every lane validates against the one
-//! snapshot the fleet publishes.
+//! entry in `O(log n)` instead of scanning the stripe.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
@@ -49,9 +44,8 @@ pub struct CacheKey {
 /// Validity stamp recorded with a cached value.
 #[derive(Clone, Debug)]
 pub struct CacheStamp {
-    /// Always 0 and never compared: every lane validates against the
-    /// one fleet snapshot. Kept because the benchmark harness spells
-    /// this struct literally (see ROADMAP item 2).
+    /// Always 0 and never compared. Named by `benchmark/`; ROADMAP
+    /// 6(d) deletes it.
     pub shard: u32,
     /// Graph generation the value was computed under.
     pub graph_gen: u64,
@@ -76,18 +70,18 @@ struct Entry {
 }
 
 #[derive(Default)]
-struct Shard {
+struct Stripe {
     map: HashMap<CacheKey, Entry>,
     /// `last_used` tick → key, one row per entry of `map`. Ticks are
-    /// unique within a shard, so the first row is the LRU victim.
+    /// unique within a stripe, so the first row is the LRU victim.
     lru: BTreeMap<u64, CacheKey>,
     tick: u64,
 }
 
-/// The sharded LRU cache.
+/// The lock-striped LRU cache.
 pub struct ResultCache {
-    shards: Vec<Mutex<Shard>>,
-    per_shard: usize,
+    stripes: Vec<Mutex<Stripe>>,
+    per_stripe: usize,
     hits: fui_obs::Counter,
     misses: fui_obs::Counter,
     evictions: fui_obs::Counter,
@@ -103,15 +97,17 @@ fn mix(mut x: u64) -> u64 {
 }
 
 impl ResultCache {
-    /// A cache of at most `capacity` entries split over `shards`
-    /// shards (each shard holds `capacity / shards`, rounded up, min
+    /// A cache of at most `capacity` entries split over `stripes`
+    /// stripes (each stripe holds `capacity / stripes`, rounded up, min
     /// one entry).
-    pub fn new(capacity: usize, shards: usize) -> ResultCache {
-        let shards = shards.max(1);
-        let per_shard = capacity.div_ceil(shards).max(1);
+    pub fn new(capacity: usize, stripes: usize) -> ResultCache {
+        let stripes = stripes.max(1);
+        let per_stripe = capacity.div_ceil(stripes).max(1);
         ResultCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
-            per_shard,
+            stripes: (0..stripes)
+                .map(|_| Mutex::new(Stripe::default()))
+                .collect(),
+            per_stripe,
             // Handles resolved once — probes never take the registry's
             // name-lookup lock.
             hits: fui_obs::counter("service.cache.hits"),
@@ -120,31 +116,31 @@ impl ResultCache {
         }
     }
 
-    fn shard(&self, key: CacheKey) -> &Mutex<Shard> {
+    fn stripe(&self, key: CacheKey) -> &Mutex<Stripe> {
         let packed =
             (u64::from(key.user) << 32) | (u64::from(key.topic) << 24) | u64::from(key.top_n);
-        &self.shards[(mix(packed) % self.shards.len() as u64) as usize]
+        &self.stripes[(mix(packed) % self.stripes.len() as u64) as usize]
     }
 
     /// Probes for `key`, validating the stamp against `snap`. A stale
     /// entry is dropped on probe (counted as an eviction *and* a miss).
     pub fn get(&self, key: CacheKey, snap: &Snapshot) -> Option<Arc<Vec<(NodeId, f64)>>> {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        match shard.map.get(&key) {
+        let mut stripe = self.stripe(key).lock().expect("cache stripe poisoned");
+        match stripe.map.get(&key) {
             Some(e) if e.stamp.valid_for(snap) => {
                 let old = e.last_used;
-                shard.lru.remove(&old);
-                shard.tick += 1;
-                let tick = shard.tick;
-                shard.lru.insert(tick, key);
-                let e = shard.map.get_mut(&key).expect("entry just seen");
+                stripe.lru.remove(&old);
+                stripe.tick += 1;
+                let tick = stripe.tick;
+                stripe.lru.insert(tick, key);
+                let e = stripe.map.get_mut(&key).expect("entry just seen");
                 e.last_used = tick;
                 self.hits.incr();
                 Some(Arc::clone(&e.value))
             }
             Some(_) => {
-                let stale = shard.map.remove(&key).expect("entry just seen");
-                shard.lru.remove(&stale.last_used);
+                let stale = stripe.map.remove(&key).expect("entry just seen");
+                stripe.lru.remove(&stale.last_used);
                 self.evictions.incr();
                 self.misses.incr();
                 None
@@ -157,20 +153,20 @@ impl ResultCache {
     }
 
     /// Inserts a freshly-computed value, evicting the least-recently
-    /// used entry of the shard if it is full.
+    /// used entry of the stripe if it is full.
     pub fn insert(&self, key: CacheKey, value: Arc<Vec<(NodeId, f64)>>, stamp: CacheStamp) {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
-        if let Some(old) = shard.map.get(&key).map(|e| e.last_used) {
-            shard.lru.remove(&old);
-        } else if shard.map.len() >= self.per_shard {
-            let (_, victim) = shard.lru.pop_first().expect("full shard has entries");
-            shard.map.remove(&victim);
+        let mut stripe = self.stripe(key).lock().expect("cache stripe poisoned");
+        if let Some(old) = stripe.map.get(&key).map(|e| e.last_used) {
+            stripe.lru.remove(&old);
+        } else if stripe.map.len() >= self.per_stripe {
+            let (_, victim) = stripe.lru.pop_first().expect("full stripe has entries");
+            stripe.map.remove(&victim);
             self.evictions.incr();
         }
-        shard.tick += 1;
-        let tick = shard.tick;
-        shard.lru.insert(tick, key);
-        shard.map.insert(
+        stripe.tick += 1;
+        let tick = stripe.tick;
+        stripe.lru.insert(tick, key);
+        stripe.map.insert(
             key,
             Entry {
                 value,
@@ -180,11 +176,11 @@ impl ResultCache {
         );
     }
 
-    /// Number of live entries (all shards).
+    /// Number of live entries (all stripes).
     pub fn len(&self) -> usize {
-        self.shards
+        self.stripes
             .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").map.len())
+            .map(|s| s.lock().expect("cache stripe poisoned").map.len())
             .sum()
     }
 
@@ -292,7 +288,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used() {
-        let cache = ResultCache::new(2, 1); // one shard, two entries
+        let cache = ResultCache::new(2, 1); // one stripe, two entries
         let s = snap(0, vec![]);
         let stamp = || CacheStamp {
             shard: 0,
@@ -308,10 +304,10 @@ mod tests {
         assert!(cache.get(key(3), &s).is_some());
     }
 
-    /// The keys of every shard, for diffing across one operation.
+    /// The keys of every stripe, for diffing across one operation.
     fn keys(cache: &ResultCache) -> std::collections::HashSet<CacheKey> {
         cache
-            .shards
+            .stripes
             .iter()
             .flat_map(|s| s.lock().unwrap().map.keys().copied().collect::<Vec<_>>())
             .collect()
@@ -319,16 +315,16 @@ mod tests {
 
     #[test]
     fn ordered_eviction_matches_the_min_scan() {
-        // Reference model: one (tick, graph_gen) per key per shard, the
+        // Reference model: one (tick, graph_gen) per key per stripe, the
         // victim found by scanning for the least recent tick.
         let cache = ResultCache::new(64, 2);
         let mut model: Vec<HashMap<CacheKey, (u64, u64)>> = vec![HashMap::new(); 2];
         let mut ticks = [0u64; 2];
-        let shard_of = |k: CacheKey| {
+        let stripe_of = |k: CacheKey| {
             cache
-                .shards
+                .stripes
                 .iter()
-                .position(|s| std::ptr::eq(s, cache.shard(k)))
+                .position(|s| std::ptr::eq(s, cache.stripe(k)))
                 .unwrap()
         };
         let snaps = [snap(0, vec![]), snap(1, vec![])];
@@ -338,8 +334,8 @@ mod tests {
             state = mix(state ^ op);
             let k = key((state % 160) as u32);
             let gen = (state >> 32) % 2;
-            let m = &mut model[shard_of(k)];
-            let tick = &mut ticks[shard_of(k)];
+            let m = &mut model[stripe_of(k)];
+            let tick = &mut ticks[stripe_of(k)];
             if state % 3 == 0 {
                 // Insert (possibly replacing), evicting the min tick.
                 let victim = (!m.contains_key(&k) && m.len() >= 32)

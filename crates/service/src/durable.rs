@@ -1,7 +1,6 @@
 //! Durable serving snapshots and the write-ahead mutation journal.
 //!
-//! A durable service — at any shard count — persists two artifacts
-//! under one directory:
+//! A durable service persists two artifacts under one directory:
 //!
 //! * **Snapshot files** `snapshot-<seq>.fuisnap` — a versioned binary
 //!   image of the master state *that cannot be recomputed*: the graph's
@@ -18,9 +17,9 @@
 //!   restart replays `newest valid snapshot + journal tail` and lands
 //!   bit-identically on the pre-crash state. Replay is idempotent:
 //!   records at or below the snapshot's `applied_seq` are skipped.
-//!   Every op is journaled once, in sequence order, whatever the
-//!   shard count. A directory holding a `shard-NNNN/` entry was
-//!   written by the retired per-shard layout and does not restore
+//!   Every op is journaled once, in sequence order. A directory
+//!   holding a `shard-NNNN/` entry was written by the retired
+//!   per-shard layout and does not restore
 //!   (`RestoreError::LegacyLayout`).
 //!
 //! Snapshot layout, little-endian throughout:
@@ -39,11 +38,10 @@
 //! the in-degree offsets (recounted by [`arena::decode`]; the in-edge
 //! arenas are derived only if something reads followers), and the
 //! authority index, similarity rows and landmark topo lookups (rebuilt
-//! by the router's `from_state`, with the same calls a fresh build and
-//! a rotation make). The owner map is a hash of the user id and reads
-//! nothing from disk. A file in any
-//! other format — the authority-carrying v1 included — is
-//! [`SnapshotError::BadMagic`]; restore falls back past it.
+//! by the service's `from_state`, with the same calls a fresh build and
+//! a rotation make). A file in any other format — the
+//! authority-carrying v1 included — is [`SnapshotError::BadMagic`];
+//! restore falls back past it.
 //!
 //! Both codecs follow the hardened decode discipline of
 //! `fui-landmarks/persist.rs`: every declared count is bounded against

@@ -9,29 +9,26 @@
 //!   `Arc`-shared (graph, authority, similarity-rows, landmark-index)
 //!   snapshots; rotation and refresh swap the current pointer and
 //!   never block an in-flight query;
-//! * [`cache`] — sharded LRU result cache, invalidated precisely: by
+//! * [`cache`] — lock-striped LRU result cache, invalidated precisely: by
 //!   graph generation on rotation, and per landmark slot on refresh or
 //!   staleness, so results that never met a refreshed landmark survive;
 //! * [`batch`] — micro-batching submission queue with admission
 //!   control: a full queue sheds with an explicit
 //!   [`Reply::Overloaded`], never a stall;
-//! * [`shard`] / [`router`] — the one serving engine,
-//!   [`ShardedService`]: N user-owning lanes (each its own result cache
-//!   and admission queue) over one published snapshot; `answer_batch`
-//!   routes each query to its owner lane, probes that lane's cache and
-//!   computes each miss once, bit-identically at any shard count;
-//!   deterministic `call` / `call_many` plus the `submit`/`pump` pair,
-//!   follow / unfollow recording, `rotate` and `refresh`, one WAL
-//!   journal and warm restart;
-//! * [`service`] — request/reply types, configuration, and
-//!   [`Service`]: that engine fixed at one shard (*unsharded* is
-//!   `shards = 1`), reaching every verb through `Deref`;
+//! * [`service`] — request/reply types, configuration, and the one
+//!   serving engine, [`Service`]: one published snapshot, one result
+//!   cache and one admission queue; deterministic `call` /
+//!   `call_many` plus the `submit`/`pump` pair, follow / unfollow
+//!   recording, `rotate` and `refresh`, one WAL journal and warm
+//!   restart;
 //! * [`wire`] — the wire protocol's verb layer: one typed
 //!   [`wire::Command`], the parser that owns every wire error string,
 //!   `execute`, and the reply renderers (including the `STATS` / `SLO`
-//!   / `TRACE` / `SHARDS` introspection verbs). This crate opens no
-//!   socket and starts no thread: `fui-net` frames these verbs as
-//!   lines or as HTTP and drives [`ShardedService::pump`].
+//!   / `TRACE` introspection verbs). This crate opens no socket and
+//!   starts no thread: `fui-net` frames these verbs as lines or as
+//!   HTTP and drives [`Service::pump`];
+//! * [`legacy`] — the old names the frozen benchmark harness still
+//!   spells, each a thin wrapper over [`Service`].
 //!
 //! The whole path reports through `fui-obs`: `service.requests`,
 //! `service.shed` (with its `service.shed.{queue_full,deadline,
@@ -47,8 +44,8 @@
 //! queue-wait/assembly/compute/cache/scatter latency decomposition
 //! plus an event timeline (enqueue, batch join, snapshot pin, cache
 //! probe, propagate start, finish/shed-with-cause) into `fui-obs`'s
-//! lock-free ring journal; [`ShardedService::trace_slowest`] and the
-//! `TRACE <n>` verb read it back, and [`ShardedService::slo`] / the
+//! lock-free ring journal; [`Service::trace_slowest`] and the
+//! `TRACE <n>` verb read it back, and [`Service::slo`] / the
 //! `SLO` verb report rolling p99-target and shed-ceiling burn rates.
 //! Tracing is bit-invisible to results at any sample rate — the
 //! conformance suite and the CI bench gate both enforce it.
@@ -58,17 +55,15 @@
 pub mod batch;
 pub mod cache;
 pub mod durable;
-pub mod router;
+pub mod legacy;
 pub mod service;
-pub mod shard;
 pub mod snapshot;
 pub mod wire;
 
 pub use batch::Ticket;
 pub use cache::{CacheKey, CacheStamp, ResultCache};
 pub use durable::{JournalOp, JournalRecord, SnapshotState};
-pub use router::{ShardSpec, ShardedService};
+pub use legacy::{FleetStatus, ShardSpec, ShardedService};
 pub use service::{Reply, Request, RestoreError, Served, Service, ServiceConfig};
-pub use shard::{FleetStatus, ShardStatus};
 pub use snapshot::{apply_changes, Snapshot, SnapshotStore};
 pub use wire::render_reply;

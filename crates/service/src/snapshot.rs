@@ -5,9 +5,8 @@
 //! similarity rows and the landmark index — are bundled into
 //! an immutable [`Snapshot`] behind `Arc`s, and the only mutation the
 //! read path ever observes is the atomic swap of the *current* snapshot
-//! pointer inside the fleet's one [`SnapshotStore`], which every lane
-//! reads. In-flight queries keep the `Arc`
-//! they loaded, so rotation and landmark refresh never block a reader
+//! pointer inside the service's one [`SnapshotStore`]. In-flight
+//! queries keep the `Arc` they loaded, so rotation and landmark refresh never block a reader
 //! and a reader never sees a half-applied update.
 //!
 //! Two version axes drive cache invalidation (see
@@ -29,13 +28,11 @@ use fui_landmarks::{ChangeKind, EdgeChange, LandmarkIndex};
 
 /// One immutable, queryable publication of the serving state.
 pub struct Snapshot {
-    /// Always 0: a fleet publishes one snapshot that every lane
-    /// answers on. Kept because the benchmark harness reads it (see
-    /// ROADMAP item 2).
+    /// Always 0. Named by `benchmark/`; ROADMAP 6(d) deletes it.
     pub shard: u32,
     /// Monotone publication counter (every publish bumps it).
     pub epoch: u64,
-    /// Graph generation: bumped by [`crate::ShardedService::rotate`]
+    /// Graph generation: bumped by [`crate::Service::rotate`]
     /// only. Cache entries stamped with an older generation are dead.
     pub graph_gen: u64,
     /// Per-landmark-slot entry versions. Bumped when a slot's stored

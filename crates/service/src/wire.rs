@@ -16,7 +16,6 @@
 //! STATS                               dump every counter/gauge/histogram
 //! SLO                                 current burn rates / error budget
 //! TRACE <n>                           the n slowest traced requests
-//! SHARDS                              per-shard fleet status rows
 //! QUIT                                close the connection
 //! ```
 //!
@@ -39,6 +38,9 @@
 //!   C <name> <value>                  counter
 //!   G <name> <value>                  gauge
 //!   H <name> count=<c> sum_ns=<s> p50_ns=<..> p95_ns=<..> p99_ns=<..> max_ns=<..>
+//!   G service.queue_depth <n>         last three, read at render time:
+//!   G service.cache.entries <n>         queue depth, live cache entries
+//!   G service.snapshot.graph_gen <g>    and the published graph generation
 //! OK SLO window_secs=<..> target_ns=<..> sampled=<..> over_target=<..>
 //!        latency_burn=<..> latency_budget_remaining=<..> requests=<..>
 //!        shed=<..> shed_burn=<..> shed_budget_remaining=<..>   (one line)
@@ -47,17 +49,13 @@
 //!       queue_ns=<q> assembly_ns=<a> compute_ns=<c> cache_ns=<h>
 //!       scatter_ns=<x> events=<m>
 //!   followed by its m timeline lines:  EV <at_ns> <kind> <arg>
-//! OK SHARDS <n> strategy=hash epoch=<e> gen=<g> crit_ns=<t>   then n rows:
-//!   S <id> queue=<q> busy_ns=<b> cache=<c> requests=<r> shed=<s>
-//!     queue_full=<qf> deadline=<dl> latency_burn=<lb> shed_burn=<sb>
 //! ```
 //!
 //! `TRACE` returns requests only while tracing is active
 //! (`FUI_OBS=full` with `FUI_TRACE_SAMPLE` > 0); the queue / assembly
 //! / compute / cache / scatter parts of each `REQ` line sum to its
 //! `total_ns` exactly (assembly is defined as the remainder; scatter
-//! is validation plus routing to the owner lane, small but live at one
-//! shard).
+//! is request validation).
 //!
 //! Scores print with Rust's shortest-round-trip `f64` formatting, so a
 //! client parsing them back gets the exact served bits.
@@ -65,10 +63,9 @@
 //! The verb layer does no I/O: it defines the grammar above, one typed
 //! [`Command`], the parser that owns every wire error string
 //! ([`Command::parse`]) and [`execute`], which runs a command against
-//! the one engine, [`ShardedService`] (a one-shard [`crate::Service`]
-//! answers `SHARDS` with its real single row). `fui-net` owns the
-//! sockets and frames these replies for either spelling of a verb — a
-//! line or an HTTP request — so a body is the same bytes over both.
+//! the one engine, [`Service`]. `fui-net` owns the sockets and frames
+//! these replies for either spelling of a verb — a line or an HTTP
+//! request — so a body is the same bytes over both.
 //!
 //! `REC` goes through the micro-batching queue: [`execute`] submits
 //! and hands back the [`Ticket`], redeemed once a pump has answered
@@ -84,9 +81,7 @@ use fui_landmarks::EdgeChange;
 use fui_taxonomy::{Topic, TopicSet};
 
 use crate::batch::Ticket;
-use crate::router::ShardedService;
-use crate::service::{Reply, Request};
-use crate::shard::FleetStatus;
+use crate::service::{Reply, Request, Service};
 
 /// One parsed command: every verb of the protocol except `QUIT`
 /// (which is connection framing, not a request).
@@ -114,8 +109,6 @@ pub enum Command {
     Slo,
     /// `TRACE [n]` (`n` defaults to 5).
     Trace(usize),
-    /// `SHARDS`.
-    Shards,
 }
 
 impl Command {
@@ -150,7 +143,6 @@ impl Command {
             "STATS" => Command::Stats,
             "SLO" => Command::Slo,
             "TRACE" => Command::Trace(parse_count(tokens.next(), "count", 5)?),
-            "SHARDS" => Command::Shards,
             other => return Err(format!("unknown command {other:?}")),
         };
         match tokens.next() {
@@ -195,7 +187,7 @@ pub fn refusal(reason: impl std::fmt::Display) -> (ReplyClass, String) {
 /// Runs one command. This is the single dispatch path behind both
 /// wire spellings, so answers are byte-identical over either by
 /// construction. `deadline` bounds a `REC`'s time in the queue.
-pub fn execute(service: &ShardedService, command: Command, deadline: Instant) -> Executed {
+pub fn execute(service: &Service, command: Command, deadline: Instant) -> Executed {
     let outcome = match command {
         Command::Rec(request) => {
             return match service.submit(request, Some(deadline)) {
@@ -219,10 +211,9 @@ pub fn execute(service: &ShardedService, command: Command, deadline: Instant) ->
         Command::Restore => service.restore_probe().map(|(epoch, gen, applied)| {
             format!("OK RESTORE epoch={epoch} gen={gen} applied_seq={applied}")
         }),
-        Command::Stats => Ok(render_stats()),
+        Command::Stats => Ok(render_stats(service)),
         Command::Slo => Ok(render_slo(service.slo())),
         Command::Trace(n) => Ok(render_traces(service.trace_slowest(n))),
-        Command::Shards => Ok(render_shards(service.status())),
     };
     let (class, text) = match outcome {
         Ok(text) => (ReplyClass::Ok, text),
@@ -231,8 +222,9 @@ pub fn execute(service: &ShardedService, command: Command, deadline: Instant) ->
     Executed::Done(class, text)
 }
 
-/// Text exposition of the whole metrics registry.
-fn render_stats() -> String {
+/// Text exposition of the whole metrics registry, then the engine's
+/// queue depth, live cache entries and published graph generation.
+fn render_stats(service: &Service) -> String {
     let snap = fui_obs::snapshot();
     let mut lines = Vec::new();
     for (name, v) in &snap.counters {
@@ -247,6 +239,12 @@ fn render_stats() -> String {
             s.count, s.sum, s.p50, s.p95, s.p99, s.max
         ));
     }
+    lines.push(format!("G service.queue_depth {}", service.queue_depth()));
+    lines.push(format!("G service.cache.entries {}", service.cache_len()));
+    lines.push(format!(
+        "G service.snapshot.graph_gen {}",
+        service.graph_gen()
+    ));
     let mut out = format!("OK STATS {}", lines.len());
     for line in lines {
         out.push('\n');
@@ -297,34 +295,6 @@ fn render_traces(traces: Vec<fui_obs::RequestTrace>) -> String {
         for e in &t.events {
             out.push_str(&format!("\nEV {} {} {}", e.at_ns, e.kind.as_str(), e.arg));
         }
-    }
-    out
-}
-
-fn render_shards(status: FleetStatus) -> String {
-    let mut out = format!(
-        "OK SHARDS {} strategy={} epoch={} gen={} crit_ns={}",
-        status.shards.len(),
-        status.strategy,
-        status.epoch,
-        status.graph_gen,
-        status.crit_ns,
-    );
-    for s in &status.shards {
-        out.push_str(&format!(
-            "\nS {} queue={} busy_ns={} cache={} requests={} shed={} queue_full={} \
-             deadline={} latency_burn={:.6} shed_burn={:.6}",
-            s.id,
-            s.queue_depth,
-            s.busy_ns,
-            s.cache_entries,
-            s.requests,
-            s.shed,
-            s.shed_queue_full,
-            s.shed_deadline,
-            s.latency_burn,
-            s.shed_burn,
-        ));
     }
     out
 }

@@ -6,10 +6,10 @@ use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use fui_core::{ScoreParams, ScoreVariant};
-use fui_graph::{GraphBuilder, NodeId, PartitionStrategy, SocialGraph};
+use fui_graph::{GraphBuilder, NodeId, SocialGraph};
 use fui_landmarks::EdgeChange;
 use fui_service::wire::{self, Command, Executed};
-use fui_service::{Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService};
+use fui_service::{Reply, Request, Service, ServiceConfig};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 
 /// A two-community graph: 0..5 a dense tech cluster, 6..9 a chain.
@@ -226,7 +226,7 @@ fn refresh_preserves_entries_that_avoided_the_landmark() {
 /// Runs one protocol line through the verb layer the way a frontend
 /// does (tokenise, parse, execute, pump and redeem a `REC`) and returns
 /// the rendered reply.
-fn ask(svc: &ShardedService, line: &str) -> String {
+fn ask(svc: &Service, line: &str) -> String {
     let mut tokens = line.split_ascii_whitespace();
     let verb = tokens.next().expect("a verb");
     let command = match Command::parse(verb, tokens) {
@@ -311,21 +311,7 @@ impl Drop for TraceSession {
 #[test]
 fn trace_slowest_decomposition_sums_exactly() {
     let _g = obs_guard();
-    // Both names of the one engine: the one-shard façade and a fleet.
-    decomposition_sums_exactly(&service(ServiceConfig::default()));
-    decomposition_sums_exactly(&ShardedService::new(
-        graph(),
-        SimMatrix::opencalais(),
-        ScoreParams::default(),
-        ScoreVariant::Full,
-        vec![NodeId(2), NodeId(6)],
-        50,
-        ServiceConfig::default(),
-        ShardSpec::new(2, PartitionStrategy::Hash),
-    ));
-}
-
-fn decomposition_sums_exactly(svc: &ShardedService) {
+    let svc = &service(ServiceConfig::default());
     let _session = TraceSession::start(1.0);
     // Mixed workload through the queue so queue wait is real: two
     // rounds over 8 users (second round hits the cache). top_n 6 is
@@ -519,6 +505,16 @@ fn introspection_verbs_render() {
     assert!(lines
         .iter()
         .any(|l| l.starts_with("H service.request_latency ")));
+    // The engine's own gauges close the listing, read at render time:
+    // an empty queue, one cache entry per answered REC, generation 0.
+    assert_eq!(
+        lines[n - 3..],
+        [
+            "G service.queue_depth 0",
+            "G service.cache.entries 6",
+            "G service.snapshot.graph_gen 0",
+        ]
+    );
 
     // SLO: one line, key=value.
     let slo = ask(&svc, "SLO");
@@ -570,18 +566,8 @@ fn introspection_verbs_render() {
     }
     assert_eq!(lines.next(), None, "nothing after the advertised blocks");
 
-    // SHARDS on a plain service: the real one-shard row, with the
-    // lane and critical-path clocks live.
-    let shards = ask(&svc, "SHARDS");
-    let (header, row) = shards.split_once('\n').expect("header and one row");
-    assert!(
-        header.starts_with("OK SHARDS 1 strategy=hash epoch=0 gen=0 crit_ns="),
-        "got {header:?}"
-    );
-    assert!(!header.ends_with("crit_ns=0"), "got {header:?}");
-    assert!(row.starts_with("S 0 queue=0 "), "got {row:?}");
-    assert!(!row.contains('\n'), "exactly one row: {row:?}");
-    assert!(!row.contains(" busy_ns=0 "), "lane time is live: {row:?}");
+    // The retired SHARDS verb is an unknown command.
+    assert_eq!(ask(&svc, "SHARDS"), "ERR unknown command \"SHARDS\"");
 }
 
 /// A durable service built into a directory an earlier run used starts

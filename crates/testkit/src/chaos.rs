@@ -2,19 +2,16 @@
 //!
 //! Durability is only real when a seeded kill/restart provably returns
 //! bit-identical answers. [`check_crash_recovery_matches_twin`] drives
-//! two durable [`ShardedService`]s, built under the same write spec
-//! (one shard is the plain [`fui_service::Service`] layout), through
-//! the same seeded op script — an interleaving of queries,
-//! follow/unfollow records, snapshot rotations and landmark refreshes:
+//! two durable [`Service`]s through the same seeded op script — an
+//! interleaving of queries, follow/unfollow records, snapshot
+//! rotations and landmark refreshes:
 //!
 //! * the **twin** runs the whole script uninterrupted;
 //! * the **victim** is killed (dropped) at a seeded op index, its
 //!   on-disk state optionally mangled the way a crash would mangle it
 //!   (the newest snapshot torn mid-write, or a partial record appended
-//!   to the journal), warm-restarted via [`ShardedService::restore`]
-//!   — half the time under a *different* shard count (1–4 shards),
-//!   which must be answer-invisible — and then driven through the
-//!   remainder of the script.
+//!   to the journal), warm-restarted via [`Service::restore`] and then
+//!   driven through the remainder of the script.
 //!
 //! Every post-recovery reply must be **bit-identical** to the twin's
 //! (scores compared by `f64::to_bits`; the `cached` flag is excluded —
@@ -28,10 +25,10 @@
 
 use std::path::{Path, PathBuf};
 
-use fui_graph::{NodeId, PartitionStrategy};
+use fui_graph::NodeId;
 use fui_landmarks::EdgeChange;
 use fui_service::durable;
-use fui_service::{Reply, Request, ServiceConfig, ShardSpec, ShardedService};
+use fui_service::{Reply, Request, Service, ServiceConfig};
 use fui_taxonomy::{SimMatrix, Topic};
 
 use crate::gen::{gen_topicset, GraphCase};
@@ -110,7 +107,7 @@ fn fingerprint(reply: &Reply) -> Vec<u64> {
 }
 
 /// Applies one op; returns the reply fingerprint for queries.
-fn apply_op(svc: &ShardedService, op: &Op) -> Option<Vec<u64>> {
+fn apply_op(svc: &Service, op: &Op) -> Option<Vec<u64>> {
     match op {
         Op::Query(req) => Some(fingerprint(&svc.call(*req))),
         Op::Change(c) => {
@@ -128,14 +125,14 @@ fn apply_op(svc: &ShardedService, op: &Op) -> Option<Vec<u64>> {
     }
 }
 
-/// A fresh durable engine over `case` rooted at `dir`, under `spec`
-/// and [`chaos_cfg`] — every third node a landmark,
-/// exhaustive-friendly fixed-depth score parameters.
-pub fn durable_fleet(case: &GraphCase, dir: &Path, spec: ShardSpec) -> ShardedService {
+/// A fresh durable engine over `case` rooted at `dir`, under
+/// [`chaos_cfg`] — every third node a landmark, exhaustive-friendly
+/// fixed-depth score parameters.
+pub fn durable_service(case: &GraphCase, dir: &Path) -> Service {
     let graph = case.graph();
     let n = graph.num_nodes();
     let landmarks: Vec<NodeId> = graph.nodes().step_by(3).collect();
-    ShardedService::with_durability(
+    Service::with_durability(
         graph,
         SimMatrix::opencalais(),
         fui_core::ScoreParams {
@@ -148,15 +145,9 @@ pub fn durable_fleet(case: &GraphCase, dir: &Path, spec: ShardSpec) -> ShardedSe
         landmarks,
         n,
         chaos_cfg(),
-        spec,
         dir,
     )
-    .expect("durable fleet build")
-}
-
-/// A seeded write spec for `case`: 1–4 hash shards.
-pub fn write_spec(case: &GraphCase) -> ShardSpec {
-    ShardSpec::new(1 + (case.seed >> 1) as usize % 4, PartitionStrategy::Hash)
+    .expect("durable service build")
 }
 
 /// A unique scratch directory for one chaos role.
@@ -183,9 +174,8 @@ enum Mangle {
     TornJournal,
 }
 
-/// The chaos invariant, for a victim and twin written under `write`.
-/// See the module docs.
-pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> Result<(), String> {
+/// The chaos invariant. See the module docs.
+pub fn check_crash_recovery_matches_twin(case: &GraphCase) -> Result<(), String> {
     if case.num_nodes < 2 {
         // The op script needs a non-self edge to record; the corpus
         // never draws 1-node cases but the minimizer can reach them.
@@ -200,11 +190,6 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> 
         _ => Mangle::TornJournal,
     };
     let mangle_roll = rng.u64();
-    let restore_spec = if rng.below(2) == 0 {
-        write
-    } else {
-        ShardSpec::new(1 + rng.below(4) as usize, PartitionStrategy::Hash)
-    };
 
     let twin_dir = scratch_dir(case, "twin");
     let victim_dir = scratch_dir(case, "victim");
@@ -216,8 +201,6 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> 
         kill_op,
         mangle,
         mangle_roll,
-        write,
-        restore_spec,
         &twin_dir,
         &victim_dir,
     );
@@ -226,30 +209,24 @@ pub fn check_crash_recovery_matches_twin(case: &GraphCase, write: ShardSpec) -> 
     result
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_case(
     case: &GraphCase,
     ops: &[Op],
     kill_op: usize,
     mangle: Mangle,
     mangle_roll: u64,
-    write: ShardSpec,
-    restore_spec: ShardSpec,
     twin_dir: &Path,
     victim_dir: &Path,
 ) -> Result<(), String> {
     let ctx = |what: &str| {
         format!(
-            "{what} (kill_op={kill_op}, mangle={mangle:?}, written by {}, restored under {} \
-             shards, {})",
-            write.shards,
-            restore_spec.shards,
+            "{what} (kill_op={kill_op}, mangle={mangle:?}, {})",
             case.repro()
         )
     };
 
     // The uninterrupted twin: run everything, keep post-kill replies.
-    let twin = durable_fleet(case, twin_dir, write);
+    let twin = durable_service(case, twin_dir);
     let mut twin_tail = Vec::new();
     for (i, op) in ops.iter().enumerate() {
         let fp = apply_op(&twin, op);
@@ -261,7 +238,7 @@ fn run_case(
     }
 
     // The victim: run to the kill point, die, mangle, warm-restart.
-    let victim = durable_fleet(case, victim_dir, write);
+    let victim = durable_service(case, victim_dir);
     for op in &ops[..kill_op] {
         apply_op(&victim, op);
     }
@@ -308,13 +285,8 @@ fn run_case(
         }
     }
 
-    let restored = ShardedService::restore(
-        victim_dir,
-        SimMatrix::opencalais(),
-        chaos_cfg(),
-        restore_spec,
-    )
-    .map_err(|e| ctx(&format!("restore failed: {e}")))?;
+    let restored = Service::restore(victim_dir, SimMatrix::opencalais(), chaos_cfg())
+        .map_err(|e| ctx(&format!("restore failed: {e}")))?;
     // Counter increments are no-ops unless FUI_OBS enables them.
     if fui_obs::counters_enabled() {
         if expect_fallback && fallbacks.get() == fallbacks0 {

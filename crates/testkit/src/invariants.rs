@@ -303,78 +303,73 @@ pub fn check_edit_matches_rebuild(case: &GraphCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Seeded churn recorded into a fleet and published by `rotate`, at 1,
-/// 2 and 4 shards: the authority index every published snapshot serves
-/// equals [`AuthorityIndex::build`] over that snapshot's graph (`==`
+/// Seeded churn recorded into a service and published by `rotate`: the
+/// authority index every published snapshot serves equals
+/// [`AuthorityIndex::build`] over that snapshot's graph (`==`
 /// spans every score bit, count and per-topic maximum). The churn
 /// labels edges over the whole vocabulary and unfollows the holder of
 /// some topic's maximum, the case an incremental maximum gets wrong.
 pub fn check_rotated_authority_matches_build(case: &GraphCase) -> Result<(), String> {
-    use fui_graph::PartitionStrategy;
     use fui_landmarks::EdgeChange;
-    use fui_service::{ServiceConfig, ShardSpec, ShardedService};
+    use fui_service::{Service, ServiceConfig};
     use fui_taxonomy::TopicSet;
     let n = case.num_nodes as u64;
-    for shards in [1usize, 2, 4] {
-        let graph = case.graph();
-        let landmarks = graph.nodes().step_by(3).collect();
-        let fleet = ShardedService::new(
-            graph,
-            SimMatrix::opencalais(),
-            fixed_depth_params(0.8, 0.25),
-            ScoreVariant::Full,
-            landmarks,
-            case.num_nodes,
-            ServiceConfig::default(),
-            ShardSpec::new(shards, PartitionStrategy::Hash),
-        );
-        let mut rng = SeededRng::new(case.seed.rotate_left(35));
-        for round in 0..3 {
-            let snap = fleet.snapshot();
-            let present: Vec<(NodeId, NodeId, TopicSet)> = snap.graph.edges().collect();
-            // One follower of some topic's maximum holder leaves it.
-            let t = crate::gen::gen_topic(&mut rng);
-            let holder = snap
-                .graph
-                .nodes()
-                .max_by_key(|&v| snap.authority.followers_on(v, t))
-                .expect("a case has nodes");
-            let mut changes: Vec<EdgeChange> = snap
-                .graph
-                .in_edges(holder)
-                .find(|e| e.labels.contains(t))
-                .map(|e| EdgeChange::remove(e.node, holder, TopicSet::empty()))
-                .into_iter()
-                .collect();
-            for _ in 0..rng.range(1, 12) {
-                let (u, v) = if !present.is_empty() && rng.chance(0.5) {
-                    let &(u, v, _) = rng.pick(&present);
-                    (u, v)
+    let graph = case.graph();
+    let landmarks = graph.nodes().step_by(3).collect();
+    let svc = Service::new(
+        graph,
+        SimMatrix::opencalais(),
+        fixed_depth_params(0.8, 0.25),
+        ScoreVariant::Full,
+        landmarks,
+        case.num_nodes,
+        ServiceConfig::default(),
+    );
+    let mut rng = SeededRng::new(case.seed.rotate_left(35));
+    for round in 0..3 {
+        let snap = svc.snapshot();
+        let present: Vec<(NodeId, NodeId, TopicSet)> = snap.graph.edges().collect();
+        // One follower of some topic's maximum holder leaves it.
+        let t = crate::gen::gen_topic(&mut rng);
+        let holder = snap
+            .graph
+            .nodes()
+            .max_by_key(|&v| snap.authority.followers_on(v, t))
+            .expect("a case has nodes");
+        let mut changes: Vec<EdgeChange> = snap
+            .graph
+            .in_edges(holder)
+            .find(|e| e.labels.contains(t))
+            .map(|e| EdgeChange::remove(e.node, holder, TopicSet::empty()))
+            .into_iter()
+            .collect();
+        for _ in 0..rng.range(1, 12) {
+            let (u, v) = if !present.is_empty() && rng.chance(0.5) {
+                let &(u, v, _) = rng.pick(&present);
+                (u, v)
+            } else {
+                (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32))
+            };
+            if u != v {
+                changes.push(if rng.chance(0.6) {
+                    EdgeChange::insert(u, v, crate::gen::gen_wide_topicset(&mut rng))
                 } else {
-                    (NodeId(rng.below(n) as u32), NodeId(rng.below(n) as u32))
-                };
-                if u != v {
-                    changes.push(if rng.chance(0.6) {
-                        EdgeChange::insert(u, v, crate::gen::gen_wide_topicset(&mut rng))
-                    } else {
-                        EdgeChange::remove(u, v, TopicSet::empty())
-                    });
-                }
+                    EdgeChange::remove(u, v, TopicSet::empty())
+                });
             }
-            for change in changes {
-                fleet
-                    .record(change)
-                    .map_err(|e| format!("record failed: {e} ({})", case.repro()))?;
-            }
-            fleet.rotate();
-            let snap = fleet.snapshot();
-            if *snap.authority != AuthorityIndex::build(&snap.graph) {
-                return Err(format!(
-                    "round {round}: a {shards}-shard rotate published an authority index \
-                     that differs from a build over its own graph ({})",
-                    case.repro()
-                ));
-            }
+        }
+        for change in changes {
+            svc.record(change)
+                .map_err(|e| format!("record failed: {e} ({})", case.repro()))?;
+        }
+        svc.rotate();
+        let snap = svc.snapshot();
+        if *snap.authority != AuthorityIndex::build(&snap.graph) {
+            return Err(format!(
+                "round {round}: a rotate published an authority index \
+                 that differs from a build over its own graph ({})",
+                case.repro()
+            ));
         }
     }
     Ok(())
@@ -804,230 +799,6 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
     Ok(())
 }
 
-/// Sharding is *invisible*: the same seeded serving interleaving
-/// (queries with replay bait, follow/unfollow, rotations, refreshes
-/// and submit/pump bursts) driven through the one-shard
-/// [`fui_service::Service`] and through [`fui_service::ShardedService`]
-/// fleets at 2 and 4 shards must produce **bit-identical** reply
-/// fingerprints: epochs, node orderings, score bits, rotation epochs
-/// and refresh counts. A tie-heavy star-graph coda (identical leaves,
-/// `top_n` below the leaf count) additionally pins the id-ascending
-/// tie-break at the top-k cut, the spot where a router that split and
-/// merged candidate lists would first drift. (The CI conformance matrix
-/// runs this at `FUI_THREADS=1` and `FUI_THREADS=4`; the cached flag
-/// is deliberately *not* fingerprinted — per-shard caches partition
-/// capacity differently, and cache residency is allowed to differ as
-/// long as served bits do not.)
-pub fn check_sharded_matches_unsharded(case: &GraphCase) -> Result<(), String> {
-    use fui_graph::{GraphBuilder, PartitionStrategy};
-    use fui_landmarks::EdgeChange;
-    use fui_service::{Reply, Request, Service, ServiceConfig, ShardSpec, ShardedService};
-    use fui_taxonomy::TopicSet;
-
-    let cfg = ServiceConfig {
-        max_batch: 4,
-        queue_capacity: 8,
-        cache_capacity: 64,
-        cache_shards: 4,
-        refresh_threshold: 0.02,
-        ..ServiceConfig::default()
-    };
-    let spec = |shards| ShardSpec::new(shards, PartitionStrategy::Hash);
-    let n = case.num_nodes;
-    let landmarks = |g: &SocialGraph| -> Vec<NodeId> { g.nodes().step_by(3).collect() };
-    let params = fixed_depth_params(0.8, 0.25);
-
-    // One full seeded interleaving against a fresh engine; the
-    // fingerprint captures every served bit *except* cache residency.
-    // Submit bursts stay at the queue capacity so admission never
-    // sheds: per-shard queues each carry the full configured capacity,
-    // so shed patterns are one place a fleet legitimately differs.
-    let fingerprint = |engine: &ShardedService| -> Result<Vec<u64>, String> {
-        let mut rng = SeededRng::new(case.seed.rotate_left(27));
-        let gen_req = |rng: &mut SeededRng| Request {
-            user: NodeId(rng.below(n as u64) as u32),
-            topic: *rng.pick(&Topic::ALL[..4]),
-            top_n: 1 + rng.below(n as u64) as usize,
-        };
-        let mut bits = Vec::new();
-        let digest = |reply: Reply, bits: &mut Vec<u64>| -> Result<(), String> {
-            match reply {
-                Reply::Result(s) => {
-                    bits.push(s.epoch);
-                    for &(v, score) in s.recommendations.iter() {
-                        bits.push(u64::from(v.0));
-                        bits.push(score.to_bits());
-                    }
-                }
-                Reply::Overloaded => bits.push(u64::MAX),
-                Reply::Rejected(_) => {
-                    return Err(format!("unexpected rejection ({})", case.repro()))
-                }
-            }
-            Ok(())
-        };
-        let mut seen: Vec<Request> = Vec::new();
-        for _ in 0..40u32 {
-            match rng.below(10) {
-                // Query — replayed (cache-hit bait on one side, maybe
-                // a miss on the other) or fresh.
-                0..=4 => {
-                    let req = if !seen.is_empty() && rng.below(2) == 0 {
-                        *rng.pick(&seen)
-                    } else {
-                        let r = gen_req(&mut rng);
-                        seen.push(r);
-                        r
-                    };
-                    digest(engine.call(req), &mut bits)?;
-                }
-                5 | 6 => {
-                    let u = NodeId(rng.below(n as u64) as u32);
-                    let v = NodeId(rng.below(n as u64) as u32);
-                    if u != v {
-                        let change = if rng.below(2) == 0 {
-                            EdgeChange::insert(u, v, crate::gen::gen_topicset(&mut rng))
-                        } else {
-                            EdgeChange::remove(u, v, Default::default())
-                        };
-                        engine
-                            .record(change)
-                            .map_err(|e| format!("record failed: {e} ({})", case.repro()))?;
-                    }
-                }
-                7 => bits.push(engine.rotate()),
-                8 => bits.push(engine.refresh() as u64),
-                // Submit burst at exactly the queue capacity: accepted
-                // everywhere, answered identically everywhere.
-                _ => {
-                    let reqs: Vec<Request> = (0..8).map(|_| gen_req(&mut rng)).collect();
-                    let mut tickets = Vec::new();
-                    for &req in &reqs {
-                        match engine.submit(req, None) {
-                            Ok(t) => tickets.push(t),
-                            Err(_) => bits.push(u64::MAX),
-                        }
-                    }
-                    while engine.pump() > 0 {}
-                    for t in tickets {
-                        digest(t.wait(), &mut bits)?;
-                    }
-                }
-            }
-        }
-        Ok(bits)
-    };
-
-    let build_graph = || case.graph();
-    let flat = {
-        let g = build_graph();
-        let lm = landmarks(&g);
-        Service::new(
-            g,
-            SimMatrix::opencalais(),
-            params,
-            ScoreVariant::Full,
-            lm,
-            n,
-            cfg,
-        )
-    };
-    let baseline = fingerprint(&flat)?;
-    for shards in [2usize, 4] {
-        let g = build_graph();
-        let lm = landmarks(&g);
-        let fleet = ShardedService::new(
-            g,
-            SimMatrix::opencalais(),
-            params,
-            ScoreVariant::Full,
-            lm,
-            n,
-            cfg,
-            spec(shards),
-        );
-        let bits = fingerprint(&fleet)?;
-        if bits != baseline {
-            let at = bits
-                .iter()
-                .zip(&baseline)
-                .position(|(a, b)| a != b)
-                .unwrap_or_else(|| bits.len().min(baseline.len()));
-            return Err(format!(
-                "{shards}-shard fleet diverged from the unsharded engine \
-                 at fingerprint word {at} ({} vs {} words, {})",
-                bits.len(),
-                baseline.len(),
-                case.repro()
-            ));
-        }
-    }
-
-    // Tie-heavy coda: a star whose leaves are indistinguishable, with
-    // `top_n` strictly below the leaf count — the merged top-k *must*
-    // cut by ascending id, whichever shard each tied leaf lives on.
-    let leaves = 5 + (case.seed % 4) as usize;
-    let star_graph = || -> SocialGraph {
-        let mut b = GraphBuilder::new();
-        let tech = TopicSet::single(Topic::Technology);
-        for _ in 0..=leaves {
-            b.add_node(tech);
-        }
-        for leaf in 1..=leaves as u32 {
-            b.add_edge(NodeId(0), NodeId(leaf), tech);
-            b.add_edge(NodeId(leaf), NodeId(0), tech);
-        }
-        b.build()
-    };
-    let star_n = leaves + 1;
-    let star_landmarks: Vec<NodeId> = (0..star_n as u32).step_by(2).map(NodeId).collect();
-    let make = |shards: usize| -> ShardedService {
-        ShardedService::new(
-            star_graph(),
-            SimMatrix::opencalais(),
-            params,
-            ScoreVariant::Full,
-            star_landmarks.clone(),
-            star_n,
-            cfg,
-            spec(shards),
-        )
-    };
-    let star_queries: Vec<Request> = (0..=leaves as u32)
-        .map(|u| Request {
-            user: NodeId(u),
-            topic: Topic::Technology,
-            top_n: leaves - 2,
-        })
-        .collect();
-    let star_bits = |e: &ShardedService| -> Result<Vec<u64>, String> {
-        let mut bits = Vec::new();
-        for &req in &star_queries {
-            match e.call(req) {
-                Reply::Result(s) => {
-                    for &(v, score) in s.recommendations.iter() {
-                        bits.push(u64::from(v.0));
-                        bits.push(score.to_bits());
-                    }
-                }
-                other => return Err(format!("star coda non-result {other:?}")),
-            }
-        }
-        Ok(bits)
-    };
-    let star_base = star_bits(&make(1))?;
-    for shards in [2usize, 4] {
-        if star_bits(&make(shards))? != star_base {
-            return Err(format!(
-                "tie-heavy star coda: {shards}-shard fleet broke the \
-                 id-ascending tie cut ({})",
-                case.repro()
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// Request tracing is *bit-invisible*: the same seeded serving
 /// interleaving (queries, follow/unfollow, rotations, refreshes and a
 /// submit burst past queue capacity) replayed at trace sample rates
@@ -1372,7 +1143,6 @@ mod tests {
                     ("pool", check_pool_width_invariance(&case, 4)),
                     ("workspace", check_workspace_reuse_matches_fresh(&case)),
                     ("service-cache", check_cached_matches_uncached(&case)),
-                    ("service-sharded", check_sharded_matches_unsharded(&case)),
                     ("tracing", check_tracing_is_invisible(&case)),
                     ("http-vs-line", check_http_matches_line_protocol(&case)),
                 ] {

@@ -112,30 +112,6 @@ CELLS = {
              "nothing derivable in the file: v2 is 8n + 6e + the index; with the in-side it read 13.4"),
         ],
     ),
-    # The owner map may never change an answer (pairs). Each query goes
-    # to its owner lane alone (sums), and the routing and miss counters
-    # are a function of the workload and the seeded LRU only (exact), so
-    # any drift means the router changed behaviour.
-    "shard_micro": cell(
-        exact=[
-            "shard_micro.nodes", "shard_micro.edges",
-            "shard_micro.rounds", "shard_micro.rotations",
-            "shard_micro.single.answered", "shard_micro.fleet.answered",
-            "shard_micro.single.checksum_bits", "shard_micro.fleet.checksum_bits",
-            "shard_micro.single.explorations", "shard_micro.fleet.explorations",
-            "shard_micro.single.fanout", "shard_micro.fleet.fanout",
-        ],
-        pairs=[
-            ("shard_micro.single.answered", "shard_micro.fleet.answered"),
-            ("shard_micro.single.checksum_bits", "shard_micro.fleet.checksum_bits"),
-            ("shard_micro.single.epoch", "shard_micro.fleet.epoch"),
-        ],
-        sums=[(["shard_micro.fleet.fanout"], "shard_micro.fleet.answered")],
-        bounds=[
-            ("shard_micro.nodes", MILLION, None, "the cell tests the table5 graph"),
-            ("shard_micro.single.answered", 1, None, "the cell answered something"),
-        ],
-    ),
     # The exact counters are a pure function of the seeded schedule. How
     # many requests were answered and how many shed depends on timing and
     # is not pinned; conservation and the shed ceiling hold it instead.

@@ -1,8 +1,7 @@
 //! Crash/chaos conformance suite for the durable serving layer.
 //!
 //! The tentpole drives `fui-testkit`'s chaos invariant over every
-//! corpus preset: a durable service (one shard, then fleets of 1–4) is
-//! killed at a seeded op index — sometimes with its newest snapshot
+//! corpus preset: a durable service is killed at a seeded op index — sometimes with its newest snapshot
 //! torn mid-write or a partial record stuck on a journal tail —
 //! warm-restarted from disk, and every post-recovery answer is
 //! bit-compared against an uninterrupted twin. The satellites pin the warm-start fallback corpus (corrupt
@@ -23,7 +22,7 @@ use bytes::Bytes;
 use fui_graph::NodeId;
 use fui_landmarks::EdgeChange;
 use fui_service::durable::{self, JournalOp, SnapshotError};
-use fui_service::{Reply, Request, Service, ShardSpec, ShardedService};
+use fui_service::{Reply, Request, Service};
 use fui_taxonomy::{SimMatrix, Topic, TopicSet};
 use fui_testkit::chaos;
 use fui_testkit::corpus::{self, Preset};
@@ -41,10 +40,9 @@ fn manifest_dir() -> PathBuf {
     PathBuf::from("target").join("conformance")
 }
 
-/// Runs one seeded case written under `write`, minimizing a failure,
-/// and logs the outcome.
-fn run_chaos_case(log: &mut SeedLog, case: &gen::GraphCase, write: ShardSpec) {
-    let check = |c: &gen::GraphCase| chaos::check_crash_recovery_matches_twin(c, write);
+/// Runs one seeded case, minimizing a failure, and logs the outcome.
+fn run_chaos_case(log: &mut SeedLog, case: &gen::GraphCase) {
+    let check = chaos::check_crash_recovery_matches_twin;
     let mut result = check(case);
     if let Err(full) = &result {
         let (small, small_err) = gen::minimize(case, check);
@@ -75,9 +73,8 @@ fn assert_no_failures(log: &SeedLog, run_seed: u64) {
     );
 }
 
-/// The tentpole: 120 seeded kill/restart interleavings of a one-shard
-/// service, every post-recovery reply bit-identical to the
-/// uninterrupted twin.
+/// The tentpole: 120 seeded kill/restart interleavings, every
+/// post-recovery reply bit-identical to the uninterrupted twin.
 #[test]
 fn crash_recovery_matches_twin_120_interleavings() {
     let run_seed = fui_testkit::seedlog::run_seed_from_env(DEFAULT_RUN_SEED);
@@ -86,35 +83,11 @@ fn crash_recovery_matches_twin_120_interleavings() {
         for i in 0..CASES_PER_PRESET {
             let seed = derive_seed(run_seed, stream as u64, i);
             let case = corpus::generate(preset, seed);
-            run_chaos_case(&mut log, &case, ShardSpec::default());
+            run_chaos_case(&mut log, &case);
         }
     }
     assert_no_failures(&log, run_seed);
     assert!(log.len() >= 100, "suite shrank below 100 interleavings");
-}
-
-/// The sharded rerun of the same harness: the dying fleet writes under
-/// a seeded spec of 1–4 shards. Each preset draws cases until 8 of
-/// them were written by two or more shards, which keeps the suite
-/// fast; the one-shard draws that come along are run too.
-#[test]
-fn fleet_crash_recovery_matches_twin() {
-    let run_seed = fui_testkit::seedlog::run_seed_from_env(DEFAULT_RUN_SEED);
-    let mut log = SeedLog::new("chaos_fleet", run_seed);
-    for (stream, &preset) in Preset::ALL.iter().enumerate() {
-        let (mut multi_shard, mut i) = (0, 0);
-        while multi_shard < 8 {
-            // Streams past the one-shard test's: distinct seeds, so
-            // distinct scripts and scratch directories.
-            let seed = derive_seed(run_seed, (Preset::ALL.len() + stream) as u64, i);
-            let case = corpus::generate(preset, seed);
-            let write = chaos::write_spec(&case);
-            multi_shard += u64::from(write.shards > 1);
-            run_chaos_case(&mut log, &case, write);
-            i += 1;
-        }
-    }
-    assert_no_failures(&log, run_seed);
 }
 
 // ---- warm-start fallback corpus (corrupt snapshot fixtures) --------
@@ -137,7 +110,7 @@ fn topics(t: Topic) -> TopicSet {
 /// `(epoch, graph_gen, applied_seq, one reply's bits)`.
 fn seeded_history(dir: &std::path::Path) -> (u64, u64, u64, Vec<u64>) {
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
-    let svc = chaos::durable_fleet(&case, dir, ShardSpec::default());
+    let svc = chaos::durable_service(&case, dir);
     svc.record(EdgeChange::insert(
         NodeId(0),
         NodeId(1),
@@ -163,7 +136,7 @@ fn seeded_history(dir: &std::path::Path) -> (u64, u64, u64, Vec<u64>) {
 }
 
 /// One deterministic query, fingerprinted (`cached` flag excluded).
-fn probe(svc: &ShardedService) -> Vec<u64> {
+fn probe(svc: &Service) -> Vec<u64> {
     let reply = svc.call(Request {
         user: NodeId(0),
         topic: Topic::ALL[2],
@@ -330,7 +303,7 @@ fn journal_replay_is_idempotent_across_crash_window() {
 fn restart_sheds_queued_requests_as_disconnect() {
     let dir = scratch("restart-shed");
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
-    let svc = chaos::durable_fleet(&case, &dir, ShardSpec::default());
+    let svc = chaos::durable_service(&case, &dir);
     let req = Request {
         user: NodeId(0),
         topic: Topic::ALL[2],

@@ -156,10 +156,10 @@ fn edit_matches_rebuild() {
     assert!(cases >= 64, "edit suite shrank below the 64-case floor");
 }
 
-/// The authority index a fleet publishes after seeded churn and a
+/// The authority index a service publishes after seeded churn and a
 /// rotate — wide labels, an unfollow of a topic's maximum holder — is
-/// the index a build over the rotated graph makes, bitwise, at 1, 2 and
-/// 4 shards. The contract a per-delta patch of the counts must keep.
+/// the index a build over the rotated graph makes, bitwise. The
+/// contract a per-delta patch of the counts must keep.
 #[test]
 fn rotated_authority_matches_build() {
     run_suite("conformance_authority", 8, |case| {
@@ -178,22 +178,6 @@ fn rotated_authority_matches_build() {
 fn serving_cache_is_invisible() {
     run_suite("conformance_service", 12, |case| {
         invariants::check_cached_matches_uncached(case)
-    });
-}
-
-/// Sharding invisibility: the same seeded serving interleavings driven
-/// through the unsharded engine and through 2- and 4-shard fleets
-/// (partition strategy alternating by seed parity) must produce
-/// bit-identical reply fingerprints — epochs, node orderings, score
-/// bits, rotation epochs, refresh counts — plus a tie-heavy star coda
-/// pinning the id-ascending top-k cut. 24 cases
-/// per preset × 5 presets = 120 seeded interleavings, and the CI
-/// conformance matrix runs this binary at `FUI_THREADS=1` and
-/// `FUI_THREADS=4`.
-#[test]
-fn sharding_is_invisible() {
-    run_suite("conformance_shard", 24, |case| {
-        invariants::check_sharded_matches_unsharded(case)
     });
 }
 

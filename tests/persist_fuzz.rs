@@ -165,7 +165,7 @@ fn sample_serving_snapshot() -> Vec<u8> {
     let dir = std::env::temp_dir().join(format!("fui-fuzz-snap-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
-    let svc = chaos::durable_fleet(&case, &dir, fui_service::ShardSpec::default());
+    let svc = chaos::durable_service(&case, &dir);
     svc.record(EdgeChange::insert(
         NodeId(0),
         NodeId(1),

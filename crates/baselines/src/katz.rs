@@ -89,7 +89,7 @@ impl<'g> KatzScorer<'g> {
                 if mass == 0.0 {
                     continue;
                 }
-                for &v in self.graph.followees(NodeId(u)) {
+                for v in self.graph.followees(NodeId(u)) {
                     if !in_next[v.index()] {
                         in_next[v.index()] = true;
                         next_frontier.push(v.0);

@@ -61,7 +61,7 @@ impl PageRank {
                     continue;
                 }
                 let share = cfg.damping * r / out as f64;
-                for &v in graph.followees(u) {
+                for v in graph.followees(u) {
                     next[v.index()] += share;
                 }
             }

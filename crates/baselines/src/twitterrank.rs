@@ -119,7 +119,7 @@ impl TwitterRank {
             for (i, norm) in out_norm.iter_mut().enumerate() {
                 let mut s = 0.0;
                 let dti = dt_prime(i, t);
-                for &j in graph.followees(NodeId(i as u32)) {
+                for j in graph.followees(NodeId(i as u32)) {
                     let sim = 1.0 - (dti - dt_prime(j.index(), t)).abs();
                     s += f64::from(tweet_counts[j.index()]) * sim;
                 }
@@ -141,7 +141,7 @@ impl TwitterRank {
                         continue;
                     }
                     let dti = dt_prime(i, t);
-                    for &j in graph.followees(NodeId(i as u32)) {
+                    for j in graph.followees(NodeId(i as u32)) {
                         let sim = 1.0 - (dti - dt_prime(j.index(), t)).abs();
                         let p = f64::from(tweet_counts[j.index()]) * sim / out_norm[i];
                         next[j.index()] += cfg.gamma * r * p;

@@ -4,7 +4,7 @@
 //! the exact computation, and ranking quality (Kendall-tau distance to
 //! the exact top-100) for landmarks storing top-10/100/1000.
 
-use fui_core::{PropagateOpts, ScoreParams, ScoreVariant};
+use fui_core::{PropWorkspace, PropagateOpts, ScoreParams, ScoreVariant};
 use fui_eval::kendall_tau_distance;
 use fui_graph::NodeId;
 use fui_landmarks::{ApproxRecommender, LandmarkIndex, Strategy};
@@ -71,10 +71,15 @@ pub fn measure(scale: &ExperimentScale) -> (Vec<StrategyReport>, f64, f64) {
     // Exact baseline: converged propagation per query, top-100 kept.
     // One query per pool task; with FUI_THREADS=1 this is the serial
     // loop, and the reported per-query time is batched throughput.
+    // Each worker reuses one workspace, as the approximate side does,
+    // so the gain column compares propagation work, not an O(n) stamp
+    // array allocated per exact query.
+    let workspaces: fui_exec::WorkerLocal<PropWorkspace> = fui_exec::WorkerLocal::new();
     let sp_exact = fui_obs::Span::enter("table5.exact");
     let exact_tops: Vec<Vec<NodeId>> = fui_exec::par_map(&queries, |&(u, t)| {
+        let mut ws = workspaces.get_or(PropWorkspace::new);
         propagator
-            .propagate(u, &[t], PropagateOpts::default())
+            .propagate_into(&mut ws, u, &[t], PropagateOpts::default())
             .top_n_sigma(0, 100)
             .into_iter()
             .map(|(v, _)| v)

@@ -72,6 +72,33 @@ fn auth_score(on_t: u32, total: usize, max_on_t: u32) -> f64 {
     local * global
 }
 
+/// Edges decoded ahead of a scatter pass (4 KiB of `(id, target)`).
+const SCATTER_BATCH: usize = 512;
+
+/// Hands every out-edge's `(label id, followee)` to `f`: packed rows
+/// are decoded into a reused batch of at least [`SCATTER_BATCH`] edges
+/// first, so the scatter over it makes its random writes back to back
+/// instead of one per decoded field.
+fn for_each_out_edge(graph: &SocialGraph, mut f: impl FnMut(u16, NodeId)) {
+    let mut batch = Vec::with_capacity(2 * SCATTER_BATCH);
+    let mut rows = graph.nodes();
+    loop {
+        batch.clear();
+        while batch.len() < SCATTER_BATCH {
+            let Some(u) = rows.next() else { break };
+            graph
+                .out_edges_by_label_id(u)
+                .for_each(|edge| batch.push(edge));
+        }
+        if batch.is_empty() {
+            return;
+        }
+        for &(id, v) in &batch {
+            f(id, v);
+        }
+    }
+}
+
 impl AuthorityIndex {
     /// Builds the index — `O(N + E·|labels|)` total, from the out-CSR
     /// and the in-degrees alone, into arrays sized once: nothing `O(E)`
@@ -90,10 +117,10 @@ impl AuthorityIndex {
     pub fn build(graph: &SocialGraph) -> AuthorityIndex {
         let labels = graph.label_sets();
         let mut rows = vec![(TopicSet::empty(), 0u32); graph.num_nodes()];
-        for (id, v) in graph.all_out_edges_by_label_id() {
+        for_each_out_edge(graph, |id, v| {
             let set = &mut rows[v.index()].0;
             *set = set.union(labels[id as usize]);
-        }
+        });
         let mut entries = 0usize;
         for row in &mut rows {
             row.1 = u32::try_from(entries)
@@ -101,12 +128,12 @@ impl AuthorityIndex {
             entries += row.0.len();
         }
         let mut counts = vec![0u32; entries];
-        for (id, v) in graph.all_out_edges_by_label_id() {
+        for_each_out_edge(graph, |id, v| {
             let (set, start) = rows[v.index()];
             for t in labels[id as usize].iter() {
                 counts[start as usize + rank(set, t)] += 1;
             }
-        }
+        });
         let mut max_followers_on = [0u32; NUM_TOPICS];
         for &(set, start) in &rows {
             for (k, t) in set.iter().enumerate() {

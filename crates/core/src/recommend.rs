@@ -129,7 +129,11 @@ impl<'g> TrRecommender<'g> {
                 ..Default::default()
             },
         );
-        let followed = self.propagator.graph().followees(u);
+        let followed: Vec<NodeId> = if opts.exclude_followed {
+            self.propagator.graph().followees(u).collect()
+        } else {
+            Vec::new()
+        };
         let katz = self.propagator.variant() == ScoreVariant::TopoOnly;
         topk::select_top_k(
             n,

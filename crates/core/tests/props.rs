@@ -118,7 +118,7 @@ proptest! {
         let mut walk = vec![NodeId(0)];
         for _ in 0..5 {
             let u = *walk.last().unwrap();
-            let succs = g.followees(u);
+            let succs: Vec<NodeId> = g.followees(u).collect();
             if succs.is_empty() {
                 break;
             }

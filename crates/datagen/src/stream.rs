@@ -13,15 +13,18 @@
 //! 2. **Pass 2 — prefix attachment.** Nodes stream in id order through
 //!    [`StreamingBuilder::push_node`]. Each node draws its targets from
 //!    the already-emitted prefix: with probability `pa_strength` a
-//!    uniform position in the builder's own target arena (which *is*
-//!    in-degree-proportional sampling — no separate pool), otherwise a
-//!    uniform earlier node. A small super-reader boost reproduces the
-//!    crawl's out-degree spikes; attachment itself produces the
-//!    power-law in-degree tail.
+//!    uniform position in the attachment pool — every target emitted so
+//!    far, in emission order, so a uniform position *is*
+//!    in-degree-proportional sampling — otherwise a uniform earlier
+//!    node. A small super-reader boost reproduces the crawl's
+//!    out-degree spikes; attachment itself produces the power-law
+//!    in-degree tail.
 //!
 //! Peak memory is the finished graph plus `O(N)` scratch (degree
-//! sequence, profiles and one reused per-node edge buffer) — the
-//! testkit pins this with an allocation counter.
+//! sequence, profiles and one reused per-node edge buffer) and the
+//! 4 B/edge attachment pool, which the packed rows cannot serve (they
+//! have no position to draw) — the testkit pins this with an
+//! allocation counter.
 //! The stream is a pure function of the seed, and the result is
 //! **byte-identical** to replaying the same edges through the batch
 //! [`GraphBuilder`] ([`generate_batch`] does exactly that, for the
@@ -45,8 +48,8 @@ pub struct StreamedGraph {
     /// The finished CSR graph.
     pub graph: SocialGraph,
     /// Bytes of generator scratch live at the peak (degree sequence,
-    /// interest profiles, per-node edge buffer) — everything beyond the
-    /// graph arenas themselves.
+    /// interest profiles, attachment pool, per-node edge buffer) —
+    /// everything beyond the graph arenas themselves.
     pub scratch_bytes: usize,
     /// Edges planned by the degree sequence (actual edge count is
     /// slightly lower after per-node duplicate-target merging).
@@ -144,24 +147,20 @@ pub fn generate_streaming(cfg: &StreamConfig) -> StreamedGraph {
     let (degrees, profiles, planned) = sample_plan(cfg, &mut rng);
 
     let mut builder = StreamingBuilder::with_capacity(cfg.nodes, planned);
+    let mut pool: Vec<NodeId> = Vec::with_capacity(planned);
     let mut scratch: Vec<(NodeId, TopicSet)> = Vec::new();
     for u in 0..cfg.nodes {
-        sample_node_edges(
-            u,
-            degrees[u],
-            &profiles,
-            builder.targets_so_far(),
-            cfg,
-            &mut rng,
-            &mut scratch,
-        );
+        sample_node_edges(u, degrees[u], &profiles, &pool, cfg, &mut rng, &mut scratch);
+        pool.extend(scratch.iter().map(|&(v, _)| v));
         builder.push_node(profiles[u], &mut scratch);
     }
     let scratch_bytes = degrees.capacity() * std::mem::size_of::<u32>()
         + profiles.capacity() * std::mem::size_of::<TopicSet>()
+        + pool.capacity() * std::mem::size_of::<NodeId>()
         + scratch.capacity() * std::mem::size_of::<(NodeId, TopicSet)>();
     drop(degrees);
     drop(profiles);
+    drop(pool);
     drop(scratch);
     StreamedGraph {
         graph: builder.finish(),
@@ -184,9 +183,8 @@ pub fn generate_batch(cfg: &StreamConfig) -> SocialGraph {
     for &p in &profiles {
         builder.add_node(p);
     }
-    // Mirror of the streaming builder's target arena, kept in the same
-    // order (per-node sorted, deduplicated) so the attachment draws see
-    // the identical pool.
+    // The same attachment pool as the streaming path, kept in the same
+    // order (per-node sorted, deduplicated) so the draws are identical.
     let mut pool: Vec<NodeId> = Vec::with_capacity(planned);
     let mut scratch: Vec<(NodeId, TopicSet)> = Vec::new();
     for (u, &degree) in degrees.iter().enumerate() {

@@ -81,16 +81,22 @@ pub fn worker_index() -> usize {
 /// not `w + 1`. Slots are mutex-backed — concurrent pools sharing one
 /// `WorkerLocal` stay safe (they serialise on the slot), while the
 /// common case (each slot touched by one worker at a time) is an
-/// uncontended lock.
+/// uncontended lock. Each slot sits on cache lines of its own, so two
+/// workers taking their own locks never write the same line.
 pub struct WorkerLocal<T> {
-    slots: Box<[Mutex<Option<T>>]>,
+    slots: Box<[Padded<Mutex<Option<T>>>]>,
 }
+
+/// One slot, aligned (and so sized) to 128 bytes: two 64-byte lines,
+/// the span an adjacent-line prefetcher pulls in together.
+#[repr(align(128))]
+struct Padded<T>(T);
 
 impl<T> WorkerLocal<T> {
     /// Creates an empty pool of per-worker slots.
     pub fn new() -> WorkerLocal<T> {
         WorkerLocal {
-            slots: (0..MAX_THREADS).map(|_| Mutex::new(None)).collect(),
+            slots: (0..MAX_THREADS).map(|_| Padded(Mutex::new(None))).collect(),
         }
     }
 
@@ -102,6 +108,7 @@ impl<T> WorkerLocal<T> {
     /// on the same slot.
     pub fn get_or(&self, make: impl FnOnce() -> T) -> WorkerSlot<'_, T> {
         let mut guard = self.slots[worker_index().max(1) - 1]
+            .0
             .lock()
             .expect("WorkerLocal slot poisoned");
         if guard.is_none() {
@@ -115,7 +122,7 @@ impl<T> WorkerLocal<T> {
     pub fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
         self.slots
             .iter_mut()
-            .filter_map(|s| s.get_mut().expect("WorkerLocal slot poisoned").take())
+            .filter_map(|s| s.0.get_mut().expect("WorkerLocal slot poisoned").take())
     }
 }
 
@@ -506,5 +513,15 @@ mod tests {
             values.len()
         );
         assert_eq!(values.iter().sum::<u32>(), 3, "every touch hit one slot");
+    }
+
+    #[test]
+    fn worker_local_slots_sit_on_their_own_cache_lines() {
+        let pool: WorkerLocal<u8> = WorkerLocal::new();
+        for pair in pool.slots.windows(2) {
+            let (a, b) = (&pair[0] as *const _ as usize, &pair[1] as *const _ as usize);
+            assert!(b - a >= 128, "adjacent slots {} B apart", b - a);
+        }
+        assert_eq!(pool.slots.as_ptr() as usize % 128, 0);
     }
 }

@@ -4,10 +4,14 @@
 //! graph, so the arenas need the same hardened codec treatment as the
 //! landmark index (`fui-landmarks/persist.rs`): every declared count is
 //! bounded against the bytes actually present *before* anything is
-//! allocated, and the structural invariants of the out-CSR (monotone
-//! offsets, in-range endpoints, strictly ascending loop-free rows,
-//! in-range label indices) are re-validated on decode. The label
-//! table's entries are taken as read, not checked for duplicates.
+//! allocated, and every packed out-row is re-validated on decode —
+//! monotone byte offsets, in-range targets and label ids, no self-loop,
+//! and the one canonical encoding the packer writes (exact widths, the
+//! degree escape only where needed, zero padding bits, a record that
+//! fills its offsets' span exactly). The label table must be in the
+//! packer's first-seen order with no entry repeated or unused, so a
+//! graph that decodes is byte-equal to the one that was encoded and
+//! `==` on decoded graphs is still graph equality.
 //!
 //! Nothing of the in direction is **in the blob**: it is the transpose
 //! of the out-CSR, so [`decode`] counts the in-offsets as every packer
@@ -16,28 +20,48 @@
 //! little-endian throughout:
 //!
 //! ```text
-//! magic "FUICSR2\n" | u64 num_nodes | u64 num_edges | u64 label_table_len
+//! magic "FUICSR3\n" | u64 num_nodes | u64 num_edges | u64 label_table_len | u64 row_bytes
 //! node_labels:  num_nodes × u32 topic mask
 //! label_table:  label_table_len × u32 topic mask
-//! out_offsets:  (num_nodes + 1) × u32
-//! out_targets:  num_edges × u32
-//! out_labels:   num_edges × u16
+//! out_offsets:  (num_nodes + 1) × u32 byte offset into the rows
+//! rows:         row_bytes bytes, one packed record per non-empty row
 //! ```
+//!
+//! A record is a degree byte (255 escapes to a `u32` degree for rows of
+//! 255 or more), then a bit stream, least significant bit first: a
+//! 6-bit gap width `gw` (≤ 32) and a 5-bit label width `lw` (≤ 16), the
+//! first target at `⌈log₂ num_nodes⌉` bits and its label id at `lw`
+//! bits, then per further edge `target − previous − 1` at `gw` bits and
+//! its label id at `lw` bits, zero bits up to the next byte. An empty
+//! row has no record (its two offsets are equal).
+//!
+//! A `FUICSR2` blob — the layout that stored a `u32` target and a `u16`
+//! label id per edge — is [`DecodeError::LegacyFormat`]; there is no
+//! migration.
+
+use std::collections::HashSet;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fui_taxonomy::TopicSet;
 
-use crate::csr::{NodeId, SocialGraph};
+use crate::csr::SocialGraph;
+use crate::rows::{self, Header, PackedRows};
 
-const MAGIC: &[u8; 8] = b"FUICSR2\n";
+const MAGIC: &[u8; 8] = b"FUICSR3\n";
+
+/// The magic of the unpacked layout this one replaced.
+const LEGACY_MAGIC: &[u8; 8] = b"FUICSR2\n";
+
+/// Bytes of the fixed header: the magic and four `u64` counts.
+const HEADER_BYTES: usize = 40;
 
 /// Largest node count an arena snapshot may declare (2^27 ≈ 134M,
 /// comfortably above Twitter-scale). Mirrors the landmark codec bound.
 pub const MAX_NODES: usize = 1 << 27;
 
-/// Largest edge count an arena snapshot may declare (2^31). The decoder
-/// allocates 6 bytes per edge, so this caps a corrupt header at the
-/// same order as a legitimately huge graph rather than at terabytes.
+/// Largest edge count an arena snapshot may declare (2^31). Every edge
+/// is a strictly ascending target below the node count, so a row's
+/// degree is bounded by the nodes actually present too.
 pub const MAX_EDGES: usize = 1 << 31;
 
 /// The label interner packs indices into `u16`, so the table can never
@@ -49,22 +73,42 @@ pub const MAX_LABEL_TABLE: usize = 1 << 16;
 pub enum DecodeError {
     /// Missing or wrong magic header.
     BadMagic,
+    /// A `FUICSR2` blob, written before out-rows were packed; it is not
+    /// read.
+    LegacyFormat,
     /// Buffer ended before the structure was complete.
     Truncated,
     /// A header field declares a value no well-formed snapshot could
     /// hold (named field, declared value).
     ImplausibleHeader(&'static str, u64),
-    /// A stored edge endpoint exceeds the declared node count.
+    /// A stored edge endpoint reaches past the declared node count
+    /// (saturated at `u32::MAX` when a gap overflows the id space).
     NodeOutOfRange(u32),
     /// A stored label index exceeds the declared label-table length.
     LabelOutOfRange(u16),
     /// The offset array is not a monotone CSR prefix-sum ending at the
-    /// declared edge count.
+    /// declared row bytes.
     BrokenOffsets,
-    /// The out-row of this node is not strictly ascending or contains
-    /// the node itself — no packer emits a duplicate target, an
-    /// unsorted row or a self-loop.
+    /// The out-row of this node contains the node itself, or more
+    /// targets than there are other nodes.
     MalformedRow(u32),
+    /// The out-row of this node needs more bytes than its offsets give
+    /// it.
+    TruncatedRow(u32),
+    /// The out-row of this node ends before its offsets' span does.
+    RowLength(u32),
+    /// The out-row of this node declares a gap width above 32 or a
+    /// label width above 16.
+    WidthOutOfRange(u32),
+    /// The out-row of this node is not the packer's encoding of its
+    /// edges: a zero degree, a degree escape below 255, or a width
+    /// other than its widest field's.
+    NonCanonicalRow(u32),
+    /// The out-row of this node has a nonzero bit after its last field.
+    NonZeroPadding(u32),
+    /// The label table repeats an entry, holds one no edge uses, or is
+    /// not in first-seen order over the rows.
+    NonCanonicalLabels,
     /// Bytes remained after the declared structure was fully read.
     TrailingBytes(usize),
 }
@@ -73,6 +117,9 @@ impl std::fmt::Display for DecodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DecodeError::BadMagic => write!(f, "not a graph arena snapshot"),
+            DecodeError::LegacyFormat => {
+                write!(f, "a FUICSR2 arena snapshot (unpacked rows); not read")
+            }
             DecodeError::Truncated => write!(f, "arena snapshot truncated"),
             DecodeError::ImplausibleHeader(field, v) => {
                 write!(f, "implausible header field {field} = {v}")
@@ -83,10 +130,23 @@ impl std::fmt::Display for DecodeError {
                 write!(f, "out offsets are not a valid CSR prefix sum")
             }
             DecodeError::MalformedRow(u) => {
-                write!(
-                    f,
-                    "out-row of node {u} is not strictly ascending and loop-free"
-                )
+                write!(f, "out-row of node {u} is not loop-free")
+            }
+            DecodeError::TruncatedRow(u) => write!(f, "out-row of node {u} is truncated"),
+            DecodeError::RowLength(u) => {
+                write!(f, "out-row of node {u} disagrees with its offsets")
+            }
+            DecodeError::WidthOutOfRange(u) => {
+                write!(f, "out-row of node {u} declares a field width out of range")
+            }
+            DecodeError::NonCanonicalRow(u) => {
+                write!(f, "out-row of node {u} is not in canonical packed form")
+            }
+            DecodeError::NonZeroPadding(u) => {
+                write!(f, "out-row of node {u} has nonzero padding bits")
+            }
+            DecodeError::NonCanonicalLabels => {
+                write!(f, "label table is not in first-seen order")
             }
             DecodeError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after the declared structure")
@@ -100,13 +160,14 @@ impl std::error::Error for DecodeError {}
 /// Serialises the graph's arenas to bytes.
 pub fn encode(g: &SocialGraph) -> Bytes {
     let n = g.num_nodes();
-    let e = g.num_edges();
     let t = g.label_table.len();
-    let mut buf = BytesMut::with_capacity(32 + body_bytes(n, e, t) as usize);
+    let rows = &g.out_rows[..g.out_rows.len() - rows::PAD];
+    let mut buf = BytesMut::with_capacity(HEADER_BYTES + body_bytes(n, t, rows.len()) as usize);
     buf.put_slice(MAGIC);
     buf.put_u64_le(n as u64);
-    buf.put_u64_le(e as u64);
+    buf.put_u64_le(g.num_edges() as u64);
     buf.put_u64_le(t as u64);
+    buf.put_u64_le(rows.len() as u64);
     for &labels in &g.node_labels {
         buf.put_u32_le(labels.mask());
     }
@@ -116,26 +177,19 @@ pub fn encode(g: &SocialGraph) -> Bytes {
     for &o in &g.out_offsets {
         buf.put_u32_le(o);
     }
-    for &v in &g.out_targets {
-        buf.put_u32_le(v.0);
-    }
-    for &l in &g.out_labels {
-        buf.put_u16_le(l);
-    }
+    buf.put_slice(rows);
     buf.freeze()
 }
 
-/// Exact body size (everything after the 32-byte header) implied by the
-/// header counts. Computed in `u64` so absurd declared values cannot
-/// wrap on 32-bit `usize`.
-fn body_bytes(n: usize, e: usize, t: usize) -> u64 {
+/// Exact body size (everything after the header) implied by the header
+/// counts. Computed in `u64` so absurd declared values cannot wrap on
+/// 32-bit `usize`.
+fn body_bytes(n: usize, t: usize, row_bytes: usize) -> u64 {
     let n = n as u64;
-    let e = e as u64;
-    let t = t as u64;
-    n * 4 + t * 4 + (n + 1) * 4 + e * 4 + e * 2
+    n * 4 + t as u64 * 4 + (n + 1) * 4 + row_bytes as u64
 }
 
-fn get_offsets(buf: &mut Bytes, n: usize, e: usize) -> Result<Vec<u32>, DecodeError> {
+fn get_offsets(buf: &mut Bytes, n: usize, row_bytes: usize) -> Result<Vec<u32>, DecodeError> {
     let mut offsets = Vec::with_capacity(n + 1);
     let mut prev = 0u32;
     for i in 0..=n {
@@ -146,65 +200,113 @@ fn get_offsets(buf: &mut Bytes, n: usize, e: usize) -> Result<Vec<u32>, DecodeEr
         prev = o;
         offsets.push(o);
     }
-    if prev as usize != e {
+    if prev as usize != row_bytes {
         return Err(DecodeError::BrokenOffsets);
     }
     Ok(offsets)
 }
 
-/// Reads the out-rows `offsets` delimits. Every target must be in
-/// range, and every row strictly ascending (sorted, no duplicate) and
-/// free of its own node — what the packers emit and what
-/// [`SocialGraph::edited`]'s sorted merge takes for granted.
-fn get_rows(buf: &mut Bytes, offsets: &[u32], n: usize) -> Result<Vec<NodeId>, DecodeError> {
-    let mut targets = Vec::with_capacity(offsets[n] as usize);
-    for (u, row) in offsets.windows(2).enumerate() {
-        let mut prev = None;
-        for _ in row[0]..row[1] {
-            let v = buf.get_u32_le();
-            if v as usize >= n {
-                return Err(DecodeError::NodeOutOfRange(v));
-            }
-            if v as usize == u || prev.is_some_and(|p| p >= v) {
-                return Err(DecodeError::MalformedRow(u as u32));
-            }
-            prev = Some(v);
-            targets.push(NodeId(v));
-        }
+/// Validates node `u`'s record at `start..end` of the padded `stream`:
+/// the packer's canonical encoding of a loop-free row of in-range
+/// targets and label ids. Returns the row's degree; every edge is
+/// handed to `edge` as `(label id, target)`.
+fn check_row(
+    stream: &[u8],
+    (start, end): (usize, usize),
+    u: u32,
+    (n, t): (usize, usize),
+    mut edge: impl FnMut(u16, usize) -> Result<(), DecodeError>,
+) -> Result<usize, DecodeError> {
+    let span = end - start;
+    let skip = match stream[start] {
+        0 => return Err(DecodeError::NonCanonicalRow(u)),
+        rows::DEGREE_ESCAPE if span < 5 => return Err(DecodeError::TruncatedRow(u)),
+        rows::DEGREE_ESCAPE => 5,
+        _ => 1,
+    };
+    if span < skip + 2 {
+        return Err(DecodeError::TruncatedRow(u));
     }
-    Ok(targets)
-}
-
-fn get_label_indices(buf: &mut Bytes, e: usize, t: usize) -> Result<Vec<u16>, DecodeError> {
-    let mut labels = Vec::with_capacity(e);
-    for _ in 0..e {
-        let l = buf.get_u16_le();
-        if l as usize >= t {
-            return Err(DecodeError::LabelOutOfRange(l));
-        }
-        labels.push(l);
+    let h = Header::read(stream, start);
+    if skip == 5 && h.degree < u32::from(rows::DEGREE_ESCAPE) {
+        return Err(DecodeError::NonCanonicalRow(u));
     }
-    Ok(labels)
+    if h.degree as usize >= n {
+        return Err(DecodeError::MalformedRow(u));
+    }
+    if h.gap_width > rows::MAX_GAP_WIDTH || h.label_width > rows::MAX_LABEL_WIDTH {
+        return Err(DecodeError::WidthOutOfRange(u));
+    }
+    let tw = rows::target_width(n);
+    let record = h.record_bytes(start, tw);
+    if record > span as u64 {
+        return Err(DecodeError::TruncatedRow(u));
+    }
+    if record < span as u64 {
+        return Err(DecodeError::RowLength(u));
+    }
+    let (mut bit, mut width) = (h.fields_bit, tw);
+    let (mut prev, mut gap_width, mut label_width) = (None::<u64>, 0, 0);
+    for _ in 0..h.degree {
+        let x = rows::load(stream, bit);
+        let field = x & ((1u64 << width) - 1);
+        let id = ((x >> width) & ((1u64 << h.label_width) - 1)) as u16;
+        bit += (width + h.label_width) as usize;
+        width = h.gap_width;
+        let v = match prev {
+            None => field,
+            Some(p) => {
+                gap_width = gap_width.max(rows::bit_width(field as u32));
+                p + field + 1
+            }
+        };
+        if v >= n as u64 {
+            return Err(DecodeError::NodeOutOfRange(
+                u32::try_from(v).unwrap_or(u32::MAX),
+            ));
+        }
+        if v == u64::from(u) {
+            return Err(DecodeError::MalformedRow(u));
+        }
+        if id as usize >= t {
+            return Err(DecodeError::LabelOutOfRange(id));
+        }
+        edge(id, v as usize)?;
+        label_width = label_width.max(rows::bit_width(u32::from(id)));
+        prev = Some(v);
+    }
+    if gap_width != h.gap_width || label_width != h.label_width {
+        return Err(DecodeError::NonCanonicalRow(u));
+    }
+    if bit % 8 != 0 && stream[end - 1] >> (bit % 8) != 0 {
+        return Err(DecodeError::NonZeroPadding(u));
+    }
+    Ok(h.degree as usize)
 }
 
 /// Decodes an arena snapshot back into a [`SocialGraph`].
 ///
 /// The header counts are bounded and checked against the remaining
 /// buffer length before any array is allocated; the offset array must
-/// be a valid CSR prefix sum, every endpoint / label index in range and
-/// every row strictly ascending and loop-free; the in-offsets are then
-/// counted as the packers count them, so the returned graph equals the
-/// encoded one and passes [`SocialGraph::check_consistency`].
+/// be a valid CSR prefix sum over the rows, every row the canonical
+/// record of a loop-free row of in-range targets and label ids, the
+/// rows' degrees must sum to the declared edge count and the label
+/// table must be in first-seen order; the in-offsets are then counted
+/// as the packers count them, so the returned graph equals the encoded
+/// one and passes [`SocialGraph::check_consistency`].
 pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     if buf.remaining() < MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
     let mut magic = [0u8; 8];
     buf.copy_to_slice(&mut magic);
+    if &magic == LEGACY_MAGIC {
+        return Err(DecodeError::LegacyFormat);
+    }
     if &magic != MAGIC {
         return Err(DecodeError::BadMagic);
     }
-    if buf.remaining() < 24 {
+    if buf.remaining() < HEADER_BYTES - MAGIC.len() {
         return Err(DecodeError::Truncated);
     }
     let n_raw = buf.get_u64_le();
@@ -219,13 +321,22 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     if t_raw > MAX_LABEL_TABLE as u64 {
         return Err(DecodeError::ImplausibleHeader("label_table_len", t_raw));
     }
-    let (n, e, t) = (n_raw as usize, e_raw as usize, t_raw as usize);
+    let r_raw = buf.get_u64_le();
+    if r_raw > u64::from(u32::MAX) {
+        return Err(DecodeError::ImplausibleHeader("row_bytes", r_raw));
+    }
+    let (n, e, t, r) = (
+        n_raw as usize,
+        e_raw as usize,
+        t_raw as usize,
+        r_raw as usize,
+    );
     if e > 0 && t == 0 {
         // Every edge stores a label index, so a non-empty edge set
         // with an empty table cannot be decoded in-range.
         return Err(DecodeError::ImplausibleHeader("label_table_len", 0));
     }
-    let body = body_bytes(n, e, t);
+    let body = body_bytes(n, t, r);
     if (buf.remaining() as u64) < body {
         return Err(DecodeError::Truncated);
     }
@@ -240,23 +351,63 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     for _ in 0..t {
         label_table.push(TopicSet::from_mask(buf.get_u32_le()));
     }
-    let out_offsets = get_offsets(&mut buf, n, e)?;
-    let out_targets = get_rows(&mut buf, &out_offsets, n)?;
-    let out_labels = get_label_indices(&mut buf, e, t)?;
+    let mut distinct = HashSet::with_capacity(t);
+    if !label_table.iter().all(|l| distinct.insert(l.mask())) {
+        return Err(DecodeError::NonCanonicalLabels);
+    }
+    let out_offsets = get_offsets(&mut buf, n, r)?;
+    let mut stream = Vec::with_capacity(r + rows::PAD);
+    stream.extend_from_slice(&buf[..r]);
+    stream.extend_from_slice(&[0; rows::PAD]);
+    buf.advance(r);
     debug_assert_eq!(buf.remaining(), 0);
-    Ok(SocialGraph::from_out_csr(
-        node_labels,
-        label_table,
-        out_offsets,
-        out_targets,
-        out_labels,
-    ))
+
+    // First-seen order: a label id met for the first time must be the
+    // next one the interner would have handed out. The in-degrees are
+    // counted on the way, as the packer counts them.
+    let (mut seen, mut next_new) = (vec![false; t], 0usize);
+    let mut in_offsets = vec![0u32; n + 1];
+    let mut edge = |id: u16, v: usize| {
+        if !seen[id as usize] {
+            if id as usize != next_new {
+                return Err(DecodeError::NonCanonicalLabels);
+            }
+            seen[id as usize] = true;
+            next_new += 1;
+        }
+        in_offsets[v + 1] += 1;
+        Ok(())
+    };
+    let mut edges = 0usize;
+    for (u, span) in out_offsets.windows(2).enumerate() {
+        let (start, end) = (span[0] as usize, span[1] as usize);
+        if start < end {
+            edges += check_row(&stream, (start, end), u as u32, (n, t), &mut edge)?;
+        }
+    }
+    if edges != e {
+        return Err(DecodeError::ImplausibleHeader("num_edges", e_raw));
+    }
+    if next_new != t {
+        return Err(DecodeError::NonCanonicalLabels);
+    }
+    for i in 0..n {
+        in_offsets[i + 1] += in_offsets[i];
+    }
+    let packed = PackedRows {
+        offsets: out_offsets,
+        stream,
+        edges,
+        in_offsets,
+    };
+    Ok(SocialGraph::from_packed(node_labels, label_table, packed))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::GraphBuilder;
+    use crate::csr::NodeId;
     use fui_taxonomy::Topic;
 
     fn sample() -> SocialGraph {
@@ -315,7 +466,12 @@ mod tests {
     #[test]
     fn absurd_counts_are_rejected_before_allocating() {
         let raw = encode(&sample()).to_vec();
-        for (at, field) in [(8, "num_nodes"), (16, "num_edges"), (24, "label_table_len")] {
+        for (at, field) in [
+            (8, "num_nodes"),
+            (16, "num_edges"),
+            (24, "label_table_len"),
+            (32, "row_bytes"),
+        ] {
             let mut bad = raw.clone();
             bad[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
             match decode(Bytes::from(bad)) {
@@ -328,41 +484,60 @@ mod tests {
         }
     }
 
+    /// Byte offset of node `u`'s record: header, node labels, label
+    /// table, offsets, then the record's own offset.
+    fn row_at(g: &SocialGraph, u: usize) -> usize {
+        HEADER_BYTES + (2 * g.num_nodes() + 1 + g.label_table.len()) * 4 + g.out_offsets[u] as usize
+    }
+
     #[test]
     fn out_of_range_target_is_rejected() {
+        // Node 0's row is [1 (label 0), 3 (label 1)]: first target at
+        // bit 19 of its record, 3 bits wide in a 6-node graph.
         let g = sample();
-        let raw = encode(&g).to_vec();
-        // First out_targets word: header + node_labels + label_table
-        // + out_offsets.
-        let at = 32 + g.num_nodes() * 4 + g.label_table.len() * 4 + (g.num_nodes() + 1) * 4;
-        let mut bad = raw;
-        bad[at..at + 4].copy_from_slice(&0xdead_beefu32.to_le_bytes());
+        let mut raw = encode(&g).to_vec();
+        let at = row_at(&g, 0);
+        raw[at + 2] |= 0b111 << 3;
         assert_eq!(
-            decode(Bytes::from(bad)),
-            Err(DecodeError::NodeOutOfRange(0xdead_beef))
+            decode(Bytes::from(raw)),
+            Err(DecodeError::NodeOutOfRange(7))
         );
     }
 
     #[test]
     fn rows_no_packer_emits_are_rejected() {
-        // Node 0's row is [1, 3]; every splice below keeps each value
-        // in range, so only the row check can catch it.
+        // Same-length splices into node 0's record, every value in
+        // range, so only the row checks can catch them.
         let g = sample();
         let raw = encode(&g).to_vec();
-        let at = 32 + g.num_nodes() * 4 + g.label_table.len() * 4 + (g.num_nodes() + 1) * 4;
-        for (row, why) in [
-            ([1u32, 1], "duplicate"),
-            ([3, 1], "unsorted"),
-            ([0, 3], "loop"),
+        let at = row_at(&g, 0);
+        assert_eq!(raw[at], 2, "degree byte");
+        let gap_width = raw[at + 1] & 63;
+        for (byte, mask, value, want, why) in [
+            // First target 0: node 0 follows itself.
+            (at + 2, 0b111 << 3, 0, DecodeError::MalformedRow(0), "loop"),
+            // Gap width one wider than the row's widest gap.
+            (
+                at + 1,
+                63,
+                gap_width + 1,
+                DecodeError::NonCanonicalRow(0),
+                "wide gap",
+            ),
+            // Gap width 33.
+            (
+                at + 1,
+                63,
+                33,
+                DecodeError::WidthOutOfRange(0),
+                "gap width 33",
+            ),
+            // Degree 0 in a non-empty span.
+            (at, 0xff, 0, DecodeError::NonCanonicalRow(0), "zero degree"),
         ] {
             let mut bad = raw.clone();
-            bad[at..at + 4].copy_from_slice(&row[0].to_le_bytes());
-            bad[at + 4..at + 8].copy_from_slice(&row[1].to_le_bytes());
-            assert_eq!(
-                decode(Bytes::from(bad)),
-                Err(DecodeError::MalformedRow(0)),
-                "{why}"
-            );
+            bad[byte] = bad[byte] & !mask | value << mask.trailing_zeros();
+            assert_eq!(decode(Bytes::from(bad)), Err(want), "{why}");
         }
     }
 
@@ -377,8 +552,15 @@ mod tests {
     fn non_monotone_offsets_are_rejected() {
         let g = sample();
         let mut raw = encode(&g).to_vec();
-        let at = 32 + g.num_nodes() * 4 + g.label_table.len() * 4 + 4;
+        let at = HEADER_BYTES + g.num_nodes() * 4 + g.label_table.len() * 4 + 4;
         raw[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         assert_eq!(decode(Bytes::from(raw)), Err(DecodeError::BrokenOffsets));
+    }
+
+    #[test]
+    fn legacy_magic_is_a_typed_error() {
+        let mut raw = encode(&sample()).to_vec();
+        raw[..8].copy_from_slice(LEGACY_MAGIC);
+        assert_eq!(decode(Bytes::from(raw)), Err(DecodeError::LegacyFormat));
     }
 }

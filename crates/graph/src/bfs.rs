@@ -59,7 +59,7 @@ pub fn k_vicinity_pruned(
             if u != start && prune(u) {
                 continue;
             }
-            for &v in graph.followees(u) {
+            for v in graph.followees(u) {
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = depth + 1;
                     next.push(v);

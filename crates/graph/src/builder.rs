@@ -1,52 +1,33 @@
 //! Construction of a [`SocialGraph`]. One packer: how out-edges become
-//! offsets, targets and interned label ids is decided by
-//! [`StreamingBuilder::push_node`] and [`StreamingBuilder::finish`],
-//! and how the in-edge arenas are derived from them by
-//! `transpose_out_csr`, and nowhere else. [`GraphBuilder`] is a global
-//! sort in front of that packer and [`SocialGraph::edited`] a sorted
-//! merge in front of it.
+//! interned label ids is decided by [`StreamingBuilder::push_node`],
+//! how rows become packed records and in-degree offsets by
+//! `crate::rows::RowPacker`, and how the in-edge arenas are derived from
+//! them by `transpose_out_csr`, and nowhere else. [`GraphBuilder`] is a
+//! global sort in front of that packer and [`SocialGraph::edited`] a
+//! sorted merge in front of it.
 
 use fui_taxonomy::TopicSet;
 
 use crate::csr::{LabelInterner, NodeId, SocialGraph};
-
-/// The in-degree prefix sums of finished out arenas: `in_offsets[v]..
-/// in_offsets[v + 1]` is where `v`'s followers sit once the in-edge
-/// arenas are derived, and its length is `|Γv|`. One counting pass.
-pub(crate) fn count_in_offsets(n: usize, out_targets: &[NodeId]) -> Vec<u32> {
-    let mut in_offsets = vec![0u32; n + 1];
-    for &v in out_targets {
-        in_offsets[v.index() + 1] += 1;
-    }
-    for i in 0..n {
-        in_offsets[i + 1] += in_offsets[i];
-    }
-    in_offsets
-}
+use crate::rows::{self, RowPacker};
 
 /// Builds the in-edge arenas (sources + label ids) as the counting-sort
-/// transpose of finished out arenas, laid out by `in_offsets`. Scratch
+/// transpose of a graph's out-rows, laid out by its in-offsets. Scratch
 /// is one `u32` cursor per node; everything else lands directly in the
 /// returned arrays.
-pub(crate) fn transpose_out_csr(
-    in_offsets: &[u32],
-    out_offsets: &[u32],
-    out_targets: &[NodeId],
-    out_labels: &[u16],
-) -> (Vec<NodeId>, Vec<u16>) {
-    let m = out_targets.len();
-    let mut cursor = in_offsets.to_vec();
+pub(crate) fn transpose_out_csr(g: &SocialGraph) -> (Vec<NodeId>, Vec<u16>) {
+    let m = g.num_edges();
+    let mut cursor = g.in_offsets.clone();
     let mut in_sources = vec![NodeId(0); m];
     let mut in_labels = vec![0u16; m];
     // Scanning followers in ascending id order keeps each node's
     // follower list sorted — the order every consumer relies on.
-    for (u, row) in out_offsets.windows(2).enumerate() {
-        for pos in row[0] as usize..row[1] as usize {
-            let v = out_targets[pos].index();
-            let slot = cursor[v] as usize;
-            in_sources[slot] = NodeId(u as u32);
-            in_labels[slot] = out_labels[pos];
-            cursor[v] += 1;
+    for u in g.nodes() {
+        for (label, v) in g.out_edges_by_label_id(u) {
+            let slot = cursor[v.index()] as usize;
+            in_sources[slot] = u;
+            in_labels[slot] = label;
+            cursor[v.index()] += 1;
         }
     }
     (in_sources, in_labels)
@@ -63,7 +44,7 @@ pub(crate) fn transpose_out_csr(
 /// let bob = b.add_node(TopicSet::single(Topic::Technology));
 /// b.add_edge(alice, bob, TopicSet::single(Topic::Technology));
 /// let graph = b.build();
-/// assert_eq!(graph.followees(alice), &[bob]);
+/// assert!(graph.followees(alice).eq([bob]));
 /// assert_eq!(graph.followers(bob), &[alice]);
 /// assert_eq!(graph.followers_on(bob, Topic::Technology), 1);
 /// ```
@@ -157,8 +138,10 @@ impl GraphBuilder {
 
 /// Streaming construction of a [`SocialGraph`]: nodes are pushed in id
 /// order, each with its full out-edge list, and land directly in the
-/// CSR arenas — no intermediate edge list is ever materialised, so peak
-/// memory is the final graph plus `O(nodes)` scratch.
+/// CSR arenas as one packed record per row — no intermediate edge list
+/// is ever materialised, so peak memory is the final graph plus
+/// `O(nodes)` scratch. The node count is declared up front: a row's
+/// first target is written at `⌈log₂ n⌉` bits.
 ///
 /// This is the ingestion path for paper-scale synthetic graphs
 /// (`fui_datagen`'s streaming generator) and any edge source that can
@@ -170,52 +153,46 @@ impl GraphBuilder {
 /// ```
 /// use fui_graph::{StreamingBuilder, Topic, TopicSet, NodeId};
 ///
-/// let mut b = StreamingBuilder::new();
+/// let mut b = StreamingBuilder::new(2);
 /// let mut scratch = Vec::new();
 /// scratch.push((NodeId(1), TopicSet::single(Topic::Technology)));
 /// let alice = b.push_node(TopicSet::empty(), &mut scratch);
 /// scratch.clear();
 /// let bob = b.push_node(TopicSet::single(Topic::Technology), &mut scratch);
 /// let graph = b.finish();
-/// assert_eq!(graph.followees(alice), &[bob]);
+/// assert!(graph.followees(alice).eq([bob]));
 /// assert_eq!(graph.followers(bob), &[alice]);
 /// ```
-#[derive(Default)]
 pub struct StreamingBuilder {
+    /// The node count the stream declared.
+    nodes: usize,
     node_labels: Vec<TopicSet>,
-    out_offsets: Vec<u32>,
-    out_targets: Vec<NodeId>,
-    out_labels: Vec<u16>,
+    packer: RowPacker,
     interner: LabelInterner,
-    /// Highest target id seen, validated against the node count in
-    /// [`finish`](Self::finish) (forward references are allowed while
-    /// streaming).
-    max_target: u32,
+    /// The row being packed: targets with interned label ids.
+    row: Vec<(NodeId, u16)>,
 }
 
 impl StreamingBuilder {
-    /// Creates an empty streaming builder.
-    pub fn new() -> StreamingBuilder {
-        StreamingBuilder {
-            out_offsets: vec![0],
-            ..Default::default()
-        }
+    /// Creates a streaming builder for a graph of exactly `nodes`
+    /// nodes.
+    pub fn new(nodes: usize) -> StreamingBuilder {
+        StreamingBuilder::with_capacity(nodes, 0)
     }
 
-    /// Creates a streaming builder with the out arenas sized up front —
-    /// the bounded-memory entry point when node and edge counts are
-    /// known (e.g. from a sampled degree sequence), avoiding every
-    /// reallocation spike during the stream.
+    /// Creates a streaming builder for a graph of exactly `nodes` nodes
+    /// with its arenas sized up front for about `edges` edges — the
+    /// bounded-memory entry point when the edge count is known (e.g.
+    /// from a sampled degree sequence), avoiding reallocation spikes
+    /// during the stream. The record stream is shrunk to its length at
+    /// [`finish`](Self::finish).
     pub fn with_capacity(nodes: usize, edges: usize) -> StreamingBuilder {
-        let mut offsets = Vec::with_capacity(nodes + 1);
-        offsets.push(0);
         StreamingBuilder {
+            nodes,
             node_labels: Vec::with_capacity(nodes),
-            out_offsets: offsets,
-            out_targets: Vec::with_capacity(edges),
-            out_labels: Vec::with_capacity(edges),
+            packer: RowPacker::new(nodes, rows::stream_estimate(nodes, edges)),
             interner: LabelInterner::new(),
-            max_target: 0,
+            row: Vec::new(),
         }
     }
 
@@ -226,15 +203,7 @@ impl StreamingBuilder {
 
     /// Number of out-edges appended so far (after per-node dedup).
     pub fn num_edges(&self) -> usize {
-        self.out_targets.len()
-    }
-
-    /// Every edge target appended so far, in arena order. Preferential
-    /// attachment samplers draw from this slice directly: picking a
-    /// uniform position is picking a node proportional to its current
-    /// in-degree, with no separate repeated-target pool.
-    pub fn targets_so_far(&self) -> &[NodeId] {
-        &self.out_targets
+        self.packer.num_edges()
     }
 
     /// Appends the next node (id `num_nodes()`) with its publisher
@@ -243,11 +212,13 @@ impl StreamingBuilder {
     /// label union, like [`GraphBuilder`]) and left that way, so one
     /// buffer serves the whole stream.
     ///
-    /// Targets may reference nodes not pushed yet; they are validated
-    /// in [`finish`](Self::finish).
+    /// Targets may reference nodes not pushed yet, below the declared
+    /// node count.
     ///
     /// # Panics
-    /// Panics on a self-loop or if the edge count would overflow `u32`.
+    /// Panics on a self-loop, on a target or a node past the declared
+    /// node count, or if the record stream would outgrow `u32` byte
+    /// offsets.
     pub fn push_node(&mut self, labels: TopicSet, edges: &mut Vec<(NodeId, TopicSet)>) -> NodeId {
         let id = NodeId(u32::try_from(self.node_labels.len()).expect("node count fits in u32"));
         self.node_labels.push(labels);
@@ -260,37 +231,41 @@ impl StreamingBuilder {
                 false
             }
         });
+        assert!(
+            id.index() < self.nodes,
+            "node {id} pushed past the declared {} nodes",
+            self.nodes
+        );
+        self.row.clear();
         for &(v, l) in edges.iter() {
             assert_ne!(v, id, "an account cannot follow itself");
-            self.max_target = self.max_target.max(v.0);
-            self.out_targets.push(v);
-            self.out_labels.push(self.interner.intern(l));
+            assert!(
+                v.index() < self.nodes,
+                "edge targets node {v} but the graph has only {} nodes",
+                self.nodes
+            );
+            self.row.push((v, self.interner.intern(l)));
         }
-        let total = u32::try_from(self.out_targets.len()).expect("edge count fits in u32");
-        self.out_offsets.push(total);
+        self.packer.push(&self.row);
         id
     }
 
-    /// Validates targets and counts in-degrees into the in-offsets (one
-    /// pass; no per-edge scratch), yielding the finished graph. The
-    /// in-edge arenas are not built here: the graph derives them on
-    /// first use.
+    /// Sums the in-degrees counted while packing into the in-offsets,
+    /// yielding the finished graph. The in-edge arenas are not built
+    /// here: the graph derives them on first use.
     ///
     /// # Panics
-    /// Panics if any edge targets a node that was never pushed.
+    /// Panics if fewer nodes were pushed than declared.
     pub fn finish(self) -> SocialGraph {
-        let n = self.node_labels.len();
-        assert!(
-            self.out_targets.is_empty() || (self.max_target as usize) < n,
-            "edge targets node u{} but only {n} nodes were pushed",
-            self.max_target
+        assert_eq!(
+            self.node_labels.len(),
+            self.nodes,
+            "fewer nodes pushed than declared"
         );
-        SocialGraph::from_out_csr(
+        SocialGraph::from_packed(
             self.node_labels,
             self.interner.into_table(),
-            self.out_offsets,
-            self.out_targets,
-            self.out_labels,
+            self.packer.finish(),
         )
     }
 }
@@ -394,7 +369,7 @@ mod tests {
         }
         let expected = batch.build();
 
-        let mut streaming = StreamingBuilder::new();
+        let mut streaming = StreamingBuilder::new(n as usize);
         let mut scratch = Vec::new();
         for u in 0..n {
             scratch.clear();
@@ -408,7 +383,7 @@ mod tests {
 
     #[test]
     fn streaming_allows_forward_references() {
-        let mut b = StreamingBuilder::new();
+        let mut b = StreamingBuilder::new(3);
         let mut scratch = vec![(NodeId(2), TopicSet::single(Topic::Social))];
         b.push_node(TopicSet::empty(), &mut scratch);
         scratch.clear();
@@ -424,23 +399,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot follow itself")]
     fn streaming_self_loop_rejected() {
-        let mut b = StreamingBuilder::new();
+        let mut b = StreamingBuilder::new(1);
         let mut scratch = vec![(NodeId(0), TopicSet::empty())];
         b.push_node(TopicSet::empty(), &mut scratch);
     }
 
     #[test]
-    #[should_panic(expected = "but only")]
-    fn streaming_dangling_target_rejected_at_finish() {
-        let mut b = StreamingBuilder::new();
+    #[should_panic(expected = "has only 2 nodes")]
+    fn streaming_target_past_the_declared_count_rejected() {
+        let mut b = StreamingBuilder::new(2);
         let mut scratch = vec![(NodeId(9), TopicSet::empty())];
         b.push_node(TopicSet::empty(), &mut scratch);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer nodes pushed than declared")]
+    fn streaming_short_stream_rejected_at_finish() {
+        let mut b = StreamingBuilder::new(2);
+        b.push_node(TopicSet::empty(), &mut Vec::new());
         let _ = b.finish();
     }
 
     #[test]
-    fn streaming_targets_so_far_tracks_emitted_edges() {
-        let mut b = StreamingBuilder::new();
+    fn streaming_counts_emitted_edges() {
+        let mut b = StreamingBuilder::new(3);
         let mut scratch = Vec::new();
         b.push_node(TopicSet::empty(), &mut scratch);
         scratch.push((NodeId(0), TopicSet::single(Topic::Social)));
@@ -449,7 +431,6 @@ mod tests {
         scratch.push((NodeId(0), TopicSet::single(Topic::Social)));
         scratch.push((NodeId(1), TopicSet::single(Topic::Social)));
         b.push_node(TopicSet::empty(), &mut scratch);
-        assert_eq!(b.targets_so_far(), &[NodeId(0), NodeId(0), NodeId(1)]);
         assert_eq!(b.num_edges(), 3);
         let g = b.finish();
         assert_eq!(g.in_degree(NodeId(0)), 2);

@@ -48,7 +48,7 @@ fn closeness_from_sources(graph: &SocialGraph, sources: &[NodeId]) -> Vec<f64> {
         queue.push_back(s);
         while let Some(u) = queue.pop_front() {
             let du = dist[u.index()];
-            for &v in graph.followees(u) {
+            for v in graph.followees(u) {
                 if dist[v.index()] == u32::MAX {
                     dist[v.index()] = du + 1;
                     queue.push_back(v);
@@ -128,7 +128,7 @@ fn betweenness_from_sources(graph: &SocialGraph, sources: &[NodeId], scale: f64)
         while let Some(u) = queue.pop_front() {
             stack.push(u);
             let du = dist[u.index()];
-            for &v in graph.followees(u) {
+            for v in graph.followees(u) {
                 if dist[v.index()] == i64::MAX {
                     dist[v.index()] = du + 1;
                     queue.push_back(v);

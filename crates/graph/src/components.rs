@@ -63,7 +63,7 @@ pub fn weak_component_sizes(graph: &SocialGraph) -> Vec<usize> {
     let n = graph.num_nodes();
     let mut uf = UnionFind::new(n);
     for u in graph.nodes() {
-        for &v in graph.followees(u) {
+        for v in graph.followees(u) {
             uf.union(u.index(), v.index());
         }
     }
@@ -91,7 +91,7 @@ pub fn component_labels(graph: &SocialGraph) -> Vec<u32> {
     let n = graph.num_nodes();
     let mut uf = UnionFind::new(n);
     for u in graph.nodes() {
-        for &v in graph.followees(u) {
+        for v in graph.followees(u) {
             uf.union(u.index(), v.index());
         }
     }

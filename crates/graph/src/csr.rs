@@ -17,26 +17,31 @@
 //! nodes, tens of millions of edges), so the layout is deliberately
 //! narrow:
 //!
-//! * CSR offsets are `u32`, not `usize` — the edge count must fit in
-//!   `u32` (the paper's 125M-edge Twitter graph does, with headroom);
 //! * edge labels are **interned**: each distinct [`TopicSet`] is stored
-//!   once in a shared label table and every edge carries a `u16` id
-//!   into it. Real follow graphs have a tiny number of distinct label
-//!   sets relative to edges, so this turns 4 bytes per edge into 2
-//!   while keeping label reads one indexed load away.
+//!   once in a shared label table, in first-seen order over the out-row
+//!   scan, and every edge carries an id into it. Real follow graphs
+//!   have a tiny number of distinct label sets relative to edges;
+//! * each out-row is **one packed record** (`crate::rows`): the degree,
+//!   a gap width and a label width, then the first target at
+//!   `⌈log₂ n⌉` bits and `(gap − 1, label id)` fields at the row's
+//!   widths. Sorted rows have small gaps, so an edge costs ~3.1 bytes
+//!   (1M nodes × 8) instead of a `u32` target plus a `u16` label id;
+//! * CSR offsets are `u32` — the out offsets are byte offsets into the
+//!   record stream, the in offsets edge counts.
 //!
 //! The steady-state cost is therefore ~12 bytes per node
-//! (`node_labels` + two offset arrays) and 6 bytes per edge (a target
-//! id and a label id), 12 once the in-edge arenas have been derived,
+//! (`node_labels` + two offset arrays) plus the record stream, and
+//! 6 bytes per edge more once the in-edge arenas have been derived,
 //! which [`SocialGraph::memory_footprint`] reports exactly.
 
-use fui_taxonomy::{Topic, TopicSet};
-use std::collections::{BTreeMap, HashMap};
+use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use crate::builder::{count_in_offsets, transpose_out_csr, StreamingBuilder};
+use crate::builder::{transpose_out_csr, StreamingBuilder};
+use crate::rows::{self, OutRow, PackedRows, RowPacker};
 
 /// Identifier of a user account: a dense index in `0..graph.num_nodes()`.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
@@ -69,15 +74,20 @@ pub struct EdgeRef {
 /// Interns distinct edge label sets into a shared table of first-seen
 /// order; the packer and [`SocialGraph::relabel`] go through this so
 /// logically-equal graphs get byte-identical label arenas.
-#[derive(Default)]
 pub(crate) struct LabelInterner {
     table: Vec<TopicSet>,
-    ids: HashMap<u32, u16>,
+    /// Per label-set mask, its id + 1 (0: not seen yet) — a dense
+    /// table over the `2^NUM_TOPICS` masks (1 MiB), so interning an
+    /// edge is one load, not a hash.
+    ids: Vec<u32>,
 }
 
 impl LabelInterner {
     pub(crate) fn new() -> LabelInterner {
-        LabelInterner::default()
+        LabelInterner {
+            table: Vec::new(),
+            ids: vec![0; 1 << NUM_TOPICS],
+        }
     }
 
     /// The id of `labels`, allocating the next table slot on first
@@ -88,13 +98,14 @@ impl LabelInterner {
     /// per-edge id would overflow. (18 topics admit 2^18 subsets in
     /// principle; observed follow graphs use a few hundred.)
     pub(crate) fn intern(&mut self, labels: TopicSet) -> u16 {
-        if let Some(&id) = self.ids.get(&labels.mask()) {
-            return id;
+        let slot = &mut self.ids[labels.mask() as usize];
+        if *slot != 0 {
+            return (*slot - 1) as u16;
         }
         let id = u16::try_from(self.table.len())
             .expect("more than 65536 distinct edge label sets; widen the interned label id");
         self.table.push(labels);
-        self.ids.insert(labels.mask(), id);
+        *slot = u32::from(id) + 1;
         id
     }
 
@@ -115,9 +126,10 @@ pub struct MemoryFootprint {
     /// Node-proportional bytes: per-node labels plus both offset
     /// arrays.
     pub node_bytes: usize,
-    /// Edge-proportional bytes: out targets plus their interned label
-    /// ids, and the in-edge arenas' sources and label ids once they
-    /// have been derived.
+    /// Edge-proportional bytes: the packed out-row stream (targets and
+    /// their interned label ids, with each row's header and its
+    /// padding), and the in-edge arenas' sources and label ids once
+    /// they have been derived.
     pub edge_bytes: usize,
     /// The shared interned label table (one [`TopicSet`] per distinct
     /// edge label set; amortised over the whole graph).
@@ -164,10 +176,13 @@ pub struct SocialGraph {
     /// Shared table of distinct edge label sets, first-seen order over
     /// the sorted out-edge scan.
     pub(crate) label_table: Vec<TopicSet>,
-    // Out direction: who each node follows.
+    // Out direction: who each node follows, one packed record per row
+    // (`crate::rows`); `out_offsets` are byte offsets into `out_rows`.
     pub(crate) out_offsets: Vec<u32>,
-    pub(crate) out_targets: Vec<NodeId>,
-    pub(crate) out_labels: Vec<u16>,
+    pub(crate) out_rows: Vec<u8>,
+    pub(crate) num_edges: usize,
+    /// Bits of a row's first target, `⌈log₂ n⌉`.
+    target_width: u32,
     /// In-degree prefix sums: `|Γu|` without the follower lists.
     pub(crate) in_offsets: Vec<u32>,
     /// Who follows each node, laid out by `in_offsets`: the transpose
@@ -188,30 +203,28 @@ impl PartialEq for SocialGraph {
         self.node_labels == other.node_labels
             && self.label_table == other.label_table
             && self.out_offsets == other.out_offsets
-            && self.out_targets == other.out_targets
-            && self.out_labels == other.out_labels
+            && self.out_rows == other.out_rows
             && self.in_offsets == other.in_offsets
     }
 }
 
 impl SocialGraph {
-    /// Wraps finished out arenas: counts the in-offsets and leaves the
+    /// Wraps finished out arenas and their in-offsets, leaving the
     /// in-edge arenas underived. Every packer and the arena decoder end
     /// here.
-    pub(crate) fn from_out_csr(
+    pub(crate) fn from_packed(
         node_labels: Vec<TopicSet>,
         label_table: Vec<TopicSet>,
-        out_offsets: Vec<u32>,
-        out_targets: Vec<NodeId>,
-        out_labels: Vec<u16>,
+        packed: PackedRows,
     ) -> SocialGraph {
         SocialGraph {
-            in_offsets: count_in_offsets(node_labels.len(), &out_targets),
+            target_width: rows::target_width(node_labels.len()),
             node_labels,
             label_table,
-            out_offsets,
-            out_targets,
-            out_labels,
+            out_offsets: packed.offsets,
+            out_rows: packed.stream,
+            num_edges: packed.edges,
+            in_offsets: packed.in_offsets,
             in_edges: OnceLock::new(),
         }
     }
@@ -220,12 +233,7 @@ impl SocialGraph {
     /// call.
     fn in_arenas(&self) -> &InEdges {
         self.in_edges.get_or_init(|| {
-            let (sources, labels) = transpose_out_csr(
-                &self.in_offsets,
-                &self.out_offsets,
-                &self.out_targets,
-                &self.out_labels,
-            );
+            let (sources, labels) = transpose_out_csr(self);
             InEdges { sources, labels }
         })
     }
@@ -254,7 +262,7 @@ impl SocialGraph {
     /// Number of follow edges.
     #[inline]
     pub fn num_edges(&self) -> usize {
-        self.out_targets.len()
+        self.num_edges
     }
 
     /// Number of distinct edge label sets in the shared table.
@@ -288,7 +296,7 @@ impl SocialGraph {
     /// "publishers of u").
     #[inline]
     pub fn out_degree(&self, u: NodeId) -> usize {
-        (self.out_offsets[u.index() + 1] - self.out_offsets[u.index()]) as usize
+        self.out_edges_by_label_id(u).len()
     }
 
     /// Number of followers of `u` — `|Γu|` (in-degree).
@@ -297,10 +305,10 @@ impl SocialGraph {
         (self.in_offsets[u.index() + 1] - self.in_offsets[u.index()]) as usize
     }
 
-    /// The accounts `u` follows (targets of out-edges), as a slice.
+    /// The accounts `u` follows (targets of out-edges), ascending.
     #[inline]
-    pub fn followees(&self, u: NodeId) -> &[NodeId] {
-        &self.out_targets[self.out_range(u)]
+    pub fn followees(&self, u: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.out_edges_by_label_id(u).map(|(_, v)| v)
     }
 
     /// The followers of `u` — the set `Γu` (sources of in-edges). The
@@ -319,26 +327,14 @@ impl SocialGraph {
         })
     }
 
-    /// Out-edges of `u` as `(label id, followee)` pairs, the id indexing
-    /// [`label_sets`](Self::label_sets) — a scorer keeps one derived
-    /// value per distinct label set and reads it by the stored id.
+    /// Out-edges of `u` as `(label id, followee)` pairs in followee
+    /// order, the id indexing [`label_sets`](Self::label_sets) — a
+    /// scorer keeps one derived value per distinct label set and reads
+    /// it by the stored id. Decodes `u`'s packed record in place.
     #[inline]
-    pub fn out_edges_by_label_id(&self, u: NodeId) -> impl Iterator<Item = (u16, NodeId)> + '_ {
+    pub fn out_edges_by_label_id(&self, u: NodeId) -> OutRow<'_> {
         let range = self.out_range(u);
-        self.out_labels[range.clone()]
-            .iter()
-            .copied()
-            .zip(self.out_targets[range].iter().copied())
-    }
-
-    /// Every out-edge as a `(label id, followee)` pair, follower by
-    /// follower: one sequential scan of the arenas, for a pass that
-    /// needs no follower id.
-    pub fn all_out_edges_by_label_id(&self) -> impl Iterator<Item = (u16, NodeId)> + '_ {
-        self.out_labels
-            .iter()
-            .copied()
-            .zip(self.out_targets.iter().copied())
+        OutRow::new(&self.out_rows, range.start, range.end, self.target_width)
     }
 
     /// Labeled in-edges of `u`: `(follower, edge labels)` pairs. Like
@@ -376,7 +372,7 @@ impl SocialGraph {
 
     /// Whether the edge `u → v` (u follows v) exists.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.followees(u).contains(&v)
+        self.followees(u).take_while(|&w| w <= v).any(|w| w == v)
     }
 
     /// All edges as `(follower, followee, labels)` triples, grouped by
@@ -397,18 +393,23 @@ impl SocialGraph {
         mut g: impl FnMut(NodeId, TopicSet) -> TopicSet,
     ) {
         // Re-intern out labels in scan order (the packer's canonical
-        // order), reading old labels through the old table. The edges
-        // do not move, so the in-offsets stand; in-edge arenas derived
-        // from the old labels are dropped, to be re-derived on demand.
-        let old_table = std::mem::take(&mut self.label_table);
+        // order), reading old labels through the old table, and re-pack
+        // every row: its label width may change. The edges do not
+        // move, so the in-offsets stand; in-edge arenas derived from
+        // the old labels are dropped, to be re-derived on demand.
         let mut interner = LabelInterner::new();
-        for u in 0..self.num_nodes() {
-            let u_id = NodeId(u as u32);
-            for i in self.out_range(u_id) {
-                let old = old_table[self.out_labels[i] as usize];
-                self.out_labels[i] = interner.intern(f(u_id, self.out_targets[i], old));
-            }
+        let mut packer = RowPacker::new(self.num_nodes(), self.out_rows.len());
+        let mut row = Vec::new();
+        for u in self.nodes() {
+            row.clear();
+            row.extend(
+                self.out_edges_by_label_id(u)
+                    .map(|(id, v)| (v, interner.intern(f(u, v, self.label_table[id as usize])))),
+            );
+            packer.push(&row);
         }
+        let packed = packer.finish();
+        (self.out_offsets, self.out_rows) = (packed.offsets, packed.stream);
         self.label_table = interner.into_table();
         self.in_edges = OnceLock::new();
         for u in 0..self.num_nodes() {
@@ -490,9 +491,7 @@ impl SocialGraph {
             node_bytes: size_of_val(&*self.node_labels)
                 + size_of_val(&*self.out_offsets)
                 + size_of_val(&*self.in_offsets),
-            edge_bytes: size_of_val(&*self.out_targets)
-                + size_of_val(&*self.out_labels)
-                + in_edge_bytes,
+            edge_bytes: size_of_val(&*self.out_rows) + in_edge_bytes,
             label_table_bytes: size_of_val(&*self.label_table),
         }
     }
@@ -502,20 +501,41 @@ impl SocialGraph {
         self.memory_footprint().total_bytes()
     }
 
-    /// Internal consistency check: the in-offsets must be the out-CSR's
-    /// in-degree prefix sums, the in-edge arenas (derived here if not
-    /// yet) its exact transpose, labels included, and every interned
-    /// label id must resolve. `O(E log E)`; meant for tests and debug
-    /// assertions.
+    /// Internal consistency check: the out-rows must re-pack to their
+    /// own bytes (canonical, strictly ascending, in range), the
+    /// in-offsets must be the out-CSR's in-degree prefix sums, the
+    /// in-edge arenas (derived here if not yet) its exact transpose,
+    /// labels included, and every interned label id must resolve.
+    /// `O(E log E)`; meant for tests and debug assertions.
     pub fn check_consistency(&self) -> Result<(), String> {
-        if self.in_offsets != count_in_offsets(self.num_nodes(), &self.out_targets) {
-            return Err("in-offsets are not the out-CSR's in-degree prefix sums".to_owned());
+        let (n, table_len) = (self.num_nodes(), self.label_table.len());
+        let mut row = Vec::new();
+        let mut packer = RowPacker::new(n, self.out_rows.len());
+        for u in self.nodes() {
+            row.clear();
+            row.extend(self.out_edges_by_label_id(u).map(|(id, v)| (v, id)));
+            if let Some(&(_, id)) = row.iter().find(|&&(_, id)| id as usize >= table_len) {
+                return Err(format!(
+                    "label id {id} out of range for table of {table_len}"
+                ));
+            }
+            if row.windows(2).any(|p| p[0].0 >= p[1].0)
+                || row.iter().any(|&(v, _)| v == u || v.index() >= n)
+            {
+                return Err(format!(
+                    "out-row of {u} is not ascending, loop-free and in range"
+                ));
+            }
+            packer.push(&row);
         }
-        let table_len = self.label_table.len();
-        if let Some(&id) = self.out_labels.iter().find(|&&id| id as usize >= table_len) {
-            return Err(format!(
-                "label id {id} out of range for table of {table_len}"
-            ));
+        let packed = packer.finish();
+        if (&packed.offsets, &packed.stream, packed.edges)
+            != (&self.out_offsets, &self.out_rows, self.num_edges)
+        {
+            return Err("out-rows are not in canonical packed form".to_owned());
+        }
+        if self.in_offsets != packed.in_offsets {
+            return Err("in-offsets are not the out-CSR's in-degree prefix sums".to_owned());
         }
         let mut out_edges: Vec<(u32, u32, u32)> = Vec::with_capacity(self.num_edges());
         let mut in_edges: Vec<(u32, u32, u32)> = Vec::with_capacity(self.num_edges());
@@ -595,24 +615,25 @@ mod tests {
         assert_eq!(fp.edges, 5);
         // 4 node labels * 4B + 2 offset arrays of 5 u32s.
         assert_eq!(fp.node_bytes, 4 * 4 + 2 * 5 * 4);
-        // 5 targets * 4B + 5 label ids * 2B: the out-CSR only.
-        assert_eq!(fp.edge_bytes, 5 * 4 + 5 * 2);
+        // The out-CSR only: four 3-byte records (a degree byte, then
+        // 11 width bits, a 2-bit first target and 1–2-bit label ids in
+        // two bytes) and the stream's 8 bytes of padding.
+        assert_eq!(fp.edge_bytes, 4 * 3 + rows::PAD);
         assert_eq!(fp.label_table_bytes, 4 * 4);
         assert_eq!(fp.total_bytes(), g.size_bytes());
-        // Steady-state densities: 12B + O(1)/node, 6B/edge exactly.
+        // Steady-state densities: 12B + O(1)/node, 4B/edge exactly.
         assert!(fp.bytes_per_node() < 15.0);
-        assert!((fp.bytes_per_edge() - 6.0).abs() < 1e-9);
+        assert!((fp.bytes_per_edge() - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn in_edge_arenas_are_derived_on_first_use_and_invisible_to_eq() {
         let (g, untouched) = (toy(), toy());
-        let edges = g.num_edges();
-        assert_eq!(g.memory_footprint().edge_bytes, 6 * edges);
+        let (edges, packed) = (g.num_edges(), g.memory_footprint().edge_bytes);
         assert_eq!(g.in_degree(NodeId(3)), 2, "in-degree needs no arenas");
-        assert_eq!(g.memory_footprint().edge_bytes, 6 * edges);
+        assert_eq!(g.memory_footprint().edge_bytes, packed);
         assert_eq!(g.followers(NodeId(3)), &[NodeId(1), NodeId(2)]);
-        assert_eq!(g.memory_footprint().edge_bytes, 12 * edges);
+        assert_eq!(g.memory_footprint().edge_bytes, packed + 6 * edges);
         assert_eq!(g, untouched);
         assert_eq!(g.clone(), untouched);
     }
@@ -623,7 +644,7 @@ mod tests {
         let (a, b, c, d) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
         assert_eq!(g.out_degree(a), 2);
         assert_eq!(g.in_degree(a), 1);
-        assert_eq!(g.followees(a), &[b, c]);
+        assert!(g.followees(a).eq([b, c]));
         assert_eq!(g.followers(d), &[b, c]);
         assert_eq!(g.in_degree(d), 2);
         assert!(g.has_edge(a, b));
@@ -708,7 +729,7 @@ mod tests {
         ]);
         let g2 = g.edited(&delta);
         assert_eq!(g2.edge_label(a, b), Some(war));
-        assert_eq!(g2.followees(a), &[b, c, d]);
+        assert!(g2.followees(a).eq([b, c, d]));
         assert!(!g2.has_edge(c, d) && !g2.has_edge(b, a));
         assert_eq!(g2.num_edges(), g.num_edges());
         g2.check_consistency().unwrap();

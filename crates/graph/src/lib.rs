@@ -11,16 +11,18 @@
 //! on. It is written from scratch (no external graph library):
 //!
 //! * [`SocialGraph`] — immutable CSR representation: one compressed
-//!   adjacency for out-edges (followees) plus in-degree offsets, `u32`
-//!   offsets and targets with edge labels interned as `u16` ids into a
-//!   shared [`TopicSet`] table (~12 bytes per node, 6 per edge;
+//!   adjacency for out-edges (followees) plus in-degree offsets. Each
+//!   out-row is one packed record — gap-coded targets at the row's own
+//!   bit width, each with an id into a shared table of interned
+//!   [`TopicSet`] labels — decoded in place by [`OutRow`] (~12 bytes
+//!   per node, ~3.1 per edge at 1M nodes × 8;
 //!   [`SocialGraph::memory_footprint`] accounts for every arena). The
 //!   follower lists are its transpose, derived on first use for the
 //!   offline readers that walk them. Score propagation, BFS and the
 //!   follower counts (`Γu(t)`) of the authority index run directly on
-//!   the out arrays.
+//!   the out-rows.
 //! * [`StreamingBuilder`] — the one packer: per-node streaming straight
-//!   into the CSR arenas with bounded scratch; the ingestion path for
+//!   into the packed rows with bounded scratch; the ingestion path for
 //!   paper-scale graphs.
 //! * [`GraphBuilder`] — incremental edge-list construction (a global
 //!   sort in front of the packer), used by the dataset generators.
@@ -47,6 +49,7 @@ pub mod components;
 pub mod csr;
 pub mod io;
 pub mod partition;
+mod rows;
 pub mod spectral;
 pub mod stats;
 
@@ -54,6 +57,7 @@ pub use bfs::{k_vicinity, KVicinity};
 pub use builder::{GraphBuilder, StreamingBuilder};
 pub use csr::{EdgeRef, MemoryFootprint, NodeId, SocialGraph};
 pub use partition::{Partition, PartitionStrategy};
+pub use rows::OutRow;
 pub use stats::GraphStats;
 
 // Re-export the label types so downstream crates can use a single

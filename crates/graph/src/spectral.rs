@@ -32,7 +32,7 @@ pub fn spectral_radius(graph: &SocialGraph, iters: usize) -> f64 {
             if xu == 0.0 {
                 continue;
             }
-            for &v in graph.followees(u) {
+            for v in graph.followees(u) {
                 y[v.index()] += xu;
             }
         }

@@ -74,7 +74,7 @@ proptest! {
         if let Ok(got) = arena::decode(bytes::Bytes::from(raw)) {
             prop_assert!(got.check_consistency().is_ok());
             for u in got.nodes() {
-                let row = got.followees(u);
+                let row: Vec<NodeId> = got.followees(u).collect();
                 prop_assert!(row.windows(2).all(|p| p[0] < p[1]) && !row.contains(&u));
             }
         }
@@ -262,4 +262,135 @@ proptest! {
             prop_assert_eq!(back.edge_label(u, v), Some(labels));
         }
     }
+}
+
+/// Rows for the packed-row codec: `n` nodes, and per node a strictly
+/// ascending target set with label sets, drawn from `seed`. Node 0's
+/// row is empty, node 1 follows `n − 1` only, node 2 follows node 0,
+/// and, when `n > 256`, node 3 follows every other node, its `i`-th
+/// edge labelled with the `i`-th of 300 distinct label sets — so the
+/// table's first-seen ids run past 256 and that row past the 255
+/// degree escape.
+fn packed_rows(n: u32, seed: u64) -> Vec<Vec<(NodeId, TopicSet)>> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let distinct = |i: u64| TopicSet::from_mask((i % 300 + 1) as u32);
+    (0..n)
+        .map(|u| {
+            let targets: Vec<u32> = match u {
+                0 => Vec::new(),
+                1 => vec![n - 1],
+                2 => vec![0],
+                3 if n > 256 => (0..n).collect(),
+                _ => {
+                    let degree = next() % 12;
+                    let mut row: Vec<u32> = (0..degree)
+                        .map(|_| (next() % u64::from(n)) as u32)
+                        .collect();
+                    row.sort_unstable();
+                    row.dedup();
+                    row
+                }
+            };
+            targets
+                .into_iter()
+                .filter(|&v| v != u)
+                .enumerate()
+                .map(|(i, v)| {
+                    let labels = if u == 3 {
+                        distinct(i as u64)
+                    } else {
+                        distinct(next() % 8)
+                    };
+                    (NodeId(v), labels)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Packs `rows` through the streaming packer.
+fn pack(rows: &[Vec<(NodeId, TopicSet)>]) -> SocialGraph {
+    let mut b = fui_graph::StreamingBuilder::new(rows.len());
+    for row in rows {
+        b.push_node(TopicSet::empty(), &mut row.clone());
+    }
+    b.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever the rows — empty, degree 1, past the degree escape,
+    /// reaching targets 0 and n − 1, label ids 0, 127, 128, 255, 256
+    /// and the table's last — the packed graph reads every row back
+    /// exactly, and so does its arena round trip.
+    #[test]
+    fn packed_rows_read_back_exactly(n in 2u32..600, seed in any::<u64>()) {
+        let rows = packed_rows(n, seed);
+        let g = pack(&rows);
+        prop_assert!(g.check_consistency().is_ok());
+        let back = arena::decode(arena::encode(&g)).expect("own output decodes");
+        prop_assert_eq!(&back, &g);
+        for graph in [&g, &back] {
+            for (u, row) in rows.iter().enumerate() {
+                let got: Vec<(NodeId, TopicSet)> =
+                    graph.out_edges(NodeId(u as u32)).map(|e| (e.node, e.labels)).collect();
+                prop_assert_eq!(&got, row);
+                prop_assert_eq!(graph.out_degree(NodeId(u as u32)), row.len());
+            }
+        }
+        if n > 256 {
+            prop_assert!(g.out_degree(NodeId(3)) >= 255);
+            let ids: std::collections::BTreeSet<u16> =
+                g.nodes().flat_map(|u| g.out_edges_by_label_id(u)).map(|(id, _)| id).collect();
+            let last = g.num_label_sets() as u16 - 1;
+            for id in [0, 127, 128, 255, 256, last] {
+                prop_assert!(ids.contains(&id), "label id {} unused", id);
+            }
+        }
+    }
+}
+
+/// The widest label field: 65 536 distinct label sets, so the table's
+/// last id is `u16::MAX`, over a 257-node graph where every node
+/// follows every other one.
+#[test]
+fn label_ids_up_to_the_table_maximum_read_back_exactly() {
+    let n = 257u32;
+    let mut i = 0u32;
+    let rows: Vec<Vec<(NodeId, TopicSet)>> = (0..n)
+        .map(|u| {
+            (0..n)
+                .filter(|&v| v != u)
+                .map(|v| {
+                    i += 1;
+                    (NodeId(v), TopicSet::from_mask(i.min(1 << 16)))
+                })
+                .collect()
+        })
+        .collect();
+    let g = pack(&rows);
+    assert_eq!(g.num_label_sets(), 1 << 16);
+    assert_eq!(
+        g.nodes()
+            .flat_map(|u| g.out_edges_by_label_id(u))
+            .map(|(id, _)| id)
+            .max(),
+        Some(u16::MAX)
+    );
+    let back = arena::decode(arena::encode(&g)).expect("own output decodes");
+    assert_eq!(back, g);
+    for (u, row) in rows.iter().enumerate() {
+        assert!(back
+            .out_edges(NodeId(u as u32))
+            .map(|e| (e.node, e.labels))
+            .eq(row.iter().copied()));
+    }
+    g.check_consistency().unwrap();
 }

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use fui_core::{PropWorkspace, Propagator};
+use fui_core::Propagator;
 use fui_graph::NodeId;
 use fui_taxonomy::TopicSet;
 
@@ -223,13 +223,21 @@ impl DynamicLandmarks {
 
     /// Recomputes every stale landmark against the current graph (the
     /// propagator must be built on the post-update graph) and resets
-    /// their accounting. Returns the number refreshed.
+    /// their accounting. Returns the number refreshed. The entries are
+    /// computed on the [`fui_exec`] pool at the width `FUI_THREADS`
+    /// configures.
     pub fn refresh_stale(&mut self, propagator: &Propagator<'_>) -> usize {
+        self.refresh_stale_with(propagator, fui_exec::threads())
+    }
+
+    /// [`refresh_stale`](Self::refresh_stale) over `threads` workers
+    /// ([`LandmarkIndex::refresh_slots`]); the refreshed state is the
+    /// same at every width.
+    pub fn refresh_stale_with(&mut self, propagator: &Propagator<'_>, threads: usize) -> usize {
         let stale = self.stale_slots();
         fui_obs::counter("landmarks.dynamic.refreshes").add(stale.len() as u64);
-        let mut ws = PropWorkspace::new();
+        self.index.refresh_slots(propagator, &stale, threads);
         for &slot in &stale {
-            self.index.refresh_with(propagator, &mut ws, slot);
             let entry = self.index.entry_at(slot);
             let mut map: HashMap<u32, f64> =
                 entry.topo.iter().map(|s| (s.node.0, s.topo)).collect();
@@ -333,6 +341,48 @@ mod tests {
         }
         for t in 0..NUM_TOPICS {
             assert_eq!(a.recs[t].len(), b.recs[t].len());
+        }
+    }
+
+    #[test]
+    fn a_pooled_refresh_is_byte_identical_at_every_width() {
+        // Eight landmarks over a streamed graph, every one flagged by
+        // the background charge: width 1 and width 2 refresh them all
+        // to the same bytes, equal to a slot-by-slot refresh.
+        let g = fui_datagen::generate_streaming(&fui_datagen::StreamConfig {
+            nodes: 600,
+            avg_out_degree: 6.0,
+            seed: 0x5EF2,
+            ..fui_datagen::StreamConfig::default()
+        })
+        .graph;
+        let auth = AuthorityIndex::build(&g);
+        let sim = SimMatrix::opencalais();
+        let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
+        let landmarks: Vec<NodeId> = (0..8).map(|i| NodeId(i * 70 + 3)).collect();
+        let index = LandmarkIndex::build(&p, landmarks, 20);
+        let tech = TopicSet::single(Topic::Technology);
+        let g2 = g.with_edges(&[
+            (NodeId(599), NodeId(1), tech),
+            (NodeId(4), NodeId(598), tech),
+        ]);
+        let auth2 = AuthorityIndex::build(&g2);
+        let p2 = Propagator::new(&g2, &auth2, &sim, params(), ScoreVariant::Full);
+
+        let mut serial = index.clone();
+        for slot in 0..serial.len() {
+            serial.refresh(&p2, slot);
+        }
+        for width in [1, 2] {
+            let mut dynamic = DynamicLandmarks::with_policy(index.clone(), 0.01, 1.0);
+            dynamic.record(&EdgeChange::insert(NodeId(599), NodeId(1), tech));
+            assert_eq!(dynamic.stale_slots().len(), 8);
+            assert_eq!(dynamic.refresh_stale_with(&p2, width), 8);
+            assert_eq!(
+                crate::persist::encode(dynamic.index(), g2.num_nodes()).to_vec(),
+                crate::persist::encode(&serial, g2.num_nodes()).to_vec(),
+                "width {width}"
+            );
         }
     }
 

@@ -209,21 +209,34 @@ impl LandmarkIndex {
     /// (`crate::dynamic`). The propagator must cover a graph with the
     /// same node-id space.
     pub fn refresh(&mut self, propagator: &Propagator<'_>, slot: usize) {
-        let mut ws = PropWorkspace::new();
-        self.refresh_with(propagator, &mut ws, slot);
+        self.refresh_with(propagator, &mut PropWorkspace::new(), slot);
     }
 
-    /// [`refresh`](Self::refresh) inside a caller-owned workspace —
-    /// what the dynamic-update policy uses to refresh many landmarks
-    /// back to back without reallocating.
+    /// [`refresh`](Self::refresh) inside a caller-owned workspace.
     pub fn refresh_with(
         &mut self,
         propagator: &Propagator<'_>,
         ws: &mut PropWorkspace,
         slot: usize,
     ) {
-        let landmark = self.landmarks[slot];
-        self.entries[slot] = compute_entry(propagator, ws, landmark, self.top_n);
+        self.entries[slot] = compute_entry(propagator, ws, self.landmarks[slot], self.top_n);
+    }
+
+    /// [`refresh`](Self::refresh) of many slots at once, the way
+    /// [`build_parallel`](Self::build_parallel) builds: one `par_map`
+    /// over `threads` workers, each reusing one workspace across the
+    /// slots it claims, the entries installed in `slots` order. The
+    /// result is the same at every width.
+    pub fn refresh_slots(&mut self, propagator: &Propagator<'_>, slots: &[usize], threads: usize) {
+        let pool: fui_exec::WorkerLocal<PropWorkspace> = fui_exec::WorkerLocal::new();
+        let (landmarks, top_n) = (&self.landmarks, self.top_n);
+        let entries = fui_exec::par_map_with(threads, slots, |&slot| {
+            let mut ws = pool.get_or(PropWorkspace::new);
+            compute_entry(propagator, &mut ws, landmarks[slot], top_n)
+        });
+        for (&slot, entry) in slots.iter().zip(entries) {
+            self.entries[slot] = entry;
+        }
     }
 
     /// A copy keeping only the top-`top_n` of every stored list —

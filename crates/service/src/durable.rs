@@ -25,11 +25,11 @@
 //! Snapshot layout, little-endian throughout:
 //!
 //! ```text
-//! magic "FUISNAP2" | u64 applied_seq | u64 epoch | u64 graph_gen | u64 changes_seen
+//! magic "FUISNAP3" | u64 applied_seq | u64 epoch | u64 graph_gen | u64 changes_seen
 //! f64 alpha | f64 beta | f64 tolerance | u32 max_depth | u8 variant
 //! u32 slots   | slots × (u64 version, f64 staleness)
 //! u32 pending | pending × (u32 follower, u32 followee, u32 labels, u8 kind)
-//! u64 len | graph blob          (fui_graph::arena, "FUICSR2\n")
+//! u64 len | graph blob          (fui_graph::arena, "FUICSR3\n": packed out-rows)
 //! u64 len | landmark index blob (fui_landmarks::persist)
 //! u64 FNV-1a checksum of everything above
 //! ```
@@ -39,9 +39,11 @@
 //! arenas are derived only if something reads followers), and the
 //! authority index, similarity rows and landmark topo lookups (rebuilt
 //! by the service's `from_state`, with the same calls a fresh build and
-//! a rotation make). A file in any other format — the
-//! authority-carrying v1 included — is [`SnapshotError::BadMagic`];
-//! restore falls back past it.
+//! a rotation make). A `FUISNAP2` file — the same sections around a
+//! `FUICSR2` graph blob of a `u32` target and a `u16` label id per
+//! edge — is [`SnapshotError::LegacyFormat`], with no migration; a file
+//! in any other format, the authority-carrying v1 included, is
+//! [`SnapshotError::BadMagic`]. Restore falls back past both.
 //!
 //! Both codecs follow the hardened decode discipline of
 //! `fui-landmarks/persist.rs`: every declared count is bounded against
@@ -61,7 +63,10 @@ use fui_landmarks::{persist, ChangeKind, EdgeChange, LandmarkIndex};
 use fui_taxonomy::{TopicSet, NUM_TOPICS};
 
 /// Magic header of a snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"FUISNAP2";
+pub const SNAP_MAGIC: &[u8; 8] = b"FUISNAP3";
+
+/// Magic header of the snapshot format before out-rows were packed.
+const LEGACY_SNAP_MAGIC: &[u8; 8] = b"FUISNAP2";
 
 /// Magic header of the journal file.
 pub const WAL_MAGIC: &[u8; 8] = b"FUIWAL1\n";
@@ -109,6 +114,9 @@ pub fn checksum(bytes: &[u8]) -> u64 {
 pub enum SnapshotError {
     /// Missing or wrong magic header.
     BadMagic,
+    /// A `FUISNAP2` file, written before out-rows were packed; it is
+    /// not read.
+    LegacyFormat,
     /// Buffer ended before the structure was complete.
     Truncated,
     /// The trailing FNV-1a checksum does not cover the bytes present.
@@ -141,6 +149,9 @@ impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SnapshotError::BadMagic => write!(f, "not a serving snapshot"),
+            SnapshotError::LegacyFormat => {
+                write!(f, "a FUISNAP2 serving snapshot (unpacked rows); not read")
+            }
             SnapshotError::Truncated => write!(f, "serving snapshot truncated"),
             SnapshotError::ChecksumMismatch { stored, computed } => {
                 write!(
@@ -293,6 +304,9 @@ pub fn decode_snapshot(buf: Bytes) -> Result<SnapshotState, SnapshotError> {
     fui_obs::counter("snapshot.persist.load_bytes").add(buf.remaining() as u64);
     if buf.remaining() < SNAP_MAGIC.len() {
         return Err(SnapshotError::Truncated);
+    }
+    if &buf[..8] == LEGACY_SNAP_MAGIC {
+        return Err(SnapshotError::LegacyFormat);
     }
     if &buf[..8] != SNAP_MAGIC {
         return Err(SnapshotError::BadMagic);

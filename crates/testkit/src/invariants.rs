@@ -127,7 +127,7 @@ pub fn check_katz_monotone_edge_addition(case: &GraphCase) -> Result<(), String>
     'search: for _ in 0..4 * n * n {
         let u = NodeId(rng.below(n as u64) as u32);
         let v = NodeId(rng.below(n as u64) as u32);
-        if u != v && !graph.followees(u).contains(&v) {
+        if u != v && !graph.has_edge(u, v) {
             missing = Some((u, v));
             break 'search;
         }

@@ -182,7 +182,7 @@ pub fn check_three_way(case: &GraphCase) -> Result<(), String> {
 
     // Leg 3: exact-cover landmarks — every out-neighbour of the
     // source, stored lists long enough to never truncate.
-    let landmarks: Vec<NodeId> = graph.followees(source).to_vec();
+    let landmarks: Vec<NodeId> = graph.followees(source).collect();
     let index = LandmarkIndex::build(&p, landmarks, n);
     let approx = ApproxRecommender::new(&p, &index);
     for (ti, &t) in topics.iter().enumerate() {

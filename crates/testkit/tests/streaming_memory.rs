@@ -147,9 +147,9 @@ fn a_batch_of_changes_costs_the_new_graph_and_nothing_per_edge() {
     let changes: Vec<EdgeChange> = (0..64u32)
         .map(|i| {
             let u = NodeId((i * 7919 + 5) % n);
-            match (i % 3, graph.followees(u).first()) {
-                (1, Some(&v)) => EdgeChange::insert(u, v, TopicSet::single(Topic::Health)),
-                (2, Some(&v)) => EdgeChange::remove(u, v, TopicSet::empty()),
+            match (i % 3, graph.followees(u).next()) {
+                (1, Some(v)) => EdgeChange::insert(u, v, TopicSet::single(Topic::Health)),
+                (2, Some(v)) => EdgeChange::remove(u, v, TopicSet::empty()),
                 _ => EdgeChange::insert(
                     u,
                     NodeId((u.0 + 1 + i) % n),

@@ -213,16 +213,17 @@ pub fn extract_topics(
         .map(|u| {
             let u = NodeId(u as u32);
             let followees = graph.followees(u);
-            if followees.is_empty() {
+            let degree = followees.len();
+            if degree == 0 {
                 return TopicSet::empty();
             }
             let mut freq = TopicWeights::zero();
-            for &v in followees {
+            for v in followees {
                 for t in publisher_profiles[v.index()].iter() {
                     freq.add(t, 1.0);
                 }
             }
-            let min = cfg.follower_min_freq * followees.len() as f64;
+            let min = cfg.follower_min_freq * degree as f64;
             let mut prof = freq.support(min.max(1.0));
             if prof.is_empty() {
                 if let Some(best) = freq.argmax() {

@@ -86,7 +86,7 @@ CELLS = {
         bounds=[
             ("table5_large.nodes", MILLION, None, "the cell tests paper scale"),
             ("graph.bytes_per_node", None, 16.0, "compact-CSR ceiling"),
-            ("graph.bytes_per_edge", None, 6.5, "out-CSR only (6 B per edge)"),
+            ("graph.bytes_per_edge", None, 3.5, "packed out-rows; 6 B/edge before"),
             (("propagate.workspace.peak_bytes", "table5_large.nodes"), None, 16.0,
              "reach-sparse workspace: one stamp word per node; the node-dense layout was 488"),
             (("authority.index.bytes", "table5_large.nodes"), None, 32.0,
@@ -108,8 +108,9 @@ CELLS = {
         bounds=[
             ("warmstart.nodes", MILLION, None, "the cell tests the table5 graph"),
             ("warmstart.cold_answered", 1, None, "the cell answered something"),
-            (("warmstart.snapshot_bytes", "warmstart.edges"), None, 7.5,
-             "nothing derivable in the file: v2 is 8n + 6e + the index; with the in-side it read 13.4"),
+            (("warmstart.snapshot_bytes", "warmstart.edges"), None, 4.4,
+             "nothing derivable in the file, rows packed: v3 is 8n + the row stream + the index, "
+             "4.01; v2 (6 B/edge rows) read 6.96, with the in-side 13.4"),
         ],
     ),
     # The exact counters are a pure function of the seeded schedule. How
@@ -396,7 +397,7 @@ def cmd_selftest():
     # The step-summary row renders from counters and gauges and degrades
     # to placeholders instead of crashing on a sparse manifest.
     summary = large_summary(synthesize("table5_large"))
-    expect("| table5_large | 1000000 | 1000000 | 16 | 6.5 | 1000000 | 1 |" in summary, f"summary renders: {summary}")
+    expect("| table5_large | 1000000 | 1000000 | 16 | 3.5 | 1000000 | 1 |" in summary, f"summary renders: {summary}")
     expect(large_summary({}).count("?") == 6, "summary degrades on an empty manifest")
 
     # The committed baselines pass their own gate, and every cell that

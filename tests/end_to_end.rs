@@ -50,7 +50,7 @@ fn full_stack_recommendation_flow() {
     }
     // Recommendations respect the exclude-followed contract.
     for r in &recs {
-        assert!(!d.graph.followees(user).contains(&r.node));
+        assert!(!d.graph.has_edge(user, r.node));
     }
 
     // Landmark pipeline: select → preprocess → persist → reload →

@@ -63,7 +63,7 @@ fn dynamic_and_partition_apis_compose() {
     let mut live = DynamicLandmarks::new(index);
     live.record(&EdgeChange {
         follower: u,
-        followee: d.graph.followees(u)[0],
+        followee: d.graph.followees(u).next().unwrap(),
         labels: TopicSet::single(Topic::Technology),
         kind: ChangeKind::Remove,
     });

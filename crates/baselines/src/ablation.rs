@@ -82,8 +82,9 @@ mod tests {
         let no_auth = tr_no_authority(&g, &idx, &sim, params);
         let no_sim = tr_no_similarity(&g, &idx, &sim, params);
 
-        let na = no_auth.recommend(u, Topic::Technology, 10, opts);
-        let ns = no_sim.recommend(u, Topic::Technology, 10, opts);
+        let mut ws = fui_core::PropWorkspace::new();
+        let na = no_auth.recommend(&mut ws, u, Topic::Technology, 10, opts);
+        let ns = no_sim.recommend(&mut ws, u, Topic::Technology, 10, opts);
         let score = |list: &[fui_core::Recommendation], n: NodeId| {
             list.iter()
                 .find(|r| r.node == n)

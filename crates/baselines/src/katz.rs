@@ -141,7 +141,9 @@ impl<'g> KatzScorer<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fui_core::{AuthorityIndex, PropagateOpts, Propagator, ScoreParams, ScoreVariant};
+    use fui_core::{
+        AuthorityIndex, PropWorkspace, PropagateOpts, Propagator, ScoreParams, ScoreVariant,
+    };
     use fui_graph::{GraphBuilder, TopicSet};
     use fui_taxonomy::SimMatrix;
 
@@ -182,7 +184,8 @@ mod tests {
             ..ScoreParams::default()
         };
         let engine = Propagator::new(&g, &idx, &sim, params, ScoreVariant::TopoOnly);
-        let r = engine.propagate(NodeId(0), &[], PropagateOpts::default());
+        let mut ws = PropWorkspace::new();
+        let r = engine.propagate(&mut ws, NodeId(0), &[], PropagateOpts::default());
         let katz = KatzScorer::new(&g, 0.2).with_limits(1e-13, 80);
         let s = katz.scores_from(NodeId(0));
         for v in g.nodes() {

@@ -4,7 +4,9 @@
 //! distribution under arbitrary inputs.
 
 use fui_baselines::{KatzScorer, TwitterRank, TwitterRankConfig};
-use fui_core::{AuthorityIndex, PropagateOpts, Propagator, ScoreParams, ScoreVariant};
+use fui_core::{
+    AuthorityIndex, PropWorkspace, PropagateOpts, Propagator, ScoreParams, ScoreVariant,
+};
 use fui_graph::{GraphBuilder, NodeId, SocialGraph, TopicSet};
 use fui_taxonomy::{SimMatrix, Topic, TopicWeights, NUM_TOPICS};
 use proptest::prelude::*;
@@ -41,7 +43,8 @@ proptest! {
             ..ScoreParams::default()
         };
         let engine = Propagator::new(&g, &auth, &sim, params, ScoreVariant::TopoOnly);
-        let r = engine.propagate(NodeId(0), &[], PropagateOpts::default());
+        let mut ws = PropWorkspace::new();
+        let r = engine.propagate(&mut ws, NodeId(0), &[], PropagateOpts::default());
         let katz = KatzScorer::new(&g, beta).with_limits(1e-13, 80);
         let s = katz.scores_from(NodeId(0));
         for v in g.nodes() {

@@ -16,7 +16,9 @@
 use std::process::exit;
 
 use fui_baselines::KatzScorer;
-use fui_core::{AuthorityIndex, RecommendOpts, ScoreParams, ScoreVariant, TrRecommender};
+use fui_core::{
+    AuthorityIndex, PropWorkspace, RecommendOpts, ScoreParams, ScoreVariant, TrRecommender,
+};
 use fui_datagen::{build_labeled, dblp, label_direct, twitter, DblpConfig, TwitterConfig};
 use fui_graph::stats::GraphStats;
 use fui_graph::{io, NodeId, SocialGraph};
@@ -171,7 +173,13 @@ fn recommend(args: &[String]) {
         ScoreParams::paper(),
         ScoreVariant::Full,
     );
-    let recs = tr.recommend(u, topic, top, RecommendOpts::default());
+    let recs = tr.recommend(
+        &mut PropWorkspace::new(),
+        u,
+        topic,
+        top,
+        RecommendOpts::default(),
+    );
     if recs.is_empty() {
         println!("no recommendations for {u} on '{topic}' (unreachable or unlabeled region)");
     }

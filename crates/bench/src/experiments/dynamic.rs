@@ -8,7 +8,7 @@
 //! stale index, policy-refreshed index, full rebuild — and weigh the
 //! refresh cost against a full rebuild.
 
-use fui_core::{PropagateOpts, ScoreParams, ScoreVariant};
+use fui_core::{PropWorkspace, PropagateOpts, ScoreParams, ScoreVariant};
 use fui_eval::kendall_tau_distance;
 use fui_graph::{NodeId, TopicSet};
 use fui_landmarks::{ApproxRecommender, DynamicLandmarks, EdgeChange, LandmarkIndex, Strategy};
@@ -74,6 +74,7 @@ pub fn run(scale: &ExperimentScale) -> String {
         .collect();
     queries.shuffle(&mut rng);
     queries.truncate(scale.query_nodes.max(1));
+    let mut ws = PropWorkspace::new();
     let exact_tops: Vec<Vec<NodeId>> = queries
         .iter()
         .map(|&u| {
@@ -83,14 +84,14 @@ pub fn run(scale: &ExperimentScale) -> String {
                 .first()
                 .unwrap_or(Topic::Technology);
             new_prop
-                .propagate(u, &[t], PropagateOpts::default())
+                .propagate(&mut ws, u, &[t], PropagateOpts::default())
                 .top_n_sigma(0, 100)
                 .into_iter()
                 .map(|(v, _)| v)
                 .collect()
         })
         .collect();
-    let avg_tau = |idx: &LandmarkIndex| -> f64 {
+    let avg_tau = |idx: &LandmarkIndex, ws: &mut PropWorkspace| -> f64 {
         let approx = ApproxRecommender::new(&new_prop, idx);
         let mut total = 0.0;
         for (qi, &u) in queries.iter().enumerate() {
@@ -100,7 +101,7 @@ pub fn run(scale: &ExperimentScale) -> String {
                 .first()
                 .unwrap_or(Topic::Technology);
             let top: Vec<NodeId> = approx
-                .recommend(u, t, 100)
+                .recommend_with(ws, u, t, 100)
                 .recommendations
                 .iter()
                 .map(|&(v, _)| v)
@@ -111,7 +112,7 @@ pub fn run(scale: &ExperimentScale) -> String {
     };
 
     // 1. Stale index (no maintenance at all).
-    let tau_stale = avg_tau(&index);
+    let tau_stale = avg_tau(&index, &mut ws);
 
     // 2. Policy refresh at a sweep of thresholds (higher threshold =
     // lazier policy = fewer landmarks touched).
@@ -125,15 +126,20 @@ pub fn run(scale: &ExperimentScale) -> String {
         let sp_refresh = fui_obs::Span::enter("dynamic.refresh");
         let refreshed = dynamic.refresh_stale(&new_prop);
         let refresh_s = sp_refresh.finish().as_secs_f64();
-        policy_rows.push((threshold, refreshed, avg_tau(dynamic.index()), refresh_s));
+        policy_rows.push((
+            threshold,
+            refreshed,
+            avg_tau(dynamic.index(), &mut ws),
+            refresh_s,
+        ));
         last_len = dynamic.index().len();
     }
 
-    // 3. Full rebuild.
+    // 3. Full rebuild, on the pool like the build and the refresh.
     let sp_rebuild = fui_obs::Span::enter("dynamic.rebuild");
     let rebuilt = LandmarkIndex::build(&new_prop, landmarks, 100);
     let rebuild_s = sp_rebuild.finish().as_secs_f64();
-    let tau_rebuilt = avg_tau(&rebuilt);
+    let tau_rebuilt = avg_tau(&rebuilt, &mut ws);
 
     let mut t = TextTable::new(vec![
         "regime",

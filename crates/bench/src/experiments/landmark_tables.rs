@@ -79,7 +79,7 @@ pub fn measure(scale: &ExperimentScale) -> (Vec<StrategyReport>, f64, f64) {
     let exact_tops: Vec<Vec<NodeId>> = fui_exec::par_map(&queries, |&(u, t)| {
         let mut ws = workspaces.get_or(PropWorkspace::new);
         propagator
-            .propagate_into(&mut ws, u, &[t], PropagateOpts::default())
+            .propagate(&mut ws, u, &[t], PropagateOpts::default())
             .top_n_sigma(0, 100)
             .into_iter()
             .map(|(v, _)| v)
@@ -100,7 +100,7 @@ pub fn measure(scale: &ExperimentScale) -> (Vec<StrategyReport>, f64, f64) {
         // FUI_THREADS pool — the cell the CI bench gate holds to a
         // ≥1.5× wall-time speedup at 4 threads.
         let sp_prep = fui_obs::Span::enter("table5.preprocess");
-        let index_full = LandmarkIndex::build_auto(&propagator, landmarks, 1000);
+        let index_full = LandmarkIndex::build(&propagator, landmarks, 1000);
         let compute_s = sp_prep.finish().as_secs_f64() / index_full.len().max(1) as f64;
         storage_bytes += index_full.size_bytes();
         storage_landmarks += index_full.len();

@@ -87,7 +87,6 @@ fn build_service() -> Arc<Service> {
             cache_capacity: 1024,
             cache_shards: 8,
             refresh_threshold: 0.05,
-            ..ServiceConfig::default()
         },
     ))
 }

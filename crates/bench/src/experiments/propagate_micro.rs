@@ -88,7 +88,7 @@ pub fn measure(scale: &ExperimentScale) -> MicroReport {
     for i in 0..calls {
         let source = nodes[(i as usize) % nodes.len()];
         let topic = dominant_topic(&ctx.graph, source);
-        let run = propagator.propagate_into(&mut ws, source, &[topic], PropagateOpts::default());
+        let run = propagator.propagate(&mut ws, source, &[topic], PropagateOpts::default());
         checksum += run.topo_beta(source);
     }
     let single_us = sp_single.finish().as_secs_f64() * 1e6 / calls as f64;
@@ -101,7 +101,7 @@ pub fn measure(scale: &ExperimentScale) -> MicroReport {
     // delta around the batch is the manifest's proof of the
     // one-workspace-per-worker invariant.
     let landmarks: Vec<NodeId> = nodes.iter().copied().filter(|u| u.0 % 3 == 0).collect();
-    let index = LandmarkIndex::build_auto(&propagator, landmarks, STORED_TOP_N);
+    let index = LandmarkIndex::build(&propagator, landmarks, STORED_TOP_N);
     let approx = ApproxRecommender::new(&propagator, &index);
     let queries: Vec<(NodeId, Topic)> = nodes
         .iter()

@@ -110,7 +110,6 @@ pub fn measure(scale: &ExperimentScale) -> ServeReport {
         // Aggressive enough that the update stream actually flags
         // landmarks on a dozen-node instance.
         refresh_threshold: 0.05,
-        ..ServiceConfig::default()
     };
     let svc = Service::new(
         graph,

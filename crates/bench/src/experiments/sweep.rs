@@ -3,7 +3,7 @@
 //! exact top-10 shifts as β grows — justifying the paper's tiny
 //! β = 0.0005 default.
 
-use fui_core::{PropagateOpts, ScoreParams, ScoreVariant};
+use fui_core::{PropWorkspace, PropagateOpts, ScoreParams, ScoreVariant};
 use fui_eval::kendall_tau_distance;
 use fui_graph::spectral::spectral_radius;
 use fui_graph::NodeId;
@@ -31,9 +31,10 @@ pub fn run(scale: &ExperimentScale) -> String {
         .find(|&u| ctx.graph.out_degree(u) >= 3)
         .unwrap_or(NodeId(0));
     let topic = Topic::Technology;
+    let mut ws = PropWorkspace::new();
     let reference: Vec<NodeId> = ctx
         .propagator(ScoreVariant::Full)
-        .propagate(source, &[topic], PropagateOpts::default())
+        .propagate(&mut ws, source, &[topic], PropagateOpts::default())
         .top_n_sigma(0, 10)
         .into_iter()
         .map(|(v, _)| v)
@@ -59,7 +60,7 @@ pub fn run(scale: &ExperimentScale) -> String {
             params,
             ScoreVariant::Full,
         );
-        let r = prop.propagate(source, &[topic], PropagateOpts::default());
+        let r = prop.propagate(&mut ws, source, &[topic], PropagateOpts::default());
         let top: Vec<NodeId> = r.top_n_sigma(0, 10).into_iter().map(|(v, _)| v).collect();
         t.row(vec![
             format!("{beta}"),

@@ -94,7 +94,7 @@ pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> Lar
     let ctx = Context::new(streamed.graph, ScoreParams::default());
     let propagator = ctx.propagator(ScoreVariant::Full);
     let hubs = hub_landmarks(&ctx.graph, landmarks);
-    let index = LandmarkIndex::build_auto(&propagator, hubs, STORED_TOP_N);
+    let index = LandmarkIndex::build(&propagator, hubs, STORED_TOP_N);
     let preprocess_s = sp.finish().as_secs_f64();
     let authority_bytes = ctx.authority.size_bytes();
     fui_obs::gauge("authority.index.bytes").set(authority_bytes as f64);

@@ -143,7 +143,7 @@ pub fn enumerate_many(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::propagate::{PropagateOpts, Propagator};
+    use crate::propagate::{PropWorkspace, PropagateOpts, Propagator};
     use fui_graph::{GraphBuilder, TopicSet};
 
     /// Oracle vs. engine on a graph with cycles and multi-labels.
@@ -180,10 +180,12 @@ mod tests {
             ScoreVariant::NoSimilarity,
         ] {
             let p = Propagator::new(&g, &idx, &sim, params, variant);
+            let mut ws = PropWorkspace::new();
             for depth in 1..=5u32 {
                 for t in [Topic::Technology, Topic::Social, Topic::Entertainment] {
                     let oracle = enumerate(&g, &sim, &idx, &params, NodeId(0), t, variant, depth);
                     let r = p.propagate(
+                        &mut ws,
                         NodeId(0),
                         &[t],
                         PropagateOpts {
@@ -269,7 +271,13 @@ mod tests {
             max_depth: 60,
         };
         let p = Propagator::new(&g, &idx, &sim, params, ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let mut ws = PropWorkspace::new();
+        let r = p.propagate(
+            &mut ws,
+            NodeId(0),
+            &[Topic::Technology],
+            PropagateOpts::default(),
+        );
         assert!(r.converged);
         let oracle = enumerate(
             &g,

@@ -71,5 +71,5 @@ pub mod topk;
 
 pub use authority::AuthorityIndex;
 pub use params::{ScoreParams, ScoreVariant};
-pub use propagate::{PropRun, PropWorkspace, PropagateOpts, Propagation, Propagator, SimRowCache};
+pub use propagate::{PropWorkspace, PropagateOpts, Propagation, Propagator, SimRowCache};
 pub use recommend::{RecommendOpts, Recommendation, TrRecommender};

@@ -30,7 +30,7 @@
 //! Figure 4 comparisons measure scoring semantics, not implementation
 //! differences.
 //!
-//! # The zero-allocation path
+//! # One entry point, one workspace
 //!
 //! A propagation reaches a vanishing fraction of a large graph (a
 //! depth-2 query ~1–3k nodes, a landmark preprocessing run tens), so
@@ -39,8 +39,9 @@
 //! cold workspace costs a `calloc`, not a memset), and every
 //! accumulator, level buffer and σ row lives in compact arrays indexed
 //! by slot = first-reached order, grown as nodes are discovered. The
-//! hot entry point is [`Propagator::propagate_into`], which runs inside
-//! a caller-owned [`PropWorkspace`]:
+//! one entry point is [`Propagator::propagate`], which runs inside a
+//! caller-owned [`PropWorkspace`] and returns the [`Propagation`] the
+//! workspace now holds:
 //!
 //! * membership is **epoch-stamped** — `stamp[v] = run_epoch << 32 |
 //!   slot` compared against the workspace's current epoch — so starting
@@ -55,13 +56,12 @@
 //! the order a node-dense sweep would first fold them — every
 //! floating-point operation happens in the same order, and the
 //! conformance suite pins the kernel bit for bit against a dense
-//! re-derivation (`fui-testkit::reference`). A workspace-reused run is
-//! bit-identical to a fresh one; the classic [`Propagator::propagate`]
-//! signature survives as a thin wrapper that spins up a one-shot
-//! workspace and moves its buffers into the returned [`Propagation`].
-//! Batched callers hold one workspace per [`fui_exec`] worker
-//! (`fui_exec::WorkerLocal`), collapsing `propagate.workspace.allocs`
-//! (stamp-array allocations) to the worker count.
+//! re-derivation (`fui-testkit::reference`). A run in a reused
+//! workspace is bit-identical to one in a fresh workspace. A loop
+//! keeps one workspace for all its runs; a pooled loop keeps one per
+//! [`fui_exec`] worker (`fui_exec::WorkerLocal`), so
+//! `propagate.workspace.allocs` (stamp-array allocations) counts loops
+//! or workers, never runs.
 
 use std::sync::{Arc, OnceLock};
 
@@ -179,9 +179,10 @@ fn sigma_row(tc: usize, slot: usize, row: usize) -> usize {
 
 /// Reusable scratch arena for propagation runs.
 ///
-/// Holds the compact state of the run in flight (what [`PropRun`]
-/// reads), the two frontier vectors and the per-run topic table. The
-/// one per-node arena is the epoch-stamped `node → slot` word; all
+/// Holds the compact state of the run in flight (the [`Propagation`]
+/// [`Propagator::propagate`] returns), the two frontier vectors and
+/// the per-run topic table. The one per-node arena is the
+/// epoch-stamped `node → slot` word; all
 /// float state is indexed by slot and `clear()`ed between runs, so a
 /// workspace costs 8 B/node plus O(largest reached set) and starting a
 /// run is O(1).
@@ -199,7 +200,9 @@ pub struct PropWorkspace {
 }
 
 impl PropWorkspace {
-    /// An empty workspace; buffers are sized on first use.
+    /// An empty workspace; buffers are sized on first use. Named by
+    /// `benchmark/`; ROADMAP 6(d) deletes it, and callers then spell
+    /// `PropWorkspace::default()`.
     pub fn new() -> PropWorkspace {
         PropWorkspace::default()
     }
@@ -246,7 +249,8 @@ impl PropWorkspace {
     /// Bytes currently held by the workspace arenas (the stamp array,
     /// slot records, sigma arena, frontier and topic tables). The
     /// high-water mark over all runs is mirrored into the
-    /// `propagate.workspace.peak_bytes` gauge.
+    /// `propagate.workspace.peak_bytes` gauge. Named by `benchmark/`
+    /// (`core.workspace.bytes`); ROADMAP 6(d) makes it private.
     pub fn size_bytes(&self) -> usize {
         use std::mem::size_of;
         let run = &self.run;
@@ -256,57 +260,6 @@ impl PropWorkspace {
             + run.reached.capacity() * size_of::<NodeId>()
             + run.topics.capacity() * size_of::<Topic>()
             + (self.frontier.capacity() + self.next_frontier.capacity()) * size_of::<u32>()
-    }
-
-    /// Converts the last run into an owned [`Propagation`], consuming
-    /// the workspace (buffers are moved out, not copied). Intended for
-    /// one-shot workspaces; reuse paths read through [`PropRun`]
-    /// instead.
-    pub fn into_propagation(self) -> Propagation {
-        self.run
-    }
-}
-
-/// Read-only view of the run a [`PropWorkspace`] holds — the
-/// zero-allocation counterpart of an owned [`Propagation`], to whose
-/// readouts (`sigma_at`, `topo_beta`, `top_n_sigma`, …) it derefs.
-pub struct PropRun<'a> {
-    run: &'a Propagation,
-}
-
-impl std::ops::Deref for PropRun<'_> {
-    type Target = Propagation;
-
-    fn deref(&self) -> &Propagation {
-        self.run
-    }
-}
-
-impl PropRun<'_> {
-    /// The query topics, in sigma column order.
-    pub fn topics(&self) -> &[Topic] {
-        &self.run.topics
-    }
-
-    /// Nodes with any accumulated mass, source first, in first-reached
-    /// order.
-    pub fn reached(&self) -> &[NodeId] {
-        &self.run.reached
-    }
-
-    /// Source node of the run.
-    pub fn source(&self) -> NodeId {
-        self.run.source
-    }
-
-    /// Number of levels propagated.
-    pub fn levels(&self) -> u32 {
-        self.run.levels
-    }
-
-    /// Whether the tolerance criterion was met.
-    pub fn converged(&self) -> bool {
-        self.run.converged
     }
 }
 
@@ -567,37 +520,20 @@ impl<'g> Propagator<'g> {
     }
 
     /// Runs the iterative computation from `source` for the given
-    /// query topics (empty slice is valid and yields a pure Katz run).
-    ///
-    /// Thin wrapper over [`propagate_into`](Self::propagate_into) with
-    /// a one-shot workspace; batched callers should reuse a
-    /// [`PropWorkspace`] instead.
-    pub fn propagate(
-        &self,
-        source: NodeId,
-        topics: &[Topic],
-        opts: PropagateOpts<'_>,
-    ) -> Propagation {
-        let mut ws = PropWorkspace::new();
-        self.propagate_into(&mut ws, source, topics, opts);
-        ws.into_propagation()
-    }
-
-    /// Runs the iterative computation inside a reusable workspace —
-    /// the allocation-free entry point. Returns a [`PropRun`] view of
-    /// the results, valid until the workspace's next run.
+    /// query topics (an empty slice is valid and yields a pure Katz
+    /// run) inside `ws`, and returns the run the workspace now holds —
+    /// valid until the workspace's next run.
     ///
     /// Bit-equality guarantee: for the same propagator, source, topics
-    /// and options, the scores read through the returned view are
-    /// bit-identical to a fresh [`propagate`](Self::propagate) call,
-    /// whatever ran in the workspace before.
-    pub fn propagate_into<'w>(
+    /// and options, the scores are bit-identical whatever ran in the
+    /// workspace before, a fresh workspace included.
+    pub fn propagate<'w>(
         &self,
         ws: &'w mut PropWorkspace,
         source: NodeId,
         topics: &[Topic],
         opts: PropagateOpts<'_>,
-    ) -> PropRun<'w> {
+    ) -> &'w Propagation {
         let n = self.graph.num_nodes();
         assert!(source.index() < n, "source not in graph");
         let tc = if self.variant == ScoreVariant::TopoOnly {
@@ -769,7 +705,7 @@ impl<'g> Propagator<'g> {
         metrics
             .workspace_peak_bytes
             .record_max(ws.size_bytes() as f64);
-        PropRun { run: &ws.run }
+        &ws.run
     }
 }
 
@@ -790,6 +726,22 @@ mod tests {
         b.build()
     }
 
+    /// One run in a fresh workspace, kept.
+    fn run_opts(
+        p: &Propagator<'_>,
+        source: NodeId,
+        topics: &[Topic],
+        opts: PropagateOpts<'_>,
+    ) -> Propagation {
+        p.propagate(&mut PropWorkspace::new(), source, topics, opts)
+            .clone()
+    }
+
+    /// [`run_opts`] with the default options.
+    fn run(p: &Propagator<'_>, source: NodeId, topics: &[Topic]) -> Propagation {
+        run_opts(p, source, topics, PropagateOpts::default())
+    }
+
     fn params() -> ScoreParams {
         ScoreParams {
             alpha: 0.7,
@@ -805,7 +757,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::Technology]);
         // topo_beta(0, 3) = 2 walks of length 2 = 2 * 0.09.
         assert!((r.topo_beta(NodeId(3)) - 2.0 * 0.09).abs() < 1e-12);
         assert!((r.topo_beta(NodeId(1)) - 0.3).abs() < 1e-12);
@@ -820,7 +772,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::Technology]);
         // σ(0,1,tech): walk 0→1 only. ω = βα·sim·auth(1). Node 1 has
         // one follower on tech; node 3 has two (the per-topic max).
         let auth1 = idx.auth(NodeId(1), Topic::Technology);
@@ -834,7 +786,8 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(
+        let r = run_opts(
+            &p,
             NodeId(0),
             &[Topic::Technology],
             PropagateOpts {
@@ -855,7 +808,8 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(
+        let r = run_opts(
+            &p,
             NodeId(0),
             &[Topic::Technology],
             PropagateOpts {
@@ -886,7 +840,8 @@ mod tests {
         let mut mask = vec![false; 4];
         mask[1] = true;
         mask[2] = true;
-        let r = p.propagate(
+        let r = run_opts(
+            &p,
             NodeId(0),
             &[Topic::Technology],
             PropagateOpts {
@@ -911,7 +866,8 @@ mod tests {
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
         let mask = vec![true; 4]; // every node flagged, source included
-        let r = p.propagate(
+        let r = run_opts(
+            &p,
             NodeId(0),
             &[Topic::Technology],
             PropagateOpts {
@@ -927,7 +883,7 @@ mod tests {
         assert_eq!(r.topo_beta(NodeId(3)), 0.0);
         assert!(!r.reached.contains(&NodeId(3)));
         // And the unpruned run strictly dominates at the blocked node.
-        let unpruned = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let unpruned = run(&p, NodeId(0), &[Topic::Technology]);
         assert!(unpruned.topo_beta(NodeId(3)) > 0.0);
     }
 
@@ -944,7 +900,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::Social], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::Social]);
         assert!(r.converged);
         // Geometric series over the 2-cycle: topo(0,1) = β + β³ + β⁵ ...
         let b2 = 0.3f64 * 0.3;
@@ -958,7 +914,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::TopoOnly);
-        let r = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::Technology]);
         assert_eq!(r.sigma(NodeId(3), Topic::Technology), 0.0);
         assert!(r.topo_beta(NodeId(3)) > 0.0);
     }
@@ -969,11 +925,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(
-            NodeId(0),
-            &[Topic::Technology, Topic::Business],
-            PropagateOpts::default(),
-        );
+        let r = run(&p, NodeId(0), &[Topic::Technology, Topic::Business]);
         let v = r.recommendation_vector(NodeId(3));
         assert_eq!(
             v.get(Topic::Technology),
@@ -990,7 +942,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::Technology]);
         let top = r.top_n_topo(10);
         assert!(!top.iter().any(|&(v, _)| v == NodeId(0)));
         for pair in top.windows(2) {
@@ -1008,7 +960,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let r = p.propagate(NodeId(0), &[Topic::War], PropagateOpts::default());
+        let r = run(&p, NodeId(0), &[Topic::War]);
         assert!(!r.reached.contains(&NodeId(2)));
         assert_eq!(r.topo_beta(NodeId(2)), 0.0);
     }
@@ -1069,9 +1021,9 @@ mod tests {
                 // those stale words were the stamps not rewound.
                 ws.run.run_epoch = u32::MAX;
             }
-            let fresh = p.propagate(*source, topics, *opts);
-            let reused = p.propagate_into(&mut ws, *source, topics, *opts);
-            assert_same_bits(&g, &reused, &fresh);
+            let fresh = run_opts(&p, *source, topics, *opts);
+            let reused = p.propagate(&mut ws, *source, topics, *opts);
+            assert_same_bits(&g, reused, &fresh);
         }
         assert_eq!(ws.run.run_epoch, 4, "wrapped through 0 to 1 and on");
     }
@@ -1102,9 +1054,9 @@ mod tests {
             let p = Propagator::new(g, idx, &sim, params(), ScoreVariant::Full);
             let topics: &[Topic] = [&Topic::ALL[..], &[Topic::Social], &[]][round % 3];
             let source = NodeId(round as u32 * 7);
-            let fresh = p.propagate(source, topics, PropagateOpts::default());
-            let reused = p.propagate_into(&mut ws, source, topics, PropagateOpts::default());
-            assert_same_bits(g, &reused, &fresh);
+            let fresh = run(&p, source, topics);
+            let reused = p.propagate(&mut ws, source, topics, PropagateOpts::default());
+            assert_same_bits(g, reused, &fresh);
         }
     }
 
@@ -1118,10 +1070,10 @@ mod tests {
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
         let mut ws = PropWorkspace::new();
-        let a = p.propagate_into(&mut ws, NodeId(0), &Topic::ALL, PropagateOpts::default());
+        let a = p.propagate(&mut ws, NodeId(0), &Topic::ALL, PropagateOpts::default());
         assert!(a.topo_beta(NodeId(1)) > 0.0 && a.sigma(NodeId(3), Topic::Technology) > 0.0);
-        let b = p.propagate_into(&mut ws, NodeId(3), &Topic::ALL, PropagateOpts::default());
-        assert_eq!(b.reached(), &[NodeId(3)]);
+        let b = p.propagate(&mut ws, NodeId(3), &Topic::ALL, PropagateOpts::default());
+        assert_eq!(b.reached, [NodeId(3)]);
         assert_eq!(b.topo_beta(NodeId(3)), 1.0);
         for v in [NodeId(0), NodeId(1), NodeId(2)] {
             assert_eq!(b.topo_beta(v), 0.0);
@@ -1140,7 +1092,7 @@ mod tests {
         // Duplicate topic: the cached lookup must keep first-occurrence
         // semantics, like the `position` scan it replaces.
         let topics = [Topic::Technology, Topic::Business, Topic::Technology];
-        let r = p.propagate(NodeId(0), &topics, PropagateOpts::default());
+        let r = run(&p, NodeId(0), &topics);
         for v in g.nodes() {
             for t in Topic::ALL {
                 let scanned = match topics.iter().position(|&q| q == t) {
@@ -1162,8 +1114,8 @@ mod tests {
         let full =
             Propagator::with_sim_cache(&g, &idx, Arc::clone(&cache), params(), ScoreVariant::Full);
         let fresh = Propagator::new(&g, &idx, &sim, params(), ScoreVariant::Full);
-        let a = full.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
-        let b = fresh.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let a = run(&full, NodeId(0), &[Topic::Technology]);
+        let b = run(&fresh, NodeId(0), &[Topic::Technology]);
         for v in g.nodes() {
             assert_eq!(
                 a.sigma(v, Topic::Technology).to_bits(),
@@ -1178,7 +1130,7 @@ mod tests {
             params(),
             ScoreVariant::NoSimilarity,
         );
-        let c = no_sim.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let c = run(&no_sim, NodeId(0), &[Topic::Technology]);
         assert!(c.sigma(NodeId(1), Topic::Technology) > 0.0);
     }
 

@@ -84,34 +84,22 @@ impl<'g> TrRecommender<'g> {
         &self.propagator
     }
 
-    /// Top-`n` accounts for `u` on topic `t`, best first.
+    /// Top-`n` accounts for `u` on topic `t`, best first, computed
+    /// inside `ws`.
     pub fn recommend(
         &self,
+        ws: &mut PropWorkspace,
         u: NodeId,
         t: Topic,
         n: usize,
         opts: RecommendOpts,
     ) -> Vec<Recommendation> {
-        self.recommend_weighted(u, &[(t, 1.0)], n, opts)
+        self.recommend_weighted(ws, u, &[(t, 1.0)], n, opts)
     }
 
     /// Top-`n` accounts for the weighted multi-topic query `q`
-    /// (weights need not be normalised).
+    /// (weights need not be normalised), computed inside `ws`.
     pub fn recommend_weighted(
-        &self,
-        u: NodeId,
-        q: &[(Topic, f64)],
-        n: usize,
-        opts: RecommendOpts,
-    ) -> Vec<Recommendation> {
-        let mut ws = PropWorkspace::new();
-        self.recommend_weighted_with(&mut ws, u, q, n, opts)
-    }
-
-    /// [`recommend_weighted`](Self::recommend_weighted) running inside
-    /// a caller-owned [`PropWorkspace`] — the allocation-free path for
-    /// batched query loops (one workspace per `fui-exec` worker).
-    pub fn recommend_weighted_with(
         &self,
         ws: &mut PropWorkspace,
         u: NodeId,
@@ -120,7 +108,7 @@ impl<'g> TrRecommender<'g> {
         opts: RecommendOpts,
     ) -> Vec<Recommendation> {
         let topics: Vec<Topic> = q.iter().map(|&(t, _)| t).collect();
-        let r = self.propagator.propagate_into(
+        let r = self.propagator.propagate(
             ws,
             u,
             &topics,
@@ -137,7 +125,7 @@ impl<'g> TrRecommender<'g> {
         let katz = self.propagator.variant() == ScoreVariant::TopoOnly;
         topk::select_top_k(
             n,
-            r.reached()
+            r.reached
                 .iter()
                 .copied()
                 .filter(|&v| v != u)
@@ -160,13 +148,14 @@ impl<'g> TrRecommender<'g> {
         .collect()
     }
 
-    /// Convenience for Section 3.2's query construction: derives the
-    /// weighted multi-topic query from a user's interest profile ("user
-    /// scores for each individual topic are weighted by the relevance
-    /// of the topic for the posts of u") and answers it. `top_topics`
-    /// bounds how many profile topics enter the query.
+    /// Section 3.2's query construction: derives the weighted
+    /// multi-topic query from a user's interest profile ("user scores
+    /// for each individual topic are weighted by the relevance of the
+    /// topic for the posts of u") and answers it inside `ws`.
+    /// `top_topics` bounds how many profile topics enter the query.
     pub fn recommend_for_profile(
         &self,
+        ws: &mut PropWorkspace,
         u: NodeId,
         profile: &fui_taxonomy::TopicWeights,
         top_topics: usize,
@@ -177,27 +166,13 @@ impl<'g> TrRecommender<'g> {
         if query.is_empty() {
             return Vec::new();
         }
-        self.recommend_weighted(u, &query, n, opts)
+        self.recommend_weighted(ws, u, &query, n, opts)
     }
 
-    /// Scores an explicit candidate list for `u` on `t` (the
-    /// link-prediction protocol ranks 1000 sampled accounts + the
+    /// Scores an explicit candidate list for `u` on `t` inside `ws`
+    /// (the link-prediction protocol ranks 1000 sampled accounts + the
     /// held-out one). Returns one score per candidate, aligned.
     pub fn score_candidates(
-        &self,
-        u: NodeId,
-        t: Topic,
-        candidates: &[NodeId],
-        opts: RecommendOpts,
-    ) -> Vec<f64> {
-        let mut ws = PropWorkspace::new();
-        self.score_candidates_with(&mut ws, u, t, candidates, opts)
-    }
-
-    /// [`score_candidates`](Self::score_candidates) inside a
-    /// caller-owned [`PropWorkspace`] (the link-prediction sweeps score
-    /// thousands of users back to back).
-    pub fn score_candidates_with(
         &self,
         ws: &mut PropWorkspace,
         u: NodeId,
@@ -205,7 +180,7 @@ impl<'g> TrRecommender<'g> {
         candidates: &[NodeId],
         opts: RecommendOpts,
     ) -> Vec<f64> {
-        let r = self.propagator.propagate_into(
+        let r = self.propagator.propagate(
             ws,
             u,
             &[t],
@@ -271,7 +246,9 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let out = rec.recommend(
+            &mut ws,
             a,
             Topic::Technology,
             10,
@@ -294,7 +271,8 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
-        let out = rec.recommend(a, Topic::Technology, 10, RecommendOpts::default());
+        let mut ws = PropWorkspace::new();
+        let out = rec.recommend(&mut ws, a, Topic::Technology, 10, RecommendOpts::default());
         assert!(!out.iter().any(|r| r.node == b || r.node == c));
     }
 
@@ -304,12 +282,14 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let opts = RecommendOpts {
             exclude_followed: false,
             max_depth: None,
         };
-        let tech_only = rec.recommend_weighted(a, &[(Topic::Technology, 1.0)], 10, opts);
+        let tech_only = rec.recommend_weighted(&mut ws, a, &[(Topic::Technology, 1.0)], 10, opts);
         let both = rec.recommend_weighted(
+            &mut ws,
             a,
             &[(Topic::Technology, 0.5), (Topic::Business, 0.5)],
             10,
@@ -335,6 +315,7 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let opts = RecommendOpts {
             exclude_followed: false,
             max_depth: None,
@@ -342,8 +323,9 @@ mod tests {
         let mut profile = fui_taxonomy::TopicWeights::zero();
         profile.set(Topic::Technology, 0.6);
         profile.set(Topic::Business, 0.4);
-        let via_profile = rec.recommend_for_profile(a, &profile, 2, 10, opts);
+        let via_profile = rec.recommend_for_profile(&mut ws, a, &profile, 2, 10, opts);
         let explicit = rec.recommend_weighted(
+            &mut ws,
             a,
             &[(Topic::Technology, 0.6), (Topic::Business, 0.4)],
             10,
@@ -355,7 +337,8 @@ mod tests {
             assert!((x.score - y.score).abs() < 1e-15);
         }
         // Empty profile yields no recommendations rather than a panic.
-        let empty = rec.recommend_for_profile(a, &fui_taxonomy::TopicWeights::zero(), 3, 10, opts);
+        let empty =
+            rec.recommend_for_profile(&mut ws, a, &fui_taxonomy::TopicWeights::zero(), 3, 10, opts);
         assert!(empty.is_empty());
     }
 
@@ -368,14 +351,22 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let p = rec.propagator();
         let both = p.propagate(
+            &mut ws,
             a,
             &[Topic::Technology, Topic::Business],
             crate::propagate::PropagateOpts::default(),
         );
         for (ti, &t) in [Topic::Technology, Topic::Business].iter().enumerate() {
-            let single = p.propagate(a, &[t], crate::propagate::PropagateOpts::default());
+            let mut single_ws = PropWorkspace::new();
+            let single = p.propagate(
+                &mut single_ws,
+                a,
+                &[t],
+                crate::propagate::PropagateOpts::default(),
+            );
             for v in g.nodes() {
                 assert!(
                     (both.sigma_at(v, ti) - single.sigma_at(v, 0)).abs() < 1e-15,
@@ -391,14 +382,15 @@ mod tests {
         let idx = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let rec = TrRecommender::new(&g, &idx, &sim, ScoreParams::default(), ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let opts = RecommendOpts {
             exclude_followed: false,
             max_depth: None,
         };
-        let scores = rec.score_candidates(a, Topic::Technology, &[d, e], opts);
+        let scores = rec.score_candidates(&mut ws, a, Topic::Technology, &[d, e], opts);
         assert_eq!(scores.len(), 2);
         assert!(scores[0] > scores[1], "{scores:?}");
-        let list = rec.recommend(a, Topic::Technology, 10, opts);
+        let list = rec.recommend(&mut ws, a, Topic::Technology, 10, opts);
         let from_list = |n: NodeId| list.iter().find(|r| r.node == n).unwrap().score;
         assert!((scores[0] - from_list(d)).abs() < 1e-15);
         assert!((scores[1] - from_list(e)).abs() < 1e-15);
@@ -416,7 +408,9 @@ mod tests {
             ScoreParams::default(),
             ScoreVariant::TopoOnly,
         );
+        let mut ws = PropWorkspace::new();
         let out = rec.recommend(
+            &mut ws,
             a,
             Topic::Technology,
             10,

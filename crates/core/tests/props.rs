@@ -4,7 +4,8 @@
 //! composition law (Prop. 2) must hold on random walks (DESIGN.md §7).
 
 use fui_core::{
-    exhaustive, path, AuthorityIndex, PropagateOpts, Propagator, ScoreParams, ScoreVariant,
+    exhaustive, path, AuthorityIndex, PropWorkspace, PropagateOpts, Propagator, ScoreParams,
+    ScoreVariant,
 };
 use fui_graph::{GraphBuilder, NodeId, SocialGraph, TopicSet};
 use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
@@ -56,7 +57,9 @@ proptest! {
             ScoreVariant::NoSimilarity,
         ] {
             let engine = Propagator::new(&g, &auth, &sim, params, variant);
+            let mut ws = PropWorkspace::new();
             let r = engine.propagate(
+                &mut ws,
                 NodeId(0),
                 &[t],
                 PropagateOpts { max_depth: Some(depth), ..Default::default() },
@@ -88,11 +91,14 @@ proptest! {
         let auth = AuthorityIndex::build(&g);
         let sim = SimMatrix::opencalais();
         let engine = Propagator::new(&g, &auth, &sim, params, ScoreVariant::Full);
+        let mut ws = PropWorkspace::new();
         let shallow = engine.propagate(
+            &mut ws,
             NodeId(0), &[t],
             PropagateOpts { max_depth: Some(2), ..Default::default() },
-        );
+        ).clone();
         let deep = engine.propagate(
+            &mut ws,
             NodeId(0), &[t],
             PropagateOpts { max_depth: Some(4), ..Default::default() },
         );
@@ -151,8 +157,10 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(mask_seed);
         let mask: Vec<bool> = (0..g.num_nodes()).map(|_| rng.gen::<f64>() < 0.3).collect();
         let t = Topic::Technology;
-        let full = engine.propagate(NodeId(0), &[t], PropagateOpts::default());
+        let mut ws = PropWorkspace::new();
+        let full = engine.propagate(&mut ws, NodeId(0), &[t], PropagateOpts::default()).clone();
         let pruned = engine.propagate(
+            &mut ws,
             NodeId(0),
             &[t],
             PropagateOpts { prune: Some(&mask), ..Default::default() },

@@ -9,6 +9,7 @@
 //! and form a ranked list. If v belongs to the top-n accounts we have
 //! a hit. Recall = #hits/T, precision = #hits/(N·T)."
 
+use fui_core::PropWorkspace;
 use fui_graph::{NodeId, SocialGraph};
 use fui_taxonomy::Topic;
 use rand::seq::SliceRandom;
@@ -92,8 +93,10 @@ pub fn select_test_edges(
 pub trait CandidateScorer {
     /// Method name as shown in the paper's figures.
     fn name(&self) -> &str;
-    /// One score per candidate, aligned with the input order.
-    fn score(&self, u: NodeId, t: Topic, candidates: &[NodeId]) -> Vec<f64>;
+    /// One score per candidate, aligned with the input order. A
+    /// propagation-based scorer runs inside `ws`, the evaluation
+    /// loop's one workspace; the others ignore it.
+    fn score(&self, ws: &mut PropWorkspace, u: NodeId, t: Topic, cands: &[NodeId]) -> Vec<f64>;
 }
 
 /// Accumulated hits of one method over a test set.
@@ -184,7 +187,8 @@ pub struct DetailedEvaluation {
     pub ranks: Vec<TargetRank>,
 }
 
-/// Evaluates and keeps each target's rank.
+/// Evaluates and keeps each target's rank. Every test edge is scored
+/// inside one [`PropWorkspace`].
 pub fn evaluate_detailed(
     scorer: &dyn CandidateScorer,
     tests: &[TestEdge],
@@ -195,9 +199,10 @@ pub fn evaluate_detailed(
     let mut hits_at = vec![0usize; max_n];
     let mut list_size = 0usize;
     let mut ranks = Vec::with_capacity(tests.len());
+    let mut ws = PropWorkspace::new();
     for (e, cands) in tests.iter().zip(candidates) {
         list_size = cands.len();
-        let scores = scorer.score(e.src, e.topic, cands);
+        let scores = scorer.score(&mut ws, e.src, e.topic, cands);
         let target_score = *scores.last().expect("target is the last candidate");
         let rank = scores[..scores.len() - 1]
             .iter()
@@ -304,8 +309,8 @@ mod tests {
         fn name(&self) -> &str {
             "oracle"
         }
-        fn score(&self, _u: NodeId, _t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-            let mut v = vec![0.0; candidates.len()];
+        fn score(&self, _: &mut PropWorkspace, _: NodeId, _: Topic, cands: &[NodeId]) -> Vec<f64> {
+            let mut v = vec![0.0; cands.len()];
             *v.last_mut().unwrap() = 1.0;
             v
         }
@@ -317,8 +322,8 @@ mod tests {
         fn name(&self) -> &str {
             "uniform"
         }
-        fn score(&self, _u: NodeId, _t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-            vec![0.5; candidates.len()]
+        fn score(&self, _: &mut PropWorkspace, _: NodeId, _: Topic, cands: &[NodeId]) -> Vec<f64> {
+            vec![0.5; cands.len()]
         }
     }
 

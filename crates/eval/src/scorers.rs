@@ -1,7 +1,7 @@
 //! [`CandidateScorer`] adapters for every method the paper compares.
 
 use fui_baselines::{KatzScorer, PageRank, TwitterRank};
-use fui_core::{RecommendOpts, TrRecommender};
+use fui_core::{PropWorkspace, RecommendOpts, TrRecommender};
 use fui_graph::NodeId;
 use fui_landmarks::ApproxRecommender;
 use fui_taxonomy::Topic;
@@ -15,11 +15,12 @@ impl CandidateScorer for TrRecommender<'_> {
         self.propagator().variant().name()
     }
 
-    fn score(&self, u: NodeId, t: Topic, candidates: &[NodeId]) -> Vec<f64> {
+    fn score(&self, ws: &mut PropWorkspace, u: NodeId, t: Topic, cands: &[NodeId]) -> Vec<f64> {
         self.score_candidates(
+            ws,
             u,
             t,
-            candidates,
+            cands,
             RecommendOpts {
                 exclude_followed: false,
                 max_depth: None,
@@ -34,8 +35,8 @@ impl CandidateScorer for KatzScorer<'_> {
         "Katz"
     }
 
-    fn score(&self, u: NodeId, _t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-        self.score_candidates(u, candidates)
+    fn score(&self, _: &mut PropWorkspace, u: NodeId, _: Topic, cands: &[NodeId]) -> Vec<f64> {
+        self.score_candidates(u, cands)
     }
 }
 
@@ -45,8 +46,8 @@ impl CandidateScorer for TwitterRank {
         "TwitterRank"
     }
 
-    fn score(&self, _u: NodeId, t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-        self.score_candidates(t, candidates)
+    fn score(&self, _: &mut PropWorkspace, _: NodeId, t: Topic, cands: &[NodeId]) -> Vec<f64> {
+        self.score_candidates(t, cands)
     }
 }
 
@@ -57,8 +58,8 @@ impl CandidateScorer for PageRank {
         "PageRank"
     }
 
-    fn score(&self, _u: NodeId, _t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-        self.score_candidates(candidates)
+    fn score(&self, _: &mut PropWorkspace, _: NodeId, _: Topic, cands: &[NodeId]) -> Vec<f64> {
+        self.score_candidates(cands)
     }
 }
 
@@ -70,14 +71,14 @@ impl CandidateScorer for ApproxRecommender<'_, '_> {
         "Tr-landmark"
     }
 
-    fn score(&self, u: NodeId, t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-        let result = self.recommend(u, t, usize::MAX);
+    fn score(&self, ws: &mut PropWorkspace, u: NodeId, t: Topic, cands: &[NodeId]) -> Vec<f64> {
+        let result = self.recommend_with(ws, u, t, usize::MAX);
         let lookup: std::collections::HashMap<u32, f64> = result
             .recommendations
             .into_iter()
             .map(|(v, s)| (v.0, s))
             .collect();
-        candidates
+        cands
             .iter()
             .map(|v| lookup.get(&v.0).copied().unwrap_or(0.0))
             .collect()
@@ -127,15 +128,16 @@ mod tests {
         );
         let index = LandmarkIndex::build(&p, vec![NodeId(1), NodeId(2)], 50);
         let approx = ApproxRecommender::new(&p, &index);
+        let mut ws = PropWorkspace::new();
         let u = NodeId(0);
-        let recs = approx.recommend(u, Topic::Technology, 10);
+        let recs = approx.recommend_with(&mut ws, u, Topic::Technology, 10);
         if let Some(&(best, score)) = recs.recommendations.first() {
-            let scored = CandidateScorer::score(&approx, u, Topic::Technology, &[best]);
+            let scored = CandidateScorer::score(&approx, &mut ws, u, Topic::Technology, &[best]);
             assert!((scored[0] - score).abs() < 1e-12);
         }
         // Unknown candidates score zero.
         let far = NodeId((d.graph.num_nodes() - 1) as u32);
-        let s = CandidateScorer::score(&approx, u, Topic::Technology, &[far]);
+        let s = CandidateScorer::score(&approx, &mut ws, u, Topic::Technology, &[far]);
         assert!(s[0] >= 0.0);
     }
 }

@@ -28,7 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fui_baselines::{KatzScorer, TwitterRank};
-use fui_core::{RecommendOpts, TrRecommender};
+use fui_core::{PropWorkspace, RecommendOpts, TrRecommender};
 
 /// A method that can produce a filtered top-k list for a user+topic.
 pub trait TopRecommender {
@@ -36,8 +36,16 @@ pub trait TopRecommender {
     fn name(&self) -> &str;
     /// Top-`k` recommendations for `u` on `t` among nodes accepted by
     /// `filter` (the query user is always excluded by the caller's
-    /// filter composition).
-    fn top_k(&self, u: NodeId, t: Topic, k: usize, filter: &dyn Fn(NodeId) -> bool) -> Vec<NodeId>;
+    /// filter composition). A propagation-based method runs inside
+    /// `ws`, the study's one workspace; the others ignore it.
+    fn top_k(
+        &self,
+        ws: &mut PropWorkspace,
+        u: NodeId,
+        t: Topic,
+        k: usize,
+        filter: &dyn Fn(NodeId) -> bool,
+    ) -> Vec<NodeId>;
 }
 
 impl TopRecommender for TrRecommender<'_> {
@@ -45,8 +53,16 @@ impl TopRecommender for TrRecommender<'_> {
         self.propagator().variant().name()
     }
 
-    fn top_k(&self, u: NodeId, t: Topic, k: usize, filter: &dyn Fn(NodeId) -> bool) -> Vec<NodeId> {
+    fn top_k(
+        &self,
+        ws: &mut PropWorkspace,
+        u: NodeId,
+        t: Topic,
+        k: usize,
+        filter: &dyn Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
         self.recommend(
+            ws,
             u,
             t,
             usize::MAX,
@@ -70,6 +86,7 @@ impl TopRecommender for KatzScorer<'_> {
 
     fn top_k(
         &self,
+        _ws: &mut PropWorkspace,
         u: NodeId,
         _t: Topic,
         k: usize,
@@ -89,7 +106,14 @@ impl TopRecommender for TwitterRank {
         "TwitterRank"
     }
 
-    fn top_k(&self, u: NodeId, t: Topic, k: usize, filter: &dyn Fn(NodeId) -> bool) -> Vec<NodeId> {
+    fn top_k(
+        &self,
+        _ws: &mut PropWorkspace,
+        u: NodeId,
+        t: Topic,
+        k: usize,
+        filter: &dyn Fn(NodeId) -> bool,
+    ) -> Vec<NodeId> {
         self.recommend(t, Some(u), usize::MAX)
             .into_iter()
             .map(|(v, _)| v)
@@ -208,12 +232,13 @@ pub fn twitter_study(
 ) -> Vec<StudyCell> {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let panel = pick_panel(graph, cfg.panel, &mut rng);
+    let mut ws = PropWorkspace::new();
     let mut cells = Vec::new();
     for method in methods {
         for &t in topics {
             let mut marks = Vec::new();
             for &u in &panel {
-                let recs = method.top_k(u, t, cfg.top_k, &|v| v != u);
+                let recs = method.top_k(&mut ws, u, t, cfg.top_k, &|v| v != u);
                 for v in recs {
                     marks.push(f64::from(rate(
                         cfg,
@@ -261,6 +286,7 @@ pub fn dblp_study(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let panel = pick_panel(graph, cfg.panel, &mut rng);
     let mut totals: Vec<(f64, usize, usize, f64)> = vec![(0.0, 0, 0, 0.0); methods.len()]; // (sum, count, #45, best)
+    let mut ws = PropWorkspace::new();
     for &u in &panel {
         let area = hidden_profiles[u.index()].argmax().unwrap_or(Topic::Other);
         // Citation vicinity of the panelist: authors within 2 hops.
@@ -268,7 +294,7 @@ pub fn dblp_study(
         let near = |v: NodeId| vicinity.distance(v).is_some();
         let mut per_method_sum = vec![0.0f64; methods.len()];
         for (mi, method) in methods.iter().enumerate() {
-            let recs = method.top_k(u, area, cfg.top_k, &|v| {
+            let recs = method.top_k(&mut ws, u, area, cfg.top_k, &|v| {
                 v != u && graph.in_degree(v) <= citation_cap
             });
             for v in recs {

@@ -1,6 +1,7 @@
 //! Property tests on the evaluation machinery: Kendall-tau axioms and
 //! link-prediction protocol invariants (DESIGN.md §7).
 
+use fui_core::PropWorkspace;
 use fui_eval::kendall_tau_distance;
 use fui_eval::linkpred::{draw_candidates, evaluate, CandidateScorer, TestEdge};
 use fui_graph::{GraphBuilder, NodeId, TopicSet};
@@ -104,8 +105,8 @@ impl CandidateScorer for KeyScorer {
     fn name(&self) -> &str {
         "key"
     }
-    fn score(&self, _u: NodeId, _t: Topic, candidates: &[NodeId]) -> Vec<f64> {
-        candidates.iter().map(|v| self.0[v.index()]).collect()
+    fn score(&self, _: &mut PropWorkspace, _: NodeId, _: Topic, cands: &[NodeId]) -> Vec<f64> {
+        cands.iter().map(|v| self.0[v.index()]).collect()
     }
 }
 

@@ -5,8 +5,7 @@
 //! per landmark, which is embarrassingly parallel. This crate is the
 //! one place that workload shape is implemented: a small scoped-thread
 //! work pool (built on the vendored `crossbeam`, no runtime deps)
-//! exposing [`par_map`], [`par_map_mut`], [`par_chunks`] and
-//! [`par_ranges`].
+//! exposing [`par_map`], [`par_map_with`] and [`par_map_mut`].
 //!
 //! # Determinism guarantee
 //!
@@ -48,7 +47,6 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -213,67 +211,6 @@ where
     })
 }
 
-/// Splits `items` into contiguous chunks of `chunk_size` and maps `f`
-/// over them on the configured pool. `f` receives the chunk's offset
-/// into `items` and the chunk itself; results come back in chunk
-/// order. Panics if `chunk_size` is zero (see
-/// [`par_ranges_with`]).
-pub fn par_chunks<T, R, F>(items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    par_chunks_with(threads(), items, chunk_size, f)
-}
-
-/// [`par_chunks`] with an explicit pool width.
-pub fn par_chunks_with<T, R, F>(width: usize, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    par_ranges_with(width, items.len(), chunk_size, |r| {
-        f(r.start, &items[r.start..r.end])
-    })
-}
-
-/// Index-space variant of [`par_chunks`]: splits `0..len` into
-/// contiguous ranges of `chunk_size` and maps `f` over them, returning
-/// per-range results in range order. The tool for parallel passes over
-/// dense arrays (per-node scans) without materialising an item slice.
-/// Panics if `chunk_size` is zero (see [`par_ranges_with`]).
-pub fn par_ranges<R, F>(len: usize, chunk_size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    par_ranges_with(threads(), len, chunk_size, f)
-}
-
-/// [`par_ranges`] with an explicit pool width.
-///
-/// # Panics
-///
-/// Panics if `chunk_size` is zero — a zero chunk can never cover
-/// `0..len`, so a silent fallback would hide the caller's bug.
-pub fn par_ranges_with<R, F>(width: usize, len: usize, chunk_size: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    assert!(
-        chunk_size > 0,
-        "par_ranges chunk_size must be positive (got 0 for len {len})"
-    );
-    let num_chunks = len.div_ceil(chunk_size);
-    run_tasks(width, num_chunks, |c| {
-        let start = c * chunk_size;
-        f(start..(start + chunk_size).min(len))
-    })
-}
-
 /// The shared engine: executes `num_tasks` closures of a deterministic
 /// task function and returns their results in task-index order.
 ///
@@ -377,49 +314,6 @@ mod tests {
         });
         assert_eq!(lens.iter().sum::<usize>(), 100);
         assert!(arena.iter().enumerate().all(|(j, &x)| x == j / 7));
-    }
-
-    #[test]
-    fn par_chunks_covers_every_item_once() {
-        let items: Vec<usize> = (0..1000).collect();
-        for (width, chunk) in [(1, 1), (4, 1), (4, 7), (3, 333), (8, 5000)] {
-            let pieces = par_chunks_with(width, &items, chunk, |off, sl| {
-                assert_eq!(sl[0], off, "chunk offset mismatch");
-                sl.to_vec()
-            });
-            let flat: Vec<usize> = pieces.into_iter().flatten().collect();
-            assert_eq!(flat, items, "width {width} chunk {chunk}");
-        }
-    }
-
-    #[test]
-    fn par_ranges_partitions_the_index_space() {
-        let ranges = par_ranges_with(4, 10, 3, |r| r);
-        assert_eq!(ranges, vec![0..3, 3..6, 6..9, 9..10]);
-        assert!(par_ranges_with(4, 0, 3, |r| r).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_is_rejected() {
-        // A zero chunk used to be silently coerced to 1, masking the
-        // caller's bug; it is now an explicit contract violation.
-        let _ = par_ranges_with(4, 10, 0, |r| r);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk_size must be positive")]
-    fn zero_chunk_size_is_rejected_through_par_chunks() {
-        let items = [1u8, 2, 3];
-        let _ = par_chunks_with(2, &items, 0, |_, sl| sl.to_vec());
-    }
-
-    #[test]
-    fn width_beyond_chunk_count_still_covers_everything() {
-        let items: Vec<usize> = (0..5).collect();
-        let pieces = par_chunks_with(64, &items, 2, |_, sl| sl.to_vec());
-        let flat: Vec<usize> = pieces.into_iter().flatten().collect();
-        assert_eq!(flat, items);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Property tests: the pool's output is the serial map's output for
-//! arbitrary inputs, chunk sizes and thread counts — the determinism
+//! arbitrary inputs and thread counts — the determinism
 //! contract the landmark pipeline builds on.
 
 use proptest::prelude::*;
@@ -14,24 +14,6 @@ proptest! {
         let serial: Vec<i64> = items.iter().map(|&x| x.wrapping_mul(31).wrapping_add(7)).collect();
         let par = fui_exec::par_map_with(width, &items, |&x| x.wrapping_mul(31).wrapping_add(7));
         prop_assert_eq!(par, serial);
-    }
-
-    /// `par_chunks` reassembles to the identity for random chunk sizes
-    /// and widths, and every chunk sees its true offset.
-    #[test]
-    fn par_chunks_reassembles_identically(
-        len in 0usize..400,
-        chunk in 1usize..64,
-        width in 1usize..12,
-    ) {
-        let items: Vec<usize> = (0..len).collect();
-        let pieces = fui_exec::par_chunks_with(width, &items, chunk, |off, sl| {
-            assert!(sl.len() <= chunk);
-            assert_eq!(sl.first().copied().unwrap_or(off), off);
-            sl.to_vec()
-        });
-        let flat: Vec<usize> = pieces.into_iter().flatten().collect();
-        prop_assert_eq!(flat, items);
     }
 
     /// Index-ordered float reduction is bit-stable across widths: the
@@ -50,22 +32,5 @@ proptest! {
             .into_iter()
             .fold(0.0f64, |a, b| a + b);
         prop_assert_eq!(serial.to_bits(), par.to_bits());
-    }
-
-    /// `par_ranges` tiles `0..len` exactly once, in order.
-    #[test]
-    fn par_ranges_tiles_exactly(
-        len in 0usize..500,
-        chunk in 1usize..80,
-        width in 1usize..12,
-    ) {
-        let ranges = fui_exec::par_ranges_with(width, len, chunk, |r| r);
-        let mut expect_start = 0usize;
-        for r in &ranges {
-            prop_assert_eq!(r.start, expect_start);
-            prop_assert!(r.end - r.start <= chunk);
-            expect_start = r.end;
-        }
-        prop_assert_eq!(expect_start, len);
     }
 }

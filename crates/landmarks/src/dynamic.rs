@@ -15,12 +15,13 @@
 //! the trade-off the paper anticipates.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use fui_core::Propagator;
 use fui_graph::NodeId;
 use fui_taxonomy::TopicSet;
 
-use crate::index::LandmarkIndex;
+use crate::index::{LandmarkEntry, LandmarkIndex};
 
 /// What a follow-graph mutation does to the edge.
 ///
@@ -73,18 +74,35 @@ impl EdgeChange {
 }
 
 /// A landmark index plus per-landmark staleness accounting.
+///
+/// The index is held once, behind an `Arc`: a serving snapshot shares
+/// it ([`shared_index`](Self::shared_index)), and a refresh edits it in
+/// place through `Arc::make_mut`, copying only while a snapshot still
+/// pins the old one.
 pub struct DynamicLandmarks {
-    index: LandmarkIndex,
+    index: Arc<LandmarkIndex>,
     /// Accumulated impact per landmark slot.
     staleness: Vec<f64>,
     /// Impact at which a landmark is flagged for refresh.
-    pub refresh_threshold: f64,
+    refresh_threshold: f64,
     /// Impact charged for a change not visible from the landmark's
     /// stored lists (far-away changes still drift scores slightly).
-    pub background_impact: f64,
+    background_impact: f64,
     /// Per-landmark `node → stored topo_β(λ, node)` lookup.
     topo_lookup: Vec<HashMap<u32, f64>>,
     changes_seen: u64,
+}
+
+/// The `node → stored topo_β(λ, node)` lookup of one landmark entry:
+/// its topological list, plus the nodes only its topical lists cover.
+fn topo_lookup(entry: &LandmarkEntry) -> HashMap<u32, f64> {
+    let mut map: HashMap<u32, f64> = entry.topo.iter().map(|s| (s.node.0, s.topo)).collect();
+    for list in &entry.recs {
+        for s in list {
+            map.entry(s.node.0).or_insert(s.topo);
+        }
+    }
+    map
 }
 
 impl DynamicLandmarks {
@@ -96,7 +114,8 @@ impl DynamicLandmarks {
     }
 
     /// Wraps an index with an explicit policy. `refresh_threshold` is
-    /// relative to each landmark's total stored `topo_β` mass.
+    /// relative to each landmark's total stored `topo_β` mass. Named
+    /// by `benchmark/` until ROADMAP 6(d) stops it importing this type.
     pub fn with_policy(
         index: LandmarkIndex,
         refresh_threshold: f64,
@@ -104,22 +123,11 @@ impl DynamicLandmarks {
     ) -> DynamicLandmarks {
         assert!(refresh_threshold > 0.0, "threshold must be positive");
         let topo_lookup = (0..index.len())
-            .map(|slot| {
-                let entry = index.entry_at(slot);
-                let mut map: HashMap<u32, f64> =
-                    entry.topo.iter().map(|s| (s.node.0, s.topo)).collect();
-                // Topical lists may cover nodes the topo list misses.
-                for list in &entry.recs {
-                    for s in list {
-                        map.entry(s.node.0).or_insert(s.topo);
-                    }
-                }
-                map
-            })
+            .map(|slot| topo_lookup(index.entry_at(slot)))
             .collect();
         DynamicLandmarks {
             staleness: vec![0.0; index.len()],
-            index,
+            index: Arc::new(index),
             refresh_threshold,
             background_impact,
             topo_lookup,
@@ -161,6 +169,11 @@ impl DynamicLandmarks {
         &self.index
     }
 
+    /// The wrapped index as the shared handle a snapshot clones.
+    pub fn shared_index(&self) -> &Arc<LandmarkIndex> {
+        &self.index
+    }
+
     /// Number of changes recorded so far.
     pub fn changes_seen(&self) -> u64 {
         self.changes_seen
@@ -174,11 +187,13 @@ impl DynamicLandmarks {
     /// Charges one mutation to every landmark. Insertions and removals
     /// are charged identically: deleting an edge invalidates exactly
     /// the walk mass that adding it would have created, so both kinds
-    /// drive the affected landmarks stale at the same rate.
-    pub fn record(&mut self, change: &EdgeChange) {
+    /// drive the affected landmarks stale at the same rate. Returns
+    /// the slots this change flagged stale, ascending. Named by
+    /// `benchmark/` until ROADMAP 6(d) stops it importing this type.
+    pub fn record(&mut self, change: &EdgeChange) -> Vec<usize> {
         self.changes_seen += 1;
         fui_obs::counter("landmarks.dynamic.records").incr();
-        let mut newly_stale = 0u64;
+        let mut newly_stale = Vec::new();
         for slot in 0..self.index.len() {
             let lookup = &self.topo_lookup[slot];
             let landmark = self.index.landmarks()[slot];
@@ -193,10 +208,11 @@ impl DynamicLandmarks {
             let was_stale = self.is_stale(slot);
             self.staleness[slot] += via_src + via_dst + self.background_impact;
             if !was_stale && self.is_stale(slot) {
-                newly_stale += 1;
+                newly_stale.push(slot);
             }
         }
-        fui_obs::counter("landmarks.dynamic.stale").add(newly_stale);
+        fui_obs::counter("landmarks.dynamic.stale").add(newly_stale.len() as u64);
+        newly_stale
     }
 
     /// Whether `slot`'s accumulated impact crossed the threshold
@@ -214,7 +230,8 @@ impl DynamicLandmarks {
     }
 
     /// Landmark slots whose impact crossed the threshold (relative to
-    /// their stored topological mass).
+    /// their stored topological mass). Named by `benchmark/` until
+    /// ROADMAP 6(d) stops it importing this type.
     pub fn stale_slots(&self) -> Vec<usize> {
         (0..self.index.len())
             .filter(|&slot| self.is_stale(slot))
@@ -235,18 +252,15 @@ impl DynamicLandmarks {
     /// same at every width.
     pub fn refresh_stale_with(&mut self, propagator: &Propagator<'_>, threads: usize) -> usize {
         let stale = self.stale_slots();
+        // `make_mut` copies an index a snapshot still shares; with
+        // nothing stale, that copy would be all the call did.
+        if stale.is_empty() {
+            return 0;
+        }
         fui_obs::counter("landmarks.dynamic.refreshes").add(stale.len() as u64);
-        self.index.refresh_slots(propagator, &stale, threads);
+        Arc::make_mut(&mut self.index).refresh_slots(propagator, &stale, threads);
         for &slot in &stale {
-            let entry = self.index.entry_at(slot);
-            let mut map: HashMap<u32, f64> =
-                entry.topo.iter().map(|s| (s.node.0, s.topo)).collect();
-            for list in &entry.recs {
-                for s in list {
-                    map.entry(s.node.0).or_insert(s.topo);
-                }
-            }
-            self.topo_lookup[slot] = map;
+            self.topo_lookup[slot] = topo_lookup(self.index.entry_at(slot));
             self.staleness[slot] = 0.0;
         }
         stale.len()
@@ -348,7 +362,7 @@ mod tests {
     fn a_pooled_refresh_is_byte_identical_at_every_width() {
         // Eight landmarks over a streamed graph, every one flagged by
         // the background charge: width 1 and width 2 refresh them all
-        // to the same bytes, equal to a slot-by-slot refresh.
+        // to the same bytes, equal to the serial build on the new graph.
         let g = fui_datagen::generate_streaming(&fui_datagen::StreamConfig {
             nodes: 600,
             avg_out_degree: 6.0,
@@ -360,7 +374,7 @@ mod tests {
         let sim = SimMatrix::opencalais();
         let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let landmarks: Vec<NodeId> = (0..8).map(|i| NodeId(i * 70 + 3)).collect();
-        let index = LandmarkIndex::build(&p, landmarks, 20);
+        let index = LandmarkIndex::build(&p, landmarks.clone(), 20);
         let tech = TopicSet::single(Topic::Technology);
         let g2 = g.with_edges(&[
             (NodeId(599), NodeId(1), tech),
@@ -369,10 +383,7 @@ mod tests {
         let auth2 = AuthorityIndex::build(&g2);
         let p2 = Propagator::new(&g2, &auth2, &sim, params(), ScoreVariant::Full);
 
-        let mut serial = index.clone();
-        for slot in 0..serial.len() {
-            serial.refresh(&p2, slot);
-        }
+        let serial = LandmarkIndex::build_parallel(&p2, landmarks, 20, 1);
         for width in [1, 2] {
             let mut dynamic = DynamicLandmarks::with_policy(index.clone(), 0.01, 1.0);
             dynamic.record(&EdgeChange::insert(NodeId(599), NodeId(1), tech));

@@ -8,11 +8,11 @@
 //! Proposition 4 has both terms available.
 //!
 //! Preprocessing is embarrassingly parallel across landmarks;
-//! [`LandmarkIndex::build_parallel`] fans out one propagation per
-//! landmark over the [`fui_exec`] pool, sharing one read-only
-//! [`Propagator`], and merges the entries **in landmark order** — the
-//! pool's index-ordered reduction makes the index bit-identical to
-//! [`LandmarkIndex::build`] at every thread count.
+//! [`LandmarkIndex::build`] fans out one propagation per landmark over
+//! the [`fui_exec`] pool, sharing one read-only [`Propagator`], and
+//! merges the entries **in landmark order** — the pool's index-ordered
+//! reduction makes the index bit-identical at every thread count, the
+//! serial loop `build_parallel(.., 1)` included.
 
 use std::sync::Arc;
 
@@ -69,25 +69,22 @@ pub struct LandmarkIndex {
 }
 
 impl LandmarkIndex {
-    /// Sequentially precomputes the index over the given landmarks.
+    /// Precomputes the index over the given landmarks on the
+    /// [`fui_exec`] pool at the width `FUI_THREADS` configures
+    /// ([`build_parallel`](Self::build_parallel)).
     pub fn build(
         propagator: &Propagator<'_>,
         landmarks: Vec<NodeId>,
         top_n: usize,
     ) -> LandmarkIndex {
-        let mut ws = PropWorkspace::new();
-        let entries = landmarks
-            .iter()
-            .map(|&l| compute_entry(propagator, &mut ws, l, top_n))
-            .collect();
-        Self::assemble(propagator.graph().num_nodes(), landmarks, entries, top_n)
+        Self::build_parallel(propagator, landmarks, top_n, fui_exec::threads())
     }
 
-    /// Parallel preprocessing over `threads` workers of the
-    /// [`fui_exec`] pool (one propagation per landmark per worker,
-    /// entries merged in landmark order). Each worker reuses one
-    /// propagation workspace across all the landmarks it claims, so
-    /// the build performs `O(threads)` workspace allocations, not
+    /// Preprocessing over `threads` workers of the [`fui_exec`] pool
+    /// (one propagation per landmark per worker, entries merged in
+    /// landmark order; width 1 is the serial loop). Each worker reuses
+    /// one propagation workspace across all the landmarks it claims,
+    /// so the build performs `O(threads)` workspace allocations, not
     /// `O(landmarks)`.
     pub fn build_parallel(
         propagator: &Propagator<'_>,
@@ -103,15 +100,14 @@ impl LandmarkIndex {
         Self::assemble(propagator.graph().num_nodes(), landmarks, entries, top_n)
     }
 
-    /// [`build_parallel`](Self::build_parallel) at the pool width
-    /// configured through `FUI_THREADS` — what production callers and
-    /// the bench harness use.
+    /// [`build`](Self::build). Named by `benchmark/`; ROADMAP 6(d)
+    /// deletes it.
     pub fn build_auto(
         propagator: &Propagator<'_>,
         landmarks: Vec<NodeId>,
         top_n: usize,
     ) -> LandmarkIndex {
-        Self::build_parallel(propagator, landmarks, top_n, fui_exec::threads())
+        Self::build(propagator, landmarks, top_n)
     }
 
     pub(crate) fn assemble(
@@ -205,14 +201,9 @@ impl LandmarkIndex {
     }
 
     /// Recomputes one landmark's entry against a (possibly changed)
-    /// graph — the refresh primitive of the dynamic-update policy
-    /// (`crate::dynamic`). The propagator must cover a graph with the
-    /// same node-id space.
-    pub fn refresh(&mut self, propagator: &Propagator<'_>, slot: usize) {
-        self.refresh_with(propagator, &mut PropWorkspace::new(), slot);
-    }
-
-    /// [`refresh`](Self::refresh) inside a caller-owned workspace.
+    /// graph inside `ws`. The propagator must cover a graph with the
+    /// same node-id space. Named by `benchmark/`
+    /// (`landmarks.index.refresh_slot_ms`); ROADMAP 6(d) deletes it.
     pub fn refresh_with(
         &mut self,
         propagator: &Propagator<'_>,
@@ -222,7 +213,9 @@ impl LandmarkIndex {
         self.entries[slot] = compute_entry(propagator, ws, self.landmarks[slot], self.top_n);
     }
 
-    /// [`refresh`](Self::refresh) of many slots at once, the way
+    /// Recomputes the entries of many slots against a (possibly
+    /// changed) graph — the refresh primitive of the dynamic-update
+    /// policy (`crate::dynamic`) — the way
     /// [`build_parallel`](Self::build_parallel) builds: one `par_map`
     /// over `threads` workers, each reusing one workspace across the
     /// slots it claims, the entries installed in `slots` order. The
@@ -275,7 +268,7 @@ fn compute_entry(
     top_n: usize,
 ) -> LandmarkEntry {
     let _span = fui_obs::span!("landmark.preprocess");
-    let r = propagator.propagate_into(ws, landmark, &Topic::ALL, PropagateOpts::default());
+    let r = propagator.propagate(ws, landmark, &Topic::ALL, PropagateOpts::default());
     let mut recs = Vec::with_capacity(NUM_TOPICS);
     for ti in 0..NUM_TOPICS {
         let list = r
@@ -380,7 +373,7 @@ mod tests {
             ScoreVariant::Full,
         );
         let landmarks: Vec<NodeId> = (0..8).map(|i| NodeId(i * 13)).collect();
-        let seq = LandmarkIndex::build(&p, landmarks.clone(), 15);
+        let seq = LandmarkIndex::build_parallel(&p, landmarks.clone(), 15, 1);
         let par = LandmarkIndex::build_parallel(&p, landmarks.clone(), 15, 4);
         for &l in &landmarks {
             let (a, b) = (seq.entry(l).unwrap(), par.entry(l).unwrap());
@@ -448,8 +441,8 @@ mod tests {
 
         let mut ws = PropWorkspace::new();
         let reached = p
-            .propagate_into(&mut ws, hubs[0], &Topic::ALL, PropagateOpts::default())
-            .reached()
+            .propagate(&mut ws, hubs[0], &Topic::ALL, PropagateOpts::default())
+            .reached
             .len();
         assert!(
             ws.size_bytes() <= 8 * n + 1024 * reached,

@@ -109,21 +109,21 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
 
     /// Top-`n` approximate recommendations for a weighted multi-topic
     /// query (Section 3.2's linear combination, computed per topic
-    /// over the stored lists and merged). Weights need not be
-    /// normalised.
+    /// over the stored lists and merged), explored inside `ws`.
+    /// Weights need not be normalised.
     pub fn recommend_weighted(
         &self,
+        ws: &mut PropWorkspace,
         u: NodeId,
         query: &[(Topic, f64)],
         top_n: usize,
     ) -> ApproxResult {
-        let mut ws = PropWorkspace::new();
         let mut combined: HashMap<u32, f64> = HashMap::new();
         let mut landmarks_found = 0usize;
         let mut met_landmarks: Vec<NodeId> = Vec::new();
         let mut explored = 0usize;
         for &(t, w) in query {
-            let r = self.recommend_with(&mut ws, u, t, usize::MAX);
+            let r = self.recommend_with(ws, u, t, usize::MAX);
             landmarks_found = landmarks_found.max(r.landmarks_found);
             met_landmarks.extend(r.met_landmarks);
             explored = explored.max(r.explored);
@@ -145,8 +145,9 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
 
     /// Answers a batch of independent queries, fanned out over the
     /// [`fui_exec`] pool (`FUI_THREADS` workers). Results come back in
-    /// query order and each equals the corresponding serial
-    /// [`recommend`](Self::recommend) call exactly — queries only read
+    /// query order and each equals the same
+    /// [`recommend_with`](Self::recommend_with) call in any workspace
+    /// exactly — queries only read
     /// the shared propagator and index, so the batch is
     /// embarrassingly parallel and thread-count invariant.
     /// Each worker reuses one propagation workspace across all the
@@ -160,16 +161,20 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
         })
     }
 
-    /// Top-`n` approximate recommendations for `u` on `t`.
+    /// [`recommend_with`](Self::recommend_with) in a fresh workspace,
+    /// which costs an 8 B/node allocation per call. Named by
+    /// `benchmark/` (`core.workspace.cold_query_us`); ROADMAP 6(d)
+    /// deletes it.
     pub fn recommend(&self, u: NodeId, t: Topic, top_n: usize) -> ApproxResult {
         let mut ws = PropWorkspace::new();
         self.recommend_with(&mut ws, u, t, top_n)
     }
 
-    /// [`recommend`](Self::recommend) running inside a caller-owned
-    /// [`PropWorkspace`] — the allocation-free path batched callers
-    /// use (one workspace per `fui-exec` worker). Answers are
-    /// bit-identical to [`recommend`](Self::recommend).
+    /// Top-`n` approximate recommendations for `u` on `t`, explored
+    /// inside a caller-owned [`PropWorkspace`] (a loop keeps one, a
+    /// pooled batch one per `fui-exec` worker). Answers are
+    /// bit-identical whatever ran in the workspace before. Named by
+    /// `benchmark/`; ROADMAP 6(d) renames it `recommend`.
     pub fn recommend_with(
         &self,
         ws: &mut PropWorkspace,
@@ -184,10 +189,12 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
 
     /// The exploration half of [`recommend_with`](Self::recommend_with):
     /// one pruned propagation from `u` on `t`, captured as an
-    /// [`Exploration`]. Never reads the stored lists.
+    /// [`Exploration`]. Never reads the stored lists. Named by
+    /// `benchmark/` (`landmarks.explore_us`); ROADMAP 6(d) makes it
+    /// private.
     pub fn explore_with(&self, ws: &mut PropWorkspace, u: NodeId, t: Topic) -> Exploration {
         let prune_mask = self.prune_at_landmarks.then(|| self.index.mask());
-        let r = self.propagator.propagate_into(
+        let r = self.propagator.propagate(
             ws,
             u,
             &[t],
@@ -198,7 +205,7 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
         );
         let mut vicinity: Vec<(NodeId, f64)> = Vec::new();
         let mut met: Vec<(NodeId, f64, f64)> = Vec::new();
-        for &v in r.reached() {
+        for &v in &r.reached {
             if v == u {
                 continue;
             }
@@ -214,7 +221,7 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
             user: u,
             vicinity,
             met,
-            explored: r.reached().len(),
+            explored: r.reached.len(),
         }
     }
 
@@ -222,7 +229,9 @@ impl<'a, 'g> ApproxRecommender<'a, 'g> {
     /// direct contributions plus stored-list composition, replayed from
     /// a captured [`Exploration`] in the exact accumulation order of the
     /// fused path — `compose_from(&explore_with(..), ..)` is
-    /// bit-identical to one `recommend_with` call.
+    /// bit-identical to one `recommend_with` call. Named by
+    /// `benchmark/` (`landmarks.compose_us`); ROADMAP 6(d) makes it
+    /// private.
     pub fn compose_from(&self, ex: &Exploration, t: Topic, top_n: usize) -> ApproxResult {
         let u = ex.user;
         let mut scores: HashMap<u32, f64> = HashMap::with_capacity(ex.explored * 2);
@@ -326,10 +335,17 @@ mod tests {
         let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let index = LandmarkIndex::build(&p, vec![NodeId(1)], 10);
         let approx = ApproxRecommender::new(&p, &index);
-        let result = approx.recommend(NodeId(0), Topic::Technology, 10);
+        let mut ws = PropWorkspace::new();
+        let result = approx.recommend_with(&mut ws, NodeId(0), Topic::Technology, 10);
         assert_eq!(result.landmarks_found, 1);
 
-        let exact = p.propagate(NodeId(0), &[Topic::Technology], PropagateOpts::default());
+        let mut exact_ws = PropWorkspace::new();
+        let exact = p.propagate(
+            &mut exact_ws,
+            NodeId(0),
+            &[Topic::Technology],
+            PropagateOpts::default(),
+        );
         let approx_score = |n: NodeId| {
             result
                 .recommendations
@@ -366,9 +382,16 @@ mod tests {
         uniq.dedup();
         let index = LandmarkIndex::build(&p, uniq, 100);
         let approx = ApproxRecommender::new(&p, &index);
+        let mut ws = PropWorkspace::new();
         let u = NodeId(42);
-        let result = approx.recommend(u, Topic::Technology, 200);
-        let exact = p.propagate(u, &[Topic::Technology], PropagateOpts::default());
+        let result = approx.recommend_with(&mut ws, u, Topic::Technology, 200);
+        let mut exact_ws = PropWorkspace::new();
+        let exact = p.propagate(
+            &mut exact_ws,
+            u,
+            &[Topic::Technology],
+            PropagateOpts::default(),
+        );
         for &(v, s) in &result.recommendations {
             let e = exact.sigma(v, Topic::Technology);
             assert!(s <= e + 1e-9, "approx {s} exceeds exact {e} at node {v}");
@@ -383,9 +406,11 @@ mod tests {
         let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let index = LandmarkIndex::build(&p, vec![NodeId(1)], 10);
         let approx = ApproxRecommender::new(&p, &index);
-        let tech = approx.recommend(NodeId(0), Topic::Technology, 10);
-        let health = approx.recommend(NodeId(0), Topic::Health, 10);
+        let mut ws = PropWorkspace::new();
+        let tech = approx.recommend_with(&mut ws, NodeId(0), Topic::Technology, 10);
+        let health = approx.recommend_with(&mut ws, NodeId(0), Topic::Health, 10);
         let mixed = approx.recommend_weighted(
+            &mut ws,
             NodeId(0),
             &[(Topic::Technology, 0.7), (Topic::Health, 0.3)],
             10,
@@ -457,7 +482,8 @@ mod tests {
         let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let index = LandmarkIndex::build(&p, vec![], 10);
         let approx = ApproxRecommender::new(&p, &index);
-        let result = approx.recommend(NodeId(0), Topic::Technology, 10);
+        let mut ws = PropWorkspace::new();
+        let result = approx.recommend_with(&mut ws, NodeId(0), Topic::Technology, 10);
         assert_eq!(result.landmarks_found, 0);
         // Depth-2 exploration reaches nodes 1 and 2 but not 3.
         assert!(result.recommendations.iter().any(|&(v, _)| v == NodeId(2)));
@@ -472,10 +498,11 @@ mod tests {
         let p = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let index = LandmarkIndex::build(&p, vec![NodeId(1)], 10);
         let mut approx = ApproxRecommender::new(&p, &index);
+        let mut ws = PropWorkspace::new();
         approx.explore_depth = 3;
-        let pruned = approx.recommend(NodeId(0), Topic::Technology, 10);
+        let pruned = approx.recommend_with(&mut ws, NodeId(0), Topic::Technology, 10);
         approx.prune_at_landmarks = false;
-        let unpruned = approx.recommend(NodeId(0), Topic::Technology, 10);
+        let unpruned = approx.recommend_with(&mut ws, NodeId(0), Topic::Technology, 10);
         assert!(pruned.explored < unpruned.explored);
         // With pruning, node 3's score comes only through the landmark
         // list; without, it is double-collected — the pruned variant is

@@ -1,8 +1,10 @@
 //! The determinism acceptance test of the parallel runtime: a
-//! landmark index preprocessed on the pool must **byte-match** a
-//! serially built one through the `persist` round-trip, for every
-//! pool width. CI runs this under `FUI_THREADS=1` and `FUI_THREADS=4`
-//! to prove the property in the pipeline, not just locally.
+//! landmark index preprocessed on the pool must **byte-match** the
+//! serial loop (`build_parallel(.., 1)`) through the `persist`
+//! round-trip, for every pool width and for `build` at the width
+//! `FUI_THREADS` configures. CI runs this under `FUI_THREADS=1` and
+//! `FUI_THREADS=4` to prove the property in the pipeline, not just
+//! locally.
 
 use fui_core::{AuthorityIndex, Propagator, ScoreParams, ScoreVariant};
 use fui_datagen::{label_direct, twitter, TwitterConfig};
@@ -30,10 +32,15 @@ fn parallel_index_bytes_match_serial_at_every_width() {
     let landmarks: Vec<NodeId> = (0..12).map(|i| NodeId(i * 29 % 400)).collect();
     let n = d.graph.num_nodes();
 
-    let serial = LandmarkIndex::build(&p, landmarks.clone(), 40);
+    let serial = LandmarkIndex::build_parallel(&p, landmarks.clone(), 40, 1);
     let serial_bytes = persist::encode(&serial, n);
 
-    for width in [1usize, 2, 8] {
+    let pooled = LandmarkIndex::build(&p, landmarks.clone(), 40);
+    assert!(
+        serial_bytes.as_ref() == persist::encode(&pooled, n).as_ref(),
+        "build at the configured width differs from the serial loop"
+    );
+    for width in [2usize, 8] {
         let parallel = LandmarkIndex::build_parallel(&p, landmarks.clone(), 40, width);
         let parallel_bytes = persist::encode(&parallel, n);
         assert_eq!(
@@ -50,8 +57,8 @@ fn parallel_index_bytes_match_serial_at_every_width() {
 
 #[test]
 fn pool_width_from_env_round_trips_through_persist() {
-    // Whatever FUI_THREADS the pipeline sets, build_auto must decode
-    // back to the serial index exactly.
+    // Whatever FUI_THREADS the pipeline sets, build must decode
+    // back to the serial loop's index exactly.
     let (d, auth) = fixture();
     let sim = SimMatrix::opencalais();
     let p = Propagator::new(
@@ -64,11 +71,11 @@ fn pool_width_from_env_round_trips_through_persist() {
     let landmarks: Vec<NodeId> = (0..9).map(|i| NodeId(i * 41 % 400)).collect();
     let n = d.graph.num_nodes();
 
-    let auto = LandmarkIndex::build_auto(&p, landmarks.clone(), 25);
-    let (decoded, n2) = persist::decode(persist::encode(&auto, n)).expect("round trip");
+    let pooled = LandmarkIndex::build(&p, landmarks.clone(), 25);
+    let (decoded, n2) = persist::decode(persist::encode(&pooled, n)).expect("round trip");
     assert_eq!(n, n2);
 
-    let serial = LandmarkIndex::build(&p, landmarks, 25);
+    let serial = LandmarkIndex::build_parallel(&p, landmarks, 25, 1);
     assert_eq!(decoded.landmarks(), serial.landmarks());
     assert_eq!(decoded.top_n(), serial.top_n());
     for (slot, &l) in serial.landmarks().iter().enumerate() {

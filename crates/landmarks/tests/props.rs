@@ -3,7 +3,9 @@
 //! graphs and landmark sets, and persistence must round-trip
 //! losslessly (DESIGN.md §7).
 
-use fui_core::{AuthorityIndex, PropagateOpts, Propagator, ScoreParams, ScoreVariant};
+use fui_core::{
+    AuthorityIndex, PropWorkspace, PropagateOpts, Propagator, ScoreParams, ScoreVariant,
+};
 use fui_graph::{GraphBuilder, NodeId, SocialGraph, TopicSet};
 use fui_landmarks::{persist, ApproxRecommender, LandmarkIndex};
 use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
@@ -55,8 +57,9 @@ proptest! {
             .collect();
         let index = LandmarkIndex::build(&prop_, landmarks, 1000);
         let approx = ApproxRecommender::new(&prop_, &index);
-        let exact = prop_.propagate(NodeId(0), &[t], PropagateOpts::default());
-        let result = approx.recommend(NodeId(0), t, usize::MAX);
+        let mut ws = PropWorkspace::new();
+        let result = approx.recommend_with(&mut ws, NodeId(0), t, usize::MAX);
+        let exact = prop_.propagate(&mut ws, NodeId(0), &[t], PropagateOpts::default());
         for &(v, s) in &result.recommendations {
             prop_assert!(
                 s <= exact.sigma(v, t) + 1e-9,
@@ -86,8 +89,9 @@ proptest! {
         let prop_ = Propagator::new(&g, &auth, &sim, params(), ScoreVariant::Full);
         let index = LandmarkIndex::build(&prop_, vec![nodes[1]], 1000);
         let approx = ApproxRecommender::new(&prop_, &index);
-        let exact = prop_.propagate(nodes[0], &[t], PropagateOpts::default());
-        let result = approx.recommend(nodes[0], t, usize::MAX);
+        let mut ws = PropWorkspace::new();
+        let result = approx.recommend_with(&mut ws, nodes[0], t, usize::MAX);
+        let exact = prop_.propagate(&mut ws, nodes[0], &[t], PropagateOpts::default());
         for &v in &nodes[1..] {
             let got = result
                 .recommendations

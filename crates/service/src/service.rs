@@ -100,10 +100,6 @@ pub struct ServiceConfig {
     pub cache_shards: usize,
     /// Landmark staleness threshold (see [`fui_landmarks::DynamicLandmarks`]).
     pub refresh_threshold: f64,
-    /// Background impact per change (see [`fui_landmarks::DynamicLandmarks`]).
-    pub background_impact: f64,
-    /// Exploration depth of the approximate recommender.
-    pub explore_depth: u32,
 }
 
 impl Default for ServiceConfig {
@@ -114,11 +110,13 @@ impl Default for ServiceConfig {
             cache_capacity: 4096,
             cache_shards: 8,
             refresh_threshold: 0.1,
-            background_impact: 1e-9,
-            explore_depth: 2,
         }
     }
 }
+
+/// Staleness charged to every landmark per change, however far away
+/// (see [`fui_landmarks::DynamicLandmarks`]).
+const BACKGROUND_IMPACT: f64 = 1e-9;
 
 /// How many snapshot files a durable service keeps on disk. More than
 /// one, so a torn newest file always has an older valid fallback
@@ -271,8 +269,8 @@ struct Master {
     graph: Arc<SocialGraph>,
     authority: Arc<AuthorityIndex>,
     sim_rows: Arc<SimRowCache>,
-    index: Arc<LandmarkIndex>,
     sim: SimMatrix,
+    /// The landmark index, held here once; snapshots share it.
     dynamic: DynamicLandmarks,
     pending: Vec<EdgeChange>,
     epoch: u64,
@@ -299,7 +297,7 @@ impl Master {
             graph: Arc::clone(&self.graph),
             authority: Arc::clone(&self.authority),
             sim_rows: Arc::clone(&self.sim_rows),
-            index: Arc::clone(&self.index),
+            index: Arc::clone(self.dynamic.shared_index()),
             params: self.params,
             variant: self.variant,
         }
@@ -385,19 +383,14 @@ impl Service {
         let sim_rows = Arc::new(SimRowCache::build(&graph, &sim));
         let propagator =
             Propagator::with_sim_cache(&graph, &authority, Arc::clone(&sim_rows), params, variant);
-        let index = LandmarkIndex::build_auto(&propagator, landmarks, stored_top_n);
-        let dynamic = DynamicLandmarks::with_policy(
-            index.clone(),
-            cfg.refresh_threshold,
-            cfg.background_impact,
-        );
-        let index = Arc::new(index);
+        let index = LandmarkIndex::build(&propagator, landmarks, stored_top_n);
         let slots = index.len();
+        let dynamic =
+            DynamicLandmarks::with_policy(index, cfg.refresh_threshold, BACKGROUND_IMPACT);
         let master = Master {
             graph,
             authority,
             sim_rows,
-            index,
             sim,
             dynamic,
             pending: Vec::new(),
@@ -576,9 +569,9 @@ impl Service {
         let authority = Arc::new(AuthorityIndex::build(&graph));
         let sim_rows = Arc::new(SimRowCache::build(&graph, &sim));
         let dynamic = DynamicLandmarks::restore(
-            state.index.clone(),
+            state.index,
             cfg.refresh_threshold,
-            cfg.background_impact,
+            BACKGROUND_IMPACT,
             state.staleness,
             state.changes_seen,
         );
@@ -586,7 +579,6 @@ impl Service {
             graph,
             authority,
             sim_rows,
-            index: Arc::new(state.index),
             sim,
             dynamic,
             pending: state.pending,
@@ -792,8 +784,7 @@ impl Service {
             }
             let t0 = clock(tracing);
             let propagator = snap.propagator();
-            let mut recommender = ApproxRecommender::new(&propagator, &snap.index);
-            recommender.explore_depth = self.cfg.explore_depth;
+            let recommender = ApproxRecommender::new(&propagator, &snap.index);
             let workers = (misses.len() / MIN_CHUNK).clamp(1, fui_exec::threads());
             let chunks: Vec<&[usize]> = misses.chunks(misses.len().div_ceil(workers)).collect();
             let computed: Vec<(Vec<(RankedList, CacheStamp)>, u64)> =
@@ -923,13 +914,8 @@ impl Service {
     /// The in-memory effect of one (already journaled, already
     /// validated) change — shared by the live path and journal replay.
     fn apply_change_inner(&self, m: &mut Master, change: EdgeChange) {
-        let slots = m.dynamic.index().len();
-        let was: Vec<bool> = (0..slots).map(|s| m.dynamic.is_stale(s)).collect();
-        m.dynamic.record(&change);
+        let newly = m.dynamic.record(&change);
         m.pending.push(change);
-        let newly: Vec<usize> = (0..slots)
-            .filter(|&s| !was[s] && m.dynamic.is_stale(s))
-            .collect();
         if !newly.is_empty() {
             for s in newly {
                 m.slot_versions[s] += 1;
@@ -1022,7 +1008,6 @@ impl Service {
         for &s in &stale {
             m.slot_versions[s] += 1;
         }
-        m.index = Arc::new(m.dynamic.index().clone());
         m.epoch += 1;
         self.store.publish(m.snapshot());
         refreshed

@@ -48,7 +48,6 @@ pub fn chaos_cfg() -> ServiceConfig {
         cache_capacity: 64,
         cache_shards: 4,
         refresh_threshold: 0.02,
-        ..ServiceConfig::default()
     }
 }
 

@@ -46,6 +46,7 @@ fn run_at(
 ) -> fui_core::Propagation {
     let p = Propagator::new(graph, auth, sim, params, ScoreVariant::Full);
     p.propagate(
+        &mut PropWorkspace::new(),
         source,
         topics,
         PropagateOpts {
@@ -53,6 +54,7 @@ fn run_at(
             ..Default::default()
         },
     )
+    .clone()
 }
 
 fn fixed_depth_params(alpha: f64, beta: f64) -> ScoreParams {
@@ -437,8 +439,10 @@ pub fn check_pool_width_invariance(case: &GraphCase, width: usize) -> Result<(),
     }
     let sources: Vec<NodeId> = graph.nodes().collect();
     let sig = |width| {
+        let pool = fui_exec::WorkerLocal::new();
         fui_exec::par_map_with(width, &sources, |&s| {
-            let r = p.propagate(s, &[Topic::Technology], PropagateOpts::default());
+            let mut ws = pool.get_or(PropWorkspace::new);
+            let r = p.propagate(&mut ws, s, &[Topic::Technology], PropagateOpts::default());
             (0..n as u32)
                 .map(|v| r.sigma(NodeId(v), Topic::Technology).to_bits())
                 .collect::<Vec<u64>>()
@@ -453,11 +457,11 @@ pub fn check_pool_width_invariance(case: &GraphCase, width: usize) -> Result<(),
     Ok(())
 }
 
-/// The zero-allocation propagation path is **bit-exact**: runs through
-/// a reused [`PropWorkspace`] — whatever ran in it before, whatever the
-/// sigma layout of the previous run — read back bit-identical to
-/// fresh-buffer runs, and workspace-pooled batched queries equal their
-/// serial counterparts byte for byte. (The CI conformance matrix runs
+/// Workspace reuse is **bit-exact**: runs through a reused
+/// [`PropWorkspace`] — whatever ran in it before, whatever the sigma
+/// layout of the previous run — read back bit-identical to runs in a
+/// fresh workspace, and workspace-pooled batched queries equal
+/// fresh-workspace queries byte for byte. (The CI conformance matrix runs
 /// this at `FUI_THREADS=1` and `FUI_THREADS=4`, covering both the
 /// inline serial pool path and true per-worker workspace pooling.)
 pub fn check_workspace_reuse_matches_fresh(case: &GraphCase) -> Result<(), String> {
@@ -492,11 +496,12 @@ pub fn check_workspace_reuse_matches_fresh(case: &GraphCase) -> Result<(), Strin
             },
             prune: (rng.below(2) == 0).then_some(mask.as_slice()),
         };
-        let fresh = p.propagate(source, topics, opts);
-        let reused = p.propagate_into(&mut ws, source, topics, opts);
-        if reused.reached() != &fresh.reached[..]
-            || reused.levels() != fresh.levels
-            || reused.converged() != fresh.converged
+        let mut fresh_ws = PropWorkspace::new();
+        let fresh = p.propagate(&mut fresh_ws, source, topics, opts);
+        let reused = p.propagate(&mut ws, source, topics, opts);
+        if reused.reached != fresh.reached
+            || reused.levels != fresh.levels
+            || reused.converged != fresh.converged
         {
             return Err(format!(
                 "workspace round {round}: run shape diverged from fresh \
@@ -527,7 +532,7 @@ pub fn check_workspace_reuse_matches_fresh(case: &GraphCase) -> Result<(), Strin
     }
 
     // The batched query path pools workspaces per fui-exec worker; its
-    // answers must still equal serial one-shot queries bit for bit.
+    // answers must still equal fresh-workspace queries bit for bit.
     let landmarks: Vec<NodeId> = graph.nodes().filter(|v| mask[v.index()]).collect();
     let index = LandmarkIndex::build(&p, landmarks, n);
     let approx = ApproxRecommender::new(&p, &index);
@@ -541,7 +546,7 @@ pub fn check_workspace_reuse_matches_fresh(case: &GraphCase) -> Result<(), Strin
         .collect();
     let batched = approx.recommend_batch(&queries, 5);
     for (res, &(u, t)) in batched.iter().zip(&queries) {
-        let serial = approx.recommend(u, t, 5);
+        let serial = approx.recommend_with(&mut PropWorkspace::new(), u, t, 5);
         if res.recommendations.len() != serial.recommendations.len()
             || res
                 .recommendations
@@ -601,7 +606,7 @@ pub fn check_kernel_matches_dense_reference(case: &GraphCase) -> Result<(), Stri
                     let dense = crate::reference::dense_propagate(
                         &graph, &auth, &sim, &params, source, topics, opts,
                     );
-                    let run = p.propagate_into(&mut ws, source, topics, opts);
+                    let run = p.propagate(&mut ws, source, topics, opts);
                     let at = || {
                         format!(
                             "source {source}, {} topics, depth {max_depth:?}/{}, pruned {} ({})",
@@ -611,9 +616,9 @@ pub fn check_kernel_matches_dense_reference(case: &GraphCase) -> Result<(), Stri
                             case.repro()
                         )
                     };
-                    if run.reached() != &dense.reached[..]
-                        || run.levels() != dense.levels
-                        || run.converged() != dense.converged
+                    if run.reached != dense.reached
+                        || run.levels != dense.levels
+                        || run.converged != dense.converged
                     {
                         return Err(format!("kernel run shape diverged from dense: {}", at()));
                     }
@@ -668,7 +673,6 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
         // Aggressive staleness policy so refreshes actually fire on
         // these tiny cases.
         refresh_threshold: 0.02,
-        ..ServiceConfig::default()
     };
     let svc = Service::new(
         graph,
@@ -686,7 +690,7 @@ pub fn check_cached_matches_uncached(case: &GraphCase) -> Result<(), String> {
         let snap = svc.snapshot();
         let p = snap.propagator();
         let rec = ApproxRecommender::new(&p, &snap.index);
-        rec.recommend(req.user, req.topic, req.top_n)
+        rec.recommend_with(&mut PropWorkspace::new(), req.user, req.topic, req.top_n)
             .recommendations
     };
     let confirm = |reply: Reply, req: Request, what: &str| -> Result<Served, String> {
@@ -825,7 +829,6 @@ pub fn check_tracing_is_invisible(case: &GraphCase) -> Result<(), String> {
             cache_capacity: 64,
             cache_shards: 4,
             refresh_threshold: 0.02,
-            ..ServiceConfig::default()
         };
         let svc = Service::new(
             graph,
@@ -959,7 +962,6 @@ pub fn check_http_matches_line_protocol(case: &GraphCase) -> Result<(), String> 
         cache_capacity: 64,
         cache_shards: 4,
         refresh_threshold: 0.02,
-        ..ServiceConfig::default()
     };
     let params = fixed_depth_params(0.8, 0.25);
     let make = || {

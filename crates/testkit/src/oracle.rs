@@ -39,7 +39,9 @@
 //! [`crate::gen::minimize`].
 
 use fui_core::exhaustive::{self, ExhaustiveScores};
-use fui_core::{AuthorityIndex, PropagateOpts, Propagation, Propagator, ScoreVariant};
+use fui_core::{
+    AuthorityIndex, PropWorkspace, PropagateOpts, Propagation, Propagator, ScoreVariant,
+};
 use fui_graph::NodeId;
 use fui_landmarks::{ApproxRecommender, LandmarkIndex};
 use fui_taxonomy::{SimMatrix, Topic};
@@ -87,8 +89,10 @@ pub fn check_fixed_depth(case: &GraphCase) -> Result<(), String> {
     let topics = query_topics(&mut rng);
     let source = NodeId(rng.below(graph.num_nodes() as u64) as u32);
     let p = Propagator::new(&graph, &auth, &sim, params, variant);
+    let mut ws = PropWorkspace::new();
     for depth in 1..=4u32 {
         let r = p.propagate(
+            &mut ws,
             source,
             &topics,
             PropagateOpts {
@@ -99,7 +103,7 @@ pub fn check_fixed_depth(case: &GraphCase) -> Result<(), String> {
         for &t in &topics {
             let oracle =
                 exhaustive::enumerate(&graph, &sim, &auth, &params, source, t, variant, depth);
-            compare_scores(case, &oracle, &r, t, &format!("depth {depth} {variant:?}"))?;
+            compare_scores(case, &oracle, r, t, &format!("depth {depth} {variant:?}"))?;
         }
     }
     Ok(())
@@ -159,7 +163,8 @@ pub fn check_three_way(case: &GraphCase) -> Result<(), String> {
     // Leg 1 vs leg 2: every walk in a DAG has fewer than n edges, so
     // enumeration at max_len = n is the complete Definition-1 sum, and
     // the converged propagation must equal it exactly.
-    let exact = p.propagate(source, &topics, PropagateOpts::default());
+    let mut exact_ws = PropWorkspace::new();
+    let exact = p.propagate(&mut exact_ws, source, &topics, PropagateOpts::default());
     if !exact.converged {
         return Err(format!(
             "propagation failed to converge on a DAG ({})",
@@ -177,7 +182,7 @@ pub fn check_three_way(case: &GraphCase) -> Result<(), String> {
             ScoreVariant::Full,
             n as u32,
         );
-        compare_scores(case, &oracle, &exact, t, "converged")?;
+        compare_scores(case, &oracle, exact, t, "converged")?;
     }
 
     // Leg 3: exact-cover landmarks — every out-neighbour of the
@@ -185,8 +190,9 @@ pub fn check_three_way(case: &GraphCase) -> Result<(), String> {
     let landmarks: Vec<NodeId> = graph.followees(source).collect();
     let index = LandmarkIndex::build(&p, landmarks, n);
     let approx = ApproxRecommender::new(&p, &index);
+    let mut ws = PropWorkspace::new();
     for (ti, &t) in topics.iter().enumerate() {
-        let result = approx.recommend(source, t, n);
+        let result = approx.recommend_with(&mut ws, source, t, n);
         let score_of = |node: NodeId| {
             result
                 .recommendations
@@ -272,7 +278,8 @@ pub fn check_lower_bound(case: &GraphCase) -> Result<(), String> {
     let topics = query_topics(&mut rng);
     let source = NodeId(rng.below(n as u64) as u32);
     let p = Propagator::new(&graph, &auth, &sim, params, ScoreVariant::Full);
-    let exact = p.propagate(source, &topics, PropagateOpts::default());
+    let mut exact_ws = PropWorkspace::new();
+    let exact = p.propagate(&mut exact_ws, source, &topics, PropagateOpts::default());
     if !exact.converged {
         return Err(format!(
             "propagation did not converge under the spectral bound ({})",
@@ -288,8 +295,9 @@ pub fn check_lower_bound(case: &GraphCase) -> Result<(), String> {
     landmarks.dedup();
     let index = LandmarkIndex::build(&p, landmarks, n);
     let approx = ApproxRecommender::new(&p, &index);
+    let mut ws = PropWorkspace::new();
     for &t in &topics {
-        let result = approx.recommend(source, t, n);
+        let result = approx.recommend_with(&mut ws, source, t, n);
         for &(v, s) in &result.recommendations {
             let e = exact.sigma(v, t);
             if s > e + TOLERANCE {

@@ -247,7 +247,7 @@ pub struct DenseRun {
 
 /// The full-variant level sweep over plain `vec![0.0; n * tc]` buffers:
 /// same recurrences, same edge order and same stop rules as
-/// `fui_core::Propagator::propagate_into`, none of its data layout.
+/// `fui_core::Propagator::propagate`, none of its data layout.
 pub fn dense_propagate(
     graph: &SocialGraph,
     auth: &AuthorityIndex,

@@ -108,7 +108,11 @@ fn main() {
         .first()
         .unwrap_or(Topic::Technology);
     println!("\ntop-5 for {user} on '{topic}' after churn:");
-    for (v, score) in approx.recommend(user, topic, 5).recommendations {
+    let mut ws = PropWorkspace::new();
+    for (v, score) in approx
+        .recommend_with(&mut ws, user, topic, 5)
+        .recommendations
+    {
         println!("  {v:<7} score {score:.3e}");
     }
 }

@@ -78,16 +78,18 @@ fn main() {
         })
         .collect();
 
+    // One workspace serves every query of both loops.
+    let mut ws = PropWorkspace::new();
     let t_exact = Instant::now();
     for &(u, t) in &queries {
-        let _ = propagator.propagate(u, &[t], PropagateOpts::default());
+        let _ = propagator.propagate(&mut ws, u, &[t], PropagateOpts::default());
     }
     let exact_ms = t_exact.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
 
     let t_approx = Instant::now();
     let mut landmarks_met = 0usize;
     for &(u, t) in &queries {
-        landmarks_met += approx.recommend(u, t, 10).landmarks_found;
+        landmarks_met += approx.recommend_with(&mut ws, u, t, 10).landmarks_found;
     }
     let approx_ms = t_approx.elapsed().as_secs_f64() * 1000.0 / queries.len() as f64;
 
@@ -102,7 +104,7 @@ fn main() {
 
     let (u, t) = queries[0];
     println!("\nsample: top-5 for {u} on '{t}':");
-    for (v, score) in approx.recommend(u, t, 5).recommendations {
+    for (v, score) in approx.recommend_with(&mut ws, u, t, 5).recommendations {
         println!("  {v:<7} score {score:.3e}");
     }
 

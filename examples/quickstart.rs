@@ -51,8 +51,11 @@ fn main() {
     params.validate(&graph).expect("β satisfies Proposition 3");
 
     let tr = TrRecommender::new(&graph, &authority, &sim, params, ScoreVariant::Full);
+    // Every query runs inside a workspace the caller keeps and reuses.
+    let mut ws = PropWorkspace::new();
     println!("\nWho should A follow on technology?");
     let recs = tr.recommend(
+        &mut ws,
         a,
         Topic::Technology,
         5,
@@ -68,6 +71,7 @@ fn main() {
 
     println!("\nMulti-topic query {{technology: 0.7, business: 0.3}}:");
     let multi = tr.recommend_weighted(
+        &mut ws,
         a,
         &[(Topic::Technology, 0.7), (Topic::Business, 0.3)],
         5,

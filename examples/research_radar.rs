@@ -65,12 +65,13 @@ fn main() {
     let fresh = |v: NodeId| v != me && dataset.graph.in_degree(v) <= cap;
     println!("(hiding authors with more than {cap} citations)\n");
 
+    let mut ws = PropWorkspace::new();
     println!("  Tr suggests reading:");
-    for v in TopRecommender::top_k(&tr, me, area, 5, &fresh) {
+    for v in TopRecommender::top_k(&tr, &mut ws, me, area, 5, &fresh) {
         describe(&dataset, v);
     }
     println!("\n  Katz suggests reading:");
-    for v in TopRecommender::top_k(&katz, me, area, 5, &fresh) {
+    for v in TopRecommender::top_k(&katz, &mut ws, me, area, 5, &fresh) {
         describe(&dataset, v);
     }
 }

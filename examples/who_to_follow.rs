@@ -66,7 +66,8 @@ fn main() {
 
     // 4. Compare the three methods' top-5.
     println!("\n  Tr (topology × semantics × authority):");
-    for r in tr.recommend(user, topic, 5, RecommendOpts::default()) {
+    let mut ws = PropWorkspace::new();
+    for r in tr.recommend(&mut ws, user, topic, 5, RecommendOpts::default()) {
         describe(&dataset, r.node, r.score);
     }
     println!("\n  Katz (topology only):");

@@ -41,12 +41,14 @@
 //! b.add_edge(bob, carol, TopicSet::single(Topic::Technology));
 //! let graph = b.build();
 //!
-//! // Who should alice follow on technology?
+//! // Who should alice follow on technology? Every query runs inside
+//! // a workspace the caller keeps; a loop of queries reuses one.
 //! let authority = AuthorityIndex::build(&graph);
 //! let sim = SimMatrix::opencalais();
 //! let tr = TrRecommender::new(&graph, &authority, &sim,
 //!                             ScoreParams::paper(), ScoreVariant::Full);
-//! let recs = tr.recommend(alice, Topic::Technology, 10,
+//! let mut ws = PropWorkspace::new();
+//! let recs = tr.recommend(&mut ws, alice, Topic::Technology, 10,
 //!                         RecommendOpts::default());
 //! assert_eq!(recs[0].node, carol); // bob is already followed
 //! ```
@@ -69,8 +71,8 @@ pub use fui_textmine as textmine;
 pub mod prelude {
     pub use fui_baselines::{KatzScorer, TwitterRank, TwitterRankConfig};
     pub use fui_core::{
-        AuthorityIndex, PropagateOpts, Propagation, Propagator, RecommendOpts, Recommendation,
-        ScoreParams, ScoreVariant, TrRecommender,
+        AuthorityIndex, PropWorkspace, PropagateOpts, Propagation, Propagator, RecommendOpts,
+        Recommendation, ScoreParams, ScoreVariant, TrRecommender,
     };
     pub use fui_datagen::{
         build_labeled, label_direct, DblpConfig, GeneratedDataset, LabeledDataset, TwitterConfig,

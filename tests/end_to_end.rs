@@ -43,7 +43,8 @@ fn full_stack_recommendation_flow() {
         .first()
         .unwrap_or(Topic::Technology);
     let tr = TrRecommender::new(&d.graph, &authority, &sim, params, ScoreVariant::Full);
-    let recs = tr.recommend(user, topic, 10, RecommendOpts::default());
+    let mut ws = PropWorkspace::new();
+    let recs = tr.recommend(&mut ws, user, topic, 10, RecommendOpts::default());
     assert!(!recs.is_empty(), "exact recommendation came back empty");
     for w in recs.windows(2) {
         assert!(w[0].score >= w[1].score);
@@ -63,8 +64,8 @@ fn full_stack_recommendation_flow() {
     let (index, _) = persist::decode(bytes).expect("snapshot decodes");
 
     let approx = ApproxRecommender::new(&propagator, &index);
-    let result = approx.recommend(user, topic, 50);
-    let exact = propagator.propagate(user, &[topic], PropagateOpts::default());
+    let result = approx.recommend_with(&mut ws, user, topic, 50);
+    let exact = propagator.propagate(&mut ws, user, &[topic], PropagateOpts::default());
     for &(v, s) in &result.recommendations {
         assert!(
             s <= exact.sigma(v, topic) + 1e-9,
@@ -115,6 +116,7 @@ fn baselines_run_on_the_same_graph() {
         ScoreVariant::TopoOnly,
     );
     let scores_a = engine_katz.score_candidates(
+        &mut PropWorkspace::new(),
         user,
         topic,
         &katz_top.iter().map(|&(v, _)| v).collect::<Vec<_>>(),
@@ -167,6 +169,7 @@ fn graph_edit_then_rescore_stays_consistent() {
     let (u, v) = victims[0];
     // Scoring the removed edge's endpoints still works.
     let _ = tr.score_candidates(
+        &mut PropWorkspace::new(),
         u,
         Topic::Technology,
         &[v],

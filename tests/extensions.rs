@@ -130,7 +130,9 @@ fn profile_and_vector_apis() {
         .find(|&u| d.graph.out_degree(u) >= 5)
         .unwrap();
     // Query built from the user's own hidden interests.
+    let mut ws = PropWorkspace::new();
     let recs = tr.recommend_for_profile(
+        &mut ws,
         u,
         &d.hidden_profiles[u.index()],
         3,
@@ -143,7 +145,7 @@ fn profile_and_vector_apis() {
     let query = d.hidden_profiles[u.index()].top_k(3);
     let topics: Vec<Topic> = query.iter().map(|&(t, _)| t).collect();
     let prop = tr.propagator();
-    let r = prop.propagate(u, &topics, PropagateOpts::default());
+    let r = prop.propagate(&mut ws, u, &topics, PropagateOpts::default());
     let vector = r.recommendation_vector(recs[0].node);
     let recombined: f64 = query.iter().map(|&(t, w)| w * vector.get(t)).sum();
     assert!((recombined - recs[0].score).abs() < 1e-12);

@@ -127,14 +127,17 @@ fn landmark_query_much_faster_than_exact_at_scale() {
         .filter(|&u| d.graph.out_degree(u) >= 3)
         .take(15)
         .collect();
+    // Both loops reuse one workspace, so neither pays a per-query
+    // allocation.
+    let mut ws = PropWorkspace::new();
     let t0 = Instant::now();
     for &u in &queries {
-        let _ = propagator.propagate(u, &[Topic::Technology], PropagateOpts::default());
+        let _ = propagator.propagate(&mut ws, u, &[Topic::Technology], PropagateOpts::default());
     }
     let exact = t0.elapsed();
     let t1 = Instant::now();
     for &u in &queries {
-        let _ = approx.recommend(u, Topic::Technology, 100);
+        let _ = approx.recommend_with(&mut ws, u, Topic::Technology, 100);
     }
     let fast = t1.elapsed();
     // The full 2–3 orders of magnitude need the paper's scale; at 4k

@@ -142,7 +142,12 @@ fn corrupted_snapshot_cannot_poison_queries() {
     let rec = fui_landmarks::ApproxRecommender::new(&p, &back);
     // Just exercising the query path on a decoded index; the score
     // agreement itself is the conformance suite's job.
-    let _ = rec.recommend(NodeId(0), fui_taxonomy::Topic::Technology, 5);
+    let _ = rec.recommend_with(
+        &mut fui_core::PropWorkspace::new(),
+        NodeId(0),
+        fui_taxonomy::Topic::Technology,
+        5,
+    );
 }
 
 // ---- durable serving-snapshot codec ---------------------------------

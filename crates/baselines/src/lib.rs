@@ -15,6 +15,7 @@
 //!   comparator).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod katz;

@@ -6,7 +6,10 @@
 //! (unfollows of existing edges + fresh follows), then compare three
 //! query regimes against the exact ranking on the *new* graph —
 //! stale index, policy-refreshed index, full rebuild — and weigh the
-//! refresh cost against a full rebuild.
+//! refresh cost against a full rebuild. Each maintenance regime is
+//! timed five times and reported as the median with the min–max
+//! range: on a shared host one reading of the same refresh has varied
+//! twofold between runs, too much to rank the policies on.
 
 use fui_core::{PropWorkspace, PropagateOpts, ScoreParams, ScoreVariant};
 use fui_eval::kendall_tau_distance;
@@ -20,6 +23,20 @@ use rand::{Rng, SeedableRng};
 use crate::context::Context;
 use crate::datasets::{DatasetChoice, ExperimentScale};
 use crate::table::{f3, TextTable};
+
+/// Timed repetitions of each maintenance regime.
+const TRIALS: usize = 5;
+
+/// `median (min–max)` of `secs`, seconds.
+fn spread(mut secs: Vec<f64>) -> String {
+    secs.sort_by(f64::total_cmp);
+    format!(
+        "{} ({}–{})",
+        f3(secs[secs.len() / 2]),
+        f3(secs[0]),
+        f3(secs[secs.len() - 1])
+    )
+}
 
 /// Runs the churn experiment and renders the comparison.
 pub fn run(scale: &ExperimentScale) -> String {
@@ -115,37 +132,50 @@ pub fn run(scale: &ExperimentScale) -> String {
     let tau_stale = avg_tau(&index, &mut ws);
 
     // 2. Policy refresh at a sweep of thresholds (higher threshold =
-    // lazier policy = fewer landmarks touched).
-    let mut policy_rows: Vec<(f64, usize, f64, f64)> = Vec::new();
+    // lazier policy = fewer landmarks touched). Every trial refreshes
+    // a fresh copy charged with the same changes, so every trial does
+    // the same work and ends in the same index.
+    let mut policy_rows: Vec<(f64, usize, f64, String)> = Vec::new();
     let mut last_len = index.len();
     for threshold in [0.5, 0.1, 0.02] {
-        let mut dynamic = DynamicLandmarks::with_policy(index.clone(), threshold, 1e-9);
-        for c in &changes {
-            dynamic.record(c);
+        let mut secs = Vec::with_capacity(TRIALS);
+        let mut last = None;
+        for _ in 0..TRIALS {
+            let mut dynamic = DynamicLandmarks::with_policy(index.clone(), threshold, 1e-9);
+            for c in &changes {
+                dynamic.record(c);
+            }
+            let sp_refresh = fui_obs::Span::enter("dynamic.refresh");
+            let touched = dynamic.refresh_stale(&new_prop);
+            secs.push(sp_refresh.finish().as_secs_f64());
+            last = Some((touched, dynamic));
         }
-        let sp_refresh = fui_obs::Span::enter("dynamic.refresh");
-        let refreshed = dynamic.refresh_stale(&new_prop);
-        let refresh_s = sp_refresh.finish().as_secs_f64();
+        let (touched, dynamic) = last.expect("at least one trial");
         policy_rows.push((
             threshold,
-            refreshed,
+            touched,
             avg_tau(dynamic.index(), &mut ws),
-            refresh_s,
+            spread(secs),
         ));
         last_len = dynamic.index().len();
     }
 
     // 3. Full rebuild, on the pool like the build and the refresh.
-    let sp_rebuild = fui_obs::Span::enter("dynamic.rebuild");
-    let rebuilt = LandmarkIndex::build(&new_prop, landmarks, 100);
-    let rebuild_s = sp_rebuild.finish().as_secs_f64();
-    let tau_rebuilt = avg_tau(&rebuilt, &mut ws);
+    let mut secs = Vec::with_capacity(TRIALS);
+    let mut rebuilt = None;
+    for _ in 0..TRIALS {
+        let sp_rebuild = fui_obs::Span::enter("dynamic.rebuild");
+        rebuilt = Some(LandmarkIndex::build(&new_prop, landmarks.clone(), 100));
+        secs.push(sp_rebuild.finish().as_secs_f64());
+    }
+    let rebuild_s = spread(secs);
+    let tau_rebuilt = avg_tau(&rebuilt.expect("at least one trial"), &mut ws);
 
     let mut t = TextTable::new(vec![
         "regime",
         "tau vs exact",
         "landmarks touched",
-        "cost (s)",
+        "cost (s): median (min–max)",
     ]);
     t.row(vec![
         "stale (no maintenance)".to_owned(),
@@ -153,24 +183,25 @@ pub fn run(scale: &ExperimentScale) -> String {
         "0".to_owned(),
         "0.000".to_owned(),
     ]);
-    for &(threshold, refreshed, tau, cost) in &policy_rows {
+    for (threshold, refreshed, tau, cost) in policy_rows {
         t.row(vec![
             format!("policy refresh @ {threshold}"),
             f3(tau),
             refreshed.to_string(),
-            f3(cost),
+            cost,
         ]);
     }
     t.row(vec![
         "full rebuild".to_owned(),
         f3(tau_rebuilt),
         last_len.to_string(),
-        f3(rebuild_s),
+        rebuild_s,
     ]);
     format!(
         "== Dynamic updates (paper future work): landmark staleness under churn ==\n\
          churn: {churn} unfollows + {churn} follows on a {}-edge graph;\n\
-         initial preprocessing of {} landmarks took {:.2}s\n\n{}",
+         initial preprocessing of {} landmarks took {:.2}s; \
+         each maintenance cost timed {TRIALS} times\n\n{}",
         d.graph.num_edges(),
         last_len,
         build_s,

@@ -18,10 +18,18 @@
 //! `graph.bytes_per_node` / `graph.bytes_per_edge` (the compact-CSR
 //! ceilings: ~12 B per node, and the packed out-row stream per edge),
 //! the generator scratch gauge, and `propagate.workspace.peak_bytes`
-//! recorded by the propagation layer itself. Node/edge/query counts and a bit-exact
-//! score checksum (`table5_large.checksum_bits`) are gated to exact
-//! equality — the cell doubles as a determinism witness at paper
-//! scale.
+//! recorded by the propagation layer itself. After the query phase it
+//! records the process's resident set, `proc.rss_mb` (`VmRSS`), and
+//! `mem.unaccounted_mb`: that reading minus the bytes the live engine
+//! accounts for (graph footprint, authority index, landmark index;
+//! the batch's workspaces are unmapped by then). With no `/proc`
+//! reading neither gauge is set, and the gate fails on the missing
+//! name. The engine's arrays are page mappings that leave the process
+//! when dropped, so the gap is the binary, the pool's stacks and small
+//! heap state — a ceiling on it catches freed memory the process
+//! keeps. Node/edge/query counts and a bit-exact score checksum
+//! (`table5_large.checksum_bits`) are gated to exact equality — the
+//! cell doubles as a determinism witness at paper scale.
 
 use fui_core::{ScoreParams, ScoreVariant};
 use fui_datagen::{generate_streaming, StreamConfig};
@@ -77,6 +85,19 @@ pub struct LargeReport {
     pub checksum: f64,
 }
 
+/// This process's resident set (`VmRSS`), kB, where `/proc` has a
+/// reading.
+fn vm_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()
+}
+
 /// Runs the three phases on an explicit generator configuration (unit
 /// tests shrink it; the driver uses the scale's 1M+-node tier).
 pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> LargeReport {
@@ -105,6 +126,13 @@ pub fn measure_with(cfg: &StreamConfig, landmarks: usize, queries: usize) -> Lar
     let results = approx.recommend_batch(&workload, REC_TOP_N);
     let query_s = sp.finish().as_secs_f64();
     fui_obs::counter("table5_large.batch_queries").add(results.len() as u64);
+    // No reading, no gauges: the gate then reports them missing.
+    if let Some(kb) = vm_rss_kb() {
+        let rss_mb = kb as f64 / 1024.0;
+        let engine_bytes = ctx.graph.size_bytes() + authority_bytes + index.resident_bytes();
+        fui_obs::gauge("proc.rss_mb").set(rss_mb);
+        fui_obs::gauge("mem.unaccounted_mb").set(rss_mb - engine_bytes as f64 / (1024.0 * 1024.0));
+    }
 
     let mut checksum = 0.0f64;
     for r in &results {

@@ -12,6 +12,7 @@
 //! for every artifact.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod context;

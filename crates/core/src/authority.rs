@@ -23,7 +23,7 @@
 //! stored and refreshed periodically. The index keeps only the topics a
 //! node is actually followed on.
 
-use fui_graph::{NodeId, SocialGraph};
+use fui_graph::{NodeId, Pages, SocialGraph};
 use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
 
 /// Sparse authority index: per node, the set of topics it has at least
@@ -33,15 +33,17 @@ use fui_taxonomy::{Topic, TopicSet, NUM_TOPICS};
 /// the entry arrays — the landmark index's mask + slot idiom, per
 /// topic. A pure function of the graph — never persisted, rebuilt
 /// wherever a graph is made or restored. `==` compares every array;
-/// no stored score is 0 or NaN, so it is a bitwise comparison.
+/// no stored score is 0 or NaN, so it is a bitwise comparison. The
+/// three arrays are [`Pages`] buffers: a dropped index leaves the
+/// process at once.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AuthorityIndex {
-    rows: Vec<Row>,
+    rows: Pages<Row>,
     /// `auth(v, t)` per entry. Derivable from `counts`, stored anyway:
     /// computing it on read cost query latency (DESIGN §6g).
-    scores: Vec<f64>,
+    scores: Pages<f64>,
     /// `|Γv(t)|` per entry.
-    counts: Vec<u32>,
+    counts: Pages<u32>,
     /// `max_v |Γv(t)|` per topic.
     max_followers_on: [u32; NUM_TOPICS],
 }
@@ -116,18 +118,18 @@ impl AuthorityIndex {
     /// the edges arrive in and whatever `FUI_THREADS` says.
     pub fn build(graph: &SocialGraph) -> AuthorityIndex {
         let labels = graph.label_sets();
-        let mut rows = vec![(TopicSet::empty(), 0u32); graph.num_nodes()];
+        let mut rows: Pages<Row> = Pages::zeroed(graph.num_nodes());
         for_each_out_edge(graph, |id, v| {
             let set = &mut rows[v.index()].0;
             *set = set.union(labels[id as usize]);
         });
         let mut entries = 0usize;
-        for row in &mut rows {
+        for row in rows.iter_mut() {
             row.1 = u32::try_from(entries)
                 .unwrap_or_else(|_| panic!("{entries} authority entries overflow a u32 row start"));
             entries += row.0.len();
         }
-        let mut counts = vec![0u32; entries];
+        let mut counts: Pages<u32> = Pages::zeroed(entries);
         for_each_out_edge(graph, |id, v| {
             let (set, start) = rows[v.index()];
             for t in labels[id as usize].iter() {
@@ -142,7 +144,7 @@ impl AuthorityIndex {
             }
         }
         // Every chunk scores its own slice of the entry array.
-        let mut scores = vec![0.0f64; entries];
+        let mut scores: Pages<f64> = Pages::zeroed(entries);
         let mut rest = &mut scores[..];
         let mut pieces: Vec<(&[Row], &mut [f64])> = rows
             .chunks(BUILD_CHUNK)

@@ -59,6 +59,7 @@
 //!   in tests (exported for downstream property tests).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod authority;
 pub mod exhaustive;

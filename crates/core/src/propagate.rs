@@ -35,8 +35,9 @@
 //! A propagation reaches a vanishing fraction of a large graph (a
 //! depth-2 query ~1–3k nodes, a landmark preprocessing run tens), so
 //! its scratch is **reach-sparse**: the only per-node arena is one
-//! epoch-stamped `node → slot` word (8 B/node, allocated zeroed, so a
-//! cold workspace costs a `calloc`, not a memset), and every
+//! epoch-stamped `node → slot` word (8 B/node in a
+//! [`fui_graph::Pages`] buffer: fresh zero pages, so a cold workspace
+//! costs a mapping, not a memset, and a dropped one unmaps), and every
 //! accumulator, level buffer and σ row lives in compact arrays indexed
 //! by slot = first-reached order, grown as nodes are discovered. The
 //! one entry point is [`Propagator::propagate`], which runs inside a
@@ -65,7 +66,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use fui_graph::{NodeId, SocialGraph, TopicSet};
+use fui_graph::{NodeId, Pages, SocialGraph, TopicSet};
 use fui_obs as obs;
 use fui_taxonomy::{SimMatrix, Topic, NUM_TOPICS};
 
@@ -226,7 +227,7 @@ impl PropWorkspace {
             metrics.workspace_allocs.incr();
             // Fresh zeroed pages rather than a copying `resize`: epoch 0
             // is never current, so nothing needs carrying over.
-            run.stamp = vec![0; n];
+            run.stamp = Pages::zeroed(n);
         } else {
             metrics.workspace_reuses.incr();
         }
@@ -252,9 +253,9 @@ impl PropWorkspace {
     /// `propagate.workspace.peak_bytes` gauge. Named by `benchmark/`
     /// (`core.workspace.bytes`); ROADMAP 6(d) makes it private.
     pub fn size_bytes(&self) -> usize {
-        use std::mem::size_of;
+        use std::mem::{size_of, size_of_val};
         let run = &self.run;
-        run.stamp.capacity() * size_of::<u64>()
+        size_of_val(&*run.stamp)
             + run.slots.capacity() * size_of::<SlotState>()
             + run.sigma.capacity() * size_of::<f64>()
             + run.reached.capacity() * size_of::<NodeId>()
@@ -275,7 +276,7 @@ pub struct Propagation {
     topic_cols: [u32; NUM_TOPICS],
     /// `run_epoch << 32 | slot` per graph node; `v` was reached by this
     /// run iff the high half equals `run_epoch`.
-    stamp: Vec<u64>,
+    stamp: Pages<u64>,
     run_epoch: u32,
     /// One record per reached node, parallel to `reached`.
     slots: Vec<SlotState>,

@@ -25,6 +25,7 @@
 //! * [`util`] — small numeric helpers (Box–Muller normal sampling).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod config;
 pub mod dblp;

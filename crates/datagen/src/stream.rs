@@ -24,13 +24,16 @@
 //! sequence, profiles and one reused per-node edge buffer) and the
 //! 4 B/edge attachment pool, which the packed rows cannot serve (they
 //! have no position to draw) — the testkit pins this with an
-//! allocation counter.
+//! allocation counter. The degree sequence, the profiles and the pool
+//! are [`Pages`] buffers, like the graph's arenas: when the generator
+//! returns, their pages leave the process rather than staying behind
+//! as heap the next allocation may or may not reuse.
 //! The stream is a pure function of the seed, and the result is
 //! **byte-identical** to replaying the same edges through the batch
 //! [`GraphBuilder`] ([`generate_batch`] does exactly that, for the
 //! differential suite).
 
-use fui_graph::{GraphBuilder, NodeId, SocialGraph, StreamingBuilder};
+use fui_graph::{GraphBuilder, NodeId, Pages, SocialGraph, StreamingBuilder};
 use fui_taxonomy::{TopicSet, NUM_TOPICS};
 use fui_textmine::Zipf;
 use rand::rngs::StdRng;
@@ -48,8 +51,9 @@ pub struct StreamedGraph {
     /// The finished CSR graph.
     pub graph: SocialGraph,
     /// Bytes of generator scratch live at the peak (degree sequence,
-    /// interest profiles, attachment pool, per-node edge buffer) —
-    /// everything beyond the graph arenas themselves.
+    /// interest profiles and attachment pool, each in whole [`Pages`],
+    /// and the per-node edge buffer) — everything beyond the graph
+    /// arenas themselves.
     pub scratch_bytes: usize,
     /// Edges planned by the degree sequence (actual edge count is
     /// slightly lower after per-node duplicate-target merging).
@@ -91,10 +95,10 @@ fn edge_label(follower: TopicSet, followee: TopicSet) -> TopicSet {
 /// Pass 1: the degree sequence and interest profiles, `O(N)` scratch.
 /// Degrees are capped by the prefix size (node `u` can only attach to
 /// `u` earlier nodes).
-fn sample_plan(cfg: &StreamConfig, rng: &mut StdRng) -> (Vec<u32>, Vec<TopicSet>, usize) {
+fn sample_plan(cfg: &StreamConfig, rng: &mut StdRng) -> (Pages<u32>, Pages<TopicSet>, usize) {
     let zipf = Zipf::new(NUM_TOPICS, cfg.topic_zipf_s);
-    let mut degrees = Vec::with_capacity(cfg.nodes);
-    let mut profiles = Vec::with_capacity(cfg.nodes);
+    let mut degrees = Pages::with_capacity(cfg.nodes);
+    let mut profiles = Pages::with_capacity(cfg.nodes);
     let mut planned = 0usize;
     for u in 0..cfg.nodes {
         let boost = if rng.gen::<f64>() < 0.002 { 20.0 } else { 1.0 };
@@ -147,11 +151,13 @@ pub fn generate_streaming(cfg: &StreamConfig) -> StreamedGraph {
     let (degrees, profiles, planned) = sample_plan(cfg, &mut rng);
 
     let mut builder = StreamingBuilder::with_capacity(cfg.nodes, planned);
-    let mut pool: Vec<NodeId> = Vec::with_capacity(planned);
+    let mut pool: Pages<NodeId> = Pages::with_capacity(planned);
     let mut scratch: Vec<(NodeId, TopicSet)> = Vec::new();
     for u in 0..cfg.nodes {
         sample_node_edges(u, degrees[u], &profiles, &pool, cfg, &mut rng, &mut scratch);
-        pool.extend(scratch.iter().map(|&(v, _)| v));
+        for &(v, _) in &scratch {
+            pool.push(v);
+        }
         builder.push_node(profiles[u], &mut scratch);
     }
     let scratch_bytes = degrees.capacity() * std::mem::size_of::<u32>()

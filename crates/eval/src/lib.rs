@@ -22,6 +22,7 @@
 //! * [`stats`] — mean/std/CI helpers.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod buckets;
 pub mod linkpred;

@@ -45,6 +45,7 @@
 //!   span table of BENCH manifests at `FUI_OBS=full`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -45,6 +45,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use fui_taxonomy::TopicSet;
 
 use crate::csr::SocialGraph;
+use crate::pages::Pages;
 use crate::rows::{self, Header, PackedRows};
 
 const MAGIC: &[u8; 8] = b"FUICSR3\n";
@@ -189,8 +190,8 @@ fn body_bytes(n: usize, t: usize, row_bytes: usize) -> u64 {
     n * 4 + t as u64 * 4 + (n + 1) * 4 + row_bytes as u64
 }
 
-fn get_offsets(buf: &mut Bytes, n: usize, row_bytes: usize) -> Result<Vec<u32>, DecodeError> {
-    let mut offsets = Vec::with_capacity(n + 1);
+fn get_offsets(buf: &mut Bytes, n: usize, row_bytes: usize) -> Result<Pages<u32>, DecodeError> {
+    let mut offsets = Pages::with_capacity(n + 1);
     let mut prev = 0u32;
     for i in 0..=n {
         let o = buf.get_u32_le();
@@ -343,7 +344,7 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     if buf.remaining() as u64 > body {
         return Err(DecodeError::TrailingBytes(buf.remaining() - body as usize));
     }
-    let mut node_labels = Vec::with_capacity(n);
+    let mut node_labels = Pages::with_capacity(n);
     for _ in 0..n {
         node_labels.push(TopicSet::from_mask(buf.get_u32_le()));
     }
@@ -356,7 +357,7 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
         return Err(DecodeError::NonCanonicalLabels);
     }
     let out_offsets = get_offsets(&mut buf, n, r)?;
-    let mut stream = Vec::with_capacity(r + rows::PAD);
+    let mut stream = Pages::with_capacity(r + rows::PAD);
     stream.extend_from_slice(&buf[..r]);
     stream.extend_from_slice(&[0; rows::PAD]);
     buf.advance(r);
@@ -366,7 +367,7 @@ pub fn decode(mut buf: Bytes) -> Result<SocialGraph, DecodeError> {
     // next one the interner would have handed out. The in-degrees are
     // counted on the way, as the packer counts them.
     let (mut seen, mut next_new) = (vec![false; t], 0usize);
-    let mut in_offsets = vec![0u32; n + 1];
+    let mut in_offsets = Pages::zeroed(n + 1);
     let mut edge = |id: u16, v: usize| {
         if !seen[id as usize] {
             if id as usize != next_new {

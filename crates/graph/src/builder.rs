@@ -9,17 +9,18 @@
 use fui_taxonomy::TopicSet;
 
 use crate::csr::{LabelInterner, NodeId, SocialGraph};
+use crate::pages::Pages;
 use crate::rows::{self, RowPacker};
 
 /// Builds the in-edge arenas (sources + label ids) as the counting-sort
 /// transpose of a graph's out-rows, laid out by its in-offsets. Scratch
 /// is one `u32` cursor per node; everything else lands directly in the
 /// returned arrays.
-pub(crate) fn transpose_out_csr(g: &SocialGraph) -> (Vec<NodeId>, Vec<u16>) {
+pub(crate) fn transpose_out_csr(g: &SocialGraph) -> (Pages<NodeId>, Pages<u16>) {
     let m = g.num_edges();
     let mut cursor = g.in_offsets.clone();
-    let mut in_sources = vec![NodeId(0); m];
-    let mut in_labels = vec![0u16; m];
+    let mut in_sources = Pages::zeroed(m);
+    let mut in_labels = Pages::zeroed(m);
     // Scanning followers in ascending id order keeps each node's
     // follower list sorted — the order every consumer relies on.
     for u in g.nodes() {
@@ -166,7 +167,7 @@ impl GraphBuilder {
 pub struct StreamingBuilder {
     /// The node count the stream declared.
     nodes: usize,
-    node_labels: Vec<TopicSet>,
+    node_labels: Pages<TopicSet>,
     packer: RowPacker,
     interner: LabelInterner,
     /// The row being packed: targets with interned label ids.
@@ -189,7 +190,7 @@ impl StreamingBuilder {
     pub fn with_capacity(nodes: usize, edges: usize) -> StreamingBuilder {
         StreamingBuilder {
             nodes,
-            node_labels: Vec::with_capacity(nodes),
+            node_labels: Pages::with_capacity(nodes),
             packer: RowPacker::new(nodes, rows::stream_estimate(nodes, edges)),
             interner: LabelInterner::new(),
             row: Vec::new(),

@@ -41,6 +41,7 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::builder::{transpose_out_csr, StreamingBuilder};
+use crate::pages::Pages;
 use crate::rows::{self, OutRow, PackedRows, RowPacker};
 
 /// Identifier of a user account: a dense index in `0..graph.num_nodes()`.
@@ -163,6 +164,9 @@ impl MemoryFootprint {
 
 /// Immutable directed labeled graph: the out-CSR plus in-offsets.
 ///
+/// Every per-node and per-edge array is a [`Pages`] buffer, so a
+/// dropped graph's pages leave the process at once.
+///
 /// Construct it through [`crate::GraphBuilder`] (edge-list batch) or
 /// [`crate::StreamingBuilder`] (per-node streaming, bounded scratch),
 /// and derive one from another with [`SocialGraph::edited`]. All three
@@ -172,19 +176,19 @@ impl MemoryFootprint {
 /// whose followers were read equals an untouched copy.
 #[derive(Clone)]
 pub struct SocialGraph {
-    pub(crate) node_labels: Vec<TopicSet>,
+    pub(crate) node_labels: Pages<TopicSet>,
     /// Shared table of distinct edge label sets, first-seen order over
     /// the sorted out-edge scan.
     pub(crate) label_table: Vec<TopicSet>,
     // Out direction: who each node follows, one packed record per row
     // (`crate::rows`); `out_offsets` are byte offsets into `out_rows`.
-    pub(crate) out_offsets: Vec<u32>,
-    pub(crate) out_rows: Vec<u8>,
+    pub(crate) out_offsets: Pages<u32>,
+    pub(crate) out_rows: Pages<u8>,
     pub(crate) num_edges: usize,
     /// Bits of a row's first target, `⌈log₂ n⌉`.
     target_width: u32,
     /// In-degree prefix sums: `|Γu|` without the follower lists.
-    pub(crate) in_offsets: Vec<u32>,
+    pub(crate) in_offsets: Pages<u32>,
     /// Who follows each node, laid out by `in_offsets`: the transpose
     /// of the out arenas, derived on first use.
     in_edges: OnceLock<InEdges>,
@@ -194,8 +198,8 @@ pub struct SocialGraph {
 /// id, grouped by followee.
 #[derive(Clone)]
 struct InEdges {
-    sources: Vec<NodeId>,
-    labels: Vec<u16>,
+    sources: Pages<NodeId>,
+    labels: Pages<u16>,
 }
 
 impl PartialEq for SocialGraph {
@@ -213,7 +217,7 @@ impl SocialGraph {
     /// in-edge arenas underived. Every packer and the arena decoder end
     /// here.
     pub(crate) fn from_packed(
-        node_labels: Vec<TopicSet>,
+        node_labels: Pages<TopicSet>,
         label_table: Vec<TopicSet>,
         packed: PackedRows,
     ) -> SocialGraph {

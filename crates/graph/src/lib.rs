@@ -38,8 +38,12 @@
 //! * [`partition`] — the stateless node → shard owner hash that
 //!   sharded serving routes by,
 //! * [`io`] — TSV edge-list interchange for plugging in real datasets.
+//! * [`pages`] — [`Pages`], the page-mapped container every per-node
+//!   and per-edge array of the engine lives in, so memory the engine
+//!   frees goes back to the OS; the crate's only `unsafe`.
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 pub mod arena;
 pub mod bfs;
@@ -48,6 +52,8 @@ pub mod centrality;
 pub mod components;
 pub mod csr;
 pub mod io;
+#[allow(unsafe_code)]
+pub mod pages;
 pub mod partition;
 mod rows;
 pub mod spectral;
@@ -56,6 +62,7 @@ pub mod stats;
 pub use bfs::{k_vicinity, KVicinity};
 pub use builder::{GraphBuilder, StreamingBuilder};
 pub use csr::{EdgeRef, MemoryFootprint, NodeId, SocialGraph};
+pub use pages::Pages;
 pub use partition::{Partition, PartitionStrategy};
 pub use rows::OutRow;
 pub use stats::GraphStats;

@@ -23,6 +23,7 @@
 //! unaligned little-endian `u64` load, a shift and two masks.
 
 use crate::csr::NodeId;
+use crate::pages::Pages;
 
 /// Zero bytes after the last record, so a field load never runs past
 /// the stream.
@@ -202,10 +203,10 @@ impl Iterator for OutRow<'_> {
 
 impl ExactSizeIterator for OutRow<'_> {}
 
-/// Appends bit fields, least significant bit first, to a byte vector,
+/// Appends bit fields, least significant bit first, to a byte stream,
 /// four bytes at a time.
 struct BitWriter<'a> {
-    out: &'a mut Vec<u8>,
+    out: &'a mut Pages<u8>,
     acc: u64,
     bits: u32,
 }
@@ -235,7 +236,7 @@ impl BitWriter<'_> {
 /// Appends the canonical record of `row` — strictly ascending targets
 /// below `2^target_width`, with their label ids — to `out`. An empty
 /// row appends nothing.
-pub(crate) fn encode_row(row: &[(NodeId, u16)], target_width: u32, out: &mut Vec<u8>) {
+pub(crate) fn encode_row(row: &[(NodeId, u16)], target_width: u32, out: &mut Pages<u8>) {
     let Some(&(first, first_label)) = row.first() else {
         return;
     };
@@ -271,12 +272,12 @@ pub(crate) fn encode_row(row: &[(NodeId, u16)], target_width: u32, out: &mut Vec
 /// A packer's finished out arenas: byte offsets, the padded record
 /// stream, the edge count and the in-degree prefix sums.
 pub(crate) struct PackedRows {
-    pub(crate) offsets: Vec<u32>,
-    pub(crate) stream: Vec<u8>,
+    pub(crate) offsets: Pages<u32>,
+    pub(crate) stream: Pages<u8>,
     pub(crate) edges: usize,
     /// `in_offsets[v]..in_offsets[v + 1]` is where `v`'s followers sit
     /// once the in-edge arenas are derived; its length is `|Γv|`.
-    pub(crate) in_offsets: Vec<u32>,
+    pub(crate) in_offsets: Pages<u32>,
 }
 
 /// Targets held back before their in-degrees are counted. Counted a
@@ -287,10 +288,10 @@ const COUNT_BATCH: usize = 4096;
 /// Packs rows, in node order, into byte offsets and one padded stream,
 /// counting every target's in-degree on the way.
 pub(crate) struct RowPacker {
-    offsets: Vec<u32>,
-    stream: Vec<u8>,
+    offsets: Pages<u32>,
+    stream: Pages<u8>,
     edges: usize,
-    in_offsets: Vec<u32>,
+    in_offsets: Pages<u32>,
     /// Targets whose in-degree is not counted yet.
     uncounted: Vec<NodeId>,
     target_width: u32,
@@ -298,15 +299,16 @@ pub(crate) struct RowPacker {
 
 impl RowPacker {
     /// A packer for a graph of exactly `nodes` nodes, its stream
-    /// reserved at `stream_bytes`.
+    /// reserved at `stream_bytes`: mapped pages, resident only as far
+    /// as the rows fill them.
     pub(crate) fn new(nodes: usize, stream_bytes: usize) -> RowPacker {
-        let mut offsets = Vec::with_capacity(nodes + 1);
+        let mut offsets = Pages::with_capacity(nodes + 1);
         offsets.push(0);
         RowPacker {
             offsets,
-            stream: Vec::with_capacity(stream_bytes + PAD),
+            stream: Pages::with_capacity(stream_bytes + PAD),
             edges: 0,
-            in_offsets: vec![0; nodes + 1],
+            in_offsets: Pages::zeroed(nodes + 1),
             uncounted: Vec::with_capacity(COUNT_BATCH),
             target_width: target_width(nodes),
         }
@@ -339,8 +341,8 @@ impl RowPacker {
         }
     }
 
-    /// The finished arenas: the stream padded and shrunk to its length,
-    /// the in-degrees summed into offsets.
+    /// The finished arenas: the stream padded and its unused reserved
+    /// pages unmapped, the in-degrees summed into offsets.
     pub(crate) fn finish(mut self) -> PackedRows {
         self.count_in_degrees();
         self.stream.extend_from_slice(&[0; PAD]);

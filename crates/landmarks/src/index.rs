@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use fui_core::{PropWorkspace, PropagateOpts, Propagator};
-use fui_graph::NodeId;
+use fui_graph::{NodeId, Pages};
 use fui_taxonomy::{Topic, NUM_TOPICS};
 
 /// A node stored in a landmark's inverted lists with both composition
@@ -53,17 +53,19 @@ impl LandmarkEntry {
 /// The landmark index: selected landmarks, their inverted lists and a
 /// dense membership mask for O(1) landmark tests during BFS.
 ///
-/// The two per-node arenas depend only on the landmark set, so clones
-/// and [`truncated`](Self::truncated) copies share them instead of
-/// copying 5 B/node each.
+/// The one per-node arena, the mask, depends only on the landmark set,
+/// so clones and [`truncated`](Self::truncated) copies share it instead
+/// of copying 1 B/node each. Slots are looked up in a sorted
+/// `(landmark, slot)` array: one binary search per met landmark, and
+/// 8 B per landmark instead of 4 B per node.
 #[derive(Clone, Debug)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
     entries: Vec<LandmarkEntry>,
     /// Dense mask over graph nodes.
-    mask: Arc<[bool]>,
-    /// Landmark slot per node (`u32::MAX` = not a landmark).
-    slot: Arc<[u32]>,
+    mask: Arc<Pages<bool>>,
+    /// `(landmark, slot)` by landmark id.
+    slots: Box<[(NodeId, u32)]>,
     /// Stored list length n (the paper evaluates 10 / 100 / 1000).
     top_n: usize,
 }
@@ -110,23 +112,29 @@ impl LandmarkIndex {
         Self::build(propagator, landmarks, top_n)
     }
 
+    /// The index over `landmarks` (in slot order) and their entries.
+    /// The list is shrunk to its length: a caller's selection often
+    /// sorted every node id and truncated.
     pub(crate) fn assemble(
         num_nodes: usize,
-        landmarks: Vec<NodeId>,
+        mut landmarks: Vec<NodeId>,
         entries: Vec<LandmarkEntry>,
         top_n: usize,
     ) -> LandmarkIndex {
-        let mut mask = vec![false; num_nodes];
-        let mut slot = vec![u32::MAX; num_nodes];
-        for (i, &l) in landmarks.iter().enumerate() {
+        landmarks.shrink_to_fit();
+        let mut mask = Pages::zeroed(num_nodes);
+        for &l in &landmarks {
             mask[l.index()] = true;
-            slot[l.index()] = i as u32;
         }
+        // A landmark named twice answers to its last slot.
+        let mut slots: Vec<(NodeId, u32)> = (0..).zip(&landmarks).map(|(i, &l)| (l, i)).collect();
+        slots.sort_unstable_by_key(|&(l, i)| (l, std::cmp::Reverse(i)));
+        slots.dedup_by_key(|&mut (l, _)| l);
         LandmarkIndex {
             landmarks,
             entries,
-            mask: mask.into(),
-            slot: slot.into(),
+            mask: Arc::new(mask),
+            slots: slots.into(),
             top_n,
         }
     }
@@ -166,15 +174,14 @@ impl LandmarkIndex {
     /// or `None` if `v` is not a landmark.
     #[inline]
     pub fn slot_of(&self, v: NodeId) -> Option<u32> {
-        let s = self.slot[v.index()];
-        (s != u32::MAX).then_some(s)
+        let at = self.slots.binary_search_by_key(&v, |&(l, _)| l).ok()?;
+        Some(self.slots[at].1)
     }
 
     /// The stored entry of landmark `v`, if it is one.
     #[inline]
     pub fn entry(&self, v: NodeId) -> Option<&LandmarkEntry> {
-        let s = self.slot[v.index()];
-        (s != u32::MAX).then(|| &self.entries[s as usize])
+        self.slot_of(v).map(|s| &self.entries[s as usize])
     }
 
     /// Entry by slot (parallel to [`landmarks`](Self::landmarks)).
@@ -189,15 +196,15 @@ impl LandmarkIndex {
     }
 
     /// Everything the index keeps resident, including the dense
-    /// per-node mask and slot arenas the stored-list accounting of
+    /// per-node mask and the slot array the stored-list accounting of
     /// [`size_bytes`](Self::size_bytes) leaves out. At paper scale the
-    /// dense arenas dominate (5 bytes per graph node regardless of
-    /// landmark count) — this is the number capacity planning wants.
+    /// mask dominates (1 byte per graph node regardless of landmark
+    /// count) — this is the number capacity planning wants.
     pub fn resident_bytes(&self) -> usize {
         self.size_bytes()
             + self.landmarks.len() * std::mem::size_of::<NodeId>()
             + self.mask.len() * std::mem::size_of::<bool>()
-            + self.slot.len() * std::mem::size_of::<u32>()
+            + std::mem::size_of_val(&*self.slots)
     }
 
     /// Recomputes one landmark's entry against a (possibly changed)
@@ -252,7 +259,7 @@ impl LandmarkIndex {
             landmarks: self.landmarks.clone(),
             entries,
             mask: Arc::clone(&self.mask),
-            slot: Arc::clone(&self.slot),
+            slots: self.slots.clone(),
             top_n: top_n.min(self.top_n),
         }
     }
@@ -402,11 +409,11 @@ mod tests {
         let index = LandmarkIndex::build(&p, vec![NodeId(1)], 50);
         assert!(index.size_bytes() > 0);
         // Resident accounting additionally covers the dense per-node
-        // arenas: 4 B slot + 1 B mask per graph node, plus the
-        // landmark list itself.
+        // mask (1 B per graph node), the landmark list itself and its
+        // sorted (landmark, slot) pairs.
         assert_eq!(
             index.resident_bytes(),
-            index.size_bytes() + index.len() * 4 + index.mask().len() * 5
+            index.size_bytes() + index.len() * 4 + index.mask().len() + index.len() * 8
         );
         assert_eq!(index.top_n(), 50);
     }

@@ -27,6 +27,7 @@
 //!   per landmark at top-1000 over all topics).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dynamic;
 pub mod index;

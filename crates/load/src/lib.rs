@@ -28,6 +28,7 @@
 //!   flash phase.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod report;

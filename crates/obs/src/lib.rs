@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod hist;
 mod manifest;

@@ -51,6 +51,7 @@
 //! conformance suite and the CI bench gate both enforce it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod batch;
 pub mod cache;

@@ -19,6 +19,7 @@
 //!   paper keeps in memory (2.5 KB for 18 topics).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod matrix;
 pub mod topics;

@@ -57,6 +57,7 @@
 //! ([`gen::minimize`]) before reporting it.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod chaos;
 pub mod corpus;

@@ -2,7 +2,9 @@
 //! ingestion, graph edits and the similarity rows — in their own test
 //! binary because the counting allocator below is process-global: the
 //! tests take [`SERIAL`] so no measurement is polluted by a concurrent
-//! one.
+//! one. The engine's per-node and per-edge arrays are page mappings
+//! (`fui_graph::Pages`) that bypass the allocator, so every reading
+//! adds the mapping counters to the heap's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,14 +62,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// Runs `f` and returns (peak bytes above the starting live set,
-/// allocation count).
+/// allocation count), each the heap's plus the page mappings'. The
+/// two peaks may fall at different moments, so their sum bounds the
+/// combined peak from above.
 fn measured<T>(f: impl FnOnce() -> T) -> (T, usize, u64) {
     let live_before = LIVE.load(Ordering::Relaxed);
     let allocs_before = ALLOCS.load(Ordering::Relaxed);
     PEAK.store(live_before, Ordering::Relaxed);
+    fui_graph::pages::reset_peak();
+    let mapped_before = fui_graph::pages::stats();
     let out = f();
-    let peak = PEAK.load(Ordering::Relaxed) - live_before;
-    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    let mapped = fui_graph::pages::stats();
+    let peak = PEAK.load(Ordering::Relaxed) - live_before + (mapped.peak - mapped_before.live);
+    let allocs =
+        ALLOCS.load(Ordering::Relaxed) - allocs_before + (mapped.maps - mapped_before.maps);
     (out, peak, allocs)
 }
 
@@ -205,6 +213,10 @@ fn authority_costs_its_nonzero_entries() {
     // has not allocated yet — and a few per-chunk words. Concatenating
     // per-chunk copies of a full-size arena is what this refuses.
     let budget = 64 << 10;
+    assert!(
+        peak >= index.size_bytes(),
+        "the reading ({peak} B) misses the index's own arrays"
+    );
     assert!(
         peak <= index.size_bytes() + budget,
         "AuthorityIndex::build peaked at {peak} B for a {} B index \

@@ -36,6 +36,7 @@
 //!   generators.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod lda;
 pub mod metrics;

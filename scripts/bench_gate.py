@@ -92,6 +92,9 @@ CELLS = {
             (("authority.index.bytes", "table5_large.nodes"), None, 32.0,
              "sparse authority rows: non-zero (node, topic) pairs only; the dense rows were 216"),
             ("datagen.stream.scratch_bytes", 0, None, "the streaming generator reports its scratch"),
+            ("mem.unaccounted_mb", None, 12.0,
+             "VmRSS minus the live engine's accounted bytes: page-mapped arrays leave when dropped "
+             "(reads 4.4 MB at 1M x 8); freed memory the heap keeps would show here"),
         ],
     ),
     # Cold build and warm restore run in one process: the restarted

@@ -54,6 +54,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use fui_baselines as baselines;
 pub use fui_core as core;

@@ -165,9 +165,12 @@ fn one_topic(t: Topic) -> TopicSet {
 
 /// Bytes of a real snapshot file written by a durable service with a
 /// rotation behind it and a non-empty pending buffer — every section
-/// of the format populated.
+/// of the format populated. Each call writes in a directory of its
+/// own: the tests calling it run in parallel threads.
 fn sample_serving_snapshot() -> Vec<u8> {
-    let dir = std::env::temp_dir().join(format!("fui-fuzz-snap-{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("fui-fuzz-snap-{}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let case = corpus::generate(Preset::Dag, 0x5EED_CA5E);
     let svc = chaos::durable_service(&case, &dir);
